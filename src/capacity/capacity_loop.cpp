@@ -67,8 +67,9 @@ CapacityLoop::RunResult CapacityLoop::run(
       rng::streamSeed(options_.seed, serve::kRepairStreamSalt);
 
   obs::MetricsRegistry* const metrics = options_.metrics;
+  obs::TraceWriter* const traceOut = options_.trace;
   obs::MonitorSet* const monitors = options_.monitors;
-  const bool instrumented = metrics != nullptr;
+  const bool instrumented = metrics != nullptr || traceOut != nullptr;
   serve::ServeCounters prevCounters;
   std::int64_t prevFlushedBins = 0;
   if (metrics != nullptr) {
@@ -95,6 +96,7 @@ CapacityLoop::RunResult CapacityLoop::run(
     double tEpoch0 = 0.0;
     double tDecide1 = 0.0;
     double tApply1 = 0.0;
+    double tSettle1 = 0.0;
     double tRepair1 = 0.0;
     double tFlush1 = 0.0;
     if (instrumented) tEpoch0 = obs::nowUs();
@@ -118,6 +120,12 @@ CapacityLoop::RunResult CapacityLoop::run(
     allocator_->applyBatch(batch.data(), decisions.data(), batch.size());
     if (instrumented) tApply1 = obs::nowUs();
 
+    // Settle the batch's deferred Fenwick deltas before the first repair
+    // draw, so the flush is timed as flush; repairMove()'s own entry flush
+    // then only settles the previous repair's move.
+    allocator_->flush();
+    if (instrumented) tSettle1 = obs::nowUs();
+
     rng::Xoshiro256pp repairEng(
         rng::streamSeed(repairSeed, static_cast<std::uint64_t>(nextEpoch_)));
     for (int k = 0; k < options_.repairMovesPerEpoch; ++k) {
@@ -125,7 +133,7 @@ CapacityLoop::RunResult CapacityLoop::run(
     }
     if (instrumented) tRepair1 = obs::nowUs();
 
-    allocator_->flush();
+    allocator_->flush();  // the repair moves' deltas
     if (instrumented) tFlush1 = obs::nowUs();
 
     const double epochWall = wall.seconds();
@@ -133,12 +141,21 @@ CapacityLoop::RunResult CapacityLoop::run(
     result.events += static_cast<std::int64_t>(batch.size());
     ++result.epochs;
 
-    // Outside the timed region: stats assembly, telemetry, the callback.
-    const bool wantBalance =
-        static_cast<bool>(onEpoch) || metrics != nullptr || monitors != nullptr;
-    sim::BalanceState balance;
-    if (wantBalance) balance = allocator_->balanceState();
+    // Outside the timed region: stats assembly, telemetry, the callback,
+    // traced as one "observe" span. The balance read is O(1).
+    const obs::Span observe(traceOut, "observe");
+    const sim::BalanceState balance = allocator_->balanceState();
     const std::int64_t gap = balance.maxLoad - balance.minLoad;
+
+    if (traceOut != nullptr) {
+      traceOut->complete("epoch", "epoch", tEpoch0, tFlush1);
+      traceOut->complete("decide", "phase", tEpoch0, tDecide1);
+      traceOut->complete("apply", "phase", tDecide1, tApply1);
+      traceOut->complete("flush", "phase", tApply1, tSettle1);
+      traceOut->complete("repair", "phase", tSettle1, tRepair1);
+      traceOut->complete("flush", "phase", tRepair1, tFlush1);
+      traceOut->counter("serve.gap", "gap", tFlush1, static_cast<double>(gap));
+    }
 
     if (metrics != nullptr) {
       metrics->add(ids_.events, static_cast<std::int64_t>(batch.size()));
@@ -158,8 +175,8 @@ CapacityLoop::RunResult CapacityLoop::run(
       prevFlushedBins = flushed;
       metrics->add(ids_.decideNs, spanNs(tEpoch0, tDecide1));
       metrics->add(ids_.applyNs, spanNs(tDecide1, tApply1));
-      metrics->add(ids_.repairNs, spanNs(tApply1, tRepair1));
-      metrics->add(ids_.flushNs, spanNs(tRepair1, tFlush1));
+      metrics->add(ids_.repairNs, spanNs(tSettle1, tRepair1));
+      metrics->add(ids_.flushNs, spanNs(tApply1, tSettle1) + spanNs(tRepair1, tFlush1));
       metrics->set(ids_.gap, static_cast<double>(gap));
       metrics->set(ids_.liveBalls, static_cast<double>(allocator_->liveBalls()));
       metrics->set(ids_.totalLoad, static_cast<double>(allocator_->totalLoad()));

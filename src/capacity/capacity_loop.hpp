@@ -19,9 +19,13 @@
 // core count, is the binding constraint.
 //
 // Timing contract: identical to the dense loop — EpochStats.wallSeconds
-// covers decision + apply + repair + flush; trace generation and the
-// telemetry/callback tail are outside; RunResult.wallSeconds is the exact
-// sum of the per-epoch values.
+// covers decide, apply, flush (the batch's deferred Fenwick deltas, settled
+// before the first repair draw), repair, and a final flush of the repair
+// moves; serve.phase.flush_ns sums both flushes. Trace generation and the
+// stats/telemetry/monitor/callback tail (the "observe" span) are outside;
+// RunResult.wallSeconds is the exact sum of the per-epoch values. The
+// balance observation in that tail is an O(1) read of the allocator's
+// level tracker, so the tail's cost does not grow with n.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +34,7 @@
 #include "capacity/compact_allocator.hpp"
 #include "obs/metrics.hpp"
 #include "obs/monitor.hpp"
+#include "obs/trace.hpp"
 #include "serve/event_loop.hpp"
 #include "workload/generators.hpp"
 
@@ -44,6 +49,9 @@ struct CapacityLoopOptions {
   /// vocabulary (including the serve.mem.* capacity gauges), so
   /// perf_report.py renders capacity runs with the same dashboard.
   obs::MetricsRegistry* metrics = nullptr;
+  /// Perfetto spans per epoch (epoch; decide/apply/flush/repair/flush
+  /// phases; observe) plus a serve.gap counter, as the dense loop records.
+  obs::TraceWriter* trace = nullptr;
   obs::MonitorSet* monitors = nullptr;
 };
 

@@ -9,6 +9,7 @@ namespace rlslb::capacity {
 CompactAllocator::CompactAllocator(const CompactOptions& options)
     : options_(options),
       loads_(static_cast<std::size_t>(options.bins), 0),
+      balance_(options.bins),
       flushedLoad_(static_cast<std::size_t>(options.bins), 0),
       mass_(static_cast<std::size_t>(options.bins)),
       dirtyMark_(static_cast<std::size_t>(options.bins), 0),
@@ -122,9 +123,11 @@ void CompactAllocator::placeBall(std::int64_t ball, std::int32_t bin) {
   RLSLB_ASSERT_MSG(ballBin_[static_cast<std::size_t>(ball)] < 0,
                    "arrive event for a ball id that is already live");
   listPush(bin, static_cast<std::int32_t>(ball));
+  const std::int32_t level = loads_[static_cast<std::size_t>(bin)];
   ballBin_[static_cast<std::size_t>(ball)] = bin;
-  ballSlot_[static_cast<std::size_t>(ball)] = loads_[static_cast<std::size_t>(bin)];
-  ++loads_[static_cast<std::size_t>(bin)];
+  ballSlot_[static_cast<std::size_t>(ball)] = level;
+  loads_[static_cast<std::size_t>(bin)] = level + 1;
+  balance_.onLoadChange(level, level + 1);
   ++totalLoad_;
   markDirty(bin);
 }
@@ -133,8 +136,10 @@ void CompactAllocator::removeBall(std::int64_t ball, std::int32_t bin,
                                   std::int32_t slot) {
   listSwapRemove(bin, slot);
   ballBin_[static_cast<std::size_t>(ball)] = -1;
-  --loads_[static_cast<std::size_t>(bin)];
-  RLSLB_ASSERT(loads_[static_cast<std::size_t>(bin)] >= 0);
+  const std::int32_t level = loads_[static_cast<std::size_t>(bin)];
+  RLSLB_ASSERT(level >= 1);
+  loads_[static_cast<std::size_t>(bin)] = level - 1;
+  balance_.onLoadChange(level, level - 1);
   --totalLoad_;
   markDirty(bin);
 }
@@ -142,12 +147,16 @@ void CompactAllocator::removeBall(std::int64_t ball, std::int32_t bin,
 void CompactAllocator::moveBall(std::int64_t ball, std::int32_t fromBin,
                                 std::int32_t toBin) {
   listSwapRemove(fromBin, ballSlot_[static_cast<std::size_t>(ball)]);
-  --loads_[static_cast<std::size_t>(fromBin)];
+  const std::int32_t fromLevel = loads_[static_cast<std::size_t>(fromBin)];
+  loads_[static_cast<std::size_t>(fromBin)] = fromLevel - 1;
+  balance_.onLoadChange(fromLevel, fromLevel - 1);
   markDirty(fromBin);
   listPush(toBin, static_cast<std::int32_t>(ball));
+  const std::int32_t toLevel = loads_[static_cast<std::size_t>(toBin)];
   ballBin_[static_cast<std::size_t>(ball)] = toBin;
-  ballSlot_[static_cast<std::size_t>(ball)] = loads_[static_cast<std::size_t>(toBin)];
-  ++loads_[static_cast<std::size_t>(toBin)];
+  ballSlot_[static_cast<std::size_t>(ball)] = toLevel;
+  loads_[static_cast<std::size_t>(toBin)] = toLevel + 1;
+  balance_.onLoadChange(toLevel, toLevel + 1);
   markDirty(toBin);
 }
 
@@ -259,31 +268,6 @@ std::vector<std::int64_t> CompactAllocator::loadsCopy() const {
   return {loads_.begin(), loads_.end()};
 }
 
-std::int64_t CompactAllocator::minLoad() const {
-  std::int32_t lo = loads_[0];
-  for (const std::int32_t v : loads_) lo = std::min(lo, v);
-  return lo;
-}
-
-std::int64_t CompactAllocator::maxLoad() const {
-  std::int32_t hi = loads_[0];
-  for (const std::int32_t v : loads_) hi = std::max(hi, v);
-  return hi;
-}
-
-sim::BalanceState CompactAllocator::balanceState() const {
-  sim::BalanceState state;
-  state.numBins = numBins();
-  state.numBalls = totalLoad_;
-  state.minLoad = minLoad();
-  state.maxLoad = maxLoad();
-  const std::int64_t ceilAvg = (state.numBalls + state.numBins - 1) / state.numBins;
-  for (const std::int32_t v : loads_) {
-    if (v > ceilAvg) state.overloadedBalls += v - ceilAvg;
-  }
-  return state;
-}
-
 std::int64_t CompactAllocator::residentBytes() const {
   auto vecBytes = [](const auto& v) {
     return static_cast<std::int64_t>(v.capacity() * sizeof(v[0]));
@@ -291,6 +275,7 @@ std::int64_t CompactAllocator::residentBytes() const {
   return vecBytes(loads_) + vecBytes(flushedLoad_) + vecBytes(dirty_) +
          vecBytes(dirtyMark_) + vecBytes(binHead_) + vecBytes(binTail_) +
          vecBytes(ballBin_) + vecBytes(ballSlot_) + vecBytes(arena_) +
+         balance_.heapBytes() +
          static_cast<std::int64_t>((mass_.size() + 1) * sizeof(std::int64_t));
 }
 
@@ -328,6 +313,30 @@ bool CompactAllocator::validate() const {
     if ((binHead_[bin] < 0) != (binTail_[bin] < 0)) return false;
   }
   if (total != totalLoad_) return false;
+  // The balance tracker's level counts must be the histogram of loads_,
+  // and its state what a scan of loads_ computes.
+  std::vector<std::int64_t> levels;
+  std::int64_t overloaded = 0;
+  const auto bins = static_cast<std::int64_t>(loads_.size());
+  const std::int64_t ceilAvg = (totalLoad_ + bins - 1) / bins;
+  for (const std::int32_t v : loads_) {
+    if (static_cast<std::size_t>(v) >= levels.size()) {
+      levels.resize(static_cast<std::size_t>(v) + 1, 0);
+    }
+    ++levels[static_cast<std::size_t>(v)];
+    if (v > ceilAvg) overloaded += v - ceilAvg;
+  }
+  const sim::BalanceState& state = balance_.state();
+  std::int64_t lowest = 0;
+  while (levels[static_cast<std::size_t>(lowest)] == 0) ++lowest;
+  if (state.numBins != bins || state.numBalls != totalLoad_) return false;
+  if (state.minLoad != lowest) return false;
+  if (state.maxLoad != static_cast<std::int64_t>(levels.size()) - 1) return false;
+  if (state.overloadedBalls != overloaded) return false;
+  for (std::size_t level = 0; level <= levels.size(); ++level) {
+    const std::int64_t expected = level < levels.size() ? levels[level] : 0;
+    if (balance_.levelCount(static_cast<std::int64_t>(level)) != expected) return false;
+  }
   // The Fenwick may lag by the dirty set; reconciled it must match.
   for (const std::int32_t bin : dirty_) {
     if (dirtyMark_[static_cast<std::size_t>(bin)] == 0) return false;

@@ -21,6 +21,14 @@
 // would cost 2.4 GB at n = 1e8). Net: ~12-16 bytes per live ball plus
 // ~20 bytes per bin, versus ~60-100 bytes per ball dense.
 //
+// Balance observation is incremental: the three load-mutation points
+// (placeBall, removeBall, moveBall) feed a sim::BalanceTracker — a dense
+// count per load level, O(1) per unit change plus an O(spread) re-sum when
+// ceil(m/n) moves — so balanceState()/minLoad()/maxLoad()/gap() are O(1)
+// reads. A per-epoch O(n) scan costs more than the whole serving loop at
+// n = 1e6; against one fused scan the tracker wins 2.6x end to end there
+// and ties at n = 256 (docs/EXPERIMENTS.md, "Balance observation").
+//
 // Equivalence contract (pinned by tests/test_capacity.cpp): driven by
 // capacity::CapacityLoop over the same trace and seed, this backend
 // produces byte-identical observable output — loads, gap trajectory, every
@@ -44,6 +52,7 @@
 #include "rng/distributions.hpp"
 #include "rng/xoshiro256pp.hpp"
 #include "serve/online_allocator.hpp"
+#include "sim/balance_tracker.hpp"
 #include "workload/event.hpp"
 
 namespace rlslb::capacity {
@@ -102,7 +111,9 @@ class CompactAllocator {
 
   /// One RLS repair activation: the exact dense draw sequence (load ticket
   /// -> Fenwick upperBound bin -> uniform in-bin slot -> uniform candidate
-  /// bin -> strict rule). Returns whether a ball moved.
+  /// bin -> strict rule). Returns whether a ball moved. Flushes at entry;
+  /// CapacityLoop flushes right after apply, so on the first draw of an
+  /// epoch that flush is a no-op and later ones settle one prior move.
   bool repairMove(rng::Xoshiro256pp& eng);
 
   [[nodiscard]] std::int64_t numBins() const {
@@ -115,11 +126,13 @@ class CompactAllocator {
   [[nodiscard]] const std::vector<std::int32_t>& loads32() const { return loads_; }
   /// Widened copy for differential comparison against the dense backend.
   [[nodiscard]] std::vector<std::int64_t> loadsCopy() const;
-  [[nodiscard]] std::int64_t minLoad() const;
-  [[nodiscard]] std::int64_t maxLoad() const;
+  /// Balance observation is O(1): a read of the per-level tracker the
+  /// three load-mutation points (place/remove/move) keep current.
+  [[nodiscard]] std::int64_t minLoad() const { return balance_.state().minLoad; }
+  [[nodiscard]] std::int64_t maxLoad() const { return balance_.state().maxLoad; }
   [[nodiscard]] std::int64_t gap() const { return maxLoad() - minLoad(); }
   /// Same closed-system view the dense balanceState() exposes.
-  [[nodiscard]] sim::BalanceState balanceState() const;
+  [[nodiscard]] sim::BalanceState balanceState() const { return balance_.state(); }
   [[nodiscard]] std::int64_t flushedBins() const { return flushedBins_; }
 
   /// Heap bytes of every structure, O(1) from capacities — the number the
@@ -164,6 +177,7 @@ class CompactAllocator {
 
   CompactOptions options_;
   std::vector<std::int32_t> loads_;        // live per-bin ball counts
+  sim::BalanceTracker balance_;            // per-level counts over loads_
   std::vector<std::int32_t> flushedLoad_;  // Fenwick view, lags by dirty_
   ds::Fenwick<std::int64_t> mass_;         // repair bin sampling
   std::vector<std::int32_t> dirty_;

@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -97,6 +98,18 @@ std::unique_ptr<workload::TraceGenerator> buildTrace(ScenarioContext& ctx,
   return std::make_unique<workload::HotspotTrace>(o, seed);
 }
 
+/// epoch= param (events per load snapshot), rejected below 1 before any
+/// epoch arithmetic divides by it.
+std::int64_t epochParam(ScenarioContext& ctx) {
+  const std::int64_t epoch = ctx.params.getInt("epoch", 1024);
+  if (epoch < 1) {
+    std::string message = "epoch= must be >= 1 (got ";
+    message.append(std::to_string(epoch)).append(")");
+    throw std::invalid_argument(message);
+  }
+  return epoch;
+}
+
 /// partitioned= param -> ApplyMode: "auto" (default; partitioned when the
 /// pool has workers and shards > 1), "0"/"seq" (fused sequential apply),
 /// "1"/"part" (force the partitioned path).
@@ -118,7 +131,7 @@ void runServe(ScenarioContext& ctx, const std::string& kind) {
   const bool conformance = ctx.params.getBool("conformance", ctx.conformanceDefault);
   serve::LoopOptions loopOptions;
   loopOptions.shards = static_cast<int>(ctx.params.getInt("shards", 8));
-  loopOptions.epochEvents = ctx.params.getInt("epoch", 1024);
+  loopOptions.epochEvents = epochParam(ctx);
   loopOptions.repairMovesPerEpoch = static_cast<int>(ctx.params.getInt("repair", 4));
   loopOptions.seed = ctx.seed;
   loopOptions.applyMode = parseApplyMode(ctx.params.getString("partitioned", "auto"));
@@ -338,7 +351,7 @@ void runServeScaling(ScenarioContext& ctx) {
   serve::AllocatorOptions allocOptions;
   allocOptions.bins = n;
   allocOptions.arrivalChoices = static_cast<int>(ctx.params.getInt("d", 2));
-  const auto epochEvents = ctx.params.getInt("epoch", 1024);
+  const std::int64_t epochEvents = epochParam(ctx);
   const auto repair = static_cast<int>(ctx.params.getInt("repair", 4));
   const std::vector<int> threadList =
       parseIntList(ctx.params.getString("thread_list", "1,2,4"), "thread_list entries must be >= 1");

@@ -30,6 +30,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -103,7 +104,12 @@ void runCapacity(ScenarioContext& ctx) {
   const bool conformance = ctx.params.getBool("conformance", ctx.conformanceDefault);
   RLSLB_ASSERT_MSG(backend == "compact" || backend == "dense",
                    "backend= must be compact or dense");
-  RLSLB_ASSERT_MSG(epb >= 1 && epochEvents >= 1, "epb and epoch must be >= 1");
+  if (epb < 1 || epochEvents < 1) {
+    std::string message = "serve_capacity: epb= and epoch= must be >= 1 (got epb=";
+    message.append(std::to_string(epb)).append(", epoch=");
+    message.append(std::to_string(epochEvents)).append(")");
+    throw std::invalid_argument(message);
+  }
 
   std::vector<std::int64_t> nList;
   for (const std::string& t : nTokens) {
@@ -243,6 +249,7 @@ void runCapacity(ScenarioContext& ctx) {
           loopOptions.repairMovesPerEpoch = repair;
           loopOptions.seed = cellSeed;
           loopOptions.metrics = &ctx.metrics;
+          loopOptions.trace = ctx.trace;
           loopOptions.monitors = monitors;
           capacity::CapacityLoop loop(allocator, loopOptions);
           const capacity::CapacityLoop::RunResult run = loop.run(trace, onEpoch);
@@ -266,6 +273,7 @@ void runCapacity(ScenarioContext& ctx) {
           loopOptions.repairMovesPerEpoch = repair;
           loopOptions.seed = cellSeed;
           loopOptions.metrics = &ctx.metrics;
+          loopOptions.trace = ctx.trace;
           loopOptions.monitors = monitors;
           serve::ShardedEventLoop loop(allocator, loopOptions, ctx.pool());
           const serve::ShardedEventLoop::RunResult run = loop.run(trace, onEpoch);

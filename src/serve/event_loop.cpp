@@ -189,6 +189,7 @@ ShardedEventLoop::RunResult ShardedEventLoop::run(
     double tDecide1 = 0.0;
     double tResolve1 = 0.0;
     double tApply1 = 0.0;
+    double tSettle1 = 0.0;
     double tRepair1 = 0.0;
     double tFlush1 = 0.0;
     if (instrumented) tEpoch0 = obs::nowUs();
@@ -252,15 +253,22 @@ ShardedEventLoop::RunResult ShardedEventLoop::run(
     }
     if (instrumented) tApply1 = obs::nowUs();
 
+    // Settle the batch's deferred Fenwick deltas before the first repair
+    // draw, so the flush is timed as flush (repairMove()'s own entry flush
+    // then only settles the previous repair's move). A no-op after the
+    // partitioned drain, which flushes per shard.
+    allocator_->flush();
+    if (instrumented) tSettle1 = obs::nowUs();
+
     // Cross-shard repair budget (sequential; mutates arbitrary shards).
     rng::Xoshiro256pp repairEng(
         rng::streamSeed(repairSeed, static_cast<std::uint64_t>(nextEpoch_)));
     for (int k = 0; k < options_.repairMovesPerEpoch; ++k) allocator_->repairMove(repairEng);
     if (instrumented) tRepair1 = obs::nowUs();
 
-    // Settle any remaining deferred Fenwick deltas inside the
-    // timed region — the flush belongs to the epoch's apply cost, not to
-    // whichever observer happens to read a merged view first.
+    // Settle the repair moves' deltas inside the timed region too — the
+    // flush belongs to the epoch's cost, not to whichever observer happens
+    // to read a merged view first.
     allocator_->flush();
     if (instrumented) tFlush1 = obs::nowUs();
 
@@ -273,7 +281,8 @@ ShardedEventLoop::RunResult ShardedEventLoop::run(
     ++result.epochs;
 
     // Everything below is outside the timed region: stats assembly, the
-    // telemetry export, and the callback.
+    // telemetry export, and the callback, traced as one "observe" span.
+    const obs::Span observe(traceOut, "observe");
     const bool wantBalance = static_cast<bool>(onEpoch) || metrics != nullptr ||
                              traceOut != nullptr || monitors != nullptr;
     sim::BalanceState balance;
@@ -289,7 +298,8 @@ ShardedEventLoop::RunResult ShardedEventLoop::run(
       } else {
         traceOut->complete("apply", "phase", tDecide1, tApply1);
       }
-      traceOut->complete("repair", "phase", tApply1, tRepair1);
+      traceOut->complete("flush", "phase", tApply1, tSettle1);
+      traceOut->complete("repair", "phase", tSettle1, tRepair1);
       traceOut->complete("flush", "phase", tRepair1, tFlush1);
       traceOut->counter("serve.gap", "gap", tFlush1, static_cast<double>(gap));
       traceOut->counter("serve.queued_ops", "ops", tFlush1,
@@ -321,8 +331,8 @@ ShardedEventLoop::RunResult ShardedEventLoop::run(
       } else {
         metrics->add(ids_.applyNs, spanNs(tDecide1, tApply1));
       }
-      metrics->add(ids_.repairNs, spanNs(tApply1, tRepair1));
-      metrics->add(ids_.flushNs, spanNs(tRepair1, tFlush1));
+      metrics->add(ids_.repairNs, spanNs(tSettle1, tRepair1));
+      metrics->add(ids_.flushNs, spanNs(tApply1, tSettle1) + spanNs(tRepair1, tFlush1));
       metrics->set(ids_.gap, static_cast<double>(gap));
       metrics->set(ids_.liveBalls, static_cast<double>(allocator_->liveBalls()));
       metrics->set(ids_.totalLoad, static_cast<double>(allocator_->totalLoad()));

@@ -31,12 +31,13 @@
 //      Either way the allocator defers the O(log n) Fenwick updates per
 //      bin, reconciling net deltas once per epoch (shard-parallel on the
 //      partitioned drain) — rejected resamples, the steady-state common
-//      case, touch no structure at all.
+//      case, touch no structure at all. The fused path's deltas settle in
+//      an allocator flush right after apply, timed as the flush phase.
 //   4. Cross-shard rebalance: a fixed budget of RLS repair activations on
 //      live state heals whatever imbalance the stale snapshot let through
 //      (the bulk-synchronous analogue of the paper's background RLS
 //      clocks). A final allocator flush — still inside the epoch timer —
-//      settles any deferred deltas before observers look.
+//      settles the repair moves' deltas before observers look.
 //
 // Determinism: decisions are per-event pure functions of (snapshot,
 // ordinal-derived rng), resolution order is the trace order, the per-owner
@@ -49,10 +50,11 @@
 //
 // Timing contract (pinned by tests/test_serve_partitioned.cpp):
 // EpochStats.wallSeconds covers exactly the epoch's decision phase, apply
-// phase (fused apply, or resolve + queue drain), and repair budget. It
-// excludes trace generation (the batch fill), EpochStats assembly, and the
-// onEpoch callback. RunResult.wallSeconds is the exact sum of the per-epoch
-// values — no extra terms.
+// phase (fused apply, or resolve + queue drain), both flushes, and repair
+// budget. It excludes trace generation (the batch fill), EpochStats
+// assembly, telemetry, and the onEpoch callback (the "observe" span).
+// RunResult.wallSeconds is the exact sum of the per-epoch values — no
+// extra terms.
 #pragma once
 
 #include <cstdint>

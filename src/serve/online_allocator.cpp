@@ -1,5 +1,6 @@
 #include "serve/online_allocator.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "rng/distributions.hpp"
@@ -450,36 +451,32 @@ std::int64_t OnlineAllocator::residentBytes() const {
   return bytes;
 }
 
-std::int64_t OnlineAllocator::minLoad() const {
-  // Accessors are sequential-only by contract (see header), so the lazy
-  // flush is safe; after the event loop's in-timer flush it is a no-op.
-  // The O(n) scan replaces a maintained level histogram: min/max are read
-  // a handful of times per epoch (outside the timed hot path), so paying
-  // for a scan here is far cheaper than paying per load change there.
-  const_cast<OnlineAllocator*>(this)->flush();
-  std::int64_t lo = loads_[0];
-  for (const std::int64_t v : loads_) lo = std::min(lo, v);
-  return lo;
-}
+std::int64_t OnlineAllocator::minLoad() const { return balanceState().minLoad; }
 
-std::int64_t OnlineAllocator::maxLoad() const {
-  const_cast<OnlineAllocator*>(this)->flush();
-  std::int64_t hi = loads_[0];
-  for (const std::int64_t v : loads_) hi = std::max(hi, v);
-  return hi;
-}
+std::int64_t OnlineAllocator::maxLoad() const { return balanceState().maxLoad; }
 
 sim::BalanceState OnlineAllocator::balanceState() const {
+  // Accessors are sequential-only by contract (see header), so the lazy
+  // flush is safe; after the event loop's in-timer flush it is a no-op.
+  // One fused O(n) pass replaces a maintained level histogram: the state is
+  // read once per epoch (outside the timed hot path), so paying for a scan
+  // here is far cheaper than paying per load change there.
   const_cast<OnlineAllocator*>(this)->flush();
   sim::BalanceState state;
   state.numBins = numBins();
   state.numBalls = totalLoad_;  // total carried weight
-  state.minLoad = minLoad();
-  state.maxLoad = maxLoad();
   const std::int64_t ceilAvg = (state.numBalls + state.numBins - 1) / state.numBins;
+  std::int64_t lo = loads_[0];
+  std::int64_t hi = loads_[0];
+  std::int64_t overloaded = 0;
   for (const std::int64_t v : loads_) {
-    if (v > ceilAvg) state.overloadedBalls += v - ceilAvg;
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+    overloaded += std::max<std::int64_t>(v - ceilAvg, 0);
   }
+  state.minLoad = lo;
+  state.maxLoad = hi;
+  state.overloadedBalls = overloaded;
   return state;
 }
 

@@ -62,14 +62,15 @@
 // a structure at all. Fenwick node values depend only on final per-bin
 // loads, so the flushed state is byte-identical to the eager per-event
 // updates this replaced. There is no maintained level histogram at all:
-// min/max/overload queries are a per-epoch observation, so they scan the
-// (always-current) flat load array on demand instead of taxing every load
-// change in the hot loop. Consumers of the derived structures
-// re-synchronize first: applyShardOps() flushes its shard at the end of
-// the drain (so the flush work itself runs shard-parallel), repairMove()
-// flushes at entry, and the accessors (minLoad/maxLoad/balanceState/
-// validate) flush lazily — they are sequential-only by contract, like
-// every other mutation entry point.
+// min/max/overload queries are a per-epoch observation, so one fused pass
+// over the (always-current) flat load array answers them on demand instead
+// of taxing every load change in the hot loop. Consumers of the derived
+// structures re-synchronize first: applyShardOps() flushes its shard at the
+// end of the drain (so the flush work itself runs shard-parallel), the
+// event loop flushes after apply, repairMove() flushes at entry (settling
+// only the previous repair's move), and the accessors (minLoad/maxLoad/
+// balanceState/validate) flush lazily — they are sequential-only by
+// contract, like every other mutation entry point.
 #pragma once
 
 #include <cstdint>
@@ -191,18 +192,21 @@ class OnlineAllocator {
   [[nodiscard]] const std::vector<std::int64_t>& loads() const { return loads_; }
   [[nodiscard]] std::int64_t totalLoad() const { return totalLoad_; }
   [[nodiscard]] std::int64_t liveBalls() const { return liveBalls_; }
-  /// O(n) scan of the live load array (these accessors flush lazily so the
-  /// derived structures reconcile too, and are therefore sequential-only,
-  /// like every mutation entry point).
+  /// Read off balanceState(): one O(n) scan of the live load array (these
+  /// accessors flush lazily so the derived structures reconcile too, and
+  /// are therefore sequential-only, like every mutation entry point).
   [[nodiscard]] std::int64_t minLoad() const;
   [[nodiscard]] std::int64_t maxLoad() const;
   /// max - min bin load: the serving analogue of the discrepancy.
-  [[nodiscard]] std::int64_t gap() const { return maxLoad() - minLoad(); }
+  [[nodiscard]] std::int64_t gap() const {
+    const sim::BalanceState state = balanceState();
+    return state.maxLoad - state.minLoad;
+  }
   /// The live state as the closed-system balance view (sim::BalanceState,
   /// the same vocabulary process::Process::state() speaks): numBalls is the
   /// total carried *weight*, so discrepancy()/xBalanced() are in weight
-  /// units. min/max and the overloaded-ball excess are one O(n) scan of
-  /// the live load array.
+  /// units. min, max and the overloaded-ball excess come from one fused
+  /// O(n) pass over the live load array.
   [[nodiscard]] sim::BalanceState balanceState() const;
   /// Largest single ball weight ever seen: the closed-system balance floor
   /// for weighted traffic (a gap below the heaviest ball is unreachable).

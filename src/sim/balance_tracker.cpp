@@ -28,6 +28,15 @@ void BalanceTracker::reset(const std::vector<std::int64_t>& loads) {
   recomputeOverloaded();
 }
 
+void BalanceTracker::resetEmpty(std::int64_t numBins) {
+  RLSLB_ASSERT_MSG(numBins >= 1, "BalanceTracker needs at least one bin");
+  RLSLB_ASSERT_MSG(numBins <= INT32_MAX, "BalanceTracker counts bins per level in int32");
+  state_ = BalanceState{};
+  state_.numBins = numBins;
+  counts_.assign(1, static_cast<std::int32_t>(numBins));  // every bin at level 0
+  ceilAvg_ = 0;
+}
+
 void BalanceTracker::recomputeOverloaded() {
   state_.overloadedBalls = 0;
   for (std::int64_t v = ceilAvg_ + 1; v <= state_.maxLoad; ++v) {

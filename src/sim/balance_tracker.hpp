@@ -19,8 +19,9 @@
 //     systems only) re-sums the suffix above it, O(spread).
 //
 // Memory is O(max load seen), grown on demand -- fine for every tracked
-// family (CRS, the ext engines, the open system), whose loads are a small
-// multiple of the average. The sim engines keep their own bookkeeping.
+// family (CRS, the ext engines, the open system, the compact serving
+// allocator), whose loads are a small multiple of the average. The sim
+// engines keep their own bookkeeping.
 // Bulk-rewrite dynamics (the synchronous round protocols rewrite Theta(m)
 // loads per round) should NOT pay per-move tracking at all; they recompute
 // lazily per round instead (see protocols/round_protocol.hpp).
@@ -37,9 +38,13 @@ class BalanceTracker {
  public:
   BalanceTracker() = default;
   explicit BalanceTracker(const std::vector<std::int64_t>& loads) { reset(loads); }
+  /// Zero-start: `numBins` empty bins, without an n-length load vector.
+  explicit BalanceTracker(std::int64_t numBins) { resetEmpty(numBins); }
 
   /// Rebuild from scratch, O(n + max load).
   void reset(const std::vector<std::int64_t>& loads);
+  /// Restart at `numBins` empty bins, O(1).
+  void resetEmpty(std::int64_t numBins);
 
   /// Account one bin's load changing from `from` to `to` (any delta; the
   /// total ball count may change). O(|to - from|) plus the ceiling re-sum
@@ -52,6 +57,11 @@ class BalanceTracker {
   [[nodiscard]] std::int64_t levelCount(std::int64_t level) const {
     if (level < 0 || level >= static_cast<std::int64_t>(counts_.size())) return 0;
     return counts_[static_cast<std::size_t>(level)];
+  }
+
+  /// Heap bytes of the level array (capacity-based).
+  [[nodiscard]] std::int64_t heapBytes() const {
+    return static_cast<std::int64_t>(counts_.capacity() * sizeof(counts_[0]));
   }
 
  private:

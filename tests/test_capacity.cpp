@@ -2,17 +2,25 @@
 // byte-identical loads, counters, and gap trajectories against the dense
 // OnlineAllocator + ShardedEventLoop across the full (trace, seed, shards,
 // threads, apply mode) differential matrix -- plus the compact layout's
-// internal invariants, resident-byte accounting, and the budget-gate
+// internal invariants, its incremental balance accounting against a
+// brute-force scan, the dense allocator's fused balance pass, the capacity
+// loop's trace spans, resident-byte accounting, and the budget-gate
 // estimator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "capacity/capacity_loop.hpp"
 #include "capacity/compact_allocator.hpp"
+#include "obs/trace.hpp"
+#include "report/json.hpp"
+#include "rng/distributions.hpp"
 #include "runner/thread_pool.hpp"
 #include "serve/event_loop.hpp"
 #include "serve/online_allocator.hpp"
@@ -277,6 +285,244 @@ TEST(CompactAllocator, ValidateCatchesFreshAndRunStates) {
   EXPECT_EQ(allocator.counters().arrivals, 6);
   EXPECT_EQ(allocator.counters().departures, 1);
   EXPECT_EQ(allocator.maxWeightSeen(), 1);
+}
+
+// ------------------------------------------------ incremental balance
+
+/// The balance view recomputed from scratch: the three O(n) passes the
+/// tracker replaced.
+sim::BalanceState scanState(const std::vector<std::int32_t>& loads) {
+  sim::BalanceState state;
+  state.numBins = static_cast<std::int64_t>(loads.size());
+  for (const std::int32_t v : loads) state.numBalls += v;
+  state.minLoad = *std::min_element(loads.begin(), loads.end());
+  state.maxLoad = *std::max_element(loads.begin(), loads.end());
+  const std::int64_t ceilAvg = (state.numBalls + state.numBins - 1) / state.numBins;
+  for (const std::int32_t v : loads) {
+    if (v > ceilAvg) state.overloadedBalls += v - ceilAvg;
+  }
+  return state;
+}
+
+void expectSameState(const sim::BalanceState& got, const sim::BalanceState& want,
+                     const std::string& label) {
+  EXPECT_EQ(got.numBins, want.numBins) << label;
+  EXPECT_EQ(got.numBalls, want.numBalls) << label;
+  EXPECT_EQ(got.minLoad, want.minLoad) << label;
+  EXPECT_EQ(got.maxLoad, want.maxLoad) << label;
+  EXPECT_EQ(got.overloadedBalls, want.overloadedBalls) << label;
+}
+
+/// Runs the loop and, after every epoch, checks the tracked balance view
+/// (the EpochStats copy and the allocator's accessors) against a scan of
+/// loads32(), plus validate()'s tracker cross-check. Returns the epochs run.
+std::int64_t checkEveryEpoch(CompactAllocator& allocator, workload::TraceGenerator& trace,
+                             const CapacityLoopOptions& options, const std::string& label) {
+  CapacityLoop loop(allocator, options);
+  std::int64_t epochs = 0;
+  loop.run(trace, [&](const serve::EpochStats& s) {
+    const std::string where = label + " epoch=" + std::to_string(s.epoch);
+    const sim::BalanceState scan = scanState(allocator.loads32());
+    expectSameState(s.balance, scan, where);
+    expectSameState(allocator.balanceState(), scan, where);
+    EXPECT_EQ(allocator.minLoad(), scan.minLoad) << where;
+    EXPECT_EQ(allocator.maxLoad(), scan.maxLoad) << where;
+    EXPECT_EQ(allocator.gap(), scan.maxLoad - scan.minLoad) << where;
+    EXPECT_TRUE(allocator.validate()) << where;
+    ++epochs;
+  });
+  return epochs;
+}
+
+/// A fixed event list as a trace.
+class ScriptedTrace final : public workload::TraceGenerator {
+ public:
+  explicit ScriptedTrace(std::vector<workload::Event> events) : events_(std::move(events)) {}
+  bool next(workload::Event* out) override {
+    if (next_ == events_.size()) return false;
+    *out = events_[next_++];
+    return true;
+  }
+  [[nodiscard]] std::string name() const override { return "scripted"; }
+
+ private:
+  std::vector<workload::Event> events_;
+  std::size_t next_ = 0;
+};
+
+/// Fill `balls` balls, then depart every one in random order, with a
+/// resample of a random live ball after each arrival and departure: the
+/// ball count crosses every multiple of the bin count both ways and ends
+/// at zero.
+std::vector<workload::Event> fillThenDrain(std::int64_t balls, std::uint64_t seed) {
+  rng::Xoshiro256pp eng(seed);
+  std::vector<workload::Event> events;
+  std::vector<std::int64_t> live;
+  double t = 0.0;
+  const auto resampleOne = [&] {
+    if (live.empty()) return;
+    const auto i = static_cast<std::size_t>(rng::uniformIndex(eng, live.size()));
+    events.push_back({t += 1.0, workload::EventKind::kResample, live[i], 0});
+  };
+  for (std::int64_t ball = 0; ball < balls; ++ball) {
+    events.push_back({t += 1.0, workload::EventKind::kArrive, ball, 1});
+    live.push_back(ball);
+    resampleOne();
+  }
+  while (!live.empty()) {
+    const auto i = static_cast<std::size_t>(rng::uniformIndex(eng, live.size()));
+    events.push_back({t += 1.0, workload::EventKind::kDepart, live[i], 0});
+    live[i] = live.back();
+    live.pop_back();
+    resampleOne();
+  }
+  return events;
+}
+
+TEST(CompactBalance, TrackedStateMatchesAScanAfterEveryEpoch) {
+  // Arrivals, departures, resamples and heavy repair pressure.
+  for (const std::string spec : {"poisson", "diurnal(0.8,64)*bursty(8,0.05,0.5)"}) {
+    workload::ComposedTrace trace(traceOptions(), spec, 7);
+    CompactAllocator allocator(CompactOptions{.bins = kBins});
+    CapacityLoopOptions options;
+    options.epochEvents = 64;
+    options.repairMovesPerEpoch = 32;
+    options.seed = 7;
+    EXPECT_GT(checkEveryEpoch(allocator, trace, options, spec), 0);
+    EXPECT_GT(allocator.counters().migrations, 0);
+    EXPECT_GT(allocator.counters().repairMigrations, 0);
+  }
+}
+
+TEST(CompactBalance, TrackedStateSurvivesInvertedAcceptance) {
+  // The broken dynamic piles balls up: long min/max walks, a wide spread.
+  workload::ComposedTrace trace(traceOptions(), "poisson", 9);
+  CompactAllocator allocator(
+      CompactOptions{.bins = kBins, .arrivalChoices = 2, .invertAcceptance = true});
+  CapacityLoopOptions options;
+  options.epochEvents = kEpochEvents;
+  options.seed = 9;
+  EXPECT_GT(checkEveryEpoch(allocator, trace, options, "inverted"), 0);
+  EXPECT_GT(allocator.gap(), 2);
+}
+
+TEST(CompactBalance, TrackedStateFollowsATraceThatDrainsToEmpty) {
+  ScriptedTrace trace(fillThenDrain(300, 4));
+  CompactAllocator allocator(CompactOptions{.bins = 16});
+  CapacityLoopOptions options;
+  options.epochEvents = 16;
+  options.repairMovesPerEpoch = 4;
+  options.seed = 4;
+  EXPECT_GT(checkEveryEpoch(allocator, trace, options, "drain"), 0);
+  EXPECT_EQ(allocator.totalLoad(), 0);
+  const sim::BalanceState state = allocator.balanceState();
+  EXPECT_EQ(state.numBalls, 0);
+  EXPECT_EQ(state.minLoad, 0);
+  EXPECT_EQ(state.maxLoad, 0);
+  EXPECT_EQ(state.overloadedBalls, 0);
+}
+
+// The dense allocator answers the same view with one fused pass; it must
+// equal the separate min, max and overload passes it replaced.
+TEST(DenseBalance, FusedPassMatchesTheThreePassDefinition) {
+  serve::OnlineAllocator allocator(serve::AllocatorOptions{.bins = 13, .arrivalChoices = 2});
+  rng::Xoshiro256pp eng(17);
+  std::vector<std::int64_t> live;
+  std::int64_t nextBall = 0;
+  for (int step = 0; step < 4000; ++step) {
+    workload::Event e;
+    const std::uint64_t roll = rng::uniformIndex(eng, 10);
+    if (live.empty() || roll < 4) {
+      e.kind = workload::EventKind::kArrive;
+      e.ball = nextBall++;
+      e.weight = 1 + static_cast<std::int64_t>(rng::uniformIndex(eng, 4));
+      live.push_back(e.ball);
+    } else {
+      const auto i = static_cast<std::size_t>(rng::uniformIndex(eng, live.size()));
+      e.ball = live[i];
+      if (roll < 7) {
+        e.kind = workload::EventKind::kDepart;
+        live[i] = live.back();
+        live.pop_back();
+      } else {
+        e.kind = workload::EventKind::kResample;
+      }
+    }
+    allocator.apply(e, allocator.decide(e, allocator.loads(), eng));
+    if (step % 37 != 0) continue;
+
+    const std::vector<std::int64_t>& loads = allocator.loads();
+    std::int64_t lo = loads[0];
+    for (const std::int64_t v : loads) lo = std::min(lo, v);
+    std::int64_t hi = loads[0];
+    for (const std::int64_t v : loads) hi = std::max(hi, v);
+    std::int64_t total = 0;
+    for (const std::int64_t v : loads) total += v;
+    const auto bins = static_cast<std::int64_t>(loads.size());
+    const std::int64_t ceilAvg = (total + bins - 1) / bins;
+    std::int64_t overloaded = 0;
+    for (const std::int64_t v : loads) {
+      if (v > ceilAvg) overloaded += v - ceilAvg;
+    }
+    const sim::BalanceState state = allocator.balanceState();
+    EXPECT_EQ(state.numBins, bins);
+    EXPECT_EQ(state.numBalls, total);
+    EXPECT_EQ(state.minLoad, lo);
+    EXPECT_EQ(state.maxLoad, hi);
+    EXPECT_EQ(state.overloadedBalls, overloaded);
+    EXPECT_EQ(allocator.minLoad(), lo);
+    EXPECT_EQ(allocator.maxLoad(), hi);
+    EXPECT_EQ(allocator.gap(), hi - lo);
+  }
+  EXPECT_TRUE(allocator.validate());
+}
+
+// ------------------------------------------------------- trace spans
+
+TEST(CapacityLoop, TracedRunEmitsEpochPhaseAndObserveSpans) {
+  if (!obs::kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
+  const std::uint64_t seed = 3;
+  workload::ComposedTrace trace(traceOptions(), "poisson", seed);
+  CompactAllocator allocator(CompactOptions{.bins = kBins});
+  obs::TraceWriter writer;
+  CapacityLoopOptions options;
+  options.epochEvents = kEpochEvents;
+  options.repairMovesPerEpoch = kRepair;
+  options.seed = seed;
+  options.trace = &writer;
+  CapacityLoop loop(allocator, options);
+  const CapacityLoop::RunResult result = loop.run(trace);
+  EXPECT_EQ(allocator.loadsCopy(), runCompact("poisson", seed).loads)
+      << "tracing changed the run's outcome";
+
+  std::ostringstream out;
+  ASSERT_TRUE(writer.writeTo(out));
+  std::string error;
+  const report::Json doc = report::Json::parse(out.str(), &error);
+  ASSERT_TRUE(error.empty()) << error;
+  const report::Json& events = doc.at("traceEvents");
+  std::int64_t epochs = 0, decides = 0, applies = 0, flushes = 0, repairs = 0,
+               observes = 0, gaps = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const report::Json& e = events.at(i);
+    const std::string& ph = e.at("ph").asString();
+    const std::string& name = e.at("name").asString();
+    if (ph == "C" && name == "serve.gap") ++gaps;
+    if (ph != "X") continue;
+    if (name == "epoch") ++epochs;
+    if (name == "decide") ++decides;
+    if (name == "apply") ++applies;
+    if (name == "flush") ++flushes;
+    if (name == "repair") ++repairs;
+    if (name == "observe") ++observes;
+  }
+  EXPECT_EQ(epochs, result.epochs);
+  EXPECT_EQ(decides, result.epochs);
+  EXPECT_EQ(applies, result.epochs);
+  EXPECT_EQ(repairs, result.epochs);
+  EXPECT_EQ(flushes, 2 * result.epochs);  // after apply, after repair
+  EXPECT_EQ(observes, result.epochs);
+  EXPECT_EQ(gaps, result.epochs);
 }
 
 }  // namespace

@@ -511,7 +511,7 @@ TEST(Trace, ServingLoopEmitsPhaseSpansOnlyWhenAttached) {
   ASSERT_TRUE(attached.writeTo(out));
   const std::string doc = out.str();
   for (const char* phase : {"\"epoch\"", "\"decide\"", "\"resolve\"", "\"drain\"",
-                            "\"repair\"", "\"flush\""}) {
+                            "\"repair\"", "\"flush\"", "\"observe\""}) {
     EXPECT_NE(doc.find(phase), std::string::npos) << "missing span " << phase;
   }
 }

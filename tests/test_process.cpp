@@ -403,6 +403,39 @@ TEST(ProcessState, BalanceTrackerMatchesRecompute) {
   }
 }
 
+TEST(ProcessState, BalanceTrackerZeroStartMatchesEmptyLoads) {
+  sim::BalanceTracker tracker(std::int64_t{5});
+  std::vector<std::int64_t> loads(5, 0);
+  expectStateMatchesLoads(tracker.state(), loads);
+  EXPECT_EQ(tracker.levelCount(0), 5);
+  EXPECT_EQ(tracker.levelCount(1), 0);
+
+  // Unit changes from empty (the serving allocator's pattern), through
+  // ceiling moves, then drained back to empty.
+  rng::Xoshiro256pp eng(8);
+  for (int step = 0; step < 2000; ++step) {
+    const auto bin = static_cast<std::size_t>(rng::uniformIndex(eng, loads.size()));
+    const std::int64_t delta = loads[bin] == 0 || rng::uniformIndex(eng, 3) != 0 ? 1 : -1;
+    tracker.onLoadChange(loads[bin], loads[bin] + delta);
+    loads[bin] += delta;
+    expectStateMatchesLoads(tracker.state(), loads);
+  }
+  for (std::size_t bin = 0; bin < loads.size(); ++bin) {
+    while (loads[bin] > 0) {
+      tracker.onLoadChange(loads[bin], loads[bin] - 1);
+      --loads[bin];
+      expectStateMatchesLoads(tracker.state(), loads);
+    }
+  }
+  EXPECT_EQ(tracker.levelCount(0), 5);
+
+  // resetEmpty restarts a used tracker at a new bin count.
+  tracker.resetEmpty(3);
+  expectStateMatchesLoads(tracker.state(), std::vector<std::int64_t>(3, 0));
+  EXPECT_EQ(tracker.levelCount(0), 3);
+  EXPECT_EQ(tracker.levelCount(1), 0);
+}
+
 TEST(ProcessState, RoundProtocolStateIsIncremental) {
   protocols::ThresholdProtocol p(config::allInOne(16, 512), 3, 32, 0.5);
   for (int r = 0; r < 30; ++r) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -219,6 +220,17 @@ TEST(ServeScenarios, ByteIdenticalAcrossRunsThreadsAndShards) {
     const std::string e = deterministicRecords(runServeScenario(name, 6, 1, params));
     EXPECT_NE(a, e) << name << ": a different seed must change the tables";
   }
+}
+
+TEST(ServeScenarios, EpochBelowOneIsAUsageError) {
+  // A usage error, not a crash: the driver turns the exception into a
+  // message and exit code 2 (epoch=0 used to divide by zero).
+  EXPECT_THROW(runServeScenario("serve_poisson", 1, 1, {"n=16", "events=100", "epoch=0"}),
+               std::invalid_argument);
+  EXPECT_THROW(runServeScenario("serve_capacity", 1, 1, {"n_list=16", "epoch=0"}),
+               std::invalid_argument);
+  EXPECT_THROW(runServeScenario("serve_capacity", 1, 1, {"n_list=16", "epb=0"}),
+               std::invalid_argument);
 }
 
 TEST(ServeScenarios, PartitionedKnobPreservesTheDeterministicRecords) {
