@@ -35,15 +35,6 @@ direction by more than --trend-threshold, it prints a non-gating
 WARNING (a uniform drift is either a machine-speed change or exactly
 the regression the normalization hides -- a human should look).
 
-Shard-scaling rows: the serve_scaling scenario emits one throughput record
-per sweep row, named <scenario>/s<shards>t<threads>. Besides the baseline
-gate above, these are checked *within the current run* (so the check is
-machine-independent): for every row group with threads > 1, the best
-multi-shard rate must reach --scaling-tolerance of that group's
-single-shard rate. The partitioned apply must never cost more than the
-tolerated overhead when real worker threads are available; on multi-core
-runners it is expected to win outright.
-
 Prior-run trend line: CI uploads every run's results.jsonl as an artifact
 keyed by git sha. Passing runs back in, OLDEST FIRST, with
 
@@ -76,24 +67,8 @@ Regenerate the baseline after an intentional perf change:
 
 import argparse
 import json
-import re
 import statistics
 import sys
-
-SCALING_ROW_RE = re.compile(r"^(.+)/s(\d+)t(\d+)$")
-
-
-def scaling_groups(throughput):
-    """{(scenario, threads): {shards: events_per_sec}} from sweep rows."""
-    groups = {}
-    for name, eps in throughput.items():
-        m = SCALING_ROW_RE.match(name)
-        if not m:
-            continue
-        key = (m.group(1), int(m.group(3)))
-        groups.setdefault(key, {})[int(m.group(2))] = eps
-    return groups
-
 
 def load_metrics(jsonl_path):
     """(scenario -> wall seconds, scenario -> events/sec) from the run."""
@@ -135,13 +110,6 @@ def main():
                     help="allowed machine-normalized events/sec regression "
                          "(default 0.35; wider than --tolerance because the "
                          "serving loops measure sub-second windows)")
-    ap.add_argument("--scaling-tolerance", type=float, default=0.60,
-                    help="within-run shard-scaling gate: for each multi-thread "
-                         "sweep group, best multi-shard events/sec must be at "
-                         "least this fraction of the single-shard rate "
-                         "(default 0.60; the fused single-shard loop is fast "
-                         "enough that the partitioned path's fixed queue cost "
-                         "is a larger relative overhead)")
     ap.add_argument("--prior", metavar="PATH", action="append", default=[],
                     help="results.jsonl from a prior run (the sha-keyed CI "
                          "artifact); repeatable, pass oldest first. Prints a "
@@ -252,39 +220,6 @@ def main():
                 failures.append(name)
             print(f"{name:24} {baseline_throughput[name]:12.0f} "
                   f"{throughput[name]:12.0f} {slowdown:9.3f} {rel:9.3f}  {verdict}")
-
-    # Within-run shard-scaling gate (serve_scaling sweep rows): compares
-    # rows of the SAME run against each other, so machine speed cancels
-    # entirely. A multi-thread group whose best multi-shard row falls below
-    # the tolerance means the partitioned apply is costing more than it can
-    # ever return -- a regression in the parallel drain path.
-    groups = scaling_groups(throughput)
-    multi = {k: v for k, v in sorted(groups.items()) if k[1] > 1}
-    if multi:
-        print(f"shard-scaling gate (within-run): best multi-shard >= "
-              f"{args.scaling_tolerance:.0%} of single-shard per thread group")
-        print(f"{'group':24} {'s1 ev/s':>12} {'best ev/s':>12} {'(shards)':>8} "
-              f"{'ratio':>7}  verdict")
-        for (base, threads), rows in multi.items():
-            label = f"{base} t={threads}"
-            if 1 not in rows:
-                print(f"{label:24} {'-':>12} {'-':>12} {'-':>8} {'-':>7}  "
-                      f"SKIP (no single-shard row)")
-                continue
-            contenders = {s: eps for s, eps in rows.items() if s > 1}
-            if not contenders:
-                print(f"{label:24} {rows[1]:12.0f} {'-':>12} {'-':>8} {'-':>7}  "
-                      f"SKIP (no multi-shard rows)")
-                continue
-            best_shards = max(contenders, key=contenders.get)
-            best = contenders[best_shards]
-            ratio = best / rows[1] if rows[1] > 0 else float("inf")
-            verdict = "ok"
-            if ratio < args.scaling_tolerance:
-                verdict = "REGRESSION"
-                failures.append(f"{base}/s{best_shards}t{threads} (scaling)")
-            print(f"{label:24} {rows[1]:12.0f} {best:12.0f} {best_shards:>8} "
-                  f"{ratio:7.3f}  {verdict}")
 
     # Non-gating uniform-drift trend warning from the ABSOLUTE ratios: the
     # median normalization above cancels any across-the-board movement, so a

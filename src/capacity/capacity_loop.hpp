@@ -9,14 +9,8 @@
 // semantics, and settles deferred Fenwick deltas inside the epoch timer —
 // so (CompactAllocator + CapacityLoop) and (OnlineAllocator +
 // ShardedEventLoop) produce byte-identical loads, counters, and gap
-// trajectories on the same trace + seed for ANY dense (shards, threads,
-// applyMode) configuration (the dense loop is invariant across those;
-// tests/test_capacity.cpp pins the differential matrix).
-//
-// What it deliberately does NOT replicate: the thread pool, the partition
-// machinery, and the queue stats (always zero here). Capacity runs are
-// memory-bound sweeps at n = 1e6..1e8 where the state layout, not the
-// core count, is the binding constraint.
+// trajectories on the same trace + seed (tests/test_capacity.cpp pins the
+// differential).
 //
 // Timing contract: identical to the dense loop — EpochStats.wallSeconds
 // covers decide, apply, flush (the batch's deferred Fenwick deltas, settled
@@ -66,7 +60,7 @@ class CapacityLoop {
   };
 
   /// Drain the trace; `onEpoch` (may be empty) fires after each epoch with
-  /// the shared serve::EpochStats view (queue fields zero, applyShards 1).
+  /// the shared serve::EpochStats view.
   /// Each run() is self-contained: ordinals and the epoch index reset, so
   /// a reused loop draws exactly the streams a fresh one would.
   RunResult run(workload::TraceGenerator& trace,

@@ -241,9 +241,7 @@ bool CompactAllocator::repairMove(rng::Xoshiro256pp& eng) {
   if (total == 0) return false;
   flush();
   ++counters_.repairAttempts;
-  // Exact dense draw sequence. The single global Fenwick lands on the same
-  // bin as the dense shard-walk + local upperBound because the dense
-  // ownership ranges concatenate in bin order.
+  // Exact dense draw sequence over the same global Fenwick layout.
   const auto ticket = static_cast<std::int64_t>(
       rng::uniformIndex(eng, static_cast<std::uint64_t>(total)));
   const auto src = static_cast<std::int32_t>(mass_.upperBound(ticket));

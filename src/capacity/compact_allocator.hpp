@@ -33,16 +33,10 @@
 // capacity::CapacityLoop over the same trace and seed, this backend
 // produces byte-identical observable output — loads, gap trajectory, every
 // ServeCounters field, the repair stream — to OnlineAllocator under
-// ShardedEventLoop at ANY (shards, threads, applyMode) setting, because the
-// dense loop is itself invariant across those. Every rng draw sequence
-// (d-choice, resample candidate, the repair ticket/pick/candidate triple)
-// and every ordering decision (per-bin append / swap-remove slots) is
-// replicated exactly; the Fenwick here is a single global tree, which lands
-// on the same bin as the dense per-shard walk because ownership ranges
-// concatenate in bin order.
-//
-// Sequential-only by design: capacity runs are memory-bound, and the dense
-// backend already owns the multicore story.
+// ShardedEventLoop. Every rng draw sequence (d-choice, resample candidate,
+// the repair ticket/pick/candidate triple) and every ordering decision
+// (per-bin append / swap-remove slots) is replicated exactly, and both
+// sample the repair bin from one global Fenwick tree.
 #pragma once
 
 #include <cstdint>

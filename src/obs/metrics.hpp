@@ -9,13 +9,12 @@
 //     which the steady-state contract explicitly exempts (see
 //     tests/test_serve_hotpath.cpp and tests/test_obs.cpp).
 //   - Parallel phases write *per-shard*: shard s's slab is owned by
-//     whichever thread runs shard s's work, exactly the ownership
-//     discipline the partitioned apply already enforces, so concurrent
-//     adds need no atomics. Merged values are read only at epoch/round
-//     boundaries (or at report time) by summing slabs in shard-index
-//     order -- a deterministic reduction.
+//     whichever thread runs shard s's work, so concurrent adds need no
+//     atomics. Merged values are read only at epoch/round boundaries (or
+//     at report time) by summing slabs in shard-index order -- a
+//     deterministic reduction.
 //   - Four instrument kinds cover the repo's needs: monotonic counters
-//     (events, migrations, queue ops, per-phase nanoseconds), gauges
+//     (events, migrations, per-phase nanoseconds), gauges
 //     (last-observed values: gap, live balls -- written from sequential
 //     sections only), fixed-bucket histograms (per-epoch gap
 //     distribution; bounds are chosen at registration, out-of-range

@@ -14,7 +14,7 @@
 //
 // Determinism: monitors that read only simulated state (gap envelope,
 // convergence, load conservation) and the gap sketch produce identical
-// anomaly sequences and snapshot bytes across shard/thread configs.
+// anomaly sequences and snapshot bytes across runs and thread counts.
 // Wall-clock-fed parts (DriftMonitor, the latency sketch) are excluded
 // from that contract, mirroring the metrics record's timing carve-out.
 #pragma once
@@ -32,7 +32,7 @@ namespace rlslb::obs {
 
 /// Snapshot of one boundary. Producers fill what they know and leave
 /// the rest at the defaults; monitors must tolerate missing fields
-/// (e.g. process strides carry no queue accounting).
+/// (e.g. process strides carry no allocator counters).
 struct CheckSample {
   enum class Origin : std::uint8_t { kServeEpoch, kProcessStride };
   Origin origin = Origin::kServeEpoch;
@@ -52,12 +52,6 @@ struct CheckSample {
   std::int64_t arrivals = 0;
   std::int64_t departures = 0;
   std::int64_t migrations = 0;
-
-  // Per-epoch queue accounting (serve origin, partitioned apply).
-  std::int64_t queuedOps = 0;
-  std::int64_t crossShardOps = 0;
-  std::int64_t queuePeak = 0;
-  std::int64_t drainedOps = 0;
 
   // Process-origin context (filled by obs::ProcessProbe).
   std::uint8_t clockKind = 0;   ///< process::Clock::Kind as an int
@@ -193,10 +187,9 @@ class ConvergenceMonitor final : public ConformanceMonitor {
 };
 
 /// Structural invariants every healthy run satisfies exactly: load
-/// conservation (serve: live balls == arrivals - departures), monotone
-/// clock/step/counters, non-negative gap, and queue-op accounting
-/// (drained == queued, cross-shard <= queued, peak <= queued). All
-/// violations are errors.
+/// conservation (serve: live balls == arrivals - departures, total load
+/// between live balls and live balls x max weight), monotone
+/// clock/step/counters, and non-negative gap. All violations are errors.
 class LoadConservationMonitor final : public ConformanceMonitor {
  public:
   [[nodiscard]] const char* name() const override { return "load_conservation"; }

@@ -28,7 +28,6 @@
 // backend, budget_mb, conformance. The compact backend requires unit
 // weights: hotspot factors must use weight 1.
 #include <algorithm>
-#include <cstdio>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -42,7 +41,7 @@
 #include "scenario/builtin/builtin.hpp"
 #include "serve/event_loop.hpp"
 #include "serve/online_allocator.hpp"
-#include "util/assert.hpp"
+#include "util/parse.hpp"
 #include "workload/compose.hpp"
 #include "workload/generators.hpp"
 
@@ -50,19 +49,23 @@ namespace rlslb::scenario::builtin {
 
 namespace {
 
-std::vector<std::string> splitList(const std::string& text, char sep) {
+/// Split list param `name`; an empty entry (or an empty list) is a usage
+/// error.
+std::vector<std::string> splitList(const std::string& name, const std::string& text,
+                                   char sep) {
   std::vector<std::string> out;
   std::size_t start = 0;
   while (start <= text.size()) {
     const std::size_t end = text.find(sep, start);
     const std::string token =
         text.substr(start, end == std::string::npos ? std::string::npos : end - start);
-    RLSLB_ASSERT_MSG(!token.empty(), "empty entry in a list param");
+    if (token.empty()) {
+      throw std::invalid_argument("serve_capacity: empty entry in " + name + "=" + text);
+    }
     out.push_back(token);
     if (end == std::string::npos) break;
     start = end + 1;
   }
-  RLSLB_ASSERT_MSG(!out.empty(), "list param must not be empty");
   return out;
 }
 
@@ -89,11 +92,11 @@ struct CellResult {
 
 void runCapacity(ScenarioContext& ctx) {
   const std::vector<std::string> nTokens =
-      splitList(ctx.params.getString("n_list", "1000000"), ',');
+      splitList("n_list", ctx.params.getString("n_list", "1000000"), ',');
   const std::vector<std::string> loadTokens =
-      splitList(ctx.params.getString("load_list", "8"), ',');
+      splitList("load_list", ctx.params.getString("load_list", "8"), ',');
   const std::vector<std::string> traceSpecs =
-      splitList(ctx.params.getString("traces", "poisson"), ';');
+      splitList("traces", ctx.params.getString("traces", "poisson"), ';');
   const std::int64_t epb = ctx.params.getInt("epb", ctx.sized(4));
   const std::int64_t epochEvents = ctx.params.getInt("epoch", 1024);
   const int repair = static_cast<int>(ctx.params.getInt("repair", 4));
@@ -102,8 +105,10 @@ void runCapacity(ScenarioContext& ctx) {
   const std::string backend = ctx.params.getString("backend", "compact");
   const std::int64_t budgetMb = ctx.params.getInt("budget_mb", 2048);
   const bool conformance = ctx.params.getBool("conformance", ctx.conformanceDefault);
-  RLSLB_ASSERT_MSG(backend == "compact" || backend == "dense",
-                   "backend= must be compact or dense");
+  if (backend != "compact" && backend != "dense") {
+    throw std::invalid_argument("serve_capacity: backend= must be compact or dense (got " +
+                                backend + ")");
+  }
   if (epb < 1 || epochEvents < 1) {
     std::string message = "serve_capacity: epb= and epoch= must be >= 1 (got epb=";
     message.append(std::to_string(epb)).append(", epoch=");
@@ -113,27 +118,37 @@ void runCapacity(ScenarioContext& ctx) {
 
   std::vector<std::int64_t> nList;
   for (const std::string& t : nTokens) {
-    const std::int64_t n = std::stoll(t);
-    RLSLB_ASSERT_MSG(n >= 1, "n_list entries must be >= 1");
+    const std::int64_t n = util::parseInt64(t, "n_list");
+    if (n < 1) {
+      throw std::invalid_argument("serve_capacity: n_list entries must be >= 1 (got " + t +
+                                  ")");
+    }
     nList.push_back(n);
   }
   std::vector<double> loadList;
   for (const std::string& t : loadTokens) {
-    const double load = std::stod(t);
-    RLSLB_ASSERT_MSG(load > 0.0, "load_list entries must be > 0");
+    const double load = util::parseDouble(t, "load_list");
+    if (!(load > 0.0)) {
+      throw std::invalid_argument("serve_capacity: load_list entries must be > 0 (got " + t +
+                                  ")");
+    }
     loadList.push_back(load);
   }
   std::vector<workload::ComposeSpec> specs;
   for (const std::string& t : traceSpecs) {
     workload::ComposeSpec spec;
     std::string error;
-    const bool ok = workload::parseComposeSpec(t, &spec, &error);
-    if (!ok) std::fprintf(stderr, "serve_capacity: bad traces= entry (%s)\n", error.c_str());
-    RLSLB_ASSERT_MSG(ok, "traces= entry does not parse; see `rlslb traces`");
+    if (!workload::parseComposeSpec(t, &spec, &error)) {
+      throw std::invalid_argument("serve_capacity: traces= entry " + t + " does not parse (" +
+                                  error + "); see `rlslb traces`");
+    }
     for (const std::vector<workload::ComposeFactor>& term : spec.terms) {
       for (const workload::ComposeFactor& f : term) {
-        RLSLB_ASSERT_MSG(f.kind != workload::ComposeFactor::Kind::kHotspot || f.c == 1.0,
-                         "capacity sweeps run unit weights; use hotspot(period,size,1)");
+        if (f.kind == workload::ComposeFactor::Kind::kHotspot && f.c != 1.0) {
+          throw std::invalid_argument("serve_capacity: traces= entry " + t +
+                                      ": capacity sweeps run unit weights; use "
+                                      "hotspot(period,size,1)");
+        }
       }
     }
     specs.push_back(std::move(spec));
@@ -170,7 +185,11 @@ void runCapacity(ScenarioContext& ctx) {
         const std::string traceName = spec.canonical();
         const auto expectedLive = static_cast<std::int64_t>(load * static_cast<double>(n));
         const std::int64_t events = epb * expectedLive;
-        RLSLB_ASSERT_MSG(events >= 1, "cell has no events; raise epb or load");
+        if (events < 1) {
+          throw std::invalid_argument("serve_capacity: cell n=" + std::to_string(n) +
+                                      " load=" + report::formatJsonNumber(load) +
+                                      " has no events; raise epb or load");
+        }
         // Deterministic arrival-share heuristic for the budget gate: at
         // steady state the event mix is lambda*n arrivals vs
         // (mu + resample) * L * n departures/resamples per unit time.
@@ -268,14 +287,13 @@ void runCapacity(ScenarioContext& ctx) {
           opt.arrivalChoices = d;
           serve::OnlineAllocator allocator(opt);
           serve::LoopOptions loopOptions;
-          loopOptions.shards = static_cast<int>(ctx.params.getInt("shards", 1));
           loopOptions.epochEvents = epochEvents;
           loopOptions.repairMovesPerEpoch = repair;
           loopOptions.seed = cellSeed;
           loopOptions.metrics = &ctx.metrics;
           loopOptions.trace = ctx.trace;
           loopOptions.monitors = monitors;
-          serve::ShardedEventLoop loop(allocator, loopOptions, ctx.pool());
+          serve::ShardedEventLoop loop(allocator, loopOptions);
           const serve::ShardedEventLoop::RunResult run = loop.run(trace, onEpoch);
           r.events = run.events;
           r.epochs = run.epochs;
@@ -352,7 +370,6 @@ void registerServeCapacity(ScenarioRegistry& r) {
           {"resample", "double", "1.0", "per-ball RLS clock rate"},
           {"backend", "string", "compact",
            "compact (CompactAllocator) or dense (OnlineAllocator) serving state"},
-          {"shards", "int", "1", "dense-backend ownership shards (ignored for compact)"},
           {"budget_mb", "int", "2048",
            "skip cells whose predicted state exceeds this many MB (0 = no gate)"},
           {"conformance", "bool", "0 (run default)",

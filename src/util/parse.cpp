@@ -2,19 +2,17 @@
 
 #include <cerrno>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-
-#include "util/assert.hpp"
+#include <stdexcept>
 
 namespace rlslb::util {
 
 namespace {
 
 [[noreturn]] void fail(const std::string& what, const std::string& text, const char* why) {
-  std::fprintf(stderr, "parameter %s=%s: %s\n", what.c_str(), text.c_str(), why);
-  RLSLB_ASSERT_MSG(false, "malformed parameter value");
-  std::abort();  // unreachable; RLSLB_ASSERT aborts
+  std::string message = "parameter ";
+  message.append(what).append("=").append(text).append(": ").append(why);
+  throw std::invalid_argument(message);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Typed parsing of `key=value` parameter strings, shared by the scenario
 // param layer (scenario/params.hpp) and the process param layer
-// (process/params.hpp). All three parsers fail loudly (RLSLB_ASSERT) on
-// malformed input -- a typo'd override must abort the run, never silently
-// fall back to a default.
+// (process/params.hpp). All three parsers throw std::invalid_argument on
+// malformed input -- a typo'd override must stop the run with a usage error
+// (the drivers print the message and exit 2), never silently fall back to a
+// default.
 #pragma once
 
 #include <cstdint>
@@ -12,8 +13,8 @@
 namespace rlslb::util {
 
 /// Plain decimal ("123") or exact-integral scientific shorthand ("1e6",
-/// "2.5e3"). Aborts on non-integral or out-of-range values; `what` names
-/// the offending parameter in the diagnostic.
+/// "2.5e3"). Throws on non-integral or out-of-range values; `what` names
+/// the offending parameter in the message.
 std::int64_t parseInt64(const std::string& text, const std::string& what);
 
 double parseDouble(const std::string& text, const std::string& what);

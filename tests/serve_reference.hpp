@@ -1,16 +1,18 @@
-// Frozen pre-partitioning serving loop: the differential reference for
-// tests/test_serve_partitioned.cpp.
+// Frozen serving loop: the differential oracle for
+// tests/test_serve_differential.cpp.
 //
-// This is a verbatim test-only copy (PR 5 style) of serve::OnlineAllocator
-// and serve::ShardedEventLoop as they stood BEFORE the partitioned apply
-// landed: a parallel decision phase against the epoch-start snapshot, then
-// a single-threaded apply pass in trace order that re-validates the strict
-// local-search rule against live loads, then the per-epoch repair budget.
-// The partitioned loop's contract is byte-identity with THIS code — final
-// load vector, every semantic counter, and the per-epoch gap trajectory —
-// for every (shards, threads, epochEvents, trace, seed) combination, so do
-// not "fix" or modernize it; it only changes if the serving semantics are
-// deliberately re-specified.
+// This is a test-only copy of serve::OnlineAllocator and
+// serve::ShardedEventLoop in their simplest eager form: a decision phase
+// against an epoch-start snapshot copy, then an apply pass in trace order
+// that re-validates the strict local-search rule against live loads with
+// every structure (Fenwick, level histogram, ball map) updated per event,
+// then the per-epoch repair budget. The production loop's contract is
+// byte-identity with THIS code — final load vector, every semantic counter,
+// and the per-epoch gap trajectory — for every (epochEvents, trace, seed)
+// combination, so do not "fix" or modernize it; it only changes if the
+// serving semantics are deliberately re-specified. It is the only
+// independent check on weighted traces: capacity::CompactAllocator is
+// unit-weight only.
 //
 // The decision phase is shared with production on purpose: decisions are
 // pure per-event functions of (snapshot, ordinal rng stream) computed by
@@ -39,8 +41,8 @@
 
 namespace rlslb::serve::reference {
 
-/// Frozen copy of the pre-partitioning OnlineAllocator (single global
-/// Fenwick + level histogram + ball map, sequential apply only). Reuses
+/// Frozen eager OnlineAllocator (single global Fenwick + level histogram +
+/// ball map, updated per event). Reuses
 /// the production serve::Decision / serve::ServeCounters / decide() so the
 /// differential compares apply semantics, not decision streams.
 class ReferenceAllocator {
@@ -225,8 +227,8 @@ struct ReferenceEpochStats {
   [[nodiscard]] std::int64_t gap() const { return balance.maxLoad - balance.minLoad; }
 };
 
-/// Frozen copy of the pre-partitioning ShardedEventLoop: bulk-synchronous
-/// epochs with a sequential trace-order apply.
+/// Frozen ShardedEventLoop: bulk-synchronous epochs with a hash-sharded
+/// decision phase on a pool and a sequential trace-order apply.
 class ReferenceEventLoop {
  public:
   struct Options {

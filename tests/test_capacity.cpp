@@ -1,7 +1,7 @@
 // capacity/: the CompactAllocator + CapacityLoop equivalence contract --
 // byte-identical loads, counters, and gap trajectories against the dense
-// OnlineAllocator + ShardedEventLoop across the full (trace, seed, shards,
-// threads, apply mode) differential matrix -- plus the compact layout's
+// OnlineAllocator + ShardedEventLoop across a (trace, seed) differential
+// matrix -- plus the compact layout's
 // internal invariants, its incremental balance accounting against a
 // brute-force scan, the dense allocator's fused balance pass, the capacity
 // loop's trace spans, resident-byte accounting, and the budget-gate
@@ -21,7 +21,6 @@
 #include "obs/trace.hpp"
 #include "report/json.hpp"
 #include "rng/distributions.hpp"
-#include "runner/thread_pool.hpp"
 #include "serve/event_loop.hpp"
 #include "serve/online_allocator.hpp"
 #include "workload/compose.hpp"
@@ -101,21 +100,17 @@ Outcome runCompact(const std::string& spec, std::uint64_t seed) {
   return out;
 }
 
-Outcome runDense(const std::string& spec, std::uint64_t seed, int shards, int threads,
-                 serve::ApplyMode applyMode) {
+Outcome runDense(const std::string& spec, std::uint64_t seed) {
   workload::ComposedTrace trace(traceOptions(), spec, seed);
   serve::AllocatorOptions options;
   options.bins = kBins;
   options.arrivalChoices = 2;
   serve::OnlineAllocator allocator(options);
   serve::LoopOptions loopOptions;
-  loopOptions.shards = shards;
   loopOptions.epochEvents = kEpochEvents;
   loopOptions.repairMovesPerEpoch = kRepair;
   loopOptions.seed = seed;
-  loopOptions.applyMode = applyMode;
-  runner::ThreadPool pool(threads);
-  serve::ShardedEventLoop loop(allocator, loopOptions, pool);
+  serve::ShardedEventLoop loop(allocator, loopOptions);
   Outcome out;
   const serve::ShardedEventLoop::RunResult result =
       loop.run(trace, [&](const serve::EpochStats& s) {
@@ -133,7 +128,7 @@ Outcome runDense(const std::string& spec, std::uint64_t seed, int shards, int th
 }
 
 // The tentpole contract: for every trace shape and seed, the compact
-// backend equals the dense one run at ANY (shards, threads, apply mode).
+// backend equals the dense one.
 TEST(CompactAllocator, MatchesDenseAcrossTheDifferentialMatrix) {
   const std::vector<std::string> specs = {
       "poisson",
@@ -142,28 +137,12 @@ TEST(CompactAllocator, MatchesDenseAcrossTheDifferentialMatrix) {
       "diurnal(0.8,64)*bursty(8,0.05,0.5)+hotspot(16,8,1)",
   };
   const std::vector<std::uint64_t> seeds = {1, 20170529};
-  struct DenseConfig {
-    int shards;
-    int threads;
-    serve::ApplyMode mode;
-  };
-  const std::vector<DenseConfig> configs = {
-      {1, 1, serve::ApplyMode::kSequential},
-      {4, 1, serve::ApplyMode::kSequential},
-      {4, 2, serve::ApplyMode::kPartitioned},
-      {8, 2, serve::ApplyMode::kPartitioned},
-  };
   for (const std::string& spec : specs) {
     for (const std::uint64_t seed : seeds) {
       const Outcome compact = runCompact(spec, seed);
       EXPECT_GT(compact.counters.events, 0);
-      for (const DenseConfig& cfg : configs) {
-        const std::string label = spec + " seed=" + std::to_string(seed) +
-                                  " shards=" + std::to_string(cfg.shards) +
-                                  " threads=" + std::to_string(cfg.threads);
-        const Outcome dense = runDense(spec, seed, cfg.shards, cfg.threads, cfg.mode);
-        expectEqualOutcomes(compact, dense, label);
-      }
+      expectEqualOutcomes(compact, runDense(spec, seed),
+                          spec + " seed=" + std::to_string(seed));
     }
   }
 }
@@ -188,12 +167,10 @@ TEST(CompactAllocator, RepairStreamMatchesDense) {
   dopt.bins = kBins;
   serve::OnlineAllocator dense(dopt);
   serve::LoopOptions dlo;
-  dlo.shards = 4;
   dlo.epochEvents = 64;
   dlo.repairMovesPerEpoch = 32;
   dlo.seed = 11;
-  runner::ThreadPool pool(1);
-  serve::ShardedEventLoop dloop(dense, dlo, pool);
+  serve::ShardedEventLoop dloop(dense, dlo);
   dloop.run(denseTrace);
 
   EXPECT_EQ(compact.loadsCopy(), dense.loads());
@@ -221,11 +198,9 @@ TEST(CompactAllocator, InvertedAcceptanceStaysEquivalent) {
   dopt.invertAcceptance = true;
   serve::OnlineAllocator dense(dopt);
   serve::LoopOptions dlo;
-  dlo.shards = 1;
   dlo.epochEvents = kEpochEvents;
   dlo.seed = seed;
-  runner::ThreadPool pool(1);
-  serve::ShardedEventLoop dloop(dense, dlo, pool);
+  serve::ShardedEventLoop dloop(dense, dlo);
   dloop.run(denseTrace);
 
   EXPECT_EQ(compact.loadsCopy(), dense.loads());
@@ -234,7 +209,7 @@ TEST(CompactAllocator, InvertedAcceptanceStaysEquivalent) {
 
 TEST(CompactAllocator, ResidentBytesBeatDenseAndEstimateTracksActual) {
   const Outcome compact = runCompact("poisson", 2);
-  const Outcome dense = runDense("poisson", 2, 1, 1, serve::ApplyMode::kSequential);
+  const Outcome dense = runDense("poisson", 2);
   // The whole point of the backend: materially fewer bytes for the same
   // observable state.
   EXPECT_LT(compact.residentBytes, dense.residentBytes);

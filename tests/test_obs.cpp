@@ -162,8 +162,7 @@ TEST(MetricsRegistry_, MergeIsDeterministicAcrossShardAndThreadCounts) {
       const HistId h = m.histogram("h", {4, 16, 64});
       m.configureShards(shards);
       runner::ThreadPool pool(threads);
-      // Shard s owns ops i with i % shards == s -- the same ownership
-      // discipline the partitioned apply uses, so concurrent addShard
+      // Shard s owns ops i with i % shards == s, so concurrent addShard
       // calls never touch the same slab.
       pool.parallelFor(shards, [&](std::int64_t s) {
         const int shard = static_cast<int>(s);
@@ -231,51 +230,43 @@ serve::OnlineAllocator makeBalancedAllocator(std::int64_t bins, std::int64_t bal
 // Registration (name -> handle, slab layout) is the only allocating step
 // and must be folded into epoch 0 / setup.
 TEST(MetricsHotPath, SteadyStateEpochsAreAllocationFreeWithMetricsAttached) {
-  for (const int threads : {1, 2}) {
-    constexpr std::int64_t kEpochEvents = 256;
-    constexpr std::int64_t kEpochs = 16;
-    serve::OnlineAllocator allocator = makeBalancedAllocator(64, 256);
-    ASSERT_EQ(allocator.gap(), 0);
+  constexpr std::int64_t kEpochEvents = 256;
+  constexpr std::int64_t kEpochs = 16;
+  serve::OnlineAllocator allocator = makeBalancedAllocator(64, 256);
+  ASSERT_EQ(allocator.gap(), 0);
 
-    runner::ThreadPool pool(threads);
-    MetricsRegistry metrics;
-    serve::LoopOptions options;
-    options.shards = 4;
-    options.epochEvents = kEpochEvents;
-    options.repairMovesPerEpoch = 4;
-    options.seed = 11;
-    options.applyMode = serve::ApplyMode::kPartitioned;
-    options.metrics = &metrics;
-    serve::ShardedEventLoop loop(allocator, options, pool);
+  MetricsRegistry metrics;
+  serve::LoopOptions options;
+  options.epochEvents = kEpochEvents;
+  options.repairMovesPerEpoch = 4;
+  options.seed = 11;
+  options.metrics = &metrics;
+  serve::ShardedEventLoop loop(allocator, options);
 
-    ResampleOnlyTrace trace(256, kEpochEvents * kEpochs);
-    std::vector<std::int64_t> perEpoch;
-    perEpoch.reserve(64);
-    std::int64_t last = 0;
-    g_allocCount.store(0);
-    g_countAllocs.store(true);
-    const auto result = loop.run(trace, [&](const serve::EpochStats&) {
-      const std::int64_t now = allocCount();
-      perEpoch.push_back(now - last);
-      last = now;
-    });
-    g_countAllocs.store(false);
+  ResampleOnlyTrace trace(256, kEpochEvents * kEpochs);
+  std::vector<std::int64_t> perEpoch;
+  perEpoch.reserve(64);
+  std::int64_t last = 0;
+  g_allocCount.store(0);
+  g_countAllocs.store(true);
+  const auto result = loop.run(trace, [&](const serve::EpochStats&) {
+    const std::int64_t now = allocCount();
+    perEpoch.push_back(now - last);
+    last = now;
+  });
+  g_countAllocs.store(false);
 
-    ASSERT_EQ(result.epochs, kEpochs);
-    ASSERT_EQ(perEpoch.size(), static_cast<std::size_t>(kEpochs));
-    for (std::size_t i = 1; i < perEpoch.size(); ++i) {
-      EXPECT_EQ(perEpoch[i], 0)
-          << "epoch " << i << " allocated with metrics attached (threads=" << threads
-          << ")";
-    }
-    // The export is live: every event and epoch was counted.
-    EXPECT_EQ(metrics.counterValue(metrics.counter("serve.events")),
-              kEpochEvents * kEpochs);
-    EXPECT_EQ(metrics.counterValue(metrics.counter("serve.epochs")), kEpochs);
-    EXPECT_EQ(metrics.histTotal(metrics.histogram(
-                  "serve.epoch_gap", {0, 1, 2, 4, 8, 16, 32, 64, 128})),
-              kEpochs);
+  ASSERT_EQ(result.epochs, kEpochs);
+  ASSERT_EQ(perEpoch.size(), static_cast<std::size_t>(kEpochs));
+  for (std::size_t i = 1; i < perEpoch.size(); ++i) {
+    EXPECT_EQ(perEpoch[i], 0) << "epoch " << i << " allocated with metrics attached";
   }
+  // The export is live: every event and epoch was counted.
+  EXPECT_EQ(metrics.counterValue(metrics.counter("serve.events")), kEpochEvents * kEpochs);
+  EXPECT_EQ(metrics.counterValue(metrics.counter("serve.epochs")), kEpochs);
+  EXPECT_EQ(metrics.histTotal(
+                metrics.histogram("serve.epoch_gap", {0, 1, 2, 4, 8, 16, 32, 64, 128})),
+            kEpochs);
 }
 
 // The full observability stack live -- metrics (including the epoch-ns
@@ -287,7 +278,6 @@ TEST(MetricsHotPath, SteadyStateEpochsAreAllocationFreeWithMonitorsAttached) {
   serve::OnlineAllocator allocator = makeBalancedAllocator(64, 256);
   ASSERT_EQ(allocator.gap(), 0);
 
-  runner::ThreadPool pool(2);
   MetricsRegistry metrics;
   MonitorSet monitors;
   ServeConformanceParams conformance;
@@ -299,14 +289,12 @@ TEST(MetricsHotPath, SteadyStateEpochsAreAllocationFreeWithMonitorsAttached) {
   monitors.beginRun();
 
   serve::LoopOptions options;
-  options.shards = 4;
   options.epochEvents = kEpochEvents;
   options.repairMovesPerEpoch = 4;
   options.seed = 11;
-  options.applyMode = serve::ApplyMode::kPartitioned;
   options.metrics = &metrics;
   options.monitors = &monitors;
-  serve::ShardedEventLoop loop(allocator, options, pool);
+  serve::ShardedEventLoop loop(allocator, options);
 
   ResampleOnlyTrace trace(256, kEpochEvents * kEpochs);
   std::vector<std::int64_t> perEpoch;
@@ -347,18 +335,14 @@ TEST(MetricsHotPath, AttachedMetricsDoNotPerturbTheRunAndAgreeWithCounters) {
     workload::PoissonTrace trace(base, 17);
     serve::OnlineAllocator allocator(
         serve::AllocatorOptions{.bins = 32, .arrivalChoices = 2});
-    runner::ThreadPool pool(2);
     serve::LoopOptions options;
-    options.shards = 8;
     options.epochEvents = 512;
     options.repairMovesPerEpoch = 4;
     options.seed = 5;
-    options.applyMode = serve::ApplyMode::kPartitioned;
     options.metrics = metrics;
-    serve::ShardedEventLoop loop(allocator, options, pool);
-    const auto result = loop.run(trace);
-    return std::make_pair(allocator.loads(),
-                          std::make_pair(allocator.counters(), result.queue));
+    serve::ShardedEventLoop loop(allocator, options);
+    loop.run(trace);
+    return std::make_pair(allocator.loads(), allocator.counters());
   };
 
   MetricsRegistry metrics;
@@ -366,7 +350,7 @@ TEST(MetricsHotPath, AttachedMetricsDoNotPerturbTheRunAndAgreeWithCounters) {
   const auto plain = runOnce(nullptr);
   EXPECT_EQ(observed.first, plain.first) << "metrics changed the run's outcome";
 
-  const serve::ServeCounters& c = observed.second.first;
+  const serve::ServeCounters& c = observed.second;
   EXPECT_EQ(metrics.counterValue(metrics.counter("serve.events")), c.events);
   EXPECT_EQ(metrics.counterValue(metrics.counter("serve.arrivals")), c.arrivals);
   EXPECT_EQ(metrics.counterValue(metrics.counter("serve.departures")), c.departures);
@@ -375,12 +359,6 @@ TEST(MetricsHotPath, AttachedMetricsDoNotPerturbTheRunAndAgreeWithCounters) {
             c.rejectedMoves);
   EXPECT_EQ(metrics.counterValue(metrics.counter("serve.repair_migrations")),
             c.repairMigrations);
-  const serve::QueueStats& q = observed.second.second;
-  EXPECT_EQ(metrics.counterValue(metrics.counter("serve.queued_ops")), q.queuedOps);
-  EXPECT_EQ(metrics.counterValue(metrics.counter("serve.cross_shard_ops")),
-            q.crossShardOps);
-  // Every queued op is drained exactly once across the shard drains.
-  EXPECT_EQ(metrics.counterValue(metrics.counter("serve.drained_ops")), q.queuedOps);
 }
 
 // ---------------------------------------------------------------- trace
@@ -489,14 +467,11 @@ TEST(Trace, ServingLoopEmitsPhaseSpansOnlyWhenAttached) {
     workload::PoissonTrace traceGen(base, 23);
     serve::OnlineAllocator allocator(
         serve::AllocatorOptions{.bins = 32, .arrivalChoices = 2});
-    runner::ThreadPool pool(2);
     serve::LoopOptions options;
-    options.shards = 8;
     options.epochEvents = 512;
     options.seed = 5;
-    options.applyMode = serve::ApplyMode::kPartitioned;
     options.trace = trace;
-    serve::ShardedEventLoop loop(allocator, options, pool);
+    serve::ShardedEventLoop loop(allocator, options);
     loop.run(traceGen);
     return allocator.loads();
   };
@@ -510,8 +485,8 @@ TEST(Trace, ServingLoopEmitsPhaseSpansOnlyWhenAttached) {
   std::ostringstream out;
   ASSERT_TRUE(attached.writeTo(out));
   const std::string doc = out.str();
-  for (const char* phase : {"\"epoch\"", "\"decide\"", "\"resolve\"", "\"drain\"",
-                            "\"repair\"", "\"flush\"", "\"observe\""}) {
+  for (const char* phase : {"\"epoch\"", "\"decide\"", "\"apply\"", "\"repair\"",
+                            "\"flush\"", "\"observe\""}) {
     EXPECT_NE(doc.find(phase), std::string::npos) << "missing span " << phase;
   }
 }

@@ -48,6 +48,15 @@ TEST(ScenarioParams, MalformedTokensRejected) {
   EXPECT_FALSE(ScenarioParams::fromTokens({"=5"}, &p, &error));
 }
 
+TEST(ScenarioParams, MalformedValuesThrowUsageErrors) {
+  // The driver turns std::invalid_argument into a message and exit 2.
+  const ScenarioParams p = paramsOf({"n=abc", "rate=fast", "flag=maybe", "half=2.5"});
+  EXPECT_THROW((void)p.getInt("n", 0), std::invalid_argument);
+  EXPECT_THROW((void)p.getDouble("rate", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)p.getBool("flag", false), std::invalid_argument);
+  EXPECT_THROW((void)p.getInt("half", 0), std::invalid_argument);
+}
+
 TEST(ScenarioParams, UnusedKeySweep) {
   const ScenarioParams p = paramsOf({"used=1", "typo=2"});
   EXPECT_EQ(p.getInt("used", 0), 1);

@@ -1,14 +1,19 @@
-// serve/: OnlineAllocator state invariants, the sharded event loop's
-// invariance contract (final load vector identical across shard counts AND
-// thread counts), RLS's balance benefit over placement-only serving, and
-// the serve_* scenarios' byte-determinism through the JSONL sink.
+// serve/: OnlineAllocator state invariants, the event loop's epoch
+// observer, RLS's balance benefit over placement-only serving, the serve_*
+// scenarios' byte-determinism through the JSONL sink, and their usage
+// errors (bad input throws std::invalid_argument, which the driver turns
+// into exit code 2).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "report/json.hpp"
 #include "scenario/scenario.hpp"
 #include "serve/event_loop.hpp"
@@ -36,20 +41,17 @@ struct LoopOutcome {
   std::int64_t gap = 0;
 };
 
-LoopOutcome runLoop(int shards, int threads, std::int64_t events,
-                    std::uint64_t seed = 99) {
+LoopOutcome runLoop(std::int64_t events, std::uint64_t seed = 99) {
   workload::PoissonTrace trace(traceOptions(events), seed);
   AllocatorOptions allocOptions;
   allocOptions.bins = 32;
   allocOptions.arrivalChoices = 2;
   OnlineAllocator allocator(allocOptions);
   LoopOptions loopOptions;
-  loopOptions.shards = shards;
   loopOptions.epochEvents = 256;
   loopOptions.repairMovesPerEpoch = 4;
   loopOptions.seed = seed;
-  runner::ThreadPool pool(threads);
-  ShardedEventLoop loop(allocator, loopOptions, pool);
+  ShardedEventLoop loop(allocator, loopOptions);
   const auto result = loop.run(trace);
   EXPECT_EQ(result.events, events);
   EXPECT_TRUE(allocator.validate());
@@ -57,16 +59,8 @@ LoopOutcome runLoop(int shards, int threads, std::int64_t events,
           allocator.totalLoad(), allocator.gap()};
 }
 
-bool countersEqual(const ServeCounters& a, const ServeCounters& b) {
-  return a.events == b.events && a.arrivals == b.arrivals &&
-         a.departures == b.departures && a.resamples == b.resamples &&
-         a.migrations == b.migrations && a.rejectedMoves == b.rejectedMoves &&
-         a.repairAttempts == b.repairAttempts &&
-         a.repairMigrations == b.repairMigrations;
-}
-
 TEST(OnlineAllocator, ConservesMassAndTracksLevels) {
-  const LoopOutcome out = runLoop(/*shards=*/4, /*threads=*/1, /*events=*/8000);
+  const LoopOutcome out = runLoop(/*events=*/8000);
   EXPECT_EQ(out.counters.events, 8000);
   EXPECT_EQ(out.liveBalls, out.counters.arrivals - out.counters.departures);
   std::int64_t total = 0;
@@ -83,30 +77,10 @@ TEST(OnlineAllocator, ConservesMassAndTracksLevels) {
             out.counters.migrations + out.counters.rejectedMoves);
 }
 
-TEST(ShardedEventLoop, FinalStateInvariantAcrossShardCounts) {
-  const LoopOutcome one = runLoop(/*shards=*/1, /*threads=*/1, /*events=*/6000);
-  for (const int shards : {2, 5, 16}) {
-    const LoopOutcome other = runLoop(shards, /*threads=*/1, /*events=*/6000);
-    EXPECT_EQ(one.loads, other.loads) << "shards=" << shards;
-    EXPECT_TRUE(countersEqual(one.counters, other.counters)) << "shards=" << shards;
-  }
-}
-
-TEST(ShardedEventLoop, FinalStateInvariantAcrossThreadCounts) {
-  const LoopOutcome serial = runLoop(/*shards=*/8, /*threads=*/1, /*events=*/6000);
-  for (const int threads : {2, 4}) {
-    const LoopOutcome parallel = runLoop(/*shards=*/8, threads, /*events=*/6000);
-    EXPECT_EQ(serial.loads, parallel.loads) << "threads=" << threads;
-    EXPECT_TRUE(countersEqual(serial.counters, parallel.counters))
-        << "threads=" << threads;
-  }
-}
-
 TEST(ShardedEventLoop, EpochObserverSeesEveryEvent) {
   workload::PoissonTrace trace(traceOptions(1000), 7);
   OnlineAllocator allocator(AllocatorOptions{.bins = 16, .arrivalChoices = 1});
-  runner::ThreadPool pool(1);
-  ShardedEventLoop loop(allocator, LoopOptions{.shards = 2, .epochEvents = 128}, pool);
+  ShardedEventLoop loop(allocator, LoopOptions{.epochEvents = 128});
   std::int64_t observed = 0;
   std::int64_t epochs = 0;
   std::int64_t lastEpoch = -1;
@@ -132,11 +106,10 @@ TEST(ShardedEventLoop, RlsMigrationShrinksTheGapVersusPlacementOnly) {
     o.resampleRate = resampleRate;
     workload::PoissonTrace trace(o, seed);
     OnlineAllocator allocator(AllocatorOptions{.bins = 32, .arrivalChoices = 1});
-    runner::ThreadPool pool(1);
     LoopOptions loopOptions;
     loopOptions.repairMovesPerEpoch = 0;  // isolate the per-event rule
     loopOptions.seed = seed;
-    ShardedEventLoop loop(allocator, loopOptions, pool);
+    ShardedEventLoop loop(allocator, loopOptions);
     double gapSum = 0.0;
     std::int64_t samples = 0;
     loop.run(trace, [&](const EpochStats& s) {
@@ -173,8 +146,11 @@ std::string deterministicRecords(const std::string& jsonl) {
   return out;
 }
 
+/// Run one scenario; returns its JSONL and stores the params it never read
+/// in `unused` (when given; otherwise every param must have been read).
 std::string runServeScenario(const std::string& name, std::uint64_t seed, int threads,
-                             const std::vector<std::string>& params) {
+                             const std::vector<std::string>& params,
+                             std::vector<std::string>* unused = nullptr) {
   scenario::ScenarioRegistry registry;
   scenario::registerBuiltinScenarios(registry);
   std::ostringstream out;
@@ -187,11 +163,15 @@ std::string runServeScenario(const std::string& name, std::uint64_t seed, int th
   std::string error;
   EXPECT_TRUE(scenario::ScenarioParams::fromTokens(params, &ctx.params, &error)) << error;
   registry.runOne(name, ctx);
-  EXPECT_TRUE(ctx.params.unusedKeys().empty());
+  if (unused != nullptr) {
+    *unused = ctx.params.unusedKeys();
+  } else {
+    EXPECT_TRUE(ctx.params.unusedKeys().empty());
+  }
   return out.str();
 }
 
-TEST(ServeScenarios, ByteIdenticalAcrossRunsThreadsAndShards) {
+TEST(ServeScenarios, ByteIdenticalAcrossRunsAndThreads) {
   const std::vector<std::string> params = {"n=32", "events=20000", "epoch=256"};
   for (const std::string name : {"serve_poisson", "serve_adversarial"}) {
     const std::string a = deterministicRecords(runServeScenario(name, 5, 1, params));
@@ -200,83 +180,67 @@ TEST(ServeScenarios, ByteIdenticalAcrossRunsThreadsAndShards) {
     EXPECT_FALSE(a.empty());
     EXPECT_EQ(a, b) << name << ": same seed, same threads";
     EXPECT_EQ(a, c) << name << ": same seed, different threads";
-    // Different shard count: the tables themselves must not move (the
-    // param shows up only in scenario_start, which embeds the overrides).
-    std::vector<std::string> sharded = params;
-    sharded.push_back("shards=3");
-    const std::string d = runServeScenario(name, 5, 1, sharded);
-    std::istringstream in(deterministicRecords(d));
-    std::string line;
-    std::string tablesOnly;
-    std::string tablesA;
-    while (std::getline(in, line)) {
-      if (line.find("\"type\":\"table\"") != std::string::npos) tablesOnly += line + "\n";
-    }
-    std::istringstream inA(a);
-    while (std::getline(inA, line)) {
-      if (line.find("\"type\":\"table\"") != std::string::npos) tablesA += line + "\n";
-    }
-    EXPECT_EQ(tablesA, tablesOnly) << name << ": same seed, different shard count";
     const std::string e = deterministicRecords(runServeScenario(name, 6, 1, params));
     EXPECT_NE(a, e) << name << ": a different seed must change the tables";
   }
 }
 
-TEST(ServeScenarios, EpochBelowOneIsAUsageError) {
+TEST(ServeScenarios, RemovedShardKnobsAreUnusedParams) {
+  // The loop has one execution path, so shards= and partitioned= are read
+  // by nobody; the driver reports them as unknown parameters (exit 2).
+  std::vector<std::string> unused;
+  runServeScenario("serve_poisson", 1, 1,
+                   {"n=16", "events=2000", "shards=4", "partitioned=1"}, &unused);
+  EXPECT_EQ(unused, (std::vector<std::string>{"partitioned", "shards"}));
+  runServeScenario("serve_capacity", 1, 1,
+                   {"n_list=16", "load_list=1", "backend=dense", "shards=2"}, &unused);
+  EXPECT_EQ(unused, (std::vector<std::string>{"shards"}));
+}
+
+TEST(ServeScenarios, BadInputIsAUsageError) {
   // A usage error, not a crash: the driver turns the exception into a
-  // message and exit code 2 (epoch=0 used to divide by zero).
-  EXPECT_THROW(runServeScenario("serve_poisson", 1, 1, {"n=16", "events=100", "epoch=0"}),
-               std::invalid_argument);
-  EXPECT_THROW(runServeScenario("serve_capacity", 1, 1, {"n_list=16", "epoch=0"}),
-               std::invalid_argument);
-  EXPECT_THROW(runServeScenario("serve_capacity", 1, 1, {"n_list=16", "epb=0"}),
-               std::invalid_argument);
-}
-
-TEST(ServeScenarios, PartitionedKnobPreservesTheDeterministicRecords) {
-  // partitioned= flips the apply execution strategy only; the scenario's
-  // deterministic records must not move. threads=3 gives the auto and
-  // forced-partitioned paths real workers.
-  const std::vector<std::string> base = {"n=32", "events=20000", "epoch=256"};
-  const auto with = [&](const std::string& mode) {
-    std::vector<std::string> params = base;
-    params.push_back("partitioned=" + mode);
-    return deterministicRecords(runServeScenario("serve_poisson", 5, 3, params));
+  // message and exit code 2 (these used to abort, divide by zero, or fail
+  // an internal assertion).
+  const std::filesystem::path dir = std::filesystem::temp_directory_path();
+  const std::string missingDir = (dir / "rlslb-no-such-dir").string();
+  const std::string emptyTrace = (dir / "rlslb-test-serve-empty.jsonl").string();
+  { std::ofstream touch(emptyTrace); }
+  const struct {
+    const char* scenario;
+    std::vector<std::string> params;
+  } bad[] = {
+      {"serve_poisson", {"n=16", "events=100", "epoch=0"}},
+      {"serve_poisson", {"n=abc"}},
+      {"serve_composed", {"n=16", "events=100", "spec=diurnal(0.8"}},
+      {"serve_poisson", {"n=16", "trace=" + missingDir + "/trace.jsonl"}},
+      {"serve_poisson", {"n=16", "trace=" + emptyTrace}},
+      {"serve_poisson", {"n=16", "trace=" + emptyTrace, "record=" + emptyTrace}},
+      {"serve_poisson", {"n=16", "events=100", "record=" + missingDir + "/r.jsonl"}},
+      {"serve_capacity", {"n_list=16", "epoch=0"}},
+      {"serve_capacity", {"n_list=16", "epb=0"}},
+      {"serve_capacity", {"n_list=16,,32"}},
+      {"serve_capacity", {"n_list=0"}},
+      {"serve_capacity", {"n_list=16", "load_list=0"}},
+      {"serve_capacity", {"n_list=16", "load_list=-2"}},
+      {"serve_capacity", {"n_list=16", "traces=poisson;bogus(1)"}},
+      {"serve_capacity", {"n_list=16", "traces=hotspot(16,8,2)"}},
+      {"serve_capacity", {"n_list=16", "backend=sparse"}},
+      {"serve_capacity", {"n_list=1", "load_list=0.5"}},  // a cell with 0 events
   };
-  const std::string sequential = with("0");
-  EXPECT_FALSE(sequential.empty());
-  // scenario_start embeds the overrides, so compare the tables only.
-  const auto tables = [](const std::string& records) {
-    std::istringstream in(records);
-    std::string line;
-    std::string out;
-    while (std::getline(in, line)) {
-      if (line.find("\"type\":\"table\"") != std::string::npos) out += line + "\n";
-    }
-    return out;
-  };
-  EXPECT_EQ(tables(sequential), tables(with("1")));
-  EXPECT_EQ(tables(sequential), tables(with("auto")));
-  EXPECT_EQ(tables(sequential), tables(with("seq")));
-  EXPECT_EQ(tables(sequential), tables(with("part")));
-}
-
-TEST(ServeScenarios, ScalingSweepEmitsPerRowThroughput) {
-  const std::string jsonl = runServeScenario(
-      "serve_scaling", 4, 1,
-      {"n=16", "events=4000", "epoch=128", "thread_list=1", "shard_list=1,2"});
-  std::vector<std::string> names;
-  std::istringstream in(jsonl);
-  std::string line;
-  while (std::getline(in, line)) {
-    const report::Json rec = report::Json::parse(line);
-    if (rec.at("type").asString() != "throughput") continue;
-    names.push_back(rec.at("scenario").asString());
-    EXPECT_EQ(rec.at("events").asInt(), 4000);
-    EXPECT_GT(rec.at("events_per_sec").asDouble(), 0.0);
+  for (const auto& b : bad) {
+    std::vector<std::string> unused;
+    EXPECT_THROW(runServeScenario(b.scenario, 1, 1, b.params, &unused), std::invalid_argument)
+        << b.scenario << " " << b.params.back();
   }
-  EXPECT_EQ(names,
-            (std::vector<std::string>{"serve_scaling/s1t1", "serve_scaling/s2t1"}));
+  if (obs::kTracingCompiledIn) {
+    std::vector<std::string> unused;
+    EXPECT_THROW(runServeScenario("serve_poisson", 1, 1,
+                                  {"n=16", "events=100",
+                                   "trace_out=" + missingDir + "/t.json"},
+                                  &unused),
+                 std::invalid_argument);
+  }
+  std::filesystem::remove(emptyTrace);
 }
 
 TEST(ServeScenarios, ThroughputRecordEmitted) {
