@@ -19,9 +19,9 @@ in docs/EXPERIMENTS.md). The dashboard has four sections:
   4. Capacity frontier -- each scenario's {"type":"frontier"} cells
      (serve_capacity's n x load-factor x trace sweep): a per-cell table
      (gap, events/sec, p99 ns/event, bytes/ball, peak RSS, budget-skip
-     status) plus ASCII heatmaps over the (n, load) grid per trace and
-     backend, one for final gap and one for bytes/ball, so the frontier
-     shape is visible without opening a notebook.
+     status) plus ASCII heatmaps over the (n, load) grid per trace, one
+     for final gap and one for bytes/ball, so the frontier shape is
+     visible without opening a notebook.
   5. Perf trajectory -- scenario wall-clocks and events/sec for the
      current run, and, when prior runs are passed with --prior (oldest
      first, e.g. the sha-keyed CI artifacts), a per-scenario trend table
@@ -268,35 +268,33 @@ def print_frontier(scenario, cells):
     if not cells:
         return
     print(f"\n  capacity frontier -- {scenario} ({len(cells)} cells)")
-    print(f"    {'n':>10} {'load':>5} {'trace':28} {'backend':8} {'gap':>4}"
+    print(f"    {'n':>10} {'load':>5} {'trace':28} {'gap':>4}"
           f" {'ev/s':>8} {'p99/ev':>9} {'B/ball':>7} {'rss':>7}  status")
     for c in sorted(cells, key=lambda c: (c.get("trace", ""),
-                                          c.get("backend", ""),
                                           c.get("n", 0),
                                           c.get("load_factor", 0))):
         if c.get("skipped"):
             status = (f"SKIPPED est {fmt_si(c.get('estimated_bytes', 0))}B >"
                       f" budget {fmt_si(c.get('budget_bytes', 0))}B")
             print(f"    {c.get('n', 0):>10,} {c.get('load_factor', 0):>5g}"
-                  f" {c.get('trace', '?')[:28]:28} {c.get('backend', '?'):8}"
+                  f" {c.get('trace', '?')[:28]:28}"
                   f" {'-':>4} {'-':>8} {'-':>9} {'-':>7} {'-':>7}  {status}")
             continue
         print(f"    {c.get('n', 0):>10,} {c.get('load_factor', 0):>5g}"
-              f" {c.get('trace', '?')[:28]:28} {c.get('backend', '?'):8}"
+              f" {c.get('trace', '?')[:28]:28}"
               f" {c.get('final_gap', 0):>4}"
               f" {fmt_si(c.get('events_per_sec', 0)):>8}"
               f" {fmt_ns(c.get('p99_ns_event', 0)):>9}"
               f" {c.get('bytes_per_ball', 0):>7.1f}"
               f" {fmt_si(c.get('peak_rss_bytes', 0)) + 'B':>7}  ok")
 
-    # Heatmaps over the (n, load) grid, one group per (trace, backend).
+    # Heatmaps over the (n, load) grid, one group per trace.
     groups = {}
     for c in cells:
         if c.get("skipped"):
             continue
-        groups.setdefault((c.get("trace", "?"), c.get("backend", "?")),
-                          []).append(c)
-    for (trace, backend), group in sorted(groups.items()):
+        groups.setdefault(c.get("trace", "?"), []).append(c)
+    for trace, group in sorted(groups.items()):
         ns = sorted({c["n"] for c in group})
         loads = sorted({c["load_factor"] for c in group})
         if len(ns) < 2 and len(loads) < 2:
@@ -307,7 +305,7 @@ def print_frontier(scenario, cells):
             grid = [[by_cell.get((n, l), {}).get(metric) for l in loads]
                     for n in ns]
             print_frontier_heatmap(
-                f"{metric} -- trace {trace}, backend {backend}",
+                f"{metric} -- trace {trace}",
                 ns, loads, grid, fmt)
 
 

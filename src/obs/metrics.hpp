@@ -1,7 +1,7 @@
 // MetricsRegistry: the telemetry layer's low-overhead counter store.
 //
 // Design constraints, in order:
-//   - The hot path (ShardedEventLoop epochs, allocator drains) must stay
+//   - The hot path (serve::EpochLoop epochs) must stay
 //     allocation-free and byte-deterministic with metrics attached: every
 //     mutation is a plain indexed write into a preallocated flat slab --
 //     no maps, no strings, no locks. Registration (name -> small integer

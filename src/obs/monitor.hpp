@@ -2,7 +2,7 @@
 // on the live telemetry at epoch (serve) or probe-stride (process)
 // boundaries.
 //
-// The producing layers (ShardedEventLoop, obs::ProcessProbe) fill a
+// The producing layers (serve::EpochLoop, obs::ProcessProbe) fill a
 // CheckSample -- a stack POD snapshot of the run's observable state --
 // and hand it to a MonitorSet. The set feeds its streaming sketches,
 // runs every attached ConformanceMonitor, and collects violations as

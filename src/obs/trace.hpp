@@ -4,8 +4,8 @@
 // trajectory events on per-thread *tracks* and serializes them as the
 // {"traceEvents":[...]} document chrome://tracing and Perfetto
 // (ui.perfetto.dev) load directly. The serving loop wraps its phases
-// (decide / resolve / drain / apply / repair / flush) in Spans on the
-// main track; runner::ThreadPool records one "job" span per worker
+// (decide / apply / repair) in Spans on the main track;
+// runner::ThreadPool records one "job" span per worker
 // participation on that worker's track, so a trace shows exactly which
 // worker ran which slice of which phase.
 //

@@ -45,14 +45,42 @@ namespace rlslb::scenario::builtin {
 
 namespace {
 
+/// Integer param `name`, rejected below `min` before any arithmetic or
+/// allocation uses it (epoch= divides, n= and d= size draws, repair=
+/// counts loop iterations, weight= feeds the allocator's w >= 1 contract).
+std::int64_t intParam(ScenarioContext& ctx, const char* name, std::int64_t fallback,
+                      std::int64_t min) {
+  const std::int64_t value = ctx.params.getInt(name, fallback);
+  if (value < min) {
+    std::string message = name;
+    message.append("= must be >= ").append(std::to_string(min));
+    message.append(" (got ").append(std::to_string(value)).append(")");
+    throw std::invalid_argument(message);
+  }
+  return value;
+}
+
+/// Rate param `name` (lambda=, mu=, resample=), rejected when negative or
+/// NaN.
+double rateParam(ScenarioContext& ctx, const char* name, double fallback) {
+  const double value = ctx.params.getDouble(name, fallback);
+  if (!(value >= 0.0)) {
+    std::string message = name;
+    message.append("= must be >= 0 (got ").append(report::formatJsonNumber(value));
+    message.append(")");
+    throw std::invalid_argument(message);
+  }
+  return value;
+}
+
 workload::OpenTraceOptions baseTraceOptions(ScenarioContext& ctx, std::int64_t bins,
                                             std::int64_t events) {
   workload::OpenTraceOptions o;
   o.bins = bins;
-  o.arrivalRatePerBin = ctx.params.getDouble("lambda", 1.0);
-  o.departureRate = ctx.params.getDouble("mu", 0.125);
-  o.resampleRate = ctx.params.getDouble("resample", 1.0);
-  o.ballWeight = ctx.params.getInt("weight", 1);
+  o.arrivalRatePerBin = rateParam(ctx, "lambda", 1.0);
+  o.departureRate = rateParam(ctx, "mu", 0.125);
+  o.resampleRate = rateParam(ctx, "resample", 1.0);
+  o.ballWeight = intParam(ctx, "weight", 1, 1);
   o.maxEvents = events;
   return o;
 }
@@ -96,33 +124,21 @@ std::unique_ptr<workload::TraceGenerator> buildTrace(ScenarioContext& ctx,
   o.base = base;
   o.burstPeriod = ctx.params.getDouble("burst_period", 16.0);
   o.burstSize = ctx.params.getInt("burst_size", 32);
-  o.hotWeight = ctx.params.getInt("hot_weight", 8);
+  o.hotWeight = intParam(ctx, "hot_weight", 8, 1);
   return std::make_unique<workload::HotspotTrace>(o, seed);
 }
 
-/// epoch= param (events per load snapshot), rejected below 1 before any
-/// epoch arithmetic divides by it.
-std::int64_t epochParam(ScenarioContext& ctx) {
-  const std::int64_t epoch = ctx.params.getInt("epoch", 1024);
-  if (epoch < 1) {
-    std::string message = "epoch= must be >= 1 (got ";
-    message.append(std::to_string(epoch)).append(")");
-    throw std::invalid_argument(message);
-  }
-  return epoch;
-}
-
 void runServe(ScenarioContext& ctx, const std::string& kind) {
-  const std::int64_t n = ctx.params.getInt("n", ctx.sized(256));
+  const std::int64_t n = intParam(ctx, "n", ctx.sized(256), 1);
   std::int64_t events = ctx.params.getInt("events", ctx.sized(6'000'000));
   serve::AllocatorOptions allocOptions;
   allocOptions.bins = n;
-  allocOptions.arrivalChoices = static_cast<int>(ctx.params.getInt("d", 2));
+  allocOptions.arrivalChoices = static_cast<int>(intParam(ctx, "d", 2, 1));
   allocOptions.invertAcceptance = ctx.params.getBool("invert", false);
   const bool conformance = ctx.params.getBool("conformance", ctx.conformanceDefault);
   serve::LoopOptions loopOptions;
-  loopOptions.epochEvents = epochParam(ctx);
-  loopOptions.repairMovesPerEpoch = static_cast<int>(ctx.params.getInt("repair", 4));
+  loopOptions.epochEvents = intParam(ctx, "epoch", 1024, 1);
+  loopOptions.repairMovesPerEpoch = static_cast<int>(intParam(ctx, "repair", 4, 0));
   loopOptions.seed = ctx.seed;
   const std::string replayPath = ctx.params.getString("trace", "");
   const std::string recordPath = ctx.params.getString("record", "");
@@ -201,9 +217,9 @@ void runServe(ScenarioContext& ctx, const std::string& kind) {
   if (conformance) {
     obs::ServeConformanceParams cp;
     cp.n = n;
-    const double mu = ctx.params.getDouble("mu", 0.125);
+    const double mu = rateParam(ctx, "mu", 0.125);
     cp.expectedBalls =
-        mu > 0.0 ? static_cast<std::int64_t>(ctx.params.getDouble("lambda", 1.0) *
+        mu > 0.0 ? static_cast<std::int64_t>(rateParam(ctx, "lambda", 1.0) *
                                              static_cast<double>(n) / mu)
                  : 0;
     cp.d = allocOptions.arrivalChoices;
@@ -214,7 +230,7 @@ void runServe(ScenarioContext& ctx, const std::string& kind) {
   }
 
   serve::OnlineAllocator allocator(allocOptions);
-  serve::ShardedEventLoop loop(allocator, loopOptions);
+  serve::EpochLoop loop(allocator, loopOptions);
 
   const std::int64_t checkpointEvery = std::max<std::int64_t>(1, totalEpochs / 8);
   const std::int64_t warmupEpochs = totalEpochs / 4;
@@ -223,7 +239,7 @@ void runServe(ScenarioContext& ctx, const std::string& kind) {
   std::int64_t gapEpochs = 0;
   std::int64_t maxGap = 0;
   std::vector<double> epochNs;
-  const serve::ShardedEventLoop::RunResult runResult =
+  const serve::RunResult runResult =
       loop.run(*source, [&](const serve::EpochStats& s) {
     if (s.epoch % checkpointEvery == 0 || s.epoch + 1 == totalEpochs) {
       trajectory.row()

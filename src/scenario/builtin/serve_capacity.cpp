@@ -13,34 +13,25 @@
 //     skipped deterministically (CompactAllocator::estimateBytes), with a
 //     "skipped" row and a frontier record carrying the estimate.
 //
-// backend=compact (default) runs capacity::CompactAllocator under the
-// sequential capacity::CapacityLoop; backend=dense runs the same cells
-// through the dense OnlineAllocator + ShardedEventLoop. Cell seeds do not
-// include the backend, so the two backends replay identical traces and --
-// by the equivalence contract pinned in tests/test_capacity.cpp -- land on
-// byte-identical deterministic tables; only the memory/timing columns
-// differ. That is the bytes-per-ball before/after experiment in
-// docs/EXPERIMENTS.md.
+// Every cell runs serve::CompactAllocator under serve::EpochLoop.
 //
 // Params: n_list (csv bins sweep), load_list (csv lambda/mu sweep; mu =
 // lambda/L with lambda fixed at 1), traces (';'-separated compose specs),
 // epb (events per expected ball, scaled), epoch, repair, d, resample,
-// backend, budget_mb, conformance. The compact backend requires unit
-// weights: hotspot factors must use weight 1.
+// budget_mb, conformance. The compact layout requires unit weights:
+// hotspot factors must use weight 1.
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "capacity/capacity_loop.hpp"
-#include "capacity/compact_allocator.hpp"
 #include "obs/memory.hpp"
 #include "obs/monitor.hpp"
 #include "rng/splitmix64.hpp"
 #include "scenario/builtin/builtin.hpp"
+#include "serve/compact_allocator.hpp"
 #include "serve/event_loop.hpp"
-#include "serve/online_allocator.hpp"
 #include "util/parse.hpp"
 #include "workload/compose.hpp"
 #include "workload/generators.hpp"
@@ -69,13 +60,6 @@ std::vector<std::string> splitList(const std::string& name, const std::string& t
   return out;
 }
 
-/// Rough dense-backend footprint for the budget gate (FlatMap ball records
-/// at <= 3/4 load plus per-bin vectors); the compact side uses the exact
-/// CompactAllocator::estimateBytes.
-std::int64_t denseEstimateBytes(std::int64_t bins, std::int64_t liveBalls) {
-  return liveBalls * 56 + bins * 64;
-}
-
 struct CellResult {
   std::int64_t events = 0;
   std::int64_t epochs = 0;
@@ -102,17 +86,19 @@ void runCapacity(ScenarioContext& ctx) {
   const int repair = static_cast<int>(ctx.params.getInt("repair", 4));
   const int d = static_cast<int>(ctx.params.getInt("d", 2));
   const double resample = ctx.params.getDouble("resample", 1.0);
-  const std::string backend = ctx.params.getString("backend", "compact");
   const std::int64_t budgetMb = ctx.params.getInt("budget_mb", 2048);
   const bool conformance = ctx.params.getBool("conformance", ctx.conformanceDefault);
-  if (backend != "compact" && backend != "dense") {
-    throw std::invalid_argument("serve_capacity: backend= must be compact or dense (got " +
-                                backend + ")");
-  }
-  if (epb < 1 || epochEvents < 1) {
-    std::string message = "serve_capacity: epb= and epoch= must be >= 1 (got epb=";
+  if (epb < 1 || epochEvents < 1 || d < 1) {
+    std::string message = "serve_capacity: epb=, epoch= and d= must be >= 1 (got epb=";
     message.append(std::to_string(epb)).append(", epoch=");
-    message.append(std::to_string(epochEvents)).append(")");
+    message.append(std::to_string(epochEvents)).append(", d=");
+    message.append(std::to_string(d)).append(")");
+    throw std::invalid_argument(message);
+  }
+  if (repair < 0 || !(resample >= 0.0)) {
+    std::string message = "serve_capacity: repair= and resample= must be >= 0 (got repair=";
+    message.append(std::to_string(repair)).append(", resample=");
+    message.append(report::formatJsonNumber(resample)).append(")");
     throw std::invalid_argument(message);
   }
 
@@ -174,8 +160,8 @@ void runCapacity(ScenarioContext& ctx) {
     obs::installServeMonitors(ctx.monitors, cp);
   }
 
-  Table sweep({"n", "load", "trace", "backend", "events", "arrivals", "migrations",
-               "final gap", "mean gap", "max gap", "status"});
+  Table sweep({"n", "load", "trace", "events", "arrivals", "migrations", "final gap",
+               "mean gap", "max gap", "status"});
   Table timing({"n", "load", "trace", "loop wall s", "events/sec", "p99 ns/event",
                 "state MB", "bytes/ball", "peak RSS MB"});
 
@@ -198,20 +184,17 @@ void runCapacity(ScenarioContext& ctx) {
         const auto ballsEverEstimate =
             expectedLive + static_cast<std::int64_t>(arrivalShare * static_cast<double>(events));
         const std::int64_t estimate =
-            backend == "compact"
-                ? capacity::CompactAllocator::estimateBytes(n, ballsEverEstimate, expectedLive)
-                : denseEstimateBytes(n, expectedLive);
+            serve::CompactAllocator::estimateBytes(n, ballsEverEstimate, expectedLive);
         const std::string loadText = report::formatJsonNumber(load);
 
         report::Json cell = report::Json::object();
         cell.set("n", n);
         cell.set("load_factor", load);
         cell.set("trace", traceName);
-        cell.set("backend", backend);
 
         if (budgetMb > 0 && estimate > budgetMb * 1024 * 1024) {
-          sweep.row().cell(n).cell(loadText).cell(traceName).cell(backend).cell(events)
-              .cell(0).cell(0).cell(0).cell(0.0, 4).cell(0).cell("skipped");
+          sweep.row().cell(n).cell(loadText).cell(traceName).cell(events).cell(0).cell(0)
+              .cell(0).cell(0.0, 4).cell(0).cell("skipped");
           cell.set("skipped", true);
           cell.set("estimated_bytes", estimate);
           cell.set("budget_bytes", budgetMb * 1024 * 1024);
@@ -223,8 +206,7 @@ void runCapacity(ScenarioContext& ctx) {
           continue;
         }
 
-        // Cell seed from the sweep coordinates only -- NOT the backend --
-        // so compact and dense replay identical traces and streams.
+        // Cell seed from the sweep coordinates only.
         const std::uint64_t cellSeed = rng::streamSeed(
             ctx.seed, stableHash("capacity:" + std::to_string(n) + ":" + loadText +
                                  ":" + traceName));
@@ -258,53 +240,27 @@ void runCapacity(ScenarioContext& ctx) {
           }
         };
 
-        if (backend == "compact") {
-          capacity::CompactOptions opt;
-          opt.bins = n;
-          opt.arrivalChoices = d;
-          capacity::CompactAllocator allocator(opt);
-          capacity::CapacityLoopOptions loopOptions;
-          loopOptions.epochEvents = epochEvents;
-          loopOptions.repairMovesPerEpoch = repair;
-          loopOptions.seed = cellSeed;
-          loopOptions.metrics = &ctx.metrics;
-          loopOptions.trace = ctx.trace;
-          loopOptions.monitors = monitors;
-          capacity::CapacityLoop loop(allocator, loopOptions);
-          const capacity::CapacityLoop::RunResult run = loop.run(trace, onEpoch);
-          r.events = run.events;
-          r.epochs = run.epochs;
-          r.wallSeconds = run.wallSeconds;
-          r.arrivals = allocator.counters().arrivals;
-          r.migrations =
-              allocator.counters().migrations + allocator.counters().repairMigrations;
-          r.finalGap = allocator.gap();
-          r.stateBytes = allocator.residentBytes();
-          r.liveBalls = allocator.liveBalls();
-        } else {
-          serve::AllocatorOptions opt;
-          opt.bins = n;
-          opt.arrivalChoices = d;
-          serve::OnlineAllocator allocator(opt);
-          serve::LoopOptions loopOptions;
-          loopOptions.epochEvents = epochEvents;
-          loopOptions.repairMovesPerEpoch = repair;
-          loopOptions.seed = cellSeed;
-          loopOptions.metrics = &ctx.metrics;
-          loopOptions.trace = ctx.trace;
-          loopOptions.monitors = monitors;
-          serve::ShardedEventLoop loop(allocator, loopOptions);
-          const serve::ShardedEventLoop::RunResult run = loop.run(trace, onEpoch);
-          r.events = run.events;
-          r.epochs = run.epochs;
-          r.wallSeconds = run.wallSeconds;
-          r.arrivals = allocator.counters().arrivals;
-          r.migrations =
-              allocator.counters().migrations + allocator.counters().repairMigrations;
-          r.finalGap = allocator.gap();
-          r.stateBytes = allocator.residentBytes();
-          r.liveBalls = allocator.liveBalls();
-        }
+        serve::AllocatorOptions opt;
+        opt.bins = n;
+        opt.arrivalChoices = d;
+        serve::CompactAllocator allocator(opt);
+        serve::LoopOptions loopOptions;
+        loopOptions.epochEvents = epochEvents;
+        loopOptions.repairMovesPerEpoch = repair;
+        loopOptions.seed = cellSeed;
+        loopOptions.metrics = &ctx.metrics;
+        loopOptions.trace = ctx.trace;
+        loopOptions.monitors = monitors;
+        serve::EpochLoop loop(allocator, loopOptions);
+        const serve::RunResult run = loop.run(trace, onEpoch);
+        r.events = run.events;
+        r.epochs = run.epochs;
+        r.wallSeconds = run.wallSeconds;
+        r.arrivals = allocator.counters().arrivals;
+        r.migrations = allocator.counters().migrations + allocator.counters().repairMigrations;
+        r.finalGap = allocator.gap();
+        r.stateBytes = allocator.residentBytes();
+        r.liveBalls = allocator.liveBalls();
         r.meanGap = gapEpochs > 0 ? gapSum / static_cast<double>(gapEpochs) : 0.0;
         std::sort(epochNs.begin(), epochNs.end());
         r.p99Ns = epochNs.empty()
@@ -319,7 +275,7 @@ void runCapacity(ScenarioContext& ctx) {
                 : 0.0;
         const std::int64_t peakRss = obs::peakRssBytes();
 
-        sweep.row().cell(n).cell(loadText).cell(traceName).cell(backend).cell(r.events)
+        sweep.row().cell(n).cell(loadText).cell(traceName).cell(r.events)
             .cell(r.arrivals).cell(r.migrations).cell(r.finalGap).cell(r.meanGap, 4)
             .cell(r.maxGap).cell("ok");
         timing.row().cell(n).cell(loadText).cell(traceName).cell(r.wallSeconds, 4)
@@ -345,8 +301,8 @@ void runCapacity(ScenarioContext& ctx) {
     }
   }
 
-  ctx.emitTable(sweep, "[capacity] frontier sweep, backend=" + backend +
-                           " (deterministic gap/counter view; skipped = over budget_mb)");
+  ctx.emitTable(sweep, "[capacity] frontier sweep (deterministic gap/counter view; "
+                       "skipped = over budget_mb)");
   ctx.emitTimingTable(timing, "[capacity] frontier wall-clock and memory "
                               "(events/sec, p99 ns/event, resident state, bytes/ball)");
 }
@@ -368,8 +324,6 @@ void registerServeCapacity(ScenarioRegistry& r) {
           {"repair", "int", "4", "RLS repair moves per epoch"},
           {"d", "int", "2", "arrival choices"},
           {"resample", "double", "1.0", "per-ball RLS clock rate"},
-          {"backend", "string", "compact",
-           "compact (CompactAllocator) or dense (OnlineAllocator) serving state"},
           {"budget_mb", "int", "2048",
            "skip cells whose predicted state exceeds this many MB (0 = no gate)"},
           {"conformance", "bool", "0 (run default)",

@@ -10,6 +10,11 @@
 namespace rlslb::serve {
 
 namespace {
+// Stream salts for the loop's two rng families, derived from
+// LoopOptions.seed via rng::streamSeed.
+constexpr std::uint64_t kDecisionStreamSalt = 0x64656373ULL;  // "decs"
+constexpr std::uint64_t kRepairStreamSalt = 0x72657061ULL;    // "repa"
+
 // Microseconds -> integer nanoseconds for the serve.phase.*_ns counters.
 std::int64_t spanNs(double beginUs, double endUs) {
   const double ns = (endUs - beginUs) * 1e3;
@@ -17,14 +22,16 @@ std::int64_t spanNs(double beginUs, double endUs) {
 }
 }  // namespace
 
-ShardedEventLoop::ShardedEventLoop(OnlineAllocator& allocator, const LoopOptions& options)
+template <typename Allocator>
+EpochLoop<Allocator>::EpochLoop(Allocator& allocator, const LoopOptions& options)
     : allocator_(&allocator), options_(options) {
   RLSLB_ASSERT_MSG(options_.epochEvents >= 1, "LoopOptions.epochEvents must be >= 1");
   RLSLB_ASSERT_MSG(options_.repairMovesPerEpoch >= 0,
                    "LoopOptions.repairMovesPerEpoch must be >= 0");
 }
 
-void ShardedEventLoop::registerMetrics() {
+template <typename Allocator>
+void EpochLoop<Allocator>::registerMetrics() {
   // Registration is the telemetry layer's only allocating step; doing it
   // once per loop (not once per run) keeps re-runs of a reused loop
   // allocation-free end to end (tests/test_obs.cpp pins this).
@@ -38,11 +45,9 @@ void ShardedEventLoop::registerMetrics() {
   ids_.rejectedMoves = m.counter("serve.rejected_moves");
   ids_.repairAttempts = m.counter("serve.repair_attempts");
   ids_.repairMigrations = m.counter("serve.repair_migrations");
-  ids_.flushedBins = m.counter("serve.flushed_bins");
   ids_.decideNs = m.counter("serve.phase.decide_ns");
   ids_.applyNs = m.counter("serve.phase.apply_ns");
   ids_.repairNs = m.counter("serve.phase.repair_ns");
-  ids_.flushNs = m.counter("serve.phase.flush_ns");
   ids_.gap = m.gauge("serve.gap");
   ids_.liveBalls = m.gauge("serve.live_balls");
   ids_.totalLoad = m.gauge("serve.total_load");
@@ -57,8 +62,9 @@ void ShardedEventLoop::registerMetrics() {
   metricsRegistered_ = true;
 }
 
-ShardedEventLoop::RunResult ShardedEventLoop::run(
-    workload::TraceGenerator& trace, const std::function<void(const EpochStats&)>& onEpoch) {
+template <typename Allocator>
+RunResult EpochLoop<Allocator>::run(workload::TraceGenerator& trace,
+                                    const std::function<void(const EpochStats&)>& onEpoch) {
   // Multi-run contract: each run() is self-contained. A reused loop must
   // draw the same decision/repair streams a fresh loop would on the same
   // trace (allocator state, by design, carries over).
@@ -75,11 +81,9 @@ ShardedEventLoop::RunResult ShardedEventLoop::run(
   obs::MonitorSet* const monitors = options_.monitors;
   const bool instrumented = metrics != nullptr || traceOut != nullptr;
   ServeCounters prevCounters;
-  std::int64_t prevFlushedBins = 0;
   if (metrics != nullptr) {
     if (!metricsRegistered_) registerMetrics();
     prevCounters = allocator_->counters();
-    prevFlushedBins = allocator_->flushedBins();
   }
 
   RunResult result;
@@ -90,10 +94,6 @@ ShardedEventLoop::RunResult ShardedEventLoop::run(
   std::vector<workload::Event> batch;
   std::vector<Decision> decisions;
   batch.reserve(static_cast<std::size_t>(options_.epochEvents));
-  // The decision phase reads the live load array: every write to it
-  // happens in the apply/repair phases, after the whole batch is decided,
-  // so the bytes it sees are exactly the epoch-start snapshot.
-  const std::vector<std::int64_t>& liveLoads = allocator_->loads();
 
   for (;;) {
     batch.clear();
@@ -104,17 +104,15 @@ ShardedEventLoop::RunResult ShardedEventLoop::run(
     }
     if (batch.empty()) break;
 
-    // Timing contract: the timer brackets decision + apply + repair
-    // (including the deferred-accounting flushes) only; the batch fill
-    // above and the stats/callback below are outside. Phase stamps are
-    // extra reads of the same steady clock, taken only when instrumented.
+    // Timing contract: the timer brackets decide + apply + repair only;
+    // the batch fill above and the stats/callback below are outside. Phase
+    // stamps are extra reads of the same steady clock, taken only when
+    // instrumented.
     WallTimer wall;
     double tEpoch0 = 0.0;
     double tDecide1 = 0.0;
     double tApply1 = 0.0;
-    double tSettle1 = 0.0;
     double tRepair1 = 0.0;
-    double tFlush1 = 0.0;
     if (instrumented) tEpoch0 = obs::nowUs();
     const std::int64_t baseOrdinal = nextOrdinal_;
     nextOrdinal_ += static_cast<std::int64_t>(batch.size());
@@ -128,7 +126,7 @@ ShardedEventLoop::RunResult ShardedEventLoop::run(
         eng.reseed(rng::streamSeed(
             decisionSeed,
             static_cast<std::uint64_t>(baseOrdinal + static_cast<std::int64_t>(i))));
-        decisions[i] = allocator_->decide(e, liveLoads, eng);
+        decisions[i] = allocator_->decide(e, eng);
       }
     }
     if (instrumented) tDecide1 = obs::nowUs();
@@ -136,22 +134,10 @@ ShardedEventLoop::RunResult ShardedEventLoop::run(
     allocator_->applyBatch(batch.data(), decisions.data(), batch.size());
     if (instrumented) tApply1 = obs::nowUs();
 
-    // Settle the batch's deferred Fenwick deltas before the first repair
-    // draw, so the flush is timed as flush (repairMove()'s own entry flush
-    // then only settles the previous repair's move).
-    allocator_->flush();
-    if (instrumented) tSettle1 = obs::nowUs();
-
     rng::Xoshiro256pp repairEng(
         rng::streamSeed(repairSeed, static_cast<std::uint64_t>(nextEpoch_)));
     for (int k = 0; k < options_.repairMovesPerEpoch; ++k) allocator_->repairMove(repairEng);
     if (instrumented) tRepair1 = obs::nowUs();
-
-    // Settle the repair moves' deltas inside the timed region too — the
-    // flush belongs to the epoch's cost, not to whichever observer happens
-    // to read the Fenwick first.
-    allocator_->flush();
-    if (instrumented) tFlush1 = obs::nowUs();
 
     const double epochWall = wall.seconds();
     result.wallSeconds += epochWall;
@@ -168,13 +154,11 @@ ShardedEventLoop::RunResult ShardedEventLoop::run(
     const std::int64_t gap = balance.maxLoad - balance.minLoad;
 
     if (traceOut != nullptr) {
-      traceOut->complete("epoch", "epoch", tEpoch0, tFlush1);
+      traceOut->complete("epoch", "epoch", tEpoch0, tRepair1);
       traceOut->complete("decide", "phase", tEpoch0, tDecide1);
       traceOut->complete("apply", "phase", tDecide1, tApply1);
-      traceOut->complete("flush", "phase", tApply1, tSettle1);
-      traceOut->complete("repair", "phase", tSettle1, tRepair1);
-      traceOut->complete("flush", "phase", tRepair1, tFlush1);
-      traceOut->counter("serve.gap", "gap", tFlush1, static_cast<double>(gap));
+      traceOut->complete("repair", "phase", tApply1, tRepair1);
+      traceOut->counter("serve.gap", "gap", tRepair1, static_cast<double>(gap));
     }
 
     if (metrics != nullptr) {
@@ -190,13 +174,9 @@ ShardedEventLoop::RunResult ShardedEventLoop::run(
       metrics->add(ids_.repairMigrations,
                    c.repairMigrations - prevCounters.repairMigrations);
       prevCounters = c;
-      const std::int64_t flushed = allocator_->flushedBins();
-      metrics->add(ids_.flushedBins, flushed - prevFlushedBins);
-      prevFlushedBins = flushed;
       metrics->add(ids_.decideNs, spanNs(tEpoch0, tDecide1));
       metrics->add(ids_.applyNs, spanNs(tDecide1, tApply1));
-      metrics->add(ids_.repairNs, spanNs(tSettle1, tRepair1));
-      metrics->add(ids_.flushNs, spanNs(tApply1, tSettle1) + spanNs(tRepair1, tFlush1));
+      metrics->add(ids_.repairNs, spanNs(tApply1, tRepair1));
       metrics->set(ids_.gap, static_cast<double>(gap));
       metrics->set(ids_.liveBalls, static_cast<double>(allocator_->liveBalls()));
       metrics->set(ids_.totalLoad, static_cast<double>(allocator_->totalLoad()));
@@ -207,7 +187,7 @@ ShardedEventLoop::RunResult ShardedEventLoop::run(
                    live > 0 ? stateBytes / static_cast<double>(live) : 0.0);
       metrics->set(ids_.memPeakRss, static_cast<double>(obs::peakRssBytes()));
       metrics->observe(ids_.epochGap, gap);
-      metrics->observeSketch(ids_.epochNs, spanNs(tEpoch0, tFlush1));
+      metrics->observeSketch(ids_.epochNs, spanNs(tEpoch0, tRepair1));
     }
 
     if (monitors != nullptr) {
@@ -245,5 +225,8 @@ ShardedEventLoop::RunResult ShardedEventLoop::run(
   }
   return result;
 }
+
+template class EpochLoop<OnlineAllocator>;
+template class EpochLoop<CompactAllocator>;
 
 }  // namespace rlslb::serve

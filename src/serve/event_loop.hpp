@@ -1,27 +1,26 @@
-// ShardedEventLoop: the serving subsystem's execution engine.
+// EpochLoop: the serving subsystem's execution engine, one class template
+// explicitly instantiated in event_loop.cpp for both allocators
+// (OnlineAllocator, CompactAllocator); the per-event calls are direct, never
+// virtual.
 //
 // Events are consumed in fixed-size *epochs* (bulk-synchronous style), each
 // epoch one sequential pass:
 //
 //   1. Fill a batch of up to epochEvents events from the trace.
 //   2. Decide: walk the batch in trace order and compute each event's
-//      random placement/candidate decision against the *live* load array.
-//      Apply starts only after the whole batch is decided, so the bytes
-//      read are exactly the epoch-start snapshot, without an O(bins) copy.
-//      Each event draws from its own rng stream
-//      streamSeed(decisionSeed, eventOrdinal) through one engine reseeded
-//      per event (byte-identical to per-event construction); departs use
-//      no randomness and are skipped.
+//      random placement/candidate decision (serve::decide) against the
+//      allocator's *live* load array. Apply starts only after the whole
+//      batch is decided, so the bytes read are exactly the epoch-start
+//      snapshot, without an O(bins) copy. Each event draws from its own rng
+//      stream streamSeed(decisionSeed, eventOrdinal) through one engine
+//      reseeded per event (byte-identical to per-event construction);
+//      departs use no randomness and are skipped.
 //   3. Apply: walk the batch in trace order, re-validating every decision
-//      against live loads and mutating in place. The allocator defers the
-//      O(log n) Fenwick updates per bin and reconciles the net deltas in a
-//      flush right after apply, timed as the flush phase — rejected
-//      resamples, the steady-state common case, touch no structure at all.
-//   4. Repair: a fixed budget of RLS repair activations on live state heals
-//      whatever imbalance the stale snapshot let through (the
-//      bulk-synchronous analogue of the paper's background RLS clocks). A
-//      final allocator flush — still inside the epoch timer — settles the
-//      repair moves' deltas before observers look.
+//      against live loads and mutating in place.
+//   4. Repair: a fixed budget of RLS repair activations on live state (a
+//      uniform live ball, a uniform destination bin, the strict rule) heals
+//      whatever imbalance the stale snapshot let through — the
+//      bulk-synchronous analogue of the paper's per-ball background clocks.
 //
 // An RLS event is O(1) work, too little to pay for per-epoch barriers or
 // migration queues: a parallel decide fan-out and a shard-partitioned apply
@@ -33,15 +32,15 @@
 // ordinal-derived rng), apply order is the trace order, and the repair
 // stream is keyed by epoch index — so the final load vector and every
 // semantic counter are a pure function of (trace, seed, epochEvents,
-// repairMovesPerEpoch). Epoch length is a *semantic* knob (it sets snapshot
-// staleness).
+// repairMovesPerEpoch), and the two allocators agree on every unit-weight
+// trace. Epoch length is a *semantic* knob (it sets snapshot staleness).
 //
 // Timing contract (pinned by tests/test_serve_differential.cpp):
-// EpochStats.wallSeconds covers exactly the epoch's decision phase, apply
-// phase, both flushes, and repair budget. It excludes trace generation (the
-// batch fill), EpochStats assembly, telemetry, and the onEpoch callback
-// (the "observe" span). RunResult.wallSeconds is the exact sum of the
-// per-epoch values — no extra terms.
+// EpochStats.wallSeconds covers exactly the epoch's decide, apply and
+// repair phases. It excludes trace generation (the batch fill), EpochStats
+// assembly, telemetry, and the onEpoch callback (the "observe" span).
+// RunResult.wallSeconds is the exact sum of the per-epoch values — no extra
+// terms.
 #pragma once
 
 #include <cstdint>
@@ -50,19 +49,12 @@
 #include "obs/metrics.hpp"
 #include "obs/monitor.hpp"
 #include "obs/trace.hpp"
+#include "serve/compact_allocator.hpp"
 #include "serve/online_allocator.hpp"
 #include "sim/engine.hpp"
 #include "workload/generators.hpp"
 
 namespace rlslb::serve {
-
-/// Stream salts for the loop's two rng families, derived from
-/// LoopOptions.seed via rng::streamSeed. Exported (rather than file-local
-/// to event_loop.cpp) so alternative executors of the same dynamic — the
-/// capacity loop's compact backend (capacity/capacity_loop.hpp) — can
-/// reproduce the decision and repair streams byte-for-byte.
-inline constexpr std::uint64_t kDecisionStreamSalt = 0x64656373ULL;  // "decs"
-inline constexpr std::uint64_t kRepairStreamSalt = 0x72657061ULL;    // "repa"
 
 struct LoopOptions {
   std::int64_t epochEvents = 1024;  // snapshot refresh granularity
@@ -73,7 +65,7 @@ struct LoopOptions {
   /// the per-event hot path is untouched, so the steady-state
   /// zero-allocation and byte-determinism contracts hold with metrics
   /// attached (pinned by tests/test_obs.cpp). The trace writer records
-  /// per-epoch phase spans.
+  /// per-epoch spans: epoch; decide, apply, repair; observe.
   obs::MetricsRegistry* metrics = nullptr;
   obs::TraceWriter* trace = nullptr;
   /// Conformance monitors (obs/monitor.hpp): fed one CheckSample per
@@ -97,22 +89,23 @@ struct EpochStats {
   sim::BalanceState balance;    // allocator state in the closed-system vocabulary
   std::int64_t migrations = 0;  // cumulative accepted migrations
 
-  double wallSeconds = 0.0;     // decision+apply+repair wall-clock (see contract)
+  double wallSeconds = 0.0;     // decide+apply+repair wall-clock (see contract)
 
   /// max - min bin load after the epoch (derived; single source of truth
   /// is `balance`).
   [[nodiscard]] std::int64_t gap() const { return balance.maxLoad - balance.minLoad; }
 };
 
-class ShardedEventLoop {
- public:
-  ShardedEventLoop(OnlineAllocator& allocator, const LoopOptions& options);
+struct RunResult {
+  std::int64_t events = 0;
+  std::int64_t epochs = 0;
+  double wallSeconds = 0.0;  // exact sum of per-epoch wallSeconds
+};
 
-  struct RunResult {
-    std::int64_t events = 0;
-    std::int64_t epochs = 0;
-    double wallSeconds = 0.0;  // exact sum of per-epoch wallSeconds
-  };
+template <typename Allocator>
+class EpochLoop {
+ public:
+  EpochLoop(Allocator& allocator, const LoopOptions& options);
 
   /// Drain the trace. `onEpoch` (may be empty) fires after each epoch.
   /// Each run() is self-contained: event ordinals and the epoch index
@@ -129,8 +122,8 @@ class ShardedEventLoop {
   struct MetricIds {
     obs::CounterId events, epochs;
     obs::CounterId arrivals, departures, resamples, migrations, rejectedMoves;
-    obs::CounterId repairAttempts, repairMigrations, flushedBins;
-    obs::CounterId decideNs, applyNs, repairNs, flushNs;
+    obs::CounterId repairAttempts, repairMigrations;
+    obs::CounterId decideNs, applyNs, repairNs;
     obs::GaugeId gap, liveBalls, totalLoad;
     obs::GaugeId memStateBytes, memBytesPerBall, memPeakRss;
     obs::HistId epochGap;
@@ -138,12 +131,15 @@ class ShardedEventLoop {
   };
   void registerMetrics();
 
-  OnlineAllocator* allocator_;
+  Allocator* allocator_;
   LoopOptions options_;
   std::int64_t nextOrdinal_ = 0;  // event ordinal (decision streams); reset per run()
   std::int64_t nextEpoch_ = 0;    // repair-stream key; reset per run()
   MetricIds ids_;
   bool metricsRegistered_ = false;
 };
+
+extern template class EpochLoop<OnlineAllocator>;
+extern template class EpochLoop<CompactAllocator>;
 
 }  // namespace rlslb::serve

@@ -15,33 +15,30 @@
 //             ">=" while never paying for a neutral migration (migrations
 //             are the expensive operation in a serving system).
 //
-// State layout: the flat live load array, one Fenwick mass tree over the
-// bins (the load-weighted repair pick), one per-bin ball index (slot
-// vectors, for the uniform in-bin pick) and one FlatMap64 of ball records
-// (bin, weight, slot). Events mutate it sequentially, in trace order,
-// through apply()/applyBatch(); serve/event_loop.hpp drives the epochs.
+// Repair (the event loop's per-epoch budget of background RLS clocks) is
+// one paper RLS activation: every ball carries its own rate-1 clock
+// (arXiv 1706.09997, Section 3), so the next clock to ring belongs to a
+// uniform *live ball*, which then samples a uniform destination bin under
+// the same strict rule. With weighted traffic this is ball-uniform, not
+// load-weighted.
 //
-// Deferred accounting (the serving hot-path batching): every load change
-// updates only the flat `loads_` array (plus totalLoad_ and the eager ball
-// slots) and marks the bin dirty. The O(log n) Fenwick update is *deferred*
-// to flush(), which reconciles each dirty bin ONCE per epoch from its net
-// delta (loads_[bin] - flushedLoad_[bin]) and skips net-zero bins entirely.
-// Rejected resamples — the steady-state common case — never touch a
-// structure at all. Fenwick node values depend only on final per-bin
-// loads, so the flushed state is byte-identical to eager per-event updates.
-// There is no maintained level histogram: min/max/overload queries are a
-// per-epoch observation, so one fused pass over the (always-current) flat
-// load array answers them on demand instead of taxing every load change in
-// the hot loop. Consumers of the Fenwick re-synchronize first: the event
-// loop flushes after apply, repairMove() flushes at entry (settling only
-// the previous repair's move), and the accessors (minLoad/maxLoad/
-// balanceState/validate) flush lazily.
+// State layout: the flat live load array, one FlatMap64 of ball records
+// (weight, bin, live slot) and the live-ball array the repair draw indexes.
+// An arrival appends to the live array; a departure swap-removes (the last
+// live ball fills the hole and its slot is patched); a migration touches
+// only the record's bin and two loads. Events mutate the state
+// sequentially, in trace order, through apply()/applyBatch();
+// serve/event_loop.hpp drives the epochs. min/max/overload are a per-epoch
+// observation, answered by one fused pass over the load array.
+//
+// This is the allocator for weighted traffic and arbitrary ball ids;
+// serve/compact_allocator.hpp is its unit-weight, sequential-id twin, and
+// both share serve::decide() and serve::accepts() draw for draw.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "ds/fenwick.hpp"
 #include "ds/flat_map.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro256pp.hpp"
@@ -78,16 +75,60 @@ struct ServeCounters {
   std::int64_t repairMigrations = 0; // accepted repair moves
 };
 
+/// The decision phase, shared by both allocators and the test oracle: a
+/// pure function of the event, the load snapshot and the event's rng
+/// stream. Arrive: the least loaded of `arrivalChoices` uniform bins (ties
+/// keep the first draw). Resample: one uniform candidate bin. Depart: no
+/// draw. `Load` is the allocator's load element type.
+template <typename Load>
+[[nodiscard]] Decision decide(const workload::Event& event, const std::vector<Load>& loads,
+                              int arrivalChoices, rng::Xoshiro256pp& eng) {
+  const auto n = static_cast<std::uint64_t>(loads.size());
+  Decision d;
+  switch (event.kind) {
+    case workload::EventKind::kArrive: {
+      auto best = static_cast<std::int32_t>(rng::uniformIndex(eng, n));
+      for (int c = 1; c < arrivalChoices; ++c) {
+        const auto candidate = static_cast<std::int32_t>(rng::uniformIndex(eng, n));
+        if (loads[static_cast<std::size_t>(candidate)] <
+            loads[static_cast<std::size_t>(best)]) {
+          best = candidate;
+        }
+      }
+      d.bin = best;
+      break;
+    }
+    case workload::EventKind::kResample:
+      d.bin = static_cast<std::int32_t>(rng::uniformIndex(eng, n));
+      break;
+    case workload::EventKind::kDepart:
+      break;
+  }
+  return d;
+}
+
+/// The strict local-search rule on live loads, shared by both allocators:
+/// move a weight-`weight` ball from `src` to `dst` iff dst != src and
+/// load(dst) + weight < load(src). `invert` is the invertAcceptance test
+/// hook; it never accepts dst == src.
+template <typename Load>
+[[nodiscard]] bool accepts(const std::vector<Load>& loads, std::int32_t src, std::int32_t dst,
+                           std::int64_t weight, bool invert) {
+  return dst != src && ((loads[static_cast<std::size_t>(dst)] + weight <
+                         loads[static_cast<std::size_t>(src)]) != invert);
+}
+
 class OnlineAllocator {
  public:
   explicit OnlineAllocator(const AllocatorOptions& options);
 
-  /// Pure decision phase: reads only the options — every mutable input is
-  /// an argument. Defined inline below so the event loop's per-event rng +
-  /// decide sequence fuses into one loop body.
+  /// serve::decide() against the live load array. The event loop decides
+  /// a whole batch before applying any of it, so every decision of an
+  /// epoch reads the epoch-start loads.
   [[nodiscard]] Decision decide(const workload::Event& event,
-                                const std::vector<std::int64_t>& snapshotLoads,
-                                rng::Xoshiro256pp& eng) const;
+                                rng::Xoshiro256pp& eng) const {
+    return serve::decide(event, loads_, options_.arrivalChoices, eng);
+  }
 
   /// Apply one event against live state, re-validating the decision.
   void apply(const workload::Event& event, const Decision& decision);
@@ -99,16 +140,10 @@ class OnlineAllocator {
   void applyBatch(const workload::Event* events, const Decision* decisions,
                   std::size_t count);
 
-  /// Reconcile every deferred load delta into the Fenwick tree (O(dirty
-  /// bins); a no-op when clean). The event loop calls this inside its
-  /// timed region so the flush cost lands in the epoch it belongs to,
-  /// never in an observer.
-  void flush();
-
-  /// One RLS repair activation on live state: a load-weighted bin pick
-  /// (with unit weights this is exactly "activate a uniform ball"), a
-  /// uniform candidate bin, and the strict migration rule. Returns whether
-  /// a ball moved. Used by the event loop's per-epoch repair budget.
+  /// One RLS repair activation on live state: a uniform live ball, a
+  /// uniform destination bin, and the strict migration rule (two draws).
+  /// Returns whether a ball moved; with no live ball it draws nothing,
+  /// counts no attempt and returns false.
   bool repairMove(rng::Xoshiro256pp& eng);
 
   [[nodiscard]] std::int64_t numBins() const {
@@ -116,9 +151,10 @@ class OnlineAllocator {
   }
   [[nodiscard]] const std::vector<std::int64_t>& loads() const { return loads_; }
   [[nodiscard]] std::int64_t totalLoad() const { return totalLoad_; }
-  [[nodiscard]] std::int64_t liveBalls() const { return liveBalls_; }
-  /// Read off balanceState(): one O(n) scan of the live load array (these
-  /// accessors flush lazily so the Fenwick reconciles too).
+  [[nodiscard]] std::int64_t liveBalls() const {
+    return static_cast<std::int64_t>(live_.size());
+  }
+  /// Read off balanceState(): one O(n) scan of the live load array.
   [[nodiscard]] std::int64_t minLoad() const;
   [[nodiscard]] std::int64_t maxLoad() const;
   /// max - min bin load: the serving analogue of the discrepancy.
@@ -136,83 +172,37 @@ class OnlineAllocator {
   /// for weighted traffic (a gap below the heaviest ball is unreachable).
   [[nodiscard]] std::int64_t maxWeightSeen() const { return maxWeightSeen_; }
   [[nodiscard]] const ServeCounters& counters() const { return counters_; }
-  /// Dirty bins settled with a net-nonzero delta (the "real work" part of
-  /// the deferred flush; net-zero dirty entries are skipped and not
-  /// counted). The event loop exports per-epoch deltas as the
-  /// serve.flushed_bins counter.
-  [[nodiscard]] std::int64_t flushedBins() const { return flushedBins_; }
 
   /// Heap bytes currently held by the allocator's state structures
-  /// (capacity-based: load arrays, Fenwick tree, per-bin ball lists, ball
-  /// map). O(bins); sampled by the event loop at epoch boundaries for the
-  /// serve.mem.* gauges — a capacity-planning observation, never part of
-  /// the deterministic "table" records (vector growth policy is
+  /// (capacity-based: load array, live-ball array, ball map). O(1);
+  /// sampled by the event loop at epoch boundaries for the serve.mem.*
+  /// gauges — a capacity-planning observation, never part of the
+  /// deterministic "table" records (vector growth policy is
   /// stdlib-dependent).
   [[nodiscard]] std::int64_t residentBytes() const;
 
-  /// Internal-consistency scan across the ball index, the Fenwick tree and
-  /// the load array (O(n + m); tests only).
+  /// Internal-consistency scan across the ball map, the live-ball array
+  /// and the load array (O(n + live); tests only).
   [[nodiscard]] bool validate() const;
 
  private:
   struct BallRec {
-    std::int32_t bin = 0;
     std::int64_t weight = 0;
-    std::int32_t slot = 0;  // index in binBalls_[bin]
+    std::int32_t bin = 0;
+    std::int32_t slot = 0;  // index in live_
   };
 
-  // Load changes update loads_ and the ball slots; the Fenwick waits for
-  // flush().
   void changeLoad(std::int32_t bin, std::int64_t delta);
   void placeBall(std::int64_t ball, std::int64_t weight, std::int32_t bin);
-  void moveBall(std::int64_t ball, BallRec* rec, std::int32_t toBin);
-  void eraseBall(std::int64_t ball, const BallRec& rec);
-  /// O(1) amortized: the mark byte dedups dirty_ entries.
-  void markDirty(std::int32_t bin);
+  void moveBall(BallRec* rec, std::int32_t toBin);
 
   AllocatorOptions options_;
-  std::vector<std::int64_t> loads_;        // live bin loads
-  std::vector<std::int64_t> flushedLoad_;  // what mass_ holds; lags by dirty_
-  ds::Fenwick<std::int64_t> mass_;         // load-weighted repair bin pick
-  std::vector<std::vector<std::int64_t>> binBalls_;  // ball ids per bin
+  std::vector<std::int64_t> loads_;  // live bin loads
   ds::FlatMap64<BallRec> balls_;
-  std::vector<std::int32_t> dirty_;        // bins with deferred deltas
-  std::vector<std::uint8_t> dirtyMark_;    // one byte per bin: set iff in dirty_
-  std::int64_t flushedBins_ = 0;
+  std::vector<std::int64_t> live_;   // live ball ids, the repair draw's domain
   ServeCounters counters_;
   std::int64_t totalLoad_ = 0;
-  std::int64_t liveBalls_ = 0;
   std::int64_t maxWeightSeen_ = 0;
 };
-
-inline Decision OnlineAllocator::decide(const workload::Event& event,
-                                        const std::vector<std::int64_t>& snapshotLoads,
-                                        rng::Xoshiro256pp& eng) const {
-  const auto n = static_cast<std::uint64_t>(snapshotLoads.size());
-  Decision d;
-  switch (event.kind) {
-    case workload::EventKind::kArrive: {
-      // d-choice over the snapshot: least loaded of `arrivalChoices`
-      // uniform samples (ties keep the first draw, so the choice is a
-      // deterministic function of the rng stream).
-      auto best = static_cast<std::int32_t>(rng::uniformIndex(eng, n));
-      for (int c = 1; c < options_.arrivalChoices; ++c) {
-        const auto candidate = static_cast<std::int32_t>(rng::uniformIndex(eng, n));
-        if (snapshotLoads[static_cast<std::size_t>(candidate)] <
-            snapshotLoads[static_cast<std::size_t>(best)]) {
-          best = candidate;
-        }
-      }
-      d.bin = best;
-      break;
-    }
-    case workload::EventKind::kResample:
-      d.bin = static_cast<std::int32_t>(rng::uniformIndex(eng, n));
-      break;
-    case workload::EventKind::kDepart:
-      break;
-  }
-  return d;
-}
 
 }  // namespace rlslb::serve

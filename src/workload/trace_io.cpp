@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <istream>
 #include <ostream>
+#include <stdexcept>
 
 #include "report/json.hpp"
 #include "util/assert.hpp"
@@ -56,6 +57,13 @@ bool parseTraceEvent(const std::string& line, Event* out, std::string* error) {
   const report::Json* w = rec.find("w");
   if (t == nullptr || kind == nullptr || ball == nullptr || w == nullptr) {
     if (error != nullptr) *error = "trace event missing one of t/kind/ball/w: " + line;
+    return false;
+  }
+  using Kind = report::Json::Kind;
+  if ((t->kind() != Kind::Int && t->kind() != Kind::Double) ||
+      kind->kind() != Kind::String || ball->kind() != Kind::Int ||
+      w->kind() != Kind::Int) {
+    if (error != nullptr) *error = "trace event field of the wrong type: " + line;
     return false;
   }
   EventKind kindValue{};
@@ -183,14 +191,34 @@ bool RecordingTrace::next(Event* out) {
   return true;
 }
 
+namespace {
+/// Why a decoded record cannot be served (a negative ball id, or an arrival
+/// without positive weight); nullptr when it can.
+const char* recordProblem(const Event& event) {
+  if (event.ball < 0) return "negative ball id";
+  if (event.kind == EventKind::kArrive && event.weight < 1) return "arrive with w < 1";
+  return nullptr;
+}
+
+/// A corrupt trace is a usage error, never a silent truncation: throw with
+/// the position (`unit` is "line" or "byte").
+[[noreturn]] void malformed(const char* unit, std::int64_t position,
+                            const std::string& what) {
+  std::string message = "malformed trace at ";
+  message.append(unit).append(" ").append(std::to_string(position));
+  message.append(": ").append(what);
+  throw std::invalid_argument(message);
+}
+}  // namespace
+
 bool JsonlTraceReader::next(Event* out) {
   std::string line;
   while (std::getline(*in_, line)) {
+    ++line_;
     if (line.empty()) continue;
     std::string error;
-    const bool ok = parseTraceEvent(line, out, &error);
-    if (!ok) std::fprintf(stderr, "trace replay: %s\n", error.c_str());
-    RLSLB_ASSERT_MSG(ok, "malformed trace line; a corrupt trace must not truncate silently");
+    if (!parseTraceEvent(line, out, &error)) malformed("line", line_, error);
+    if (const char* problem = recordProblem(*out)) malformed("line", line_, problem);
     return true;
   }
   return false;
@@ -199,41 +227,42 @@ bool JsonlTraceReader::next(Event* out) {
 bool CsvTraceReader::next(Event* out) {
   std::string line;
   while (std::getline(*in_, line)) {
-    if (!headerChecked_) {
-      headerChecked_ = true;
+    if (++line_ == 1) {
       if (line == kTraceCsvHeader) continue;
-      std::fprintf(stderr, "trace replay: missing CSV header '%s'\n", kTraceCsvHeader);
-      RLSLB_ASSERT_MSG(false, "CSV trace must start with the t,kind,ball,w header");
+      malformed("line", 1, std::string("missing CSV header ") + kTraceCsvHeader);
     }
     if (line.empty()) continue;
     std::string error;
-    const bool ok = parseTraceEventCsv(line, out, &error);
-    if (!ok) std::fprintf(stderr, "trace replay: %s\n", error.c_str());
-    RLSLB_ASSERT_MSG(ok, "malformed CSV trace row; a corrupt trace must not truncate silently");
+    if (!parseTraceEventCsv(line, out, &error)) malformed("line", line_, error);
+    if (const char* problem = recordProblem(*out)) malformed("line", line_, problem);
     return true;
   }
   return false;
 }
 
 bool BinaryTraceReader::next(Event* out) {
-  if (!magicChecked_) {
-    magicChecked_ = true;
+  if (offset_ == 0) {
     char magic[4] = {};
     in_->read(magic, 4);
-    const bool ok = in_->gcount() == 4 && std::string(magic, 4) == kTraceBinaryMagic;
-    if (!ok) std::fprintf(stderr, "trace replay: missing RLT1 binary magic\n");
-    RLSLB_ASSERT_MSG(ok, "binary trace must start with the RLT1 magic");
+    if (in_->gcount() != 4 || std::string(magic, 4) != kTraceBinaryMagic) {
+      malformed("byte", 0, "missing RLT1 binary magic");
+    }
+    offset_ = 4;
   }
   unsigned char record[kTraceBinaryRecordBytes];
   in_->read(reinterpret_cast<char*>(record), kTraceBinaryRecordBytes);
-  if (in_->gcount() == 0) return false;
-  const bool whole = in_->gcount() == static_cast<std::streamsize>(kTraceBinaryRecordBytes);
-  if (!whole) std::fprintf(stderr, "trace replay: truncated binary record\n");
-  RLSLB_ASSERT_MSG(whole, "truncated binary trace record");
+  const std::streamsize got = in_->gcount();
+  if (got == 0) return false;
+  if (got != static_cast<std::streamsize>(kTraceBinaryRecordBytes)) {
+    std::string what = "truncated record (";
+    what.append(std::to_string(got)).append(" of ");
+    what.append(std::to_string(kTraceBinaryRecordBytes)).append(" bytes)");
+    malformed("byte", offset_, what);
+  }
   std::string error;
-  const bool ok = decodeTraceEventBinary(record, out, &error);
-  if (!ok) std::fprintf(stderr, "trace replay: %s\n", error.c_str());
-  RLSLB_ASSERT_MSG(ok, "malformed binary trace record");
+  if (!decodeTraceEventBinary(record, out, &error)) malformed("byte", offset_, error);
+  if (const char* problem = recordProblem(*out)) malformed("byte", offset_, problem);
+  offset_ += static_cast<std::int64_t>(kTraceBinaryRecordBytes);
   return true;
 }
 

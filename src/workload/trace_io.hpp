@@ -81,8 +81,10 @@ class RecordingTrace final : public TraceGenerator {
   TraceFormat format_;
 };
 
-/// Replay generator over a JSONL stream (blank lines skipped; a malformed
-/// line aborts — a corrupt trace must not silently truncate an experiment).
+/// Replay generator over a JSONL stream (blank lines skipped). A malformed
+/// line — unparseable, a negative ball id, or an arrive with w < 1 —
+/// throws std::invalid_argument naming its 1-based line: a corrupt trace
+/// must not silently truncate an experiment.
 class JsonlTraceReader final : public TraceGenerator {
  public:
   explicit JsonlTraceReader(std::istream& in) : in_(&in) {}
@@ -92,10 +94,11 @@ class JsonlTraceReader final : public TraceGenerator {
 
  private:
   std::istream* in_;
+  std::int64_t line_ = 0;  // lines consumed
 };
 
 /// Replay generator over a CSV stream (header mandatory and verified; same
-/// abort-on-corruption contract as JSONL).
+/// throw-with-line-number contract as JSONL).
 class CsvTraceReader final : public TraceGenerator {
  public:
   explicit CsvTraceReader(std::istream& in) : in_(&in) {}
@@ -105,11 +108,12 @@ class CsvTraceReader final : public TraceGenerator {
 
  private:
   std::istream* in_;
-  bool headerChecked_ = false;
+  std::int64_t line_ = 0;  // lines consumed; line 1 is the header
 };
 
-/// Replay generator over a binary stream (magic mandatory and verified; a
-/// truncated trailing record aborts).
+/// Replay generator over a binary stream (magic mandatory and verified). A
+/// truncated or malformed record throws std::invalid_argument naming its
+/// byte offset.
 class BinaryTraceReader final : public TraceGenerator {
  public:
   explicit BinaryTraceReader(std::istream& in) : in_(&in) {}
@@ -119,7 +123,7 @@ class BinaryTraceReader final : public TraceGenerator {
 
  private:
   std::istream* in_;
-  bool magicChecked_ = false;
+  std::int64_t offset_ = 0;  // bytes consumed (0 = magic not yet read)
 };
 
 /// Replay generator for `format` over `in` (which the factory does not
@@ -128,7 +132,8 @@ class BinaryTraceReader final : public TraceGenerator {
                                                               TraceFormat format);
 
 /// Count the events in a trace stream by draining a replay reader (resets
-/// nothing; pass a fresh stream). Used by replay scenarios to size epochs.
+/// nothing; pass a fresh stream). Used by replay scenarios to size epochs,
+/// so a malformed record throws here, before any serving.
 [[nodiscard]] std::int64_t countTraceEvents(std::istream& in, TraceFormat format);
 
 }  // namespace rlslb::workload

@@ -1,33 +1,37 @@
 // Frozen serving loop: the differential oracle for
 // tests/test_serve_differential.cpp.
 //
-// This is a test-only copy of serve::OnlineAllocator and
-// serve::ShardedEventLoop in their simplest eager form: a decision phase
-// against an epoch-start snapshot copy, then an apply pass in trace order
-// that re-validates the strict local-search rule against live loads with
-// every structure (Fenwick, level histogram, ball map) updated per event,
-// then the per-epoch repair budget. The production loop's contract is
-// byte-identity with THIS code — final load vector, every semantic counter,
-// and the per-epoch gap trajectory — for every (epochEvents, trace, seed)
+// This is a test-only copy of serve::OnlineAllocator and serve::EpochLoop
+// in their simplest eager form: a decision phase against an epoch-start
+// snapshot copy, then an apply pass in trace order that re-validates the
+// strict local-search rule against live loads with every structure (level
+// histogram, ball map, live-ball list) updated per event, then the
+// per-epoch repair budget. The production loop's contract is byte-identity
+// with THIS code — final load vector, every semantic counter, and the
+// per-epoch gap trajectory — for every (epochEvents, trace, seed)
 // combination, so do not "fix" or modernize it; it only changes if the
 // serving semantics are deliberately re-specified. It is the only
-// independent check on weighted traces: capacity::CompactAllocator is
+// independent check on weighted traces: serve::CompactAllocator is
 // unit-weight only.
+//
+// Re-specified once, deliberately: repair draws a uniform live ball (the
+// paper's per-ball clocks) and a uniform destination bin — two draws —
+// where it used to draw a load-weighted bin, a uniform ball in it and a
+// destination. The live list is append-on-arrival, swap-remove-on-
+// departure, untouched by migrations.
 //
 // The decision phase is shared with production on purpose: decisions are
 // pure per-event functions of (snapshot, ordinal rng stream) computed by
-// OnlineAllocator::decide, so freezing a second copy of decide() would
-// only hide a regression in it from this differential.
+// serve::decide, so freezing a second copy of it would only hide a
+// regression in it from this differential.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
-#include "ds/fenwick.hpp"
 #include "rng/splitmix64.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro256pp.hpp"
@@ -41,27 +45,23 @@
 
 namespace rlslb::serve::reference {
 
-/// Frozen eager OnlineAllocator (single global Fenwick + level histogram +
-/// ball map, updated per event). Reuses
-/// the production serve::Decision / serve::ServeCounters / decide() so the
-/// differential compares apply semantics, not decision streams.
+/// Frozen eager OnlineAllocator (level histogram + ball map + live-ball
+/// list, updated per event). Reuses the production serve::Decision /
+/// serve::ServeCounters / serve::decide() so the differential compares
+/// apply and repair semantics, not decision streams.
 class ReferenceAllocator {
  public:
   explicit ReferenceAllocator(const AllocatorOptions& options)
-      : options_(options),
-        loads_(static_cast<std::size_t>(options.bins), 0),
-        mass_(static_cast<std::size_t>(options.bins)),
-        binBalls_(static_cast<std::size_t>(options.bins)) {
+      : options_(options), loads_(static_cast<std::size_t>(options.bins), 0) {
     RLSLB_ASSERT(options_.bins >= 1);
     RLSLB_ASSERT(options_.arrivalChoices >= 1);
     levels_[0] = options_.bins;
-    decider_ = std::make_unique<OnlineAllocator>(options);
   }
 
   [[nodiscard]] Decision decide(const workload::Event& event,
                                 const std::vector<std::int64_t>& snapshotLoads,
                                 rng::Xoshiro256pp& eng) const {
-    return decider_->decide(event, snapshotLoads, eng);
+    return serve::decide(event, snapshotLoads, options_.arrivalChoices, eng);
   }
 
   void apply(const workload::Event& event, const Decision& decision) {
@@ -79,7 +79,10 @@ class ReferenceAllocator {
         RLSLB_ASSERT_MSG(it != balls_.end(), "depart event for a ball that is not live");
         const BallRec rec = it->second;
         balls_.erase(it);
-        eraseBall(event.ball, rec);
+        const std::int64_t moved = live_.back();
+        live_[static_cast<std::size_t>(rec.slot)] = moved;
+        live_.pop_back();
+        if (moved != event.ball) balls_.at(moved).slot = rec.slot;
         changeLoad(rec.bin, -rec.weight);
         break;
       }
@@ -94,7 +97,7 @@ class ReferenceAllocator {
         if (dst != src && loads_[static_cast<std::size_t>(dst)] + rec.weight <
                               loads_[static_cast<std::size_t>(src)]) {
           ++counters_.migrations;
-          moveBall(event.ball, rec, dst);
+          moveBall(rec, dst);
         } else {
           ++counters_.rejectedMoves;
         }
@@ -104,31 +107,24 @@ class ReferenceAllocator {
   }
 
   bool repairMove(rng::Xoshiro256pp& eng) {
-    const std::int64_t total = mass_.total();
-    if (total == 0) return false;
+    if (live_.empty()) return false;
     ++counters_.repairAttempts;
-    const auto ticket = static_cast<std::int64_t>(
-        rng::uniformIndex(eng, static_cast<std::uint64_t>(total)));
-    const auto src = static_cast<std::int32_t>(mass_.upperBound(ticket));
-    auto& srcBalls = binBalls_[static_cast<std::size_t>(src)];
-    RLSLB_ASSERT(!srcBalls.empty());
-    const auto pick = static_cast<std::size_t>(
-        rng::uniformIndex(eng, static_cast<std::uint64_t>(srcBalls.size())));
-    const std::int64_t ball = srcBalls[pick];
+    const std::int64_t ball = live_[static_cast<std::size_t>(
+        rng::uniformIndex(eng, static_cast<std::uint64_t>(live_.size())))];
     const auto dst = static_cast<std::int32_t>(
         rng::uniformIndex(eng, static_cast<std::uint64_t>(loads_.size())));
     BallRec& rec = balls_.at(ball);
-    if (dst == src || loads_[static_cast<std::size_t>(dst)] + rec.weight >=
-                          loads_[static_cast<std::size_t>(src)]) {
+    if (dst == rec.bin || loads_[static_cast<std::size_t>(dst)] + rec.weight >=
+                              loads_[static_cast<std::size_t>(rec.bin)]) {
       return false;
     }
     ++counters_.repairMigrations;
-    moveBall(ball, rec, dst);
+    moveBall(rec, dst);
     return true;
   }
 
   [[nodiscard]] const std::vector<std::int64_t>& loads() const { return loads_; }
-  [[nodiscard]] std::int64_t totalLoad() const { return mass_.total(); }
+  [[nodiscard]] std::int64_t totalLoad() const { return totalLoad_; }
   [[nodiscard]] std::int64_t liveBalls() const {
     return static_cast<std::int64_t>(balls_.size());
   }
@@ -138,7 +134,7 @@ class ReferenceAllocator {
   [[nodiscard]] sim::BalanceState balanceState() const {
     sim::BalanceState state;
     state.numBins = static_cast<std::int64_t>(loads_.size());
-    state.numBalls = mass_.total();
+    state.numBalls = totalLoad_;
     state.minLoad = minLoad();
     state.maxLoad = maxLoad();
     const std::int64_t ceilAvg =
@@ -155,7 +151,7 @@ class ReferenceAllocator {
   struct BallRec {
     std::int32_t bin = 0;
     std::int64_t weight = 0;
-    std::int32_t slot = 0;
+    std::int32_t slot = 0;  // index in live_
   };
 
   void changeLoad(std::int32_t bin, std::int64_t delta) {
@@ -164,7 +160,7 @@ class ReferenceAllocator {
     const std::int64_t after = before + delta;
     RLSLB_ASSERT(after >= 0);
     loads_[i] = after;
-    mass_.add(i, delta);
+    totalLoad_ += delta;
     const auto it = levels_.find(before);
     if (--(it->second) == 0) levels_.erase(it);
     ++levels_[after];
@@ -173,42 +169,27 @@ class ReferenceAllocator {
   void placeBall(std::int64_t ball, std::int64_t weight, std::int32_t bin) {
     RLSLB_ASSERT(weight >= 1);
     if (weight > maxWeightSeen_) maxWeightSeen_ = weight;
-    auto& slot = binBalls_[static_cast<std::size_t>(bin)];
     const auto [it, inserted] =
-        balls_.emplace(ball, BallRec{bin, weight, static_cast<std::int32_t>(slot.size())});
+        balls_.emplace(ball, BallRec{bin, weight, static_cast<std::int32_t>(live_.size())});
     RLSLB_ASSERT_MSG(inserted, "arrive event for a ball id that is already live");
     (void)it;
-    slot.push_back(ball);
+    live_.push_back(ball);
     changeLoad(bin, weight);
   }
 
-  void eraseBall(std::int64_t ball, const BallRec& rec) {
-    auto& slot = binBalls_[static_cast<std::size_t>(rec.bin)];
-    RLSLB_ASSERT(slot[static_cast<std::size_t>(rec.slot)] == ball);
-    const std::int64_t moved = slot.back();
-    slot[static_cast<std::size_t>(rec.slot)] = moved;
-    slot.pop_back();
-    if (moved != ball) balls_.at(moved).slot = rec.slot;
-  }
-
-  void moveBall(std::int64_t ball, BallRec& rec, std::int32_t toBin) {
-    const BallRec old = rec;
-    eraseBall(ball, old);
-    auto& dstSlot = binBalls_[static_cast<std::size_t>(toBin)];
+  void moveBall(BallRec& rec, std::int32_t toBin) {
+    const std::int32_t from = rec.bin;
     rec.bin = toBin;
-    rec.slot = static_cast<std::int32_t>(dstSlot.size());
-    dstSlot.push_back(ball);
-    changeLoad(old.bin, -old.weight);
-    changeLoad(toBin, old.weight);
+    changeLoad(from, -rec.weight);
+    changeLoad(toBin, rec.weight);
   }
 
   AllocatorOptions options_;
-  std::unique_ptr<OnlineAllocator> decider_;  // production decide(), frozen apply
   std::vector<std::int64_t> loads_;
-  ds::Fenwick<std::int64_t> mass_;
+  std::int64_t totalLoad_ = 0;
   std::map<std::int64_t, std::int64_t> levels_;
   std::unordered_map<std::int64_t, BallRec> balls_;
-  std::vector<std::vector<std::int64_t>> binBalls_;
+  std::vector<std::int64_t> live_;  // live ball ids, in repair-draw order
   ServeCounters counters_;
   std::int64_t maxWeightSeen_ = 0;
 };
@@ -227,8 +208,8 @@ struct ReferenceEpochStats {
   [[nodiscard]] std::int64_t gap() const { return balance.maxLoad - balance.minLoad; }
 };
 
-/// Frozen ShardedEventLoop: bulk-synchronous epochs with a hash-sharded
-/// decision phase on a pool and a sequential trace-order apply.
+/// Frozen EpochLoop: bulk-synchronous epochs with a hash-sharded decision
+/// phase on a pool and a sequential trace-order apply.
 class ReferenceEventLoop {
  public:
   struct Options {

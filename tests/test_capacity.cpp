@@ -1,32 +1,27 @@
-// capacity/: the CompactAllocator + CapacityLoop equivalence contract --
-// byte-identical loads, counters, and gap trajectories against the dense
-// OnlineAllocator + ShardedEventLoop across a (trace, seed) differential
-// matrix -- plus the compact layout's
-// internal invariants, its incremental balance accounting against a
-// brute-force scan, the dense allocator's fused balance pass, the capacity
-// loop's trace spans, resident-byte accounting, and the budget-gate
-// estimator.
+// The compact allocator's equivalence contract -- CompactAllocator and the
+// dense OnlineAllocator, each under the one serve::EpochLoop, land on
+// byte-identical loads, counters, and gap trajectories across a (trace,
+// seed) differential matrix; both sides were re-specified together to the
+// uniform-live-ball repair draw -- plus the compact layout's internal
+// invariants, its incremental balance accounting against a brute-force
+// scan, the dense allocator's fused balance pass, resident-byte
+// accounting, and the budget-gate estimator.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "capacity/capacity_loop.hpp"
-#include "capacity/compact_allocator.hpp"
-#include "obs/trace.hpp"
-#include "report/json.hpp"
 #include "rng/distributions.hpp"
+#include "serve/compact_allocator.hpp"
 #include "serve/event_loop.hpp"
 #include "serve/online_allocator.hpp"
 #include "workload/compose.hpp"
 #include "workload/generators.hpp"
 
-namespace rlslb::capacity {
+namespace rlslb::serve {
 namespace {
 
 constexpr std::int64_t kBins = 48;
@@ -50,7 +45,6 @@ struct Outcome {
   serve::ServeCounters counters;
   std::int64_t liveBalls = 0;
   std::int64_t totalLoad = 0;
-  std::int64_t flushedBins = 0;
   std::vector<std::int64_t> gapTrajectory;
   std::int64_t residentBytes = 0;
 };
@@ -60,7 +54,6 @@ void expectEqualOutcomes(const Outcome& compact, const Outcome& dense,
   EXPECT_EQ(compact.loads, dense.loads) << label;
   EXPECT_EQ(compact.liveBalls, dense.liveBalls) << label;
   EXPECT_EQ(compact.totalLoad, dense.totalLoad) << label;
-  EXPECT_EQ(compact.flushedBins, dense.flushedBins) << label;
   EXPECT_EQ(compact.gapTrajectory, dense.gapTrajectory) << label;
   const serve::ServeCounters& a = compact.counters;
   const serve::ServeCounters& b = dense.counters;
@@ -76,17 +69,17 @@ void expectEqualOutcomes(const Outcome& compact, const Outcome& dense,
 
 Outcome runCompact(const std::string& spec, std::uint64_t seed) {
   workload::ComposedTrace trace(traceOptions(), spec, seed);
-  CompactOptions options;
+  AllocatorOptions options;
   options.bins = kBins;
   options.arrivalChoices = 2;
   CompactAllocator allocator(options);
-  CapacityLoopOptions loopOptions;
+  LoopOptions loopOptions;
   loopOptions.epochEvents = kEpochEvents;
   loopOptions.repairMovesPerEpoch = kRepair;
   loopOptions.seed = seed;
-  CapacityLoop loop(allocator, loopOptions);
+  EpochLoop loop(allocator, loopOptions);
   Outcome out;
-  const CapacityLoop::RunResult result = loop.run(trace, [&](const serve::EpochStats& s) {
+  const RunResult result = loop.run(trace, [&](const EpochStats& s) {
     out.gapTrajectory.push_back(s.gap());
   });
   EXPECT_EQ(result.events, kEvents);
@@ -95,40 +88,37 @@ Outcome runCompact(const std::string& spec, std::uint64_t seed) {
   out.counters = allocator.counters();
   out.liveBalls = allocator.liveBalls();
   out.totalLoad = allocator.totalLoad();
-  out.flushedBins = allocator.flushedBins();
   out.residentBytes = allocator.residentBytes();
   return out;
 }
 
 Outcome runDense(const std::string& spec, std::uint64_t seed) {
   workload::ComposedTrace trace(traceOptions(), spec, seed);
-  serve::AllocatorOptions options;
+  AllocatorOptions options;
   options.bins = kBins;
   options.arrivalChoices = 2;
-  serve::OnlineAllocator allocator(options);
-  serve::LoopOptions loopOptions;
+  OnlineAllocator allocator(options);
+  LoopOptions loopOptions;
   loopOptions.epochEvents = kEpochEvents;
   loopOptions.repairMovesPerEpoch = kRepair;
   loopOptions.seed = seed;
-  serve::ShardedEventLoop loop(allocator, loopOptions);
+  EpochLoop loop(allocator, loopOptions);
   Outcome out;
-  const serve::ShardedEventLoop::RunResult result =
-      loop.run(trace, [&](const serve::EpochStats& s) {
-        out.gapTrajectory.push_back(s.gap());
-      });
+  const RunResult result = loop.run(trace, [&](const EpochStats& s) {
+    out.gapTrajectory.push_back(s.gap());
+  });
   EXPECT_EQ(result.events, kEvents);
   EXPECT_TRUE(allocator.validate());
   out.loads = allocator.loads();
   out.counters = allocator.counters();
   out.liveBalls = allocator.liveBalls();
   out.totalLoad = allocator.totalLoad();
-  out.flushedBins = allocator.flushedBins();
   out.residentBytes = allocator.residentBytes();
   return out;
 }
 
-// The tentpole contract: for every trace shape and seed, the compact
-// backend equals the dense one.
+// The equivalence contract: for every unit-weight trace shape and seed,
+// the compact allocator equals the dense one through the same loop.
 TEST(CompactAllocator, MatchesDenseAcrossTheDifferentialMatrix) {
   const std::vector<std::string> specs = {
       "poisson",
@@ -148,30 +138,20 @@ TEST(CompactAllocator, MatchesDenseAcrossTheDifferentialMatrix) {
 }
 
 TEST(CompactAllocator, RepairStreamMatchesDense) {
-  // Heavier repair pressure: the repair draw sequence (ticket -> Fenwick
-  // upperBound -> in-bin slot -> candidate bin) is where the chunked lists
-  // and the global Fenwick must reproduce the dense order exactly.
+  // Heavier repair pressure: the repair draw pair (uniform live ball ->
+  // destination bin) is where the two live-ball arrays must agree on order
+  // (append on arrival, swap-remove on departure) exactly.
+  LoopOptions options;
+  options.epochEvents = 64;
+  options.repairMovesPerEpoch = 32;
+  options.seed = 11;
   workload::ComposedTrace compactTrace(traceOptions(), "poisson", 11);
-  CompactOptions copt;
-  copt.bins = kBins;
-  CompactAllocator compact(copt);
-  CapacityLoopOptions clo;
-  clo.epochEvents = 64;
-  clo.repairMovesPerEpoch = 32;
-  clo.seed = 11;
-  CapacityLoop cloop(compact, clo);
-  cloop.run(compactTrace);
+  CompactAllocator compact(AllocatorOptions{.bins = kBins});
+  EpochLoop(compact, options).run(compactTrace);
 
   workload::ComposedTrace denseTrace(traceOptions(), "poisson", 11);
-  serve::AllocatorOptions dopt;
-  dopt.bins = kBins;
-  serve::OnlineAllocator dense(dopt);
-  serve::LoopOptions dlo;
-  dlo.epochEvents = 64;
-  dlo.repairMovesPerEpoch = 32;
-  dlo.seed = 11;
-  serve::ShardedEventLoop dloop(dense, dlo);
-  dloop.run(denseTrace);
+  OnlineAllocator dense(AllocatorOptions{.bins = kBins});
+  EpochLoop(dense, options).run(denseTrace);
 
   EXPECT_EQ(compact.loadsCopy(), dense.loads());
   EXPECT_EQ(compact.counters().repairAttempts, dense.counters().repairAttempts);
@@ -181,40 +161,46 @@ TEST(CompactAllocator, RepairStreamMatchesDense) {
 
 TEST(CompactAllocator, InvertedAcceptanceStaysEquivalent) {
   const std::uint64_t seed = 5;
+  const AllocatorOptions inverted{.bins = kBins, .invertAcceptance = true};
+  LoopOptions options;
+  options.epochEvents = kEpochEvents;
+  options.seed = seed;
   workload::ComposedTrace compactTrace(traceOptions(), "poisson", seed);
-  CompactOptions copt;
-  copt.bins = kBins;
-  copt.invertAcceptance = true;
-  CompactAllocator compact(copt);
-  CapacityLoopOptions clo;
-  clo.epochEvents = kEpochEvents;
-  clo.seed = seed;
-  CapacityLoop cloop(compact, clo);
-  cloop.run(compactTrace);
+  CompactAllocator compact(inverted);
+  EpochLoop(compact, options).run(compactTrace);
 
   workload::ComposedTrace denseTrace(traceOptions(), "poisson", seed);
-  serve::AllocatorOptions dopt;
-  dopt.bins = kBins;
-  dopt.invertAcceptance = true;
-  serve::OnlineAllocator dense(dopt);
-  serve::LoopOptions dlo;
-  dlo.epochEvents = kEpochEvents;
-  dlo.seed = seed;
-  serve::ShardedEventLoop dloop(dense, dlo);
-  dloop.run(denseTrace);
+  OnlineAllocator dense(inverted);
+  EpochLoop(dense, options).run(denseTrace);
 
   EXPECT_EQ(compact.loadsCopy(), dense.loads());
   EXPECT_EQ(compact.counters().migrations, dense.counters().migrations);
 }
 
 TEST(CompactAllocator, ResidentBytesBeatDenseAndEstimateTracksActual) {
-  const Outcome compact = runCompact("poisson", 2);
-  const Outcome dense = runDense("poisson", 2);
-  // The whole point of the backend: materially fewer bytes for the same
-  // observable state.
-  EXPECT_LT(compact.residentBytes, dense.residentBytes);
-  EXPECT_GT(compact.residentBytes, 0);
+  // Per ball the compact layout stores a 4 B live slot plus 8 B of implicit
+  // index per ball *ever* arrived; the dense one an 8 B live slot plus a
+  // 24-byte map entry at <= 3/4 load. So the compact layout is the leaner
+  // one while arrivals stay within a few multiples of the live population,
+  // as in a capacity sweep's fill (here: no departures). Under long churn
+  // its index outgrows the dense map until ids are recycled at ingest.
+  workload::OpenTraceOptions fill = traceOptions();
+  fill.departureRate = 0.0;
+  LoopOptions options;
+  options.epochEvents = kEpochEvents;
+  options.seed = 2;
+  workload::ComposedTrace compactTrace(fill, "poisson", 2);
+  CompactAllocator filled(AllocatorOptions{.bins = kBins});
+  EpochLoop(filled, options).run(compactTrace);
+  workload::ComposedTrace denseTrace(fill, "poisson", 2);
+  OnlineAllocator dense(AllocatorOptions{.bins = kBins});
+  EpochLoop(dense, options).run(denseTrace);
+  ASSERT_EQ(filled.liveBalls(), filled.counters().arrivals);
+  EXPECT_EQ(filled.loadsCopy(), dense.loads());
+  EXPECT_LT(filled.residentBytes(), dense.residentBytes());
+  EXPECT_GT(filled.residentBytes(), 0);
 
+  const Outcome compact = runCompact("poisson", 2);
   // The budget-gate estimator should land within ~2x of a real run (it
   // sizes the gate, not the ledger).
   const std::int64_t ballsEver = compact.counters.arrivals;
@@ -230,9 +216,7 @@ TEST(CompactAllocator, ResidentBytesBeatDenseAndEstimateTracksActual) {
 }
 
 TEST(CompactAllocator, ValidateCatchesFreshAndRunStates) {
-  CompactOptions options;
-  options.bins = 8;
-  CompactAllocator allocator(options);
+  CompactAllocator allocator(AllocatorOptions{.bins = 8});
   EXPECT_TRUE(allocator.validate());
   EXPECT_EQ(allocator.numBins(), 8);
   EXPECT_EQ(allocator.totalLoad(), 0);
@@ -242,7 +226,7 @@ TEST(CompactAllocator, ValidateCatchesFreshAndRunStates) {
   // Drive a tiny hand-built batch: arrivals, a resample, a departure.
   rng::Xoshiro256pp eng(3);
   std::vector<workload::Event> events;
-  std::vector<serve::Decision> decisions;
+  std::vector<Decision> decisions;
   for (std::int64_t ball = 0; ball < 6; ++ball) {
     events.push_back({static_cast<double>(ball), workload::EventKind::kArrive, ball, 1});
   }
@@ -253,7 +237,6 @@ TEST(CompactAllocator, ValidateCatchesFreshAndRunStates) {
     decisions[i] = allocator.decide(events[i], eng);
   }
   allocator.applyBatch(events.data(), decisions.data(), events.size());
-  allocator.flush();
   EXPECT_TRUE(allocator.validate());
   EXPECT_EQ(allocator.totalLoad(), 5);
   EXPECT_EQ(allocator.liveBalls(), 5);
@@ -292,10 +275,10 @@ void expectSameState(const sim::BalanceState& got, const sim::BalanceState& want
 /// (the EpochStats copy and the allocator's accessors) against a scan of
 /// loads32(), plus validate()'s tracker cross-check. Returns the epochs run.
 std::int64_t checkEveryEpoch(CompactAllocator& allocator, workload::TraceGenerator& trace,
-                             const CapacityLoopOptions& options, const std::string& label) {
-  CapacityLoop loop(allocator, options);
+                             const LoopOptions& options, const std::string& label) {
+  EpochLoop loop(allocator, options);
   std::int64_t epochs = 0;
-  loop.run(trace, [&](const serve::EpochStats& s) {
+  loop.run(trace, [&](const EpochStats& s) {
     const std::string where = label + " epoch=" + std::to_string(s.epoch);
     const sim::BalanceState scan = scanState(allocator.loads32());
     expectSameState(s.balance, scan, where);
@@ -358,8 +341,8 @@ TEST(CompactBalance, TrackedStateMatchesAScanAfterEveryEpoch) {
   // Arrivals, departures, resamples and heavy repair pressure.
   for (const std::string spec : {"poisson", "diurnal(0.8,64)*bursty(8,0.05,0.5)"}) {
     workload::ComposedTrace trace(traceOptions(), spec, 7);
-    CompactAllocator allocator(CompactOptions{.bins = kBins});
-    CapacityLoopOptions options;
+    CompactAllocator allocator(AllocatorOptions{.bins = kBins});
+    LoopOptions options;
     options.epochEvents = 64;
     options.repairMovesPerEpoch = 32;
     options.seed = 7;
@@ -373,8 +356,8 @@ TEST(CompactBalance, TrackedStateSurvivesInvertedAcceptance) {
   // The broken dynamic piles balls up: long min/max walks, a wide spread.
   workload::ComposedTrace trace(traceOptions(), "poisson", 9);
   CompactAllocator allocator(
-      CompactOptions{.bins = kBins, .arrivalChoices = 2, .invertAcceptance = true});
-  CapacityLoopOptions options;
+      AllocatorOptions{.bins = kBins, .arrivalChoices = 2, .invertAcceptance = true});
+  LoopOptions options;
   options.epochEvents = kEpochEvents;
   options.seed = 9;
   EXPECT_GT(checkEveryEpoch(allocator, trace, options, "inverted"), 0);
@@ -383,8 +366,8 @@ TEST(CompactBalance, TrackedStateSurvivesInvertedAcceptance) {
 
 TEST(CompactBalance, TrackedStateFollowsATraceThatDrainsToEmpty) {
   ScriptedTrace trace(fillThenDrain(300, 4));
-  CompactAllocator allocator(CompactOptions{.bins = 16});
-  CapacityLoopOptions options;
+  CompactAllocator allocator(AllocatorOptions{.bins = 16});
+  LoopOptions options;
   options.epochEvents = 16;
   options.repairMovesPerEpoch = 4;
   options.seed = 4;
@@ -400,7 +383,7 @@ TEST(CompactBalance, TrackedStateFollowsATraceThatDrainsToEmpty) {
 // The dense allocator answers the same view with one fused pass; it must
 // equal the separate min, max and overload passes it replaced.
 TEST(DenseBalance, FusedPassMatchesTheThreePassDefinition) {
-  serve::OnlineAllocator allocator(serve::AllocatorOptions{.bins = 13, .arrivalChoices = 2});
+  OnlineAllocator allocator(AllocatorOptions{.bins = 13, .arrivalChoices = 2});
   rng::Xoshiro256pp eng(17);
   std::vector<std::int64_t> live;
   std::int64_t nextBall = 0;
@@ -423,7 +406,7 @@ TEST(DenseBalance, FusedPassMatchesTheThreePassDefinition) {
         e.kind = workload::EventKind::kResample;
       }
     }
-    allocator.apply(e, allocator.decide(e, allocator.loads(), eng));
+    allocator.apply(e, allocator.decide(e, eng));
     if (step % 37 != 0) continue;
 
     const std::vector<std::int64_t>& loads = allocator.loads();
@@ -452,53 +435,5 @@ TEST(DenseBalance, FusedPassMatchesTheThreePassDefinition) {
   EXPECT_TRUE(allocator.validate());
 }
 
-// ------------------------------------------------------- trace spans
-
-TEST(CapacityLoop, TracedRunEmitsEpochPhaseAndObserveSpans) {
-  if (!obs::kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
-  const std::uint64_t seed = 3;
-  workload::ComposedTrace trace(traceOptions(), "poisson", seed);
-  CompactAllocator allocator(CompactOptions{.bins = kBins});
-  obs::TraceWriter writer;
-  CapacityLoopOptions options;
-  options.epochEvents = kEpochEvents;
-  options.repairMovesPerEpoch = kRepair;
-  options.seed = seed;
-  options.trace = &writer;
-  CapacityLoop loop(allocator, options);
-  const CapacityLoop::RunResult result = loop.run(trace);
-  EXPECT_EQ(allocator.loadsCopy(), runCompact("poisson", seed).loads)
-      << "tracing changed the run's outcome";
-
-  std::ostringstream out;
-  ASSERT_TRUE(writer.writeTo(out));
-  std::string error;
-  const report::Json doc = report::Json::parse(out.str(), &error);
-  ASSERT_TRUE(error.empty()) << error;
-  const report::Json& events = doc.at("traceEvents");
-  std::int64_t epochs = 0, decides = 0, applies = 0, flushes = 0, repairs = 0,
-               observes = 0, gaps = 0;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const report::Json& e = events.at(i);
-    const std::string& ph = e.at("ph").asString();
-    const std::string& name = e.at("name").asString();
-    if (ph == "C" && name == "serve.gap") ++gaps;
-    if (ph != "X") continue;
-    if (name == "epoch") ++epochs;
-    if (name == "decide") ++decides;
-    if (name == "apply") ++applies;
-    if (name == "flush") ++flushes;
-    if (name == "repair") ++repairs;
-    if (name == "observe") ++observes;
-  }
-  EXPECT_EQ(epochs, result.epochs);
-  EXPECT_EQ(decides, result.epochs);
-  EXPECT_EQ(applies, result.epochs);
-  EXPECT_EQ(repairs, result.epochs);
-  EXPECT_EQ(flushes, 2 * result.epochs);  // after apply, after repair
-  EXPECT_EQ(observes, result.epochs);
-  EXPECT_EQ(gaps, result.epochs);
-}
-
 }  // namespace
-}  // namespace rlslb::capacity
+}  // namespace rlslb::serve

@@ -16,9 +16,11 @@
 //     warn).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <iterator>
 #include <memory>
 #include <new>
 #include <sstream>
@@ -30,6 +32,7 @@
 #include "obs/trace.hpp"
 #include "report/json.hpp"
 #include "runner/thread_pool.hpp"
+#include "serve/compact_allocator.hpp"
 #include "serve/event_loop.hpp"
 #include "serve/online_allocator.hpp"
 #include "workload/generators.hpp"
@@ -241,7 +244,7 @@ TEST(MetricsHotPath, SteadyStateEpochsAreAllocationFreeWithMetricsAttached) {
   options.repairMovesPerEpoch = 4;
   options.seed = 11;
   options.metrics = &metrics;
-  serve::ShardedEventLoop loop(allocator, options);
+  serve::EpochLoop loop(allocator, options);
 
   ResampleOnlyTrace trace(256, kEpochEvents * kEpochs);
   std::vector<std::int64_t> perEpoch;
@@ -294,7 +297,7 @@ TEST(MetricsHotPath, SteadyStateEpochsAreAllocationFreeWithMonitorsAttached) {
   options.seed = 11;
   options.metrics = &metrics;
   options.monitors = &monitors;
-  serve::ShardedEventLoop loop(allocator, options);
+  serve::EpochLoop loop(allocator, options);
 
   ResampleOnlyTrace trace(256, kEpochEvents * kEpochs);
   std::vector<std::int64_t> perEpoch;
@@ -340,7 +343,7 @@ TEST(MetricsHotPath, AttachedMetricsDoNotPerturbTheRunAndAgreeWithCounters) {
     options.repairMovesPerEpoch = 4;
     options.seed = 5;
     options.metrics = metrics;
-    serve::ShardedEventLoop loop(allocator, options);
+    serve::EpochLoop loop(allocator, options);
     loop.run(trace);
     return std::make_pair(allocator.loads(), allocator.counters());
   };
@@ -452,12 +455,22 @@ TEST(Trace, JsonIsWellFormedWithContainedSpansAndWorkerTracks) {
   EXPECT_TRUE(sawJobSpan);
 }
 
-// Runtime-off contract: a loop with tracing compiled in but no writer
-// attached emits nothing (the writer stays empty), while the attached
-// writer captures the per-phase spans the acceptance criteria name.
-TEST(Trace, ServingLoopEmitsPhaseSpansOnlyWhenAttached) {
+// Runtime-off contract, for both allocators through the one EpochLoop:
+// tracing never changes the run's outcome, and the attached writer records
+// per epoch exactly one epoch span, the three phase spans (decide, apply,
+// repair), one observe span and one serve.gap counter sample.
+std::vector<std::int64_t> loadsOf(const serve::OnlineAllocator& a) { return a.loads(); }
+std::vector<std::int64_t> loadsOf(const serve::CompactAllocator& a) { return a.loadsCopy(); }
+
+template <typename Allocator>
+class LoopTrace : public ::testing::Test {};
+using Allocators = ::testing::Types<serve::OnlineAllocator, serve::CompactAllocator>;
+TYPED_TEST_SUITE(LoopTrace, Allocators);
+
+TYPED_TEST(LoopTrace, ServingLoopEmitsPhaseSpansOnlyWhenAttached) {
   if (!kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
-  const auto runOnce = [](TraceWriter* trace) {
+  std::int64_t epochs = 0;
+  const auto runOnce = [&epochs](TraceWriter* trace) {
     workload::OpenTraceOptions base;
     base.bins = 32;
     base.arrivalRatePerBin = 1.0;
@@ -465,30 +478,48 @@ TEST(Trace, ServingLoopEmitsPhaseSpansOnlyWhenAttached) {
     base.resampleRate = 1.0;
     base.maxEvents = 2048;
     workload::PoissonTrace traceGen(base, 23);
-    serve::OnlineAllocator allocator(
-        serve::AllocatorOptions{.bins = 32, .arrivalChoices = 2});
+    TypeParam allocator(serve::AllocatorOptions{.bins = 32, .arrivalChoices = 2});
     serve::LoopOptions options;
     options.epochEvents = 512;
     options.seed = 5;
     options.trace = trace;
-    serve::ShardedEventLoop loop(allocator, options);
-    loop.run(traceGen);
-    return allocator.loads();
+    serve::EpochLoop loop(allocator, options);
+    epochs = loop.run(traceGen).epochs;
+    return loadsOf(allocator);
   };
 
   TraceWriter attached;
   const auto tracedLoads = runOnce(&attached);
   const auto plainLoads = runOnce(nullptr);
   EXPECT_EQ(tracedLoads, plainLoads) << "tracing changed the run's outcome";
-  EXPECT_GT(attached.eventCount(), 0u);
+  ASSERT_EQ(epochs, 4);
 
   std::ostringstream out;
   ASSERT_TRUE(attached.writeTo(out));
-  const std::string doc = out.str();
-  for (const char* phase : {"\"epoch\"", "\"decide\"", "\"apply\"", "\"repair\"",
-                            "\"flush\"", "\"observe\""}) {
-    EXPECT_NE(doc.find(phase), std::string::npos) << "missing span " << phase;
+  std::string error;
+  const report::Json doc = report::Json::parse(out.str(), &error);
+  ASSERT_TRUE(error.empty()) << error;
+  const report::Json& events = doc.at("traceEvents");
+  const char* const kSpans[] = {"epoch", "decide", "apply", "repair", "observe"};
+  std::int64_t spans[std::size(kSpans)] = {};
+  std::int64_t gaps = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const report::Json& e = events.at(i);
+    const std::string& ph = e.at("ph").asString();
+    const std::string& name = e.at("name").asString();
+    if (ph == "C" && name == "serve.gap") ++gaps;
+    if (ph != "X") continue;
+    const auto* span = std::find(std::begin(kSpans), std::end(kSpans), name);
+    if (span == std::end(kSpans)) {
+      ADD_FAILURE() << "unexpected span " << name;
+      continue;
+    }
+    ++spans[span - std::begin(kSpans)];
   }
+  for (std::size_t i = 0; i < std::size(kSpans); ++i) {
+    EXPECT_EQ(spans[i], epochs) << kSpans[i];
+  }
+  EXPECT_EQ(gaps, epochs);
 }
 
 }  // namespace

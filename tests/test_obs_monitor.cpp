@@ -270,7 +270,7 @@ ServeRun runServeWithMonitors(bool invert) {
   options.repairMovesPerEpoch = 4;
   options.seed = 13;
   options.monitors = &monitors;
-  serve::ShardedEventLoop loop(allocator, options);
+  serve::EpochLoop loop(allocator, options);
   (void)loop.run(trace);
   monitors.finish();
 

@@ -480,7 +480,7 @@ TEST(ProcessState, ServeAllocatorSharesTheVocabulary) {
     event.kind = workload::EventKind::kArrive;
     event.ball = nextBall++;
     event.weight = 1 + static_cast<std::int64_t>(rng::uniformIndex(eng, 3));
-    const serve::Decision d = allocator.decide(event, allocator.loads(), eng);
+    const serve::Decision d = allocator.decide(event, eng);
     allocator.apply(event, d);
   }
   const sim::BalanceState state = allocator.balanceState();

@@ -1,8 +1,9 @@
-// serve/: OnlineAllocator state invariants, the event loop's epoch
-// observer, RLS's balance benefit over placement-only serving, the serve_*
-// scenarios' byte-determinism through the JSONL sink, and their usage
-// errors (bad input throws std::invalid_argument, which the driver turns
-// into exit code 2).
+// serve/: OnlineAllocator state invariants, the ball-uniform repair draw on
+// weighted traffic, the event loop's epoch observer, RLS's balance benefit
+// over placement-only serving, the serve_* scenarios' byte-determinism
+// through the JSONL sink, and their usage errors (bad input — params out of
+// range, corrupt replay traces — throws std::invalid_argument, which
+// `rlslb` turns into exit code 2).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +19,9 @@
 #include "scenario/scenario.hpp"
 #include "serve/event_loop.hpp"
 #include "serve/online_allocator.hpp"
+#include "stats/tests.hpp"
 #include "workload/generators.hpp"
+#include "workload/trace_io.hpp"
 
 namespace rlslb::serve {
 namespace {
@@ -51,7 +54,7 @@ LoopOutcome runLoop(std::int64_t events, std::uint64_t seed = 99) {
   loopOptions.epochEvents = 256;
   loopOptions.repairMovesPerEpoch = 4;
   loopOptions.seed = seed;
-  ShardedEventLoop loop(allocator, loopOptions);
+  EpochLoop loop(allocator, loopOptions);
   const auto result = loop.run(trace);
   EXPECT_EQ(result.events, events);
   EXPECT_TRUE(allocator.validate());
@@ -77,10 +80,43 @@ TEST(OnlineAllocator, ConservesMassAndTracksLevels) {
             out.counters.migrations + out.counters.rejectedMoves);
 }
 
-TEST(ShardedEventLoop, EpochObserverSeesEveryEvent) {
+// Repair activates a uniform live ball (the paper's per-ball clocks), not a
+// load-weighted bin. Bin 0 holds two weight-2 balls, bin 1 four unit balls,
+// bin 2 nothing; both loaded bins carry load 4, and the only move the strict
+// rule accepts is into bin 2. Ball-uniform activation takes an accepted
+// move from bin 0 with probability 2/6 = 1/3; a load-weighted bin pick
+// would take it with probability 4/8 = 1/2.
+TEST(OnlineAllocator, RepairActivatesAUniformLiveBall) {
+  constexpr int kAllocators = 3000;
+  std::vector<std::int64_t> moves = {0, 0};  // accepted moves out of bin 0, bin 1
+  for (int seed = 1; seed <= kAllocators; ++seed) {
+    OnlineAllocator allocator(AllocatorOptions{.bins = 3, .arrivalChoices = 1});
+    for (std::int64_t ball = 0; ball < 6; ++ball) {
+      workload::Event e;
+      e.kind = workload::EventKind::kArrive;
+      e.ball = ball;
+      e.weight = ball < 2 ? 2 : 1;
+      allocator.apply(e, Decision{ball < 2 ? 0 : 1});
+    }
+    rng::Xoshiro256pp eng(static_cast<std::uint64_t>(seed));
+    if (!allocator.repairMove(eng)) continue;
+    EXPECT_EQ(allocator.loads()[2], allocator.loads()[0] == 2 ? 2 : 1);
+    ++moves[allocator.loads()[0] == 2 ? 0 : 1];
+  }
+  const auto total = static_cast<double>(moves[0] + moves[1]);
+  ASSERT_GT(total, kAllocators / 4);
+  const stats::TestResult ballUniform =
+      stats::chiSquareGof(moves, {total / 3.0, total * 2.0 / 3.0});
+  const stats::TestResult loadWeighted =
+      stats::chiSquareGof(moves, {total / 2.0, total / 2.0});
+  EXPECT_GT(ballUniform.pValue, 1e-4) << moves[0] << " of " << total << " from bin 0";
+  EXPECT_LT(loadWeighted.pValue, 1e-4) << moves[0] << " of " << total << " from bin 0";
+}
+
+TEST(EpochLoop, EpochObserverSeesEveryEvent) {
   workload::PoissonTrace trace(traceOptions(1000), 7);
   OnlineAllocator allocator(AllocatorOptions{.bins = 16, .arrivalChoices = 1});
-  ShardedEventLoop loop(allocator, LoopOptions{.epochEvents = 128});
+  EpochLoop loop(allocator, LoopOptions{.epochEvents = 128});
   std::int64_t observed = 0;
   std::int64_t epochs = 0;
   std::int64_t lastEpoch = -1;
@@ -96,7 +132,7 @@ TEST(ShardedEventLoop, EpochObserverSeesEveryEvent) {
   EXPECT_EQ(result.epochs, (1000 + 127) / 128);
 }
 
-TEST(ShardedEventLoop, RlsMigrationShrinksTheGapVersusPlacementOnly) {
+TEST(EpochLoop, RlsMigrationShrinksTheGapVersusPlacementOnly) {
   // Same arrivals/departures rates; with the RLS clocks off the gap is the
   // raw d-choice band, with them on the allocator must hold a tighter one.
   const auto gapWith = [](double resampleRate, std::uint64_t seed) {
@@ -109,7 +145,7 @@ TEST(ShardedEventLoop, RlsMigrationShrinksTheGapVersusPlacementOnly) {
     LoopOptions loopOptions;
     loopOptions.repairMovesPerEpoch = 0;  // isolate the per-event rule
     loopOptions.seed = seed;
-    ShardedEventLoop loop(allocator, loopOptions);
+    EpochLoop loop(allocator, loopOptions);
     double gapSum = 0.0;
     std::int64_t samples = 0;
     loop.run(trace, [&](const EpochStats& s) {
@@ -186,15 +222,16 @@ TEST(ServeScenarios, ByteIdenticalAcrossRunsAndThreads) {
 }
 
 TEST(ServeScenarios, RemovedShardKnobsAreUnusedParams) {
-  // The loop has one execution path, so shards= and partitioned= are read
-  // by nobody; the driver reports them as unknown parameters (exit 2).
+  // The loop has one execution path and serve_capacity one allocator, so
+  // shards=, partitioned= and backend= are read by nobody; `rlslb`
+  // reports them as unknown parameters (exit 2).
   std::vector<std::string> unused;
   runServeScenario("serve_poisson", 1, 1,
                    {"n=16", "events=2000", "shards=4", "partitioned=1"}, &unused);
   EXPECT_EQ(unused, (std::vector<std::string>{"partitioned", "shards"}));
   runServeScenario("serve_capacity", 1, 1,
                    {"n_list=16", "load_list=1", "backend=dense", "shards=2"}, &unused);
-  EXPECT_EQ(unused, (std::vector<std::string>{"shards"}));
+  EXPECT_EQ(unused, (std::vector<std::string>{"backend", "shards"}));
 }
 
 TEST(ServeScenarios, BadInputIsAUsageError) {
@@ -205,6 +242,27 @@ TEST(ServeScenarios, BadInputIsAUsageError) {
   const std::string missingDir = (dir / "rlslb-no-such-dir").string();
   const std::string emptyTrace = (dir / "rlslb-test-serve-empty.jsonl").string();
   { std::ofstream touch(emptyTrace); }
+  // One corrupt replay trace per format, each with a good record first.
+  const auto writeTrace = [&dir](const char* name, const std::string& bytes) {
+    const std::string path = (dir / name).string();
+    std::ofstream out(path, std::ios::binary);
+    out << bytes;
+    return path;
+  };
+  const workload::Event good{0.5, workload::EventKind::kArrive, 0, 1};
+  std::string truncatedBin = workload::kTraceBinaryMagic;
+  workload::appendTraceEventBinary(&truncatedBin, good);
+  workload::appendTraceEventBinary(&truncatedBin, good);
+  truncatedBin.resize(truncatedBin.size() - 5);
+  const std::string badFiles[] = {
+      writeTrace("rlslb-test-serve-truncated.bin", truncatedBin),
+      writeTrace("rlslb-test-serve-bogus.csv", "t,kind,ball,w\n0.5,arrive,0,1\n1,bogus,1,1\n"),
+      writeTrace("rlslb-test-serve-cut.jsonl",
+                 workload::formatTraceEvent(good) + "\n{\"t\":1,\"kind\":\"arr"),
+      writeTrace("rlslb-test-serve-w0.jsonl",
+                 workload::formatTraceEvent({0.5, workload::EventKind::kArrive, 0, 0}) + "\n"),
+      writeTrace("rlslb-test-serve-neg.csv", "t,kind,ball,w\n0.5,arrive,-3,1\n"),
+  };
   const struct {
     const char* scenario;
     std::vector<std::string> params;
@@ -216,6 +274,19 @@ TEST(ServeScenarios, BadInputIsAUsageError) {
       {"serve_poisson", {"n=16", "trace=" + emptyTrace}},
       {"serve_poisson", {"n=16", "trace=" + emptyTrace, "record=" + emptyTrace}},
       {"serve_poisson", {"n=16", "events=100", "record=" + missingDir + "/r.jsonl"}},
+      {"serve_poisson", {"n=16", "events=100", "weight=0"}},
+      {"serve_poisson", {"n=16", "events=100", "d=0"}},
+      {"serve_poisson", {"n=16", "events=100", "repair=-1"}},
+      {"serve_poisson", {"n=0", "events=100"}},
+      {"serve_poisson", {"n=16", "events=100", "lambda=-1"}},
+      {"serve_poisson", {"n=16", "events=100", "mu=-1"}},
+      {"serve_poisson", {"n=16", "events=100", "resample=-1"}},
+      {"serve_adversarial", {"n=16", "events=100", "hot_weight=0"}},
+      {"serve_poisson", {"n=16", "trace=" + badFiles[0]}},
+      {"serve_poisson", {"n=16", "trace=" + badFiles[1]}},
+      {"serve_poisson", {"n=16", "trace=" + badFiles[2]}},
+      {"serve_poisson", {"n=16", "trace=" + badFiles[3]}},
+      {"serve_poisson", {"n=16", "trace=" + badFiles[4]}},
       {"serve_capacity", {"n_list=16", "epoch=0"}},
       {"serve_capacity", {"n_list=16", "epb=0"}},
       {"serve_capacity", {"n_list=16,,32"}},
@@ -224,7 +295,9 @@ TEST(ServeScenarios, BadInputIsAUsageError) {
       {"serve_capacity", {"n_list=16", "load_list=-2"}},
       {"serve_capacity", {"n_list=16", "traces=poisson;bogus(1)"}},
       {"serve_capacity", {"n_list=16", "traces=hotspot(16,8,2)"}},
-      {"serve_capacity", {"n_list=16", "backend=sparse"}},
+      {"serve_capacity", {"n_list=16", "d=0"}},
+      {"serve_capacity", {"n_list=16", "repair=-1"}},
+      {"serve_capacity", {"n_list=16", "resample=-1"}},
       {"serve_capacity", {"n_list=1", "load_list=0.5"}},  // a cell with 0 events
   };
   for (const auto& b : bad) {
@@ -241,6 +314,7 @@ TEST(ServeScenarios, BadInputIsAUsageError) {
                  std::invalid_argument);
   }
   std::filesystem::remove(emptyTrace);
+  for (const std::string& path : badFiles) std::filesystem::remove(path);
 }
 
 TEST(ServeScenarios, ThroughputRecordEmitted) {

@@ -1,10 +1,11 @@
 // The serving loop's differential layer: the production event loop must be
 // byte-identical — final load vector, every semantic counter, and the
 // per-epoch gap trajectory — to the frozen reference loop
-// (tests/serve_reference.hpp) across epoch granularities, trace kinds
-// (including the weighted adversarial one) and seeds. Plus LoopOptions
-// validation death tests, the EpochStats/RunResult timing contract, and a
-// high-contention stress case.
+// (tests/serve_reference.hpp, whose repair was re-specified to the
+// uniform-live-ball draw together with production's) across epoch
+// granularities, trace kinds (including the weighted adversarial one) and
+// seeds. Plus LoopOptions validation death tests, the EpochStats/RunResult
+// timing contract, and a high-contention stress case.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -105,7 +106,7 @@ Outcome runLoop(workload::TraceGenerator& trace, const Config& c) {
   options.epochEvents = c.epochEvents;
   options.repairMovesPerEpoch = 4;
   options.seed = c.seed;
-  ShardedEventLoop loop(allocator, options);
+  EpochLoop loop(allocator, options);
   Outcome out;
   const auto result = loop.run(trace, [&](const EpochStats& s) {
     out.gapTrajectory.push_back(s.gap());
@@ -143,7 +144,7 @@ void expectIdentical(const Outcome& ref, const Outcome& got, const Config& c) {
 // ------------------------------------------------ differential matrix
 
 // The batched hot path — snapshot-free decision phase, per-event engine
-// reseed, deferred Fenwick flush, batched apply — against the frozen
+// reseed, batched apply, live-ball repair — against the frozen
 // reference loop. epochEvents is a semantic knob, so every granularity
 // gets its own reference: the degenerate one-event epoch (every event sees
 // a fresh snapshot), a prime one, the default, and an epoch at least as
@@ -189,7 +190,7 @@ TEST(ServeLoopDeathTest, RejectsInvalidLoopOptions) {
     LoopOptions o;
     o.epochEvents = epochEvents;
     o.repairMovesPerEpoch = repair;
-    ShardedEventLoop loop(allocator, o);
+    EpochLoop loop(allocator, o);
   };
   EXPECT_DEATH(makeLoop(0, 4), "LoopOptions.epochEvents must be >= 1");
   EXPECT_DEATH(makeLoop(-1, 4), "LoopOptions.epochEvents must be >= 1");
@@ -207,7 +208,7 @@ TEST(TimingContract, RunResultIsTheExactSumOfEpochWallSeconds) {
   LoopOptions options;
   options.epochEvents = c.epochEvents;
   options.seed = c.seed;
-  ShardedEventLoop loop(allocator, options);
+  EpochLoop loop(allocator, options);
   double sum = 0.0;
   std::int64_t epochs = 0;
   const auto result = loop.run(*trace, [&](const EpochStats& s) {
@@ -230,7 +231,7 @@ TEST(TimingContract, OnEpochCallbackTimeIsExcluded) {
   LoopOptions options;
   options.epochEvents = c.epochEvents;
   options.seed = c.seed;
-  ShardedEventLoop loop(allocator, options);
+  EpochLoop loop(allocator, options);
   const auto result = loop.run(*trace, [&](const EpochStats&) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   });
@@ -268,7 +269,7 @@ TEST(TimingContract, TraceGenerationTimeIsExcluded) {
   LoopOptions options;
   options.epochEvents = c.epochEvents;
   options.seed = c.seed;
-  ShardedEventLoop loop(allocator, options);
+  EpochLoop loop(allocator, options);
   const auto result = loop.run(trace);
   EXPECT_EQ(result.events, 64);
   // 64 x 0.5ms = 32ms of generation sleep; the 4 epochs of real work are
@@ -281,8 +282,7 @@ TEST(TimingContract, TraceGenerationTimeIsExcluded) {
 TEST(FusedStress, HighContentionLongEpochs) {
   // Long epochs + a hot resample clock: most events are migration
   // candidates against a snapshot up to 8192 events stale, so the live
-  // re-validation rejects and accepts in bulk and the deferred flush
-  // settles many net-changed bins per epoch.
+  // re-validation rejects and accepts in bulk.
   Config c;
   c.bins = 64;
   c.events = 3 * 8192;

@@ -1,14 +1,12 @@
 // Hot-path regression coverage for the batched serving pipeline:
-//   - the multi-run contract (each ShardedEventLoop::run() resets its
-//     ordinal/epoch counters, so a reused loop draws exactly the streams a
-//     fresh loop would);
-//   - the zero-allocation claim (steady-state epochs — balanced system,
-//     resample-only traffic — perform no heap allocation at all, pinned by
-//     a global operator new counting hook);
-//   - the deferred-accounting lazy flush (merged-view accessors agree with
-//     eager bookkeeping without an explicit flush call).
-// The byte-identity of the snapshot-free decision phase and the deferred
-// Fenwick flush against the eager reference is pinned separately by the
+//   - the multi-run contract (each EpochLoop::run() resets its ordinal/epoch
+//     counters, so a reused loop draws exactly the streams a fresh loop
+//     would);
+//   - the zero-allocation claim, for both allocators (steady-state epochs —
+//     balanced system, resample-only traffic — perform no heap allocation
+//     at all, pinned by a global operator new counting hook).
+// The byte-identity of the snapshot-free decision phase and the batched
+// apply against the eager reference is pinned separately by the
 // differentials in tests/test_serve_differential.cpp.
 #include <gtest/gtest.h>
 
@@ -20,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "serve/compact_allocator.hpp"
 #include "serve/event_loop.hpp"
 #include "serve/online_allocator.hpp"
 #include "workload/generators.hpp"
@@ -145,7 +144,7 @@ TEST(MultiRunContract, ReusedLoopMatchesFreshLoopOnTheSecondTrace) {
 
   // Universe A: one loop reused across both traces.
   OnlineAllocator reusedAlloc(allocOpts);
-  ShardedEventLoop reusedLoop(reusedAlloc, options);
+  EpochLoop reusedLoop(reusedAlloc, options);
   auto traceA1 = makePoisson(24, 2048, 3);
   reusedLoop.run(*traceA1);
   OffsetBalls traceA2(makePoisson(24, 1536, 7), 1'000'000);
@@ -154,11 +153,11 @@ TEST(MultiRunContract, ReusedLoopMatchesFreshLoopOnTheSecondTrace) {
   // Universe B: same allocator lifetime, but a fresh loop per trace.
   OnlineAllocator freshAlloc(allocOpts);
   {
-    ShardedEventLoop first(freshAlloc, options);
+    EpochLoop first(freshAlloc, options);
     auto traceB1 = makePoisson(24, 2048, 3);
     first.run(*traceB1);
   }
-  ShardedEventLoop second(freshAlloc, options);
+  EpochLoop second(freshAlloc, options);
   OffsetBalls traceB2(makePoisson(24, 1536, 7), 1'000'000);
   const auto freshResult = second.run(traceB2);
 
@@ -172,32 +171,38 @@ TEST(MultiRunContract, ReusedLoopMatchesFreshLoopOnTheSecondTrace) {
 
 // ------------------------------------------------------- zero allocation
 
-// Steady-state epochs allocate nothing: against a perfectly balanced
-// allocator (built below with explicit placement decisions, so the balance
-// is by construction, not by stochastic convergence), a resample-only
-// trace is rejected by the strict rule from the first event on. The
-// deferred accounting never marks a bin dirty, and all epoch-scoped
-// storage (batch, decisions) is reused at its first-epoch capacity — so
-// every epoch after the first must perform zero heap allocations.
-TEST(SteadyStateAllocations, EpochsAreAllocationFree) {
+// Steady-state epochs allocate nothing, whichever allocator the loop
+// drives: against a perfectly balanced allocator (built below with explicit
+// placement decisions, so the balance is by construction, not by stochastic
+// convergence), a resample-only trace is rejected by the strict rule from
+// the first event on, and all epoch-scoped storage (batch, decisions) is
+// reused at its first-epoch capacity — so every epoch after the first must
+// perform zero heap allocations.
+template <typename Allocator>
+class SteadyStateAllocations : public ::testing::Test {};
+using Allocators = ::testing::Types<OnlineAllocator, CompactAllocator>;
+TYPED_TEST_SUITE(SteadyStateAllocations, Allocators);
+
+TYPED_TEST(SteadyStateAllocations, EpochsAreAllocationFree) {
   constexpr std::int64_t kBins = 64;
   constexpr std::int64_t kBalls = 256;  // exactly 4 per bin: gap 0
   constexpr std::int64_t kEpochEvents = 256;
   constexpr std::int64_t kResampleEpochs = 16;
 
-  OnlineAllocator allocator(AllocatorOptions{.bins = kBins, .arrivalChoices = 2});
+  TypeParam allocator(AllocatorOptions{.bins = kBins, .arrivalChoices = 2});
   for (std::int64_t ball = 0; ball < kBalls; ++ball) {
     workload::Event e;
     e.kind = workload::EventKind::kArrive;
     e.ball = ball;
     e.weight = 1;
-    allocator.apply(e, Decision{static_cast<std::int32_t>(ball % kBins)});
+    const Decision d{static_cast<std::int32_t>(ball % kBins)};
+    allocator.applyBatch(&e, &d, 1);
   }
   ASSERT_EQ(allocator.gap(), 0);
 
   LoopOptions options = hotpathOptions();
   options.epochEvents = kEpochEvents;
-  ShardedEventLoop loop(allocator, options);
+  EpochLoop loop(allocator, options);
 
   ResampleOnlyTrace trace(kBalls, kEpochEvents * kResampleEpochs);
 
@@ -227,46 +232,6 @@ TEST(SteadyStateAllocations, EpochsAreAllocationFree) {
     EXPECT_EQ(perEpoch[i], 0) << "epoch " << i << " allocated";
   }
   EXPECT_TRUE(allocator.validate());
-}
-
-// ---------------------------------------------------------- lazy flush
-
-// The deferred accounting must be invisible through the public API: after
-// raw apply() calls with no event loop (and therefore no explicit flush),
-// the merged views reconcile lazily and agree with first-principles
-// bookkeeping.
-TEST(DeferredAccounting, AccessorsReconcileWithoutAnExplicitFlush) {
-  OnlineAllocator allocator(AllocatorOptions{.bins = 8, .arrivalChoices = 1});
-  rng::Xoshiro256pp eng(5);
-  const std::vector<std::int64_t>& live = allocator.loads();
-  for (std::int64_t ball = 0; ball < 40; ++ball) {
-    workload::Event e;
-    e.kind = workload::EventKind::kArrive;
-    e.ball = ball;
-    e.weight = 1 + (ball % 3);
-    allocator.apply(e, allocator.decide(e, live, eng));
-  }
-  std::int64_t lo = live[0];
-  std::int64_t hi = live[0];
-  std::int64_t total = 0;
-  for (const std::int64_t v : live) {
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
-    total += v;
-  }
-  EXPECT_EQ(allocator.minLoad(), lo);
-  EXPECT_EQ(allocator.maxLoad(), hi);
-  EXPECT_EQ(allocator.gap(), hi - lo);
-  EXPECT_EQ(allocator.totalLoad(), total);
-  EXPECT_TRUE(allocator.validate());
-
-  // A delta left pending by a raw apply() reconciles on the next read too.
-  workload::Event depart;
-  depart.kind = workload::EventKind::kDepart;
-  depart.ball = 0;
-  allocator.apply(depart, Decision{});
-  EXPECT_TRUE(allocator.validate());
-  EXPECT_EQ(allocator.totalLoad(), total - 1);
 }
 
 }  // namespace
