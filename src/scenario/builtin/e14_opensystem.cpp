@@ -9,6 +9,8 @@
 //  (b) across offered loads rho = lambda/mu;
 //  (c) with two-choice arrivals (the [11]/[17] hybrid), which compose
 //      with migration.
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "dynamic/open_system.hpp"
@@ -33,6 +35,10 @@ double stationarySpread(dynamic::OpenSystem& sys, double warmup, int samples, do
 
 void runOpensystem(ScenarioContext& ctx) {
   const std::int64_t n = ctx.params.getInt("n", ctx.sized(64));
+  if (n < 1) {
+    throw std::invalid_argument("e14_opensystem: n= must be >= 1 (got " + std::to_string(n) +
+                                ")");
+  }
 
   // ------------------------------------------- (a) migration on vs off
   {

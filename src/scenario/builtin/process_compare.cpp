@@ -23,6 +23,7 @@
 // measure "one unit ~ m expected activations" up to each family's
 // granularity (see process/process.hpp).
 #include <cmath>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -61,6 +62,10 @@ void runProcessCompare(ScenarioContext& ctx) {
   const process::ProcessRegistry& registry = process::ProcessRegistry::global();
 
   const std::int64_t n = ctx.params.getInt("n", ctx.sized(64, 2));
+  if (n < 1) {
+    throw std::invalid_argument("process_compare: n= must be >= 1 (got " + std::to_string(n) +
+                                ")");
+  }
   const std::int64_t m = ctx.params.getInt("ratio", 8) * n;
   const std::string startName = ctx.params.getString("start", "allinone");
   const std::string targetName = ctx.params.getString("target", "auto");
@@ -77,7 +82,7 @@ void runProcessCompare(ScenarioContext& ctx) {
     kinds.clear();
     for (const process::ProcessSpec* s : registry.list()) kinds.push_back(s->kind);
   }
-  RLSLB_ASSERT_MSG(!kinds.empty(), "process= names no kinds");
+  if (kinds.empty()) throw std::invalid_argument("process_compare: process= names no kinds");
 
   // Conformance: one roster serves every kind's instrumented replication;
   // beginRun() below separates the sub-runs (monotone-step invariants

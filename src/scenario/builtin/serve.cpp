@@ -25,6 +25,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -45,15 +46,22 @@ namespace rlslb::scenario::builtin {
 
 namespace {
 
-/// Integer param `name`, rejected below `min` before any arithmetic or
-/// allocation uses it (epoch= divides, n= and d= size draws, repair=
-/// counts loop iterations, weight= feeds the allocator's w >= 1 contract).
+/// Integer param `name`, rejected outside [min, max] before any arithmetic,
+/// narrowing or allocation uses it (epoch= divides, n= and d= size draws,
+/// d= and repair= are narrowed to int, repair= counts loop iterations,
+/// weight= feeds the allocator's w >= 1 contract).
 std::int64_t intParam(ScenarioContext& ctx, const char* name, std::int64_t fallback,
-                      std::int64_t min) {
+                      std::int64_t min,
+                      std::int64_t max = std::numeric_limits<std::int64_t>::max()) {
   const std::int64_t value = ctx.params.getInt(name, fallback);
-  if (value < min) {
+  if (value < min || value > max) {
     std::string message = name;
-    message.append("= must be >= ").append(std::to_string(min));
+    if (max == std::numeric_limits<std::int64_t>::max()) {
+      message.append("= must be >= ").append(std::to_string(min));
+    } else {
+      message.append("= must be in [").append(std::to_string(min)).append(", ");
+      message.append(std::to_string(max)).append("]");
+    }
     message.append(" (got ").append(std::to_string(value)).append(")");
     throw std::invalid_argument(message);
   }
@@ -133,12 +141,14 @@ void runServe(ScenarioContext& ctx, const std::string& kind) {
   std::int64_t events = ctx.params.getInt("events", ctx.sized(6'000'000));
   serve::AllocatorOptions allocOptions;
   allocOptions.bins = n;
-  allocOptions.arrivalChoices = static_cast<int>(intParam(ctx, "d", 2, 1));
+  allocOptions.arrivalChoices =
+      static_cast<int>(intParam(ctx, "d", 2, 1, serve::kMaxArrivalChoices));
   allocOptions.invertAcceptance = ctx.params.getBool("invert", false);
   const bool conformance = ctx.params.getBool("conformance", ctx.conformanceDefault);
   serve::LoopOptions loopOptions;
   loopOptions.epochEvents = intParam(ctx, "epoch", 1024, 1);
-  loopOptions.repairMovesPerEpoch = static_cast<int>(intParam(ctx, "repair", 4, 0));
+  loopOptions.repairMovesPerEpoch =
+      static_cast<int>(intParam(ctx, "repair", 4, 0, std::numeric_limits<int>::max()));
   loopOptions.seed = ctx.seed;
   const std::string replayPath = ctx.params.getString("trace", "");
   const std::string recordPath = ctx.params.getString("record", "");

@@ -21,6 +21,7 @@
 // budget_mb, conformance. The compact layout requires unit weights:
 // hotspot factors must use weight 1.
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -83,24 +84,31 @@ void runCapacity(ScenarioContext& ctx) {
       splitList("traces", ctx.params.getString("traces", "poisson"), ';');
   const std::int64_t epb = ctx.params.getInt("epb", ctx.sized(4));
   const std::int64_t epochEvents = ctx.params.getInt("epoch", 1024);
-  const int repair = static_cast<int>(ctx.params.getInt("repair", 4));
-  const int d = static_cast<int>(ctx.params.getInt("d", 2));
+  // d= and repair= are range-checked as int64, before narrowing to int.
+  const std::int64_t repairParam = ctx.params.getInt("repair", 4);
+  const std::int64_t dParam = ctx.params.getInt("d", 2);
   const double resample = ctx.params.getDouble("resample", 1.0);
   const std::int64_t budgetMb = ctx.params.getInt("budget_mb", 2048);
   const bool conformance = ctx.params.getBool("conformance", ctx.conformanceDefault);
-  if (epb < 1 || epochEvents < 1 || d < 1) {
-    std::string message = "serve_capacity: epb=, epoch= and d= must be >= 1 (got epb=";
+  if (epb < 1 || epochEvents < 1 || dParam < 1 || dParam > serve::kMaxArrivalChoices) {
+    std::string message = "serve_capacity: epb= and epoch= must be >= 1 and d= in [1, ";
+    message.append(std::to_string(serve::kMaxArrivalChoices)).append("] (got epb=");
     message.append(std::to_string(epb)).append(", epoch=");
     message.append(std::to_string(epochEvents)).append(", d=");
-    message.append(std::to_string(d)).append(")");
+    message.append(std::to_string(dParam)).append(")");
     throw std::invalid_argument(message);
   }
-  if (repair < 0 || !(resample >= 0.0)) {
-    std::string message = "serve_capacity: repair= and resample= must be >= 0 (got repair=";
-    message.append(std::to_string(repair)).append(", resample=");
+  if (repairParam < 0 || repairParam > std::numeric_limits<int>::max() ||
+      !(resample >= 0.0)) {
+    std::string message = "serve_capacity: repair= must be in [0, ";
+    message.append(std::to_string(std::numeric_limits<int>::max()));
+    message.append("] and resample= >= 0 (got repair=");
+    message.append(std::to_string(repairParam)).append(", resample=");
     message.append(report::formatJsonNumber(resample)).append(")");
     throw std::invalid_argument(message);
   }
+  const auto repair = static_cast<int>(repairParam);
+  const auto d = static_cast<int>(dParam);
 
   std::vector<std::int64_t> nList;
   for (const std::string& t : nTokens) {

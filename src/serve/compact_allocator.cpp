@@ -12,8 +12,9 @@ CompactAllocator::CompactAllocator(const AllocatorOptions& options)
   RLSLB_ASSERT_MSG(options_.bins >= 1, "AllocatorOptions.bins must be >= 1");
   RLSLB_ASSERT_MSG(options_.bins <= INT32_MAX,
                    "compact allocator addresses bins with int32");
-  RLSLB_ASSERT_MSG(options_.arrivalChoices >= 1,
-                   "AllocatorOptions.arrivalChoices must be >= 1");
+  RLSLB_ASSERT_MSG(options_.arrivalChoices >= 1 &&
+                       options_.arrivalChoices <= kMaxArrivalChoices,
+                   "AllocatorOptions.arrivalChoices must be in [1, 64]");
 }
 
 void CompactAllocator::changeLoad(std::int32_t bin, std::int32_t delta) {
@@ -58,6 +59,15 @@ void CompactAllocator::removeBall(std::int64_t ball) {
   changeLoad(bin, -1);
 }
 
+namespace {
+// applyBatch's prefetch distances, in events: the index entries and the
+// decided bin's load are requested kIndexAhead events ahead; the lines those
+// index entries point at, kTargetAhead events ahead, by when the index
+// entries have usually arrived.
+constexpr std::size_t kIndexAhead = 16;
+constexpr std::size_t kTargetAhead = 8;
+}  // namespace
+
 void CompactAllocator::applyBatch(const workload::Event* events, const Decision* decisions,
                                   std::size_t count) {
   // Same register-accumulated counters as the dense fused hot loop.
@@ -67,6 +77,36 @@ void CompactAllocator::applyBatch(const workload::Event* events, const Decision*
   std::int64_t migrations = 0;
   std::int64_t rejected = 0;
   for (std::size_t i = 0; i < count; ++i) {
+    // Hints only: they read state but change none, so event i is handled
+    // exactly as without them. Every index is bounds-checked before its
+    // address is formed (a ball may arrive or depart inside the window).
+    // The hints sit inline on purpose: GCC deems a helper that only
+    // prefetches side-effect free and deletes the calls.
+    if (i + kIndexAhead < count) {
+      const workload::Event& ahead = events[i + kIndexAhead];
+      const auto ball = static_cast<std::size_t>(ahead.ball);
+      if (ahead.kind != workload::EventKind::kArrive && ball < ballBin_.size()) {
+        __builtin_prefetch(&ballBin_[ball]);
+        if (ahead.kind == workload::EventKind::kDepart) __builtin_prefetch(&ballSlot_[ball]);
+      }
+      // A negative bin wraps past size().
+      const auto bin = static_cast<std::size_t>(decisions[i + kIndexAhead].bin);
+      if (ahead.kind != workload::EventKind::kDepart && bin < loads_.size()) {
+        __builtin_prefetch(&loads_[bin]);
+      }
+    }
+    if (i + kTargetAhead < count) {
+      const workload::Event& ahead = events[i + kTargetAhead];
+      const auto ball = static_cast<std::size_t>(ahead.ball);
+      if (ahead.kind != workload::EventKind::kArrive && ball < ballBin_.size()) {
+        const std::int32_t source = ballBin_[ball];
+        if (source >= 0) __builtin_prefetch(&loads_[static_cast<std::size_t>(source)]);
+        if (ahead.kind == workload::EventKind::kDepart) {
+          const auto slot = static_cast<std::size_t>(ballSlot_[ball]);
+          if (slot < live_.size()) __builtin_prefetch(&live_[slot]);
+        }
+      }
+    }
     const workload::Event& event = events[i];
     switch (event.kind) {
       case workload::EventKind::kArrive: {

@@ -25,13 +25,26 @@
 // n = 1e6; against one fused scan the tracker wins 2.6x end to end there
 // and ties at n = 256 (docs/EXPERIMENTS.md, "Balance observation").
 //
+// Prefetching apply. At cluster scale every event's ballBin_, ballSlot_,
+// loads_ and live_ touch is a random read into a multi-megabyte array, but
+// applyBatch holds the whole epoch's events and decisions. So before
+// handling event i it requests, for event i + 16, the ball's index entries
+// (ballBin_, plus ballSlot_ for a depart) and the decided bin's load, and
+// for event i + 8, by when those index entries are usually cached, the
+// lines they point at: the source bin's load and, for a depart, the live
+// slot. A prefetch changes no state and every index is bounds-checked
+// before the address is formed, so the result is byte-identical to the
+// plain loop whatever the window holds (a ball arriving or departing
+// inside it only makes a hint stale). OnlineAllocator prefetches nothing:
+// at scenario n its state fits in cache.
+//
 // Equivalence contract (pinned by tests/test_capacity.cpp): driven by
 // serve::EpochLoop over the same unit-weight trace and seed, this layout
 // produces byte-identical observable output — loads, gap trajectory, every
 // ServeCounters field, the repair stream — to OnlineAllocator. Both call
-// the same serve::decide() and serve::accepts(), keep the live-ball array
-// in the same order (append on arrival, swap-remove on departure) and draw
-// repair as (uniform live ball, uniform destination).
+// the same serve::decideBatch() and serve::accepts(), keep the live-ball
+// array in the same order (append on arrival, swap-remove on departure)
+// and draw repair as (uniform live ball, uniform destination).
 #pragma once
 
 #include <cstdint>
@@ -49,11 +62,13 @@ class CompactAllocator {
   /// Same options as the dense allocator; bins must fit int32.
   explicit CompactAllocator(const AllocatorOptions& options);
 
-  /// serve::decide() against the live int32 load array; draw-for-draw
-  /// identical to OnlineAllocator::decide on the same loads.
-  [[nodiscard]] Decision decide(const workload::Event& event,
-                                rng::Xoshiro256pp& eng) const {
-    return serve::decide(event, loads_, options_.arrivalChoices, eng);
+  /// serve::decideBatch() against the live int32 load array; draw-for-draw
+  /// identical to OnlineAllocator::decideBatch on the same loads.
+  void decideBatch(const workload::Event* events, std::size_t count,
+                   std::uint64_t decisionSeed, std::int64_t baseOrdinal,
+                   std::vector<std::int32_t>* candidates, Decision* decisions) const {
+    serve::decideBatch(events, count, loads_, options_.arrivalChoices, decisionSeed,
+                       baseOrdinal, candidates, decisions);
   }
 
   /// Fused apply of a whole batch in trace order; per-event semantics and

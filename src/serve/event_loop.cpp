@@ -45,6 +45,7 @@ void EpochLoop<Allocator>::registerMetrics() {
   ids_.rejectedMoves = m.counter("serve.rejected_moves");
   ids_.repairAttempts = m.counter("serve.repair_attempts");
   ids_.repairMigrations = m.counter("serve.repair_migrations");
+  ids_.fillNs = m.counter("serve.phase.fill_ns");
   ids_.decideNs = m.counter("serve.phase.decide_ns");
   ids_.applyNs = m.counter("serve.phase.apply_ns");
   ids_.repairNs = m.counter("serve.phase.repair_ns");
@@ -89,13 +90,18 @@ RunResult EpochLoop<Allocator>::run(workload::TraceGenerator& trace,
   RunResult result;
   // Epoch-scoped storage is reused across epochs: after the first epoch a
   // steady-state epoch performs no heap allocation (pinned by
-  // tests/test_serve_hotpath.cpp). `decisions` grows but never zero-fills
-  // per epoch; depart slots are simply never read.
+  // tests/test_serve_hotpath.cpp). `decisions` and `candidates` grow but
+  // never zero-fill per epoch; depart slots are simply never read.
   std::vector<workload::Event> batch;
   std::vector<Decision> decisions;
+  std::vector<std::int32_t> candidates;
   batch.reserve(static_cast<std::size_t>(options_.epochEvents));
 
   for (;;) {
+    // Phase stamps are extra reads of the steady clock, taken only when
+    // instrumented; the fill is stamped so trace generation has a name.
+    double tFill0 = 0.0;
+    if (instrumented) tFill0 = obs::nowUs();
     batch.clear();
     workload::Event event;
     while (static_cast<std::int64_t>(batch.size()) < options_.epochEvents &&
@@ -105,9 +111,7 @@ RunResult EpochLoop<Allocator>::run(workload::TraceGenerator& trace,
     if (batch.empty()) break;
 
     // Timing contract: the timer brackets decide + apply + repair only;
-    // the batch fill above and the stats/callback below are outside. Phase
-    // stamps are extra reads of the same steady clock, taken only when
-    // instrumented.
+    // the batch fill above and the stats/callback below are outside.
     WallTimer wall;
     double tEpoch0 = 0.0;
     double tDecide1 = 0.0;
@@ -118,17 +122,8 @@ RunResult EpochLoop<Allocator>::run(workload::TraceGenerator& trace,
     nextOrdinal_ += static_cast<std::int64_t>(batch.size());
 
     if (decisions.size() < batch.size()) decisions.resize(batch.size());
-    {
-      rng::Xoshiro256pp eng;  // hoisted; reseeded per event
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        const workload::Event& e = batch[i];
-        if (e.kind == workload::EventKind::kDepart) continue;  // no randomness
-        eng.reseed(rng::streamSeed(
-            decisionSeed,
-            static_cast<std::uint64_t>(baseOrdinal + static_cast<std::int64_t>(i))));
-        decisions[i] = allocator_->decide(e, eng);
-      }
-    }
+    allocator_->decideBatch(batch.data(), batch.size(), decisionSeed, baseOrdinal,
+                            &candidates, decisions.data());
     if (instrumented) tDecide1 = obs::nowUs();
 
     allocator_->applyBatch(batch.data(), decisions.data(), batch.size());
@@ -154,6 +149,7 @@ RunResult EpochLoop<Allocator>::run(workload::TraceGenerator& trace,
     const std::int64_t gap = balance.maxLoad - balance.minLoad;
 
     if (traceOut != nullptr) {
+      traceOut->complete("fill", "phase", tFill0, tEpoch0);
       traceOut->complete("epoch", "epoch", tEpoch0, tRepair1);
       traceOut->complete("decide", "phase", tEpoch0, tDecide1);
       traceOut->complete("apply", "phase", tDecide1, tApply1);
@@ -174,6 +170,7 @@ RunResult EpochLoop<Allocator>::run(workload::TraceGenerator& trace,
       metrics->add(ids_.repairMigrations,
                    c.repairMigrations - prevCounters.repairMigrations);
       prevCounters = c;
+      metrics->add(ids_.fillNs, spanNs(tFill0, tEpoch0));
       metrics->add(ids_.decideNs, spanNs(tEpoch0, tDecide1));
       metrics->add(ids_.applyNs, spanNs(tDecide1, tApply1));
       metrics->add(ids_.repairNs, spanNs(tApply1, tRepair1));

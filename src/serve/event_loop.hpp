@@ -7,16 +7,20 @@
 // epoch one sequential pass:
 //
 //   1. Fill a batch of up to epochEvents events from the trace.
-//   2. Decide: walk the batch in trace order and compute each event's
-//      random placement/candidate decision (serve::decide) against the
-//      allocator's *live* load array. Apply starts only after the whole
-//      batch is decided, so the bytes read are exactly the epoch-start
-//      snapshot, without an O(bins) copy. Each event draws from its own rng
-//      stream streamSeed(decisionSeed, eventOrdinal) through one engine
-//      reseeded per event (byte-identical to per-event construction);
-//      departs use no randomness and are skipped.
+//   2. Decide (serve::decideBatch), two passes over the batch against the
+//      allocator's *live* load array. Pass 1, in trace order, draws: each
+//      event from its own rng stream streamSeed(decisionSeed,
+//      eventOrdinal) through one engine reseeded per event (byte-identical
+//      to per-event construction); a resample (or a d = 1 arrival) takes
+//      one uniform bin, a d > 1 arrival parks its d candidates in a
+//      loop-owned buffer and prefetches their load slots; departs use no
+//      randomness and are skipped. Pass 2 gives each parked arrival the
+//      least loaded of its candidates (ties keep the earlier draw). Apply
+//      starts only after the whole batch is decided, so the bytes read are
+//      exactly the epoch-start snapshot, without an O(bins) copy.
 //   3. Apply: walk the batch in trace order, re-validating every decision
-//      against live loads and mutating in place.
+//      against live loads and mutating in place (the compact allocator
+//      prefetches the lines of the events 16 and 8 positions ahead).
 //   4. Repair: a fixed budget of RLS repair activations on live state (a
 //      uniform live ball, a uniform destination bin, the strict rule) heals
 //      whatever imbalance the stale snapshot let through — the
@@ -40,7 +44,9 @@
 // repair phases. It excludes trace generation (the batch fill), EpochStats
 // assembly, telemetry, and the onEpoch callback (the "observe" span).
 // RunResult.wallSeconds is the exact sum of the per-epoch values — no extra
-// terms.
+// terms. The fill is timed beside the contract, not inside it: when
+// instrumented, each epoch records a "fill" phase span and adds to the
+// serve.phase.fill_ns counter.
 #pragma once
 
 #include <cstdint>
@@ -65,7 +71,7 @@ struct LoopOptions {
   /// the per-event hot path is untouched, so the steady-state
   /// zero-allocation and byte-determinism contracts hold with metrics
   /// attached (pinned by tests/test_obs.cpp). The trace writer records
-  /// per-epoch spans: epoch; decide, apply, repair; observe.
+  /// per-epoch spans: fill; epoch; decide, apply, repair; observe.
   obs::MetricsRegistry* metrics = nullptr;
   obs::TraceWriter* trace = nullptr;
   /// Conformance monitors (obs/monitor.hpp): fed one CheckSample per
@@ -123,7 +129,7 @@ class EpochLoop {
     obs::CounterId events, epochs;
     obs::CounterId arrivals, departures, resamples, migrations, rejectedMoves;
     obs::CounterId repairAttempts, repairMigrations;
-    obs::CounterId decideNs, applyNs, repairNs;
+    obs::CounterId fillNs, decideNs, applyNs, repairNs;
     obs::GaugeId gap, liveBalls, totalLoad;
     obs::GaugeId memStateBytes, memBytesPerBall, memPeakRss;
     obs::HistId epochGap;

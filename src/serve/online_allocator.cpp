@@ -10,8 +10,9 @@ namespace rlslb::serve {
 OnlineAllocator::OnlineAllocator(const AllocatorOptions& options)
     : options_(options), loads_(static_cast<std::size_t>(options.bins), 0) {
   RLSLB_ASSERT_MSG(options_.bins >= 1, "AllocatorOptions.bins must be >= 1");
-  RLSLB_ASSERT_MSG(options_.arrivalChoices >= 1,
-                   "AllocatorOptions.arrivalChoices must be >= 1");
+  RLSLB_ASSERT_MSG(options_.arrivalChoices >= 1 &&
+                       options_.arrivalChoices <= kMaxArrivalChoices,
+                   "AllocatorOptions.arrivalChoices must be in [1, 64]");
 }
 
 void OnlineAllocator::apply(const workload::Event& event, const Decision& decision) {

@@ -33,14 +33,16 @@
 //
 // This is the allocator for weighted traffic and arbitrary ball ids;
 // serve/compact_allocator.hpp is its unit-weight, sequential-id twin, and
-// both share serve::decide() and serve::accepts() draw for draw.
+// both share serve::decideBatch() and serve::accepts() draw for draw.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "ds/flat_map.hpp"
 #include "rng/distributions.hpp"
+#include "rng/splitmix64.hpp"
 #include "rng/xoshiro256pp.hpp"
 #include "sim/engine.hpp"
 #include "workload/event.hpp"
@@ -49,7 +51,7 @@ namespace rlslb::serve {
 
 struct AllocatorOptions {
   std::int64_t bins = 256;
-  int arrivalChoices = 2;  // d: snapshot-least-loaded of d sampled bins
+  int arrivalChoices = 2;  // d: snapshot-least-loaded of d sampled bins, d <= 64
   /// TEST HOOK: invert the local-search acceptance rule, accepting
   /// exactly the resample/repair moves the strict rule rejects. Exists
   /// so the conformance layer can be exercised against a deliberately
@@ -75,36 +77,63 @@ struct ServeCounters {
   std::int64_t repairMigrations = 0; // accepted repair moves
 };
 
-/// The decision phase, shared by both allocators and the test oracle: a
-/// pure function of the event, the load snapshot and the event's rng
-/// stream. Arrive: the least loaded of `arrivalChoices` uniform bins (ties
-/// keep the first draw). Resample: one uniform candidate bin. Depart: no
-/// draw. `Load` is the allocator's load element type.
+/// The d-choice ceiling. decideBatch() keeps every arrival's d candidates
+/// of an epoch in one buffer; the serve scenarios reject larger d= values.
+inline constexpr int kMaxArrivalChoices = 64;
+
+/// The decision phase of one epoch, shared by both allocators: decisions[i]
+/// is a pure function of events[i], the load snapshot and the event's rng
+/// stream streamSeed(decisionSeed, baseOrdinal + i). Arrive: the least
+/// loaded of `arrivalChoices` uniform bins (ties keep the earlier draw).
+/// Resample: one uniform candidate bin. Depart: no draw, and its slot of
+/// `decisions` is left untouched.
+///
+/// Two passes. Pass 1 reseeds one engine per event and draws; for d > 1 it
+/// appends one record per arrival to `candidates` (its event index, then
+/// its d candidates; the buffer only grows, so a reused one allocates
+/// nothing) and prefetches the candidates' load slots. Pass 2 walks the
+/// records and compares loads that are by then in flight or in cache. No
+/// load changes in between, so the result is the per-event decide's, draw
+/// for draw. `Load` is the allocator's load element type.
 template <typename Load>
-[[nodiscard]] Decision decide(const workload::Event& event, const std::vector<Load>& loads,
-                              int arrivalChoices, rng::Xoshiro256pp& eng) {
+void decideBatch(const workload::Event* events, std::size_t count,
+                 const std::vector<Load>& loads, int arrivalChoices,
+                 std::uint64_t decisionSeed, std::int64_t baseOrdinal,
+                 std::vector<std::int32_t>* candidates, Decision* decisions) {
+  RLSLB_ASSERT(count <= INT32_MAX);  // records hold event indices as int32
   const auto n = static_cast<std::uint64_t>(loads.size());
-  Decision d;
-  switch (event.kind) {
-    case workload::EventKind::kArrive: {
-      auto best = static_cast<std::int32_t>(rng::uniformIndex(eng, n));
-      for (int c = 1; c < arrivalChoices; ++c) {
-        const auto candidate = static_cast<std::int32_t>(rng::uniformIndex(eng, n));
-        if (loads[static_cast<std::size_t>(candidate)] <
-            loads[static_cast<std::size_t>(best)]) {
-          best = candidate;
-        }
-      }
-      d.bin = best;
-      break;
+  const auto d = static_cast<std::size_t>(arrivalChoices);
+  const std::size_t stride = d + 1;
+  if (candidates->size() < count * stride) candidates->resize(count * stride);
+
+  rng::Xoshiro256pp eng;  // hoisted; reseeded per event
+  std::int32_t* end = candidates->data();
+  for (std::size_t i = 0; i < count; ++i) {
+    const workload::EventKind kind = events[i].kind;
+    if (kind == workload::EventKind::kDepart) continue;  // no randomness
+    eng.reseed(rng::streamSeed(
+        decisionSeed, static_cast<std::uint64_t>(baseOrdinal + static_cast<std::int64_t>(i))));
+    if (kind == workload::EventKind::kResample || d == 1) {
+      decisions[i].bin = static_cast<std::int32_t>(rng::uniformIndex(eng, n));
+      continue;
     }
-    case workload::EventKind::kResample:
-      d.bin = static_cast<std::int32_t>(rng::uniformIndex(eng, n));
-      break;
-    case workload::EventKind::kDepart:
-      break;
+    *end++ = static_cast<std::int32_t>(i);
+    for (std::size_t c = 0; c < d; ++c) {
+      const auto bin = static_cast<std::int32_t>(rng::uniformIndex(eng, n));
+      __builtin_prefetch(&loads[static_cast<std::size_t>(bin)]);
+      *end++ = bin;
+    }
   }
-  return d;
+
+  for (const std::int32_t* rec = candidates->data(); rec != end; rec += stride) {
+    std::int32_t best = rec[1];
+    for (std::size_t c = 2; c <= d; ++c) {
+      if (loads[static_cast<std::size_t>(rec[c])] < loads[static_cast<std::size_t>(best)]) {
+        best = rec[c];
+      }
+    }
+    decisions[rec[0]].bin = best;
+  }
 }
 
 /// The strict local-search rule on live loads, shared by both allocators:
@@ -122,12 +151,14 @@ class OnlineAllocator {
  public:
   explicit OnlineAllocator(const AllocatorOptions& options);
 
-  /// serve::decide() against the live load array. The event loop decides
-  /// a whole batch before applying any of it, so every decision of an
-  /// epoch reads the epoch-start loads.
-  [[nodiscard]] Decision decide(const workload::Event& event,
-                                rng::Xoshiro256pp& eng) const {
-    return serve::decide(event, loads_, options_.arrivalChoices, eng);
+  /// serve::decideBatch() against the live load array. The event loop
+  /// decides a whole batch before applying any of it, so every decision of
+  /// an epoch reads the epoch-start loads.
+  void decideBatch(const workload::Event* events, std::size_t count,
+                   std::uint64_t decisionSeed, std::int64_t baseOrdinal,
+                   std::vector<std::int32_t>* candidates, Decision* decisions) const {
+    serve::decideBatch(events, count, loads_, options_.arrivalChoices, decisionSeed,
+                       baseOrdinal, candidates, decisions);
   }
 
   /// Apply one event against live state, re-validating the decision.

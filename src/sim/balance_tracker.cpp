@@ -73,11 +73,14 @@ void BalanceTracker::onLoadChange(std::int64_t from, std::int64_t to) {
   }
 
   state_.numBalls += to - from;
-  const std::int64_t newCeil = (state_.numBalls + state_.numBins - 1) / state_.numBins;
-  if (newCeil != ceilAvg_) {
+  // ceil(m/n) == ceilAvg_ exactly while m stays in the band
+  // ((ceilAvg_ - 1) * n, ceilAvg_ * n]; divide only once m leaves it.
+  const std::int64_t m = state_.numBalls;
+  const std::int64_t n = state_.numBins;
+  if (m <= (ceilAvg_ - 1) * n || m > ceilAvg_ * n) {
     // The overload threshold itself moved (open systems only): re-sum the
     // suffix above the new ceiling.
-    ceilAvg_ = newCeil;
+    ceilAvg_ = (m + n - 1) / n;
     recomputeOverloaded();
     return;
   }

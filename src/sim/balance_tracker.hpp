@@ -16,7 +16,10 @@
 //     O(1) for unit moves, O(w) for a weight-w move;
 //   - overloaded balls (sum_i max(0, l_i - ceil(m/n))): O(1) incremental
 //     while the ball count's ceiling is stable; a ceiling move (open
-//     systems only) re-sums the suffix above it, O(spread).
+//     systems only) re-sums the suffix above it, O(spread). The ceiling is
+//     kept, not recomputed: a change tests m against its band
+//     ((ceil - 1) * n, ceil * n] with two multiplies and divides only when
+//     m has left it.
 //
 // Memory is O(max load seen), grown on demand -- fine for every tracked
 // family (CRS, the ext engines, the open system, the compact serving

@@ -20,10 +20,13 @@
 // destination. The live list is append-on-arrival, swap-remove-on-
 // departure, untouched by migrations.
 //
-// The decision phase is shared with production on purpose: decisions are
-// pure per-event functions of (snapshot, ordinal rng stream) computed by
-// serve::decide, so freezing a second copy of it would only hide a
-// regression in it from this differential.
+// The decision phase is frozen here too, in its per-event form: one event,
+// one reseeded stream streamSeed(decisionSeed, ordinal), d draws and the
+// least loaded with ties to the earlier draw. Production decides an epoch
+// in two passes (serve::decideBatch: draw every candidate and prefetch its
+// load, then compare), so the differential checks that batched decide —
+// its candidate records, its d = 1 shortcut and its tie rule — against an
+// independent implementation.
 #pragma once
 
 #include <cstdint>
@@ -45,10 +48,40 @@
 
 namespace rlslb::serve::reference {
 
+/// Frozen per-event decision: a pure function of the event, the load
+/// snapshot and the event's rng stream. Arrive: the least loaded of
+/// `arrivalChoices` uniform bins (ties keep the first draw). Resample: one
+/// uniform candidate bin. Depart: no draw.
+inline Decision decide(const workload::Event& event, const std::vector<std::int64_t>& loads,
+                       int arrivalChoices, rng::Xoshiro256pp& eng) {
+  const auto n = static_cast<std::uint64_t>(loads.size());
+  Decision d;
+  switch (event.kind) {
+    case workload::EventKind::kArrive: {
+      auto best = static_cast<std::int32_t>(rng::uniformIndex(eng, n));
+      for (int c = 1; c < arrivalChoices; ++c) {
+        const auto candidate = static_cast<std::int32_t>(rng::uniformIndex(eng, n));
+        if (loads[static_cast<std::size_t>(candidate)] <
+            loads[static_cast<std::size_t>(best)]) {
+          best = candidate;
+        }
+      }
+      d.bin = best;
+      break;
+    }
+    case workload::EventKind::kResample:
+      d.bin = static_cast<std::int32_t>(rng::uniformIndex(eng, n));
+      break;
+    case workload::EventKind::kDepart:
+      break;
+  }
+  return d;
+}
+
 /// Frozen eager OnlineAllocator (level histogram + ball map + live-ball
-/// list, updated per event). Reuses the production serve::Decision /
-/// serve::ServeCounters / serve::decide() so the differential compares
-/// apply and repair semantics, not decision streams.
+/// list, updated per event). Reuses the production serve::Decision and
+/// serve::ServeCounters records; decisions come from the frozen decide()
+/// above.
 class ReferenceAllocator {
  public:
   explicit ReferenceAllocator(const AllocatorOptions& options)
@@ -61,7 +94,7 @@ class ReferenceAllocator {
   [[nodiscard]] Decision decide(const workload::Event& event,
                                 const std::vector<std::int64_t>& snapshotLoads,
                                 rng::Xoshiro256pp& eng) const {
-    return serve::decide(event, snapshotLoads, options_.arrivalChoices, eng);
+    return reference::decide(event, snapshotLoads, options_.arrivalChoices, eng);
   }
 
   void apply(const workload::Event& event, const Decision& decision) {

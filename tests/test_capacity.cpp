@@ -67,14 +67,19 @@ void expectEqualOutcomes(const Outcome& compact, const Outcome& dense,
   EXPECT_EQ(a.repairMigrations, b.repairMigrations) << label;
 }
 
-Outcome runCompact(const std::string& spec, std::uint64_t seed) {
-  workload::ComposedTrace trace(traceOptions(), spec, seed);
+std::vector<std::int64_t> loadsOf(const OnlineAllocator& a) { return a.loads(); }
+std::vector<std::int64_t> loadsOf(const CompactAllocator& a) { return a.loadsCopy(); }
+
+/// Drains `trace` through the loop into a fresh `Allocator`.
+template <typename Allocator>
+Outcome runOn(workload::TraceGenerator& trace, std::int64_t epochEvents,
+              std::uint64_t seed) {
   AllocatorOptions options;
   options.bins = kBins;
   options.arrivalChoices = 2;
-  CompactAllocator allocator(options);
+  Allocator allocator(options);
   LoopOptions loopOptions;
-  loopOptions.epochEvents = kEpochEvents;
+  loopOptions.epochEvents = epochEvents;
   loopOptions.repairMovesPerEpoch = kRepair;
   loopOptions.seed = seed;
   EpochLoop loop(allocator, loopOptions);
@@ -82,9 +87,9 @@ Outcome runCompact(const std::string& spec, std::uint64_t seed) {
   const RunResult result = loop.run(trace, [&](const EpochStats& s) {
     out.gapTrajectory.push_back(s.gap());
   });
-  EXPECT_EQ(result.events, kEvents);
+  EXPECT_EQ(result.events, allocator.counters().events);
   EXPECT_TRUE(allocator.validate());
-  out.loads = allocator.loadsCopy();
+  out.loads = loadsOf(allocator);
   out.counters = allocator.counters();
   out.liveBalls = allocator.liveBalls();
   out.totalLoad = allocator.totalLoad();
@@ -92,29 +97,112 @@ Outcome runCompact(const std::string& spec, std::uint64_t seed) {
   return out;
 }
 
+Outcome runCompact(const std::string& spec, std::uint64_t seed) {
+  workload::ComposedTrace trace(traceOptions(), spec, seed);
+  const Outcome out = runOn<CompactAllocator>(trace, kEpochEvents, seed);
+  EXPECT_EQ(out.counters.events, kEvents);
+  return out;
+}
+
 Outcome runDense(const std::string& spec, std::uint64_t seed) {
   workload::ComposedTrace trace(traceOptions(), spec, seed);
-  AllocatorOptions options;
-  options.bins = kBins;
-  options.arrivalChoices = 2;
-  OnlineAllocator allocator(options);
-  LoopOptions loopOptions;
-  loopOptions.epochEvents = kEpochEvents;
-  loopOptions.repairMovesPerEpoch = kRepair;
-  loopOptions.seed = seed;
-  EpochLoop loop(allocator, loopOptions);
-  Outcome out;
-  const RunResult result = loop.run(trace, [&](const EpochStats& s) {
-    out.gapTrajectory.push_back(s.gap());
-  });
-  EXPECT_EQ(result.events, kEvents);
-  EXPECT_TRUE(allocator.validate());
-  out.loads = allocator.loads();
-  out.counters = allocator.counters();
-  out.liveBalls = allocator.liveBalls();
-  out.totalLoad = allocator.totalLoad();
-  out.residentBytes = allocator.residentBytes();
+  const Outcome out = runOn<OnlineAllocator>(trace, kEpochEvents, seed);
+  EXPECT_EQ(out.counters.events, kEvents);
   return out;
+}
+
+/// A fixed event list as a trace.
+class ScriptedTrace final : public workload::TraceGenerator {
+ public:
+  explicit ScriptedTrace(std::vector<workload::Event> events) : events_(std::move(events)) {}
+  bool next(workload::Event* out) override {
+    if (next_ == events_.size()) return false;
+    *out = events_[next_++];
+    return true;
+  }
+  [[nodiscard]] std::string name() const override { return "scripted"; }
+
+ private:
+  std::vector<workload::Event> events_;
+  std::size_t next_ = 0;
+};
+
+/// Unit-weight churn aimed at the compact apply's prefetch window (hints
+/// 16 and 8 events ahead): balls that arrive and depart within a few
+/// events, the newest live ball departing, resamples of balls that arrived
+/// two events earlier, ids arriving out of order (an indexed ball that is
+/// not live yet), and two drains to an empty system, each followed by a
+/// restart whose departures are hinted while no ball is live.
+std::vector<workload::Event> prefetchWindowScript() {
+  rng::Xoshiro256pp eng(16);
+  std::vector<workload::Event> events;
+  std::vector<std::int64_t> live;
+  std::int64_t nextBall = 0;
+  double t = 0.0;
+  const auto arrive = [&](std::int64_t ball) {
+    events.push_back({t += 1.0, workload::EventKind::kArrive, ball, 1});
+    live.push_back(ball);
+  };
+  const auto depart = [&](std::size_t i) {
+    events.push_back({t += 1.0, workload::EventKind::kDepart, live[i], 0});
+    live[i] = live.back();
+    live.pop_back();
+  };
+  const auto resample = [&](std::int64_t ball) {
+    events.push_back({t += 1.0, workload::EventKind::kResample, ball, 0});
+  };
+  const auto anyLive = [&] {
+    return static_cast<std::size_t>(rng::uniformIndex(eng, live.size()));
+  };
+  for (int round = 0; round < 2; ++round) {
+    // Restart from empty: the first departures are hinted while no ball
+    // is live, and ball `b` is indexed (b + 1 arrived first) but not live.
+    const std::int64_t b = nextBall;
+    arrive(b + 1);
+    depart(live.size() - 1);
+    for (std::int64_t k = 2; k <= 5; ++k) {
+      arrive(b + k);
+      depart(live.size() - 1);
+    }
+    arrive(b + 6);
+    arrive(b);
+    depart(live.size() - 1);
+    nextBall = b + 7;
+    // Fill, each ball resampled two events after it arrived.
+    for (int k = 0; k < 60; ++k) {
+      const std::int64_t ball = nextBall;
+      arrive(nextBall++);
+      arrive(nextBall++);
+      resample(ball);
+    }
+    // Short-lived balls, the pair arriving in swapped id order.
+    for (int k = 0; k < 20; ++k) {
+      arrive(nextBall + 1);
+      arrive(nextBall);
+      nextBall += 2;
+      resample(live.back());
+      depart(live.size() - 1);
+      resample(live[anyLive()]);
+      depart(live.size() - 1);
+    }
+    // Random churn.
+    for (int k = 0; k < 300; ++k) {
+      const std::uint64_t roll = rng::uniformIndex(eng, 10);
+      if (live.empty() || roll < 4) {
+        arrive(nextBall++);
+      } else if (roll < 7) {
+        depart(anyLive());
+      } else {
+        resample(live[anyLive()]);
+      }
+    }
+    // Drain to empty, resampling in between; the last live ball departs.
+    while (!live.empty()) {
+      depart(anyLive());
+      if (!live.empty() && rng::uniformIndex(eng, 2) == 0) resample(live[anyLive()]);
+    }
+  }
+  return events;
 }
 
 // The equivalence contract: for every unit-weight trace shape and seed,
@@ -134,6 +222,19 @@ TEST(CompactAllocator, MatchesDenseAcrossTheDifferentialMatrix) {
       expectEqualOutcomes(compact, runDense(spec, seed),
                           spec + " seed=" + std::to_string(seed));
     }
+  }
+  // The scripted prefetch-window trace, at epochs shorter than the 8-event
+  // hint (no hints), of exactly 16 and 17 events (the window's edges), and
+  // longer.
+  const std::vector<workload::Event> script = prefetchWindowScript();
+  for (const std::int64_t epochEvents : {5, 16, 17, 64}) {
+    ScriptedTrace compactTrace(script);
+    ScriptedTrace denseTrace(script);
+    const Outcome compact = runOn<CompactAllocator>(compactTrace, epochEvents, 3);
+    EXPECT_EQ(compact.counters.events, static_cast<std::int64_t>(script.size()));
+    EXPECT_EQ(compact.liveBalls, 0);
+    expectEqualOutcomes(compact, runOn<OnlineAllocator>(denseTrace, epochEvents, 3),
+                        "scripted epoch=" + std::to_string(epochEvents));
   }
 }
 
@@ -224,9 +325,9 @@ TEST(CompactAllocator, ValidateCatchesFreshAndRunStates) {
   EXPECT_EQ(allocator.gap(), 0);
 
   // Drive a tiny hand-built batch: arrivals, a resample, a departure.
-  rng::Xoshiro256pp eng(3);
   std::vector<workload::Event> events;
   std::vector<Decision> decisions;
+  std::vector<std::int32_t> candidates;
   for (std::int64_t ball = 0; ball < 6; ++ball) {
     events.push_back({static_cast<double>(ball), workload::EventKind::kArrive, ball, 1});
   }
@@ -234,7 +335,8 @@ TEST(CompactAllocator, ValidateCatchesFreshAndRunStates) {
   events.push_back({7.0, workload::EventKind::kDepart, 0, 0});
   decisions.resize(events.size());
   for (std::size_t i = 0; i < events.size(); ++i) {
-    decisions[i] = allocator.decide(events[i], eng);
+    allocator.decideBatch(&events[i], 1, 3, static_cast<std::int64_t>(i), &candidates,
+                          &decisions[i]);
   }
   allocator.applyBatch(events.data(), decisions.data(), events.size());
   EXPECT_TRUE(allocator.validate());
@@ -291,22 +393,6 @@ std::int64_t checkEveryEpoch(CompactAllocator& allocator, workload::TraceGenerat
   });
   return epochs;
 }
-
-/// A fixed event list as a trace.
-class ScriptedTrace final : public workload::TraceGenerator {
- public:
-  explicit ScriptedTrace(std::vector<workload::Event> events) : events_(std::move(events)) {}
-  bool next(workload::Event* out) override {
-    if (next_ == events_.size()) return false;
-    *out = events_[next_++];
-    return true;
-  }
-  [[nodiscard]] std::string name() const override { return "scripted"; }
-
- private:
-  std::vector<workload::Event> events_;
-  std::size_t next_ = 0;
-};
 
 /// Fill `balls` balls, then depart every one in random order, with a
 /// resample of a random live ball after each arrival and departure: the
@@ -386,6 +472,7 @@ TEST(DenseBalance, FusedPassMatchesTheThreePassDefinition) {
   OnlineAllocator allocator(AllocatorOptions{.bins = 13, .arrivalChoices = 2});
   rng::Xoshiro256pp eng(17);
   std::vector<std::int64_t> live;
+  std::vector<std::int32_t> candidates;
   std::int64_t nextBall = 0;
   for (int step = 0; step < 4000; ++step) {
     workload::Event e;
@@ -406,7 +493,9 @@ TEST(DenseBalance, FusedPassMatchesTheThreePassDefinition) {
         e.kind = workload::EventKind::kResample;
       }
     }
-    allocator.apply(e, allocator.decide(e, eng));
+    Decision decision;
+    allocator.decideBatch(&e, 1, 17, step, &candidates, &decision);
+    allocator.apply(e, decision);
     if (step % 37 != 0) continue;
 
     const std::vector<std::int64_t>& loads = allocator.loads();

@@ -457,8 +457,8 @@ TEST(Trace, JsonIsWellFormedWithContainedSpansAndWorkerTracks) {
 
 // Runtime-off contract, for both allocators through the one EpochLoop:
 // tracing never changes the run's outcome, and the attached writer records
-// per epoch exactly one epoch span, the three phase spans (decide, apply,
-// repair), one observe span and one serve.gap counter sample.
+// per epoch exactly one epoch span, the four phase spans (fill, decide,
+// apply, repair), one observe span and one serve.gap counter sample.
 std::vector<std::int64_t> loadsOf(const serve::OnlineAllocator& a) { return a.loads(); }
 std::vector<std::int64_t> loadsOf(const serve::CompactAllocator& a) { return a.loadsCopy(); }
 
@@ -500,7 +500,7 @@ TYPED_TEST(LoopTrace, ServingLoopEmitsPhaseSpansOnlyWhenAttached) {
   const report::Json doc = report::Json::parse(out.str(), &error);
   ASSERT_TRUE(error.empty()) << error;
   const report::Json& events = doc.at("traceEvents");
-  const char* const kSpans[] = {"epoch", "decide", "apply", "repair", "observe"};
+  const char* const kSpans[] = {"epoch", "fill", "decide", "apply", "repair", "observe"};
   std::int64_t spans[std::size(kSpans)] = {};
   std::int64_t gaps = 0;
   for (std::size_t i = 0; i < events.size(); ++i) {

@@ -474,13 +474,15 @@ TEST(ProcessState, ServeAllocatorSharesTheVocabulary) {
   options.bins = 8;
   serve::OnlineAllocator allocator(options);
   rng::Xoshiro256pp eng(9);
+  std::vector<std::int32_t> candidates;
   std::int64_t nextBall = 0;
   for (int e = 0; e < 500; ++e) {
     workload::Event event;
     event.kind = workload::EventKind::kArrive;
     event.ball = nextBall++;
     event.weight = 1 + static_cast<std::int64_t>(rng::uniformIndex(eng, 3));
-    const serve::Decision d = allocator.decide(event, eng);
+    serve::Decision d;
+    allocator.decideBatch(&event, 1, 9, e, &candidates, &d);
     allocator.apply(event, d);
   }
   const sim::BalanceState state = allocator.balanceState();

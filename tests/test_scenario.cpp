@@ -57,6 +57,31 @@ TEST(ScenarioParams, MalformedValuesThrowUsageErrors) {
   EXPECT_THROW((void)p.getInt("half", 0), std::invalid_argument);
 }
 
+TEST(ScenarioParams, OutOfRangeSizesAndEmptyListsThrowUsageErrors) {
+  // Checked in the scenario bodies; these used to abort on an internal
+  // assertion (exit 134) instead of exiting 2 with a message.
+  ScenarioRegistry r;
+  registerBuiltinScenarios(r);
+  const struct {
+    const char* scenario;
+    std::vector<std::string> params;
+  } bad[] = {
+      {"e14_opensystem", {"n=0"}},
+      {"process_compare", {"process=rls", "n=0"}},
+      {"process_compare", {"process="}},
+  };
+  for (const auto& b : bad) {
+    ScenarioContext ctx;
+    ctx.threads = 1;
+    ctx.reps = 1;
+    ctx.console = nullptr;
+    std::string error;
+    ASSERT_TRUE(ScenarioParams::fromTokens(b.params, &ctx.params, &error)) << error;
+    EXPECT_THROW(r.runOne(b.scenario, ctx), std::invalid_argument)
+        << b.scenario << " " << b.params.back();
+  }
+}
+
 TEST(ScenarioParams, UnusedKeySweep) {
   const ScenarioParams p = paramsOf({"used=1", "typo=2"});
   EXPECT_EQ(p.getInt("used", 0), 1);

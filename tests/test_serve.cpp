@@ -277,6 +277,11 @@ TEST(ServeScenarios, BadInputIsAUsageError) {
       {"serve_poisson", {"n=16", "events=100", "weight=0"}},
       {"serve_poisson", {"n=16", "events=100", "d=0"}},
       {"serve_poisson", {"n=16", "events=100", "repair=-1"}},
+      // Range-checked before the int cast: these used to wrap to d = 2 and
+      // repair = 0 and run.
+      {"serve_poisson", {"n=16", "events=100", "d=4294967298"}},
+      {"serve_poisson", {"n=16", "events=100", "repair=4294967296"}},
+      {"serve_poisson", {"n=16", "events=100", "d=65"}},
       {"serve_poisson", {"n=0", "events=100"}},
       {"serve_poisson", {"n=16", "events=100", "lambda=-1"}},
       {"serve_poisson", {"n=16", "events=100", "mu=-1"}},
@@ -297,6 +302,9 @@ TEST(ServeScenarios, BadInputIsAUsageError) {
       {"serve_capacity", {"n_list=16", "traces=hotspot(16,8,2)"}},
       {"serve_capacity", {"n_list=16", "d=0"}},
       {"serve_capacity", {"n_list=16", "repair=-1"}},
+      {"serve_capacity", {"n_list=16", "d=4294967297"}},
+      {"serve_capacity", {"n_list=16", "repair=-4294967295"}},
+      {"serve_capacity", {"n_list=16", "d=65"}},
       {"serve_capacity", {"n_list=16", "resample=-1"}},
       {"serve_capacity", {"n_list=1", "load_list=0.5"}},  // a cell with 0 events
   };

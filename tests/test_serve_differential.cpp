@@ -2,9 +2,10 @@
 // byte-identical — final load vector, every semantic counter, and the
 // per-epoch gap trajectory — to the frozen reference loop
 // (tests/serve_reference.hpp, whose repair was re-specified to the
-// uniform-live-ball draw together with production's) across epoch
-// granularities, trace kinds (including the weighted adversarial one) and
-// seeds. Plus LoopOptions validation death tests, the EpochStats/RunResult
+// uniform-live-ball draw together with production's, and whose per-event
+// decide is frozen apart from production's two-pass one) across epoch
+// granularities, trace kinds (including the weighted adversarial one),
+// arrival choices d and seeds. Plus LoopOptions validation death tests, the EpochStats/RunResult
 // timing contract, and a high-contention stress case.
 #include <gtest/gtest.h>
 
@@ -75,11 +76,12 @@ struct Config {
   std::int64_t events = 2048;
   std::int64_t epochEvents = 256;
   std::uint64_t seed = 1;
+  int d = 2;  // arrival choices
 };
 
 Outcome runReference(workload::TraceGenerator& trace, const Config& c) {
   reference::ReferenceAllocator allocator(
-      AllocatorOptions{.bins = c.bins, .arrivalChoices = 2});
+      AllocatorOptions{.bins = c.bins, .arrivalChoices = c.d});
   runner::ThreadPool pool(1);
   reference::ReferenceEventLoop loop(
       allocator,
@@ -101,7 +103,7 @@ Outcome runReference(workload::TraceGenerator& trace, const Config& c) {
 }
 
 Outcome runLoop(workload::TraceGenerator& trace, const Config& c) {
-  OnlineAllocator allocator(AllocatorOptions{.bins = c.bins, .arrivalChoices = 2});
+  OnlineAllocator allocator(AllocatorOptions{.bins = c.bins, .arrivalChoices = c.d});
   LoopOptions options;
   options.epochEvents = c.epochEvents;
   options.repairMovesPerEpoch = 4;
@@ -133,7 +135,7 @@ Outcome runLoop(const Config& c) {
 void expectIdentical(const Outcome& ref, const Outcome& got, const Config& c) {
   const auto label = ::testing::Message()
                      << "kind=" << static_cast<int>(c.kind) << " epoch=" << c.epochEvents
-                     << " seed=" << c.seed;
+                     << " seed=" << c.seed << " d=" << c.d;
   EXPECT_EQ(ref.loads, got.loads) << label;
   EXPECT_TRUE(countersEqual(ref.counters, got.counters)) << label;
   EXPECT_EQ(ref.liveBalls, got.liveBalls) << label;
@@ -143,13 +145,15 @@ void expectIdentical(const Outcome& ref, const Outcome& got, const Config& c) {
 
 // ------------------------------------------------ differential matrix
 
-// The batched hot path — snapshot-free decision phase, per-event engine
-// reseed, batched apply, live-ball repair — against the frozen
-// reference loop. epochEvents is a semantic knob, so every granularity
-// gets its own reference: the degenerate one-event epoch (every event sees
-// a fresh snapshot), a prime one, the default, and an epoch at least as
-// long as the whole trace. Every semantic observable, including the
-// per-epoch gap trajectory, must be byte-identical.
+// The batched hot path — the two-pass decide over per-event reseeded
+// streams, batched apply, live-ball repair — against the frozen reference
+// loop and its per-event decide. epochEvents is a semantic knob, so every
+// granularity gets its own reference: the degenerate one-event epoch
+// (every event sees a fresh snapshot), a prime one, the default, and an
+// epoch at least as long as the whole trace. d runs over the no-candidate
+// shortcut (1), the default (2) and wider choices (3, 8), where the tie
+// rule matters. Every semantic observable, including the per-epoch gap
+// trajectory, must be byte-identical.
 TEST(FusedDifferential, MatchesReferenceAcrossEpochsKindsAndSeeds) {
   const struct {
     std::int64_t epochEvents;
@@ -158,12 +162,15 @@ TEST(FusedDifferential, MatchesReferenceAcrossEpochsKindsAndSeeds) {
   for (const auto& g : grid) {
     for (const TraceKind kind : kAllKinds) {
       for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-        Config c;
-        c.kind = kind;
-        c.epochEvents = g.epochEvents;
-        c.events = g.events;
-        c.seed = seed;
-        expectIdentical(runReference(c), runLoop(c), c);
+        for (const int d : {1, 2, 3, 8}) {
+          Config c;
+          c.kind = kind;
+          c.epochEvents = g.epochEvents;
+          c.events = g.events;
+          c.seed = seed;
+          c.d = d;
+          expectIdentical(runReference(c), runLoop(c), c);
+        }
       }
     }
   }
