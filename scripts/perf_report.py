@@ -16,6 +16,10 @@ in docs/EXPERIMENTS.md). The dashboard has four sections:
   3. Conformance -- each scenario's {"type":"conformance"} summary (check
      and anomaly counts, gap/latency sketch quantiles) plus a table of
      the individual {"type":"anomaly"} records.
+     Serving runs add their wall-time split from the {"type":"throughput"}
+     record (and each frontier cell): wall_s against fill (trace
+     generation), loop (decide + apply), observe and the unattributed
+     rest, with external events and RLS activations counted apart.
   4. Capacity frontier -- each scenario's {"type":"frontier"} cells
      (serve_capacity's n x load-factor x trace sweep): a per-cell table
      (gap, events/sec, p99 ns/event, bytes/ball, peak RSS, budget-skip
@@ -55,8 +59,8 @@ def load_run(path):
     def scen(name):
         return run["scenarios"].setdefault(
             name, {"metrics": None, "wall_s": None, "events_per_sec": None,
-                   "events": None, "conformance": None, "anomalies": [],
-                   "frontier": []})
+                   "events": None, "throughput": None, "conformance": None,
+                   "anomalies": [], "frontier": []})
 
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
@@ -84,6 +88,7 @@ def load_run(path):
                 s = scen(rec["scenario"])
                 s["events_per_sec"] = float(rec["events_per_sec"])
                 s["events"] = rec.get("events")
+                s["throughput"] = rec
     if not run["scenarios"]:
         sys.exit(f"{path}: no scenario records found")
     return run
@@ -139,6 +144,25 @@ def print_phase_timing(scenario, counters):
         share = ns / total
         bar = "#" * max(1, round(share * BAR_WIDTH)) if ns > 0 else ""
         print(f"    {phase:10} {fmt_ns(ns):>12} {share:7.1%}  {bar}")
+
+
+WALL_PARTS = ("fill_s", "loop_s", "observe_s", "unattributed_s")
+
+
+def print_wall_split(label, rec):
+    """One serving run's wall time, split into its named parts."""
+    if not rec or rec.get("wall_s") is None:
+        return
+    wall = float(rec["wall_s"])
+    events = rec.get("events", 0)
+    activations = rec.get("activations", 0)
+    print(f"\n  wall split -- {label} (wall {fmt_ns(wall * 1e9)}; "
+          f"{events - activations:,} external events + {activations:,} activations)")
+    for part in WALL_PARTS:
+        v = float(rec.get(part, 0.0))
+        share = v / wall if wall > 0 else 0.0
+        bar = "#" * max(1, round(share * BAR_WIDTH)) if v > 0 else ""
+        print(f"    {part[:-2]:13} {fmt_ns(v * 1e9):>12} {share:7.1%}  {bar}")
 
 
 def print_sketches(scenario, sketches, title="sketches"):
@@ -417,6 +441,10 @@ def main():
             if data["metrics"] is not None:
                 print_phase_timing(name, data["metrics"].get("counters", {}))
                 print_counters(name, data["metrics"])
+            print_wall_split(name, data.get("throughput"))
+            for c in data.get("frontier", []):
+                print_wall_split(f"{name} n={c.get('n')} load={c.get('load_factor')} "
+                                 f"{c.get('trace', '?')}", c)
             print_conformance(name, data)
             print_frontier(name, data.get("frontier", []))
 

@@ -4,7 +4,7 @@
 // trajectory events on per-thread *tracks* and serializes them as the
 // {"traceEvents":[...]} document chrome://tracing and Perfetto
 // (ui.perfetto.dev) load directly. The serving loop wraps its phases
-// (decide / apply / repair) in Spans on the main track;
+// (fill / decide / apply, then observe) in spans on the main track;
 // runner::ThreadPool records one "job" span per worker
 // participation on that worker's track, so a trace shows exactly which
 // worker ran which slice of which phase.

@@ -149,15 +149,14 @@ void ResultSink::writeTimingTable(const std::string& scenario, const std::string
   writeLine(rec);
 }
 
-void ResultSink::writeThroughput(const std::string& scenario, std::int64_t events,
-                                 double eventsPerSec) {
+void ResultSink::writeThroughput(const std::string& scenario, const Json& fields) {
   if (out_ == nullptr) return;
-  Json j = Json::object();
-  j.set("type", "throughput");
-  j.set("scenario", scenario);
-  j.set("events", events);
-  j.set("events_per_sec", eventsPerSec);
-  writeLine(j);
+  RLSLB_ASSERT_MSG(fields.isObject(), "throughput fields must be a JSON object");
+  Json rec = Json::object();
+  rec.set("type", "throughput");
+  rec.set("scenario", scenario);
+  for (const std::string& key : fields.keys()) rec.set(key, fields.at(key));
+  writeLine(rec);
 }
 
 void ResultSink::writeMetrics(const std::string& scenario, const Json& snapshot) {

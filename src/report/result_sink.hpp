@@ -101,11 +101,12 @@ class ResultSink {
   /// the determinism contract.
   void writeTimingTable(const std::string& scenario, const std::string& title,
                         const Table& table);
-  /// Rate metric (type "throughput"): the serving scenarios' events/sec,
-  /// gated by scripts/compare_results.py next to the scenario wall-clocks.
+  /// Rate metric (type "throughput"): a serving scenario's units served
+  /// (`events`, `activations` among them), loop `events_per_sec` and wall
+  /// split, spliced from the `fields` object. events_per_sec is gated by
+  /// scripts/compare_results.py next to the scenario wall-clocks.
   /// Wall-clock derived, hence excluded from the determinism contract.
-  void writeThroughput(const std::string& scenario, std::int64_t events,
-                       double eventsPerSec);
+  void writeThroughput(const std::string& scenario, const Json& fields);
   /// Telemetry snapshot (type "metrics"): `snapshot` is
   /// obs::MetricsRegistry::toJson() -- its counters/gauges/histograms keys
   /// are spliced into the record. Wall-clock-bearing (phase ns counters),

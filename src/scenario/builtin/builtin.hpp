@@ -24,6 +24,13 @@ inline std::uint64_t stableHash(std::string_view s) {
   return h;
 }
 
+/// The wall-time split of one serving run, set on its throughput/frontier
+/// record: wall_s (the scenario's or the cell's wall time), the loop's named
+/// parts fill_s (trace generation), loop_s (decide + apply) and observe_s
+/// (stats, telemetry, callbacks), and unattributed_s, the rest.
+void setWallSplit(report::Json* record, double wallSeconds, double fillSeconds,
+                  double loopSeconds, double observeSeconds);
+
 void registerTheorem1(ScenarioRegistry& r);       // e1_theorem1
 void registerLowerbound(ScenarioRegistry& r);     // e2_lowerbound (E2/E3/E9)
 void registerWhp(ScenarioRegistry& r);            // e4_whp

@@ -8,18 +8,24 @@
 //     closed-system floor (gap 1 for unit weights; the heaviest ball for
 //     weighted traffic) -- byte-identical for a fixed seed across runs and
 //     thread counts;
-//   - a timing table plus a "throughput" JSONL record (events/sec of the
-//     decision+apply+repair loop), which CI gates via
+//   - a timing table plus a "throughput" JSONL record: units/sec of the
+//     decide+apply loop, the activations among those units, and the
+//     scenario's wall time split into fill (trace generation), loop,
+//     observe and the unattributed rest. CI gates events_per_sec via
 //     scripts/compare_results.py next to the wall-clock trajectory.
 //
-// Shared params: n (bins), events (trace length), d (arrival choices),
-// epoch (events per snapshot), repair (repair moves per epoch), lambda
-// (arrivals/bin/time), mu (departure rate), resample (RLS clock rate),
-// weight (background ball weight), record=FILE (tee the trace out;
-// JSONL/CSV/binary by extension), trace=FILE (replay a recorded trace
-// instead of generating; format by extension), trace_out=FILE (write a
-// Chrome/Perfetto trace of the loop's phases). Kind-specific params are
-// listed at each builder. Unusable user input (a bad spec, an unreadable
+// A unit is an arrival, a departure or an RLS activation (a clock ring the
+// trace record carries); `events` counts units, and a run serves exactly
+// that many unless a replayed trace ends first.
+//
+// Shared params: n (bins), events (units to serve), d (arrival choices),
+// epoch (units per snapshot), lambda (arrivals/bin/time), mu (departure
+// rate), resample (RLS clock rate), weight (background ball weight),
+// record=FILE (tee the trace out; JSONL/CSV/binary by extension),
+// trace=FILE (replay a recorded trace instead of generating; format by
+// extension), trace_out=FILE (write a Chrome/Perfetto trace of the loop's
+// phases). Kind-specific params are listed at each builder. Unusable user
+// input (an out-of-range param, a bad spec, an unreadable or inconsistent
 // trace, an unwritable output) throws std::invalid_argument, which the
 // driver reports with exit code 2.
 #include <algorithm>
@@ -35,9 +41,10 @@
 #include "obs/trace.hpp"
 #include "rng/splitmix64.hpp"
 #include "scenario/builtin/builtin.hpp"
-#include "util/assert.hpp"
 #include "serve/event_loop.hpp"
 #include "serve/online_allocator.hpp"
+#include "util/assert.hpp"
+#include "util/timer.hpp"
 #include "workload/compose.hpp"
 #include "workload/generators.hpp"
 #include "workload/trace_io.hpp"
@@ -46,10 +53,14 @@ namespace rlslb::scenario::builtin {
 
 namespace {
 
+/// The int32 ceiling of bin indices, live slots and ball weights: with
+/// weights and live counts below it, an int64 load sum cannot overflow.
+constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
+
 /// Integer param `name`, rejected outside [min, max] before any arithmetic,
 /// narrowing or allocation uses it (epoch= divides, n= and d= size draws,
-/// d= and repair= are narrowed to int, repair= counts loop iterations,
-/// weight= feeds the allocator's w >= 1 contract).
+/// d= is narrowed to int, n= to the allocators' int32 bin indices,
+/// weight= feeds the allocator's 1 <= w <= INT32_MAX contract).
 std::int64_t intParam(ScenarioContext& ctx, const char* name, std::int64_t fallback,
                       std::int64_t min,
                       std::int64_t max = std::numeric_limits<std::int64_t>::max()) {
@@ -88,15 +99,26 @@ workload::OpenTraceOptions baseTraceOptions(ScenarioContext& ctx, std::int64_t b
   o.arrivalRatePerBin = rateParam(ctx, "lambda", 1.0);
   o.departureRate = rateParam(ctx, "mu", 0.125);
   o.resampleRate = rateParam(ctx, "resample", 1.0);
-  o.ballWeight = intParam(ctx, "weight", 1, 1);
+  o.ballWeight = intParam(ctx, "weight", 1, 1, kInt32Max);
+  // Every record is at least one unit, so `events` records always hold the
+  // unit budget.
   o.maxEvents = events;
   return o;
 }
 
-std::unique_ptr<workload::TraceGenerator> buildTrace(ScenarioContext& ctx,
-                                                     const std::string& kind,
-                                                     std::int64_t bins, std::int64_t events,
-                                                     std::uint64_t seed) {
+/// A standalone trace shape's params, checked against the compose parser's
+/// range table: the one table both use.
+void checkShape(const std::string& kind, const char* params,
+                const workload::ComposeFactor& factor) {
+  if (const char* problem = workload::checkComposeFactor(factor)) {
+    throw std::invalid_argument("serve_" + kind + " " + params + ": " + problem);
+  }
+}
+
+std::unique_ptr<workload::OpenTrace> buildTrace(ScenarioContext& ctx, const std::string& kind,
+                                                std::int64_t bins, std::int64_t events,
+                                                std::uint64_t seed) {
+  using Factor = workload::ComposeFactor;
   const workload::OpenTraceOptions base = baseTraceOptions(ctx, bins, events);
   if (kind == "poisson") {
     return std::make_unique<workload::PoissonTrace>(base, seed);
@@ -107,6 +129,9 @@ std::unique_ptr<workload::TraceGenerator> buildTrace(ScenarioContext& ctx,
     o.burstRateFactor = ctx.params.getDouble("burst_factor", 8.0);
     o.calmToBurstRate = ctx.params.getDouble("calm_to_burst", 0.05);
     o.burstToCalmRate = ctx.params.getDouble("burst_to_calm", 0.5);
+    checkShape(kind, "burst_factor=, calm_to_burst=, burst_to_calm=",
+               {Factor::Kind::kBursty, o.burstRateFactor, o.calmToBurstRate,
+                o.burstToCalmRate});
     return std::make_unique<workload::BurstyTrace>(o, seed);
   }
   if (kind == "diurnal") {
@@ -114,6 +139,8 @@ std::unique_ptr<workload::TraceGenerator> buildTrace(ScenarioContext& ctx,
     o.base = base;
     o.amplitude = ctx.params.getDouble("amplitude", 0.8);
     o.period = ctx.params.getDouble("period", 64.0);
+    checkShape(kind, "amplitude=, period=",
+               {Factor::Kind::kDiurnal, o.amplitude, o.period, 0.0});
     return std::make_unique<workload::DiurnalTrace>(o, seed);
   }
   if (kind == "composed") {
@@ -132,13 +159,18 @@ std::unique_ptr<workload::TraceGenerator> buildTrace(ScenarioContext& ctx,
   o.base = base;
   o.burstPeriod = ctx.params.getDouble("burst_period", 16.0);
   o.burstSize = ctx.params.getInt("burst_size", 32);
-  o.hotWeight = intParam(ctx, "hot_weight", 8, 1);
+  o.hotWeight = ctx.params.getInt("hot_weight", 8);
+  checkShape(kind, "burst_period=, burst_size=, hot_weight=",
+             {Factor::Kind::kHotspot, o.burstPeriod, static_cast<double>(o.burstSize),
+              static_cast<double>(o.hotWeight)});
   return std::make_unique<workload::HotspotTrace>(o, seed);
 }
 
 void runServe(ScenarioContext& ctx, const std::string& kind) {
-  const std::int64_t n = intParam(ctx, "n", ctx.sized(256), 1);
-  std::int64_t events = ctx.params.getInt("events", ctx.sized(6'000'000));
+  const WallTimer wall;  // the whole scenario: the throughput record's wall_s
+  const std::int64_t n = intParam(ctx, "n", ctx.sized(256), 1, kInt32Max);
+  const bool eventsGiven = ctx.params.has("events");
+  std::int64_t events = intParam(ctx, "events", ctx.sized(6'000'000), 1);
   serve::AllocatorOptions allocOptions;
   allocOptions.bins = n;
   allocOptions.arrivalChoices =
@@ -147,8 +179,6 @@ void runServe(ScenarioContext& ctx, const std::string& kind) {
   const bool conformance = ctx.params.getBool("conformance", ctx.conformanceDefault);
   serve::LoopOptions loopOptions;
   loopOptions.epochEvents = intParam(ctx, "epoch", 1024, 1);
-  loopOptions.repairMovesPerEpoch =
-      static_cast<int>(intParam(ctx, "repair", 4, 0, std::numeric_limits<int>::max()));
   loopOptions.seed = ctx.seed;
   const std::string replayPath = ctx.params.getString("trace", "");
   const std::string recordPath = ctx.params.getString("record", "");
@@ -182,19 +212,22 @@ void runServe(ScenarioContext& ctx, const std::string& kind) {
   std::ofstream recordOut;
   std::unique_ptr<workload::TraceGenerator> source;
   if (!replayPath.empty()) {
-    // The epoch/checkpoint/warmup math below needs the true trace length,
-    // which for a replay is the file, not the `events` param. The format
-    // (JSONL / CSV / binary) follows the file extension.
+    // The epoch/checkpoint/warmup math below needs the units the replay
+    // serves: events= when given, but no more than the file holds. The
+    // counting pass also rejects a trace that breaks the stream's
+    // invariants, before any serving. The format (JSONL / CSV / binary)
+    // follows the file extension.
     const workload::TraceFormat replayFormat = workload::traceFormatFromPath(replayPath);
     {
       std::ifstream count(replayPath, std::ios::binary);
       if (!count.is_open()) {
         throw std::invalid_argument("cannot open trace= replay file " + replayPath);
       }
-      events = workload::countTraceEvents(count, replayFormat);
-      if (events < 1) {
+      const std::int64_t units = workload::countTraceEvents(count, replayFormat);
+      if (units < 1) {
         throw std::invalid_argument("trace= replay file " + replayPath + " holds no events");
       }
+      events = eventsGiven ? std::min(events, units) : units;
     }
     replayIn.open(replayPath, std::ios::binary);
     if (!replayIn.is_open()) {
@@ -202,7 +235,13 @@ void runServe(ScenarioContext& ctx, const std::string& kind) {
     }
     source = workload::makeTraceReader(replayIn, replayFormat);
   } else {
-    generated = buildTrace(ctx, kind, n, events, traceSeed);
+    std::unique_ptr<workload::OpenTrace> trace = buildTrace(ctx, kind, n, events, traceSeed);
+    if (!trace->ratesFinite()) {
+      throw std::invalid_argument("serve_" + kind +
+                                  ": the total clock rate overflows; lower lambda=, mu= or "
+                                  "resample= (or the shape's rate factor)");
+    }
+    generated = std::move(trace);
     if (!recordPath.empty()) {
       recordOut.open(recordPath, std::ios::binary);
       if (!recordOut.is_open()) {
@@ -218,6 +257,7 @@ void runServe(ScenarioContext& ctx, const std::string& kind) {
   // Epoch observation: a handful of trajectory checkpoints plus post-warmup
   // gap statistics and the per-epoch wall-clock distribution. Computed
   // before the loop so the conformance warmup can be sized from it.
+  loopOptions.unitBudget = events;
   const std::int64_t totalEpochs =
       (events + loopOptions.epochEvents - 1) / loopOptions.epochEvents;
 
@@ -288,8 +328,8 @@ void runServe(ScenarioContext& ctx, const std::string& kind) {
   // sim::BalanceState view process::Process::state() exposes).
   const sim::BalanceState finalBalance = allocator.balanceState();
   Table summary({"events", "arrivals", "departures", "resamples", "migrations",
-                 "migr/resample", "repairs", "mean gap", "max gap", "final disc",
-                 "closed bound", "gap/bound"});
+                 "migr/resample", "mean gap", "max gap", "final disc", "closed bound",
+                 "gap/bound"});
   summary.row()
       .cell(c.events)
       .cell(c.arrivals)
@@ -300,7 +340,6 @@ void runServe(ScenarioContext& ctx, const std::string& kind) {
                 ? static_cast<double>(c.migrations) / static_cast<double>(c.resamples)
                 : 0.0,
             3)
-      .cell(c.repairMigrations)
       .cell(meanGap, 4)
       .cell(maxGap)
       .cell(finalBalance.discrepancy(), 3)
@@ -325,32 +364,50 @@ void runServe(ScenarioContext& ctx, const std::string& kind) {
       runResult.wallSeconds > 0.0
           ? static_cast<double>(runResult.events) / runResult.wallSeconds
           : 0.0;
-  Table timing({"events", "epochs", "loop wall s", "events/sec", "mean ns/event",
-                "p99 ns/event (epoch)"});
+  Table timing({"events", "activations", "epochs", "loop wall s", "events/sec",
+                "mean ns/event", "p99 ns/event (epoch)"});
   timing.row()
       .cell(runResult.events)
+      .cell(runResult.activations)
       .cell(runResult.epochs)
       .cell(runResult.wallSeconds, 4)
       .cell(eventsPerSec, 6)
       .cell(meanNs, 4)
       .cell(p99Ns, 4);
   ctx.emitTimingTable(timing, "[serve] " + kind +
-                                  " loop throughput (decision+apply+repair wall-clock; "
-                                  "trace generation excluded)");
+                                  " loop throughput (decide+apply wall-clock; trace "
+                                  "generation excluded; events = arrivals + departures + "
+                                  "activations)");
   if (ctx.sink != nullptr) {
-    ctx.sink->writeThroughput(ctx.activeScenario, runResult.events, eventsPerSec);
+    report::Json record = report::Json::object();
+    record.set("events", runResult.events);
+    record.set("activations", runResult.activations);
+    record.set("events_per_sec", eventsPerSec);
+    setWallSplit(&record, wall.seconds(), runResult.fillSeconds, runResult.wallSeconds,
+                 runResult.observeSeconds);
+    ctx.sink->writeThroughput(ctx.activeScenario, record);
   }
 }
 
 }  // namespace
 
+void setWallSplit(report::Json* record, double wallSeconds, double fillSeconds,
+                  double loopSeconds, double observeSeconds) {
+  record->set("wall_s", wallSeconds);
+  record->set("fill_s", fillSeconds);
+  record->set("loop_s", loopSeconds);
+  record->set("observe_s", observeSeconds);
+  record->set("unattributed_s", wallSeconds - fillSeconds - loopSeconds - observeSeconds);
+}
+
 void registerServe(ScenarioRegistry& r) {
   const std::vector<process::ParamSpec> shared = {
       {"n", "int", "256 (scaled)", "bins"},
-      {"events", "int", "6e6 (scaled)", "trace length"},
+      {"events", "int", "6e6 (scaled)",
+       "units to serve: arrivals, departures and RLS activations (a replay: at most "
+       "the file's)"},
       {"d", "int", "2", "arrival choices (snapshot-least-loaded of d bins)"},
-      {"epoch", "int", "1024", "events per load snapshot"},
-      {"repair", "int", "4", "RLS repair moves per epoch"},
+      {"epoch", "int", "1024", "units per load snapshot"},
       {"lambda", "double", "1.0", "arrivals per bin per time unit"},
       {"mu", "double", "0.125", "per-ball departure rate"},
       {"resample", "double", "1.0", "per-ball RLS clock rate"},

@@ -6,9 +6,11 @@
 //   - a deterministic sweep table (final/mean/max gap, arrivals,
 //     migrations, ok/skipped status) -- byte-identical for a fixed seed;
 //   - a timing table and one {"type":"frontier"} JSONL record with the
-//     wall-clock and memory measurements: events/sec, p99 ns/event,
-//     resident state bytes, bytes per ball, peak RSS
-//     (scripts/perf_report.py renders the frontier heatmap from these);
+//     wall-clock and memory measurements: events (units: arrivals,
+//     departures and RLS activations) and activations, events/sec, p99
+//     ns/event, resident state bytes, bytes per ball, peak RSS, and the
+//     cell's wall time split into fill, loop, observe and the unattributed
+//     rest (scripts/perf_report.py renders the frontier heatmap from these);
 //   - cells whose predicted state would blow the budget_mb gate are
 //     skipped deterministically (CompactAllocator::estimateBytes), with a
 //     "skipped" row and a frontier record carrying the estimate.
@@ -17,14 +19,15 @@
 //
 // Params: n_list (csv bins sweep), load_list (csv lambda/mu sweep; mu =
 // lambda/L with lambda fixed at 1), traces (';'-separated compose specs),
-// epb (events per expected ball, scaled), epoch, repair, d, resample,
-// budget_mb, conformance. The compact layout requires unit weights:
-// hotspot factors must use weight 1.
+// epb (units per expected ball, scaled), epoch, d, resample, budget_mb,
+// conformance. The compact layout requires unit weights: hotspot factors
+// must use weight 1.
 #include <algorithm>
 #include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/memory.hpp"
@@ -34,6 +37,7 @@
 #include "serve/compact_allocator.hpp"
 #include "serve/event_loop.hpp"
 #include "util/parse.hpp"
+#include "util/timer.hpp"
 #include "workload/compose.hpp"
 #include "workload/generators.hpp"
 
@@ -61,8 +65,12 @@ std::vector<std::string> splitList(const std::string& name, const std::string& t
   return out;
 }
 
+/// The int32 ceiling of bin indices and live slots.
+constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
+
 struct CellResult {
   std::int64_t events = 0;
+  std::int64_t activations = 0;
   std::int64_t epochs = 0;
   double wallSeconds = 0.0;
   std::int64_t arrivals = 0;
@@ -84,8 +92,7 @@ void runCapacity(ScenarioContext& ctx) {
       splitList("traces", ctx.params.getString("traces", "poisson"), ';');
   const std::int64_t epb = ctx.params.getInt("epb", ctx.sized(4));
   const std::int64_t epochEvents = ctx.params.getInt("epoch", 1024);
-  // d= and repair= are range-checked as int64, before narrowing to int.
-  const std::int64_t repairParam = ctx.params.getInt("repair", 4);
+  // d= is range-checked as int64, before narrowing to int.
   const std::int64_t dParam = ctx.params.getInt("d", 2);
   const double resample = ctx.params.getDouble("resample", 1.0);
   const std::int64_t budgetMb = ctx.params.getInt("budget_mb", 2048);
@@ -98,24 +105,18 @@ void runCapacity(ScenarioContext& ctx) {
     message.append(std::to_string(dParam)).append(")");
     throw std::invalid_argument(message);
   }
-  if (repairParam < 0 || repairParam > std::numeric_limits<int>::max() ||
-      !(resample >= 0.0)) {
-    std::string message = "serve_capacity: repair= must be in [0, ";
-    message.append(std::to_string(std::numeric_limits<int>::max()));
-    message.append("] and resample= >= 0 (got repair=");
-    message.append(std::to_string(repairParam)).append(", resample=");
-    message.append(report::formatJsonNumber(resample)).append(")");
-    throw std::invalid_argument(message);
+  if (!(resample >= 0.0)) {
+    throw std::invalid_argument("serve_capacity: resample= must be >= 0 (got " +
+                                report::formatJsonNumber(resample) + ")");
   }
-  const auto repair = static_cast<int>(repairParam);
   const auto d = static_cast<int>(dParam);
 
   std::vector<std::int64_t> nList;
   for (const std::string& t : nTokens) {
     const std::int64_t n = util::parseInt64(t, "n_list");
-    if (n < 1) {
-      throw std::invalid_argument("serve_capacity: n_list entries must be >= 1 (got " + t +
-                                  ")");
+    if (n < 1 || n > kInt32Max) {
+      throw std::invalid_argument("serve_capacity: n_list entries must be in [1, " +
+                                  std::to_string(kInt32Max) + "] (got " + t + ")");
     }
     nList.push_back(n);
   }
@@ -157,36 +158,50 @@ void runCapacity(ScenarioContext& ctx) {
              "disabled for this sweep");
   }
   const bool useMonitors = conformance && monitorable;
+  // A cell's expected live balls and its units, checked before any integer
+  // arithmetic: the live count must fit the int32 live slots, and the units
+  // must leave headroom for the memory estimate's 8 B per ball ever
+  // arrived.
+  const auto cellUnits = [epb](std::int64_t n, double load) {
+    const std::string cell = "serve_capacity: cell n=" + std::to_string(n) +
+                             " load=" + report::formatJsonNumber(load);
+    const double live = load * static_cast<double>(n);
+    if (!(live <= static_cast<double>(kInt32Max))) {
+      throw std::invalid_argument(cell + " expects more than " + std::to_string(kInt32Max) +
+                                  " live balls");
+    }
+    const auto expectedLive = static_cast<std::int64_t>(live);
+    if (expectedLive < 1) throw std::invalid_argument(cell + " has no events; raise epb or load");
+    if (epb > (std::numeric_limits<std::int64_t>::max() / 16) / expectedLive) {
+      throw std::invalid_argument(cell + ": epb=" + std::to_string(epb) +
+                                  " x expected live balls overflows the unit count");
+    }
+    return std::pair<std::int64_t, std::int64_t>{expectedLive, epb * expectedLive};
+  };
   if (useMonitors) {
     obs::ServeConformanceParams cp;
     cp.n = nList.front();
-    cp.expectedBalls =
-        static_cast<std::int64_t>(loadList.front() * static_cast<double>(nList.front()));
+    const auto [expectedLive, cellEvents] = cellUnits(nList.front(), loadList.front());
+    cp.expectedBalls = expectedLive;
     cp.d = d;
-    const std::int64_t cellEvents = epb * cp.expectedBalls;
     cp.totalEpochs = (cellEvents + epochEvents - 1) / epochEvents;
     obs::installServeMonitors(ctx.monitors, cp);
   }
 
   Table sweep({"n", "load", "trace", "events", "arrivals", "migrations", "final gap",
                "mean gap", "max gap", "status"});
-  Table timing({"n", "load", "trace", "loop wall s", "events/sec", "p99 ns/event",
-                "state MB", "bytes/ball", "peak RSS MB"});
+  Table timing({"n", "load", "trace", "events", "activations", "loop wall s", "events/sec",
+                "p99 ns/event", "state MB", "bytes/ball", "peak RSS MB"});
 
   for (const std::int64_t n : nList) {
     for (const double load : loadList) {
       for (const workload::ComposeSpec& spec : specs) {
+        const WallTimer cellWall;  // the frontier record's wall_s
         const std::string traceName = spec.canonical();
-        const auto expectedLive = static_cast<std::int64_t>(load * static_cast<double>(n));
-        const std::int64_t events = epb * expectedLive;
-        if (events < 1) {
-          throw std::invalid_argument("serve_capacity: cell n=" + std::to_string(n) +
-                                      " load=" + report::formatJsonNumber(load) +
-                                      " has no events; raise epb or load");
-        }
+        const auto [expectedLive, events] = cellUnits(n, load);
         // Deterministic arrival-share heuristic for the budget gate: at
-        // steady state the event mix is lambda*n arrivals vs
-        // (mu + resample) * L * n departures/resamples per unit time.
+        // steady state the unit mix is lambda*n arrivals vs
+        // (mu + resample) * L * n departures/activations per unit time.
         const double mu = 1.0 / load;
         const double arrivalShare = 1.0 / (1.0 + (mu + resample) * load);
         const auto ballsEverEstimate =
@@ -225,8 +240,12 @@ void runCapacity(ScenarioContext& ctx) {
         base.departureRate = mu;
         base.resampleRate = resample;
         base.ballWeight = 1;
-        base.maxEvents = events;
+        base.maxEvents = events;  // records; each is at least one unit
         workload::ComposedTrace trace(base, spec, traceSeed);
+        if (!trace.ratesFinite()) {
+          throw std::invalid_argument("serve_capacity: trace " + traceName + " at load=" +
+                                      loadText + ": the total clock rate overflows");
+        }
 
         const std::int64_t totalEpochs = (events + epochEvents - 1) / epochEvents;
         const std::int64_t warmupEpochs = totalEpochs / 4;
@@ -254,7 +273,7 @@ void runCapacity(ScenarioContext& ctx) {
         serve::CompactAllocator allocator(opt);
         serve::LoopOptions loopOptions;
         loopOptions.epochEvents = epochEvents;
-        loopOptions.repairMovesPerEpoch = repair;
+        loopOptions.unitBudget = events;
         loopOptions.seed = cellSeed;
         loopOptions.metrics = &ctx.metrics;
         loopOptions.trace = ctx.trace;
@@ -262,10 +281,11 @@ void runCapacity(ScenarioContext& ctx) {
         serve::EpochLoop loop(allocator, loopOptions);
         const serve::RunResult run = loop.run(trace, onEpoch);
         r.events = run.events;
+        r.activations = run.activations;
         r.epochs = run.epochs;
         r.wallSeconds = run.wallSeconds;
         r.arrivals = allocator.counters().arrivals;
-        r.migrations = allocator.counters().migrations + allocator.counters().repairMigrations;
+        r.migrations = allocator.counters().migrations;
         r.finalGap = allocator.gap();
         r.stateBytes = allocator.residentBytes();
         r.liveBalls = allocator.liveBalls();
@@ -286,13 +306,15 @@ void runCapacity(ScenarioContext& ctx) {
         sweep.row().cell(n).cell(loadText).cell(traceName).cell(r.events)
             .cell(r.arrivals).cell(r.migrations).cell(r.finalGap).cell(r.meanGap, 4)
             .cell(r.maxGap).cell("ok");
-        timing.row().cell(n).cell(loadText).cell(traceName).cell(r.wallSeconds, 4)
+        timing.row().cell(n).cell(loadText).cell(traceName).cell(r.events)
+            .cell(r.activations).cell(r.wallSeconds, 4)
             .cell(eventsPerSec, 6).cell(r.p99Ns, 4)
             .cell(static_cast<double>(r.stateBytes) / (1024.0 * 1024.0), 2)
             .cell(bytesPerBall, 2)
             .cell(static_cast<double>(peakRss) / (1024.0 * 1024.0), 2);
 
         cell.set("events", r.events);
+        cell.set("activations", r.activations);
         cell.set("epochs", r.epochs);
         cell.set("arrivals", r.arrivals);
         cell.set("live_balls", r.liveBalls);
@@ -304,6 +326,8 @@ void runCapacity(ScenarioContext& ctx) {
         cell.set("state_bytes", r.stateBytes);
         cell.set("bytes_per_ball", bytesPerBall);
         cell.set("peak_rss_bytes", peakRss);
+        setWallSplit(&cell, cellWall.seconds(), run.fillSeconds, run.wallSeconds,
+                     run.observeSeconds);
         if (ctx.sink != nullptr) ctx.sink->writeFrontier(ctx.activeScenario, cell);
       }
     }
@@ -327,9 +351,9 @@ void registerServeCapacity(ScenarioRegistry& r) {
           {"load_list", "string", "8", "load factors lambda/mu to sweep (csv)"},
           {"traces", "string", "poisson",
            "';'-separated compose specs (workload algebra; see `rlslb traces`)"},
-          {"epb", "int", "4 (scaled)", "events per expected ball (cell length)"},
-          {"epoch", "int", "1024", "events per load snapshot"},
-          {"repair", "int", "4", "RLS repair moves per epoch"},
+          {"epb", "int", "4 (scaled)",
+           "units (arrivals, departures, RLS activations) per expected ball: cell length"},
+          {"epoch", "int", "1024", "units per load snapshot"},
           {"d", "int", "2", "arrival choices"},
           {"resample", "double", "1.0", "per-ball RLS clock rate"},
           {"budget_mb", "int", "2048",

@@ -60,54 +60,100 @@ void CompactAllocator::removeBall(std::int64_t ball) {
 }
 
 namespace {
-// applyBatch's prefetch distances, in events: the index entries and the
-// decided bin's load are requested kIndexAhead events ahead; the lines those
-// index entries point at, kTargetAhead events ahead, by when the index
-// entries have usually arrived.
+// applyBatch's prefetch distances. Records: the index entries and the
+// decided bin's load are requested kIndexAhead records ahead; the lines
+// those index entries point at, kTargetAhead records ahead, by when the
+// index entries have usually arrived. Rings, in ring draws: the live slot
+// and the destination load kRingSlotAhead draws ahead, the ball's index
+// entry kRingBallAhead ahead, its source load kRingSourceAhead ahead.
 constexpr std::size_t kIndexAhead = 16;
 constexpr std::size_t kTargetAhead = 8;
+constexpr std::ptrdiff_t kRingSlotAhead = 16;
+constexpr std::ptrdiff_t kRingBallAhead = 8;
+constexpr std::ptrdiff_t kRingSourceAhead = 4;
 }  // namespace
 
 void CompactAllocator::applyBatch(const workload::Event* events, const Decision* decisions,
-                                  std::size_t count) {
+                                  std::size_t count, const RingDraw* rings,
+                                  std::int64_t ringCount) {
   // Same register-accumulated counters as the dense fused hot loop.
   std::int64_t arrivals = 0;
   std::int64_t departures = 0;
-  std::int64_t resamples = 0;
   std::int64_t migrations = 0;
-  std::int64_t rejected = 0;
+  const RingDraw* ring = rings;
+  const RingDraw* const ringsEnd = rings + ringCount;
+  const auto runRings = [&](std::int64_t k) {
+    for (; k > 0; --k, ++ring) {
+      // Hints only, as for records below: every index is bounds-checked
+      // before its address is formed (departures shrink live_ inside the
+      // window).
+      const std::ptrdiff_t left = ringsEnd - ring;
+      if (left > kRingSlotAhead) {
+        const RingDraw& ahead = ring[kRingSlotAhead];
+        const auto slot = static_cast<std::size_t>(ahead.slot);
+        if (slot < live_.size()) __builtin_prefetch(&live_[slot]);
+        const auto bin = static_cast<std::size_t>(ahead.bin);
+        if (bin < loads_.size()) __builtin_prefetch(&loads_[bin]);
+      }
+      if (left > kRingBallAhead) {
+        const auto slot = static_cast<std::size_t>(ring[kRingBallAhead].slot);
+        if (slot < live_.size()) {
+          const auto ball = static_cast<std::size_t>(live_[slot]);
+          if (ball < ballBin_.size()) __builtin_prefetch(&ballBin_[ball]);
+        }
+      }
+      if (left > kRingSourceAhead) {
+        const auto slot = static_cast<std::size_t>(ring[kRingSourceAhead].slot);
+        if (slot < live_.size()) {
+          const auto ball = static_cast<std::size_t>(live_[slot]);
+          if (ball < ballBin_.size()) {
+            const std::int32_t source = ballBin_[ball];
+            if (source >= 0) __builtin_prefetch(&loads_[static_cast<std::size_t>(source)]);
+          }
+        }
+      }
+      RLSLB_ASSERT(ring->slot >= 0 && static_cast<std::size_t>(ring->slot) < live_.size());
+      RLSLB_ASSERT(ring->bin >= 0 && ring->bin < options_.bins);
+      std::int32_t& bin =
+          ballBin_[static_cast<std::size_t>(live_[static_cast<std::size_t>(ring->slot)])];
+      if (accepts(loads_, bin, ring->bin, 1, options_.invertAcceptance)) {
+        ++migrations;
+        moveBall(&bin, ring->bin);
+      }
+    }
+  };
   for (std::size_t i = 0; i < count; ++i) {
-    // Hints only: they read state but change none, so event i is handled
+    // Hints only: they read state but change none, so record i is handled
     // exactly as without them. Every index is bounds-checked before its
     // address is formed (a ball may arrive or depart inside the window).
     // The hints sit inline on purpose: GCC deems a helper that only
     // prefetches side-effect free and deletes the calls.
     if (i + kIndexAhead < count) {
       const workload::Event& ahead = events[i + kIndexAhead];
-      const auto ball = static_cast<std::size_t>(ahead.ball);
-      if (ahead.kind != workload::EventKind::kArrive && ball < ballBin_.size()) {
-        __builtin_prefetch(&ballBin_[ball]);
-        if (ahead.kind == workload::EventKind::kDepart) __builtin_prefetch(&ballSlot_[ball]);
-      }
-      // A negative bin wraps past size().
-      const auto bin = static_cast<std::size_t>(decisions[i + kIndexAhead].bin);
-      if (ahead.kind != workload::EventKind::kDepart && bin < loads_.size()) {
-        __builtin_prefetch(&loads_[bin]);
+      if (ahead.kind == workload::EventKind::kDepart) {
+        const auto ball = static_cast<std::size_t>(ahead.ball);
+        if (ball < ballBin_.size()) {
+          __builtin_prefetch(&ballBin_[ball]);
+          __builtin_prefetch(&ballSlot_[ball]);
+        }
+      } else {
+        // A negative bin wraps past size().
+        const auto bin = static_cast<std::size_t>(decisions[i + kIndexAhead].bin);
+        if (bin < loads_.size()) __builtin_prefetch(&loads_[bin]);
       }
     }
     if (i + kTargetAhead < count) {
       const workload::Event& ahead = events[i + kTargetAhead];
       const auto ball = static_cast<std::size_t>(ahead.ball);
-      if (ahead.kind != workload::EventKind::kArrive && ball < ballBin_.size()) {
+      if (ahead.kind == workload::EventKind::kDepart && ball < ballBin_.size()) {
         const std::int32_t source = ballBin_[ball];
         if (source >= 0) __builtin_prefetch(&loads_[static_cast<std::size_t>(source)]);
-        if (ahead.kind == workload::EventKind::kDepart) {
-          const auto slot = static_cast<std::size_t>(ballSlot_[ball]);
-          if (slot < live_.size()) __builtin_prefetch(&live_[slot]);
-        }
+        const auto slot = static_cast<std::size_t>(ballSlot_[ball]);
+        if (slot < live_.size()) __builtin_prefetch(&live_[slot]);
       }
     }
     const workload::Event& event = events[i];
+    runRings(event.rings);
     switch (event.kind) {
       case workload::EventKind::kArrive: {
         const Decision& decision = decisions[i];
@@ -123,44 +169,17 @@ void CompactAllocator::applyBatch(const workload::Event* events, const Decision*
         ++departures;
         removeBall(event.ball);
         break;
-      case workload::EventKind::kResample: {
-        const Decision& decision = decisions[i];
-        ++resamples;
-        RLSLB_ASSERT(decision.bin >= 0 && decision.bin < options_.bins);
-        RLSLB_ASSERT(event.ball >= 0 &&
-                     static_cast<std::size_t>(event.ball) < ballBin_.size());
-        std::int32_t& bin = ballBin_[static_cast<std::size_t>(event.ball)];
-        RLSLB_ASSERT_MSG(bin >= 0, "resample event for a ball that is not live");
-        if (accepts(loads_, bin, decision.bin, 1, options_.invertAcceptance)) {
-          ++migrations;
-          moveBall(&bin, decision.bin);
-        } else {
-          ++rejected;
-        }
-        break;
-      }
     }
   }
-  counters_.events += static_cast<std::int64_t>(count);
+  runRings(ringsEnd - ring);
+  RLSLB_ASSERT(ring == ringsEnd);
+  const std::int64_t activations = ringCount;
+  counters_.events += static_cast<std::int64_t>(count) + activations;
   counters_.arrivals += arrivals;
   counters_.departures += departures;
-  counters_.resamples += resamples;
+  counters_.resamples += activations;
   counters_.migrations += migrations;
-  counters_.rejectedMoves += rejected;
-}
-
-bool CompactAllocator::repairMove(rng::Xoshiro256pp& eng) {
-  if (live_.empty()) return false;
-  ++counters_.repairAttempts;
-  const std::int32_t ball = live_[static_cast<std::size_t>(
-      rng::uniformIndex(eng, static_cast<std::uint64_t>(live_.size())))];
-  const auto dst = static_cast<std::int32_t>(
-      rng::uniformIndex(eng, static_cast<std::uint64_t>(loads_.size())));
-  std::int32_t& src = ballBin_[static_cast<std::size_t>(ball)];
-  if (!accepts(loads_, src, dst, 1, options_.invertAcceptance)) return false;
-  ++counters_.repairMigrations;
-  moveBall(&src, dst);
-  return true;
+  counters_.rejectedMoves += activations - migrations;
 }
 
 std::vector<std::int64_t> CompactAllocator::loadsCopy() const {

@@ -15,7 +15,7 @@
 //
 // Net: 4 bytes per bin, 8 bytes per ball ever arrived (the implicit index
 // grows with the largest id; ROADMAP tracks recycling ids at ingest) and 4
-// bytes per live ball (the live-ball array the repair draw indexes).
+// bytes per live ball (the live-ball array a ring's slot indexes).
 //
 // Balance observation is incremental: the three load-mutation points
 // (placeBall, removeBall, moveBall) feed a sim::BalanceTracker — a dense
@@ -25,26 +25,29 @@
 // n = 1e6; against one fused scan the tracker wins 2.6x end to end there
 // and ties at n = 256 (docs/EXPERIMENTS.md, "Balance observation").
 //
-// Prefetching apply. At cluster scale every event's ballBin_, ballSlot_,
+// Prefetching apply. At cluster scale every unit's ballBin_, ballSlot_,
 // loads_ and live_ touch is a random read into a multi-megabyte array, but
-// applyBatch holds the whole epoch's events and decisions. So before
-// handling event i it requests, for event i + 16, the ball's index entries
-// (ballBin_, plus ballSlot_ for a depart) and the decided bin's load, and
-// for event i + 8, by when those index entries are usually cached, the
-// lines they point at: the source bin's load and, for a depart, the live
-// slot. A prefetch changes no state and every index is bounds-checked
-// before the address is formed, so the result is byte-identical to the
-// plain loop whatever the window holds (a ball arriving or departing
-// inside it only makes a hint stale). OnlineAllocator prefetches nothing:
-// at scenario n its state fits in cache.
+// applyBatch holds the whole epoch's records, decisions and ring draws.
+// So before handling record i it requests, for record i + 16, the ball's
+// index entries (ballBin_ and ballSlot_ of a depart) and an arrival's
+// decided bin's load, and for record i + 8, by when those index entries
+// are usually cached, the lines they point at: the source bin's load and
+// the live slot. Rings run in a pipeline of their own, in ring draws:
+// live_[slot] and the destination load 16 rings ahead, the ball's
+// ballBin_ entry 8 ahead, and the source bin's load 4 ahead. A prefetch
+// changes no state and every index is bounds-checked before the address is
+// formed, so the result is byte-identical to the plain loop whatever the
+// window holds (a ball arriving or departing inside it only makes a hint
+// stale). OnlineAllocator prefetches nothing: at scenario n its state fits
+// in cache.
 //
 // Equivalence contract (pinned by tests/test_capacity.cpp): driven by
 // serve::EpochLoop over the same unit-weight trace and seed, this layout
 // produces byte-identical observable output — loads, gap trajectory, every
-// ServeCounters field, the repair stream — to OnlineAllocator. Both call
-// the same serve::decideBatch() and serve::accepts(), keep the live-ball
-// array in the same order (append on arrival, swap-remove on departure)
-// and draw repair as (uniform live ball, uniform destination).
+// ServeCounters field — to OnlineAllocator. Both call the same
+// serve::decideBatch() and serve::accepts() and keep the live-ball array in
+// the same order (append on arrival, swap-remove on departure), so a ring's
+// live slot names the same ball in both.
 #pragma once
 
 #include <cstdint>
@@ -64,24 +67,19 @@ class CompactAllocator {
 
   /// serve::decideBatch() against the live int32 load array; draw-for-draw
   /// identical to OnlineAllocator::decideBatch on the same loads.
-  void decideBatch(const workload::Event* events, std::size_t count,
-                   std::uint64_t decisionSeed, std::int64_t baseOrdinal,
-                   std::vector<std::int32_t>* candidates, Decision* decisions) const {
-    serve::decideBatch(events, count, loads_, options_.arrivalChoices, decisionSeed,
-                       baseOrdinal, candidates, decisions);
+  void decideBatch(const workload::Event* events, std::size_t count, std::int64_t ringCount,
+                   rng::Xoshiro256pp& eng, std::vector<std::int32_t>* candidates,
+                   RingDraw* rings, Decision* decisions) const {
+    serve::decideBatch(events, count, ringCount, loads_, options_.arrivalChoices,
+                       liveBalls(), eng, candidates, rings, decisions);
   }
 
-  /// Fused apply of a whole batch in trace order; per-event semantics and
-  /// counter accounting identical to OnlineAllocator::applyBatch. Every
-  /// arrive must carry weight 1 (asserted) — the compact layout has
-  /// nowhere to put a weight.
-  void applyBatch(const workload::Event* events, const Decision* decisions,
-                  std::size_t count);
-
-  /// One RLS repair activation: the dense draw pair (uniform live ball,
-  /// uniform destination bin) under the strict rule. Returns whether a
-  /// ball moved.
-  bool repairMove(rng::Xoshiro256pp& eng);
+  /// Serve an epoch in trace order, rings before each record and the rest
+  /// after the last; unit semantics and counter accounting identical to
+  /// OnlineAllocator::applyBatch. Every arrive must carry weight 1
+  /// (asserted) — the compact layout has nowhere to put a weight.
+  void applyBatch(const workload::Event* events, const Decision* decisions, std::size_t count,
+                  const RingDraw* rings, std::int64_t ringCount);
 
   [[nodiscard]] std::int64_t numBins() const {
     return static_cast<std::int64_t>(loads_.size());
@@ -131,7 +129,7 @@ class CompactAllocator {
   // (sequential ids make this an amortized append).
   std::vector<std::int32_t> ballBin_;   // -1 = not live
   std::vector<std::int32_t> ballSlot_;  // index in live_
-  std::vector<std::int32_t> live_;      // live ball ids, the repair draw's domain
+  std::vector<std::int32_t> live_;      // live ball ids, the ring draw's domain
   ServeCounters counters_;
 };
 

@@ -1,19 +1,22 @@
 #include "serve/event_loop.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include "obs/memory.hpp"
 #include "rng/splitmix64.hpp"
 #include "util/assert.hpp"
-#include "util/timer.hpp"
 
 namespace rlslb::serve {
 
 namespace {
-// Stream salts for the loop's two rng families, derived from
-// LoopOptions.seed via rng::streamSeed.
+// Stream salt of the loop's decision streams, derived from LoopOptions.seed
+// via rng::streamSeed; epoch k draws from streamSeed(decisionSeed, k).
 constexpr std::uint64_t kDecisionStreamSalt = 0x64656373ULL;  // "decs"
-constexpr std::uint64_t kRepairStreamSalt = 0x72657061ULL;    // "repa"
+
+// Records the batch reserves up front, so a steady-state epoch never grows
+// it; a longer epoch grows it once, amortized.
+constexpr std::int64_t kBatchReserveCap = std::int64_t{1} << 16;
 
 // Microseconds -> integer nanoseconds for the serve.phase.*_ns counters.
 std::int64_t spanNs(double beginUs, double endUs) {
@@ -26,8 +29,7 @@ template <typename Allocator>
 EpochLoop<Allocator>::EpochLoop(Allocator& allocator, const LoopOptions& options)
     : allocator_(&allocator), options_(options) {
   RLSLB_ASSERT_MSG(options_.epochEvents >= 1, "LoopOptions.epochEvents must be >= 1");
-  RLSLB_ASSERT_MSG(options_.repairMovesPerEpoch >= 0,
-                   "LoopOptions.repairMovesPerEpoch must be >= 0");
+  RLSLB_ASSERT_MSG(options_.unitBudget >= 0, "LoopOptions.unitBudget must be >= 0");
 }
 
 template <typename Allocator>
@@ -43,12 +45,9 @@ void EpochLoop<Allocator>::registerMetrics() {
   ids_.resamples = m.counter("serve.resamples");
   ids_.migrations = m.counter("serve.migrations");
   ids_.rejectedMoves = m.counter("serve.rejected_moves");
-  ids_.repairAttempts = m.counter("serve.repair_attempts");
-  ids_.repairMigrations = m.counter("serve.repair_migrations");
   ids_.fillNs = m.counter("serve.phase.fill_ns");
   ids_.decideNs = m.counter("serve.phase.decide_ns");
   ids_.applyNs = m.counter("serve.phase.apply_ns");
-  ids_.repairNs = m.counter("serve.phase.repair_ns");
   ids_.gap = m.gauge("serve.gap");
   ids_.liveBalls = m.gauge("serve.live_balls");
   ids_.totalLoad = m.gauge("serve.total_load");
@@ -66,17 +65,15 @@ void EpochLoop<Allocator>::registerMetrics() {
 template <typename Allocator>
 RunResult EpochLoop<Allocator>::run(workload::TraceGenerator& trace,
                                     const std::function<void(const EpochStats&)>& onEpoch) {
-  // Multi-run contract: each run() is self-contained. A reused loop must
-  // draw the same decision/repair streams a fresh loop would on the same
-  // trace (allocator state, by design, carries over).
-  nextOrdinal_ = 0;
-  nextEpoch_ = 0;
+  // Multi-run contract: each run() is self-contained. The decision streams
+  // are keyed by the epoch index, which restarts at 0, so a reused loop
+  // draws what a fresh loop would on the same trace (allocator state, by
+  // design, carries over).
   const std::uint64_t decisionSeed = rng::streamSeed(options_.seed, kDecisionStreamSalt);
-  const std::uint64_t repairSeed = rng::streamSeed(options_.seed, kRepairStreamSalt);
 
   // Telemetry: all export happens at epoch boundaries (slab writes plus a
   // few clock samples inside the timed region when instrumented); the
-  // per-event hot path never touches the registry or the writer.
+  // per-unit hot path never touches the registry or the writer.
   obs::MetricsRegistry* const metrics = options_.metrics;
   obs::TraceWriter* const traceOut = options_.trace;
   obs::MonitorSet* const monitors = options_.monitors;
@@ -90,58 +87,80 @@ RunResult EpochLoop<Allocator>::run(workload::TraceGenerator& trace,
   RunResult result;
   // Epoch-scoped storage is reused across epochs: after the first epoch a
   // steady-state epoch performs no heap allocation (pinned by
-  // tests/test_serve_hotpath.cpp). `decisions` and `candidates` grow but
-  // never zero-fill per epoch; depart slots are simply never read.
+  // tests/test_serve_hotpath.cpp). The buffers grow but never zero-fill
+  // per epoch; depart slots of `decisions` are simply never read.
   std::vector<workload::Event> batch;
   std::vector<Decision> decisions;
   std::vector<std::int32_t> candidates;
-  batch.reserve(static_cast<std::size_t>(options_.epochEvents));
+  std::vector<RingDraw> ringDraws;
+  batch.reserve(static_cast<std::size_t>(std::min(options_.epochEvents, kBatchReserveCap)));
+  rng::Xoshiro256pp eng;  // the epoch's decision stream, reseeded per epoch
 
-  for (;;) {
-    // Phase stamps are extra reads of the steady clock, taken only when
-    // instrumented; the fill is stamped so trace generation has a name.
-    double tFill0 = 0.0;
-    if (instrumented) tFill0 = obs::nowUs();
+  // The record the last fill could not finish: its event, and the rings
+  // left after the ones that closed that epoch, open the next one.
+  workload::Event held;
+  bool holding = false;
+  std::int64_t budget = options_.unitBudget;  // units left to serve
+  double traceTime = 0.0;
+
+  for (std::int64_t epoch = 0;; ++epoch) {
+    // Fill: records until the epoch holds epochEvents units. Every run
+    // stamps the fill and the observe section (two clock reads each);
+    // decide's end is stamped only when instrumented.
+    const double tFill0 = obs::nowUs();
     batch.clear();
-    workload::Event event;
-    while (static_cast<std::int64_t>(batch.size()) < options_.epochEvents &&
-           trace.next(&event)) {
-      batch.push_back(event);
+    const std::int64_t want = std::min(options_.epochEvents, budget);
+    std::int64_t units = 0;
+    std::int64_t ringCount = 0;  // rings run in this epoch
+    while (units < want) {
+      if (!holding) {
+        if (!trace.next(&held)) break;
+        holding = true;
+      }
+      const std::int64_t room = want - units;
+      if (held.rings >= room) {
+        // The rings fill the epoch: `room` of them close it, and the
+        // record, holding the rest, opens the next one.
+        held.rings -= static_cast<std::int32_t>(room);
+        ringCount += room;
+        units = want;
+        break;
+      }
+      units += std::int64_t{held.rings} + 1;
+      ringCount += held.rings;
+      batch.push_back(held);
+      holding = false;
     }
-    if (batch.empty()) break;
+    const double tEpoch0 = obs::nowUs();
+    result.fillSeconds += (tEpoch0 - tFill0) * 1e-6;
+    if (units == 0) break;
+    budget -= units;
 
-    // Timing contract: the timer brackets decide + apply + repair only;
-    // the batch fill above and the stats/callback below are outside.
-    WallTimer wall;
-    double tEpoch0 = 0.0;
+    // Timing contract: these stamps bracket decide + apply only; the fill
+    // above and the stats/callback below are outside.
     double tDecide1 = 0.0;
-    double tApply1 = 0.0;
-    double tRepair1 = 0.0;
-    if (instrumented) tEpoch0 = obs::nowUs();
-    const std::int64_t baseOrdinal = nextOrdinal_;
-    nextOrdinal_ += static_cast<std::int64_t>(batch.size());
-
     if (decisions.size() < batch.size()) decisions.resize(batch.size());
-    allocator_->decideBatch(batch.data(), batch.size(), decisionSeed, baseOrdinal,
-                            &candidates, decisions.data());
+    if (ringDraws.size() < static_cast<std::size_t>(ringCount)) {
+      ringDraws.resize(static_cast<std::size_t>(ringCount));
+    }
+    eng.reseed(rng::streamSeed(decisionSeed, static_cast<std::uint64_t>(epoch)));
+    allocator_->decideBatch(batch.data(), batch.size(), ringCount, eng, &candidates,
+                            ringDraws.data(), decisions.data());
     if (instrumented) tDecide1 = obs::nowUs();
 
-    allocator_->applyBatch(batch.data(), decisions.data(), batch.size());
-    if (instrumented) tApply1 = obs::nowUs();
+    allocator_->applyBatch(batch.data(), decisions.data(), batch.size(), ringDraws.data(),
+                           ringCount);
+    const double tApply1 = obs::nowUs();
 
-    rng::Xoshiro256pp repairEng(
-        rng::streamSeed(repairSeed, static_cast<std::uint64_t>(nextEpoch_)));
-    for (int k = 0; k < options_.repairMovesPerEpoch; ++k) allocator_->repairMove(repairEng);
-    if (instrumented) tRepair1 = obs::nowUs();
-
-    const double epochWall = wall.seconds();
+    const double epochWall = (tApply1 - tEpoch0) * 1e-6;
     result.wallSeconds += epochWall;
-    result.events += static_cast<std::int64_t>(batch.size());
+    result.events += units;
+    result.activations += ringCount;
     ++result.epochs;
+    if (!batch.empty()) traceTime = batch.back().time;
 
     // Everything below is outside the timed region: stats assembly, the
     // telemetry export, and the callback, traced as one "observe" span.
-    const obs::Span observe(traceOut, "observe");
     const bool wantBalance = static_cast<bool>(onEpoch) || metrics != nullptr ||
                              traceOut != nullptr || monitors != nullptr;
     sim::BalanceState balance;
@@ -150,15 +169,14 @@ RunResult EpochLoop<Allocator>::run(workload::TraceGenerator& trace,
 
     if (traceOut != nullptr) {
       traceOut->complete("fill", "phase", tFill0, tEpoch0);
-      traceOut->complete("epoch", "epoch", tEpoch0, tRepair1);
+      traceOut->complete("epoch", "epoch", tEpoch0, tApply1);
       traceOut->complete("decide", "phase", tEpoch0, tDecide1);
       traceOut->complete("apply", "phase", tDecide1, tApply1);
-      traceOut->complete("repair", "phase", tApply1, tRepair1);
-      traceOut->counter("serve.gap", "gap", tRepair1, static_cast<double>(gap));
+      traceOut->counter("serve.gap", "gap", tApply1, static_cast<double>(gap));
     }
 
     if (metrics != nullptr) {
-      metrics->add(ids_.events, static_cast<std::int64_t>(batch.size()));
+      metrics->add(ids_.events, units);
       metrics->add(ids_.epochs, 1);
       const ServeCounters& c = allocator_->counters();
       metrics->add(ids_.arrivals, c.arrivals - prevCounters.arrivals);
@@ -166,14 +184,10 @@ RunResult EpochLoop<Allocator>::run(workload::TraceGenerator& trace,
       metrics->add(ids_.resamples, c.resamples - prevCounters.resamples);
       metrics->add(ids_.migrations, c.migrations - prevCounters.migrations);
       metrics->add(ids_.rejectedMoves, c.rejectedMoves - prevCounters.rejectedMoves);
-      metrics->add(ids_.repairAttempts, c.repairAttempts - prevCounters.repairAttempts);
-      metrics->add(ids_.repairMigrations,
-                   c.repairMigrations - prevCounters.repairMigrations);
       prevCounters = c;
       metrics->add(ids_.fillNs, spanNs(tFill0, tEpoch0));
       metrics->add(ids_.decideNs, spanNs(tEpoch0, tDecide1));
       metrics->add(ids_.applyNs, spanNs(tDecide1, tApply1));
-      metrics->add(ids_.repairNs, spanNs(tApply1, tRepair1));
       metrics->set(ids_.gap, static_cast<double>(gap));
       metrics->set(ids_.liveBalls, static_cast<double>(allocator_->liveBalls()));
       metrics->set(ids_.totalLoad, static_cast<double>(allocator_->totalLoad()));
@@ -184,15 +198,15 @@ RunResult EpochLoop<Allocator>::run(workload::TraceGenerator& trace,
                    live > 0 ? stateBytes / static_cast<double>(live) : 0.0);
       metrics->set(ids_.memPeakRss, static_cast<double>(obs::peakRssBytes()));
       metrics->observe(ids_.epochGap, gap);
-      metrics->observeSketch(ids_.epochNs, spanNs(tEpoch0, tRepair1));
+      metrics->observeSketch(ids_.epochNs, spanNs(tEpoch0, tApply1));
     }
 
     if (monitors != nullptr) {
       obs::CheckSample sample;
       sample.origin = obs::CheckSample::Origin::kServeEpoch;
-      sample.step = nextEpoch_;
-      sample.time = batch.back().time;
-      sample.events = static_cast<std::int64_t>(batch.size());
+      sample.step = epoch;
+      sample.time = traceTime;
+      sample.events = units;
       sample.wallSeconds = epochWall;
       sample.gap = gap;
       sample.liveBalls = allocator_->liveBalls();
@@ -201,24 +215,25 @@ RunResult EpochLoop<Allocator>::run(workload::TraceGenerator& trace,
       const ServeCounters& c = allocator_->counters();
       sample.arrivals = c.arrivals;
       sample.departures = c.departures;
-      sample.migrations = c.migrations + c.repairMigrations;
+      sample.migrations = c.migrations;
       monitors->check(sample);
     }
 
     if (onEpoch) {
       EpochStats stats;
-      stats.epoch = nextEpoch_;
-      stats.traceTime = batch.back().time;
-      stats.events = static_cast<std::int64_t>(batch.size());
+      stats.epoch = epoch;
+      stats.traceTime = traceTime;
+      stats.events = units;
       stats.liveBalls = allocator_->liveBalls();
       stats.totalLoad = allocator_->totalLoad();
       stats.balance = balance;
-      stats.migrations =
-          allocator_->counters().migrations + allocator_->counters().repairMigrations;
+      stats.migrations = allocator_->counters().migrations;
       stats.wallSeconds = epochWall;
       onEpoch(stats);
     }
-    ++nextEpoch_;
+    const double tObserve1 = obs::nowUs();
+    result.observeSeconds += (tObserve1 - tApply1) * 1e-6;
+    if (traceOut != nullptr) traceOut->complete("observe", "phase", tApply1, tObserve1);
   }
   return result;
 }

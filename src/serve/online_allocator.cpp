@@ -16,22 +16,37 @@ OnlineAllocator::OnlineAllocator(const AllocatorOptions& options)
 }
 
 void OnlineAllocator::apply(const workload::Event& event, const Decision& decision) {
-  applyBatch(&event, &decision, 1);
+  RLSLB_ASSERT(event.rings == 0);
+  applyBatch(&event, &decision, 1, nullptr, 0);
 }
 
 void OnlineAllocator::applyBatch(const workload::Event* events, const Decision* decisions,
-                                 std::size_t count) {
+                                 std::size_t count, const RingDraw* rings,
+                                 std::int64_t ringCount) {
   // The hot loop. Counters accumulate in locals so they live in registers
-  // across the batch instead of bouncing through memory per event; the
-  // logic per event is exactly apply()'s (which forwards here with count
-  // 1). Depart slots of `decisions` are never read.
+  // across the batch instead of bouncing through memory per unit. Depart
+  // slots of `decisions` are never read.
   std::int64_t arrivals = 0;
   std::int64_t departures = 0;
-  std::int64_t resamples = 0;
   std::int64_t migrations = 0;
-  std::int64_t rejected = 0;
+  const RingDraw* ring = rings;
+  // One RLS activation per draw: the ball in the drawn live slot samples the
+  // drawn bin under the strict rule on *live* loads.
+  const auto runRings = [&](std::int64_t k) {
+    for (; k > 0; --k, ++ring) {
+      RLSLB_ASSERT(ring->slot >= 0 && static_cast<std::size_t>(ring->slot) < live_.size());
+      RLSLB_ASSERT(ring->bin >= 0 && ring->bin < options_.bins);
+      BallRec* rec = balls_.find(live_[static_cast<std::size_t>(ring->slot)]);
+      RLSLB_ASSERT(rec != nullptr);
+      if (accepts(loads_, rec->bin, ring->bin, rec->weight, options_.invertAcceptance)) {
+        ++migrations;
+        moveBall(rec, ring->bin);
+      }
+    }
+  };
   for (std::size_t i = 0; i < count; ++i) {
     const workload::Event& event = events[i];
+    runRings(event.rings);
     switch (event.kind) {
       case workload::EventKind::kArrive: {
         const Decision& decision = decisions[i];
@@ -55,46 +70,17 @@ void OnlineAllocator::applyBatch(const workload::Event* events, const Decision* 
         changeLoad(rec.bin, -rec.weight);
         break;
       }
-      case workload::EventKind::kResample: {
-        const Decision& decision = decisions[i];
-        ++resamples;
-        RLSLB_ASSERT(decision.bin >= 0 && decision.bin < options_.bins);
-        BallRec* it = balls_.find(event.ball);
-        RLSLB_ASSERT_MSG(it != nullptr, "resample event for a ball that is not live");
-        // Strict local-search rule on *live* loads: the sampled candidate
-        // came from the epoch snapshot stream, but the acceptance must never
-        // worsen balance, so it is re-checked here.
-        if (accepts(loads_, it->bin, decision.bin, it->weight, options_.invertAcceptance)) {
-          ++migrations;
-          moveBall(it, decision.bin);
-        } else {
-          ++rejected;
-        }
-        break;
-      }
     }
   }
-  counters_.events += static_cast<std::int64_t>(count);
+  runRings(ringCount - (ring - rings));
+  RLSLB_ASSERT(ring == rings + ringCount);
+  const std::int64_t activations = ringCount;
+  counters_.events += static_cast<std::int64_t>(count) + activations;
   counters_.arrivals += arrivals;
   counters_.departures += departures;
-  counters_.resamples += resamples;
+  counters_.resamples += activations;
   counters_.migrations += migrations;
-  counters_.rejectedMoves += rejected;
-}
-
-bool OnlineAllocator::repairMove(rng::Xoshiro256pp& eng) {
-  if (live_.empty()) return false;
-  ++counters_.repairAttempts;
-  const std::int64_t ball = live_[static_cast<std::size_t>(
-      rng::uniformIndex(eng, static_cast<std::uint64_t>(live_.size())))];
-  const auto dst = static_cast<std::int32_t>(
-      rng::uniformIndex(eng, static_cast<std::uint64_t>(loads_.size())));
-  BallRec* it = balls_.find(ball);
-  RLSLB_ASSERT(it != nullptr);
-  if (!accepts(loads_, it->bin, dst, it->weight, options_.invertAcceptance)) return false;
-  ++counters_.repairMigrations;
-  moveBall(it, dst);
-  return true;
+  counters_.rejectedMoves += activations - migrations;
 }
 
 void OnlineAllocator::changeLoad(std::int32_t bin, std::int64_t delta) {

@@ -39,34 +39,6 @@ const FactorMeta* metaFor(ComposeFactor::Kind kind) {
   return nullptr;
 }
 
-// Semantic validation shared by the parser (user-facing message) and the
-// trace constructor (assertion backstop). Returns nullptr when valid.
-const char* checkFactor(const ComposeFactor& f) {
-  switch (f.kind) {
-    case ComposeFactor::Kind::kPoisson:
-      if (!(f.a >= 0.0)) return "poisson multiplier must be >= 0";
-      break;
-    case ComposeFactor::Kind::kDiurnal:
-      if (!(f.a >= 0.0 && f.a < 1.0)) return "diurnal amplitude must be in [0, 1)";
-      if (!(f.b > 0.0)) return "diurnal period must be > 0";
-      break;
-    case ComposeFactor::Kind::kBursty:
-      if (!(f.a >= 1.0)) return "bursty factor must be >= 1";
-      if (!(f.b > 0.0 && f.c > 0.0)) return "bursty switch rates must be > 0";
-      break;
-    case ComposeFactor::Kind::kHotspot:
-      if (!(f.a > 0.0)) return "hotspot period must be > 0";
-      if (!(f.b >= 1.0 && f.b == std::floor(f.b))) {
-        return "hotspot size must be an integer >= 1";
-      }
-      if (!(f.c >= 1.0 && f.c == std::floor(f.c))) {
-        return "hotspot weight must be an integer >= 1";
-      }
-      break;
-  }
-  return nullptr;
-}
-
 struct Parser {
   const std::string& text;
   std::size_t pos = 0;
@@ -135,7 +107,7 @@ struct Parser {
     out->a = args[0];
     out->b = args[1];
     out->c = args[2];
-    if (const char* message = checkFactor(*out)) return fail(message);
+    if (const char* message = checkComposeFactor(*out)) return fail(message);
     return true;
   }
   bool term(std::vector<ComposeFactor>* out) {
@@ -176,6 +148,33 @@ struct Parser {
 };
 
 }  // namespace
+
+const char* checkComposeFactor(const ComposeFactor& f) {
+  constexpr double kInt32Max = std::numeric_limits<std::int32_t>::max();
+  switch (f.kind) {
+    case ComposeFactor::Kind::kPoisson:
+      if (!(f.a >= 0.0)) return "poisson multiplier must be >= 0";
+      break;
+    case ComposeFactor::Kind::kDiurnal:
+      if (!(f.a >= 0.0 && f.a < 1.0)) return "diurnal amplitude must be in [0, 1)";
+      if (!(f.b > 0.0)) return "diurnal period must be > 0";
+      break;
+    case ComposeFactor::Kind::kBursty:
+      if (!(f.a >= 1.0)) return "bursty factor must be >= 1";
+      if (!(f.b > 0.0 && f.c > 0.0)) return "bursty switch rates must be > 0";
+      break;
+    case ComposeFactor::Kind::kHotspot:
+      if (!(f.a > 0.0)) return "hotspot period must be > 0";
+      if (!(f.b >= 1.0 && f.b <= kInt32Max && f.b == std::floor(f.b))) {
+        return "hotspot size must be an integer in [1, 2147483647]";
+      }
+      if (!(f.c >= 1.0 && f.c <= kInt32Max && f.c == std::floor(f.c))) {
+        return "hotspot weight must be an integer in [1, 2147483647]";
+      }
+      break;
+  }
+  return nullptr;
+}
 
 std::string ComposeSpec::canonical() const {
   std::string out;
@@ -251,7 +250,7 @@ void ComposedTrace::build(const ComposeSpec& spec, std::uint64_t seed) {
     std::vector<EnvFactor> resolved;
     double termCeiling = 1.0;
     for (const ComposeFactor& f : term) {
-      RLSLB_ASSERT_MSG(checkFactor(f) == nullptr, "invalid compose factor");
+      RLSLB_ASSERT_MSG(checkComposeFactor(f) == nullptr, "invalid compose factor");
       switch (f.kind) {
         case ComposeFactor::Kind::kPoisson: {
           resolved.push_back({f.kind, f.a, 0.0, 0});

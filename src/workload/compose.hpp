@@ -28,7 +28,8 @@
 // Semantics: arrivals are an exact Lewis-Shedler-thinned sampler of
 //   rate(t) = lambda * sum_terms ( c_term * prod_envelopes env(t) )
 // against the ceiling lambda * sum(c * prod(max env)); departures and
-// RLS resamples come from the shared OpenTrace clocks. A composed trace
+// the RLS clock rings each record carries come from the shared OpenTrace
+// clocks. A composed trace
 // is a pure function of (options, spec, seed) — byte-stable across
 // machines and thread counts like every other generator — and its
 // single-factor degenerate cases reproduce the standalone generators
@@ -63,6 +64,12 @@ struct ComposeSpec {
   /// normalize equally, and ComposedTrace::name() reports this.
   [[nodiscard]] std::string canonical() const;
 };
+
+/// The one range table of the trace shapes: why `f`'s parameters are out
+/// of range, or nullptr when they are in range. The parser reports it for
+/// a spec, the trace constructor asserts it, and the standalone serve
+/// scenarios (bursty, diurnal, adversarial) check their params through it.
+[[nodiscard]] const char* checkComposeFactor(const ComposeFactor& f);
 
 /// Parse a spec string. On failure returns false and stores a message in
 /// `error` when non-null.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 #include "rng/distributions.hpp"
 #include "rng/splitmix64.hpp"
@@ -14,7 +15,6 @@ const char* kindName(EventKind kind) {
   switch (kind) {
     case EventKind::kArrive: return "arrive";
     case EventKind::kDepart: return "depart";
-    case EventKind::kResample: return "resample";
   }
   RLSLB_ASSERT_MSG(false, "unknown EventKind");
   return "?";
@@ -25,8 +25,6 @@ bool kindFromName(std::string_view name, EventKind* out) {
     *out = EventKind::kArrive;
   } else if (name == "depart") {
     *out = EventKind::kDepart;
-  } else if (name == "resample") {
-    *out = EventKind::kResample;
   } else {
     return false;
   }
@@ -50,11 +48,17 @@ double OpenTrace::nextBurstAfter(double) const {
 }
 void OpenTrace::emitBurst(double) {}
 
+bool OpenTrace::ratesFinite() const {
+  const double maxLive = std::numeric_limits<std::int32_t>::max();
+  return std::isfinite(arrivalRateCeiling() * static_cast<double>(options_.bins) +
+                       (options_.departureRate + options_.resampleRate) * maxLive);
+}
+
 void OpenTrace::queueArrival(double t, std::int64_t weight) {
   RLSLB_ASSERT(weight >= 1);
   const std::int64_t id = nextBall_++;
   live_.push_back(id);
-  pending_.push_back({t, EventKind::kArrive, id, weight});
+  pending_.push_back({t, EventKind::kArrive, 0, id, weight});
 }
 
 bool OpenTrace::next(Event* out) {
@@ -63,56 +67,88 @@ bool OpenTrace::next(Event* out) {
     if (!pending_.empty()) {
       *out = pending_.front();
       pending_.pop_front();
+      out->rings = rings_;  // rings before a burst ride on its first arrival
+      rings_ = 0;
       ++emitted_;
       return true;
     }
 
     // Superposed exponential clocks: candidate arrivals at the rate
     // ceiling (thinned to the instantaneous rate), departures and RLS
-    // resamples per live ball. All rates are constant between events, so
-    // the competing-exponentials draw is exact.
+    // clock rings per live ball. All rates are constant between records,
+    // so the competing-exponentials draw is exact.
     const double ceiling = arrivalRateCeiling();
     const double arrivalRate = ceiling * static_cast<double>(options_.bins);
     const double balls = static_cast<double>(live_.size());
-    const double departRate = options_.departureRate * balls;
-    const double resampleRate = options_.resampleRate * balls;
-    const double total = arrivalRate + departRate + resampleRate;
+    const double recordRate = arrivalRate + options_.departureRate * balls;
+    const double total = recordRate + options_.resampleRate * balls;
     const double burstAt = nextBurstAfter(time_);
     if (total <= 0.0) {
       // No running clocks (empty system, no stochastic arrivals): only a
-      // scheduled burst can still produce events.
+      // scheduled burst can still produce records.
       if (!std::isfinite(burstAt)) return false;  // trace over
       time_ = burstAt;
       emitBurst(burstAt);
       continue;
     }
 
-    const double candidate = time_ + rng::exponential(eng_, total);
-    if (burstAt <= candidate) {
+    // One step per clock that fires: its waiting time is -log(V) / total for
+    // a fresh uniform V in (0, 1], and its ticket picks the clock. A ring
+    // changes no rate, so a run of steps only multiplies its V's, and the
+    // elapsed time is formed once, when a record or a burst ends the run:
+    // the burst comes first iff the product falls to exp(-total * wait).
+    double burstBar = std::isfinite(burstAt) ? std::exp(-total * (burstAt - time_)) : 0.0;
+    double product = 1.0;
+    double ticket = 0.0;
+    for (;;) {
+      product *= rng::uniformDoublePositive(eng_);
+      if (product <= burstBar) break;
+      ticket = rng::uniformDouble(eng_) * total;
+      if (ticket < recordRate) break;
+      // A clock ring: the allocator draws the ball, the trace only counts.
+      if (rings_ == std::numeric_limits<std::int32_t>::max()) {
+        throw std::invalid_argument(
+            "more than 2^31 - 1 RLS clock rings between two trace records; the "
+            "resample rate is too high for the arrival and departure rates");
+      }
+      ++rings_;
+      if (product < 0x1.0p-900) {
+        // Fold the elapsed time in before the product can underflow.
+        time_ -= std::log(product) / total;
+        product = 1.0;
+        if (std::isfinite(burstAt)) burstBar = std::exp(-total * (burstAt - time_));
+      }
+    }
+    if (product <= burstBar) {
       time_ = burstAt;
       emitBurst(burstAt);
-      continue;  // burst events queued; popped at the top of the loop
+      continue;  // burst arrivals queued; popped at the top of the loop
     }
-    time_ = candidate;
+    time_ -= std::log(product) / total;
 
-    const double ticket = rng::uniformDouble(eng_) * total;
+    // The ticket fell below recordRate: an arrival candidate or a departure,
+    // each in proportion to its rate.
     if (ticket < arrivalRate) {
       // Thinning: accept a candidate arrival with prob rate(t)/ceiling.
       if (rng::uniformDouble(eng_) * ceiling <= arrivalRateAt(time_)) {
-        queueArrival(time_, arrivalWeight(time_));
+        const std::int64_t weight = arrivalWeight(time_);
+        RLSLB_ASSERT(weight >= 1);
+        const std::int64_t id = nextBall_++;
+        live_.push_back(id);
+        *out = {time_, EventKind::kArrive, rings_, id, weight};
+        rings_ = 0;
+        ++emitted_;
+        return true;
       }
       continue;
     }
     const auto pick = static_cast<std::size_t>(
         rng::uniformIndex(eng_, static_cast<std::uint64_t>(live_.size())));
     const std::int64_t ball = live_[pick];
-    if (ticket < arrivalRate + departRate) {
-      live_[pick] = live_.back();
-      live_.pop_back();
-      *out = {time_, EventKind::kDepart, ball, 0};
-    } else {
-      *out = {time_, EventKind::kResample, ball, 0};
-    }
+    live_[pick] = live_.back();
+    live_.pop_back();
+    *out = {time_, EventKind::kDepart, rings_, ball, 0};
+    rings_ = 0;
     ++emitted_;
     return true;
   }

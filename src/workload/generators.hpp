@@ -3,13 +3,21 @@
 // Every generator is an exact event-driven sampler of an open system in the
 // Ganesh et al. [11] style: balls arrive as a (possibly modulated) Poisson
 // process of rate lambda(t) * n, each live ball departs at rate mu
-// (service) and fires its RLS migration clock at rate `resampleRate` while
-// resident. The generator owns the live-ball bookkeeping (which ball
-// departs / resamples is part of the *workload*, not the allocator), so a
-// trace is a self-contained, replayable object.
+// (service) and carries an RLS clock of rate `resampleRate` while resident.
+// The generator owns the live-ball bookkeeping (which ball departs is part
+// of the *workload*, not the allocator), so a trace is a self-contained,
+// replayable object.
+//
+// The clocks are the balancer's, not traffic: the generator runs the same
+// competing-clocks race as before, but a ring emits nothing. It only
+// counts, and the next record (arrival or departure) carries the count in
+// Event::rings. Which ball rang is a uniform live ball, and the live set
+// at that trace position is the same for the generator and the allocator,
+// so the allocator draws it (serve/event_loop.hpp) and the law is exactly
+// the per-ball-clock one.
 //
 // Determinism contract: a generator is a pure function of its options and
-// seed — the same (options, seed) yields the same event stream on any
+// seed — the same (options, seed) yields the same record stream on any
 // machine, thread count, or consumption pattern. Seeds are derived through
 // the same rng::streamSeed machinery as the replication harness.
 //
@@ -28,8 +36,9 @@
 //   HotspotTrace   adversarial: background Poisson plus periodic
 //                  synchronized bursts of heavy balls at one timestamp —
 //                  worst case for placement policies that act on a stale
-//                  load snapshot.
-// JSONL replay (workload/trace_io.hpp) completes the set.
+//                  load snapshot. Rings that fall before a burst ride on
+//                  its first arrival.
+// Replay (workload/trace_io.hpp) completes the set.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +51,7 @@
 
 namespace rlslb::workload {
 
-/// Pull interface: next(out) yields events in nondecreasing time order
+/// Pull interface: next(out) yields records in nondecreasing time order
 /// until the trace ends (returns false).
 class TraceGenerator {
  public:
@@ -58,11 +67,13 @@ struct OpenTraceOptions {
   double departureRate = 0.125;    // mu: per-ball service rate
   double resampleRate = 1.0;       // per-ball RLS clock rate (0 = no migration)
   std::int64_t ballWeight = 1;     // weight of background arrivals
-  std::int64_t maxEvents = 1'000'000;  // trace length
+  std::int64_t maxEvents = 1'000'000;  // trace length in records (rings not counted)
 };
 
 /// Shared event-loop over superposed exponential clocks, with hooks for
-/// rate modulation and scheduled (deterministic-time) arrivals.
+/// rate modulation and scheduled (deterministic-time) arrivals. Stochastic
+/// arrivals and departures are emitted directly; only a burst's arrivals
+/// queue.
 class OpenTrace : public TraceGenerator {
  public:
   OpenTrace(const OpenTraceOptions& options, std::uint64_t seed);
@@ -72,6 +83,12 @@ class OpenTrace : public TraceGenerator {
   [[nodiscard]] std::int64_t liveBalls() const {
     return static_cast<std::int64_t>(live_.size());
   }
+
+  /// Whether the total clock rate stays finite with up to 2^31 - 1 live
+  /// balls (the allocators' live-slot range): the arrival ceiling times n
+  /// plus the per-ball departure and ring rates times that many balls. A
+  /// trace whose rates overflow cannot be sampled.
+  [[nodiscard]] bool ratesFinite() const;
 
  protected:
   /// Instantaneous arrival rate per bin at time t; must be <=
@@ -95,8 +112,9 @@ class OpenTrace : public TraceGenerator {
   double time_ = 0.0;
   std::int64_t nextBall_ = 0;
   std::int64_t emitted_ = 0;
+  std::int32_t rings_ = 0;          // clock rings since the last emitted record
   std::vector<std::int64_t> live_;  // live ball ids (swap-remove on departure)
-  std::deque<Event> pending_;       // queued burst events, FIFO
+  std::deque<Event> pending_;       // queued burst arrivals, FIFO
 };
 
 class PoissonTrace final : public OpenTrace {

@@ -1,12 +1,21 @@
 // Trace recording and replay in three interchangeable formats.
 //
-//   JSONL   one event per line, e.g. {"t":1.25,"kind":"arrive","ball":7,"w":1}
-//   CSV     "t,kind,ball,w" header then one row per event — the import
-//           format for externally produced workloads (spreadsheets, other
-//           simulators)
-//   binary  "RLT1" magic then fixed 25-byte little-endian records
-//           (f64 time, u8 kind, i64 ball, i64 weight) — the compact format
-//           for the big capacity-sweep traces (~3x smaller than JSONL)
+//   JSONL   one record per line, e.g.
+//             {"t":1.25,"kind":"arrive","ball":7,"w":1,"rings":3}
+//           ("rings" may be omitted on read; it defaults to 0)
+//   CSV     "t,kind,ball,w,rings" header then one row per record — the
+//           import format for externally produced workloads (spreadsheets,
+//           other simulators)
+//   binary  "RLT2" magic then fixed 29-byte little-endian records
+//           (f64 time, u8 kind, i64 ball, i64 weight, i32 rings) — the
+//           compact format for the big capacity-sweep traces
+//
+// `kind` is "arrive" or "depart"; `rings` counts the RLS clock rings since
+// the previous record (workload/event.hpp). A reader rejects, naming the
+// line (JSONL/CSV) or byte offset (binary), any record it cannot serve: an
+// unparseable one, an unknown kind (including the retired "resample"), a
+// negative ball id or ring count, an arrival weight outside [1, 2^31 - 1],
+// and the pre-rings layouts (an "RLT1" magic, the 4-column CSV header).
 //
 // Every format is bit-exact: text timestamps serialize through
 // report::formatJsonNumber (shortest round-trip form) and the binary format
@@ -35,11 +44,11 @@ enum class TraceFormat : std::uint8_t { kJsonl, kCsv, kBinary };
 [[nodiscard]] TraceFormat traceFormatFromPath(const std::string& path);
 
 /// The CSV header row and the binary magic (no trailing newline on either).
-inline constexpr const char* kTraceCsvHeader = "t,kind,ball,w";
-inline constexpr const char* kTraceBinaryMagic = "RLT1";
-inline constexpr std::size_t kTraceBinaryRecordBytes = 25;  // f64 + u8 + 2*i64
+inline constexpr const char* kTraceCsvHeader = "t,kind,ball,w,rings";
+inline constexpr const char* kTraceBinaryMagic = "RLT2";
+inline constexpr std::size_t kTraceBinaryRecordBytes = 29;  // f64 + u8 + 2*i64 + i32
 
-/// One event as a JSONL line (no trailing newline).
+/// One record as a JSONL line (no trailing newline).
 [[nodiscard]] std::string formatTraceEvent(const Event& event);
 
 /// Parse one JSONL line. On failure returns false and, when `error` is
@@ -47,7 +56,7 @@ inline constexpr std::size_t kTraceBinaryRecordBytes = 25;  // f64 + u8 + 2*i64
 [[nodiscard]] bool parseTraceEvent(const std::string& line, Event* out,
                                    std::string* error = nullptr);
 
-/// One event as a CSV row (no trailing newline).
+/// One record as a CSV row (no trailing newline).
 [[nodiscard]] std::string formatTraceEventCsv(const Event& event);
 
 /// Parse one CSV row (not the header). Same error contract as
@@ -58,7 +67,7 @@ inline constexpr std::size_t kTraceBinaryRecordBytes = 25;  // f64 + u8 + 2*i64
 /// Append one fixed-width little-endian record to `out`.
 void appendTraceEventBinary(std::string* out, const Event& event);
 
-/// Decode one record from a 25-byte buffer. Returns false on a bad kind
+/// Decode one record from a 29-byte buffer. Returns false on a bad kind
 /// byte.
 [[nodiscard]] bool decodeTraceEventBinary(const unsigned char* bytes, Event* out,
                                           std::string* error = nullptr);
@@ -81,59 +90,70 @@ class RecordingTrace final : public TraceGenerator {
   TraceFormat format_;
 };
 
-/// Replay generator over a JSONL stream (blank lines skipped). A malformed
-/// line — unparseable, a negative ball id, or an arrive with w < 1 —
-/// throws std::invalid_argument naming its 1-based line: a corrupt trace
-/// must not silently truncate an experiment.
-class JsonlTraceReader final : public TraceGenerator {
+/// A replay generator. A record it cannot serve throws
+/// std::invalid_argument naming its position, so a corrupt trace never
+/// silently truncates an experiment; reject() reports a record that parsed
+/// but breaks the stream's invariants the same way.
+class TraceReader : public TraceGenerator {
  public:
-  explicit JsonlTraceReader(std::istream& in) : in_(&in) {}
-
-  bool next(Event* out) override;
   [[nodiscard]] std::string name() const override { return "replay"; }
+  /// Throw std::invalid_argument naming where the last record returned by
+  /// next() starts ("line 7", "byte 33").
+  [[noreturn]] void reject(const std::string& what) const;
+
+ protected:
+  TraceReader(std::istream& in, const char* unit) : in_(&in), unit_(unit) {}
+
+  std::istream* in_;
+  const char* unit_;        // "line" or "byte"
+  std::int64_t record_ = 0; // position of the last record returned
+};
+
+/// Replay generator over a JSONL stream (blank lines skipped; positions are
+/// 1-based lines).
+class JsonlTraceReader final : public TraceReader {
+ public:
+  explicit JsonlTraceReader(std::istream& in) : TraceReader(in, "line") {}
+  bool next(Event* out) override;
 
  private:
-  std::istream* in_;
   std::int64_t line_ = 0;  // lines consumed
 };
 
-/// Replay generator over a CSV stream (header mandatory and verified; same
-/// throw-with-line-number contract as JSONL).
-class CsvTraceReader final : public TraceGenerator {
+/// Replay generator over a CSV stream (header mandatory and verified).
+class CsvTraceReader final : public TraceReader {
  public:
-  explicit CsvTraceReader(std::istream& in) : in_(&in) {}
-
+  explicit CsvTraceReader(std::istream& in) : TraceReader(in, "line") {}
   bool next(Event* out) override;
-  [[nodiscard]] std::string name() const override { return "replay"; }
 
  private:
-  std::istream* in_;
   std::int64_t line_ = 0;  // lines consumed; line 1 is the header
 };
 
-/// Replay generator over a binary stream (magic mandatory and verified). A
-/// truncated or malformed record throws std::invalid_argument naming its
-/// byte offset.
-class BinaryTraceReader final : public TraceGenerator {
+/// Replay generator over a binary stream (magic mandatory and verified;
+/// positions are byte offsets, so a truncated record names its own).
+class BinaryTraceReader final : public TraceReader {
  public:
-  explicit BinaryTraceReader(std::istream& in) : in_(&in) {}
-
+  explicit BinaryTraceReader(std::istream& in) : TraceReader(in, "byte") {}
   bool next(Event* out) override;
-  [[nodiscard]] std::string name() const override { return "replay"; }
 
  private:
-  std::istream* in_;
   std::int64_t offset_ = 0;  // bytes consumed (0 = magic not yet read)
 };
 
 /// Replay generator for `format` over `in` (which the factory does not
 /// own).
-[[nodiscard]] std::unique_ptr<TraceGenerator> makeTraceReader(std::istream& in,
-                                                              TraceFormat format);
+[[nodiscard]] std::unique_ptr<TraceReader> makeTraceReader(std::istream& in,
+                                                           TraceFormat format);
 
-/// Count the events in a trace stream by draining a replay reader (resets
-/// nothing; pass a fresh stream). Used by replay scenarios to size epochs,
-/// so a malformed record throws here, before any serving.
+/// Count the units in a trace stream — records plus their rings, the work a
+/// replay serves — by draining a replay reader (resets nothing; pass a
+/// fresh stream). Replay scenarios size their epochs from it before any
+/// serving, so this pass also checks what the allocator relies on, off the
+/// hot path: timestamps finite and nondecreasing, no departure of a ball
+/// that is not live, no arrival of one that is, and no rings while no ball
+/// is live. A malformed or invariant-breaking record throws
+/// std::invalid_argument here, naming its position.
 [[nodiscard]] std::int64_t countTraceEvents(std::istream& in, TraceFormat format);
 
 }  // namespace rlslb::workload

@@ -2,86 +2,94 @@
 // tests/test_serve_differential.cpp.
 //
 // This is a test-only copy of serve::OnlineAllocator and serve::EpochLoop
-// in their simplest eager form: a decision phase against an epoch-start
-// snapshot copy, then an apply pass in trace order that re-validates the
-// strict local-search rule against live loads with every structure (level
-// histogram, ball map, live-ball list) updated per event, then the
-// per-epoch repair budget. The production loop's contract is byte-identity
-// with THIS code — final load vector, every semantic counter, and the
-// per-epoch gap trajectory — for every (epochEvents, trace, seed)
+// in their simplest eager form, one unit at a time: a record is expanded
+// into its clock rings and then its own event, each a separate unit; an
+// epoch is the next epochEvents units; a decision phase draws every unit of
+// the epoch in trace order against an epoch-start snapshot copy, then an
+// apply pass in trace order re-validates the strict local-search rule
+// against live loads with every structure (level histogram, ball map,
+// live-ball list) updated per unit. No batching, no prefetch, no ring
+// buffer. The production loop's contract is byte-identity with THIS code —
+// final load vector, every semantic counter, and the per-epoch gap
+// trajectory — for every (epochEvents, unit budget, trace, seed)
 // combination, so do not "fix" or modernize it; it only changes if the
 // serving semantics are deliberately re-specified. It is the only
 // independent check on weighted traces: serve::CompactAllocator is
 // unit-weight only.
 //
-// Re-specified once, deliberately: repair draws a uniform live ball (the
-// paper's per-ball clocks) and a uniform destination bin — two draws —
-// where it used to draw a load-weighted bin, a uniform ball in it and a
-// destination. The live list is append-on-arrival, swap-remove-on-
-// departure, untouched by migrations.
-//
-// The decision phase is frozen here too, in its per-event form: one event,
-// one reseeded stream streamSeed(decisionSeed, ordinal), d draws and the
-// least loaded with ties to the earlier draw. Production decides an epoch
-// in two passes (serve::decideBatch: draw every candidate and prefetch its
-// load, then compare), so the differential checks that batched decide —
-// its candidate records, its d = 1 shortcut and its tie rule — against an
-// independent implementation.
+// Re-specified, deliberately:
+//   - an RLS activation draws a uniform live ball (the paper's per-ball
+//     clocks) and a uniform destination bin — two draws. The live list is
+//     append-on-arrival, swap-remove-on-departure, untouched by migrations;
+//   - the clocks are no longer trace events: a record carries its ring
+//     count, and each ring is an activation drawn by the loop. One decision
+//     stream per epoch, streamSeed(decisionSeed, epoch), replaces the
+//     per-event streams and the per-epoch repair budget.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <unordered_map>
 #include <vector>
 
-#include "rng/splitmix64.hpp"
 #include "rng/distributions.hpp"
+#include "rng/splitmix64.hpp"
 #include "rng/xoshiro256pp.hpp"
-#include "runner/thread_pool.hpp"
 #include "serve/online_allocator.hpp"
 #include "sim/engine.hpp"
 #include "util/assert.hpp"
-#include "util/timer.hpp"
 #include "workload/event.hpp"
 #include "workload/generators.hpp"
 
 namespace rlslb::serve::reference {
 
-/// Frozen per-event decision: a pure function of the event, the load
-/// snapshot and the event's rng stream. Arrive: the least loaded of
-/// `arrivalChoices` uniform bins (ties keep the first draw). Resample: one
-/// uniform candidate bin. Depart: no draw.
-inline Decision decide(const workload::Event& event, const std::vector<std::int64_t>& loads,
-                       int arrivalChoices, rng::Xoshiro256pp& eng) {
+/// One unit of work: a clock ring, or a record's own event.
+struct Unit {
+  bool ring = false;
+  workload::Event event;  // the record's event; unused by a ring
+};
+
+/// A unit's draws. Ring: a live slot and a destination bin. Arrive: the
+/// chosen bin. Depart: nothing.
+struct UnitDecision {
+  std::int32_t slot = -1;
+  std::int32_t bin = -1;
+};
+
+/// Frozen per-unit decision: a pure function of the unit, the load snapshot,
+/// the live count before the unit and the epoch's rng stream. Ring: a
+/// uniform slot in [0, live), then a uniform bin. Arrive: the least loaded
+/// of `arrivalChoices` uniform bins (ties keep the first draw). Depart: no
+/// draw.
+inline UnitDecision decide(const Unit& unit, const std::vector<std::int64_t>& loads,
+                           int arrivalChoices, std::int64_t live, rng::Xoshiro256pp& eng) {
   const auto n = static_cast<std::uint64_t>(loads.size());
-  Decision d;
-  switch (event.kind) {
-    case workload::EventKind::kArrive: {
-      auto best = static_cast<std::int32_t>(rng::uniformIndex(eng, n));
-      for (int c = 1; c < arrivalChoices; ++c) {
-        const auto candidate = static_cast<std::int32_t>(rng::uniformIndex(eng, n));
-        if (loads[static_cast<std::size_t>(candidate)] <
-            loads[static_cast<std::size_t>(best)]) {
-          best = candidate;
-        }
+  UnitDecision d;
+  if (unit.ring) {
+    RLSLB_ASSERT(live > 0);
+    d.slot = static_cast<std::int32_t>(rng::uniformIndex(eng, static_cast<std::uint64_t>(live)));
+    d.bin = static_cast<std::int32_t>(rng::uniformIndex(eng, n));
+    return d;
+  }
+  if (unit.event.kind == workload::EventKind::kArrive) {
+    auto best = static_cast<std::int32_t>(rng::uniformIndex(eng, n));
+    for (int c = 1; c < arrivalChoices; ++c) {
+      const auto candidate = static_cast<std::int32_t>(rng::uniformIndex(eng, n));
+      if (loads[static_cast<std::size_t>(candidate)] < loads[static_cast<std::size_t>(best)]) {
+        best = candidate;
       }
-      d.bin = best;
-      break;
     }
-    case workload::EventKind::kResample:
-      d.bin = static_cast<std::int32_t>(rng::uniformIndex(eng, n));
-      break;
-    case workload::EventKind::kDepart:
-      break;
+    d.bin = best;
   }
   return d;
 }
 
 /// Frozen eager OnlineAllocator (level histogram + ball map + live-ball
-/// list, updated per event). Reuses the production serve::Decision and
-/// serve::ServeCounters records; decisions come from the frozen decide()
-/// above.
+/// list, updated per unit). Reuses the production serve::ServeCounters
+/// record.
 class ReferenceAllocator {
  public:
   explicit ReferenceAllocator(const AllocatorOptions& options)
@@ -91,14 +99,32 @@ class ReferenceAllocator {
     levels_[0] = options_.bins;
   }
 
-  [[nodiscard]] Decision decide(const workload::Event& event,
-                                const std::vector<std::int64_t>& snapshotLoads,
-                                rng::Xoshiro256pp& eng) const {
-    return reference::decide(event, snapshotLoads, options_.arrivalChoices, eng);
+  [[nodiscard]] UnitDecision decide(const Unit& unit,
+                                    const std::vector<std::int64_t>& snapshotLoads,
+                                    std::int64_t live, rng::Xoshiro256pp& eng) const {
+    return reference::decide(unit, snapshotLoads, options_.arrivalChoices, live, eng);
   }
 
-  void apply(const workload::Event& event, const Decision& decision) {
+  void apply(const Unit& unit, const UnitDecision& decision) {
     ++counters_.events;
+    if (unit.ring) {
+      ++counters_.resamples;
+      RLSLB_ASSERT(decision.slot >= 0 &&
+                   static_cast<std::size_t>(decision.slot) < live_.size());
+      RLSLB_ASSERT(decision.bin >= 0 && decision.bin < options_.bins);
+      BallRec& rec = balls_.at(live_[static_cast<std::size_t>(decision.slot)]);
+      const std::int32_t src = rec.bin;
+      const std::int32_t dst = decision.bin;
+      if (dst != src && loads_[static_cast<std::size_t>(dst)] + rec.weight <
+                            loads_[static_cast<std::size_t>(src)]) {
+        ++counters_.migrations;
+        moveBall(rec, dst);
+      } else {
+        ++counters_.rejectedMoves;
+      }
+      return;
+    }
+    const workload::Event& event = unit.event;
     switch (event.kind) {
       case workload::EventKind::kArrive: {
         RLSLB_ASSERT(decision.bin >= 0 && decision.bin < options_.bins);
@@ -119,41 +145,7 @@ class ReferenceAllocator {
         changeLoad(rec.bin, -rec.weight);
         break;
       }
-      case workload::EventKind::kResample: {
-        ++counters_.resamples;
-        RLSLB_ASSERT(decision.bin >= 0 && decision.bin < options_.bins);
-        const auto it = balls_.find(event.ball);
-        RLSLB_ASSERT_MSG(it != balls_.end(), "resample event for a ball that is not live");
-        BallRec& rec = it->second;
-        const std::int32_t src = rec.bin;
-        const std::int32_t dst = decision.bin;
-        if (dst != src && loads_[static_cast<std::size_t>(dst)] + rec.weight <
-                              loads_[static_cast<std::size_t>(src)]) {
-          ++counters_.migrations;
-          moveBall(rec, dst);
-        } else {
-          ++counters_.rejectedMoves;
-        }
-        break;
-      }
     }
-  }
-
-  bool repairMove(rng::Xoshiro256pp& eng) {
-    if (live_.empty()) return false;
-    ++counters_.repairAttempts;
-    const std::int64_t ball = live_[static_cast<std::size_t>(
-        rng::uniformIndex(eng, static_cast<std::uint64_t>(live_.size())))];
-    const auto dst = static_cast<std::int32_t>(
-        rng::uniformIndex(eng, static_cast<std::uint64_t>(loads_.size())));
-    BallRec& rec = balls_.at(ball);
-    if (dst == rec.bin || loads_[static_cast<std::size_t>(dst)] + rec.weight >=
-                              loads_[static_cast<std::size_t>(rec.bin)]) {
-      return false;
-    }
-    ++counters_.repairMigrations;
-    moveBall(rec, dst);
-    return true;
   }
 
   [[nodiscard]] const std::vector<std::int64_t>& loads() const { return loads_; }
@@ -222,7 +214,7 @@ class ReferenceAllocator {
   std::int64_t totalLoad_ = 0;
   std::map<std::int64_t, std::int64_t> levels_;
   std::unordered_map<std::int64_t, BallRec> balls_;
-  std::vector<std::int64_t> live_;  // live ball ids, in repair-draw order
+  std::vector<std::int64_t> live_;  // live ball ids, in ring-draw slot order
   ServeCounters counters_;
   std::int64_t maxWeightSeen_ = 0;
 };
@@ -241,108 +233,95 @@ struct ReferenceEpochStats {
   [[nodiscard]] std::int64_t gap() const { return balance.maxLoad - balance.minLoad; }
 };
 
-/// Frozen EpochLoop: bulk-synchronous epochs with a hash-sharded decision
-/// phase on a pool and a sequential trace-order apply.
+/// Frozen EpochLoop: epochs of epochEvents units, a sequential decision
+/// phase over one epoch-keyed stream, and a sequential trace-order apply.
 class ReferenceEventLoop {
  public:
   struct Options {
-    int shards = 8;
     std::int64_t epochEvents = 1024;
-    int repairMovesPerEpoch = 4;
+    std::int64_t unitBudget = std::numeric_limits<std::int64_t>::max();
     std::uint64_t seed = 1;
   };
 
-  ReferenceEventLoop(ReferenceAllocator& allocator, const Options& options,
-                     runner::ThreadPool& pool)
-      : allocator_(&allocator), options_(options), pool_(&pool) {
-    RLSLB_ASSERT(options_.shards >= 1);
+  ReferenceEventLoop(ReferenceAllocator& allocator, const Options& options)
+      : allocator_(&allocator), options_(options) {
     RLSLB_ASSERT(options_.epochEvents >= 1);
-    RLSLB_ASSERT(options_.repairMovesPerEpoch >= 0);
+    RLSLB_ASSERT(options_.unitBudget >= 0);
   }
 
   struct RunResult {
     std::int64_t events = 0;
     std::int64_t epochs = 0;
-    double wallSeconds = 0.0;
   };
 
   RunResult run(workload::TraceGenerator& trace,
                 const std::function<void(const ReferenceEpochStats&)>& onEpoch = {}) {
     constexpr std::uint64_t kDecisionSalt = 0x64656373ULL;  // "decs"
-    constexpr std::uint64_t kRepairSalt = 0x72657061ULL;    // "repa"
     const std::uint64_t decisionSeed = rng::streamSeed(options_.seed, kDecisionSalt);
-    const std::uint64_t repairSeed = rng::streamSeed(options_.seed, kRepairSalt);
-    const auto shards = static_cast<std::size_t>(options_.shards);
+
+    // Record expansion: a record's rings, one unit each, then its event.
+    workload::Event record;
+    std::int64_t ringsLeft = 0;
+    bool eventLeft = false;
+    const auto nextUnit = [&](Unit* out) {
+      if (ringsLeft == 0 && !eventLeft) {
+        if (!trace.next(&record)) return false;
+        ringsLeft = record.rings;
+        eventLeft = true;
+      }
+      out->event = record;
+      out->ring = ringsLeft > 0;
+      if (out->ring) {
+        --ringsLeft;
+      } else {
+        eventLeft = false;
+      }
+      return true;
+    };
 
     RunResult result;
-    std::vector<workload::Event> batch;
-    std::vector<Decision> decisions;
-    std::vector<std::vector<std::size_t>> shardEvents(shards);
+    std::int64_t budget = options_.unitBudget;
+    double traceTime = 0.0;
+    std::vector<Unit> units;
+    std::vector<UnitDecision> decisions;
     std::vector<std::int64_t> snapshot;
-    batch.reserve(static_cast<std::size_t>(options_.epochEvents));
-
-    for (;;) {
-      batch.clear();
-      workload::Event event;
-      while (static_cast<std::int64_t>(batch.size()) < options_.epochEvents &&
-             trace.next(&event)) {
-        batch.push_back(event);
+    for (std::int64_t epoch = 0;; ++epoch) {
+      units.clear();
+      Unit unit;
+      while (static_cast<std::int64_t>(units.size()) < std::min(options_.epochEvents, budget) &&
+             nextUnit(&unit)) {
+        units.push_back(unit);
       }
-      if (batch.empty()) break;
-
-      WallTimer wall;
-      const std::int64_t baseOrdinal = nextOrdinal_;
-      nextOrdinal_ += static_cast<std::int64_t>(batch.size());
-
-      for (auto& list : shardEvents) list.clear();
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        const std::size_t shard =
-            static_cast<std::size_t>(
-                rng::mix64(static_cast<std::uint64_t>(batch[i].ball))) %
-            shards;
-        shardEvents[shard].push_back(i);
-      }
+      if (units.empty()) break;
+      budget -= static_cast<std::int64_t>(units.size());
 
       snapshot = allocator_->loads();
-      decisions.assign(batch.size(), Decision{});
-      pool_->parallelFor(static_cast<std::int64_t>(shards), [&](std::int64_t shard) {
-        for (const std::size_t i : shardEvents[static_cast<std::size_t>(shard)]) {
-          const workload::Event& e = batch[i];
-          if (e.kind == workload::EventKind::kDepart) continue;
-          rng::Xoshiro256pp eng(rng::streamSeed(
-              decisionSeed,
-              static_cast<std::uint64_t>(baseOrdinal + static_cast<std::int64_t>(i))));
-          decisions[i] = allocator_->decide(e, snapshot, eng);
-        }
-      });
-
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        allocator_->apply(batch[i], decisions[i]);
+      rng::Xoshiro256pp eng(rng::streamSeed(decisionSeed, static_cast<std::uint64_t>(epoch)));
+      decisions.clear();
+      std::int64_t live = allocator_->liveBalls();
+      for (const Unit& u : units) {
+        decisions.push_back(allocator_->decide(u, snapshot, live, eng));
+        if (!u.ring) live += u.event.kind == workload::EventKind::kArrive ? 1 : -1;
       }
-      rng::Xoshiro256pp repairEng(
-          rng::streamSeed(repairSeed, static_cast<std::uint64_t>(nextEpoch_)));
-      for (int k = 0; k < options_.repairMovesPerEpoch; ++k) {
-        allocator_->repairMove(repairEng);
+      for (std::size_t i = 0; i < units.size(); ++i) {
+        allocator_->apply(units[i], decisions[i]);
+        if (!units[i].ring) traceTime = units[i].event.time;
       }
 
-      const double epochWall = wall.seconds();
-      result.wallSeconds += epochWall;
-      result.events += static_cast<std::int64_t>(batch.size());
+      result.events += static_cast<std::int64_t>(units.size());
       ++result.epochs;
 
       if (onEpoch) {
         ReferenceEpochStats stats;
-        stats.epoch = nextEpoch_;
-        stats.traceTime = batch.back().time;
-        stats.events = static_cast<std::int64_t>(batch.size());
+        stats.epoch = epoch;
+        stats.traceTime = traceTime;
+        stats.events = static_cast<std::int64_t>(units.size());
         stats.liveBalls = allocator_->liveBalls();
         stats.totalLoad = allocator_->totalLoad();
         stats.balance = allocator_->balanceState();
-        stats.migrations =
-            allocator_->counters().migrations + allocator_->counters().repairMigrations;
+        stats.migrations = allocator_->counters().migrations;
         onEpoch(stats);
       }
-      ++nextEpoch_;
     }
     return result;
   }
@@ -350,9 +329,6 @@ class ReferenceEventLoop {
  private:
   ReferenceAllocator* allocator_;
   Options options_;
-  runner::ThreadPool* pool_;
-  std::int64_t nextOrdinal_ = 0;
-  std::int64_t nextEpoch_ = 0;
 };
 
 }  // namespace rlslb::serve::reference

@@ -1,8 +1,8 @@
 // The compact allocator's equivalence contract -- CompactAllocator and the
 // dense OnlineAllocator, each under the one serve::EpochLoop, land on
 // byte-identical loads, counters, and gap trajectories across a (trace,
-// seed) differential matrix; both sides were re-specified together to the
-// uniform-live-ball repair draw -- plus the compact layout's internal
+// seed) differential matrix; both sides run a clock ring as the same
+// (live slot, destination bin) draw pair -- plus the compact layout's internal
 // invariants, its incremental balance accounting against a brute-force
 // scan, the dense allocator's fused balance pass, resident-byte
 // accounting, and the budget-gate estimator.
@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,7 +28,6 @@ namespace {
 constexpr std::int64_t kBins = 48;
 constexpr std::int64_t kEvents = 6000;
 constexpr std::int64_t kEpochEvents = 256;
-constexpr int kRepair = 4;
 
 workload::OpenTraceOptions traceOptions() {
   workload::OpenTraceOptions o;
@@ -63,24 +63,24 @@ void expectEqualOutcomes(const Outcome& compact, const Outcome& dense,
   EXPECT_EQ(a.resamples, b.resamples) << label;
   EXPECT_EQ(a.migrations, b.migrations) << label;
   EXPECT_EQ(a.rejectedMoves, b.rejectedMoves) << label;
-  EXPECT_EQ(a.repairAttempts, b.repairAttempts) << label;
-  EXPECT_EQ(a.repairMigrations, b.repairMigrations) << label;
 }
 
 std::vector<std::int64_t> loadsOf(const OnlineAllocator& a) { return a.loads(); }
 std::vector<std::int64_t> loadsOf(const CompactAllocator& a) { return a.loadsCopy(); }
 
-/// Drains `trace` through the loop into a fresh `Allocator`.
+/// Serves `trace` through the loop into a fresh `Allocator`, for `budget`
+/// units or to the end of the trace.
 template <typename Allocator>
 Outcome runOn(workload::TraceGenerator& trace, std::int64_t epochEvents,
-              std::uint64_t seed) {
+              std::uint64_t seed,
+              std::int64_t budget = std::numeric_limits<std::int64_t>::max()) {
   AllocatorOptions options;
   options.bins = kBins;
   options.arrivalChoices = 2;
   Allocator allocator(options);
   LoopOptions loopOptions;
   loopOptions.epochEvents = epochEvents;
-  loopOptions.repairMovesPerEpoch = kRepair;
+  loopOptions.unitBudget = budget;
   loopOptions.seed = seed;
   EpochLoop loop(allocator, loopOptions);
   Outcome out;
@@ -99,19 +99,32 @@ Outcome runOn(workload::TraceGenerator& trace, std::int64_t epochEvents,
 
 Outcome runCompact(const std::string& spec, std::uint64_t seed) {
   workload::ComposedTrace trace(traceOptions(), spec, seed);
-  const Outcome out = runOn<CompactAllocator>(trace, kEpochEvents, seed);
+  const Outcome out = runOn<CompactAllocator>(trace, kEpochEvents, seed, kEvents);
   EXPECT_EQ(out.counters.events, kEvents);
   return out;
 }
 
 Outcome runDense(const std::string& spec, std::uint64_t seed) {
   workload::ComposedTrace trace(traceOptions(), spec, seed);
-  const Outcome out = runOn<OnlineAllocator>(trace, kEpochEvents, seed);
+  const Outcome out = runOn<OnlineAllocator>(trace, kEpochEvents, seed, kEvents);
   EXPECT_EQ(out.counters.events, kEvents);
   return out;
 }
 
-/// A fixed event list as a trace.
+/// Builds a scripted record list: ring() counts a clock ring (only while a
+/// ball is live), and the next record pushed carries the rings counted
+/// since the last one, as a generator's would.
+struct ScriptBuilder {
+  std::vector<workload::Event> events;
+  std::int32_t rings = 0;
+  double t = 0.0;
+  void push(workload::EventKind kind, std::int64_t ball, std::int64_t weight) {
+    events.push_back({t += 1.0, kind, rings, ball, weight});
+    rings = 0;
+  }
+};
+
+/// A fixed record list as a trace.
 class ScriptedTrace final : public workload::TraceGenerator {
  public:
   explicit ScriptedTrace(std::vector<workload::Event> events) : events_(std::move(events)) {}
@@ -127,29 +140,29 @@ class ScriptedTrace final : public workload::TraceGenerator {
   std::size_t next_ = 0;
 };
 
-/// Unit-weight churn aimed at the compact apply's prefetch window (hints
-/// 16 and 8 events ahead): balls that arrive and depart within a few
-/// events, the newest live ball departing, resamples of balls that arrived
-/// two events earlier, ids arriving out of order (an indexed ball that is
-/// not live yet), and two drains to an empty system, each followed by a
-/// restart whose departures are hinted while no ball is live.
+/// Unit-weight churn aimed at the compact apply's prefetch windows (record
+/// hints 16 and 8 records ahead, ring hints 16, 8 and 4 draws ahead): balls
+/// that arrive and depart within a few records, the newest live ball
+/// departing, bursts of rings around them (so ring hints name slots that a
+/// departure empties first), ids arriving out of order (an indexed ball
+/// that is not live yet), and two drains to an empty system, each followed
+/// by a restart whose departures are hinted while no ball is live.
 std::vector<workload::Event> prefetchWindowScript() {
   rng::Xoshiro256pp eng(16);
-  std::vector<workload::Event> events;
+  ScriptBuilder script;
   std::vector<std::int64_t> live;
   std::int64_t nextBall = 0;
-  double t = 0.0;
   const auto arrive = [&](std::int64_t ball) {
-    events.push_back({t += 1.0, workload::EventKind::kArrive, ball, 1});
+    script.push(workload::EventKind::kArrive, ball, 1);
     live.push_back(ball);
   };
   const auto depart = [&](std::size_t i) {
-    events.push_back({t += 1.0, workload::EventKind::kDepart, live[i], 0});
+    script.push(workload::EventKind::kDepart, live[i], 0);
     live[i] = live.back();
     live.pop_back();
   };
-  const auto resample = [&](std::int64_t ball) {
-    events.push_back({t += 1.0, workload::EventKind::kResample, ball, 0});
+  const auto ring = [&](int k) {
+    if (!live.empty()) script.rings += k;
   };
   const auto anyLive = [&] {
     return static_cast<std::size_t>(rng::uniformIndex(eng, live.size()));
@@ -168,24 +181,24 @@ std::vector<workload::Event> prefetchWindowScript() {
     arrive(b);
     depart(live.size() - 1);
     nextBall = b + 7;
-    // Fill, each ball resampled two events after it arrived.
+    // Fill, a ring after every second arrival.
     for (int k = 0; k < 60; ++k) {
-      const std::int64_t ball = nextBall;
       arrive(nextBall++);
       arrive(nextBall++);
-      resample(ball);
+      ring(1);
     }
-    // Short-lived balls, the pair arriving in swapped id order.
+    // Short-lived balls, the pair arriving in swapped id order, with rings
+    // before each departure.
     for (int k = 0; k < 20; ++k) {
       arrive(nextBall + 1);
       arrive(nextBall);
       nextBall += 2;
-      resample(live.back());
+      ring(1);
       depart(live.size() - 1);
-      resample(live[anyLive()]);
+      ring(2);
       depart(live.size() - 1);
     }
-    // Random churn.
+    // Random churn, with runs of rings longer than the ring hints' reach.
     for (int k = 0; k < 300; ++k) {
       const std::uint64_t roll = rng::uniformIndex(eng, 10);
       if (live.empty() || roll < 4) {
@@ -193,16 +206,23 @@ std::vector<workload::Event> prefetchWindowScript() {
       } else if (roll < 7) {
         depart(anyLive());
       } else {
-        resample(live[anyLive()]);
+        ring(1 + static_cast<int>(rng::uniformIndex(eng, 20)));
       }
     }
-    // Drain to empty, resampling in between; the last live ball departs.
+    // Drain to empty, ringing in between; the last live ball departs.
     while (!live.empty()) {
+      if (rng::uniformIndex(eng, 2) == 0) ring(3);
       depart(anyLive());
-      if (!live.empty() && rng::uniformIndex(eng, 2) == 0) resample(live[anyLive()]);
     }
   }
-  return events;
+  return script.events;
+}
+
+/// Units in a record list: each record plus its rings.
+std::int64_t unitsOf(const std::vector<workload::Event>& events) {
+  std::int64_t units = 0;
+  for (const workload::Event& e : events) units += 1 + e.rings;
+  return units;
 }
 
 // The equivalence contract: for every unit-weight trace shape and seed,
@@ -223,40 +243,44 @@ TEST(CompactAllocator, MatchesDenseAcrossTheDifferentialMatrix) {
                           spec + " seed=" + std::to_string(seed));
     }
   }
-  // The scripted prefetch-window trace, at epochs shorter than the 8-event
-  // hint (no hints), of exactly 16 and 17 events (the window's edges), and
-  // longer.
+  // The scripted prefetch-window trace, at epochs shorter than the 8-record
+  // hint (no record hints), of exactly 16 and 17 units (the window's
+  // edges), and longer.
   const std::vector<workload::Event> script = prefetchWindowScript();
   for (const std::int64_t epochEvents : {5, 16, 17, 64}) {
     ScriptedTrace compactTrace(script);
     ScriptedTrace denseTrace(script);
     const Outcome compact = runOn<CompactAllocator>(compactTrace, epochEvents, 3);
-    EXPECT_EQ(compact.counters.events, static_cast<std::int64_t>(script.size()));
+    EXPECT_EQ(compact.counters.events, unitsOf(script));
+    EXPECT_GT(compact.counters.resamples, 1000);
     EXPECT_EQ(compact.liveBalls, 0);
     expectEqualOutcomes(compact, runOn<OnlineAllocator>(denseTrace, epochEvents, 3),
                         "scripted epoch=" + std::to_string(epochEvents));
   }
 }
 
-TEST(CompactAllocator, RepairStreamMatchesDense) {
-  // Heavier repair pressure: the repair draw pair (uniform live ball ->
-  // destination bin) is where the two live-ball arrays must agree on order
-  // (append on arrival, swap-remove on departure) exactly.
+TEST(CompactAllocator, RingStreamMatchesDense) {
+  // Heavier ring pressure: the ring draw pair (live slot -> destination
+  // bin) is where the two live-ball arrays must agree on order (append on
+  // arrival, swap-remove on departure) exactly.
+  workload::OpenTraceOptions hot = traceOptions();
+  hot.resampleRate = 8.0;
   LoopOptions options;
   options.epochEvents = 64;
-  options.repairMovesPerEpoch = 32;
+  options.unitBudget = 4 * kEvents;
   options.seed = 11;
-  workload::ComposedTrace compactTrace(traceOptions(), "poisson", 11);
+  workload::ComposedTrace compactTrace(hot, "poisson", 11);
   CompactAllocator compact(AllocatorOptions{.bins = kBins});
   EpochLoop(compact, options).run(compactTrace);
 
-  workload::ComposedTrace denseTrace(traceOptions(), "poisson", 11);
+  workload::ComposedTrace denseTrace(hot, "poisson", 11);
   OnlineAllocator dense(AllocatorOptions{.bins = kBins});
   EpochLoop(dense, options).run(denseTrace);
 
   EXPECT_EQ(compact.loadsCopy(), dense.loads());
-  EXPECT_EQ(compact.counters().repairAttempts, dense.counters().repairAttempts);
-  EXPECT_EQ(compact.counters().repairMigrations, dense.counters().repairMigrations);
+  EXPECT_GT(compact.counters().resamples, 3 * kEvents);
+  EXPECT_EQ(compact.counters().resamples, dense.counters().resamples);
+  EXPECT_EQ(compact.counters().migrations, dense.counters().migrations);
   EXPECT_TRUE(compact.validate());
 }
 
@@ -324,26 +348,32 @@ TEST(CompactAllocator, ValidateCatchesFreshAndRunStates) {
   EXPECT_EQ(allocator.liveBalls(), 0);
   EXPECT_EQ(allocator.gap(), 0);
 
-  // Drive a tiny hand-built batch: arrivals, a resample, a departure.
+  // Drive a tiny hand-built batch: arrivals, then two rings and a
+  // departure, then a ring no record of the batch carries.
   std::vector<workload::Event> events;
-  std::vector<Decision> decisions;
+  std::vector<Decision> decisions(7);
   std::vector<std::int32_t> candidates;
+  std::vector<RingDraw> rings(3);
   for (std::int64_t ball = 0; ball < 6; ++ball) {
-    events.push_back({static_cast<double>(ball), workload::EventKind::kArrive, ball, 1});
+    events.push_back({static_cast<double>(ball), workload::EventKind::kArrive, 0, ball, 1});
   }
-  events.push_back({6.0, workload::EventKind::kResample, 2, 0});
-  events.push_back({7.0, workload::EventKind::kDepart, 0, 0});
-  decisions.resize(events.size());
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    allocator.decideBatch(&events[i], 1, 3, static_cast<std::int64_t>(i), &candidates,
-                          &decisions[i]);
+  events.push_back({7.0, workload::EventKind::kDepart, 2, 0, 0});
+  rng::Xoshiro256pp eng(3);
+  allocator.decideBatch(events.data(), events.size(), 3, eng, &candidates, rings.data(),
+                        decisions.data());
+  for (const RingDraw& r : rings) {
+    EXPECT_GE(r.slot, 0);
+    EXPECT_LT(r.slot, 6);  // drawn over the six balls live before the depart
   }
-  allocator.applyBatch(events.data(), decisions.data(), events.size());
+  EXPECT_LT(rings[2].slot, 5);  // the last ring: five live after it
+  allocator.applyBatch(events.data(), decisions.data(), events.size(), rings.data(), 3);
   EXPECT_TRUE(allocator.validate());
   EXPECT_EQ(allocator.totalLoad(), 5);
   EXPECT_EQ(allocator.liveBalls(), 5);
   EXPECT_EQ(allocator.counters().arrivals, 6);
   EXPECT_EQ(allocator.counters().departures, 1);
+  EXPECT_EQ(allocator.counters().resamples, 3);
+  EXPECT_EQ(allocator.counters().events, 10);
   EXPECT_EQ(allocator.maxWeightSeen(), 1);
 }
 
@@ -394,47 +424,42 @@ std::int64_t checkEveryEpoch(CompactAllocator& allocator, workload::TraceGenerat
   return epochs;
 }
 
-/// Fill `balls` balls, then depart every one in random order, with a
-/// resample of a random live ball after each arrival and departure: the
-/// ball count crosses every multiple of the bin count both ways and ends
-/// at zero.
+/// Fill `balls` balls, then depart every one in random order, with a clock
+/// ring after each arrival and departure while a ball is live: the ball
+/// count crosses every multiple of the bin count both ways and ends at
+/// zero.
 std::vector<workload::Event> fillThenDrain(std::int64_t balls, std::uint64_t seed) {
   rng::Xoshiro256pp eng(seed);
-  std::vector<workload::Event> events;
+  ScriptBuilder script;
   std::vector<std::int64_t> live;
-  double t = 0.0;
-  const auto resampleOne = [&] {
-    if (live.empty()) return;
-    const auto i = static_cast<std::size_t>(rng::uniformIndex(eng, live.size()));
-    events.push_back({t += 1.0, workload::EventKind::kResample, live[i], 0});
-  };
   for (std::int64_t ball = 0; ball < balls; ++ball) {
-    events.push_back({t += 1.0, workload::EventKind::kArrive, ball, 1});
+    script.push(workload::EventKind::kArrive, ball, 1);
     live.push_back(ball);
-    resampleOne();
+    ++script.rings;
   }
   while (!live.empty()) {
     const auto i = static_cast<std::size_t>(rng::uniformIndex(eng, live.size()));
-    events.push_back({t += 1.0, workload::EventKind::kDepart, live[i], 0});
+    script.push(workload::EventKind::kDepart, live[i], 0);
     live[i] = live.back();
     live.pop_back();
-    resampleOne();
+    if (!live.empty()) ++script.rings;
   }
-  return events;
+  return script.events;
 }
 
 TEST(CompactBalance, TrackedStateMatchesAScanAfterEveryEpoch) {
-  // Arrivals, departures, resamples and heavy repair pressure.
+  // Arrivals, departures and heavy ring pressure.
+  workload::OpenTraceOptions hot = traceOptions();
+  hot.resampleRate = 4.0;
   for (const std::string spec : {"poisson", "diurnal(0.8,64)*bursty(8,0.05,0.5)"}) {
-    workload::ComposedTrace trace(traceOptions(), spec, 7);
+    workload::ComposedTrace trace(hot, spec, 7);
     CompactAllocator allocator(AllocatorOptions{.bins = kBins});
     LoopOptions options;
     options.epochEvents = 64;
-    options.repairMovesPerEpoch = 32;
+    options.unitBudget = 2 * kEvents;
     options.seed = 7;
     EXPECT_GT(checkEveryEpoch(allocator, trace, options, spec), 0);
     EXPECT_GT(allocator.counters().migrations, 0);
-    EXPECT_GT(allocator.counters().repairMigrations, 0);
   }
 }
 
@@ -455,7 +480,6 @@ TEST(CompactBalance, TrackedStateFollowsATraceThatDrainsToEmpty) {
   CompactAllocator allocator(AllocatorOptions{.bins = 16});
   LoopOptions options;
   options.epochEvents = 16;
-  options.repairMovesPerEpoch = 4;
   options.seed = 4;
   EXPECT_GT(checkEveryEpoch(allocator, trace, options, "drain"), 0);
   EXPECT_EQ(allocator.totalLoad(), 0);
@@ -471,13 +495,17 @@ TEST(CompactBalance, TrackedStateFollowsATraceThatDrainsToEmpty) {
 TEST(DenseBalance, FusedPassMatchesTheThreePassDefinition) {
   OnlineAllocator allocator(AllocatorOptions{.bins = 13, .arrivalChoices = 2});
   rng::Xoshiro256pp eng(17);
+  rng::Xoshiro256pp decisionEng(18);
   std::vector<std::int64_t> live;
   std::vector<std::int32_t> candidates;
+  std::vector<RingDraw> rings(8);
   std::int64_t nextBall = 0;
   for (int step = 0; step < 4000; ++step) {
     workload::Event e;
+    // Up to 7 rings before each record while a ball is live.
+    if (!live.empty()) e.rings = static_cast<std::int32_t>(rng::uniformIndex(eng, 8));
     const std::uint64_t roll = rng::uniformIndex(eng, 10);
-    if (live.empty() || roll < 4) {
+    if (live.empty() || roll < 5) {
       e.kind = workload::EventKind::kArrive;
       e.ball = nextBall++;
       e.weight = 1 + static_cast<std::int64_t>(rng::uniformIndex(eng, 4));
@@ -485,17 +513,13 @@ TEST(DenseBalance, FusedPassMatchesTheThreePassDefinition) {
     } else {
       const auto i = static_cast<std::size_t>(rng::uniformIndex(eng, live.size()));
       e.ball = live[i];
-      if (roll < 7) {
-        e.kind = workload::EventKind::kDepart;
-        live[i] = live.back();
-        live.pop_back();
-      } else {
-        e.kind = workload::EventKind::kResample;
-      }
+      e.kind = workload::EventKind::kDepart;
+      live[i] = live.back();
+      live.pop_back();
     }
     Decision decision;
-    allocator.decideBatch(&e, 1, 17, step, &candidates, &decision);
-    allocator.apply(e, decision);
+    allocator.decideBatch(&e, 1, e.rings, decisionEng, &candidates, rings.data(), &decision);
+    allocator.applyBatch(&e, &decision, 1, rings.data(), e.rings);
     if (step % 37 != 0) continue;
 
     const std::vector<std::int64_t>& loads = allocator.loads();

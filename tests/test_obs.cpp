@@ -189,31 +189,27 @@ TEST(MetricsRegistry_, MergeIsDeterministicAcrossShardAndThreadCounts) {
 
 // --------------------------------------------- serving-loop integration
 
-/// Steady-state trace: resample events cycling over pre-placed balls on a
-/// perfectly balanced allocator -- the strict RLS rule rejects every move,
-/// so epochs after the first do no structural work (the same construction
-/// tests/test_serve_hotpath.cpp pins WITHOUT metrics).
-class ResampleOnlyTrace final : public workload::TraceGenerator {
+/// Steady-state trace: one record whose clock rings, served under a unit
+/// budget that stops before its event, are all the run does. On a
+/// perfectly balanced allocator the strict RLS rule rejects every
+/// activation, so epochs after the first do no structural work (the same
+/// construction tests/test_serve_hotpath.cpp pins WITHOUT metrics).
+class RingsOnlyTrace final : public workload::TraceGenerator {
  public:
-  ResampleOnlyTrace(std::int64_t balls, std::int64_t resamples)
-      : balls_(balls), resamples_(resamples) {}
+  explicit RingsOnlyTrace(std::int64_t rings) : rings_(static_cast<std::int32_t>(rings)) {}
 
   bool next(workload::Event* out) override {
-    if (emitted_ >= resamples_) return false;
-    out->time = static_cast<double>(emitted_);
-    out->kind = workload::EventKind::kResample;
-    out->ball = emitted_ % balls_;
-    out->weight = 0;
-    ++emitted_;
+    if (done_) return false;
+    done_ = true;
+    *out = {0.0, workload::EventKind::kDepart, rings_, 0, 0};
     return true;
   }
 
-  [[nodiscard]] std::string name() const override { return "resample-only"; }
+  [[nodiscard]] std::string name() const override { return "rings-only"; }
 
  private:
-  std::int64_t balls_;
-  std::int64_t resamples_;
-  std::int64_t emitted_ = 0;
+  std::int32_t rings_;
+  bool done_ = false;
 };
 
 serve::OnlineAllocator makeBalancedAllocator(std::int64_t bins, std::int64_t balls) {
@@ -241,12 +237,12 @@ TEST(MetricsHotPath, SteadyStateEpochsAreAllocationFreeWithMetricsAttached) {
   MetricsRegistry metrics;
   serve::LoopOptions options;
   options.epochEvents = kEpochEvents;
-  options.repairMovesPerEpoch = 4;
+  options.unitBudget = kEpochEvents * kEpochs;
   options.seed = 11;
   options.metrics = &metrics;
   serve::EpochLoop loop(allocator, options);
 
-  ResampleOnlyTrace trace(256, kEpochEvents * kEpochs);
+  RingsOnlyTrace trace(kEpochEvents * kEpochs);
   std::vector<std::int64_t> perEpoch;
   perEpoch.reserve(64);
   std::int64_t last = 0;
@@ -293,13 +289,13 @@ TEST(MetricsHotPath, SteadyStateEpochsAreAllocationFreeWithMonitorsAttached) {
 
   serve::LoopOptions options;
   options.epochEvents = kEpochEvents;
-  options.repairMovesPerEpoch = 4;
+  options.unitBudget = kEpochEvents * kEpochs;
   options.seed = 11;
   options.metrics = &metrics;
   options.monitors = &monitors;
   serve::EpochLoop loop(allocator, options);
 
-  ResampleOnlyTrace trace(256, kEpochEvents * kEpochs);
+  RingsOnlyTrace trace(kEpochEvents * kEpochs);
   std::vector<std::int64_t> perEpoch;
   perEpoch.reserve(64);
   std::int64_t last = 0;
@@ -340,7 +336,6 @@ TEST(MetricsHotPath, AttachedMetricsDoNotPerturbTheRunAndAgreeWithCounters) {
         serve::AllocatorOptions{.bins = 32, .arrivalChoices = 2});
     serve::LoopOptions options;
     options.epochEvents = 512;
-    options.repairMovesPerEpoch = 4;
     options.seed = 5;
     options.metrics = metrics;
     serve::EpochLoop loop(allocator, options);
@@ -360,8 +355,8 @@ TEST(MetricsHotPath, AttachedMetricsDoNotPerturbTheRunAndAgreeWithCounters) {
   EXPECT_EQ(metrics.counterValue(metrics.counter("serve.migrations")), c.migrations);
   EXPECT_EQ(metrics.counterValue(metrics.counter("serve.rejected_moves")),
             c.rejectedMoves);
-  EXPECT_EQ(metrics.counterValue(metrics.counter("serve.repair_migrations")),
-            c.repairMigrations);
+  EXPECT_EQ(metrics.counterValue(metrics.counter("serve.resamples")), c.resamples);
+  EXPECT_GT(c.resamples, 0);
 }
 
 // ---------------------------------------------------------------- trace
@@ -457,8 +452,8 @@ TEST(Trace, JsonIsWellFormedWithContainedSpansAndWorkerTracks) {
 
 // Runtime-off contract, for both allocators through the one EpochLoop:
 // tracing never changes the run's outcome, and the attached writer records
-// per epoch exactly one epoch span, the four phase spans (fill, decide,
-// apply, repair), one observe span and one serve.gap counter sample.
+// per epoch exactly one epoch span, the three phase spans (fill, decide,
+// apply), one observe span and one serve.gap counter sample.
 std::vector<std::int64_t> loadsOf(const serve::OnlineAllocator& a) { return a.loads(); }
 std::vector<std::int64_t> loadsOf(const serve::CompactAllocator& a) { return a.loadsCopy(); }
 
@@ -481,6 +476,7 @@ TYPED_TEST(LoopTrace, ServingLoopEmitsPhaseSpansOnlyWhenAttached) {
     TypeParam allocator(serve::AllocatorOptions{.bins = 32, .arrivalChoices = 2});
     serve::LoopOptions options;
     options.epochEvents = 512;
+    options.unitBudget = 2048;
     options.seed = 5;
     options.trace = trace;
     serve::EpochLoop loop(allocator, options);
@@ -500,7 +496,7 @@ TYPED_TEST(LoopTrace, ServingLoopEmitsPhaseSpansOnlyWhenAttached) {
   const report::Json doc = report::Json::parse(out.str(), &error);
   ASSERT_TRUE(error.empty()) << error;
   const report::Json& events = doc.at("traceEvents");
-  const char* const kSpans[] = {"epoch", "fill", "decide", "apply", "repair", "observe"};
+  const char* const kSpans[] = {"epoch", "fill", "decide", "apply", "observe"};
   std::int64_t spans[std::size(kSpans)] = {};
   std::int64_t gaps = 0;
   for (std::size_t i = 0; i < events.size(); ++i) {

@@ -267,7 +267,7 @@ ServeRun runServeWithMonitors(bool invert) {
 
   serve::LoopOptions options;
   options.epochEvents = 512;
-  options.repairMovesPerEpoch = 4;
+  options.unitBudget = 32768;
   options.seed = 13;
   options.monitors = &monitors;
   serve::EpochLoop loop(allocator, options);

@@ -482,7 +482,7 @@ TEST(ProcessState, ServeAllocatorSharesTheVocabulary) {
     event.ball = nextBall++;
     event.weight = 1 + static_cast<std::int64_t>(rng::uniformIndex(eng, 3));
     serve::Decision d;
-    allocator.decideBatch(&event, 1, 9, e, &candidates, &d);
+    allocator.decideBatch(&event, 1, 0, eng, &candidates, nullptr, &d);
     allocator.apply(event, d);
   }
   const sim::BalanceState state = allocator.balanceState();

@@ -1,21 +1,27 @@
 // The serving loop's differential layer: the production event loop must be
 // byte-identical — final load vector, every semantic counter, and the
 // per-epoch gap trajectory — to the frozen reference loop
-// (tests/serve_reference.hpp, whose repair was re-specified to the
-// uniform-live-ball draw together with production's, and whose per-event
-// decide is frozen apart from production's two-pass one) across epoch
-// granularities, trace kinds (including the weighted adversarial one),
-// arrival choices d and seeds. Plus LoopOptions validation death tests, the EpochStats/RunResult
-// timing contract, and a high-contention stress case.
+// (tests/serve_reference.hpp, which serves one unit at a time: each clock
+// ring, then each record's event, with a per-unit decide frozen apart from
+// production's two-pass one and its ring buffer) across epoch
+// granularities, unit budgets that cut a record's rings, trace kinds
+// (including the weighted adversarial one), arrival choices d and seeds.
+// Plus LoopOptions validation death tests, the EpochStats/RunResult timing
+// contract, the scenario wall split, and a high-contention stress case.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
-#include "runner/thread_pool.hpp"
+#include "report/json.hpp"
+#include "report/result_sink.hpp"
+#include "scenario/scenario.hpp"
 #include "serve/event_loop.hpp"
 #include "serve/online_allocator.hpp"
 #include "serve_reference.hpp"
@@ -65,15 +71,13 @@ struct Outcome {
 bool countersEqual(const ServeCounters& a, const ServeCounters& b) {
   return a.events == b.events && a.arrivals == b.arrivals &&
          a.departures == b.departures && a.resamples == b.resamples &&
-         a.migrations == b.migrations && a.rejectedMoves == b.rejectedMoves &&
-         a.repairAttempts == b.repairAttempts &&
-         a.repairMigrations == b.repairMigrations;
+         a.migrations == b.migrations && a.rejectedMoves == b.rejectedMoves;
 }
 
 struct Config {
   TraceKind kind = TraceKind::kPoisson;
   std::int64_t bins = 24;
-  std::int64_t events = 2048;
+  std::int64_t events = 2048;  // the unit budget, and the trace's record cap
   std::int64_t epochEvents = 256;
   std::uint64_t seed = 1;
   int d = 2;  // arrival choices
@@ -82,13 +86,9 @@ struct Config {
 Outcome runReference(workload::TraceGenerator& trace, const Config& c) {
   reference::ReferenceAllocator allocator(
       AllocatorOptions{.bins = c.bins, .arrivalChoices = c.d});
-  runner::ThreadPool pool(1);
   reference::ReferenceEventLoop loop(
-      allocator,
-      reference::ReferenceEventLoop::Options{
-          .shards = 4, .epochEvents = c.epochEvents, .repairMovesPerEpoch = 4,
-          .seed = c.seed},
-      pool);
+      allocator, reference::ReferenceEventLoop::Options{
+                     .epochEvents = c.epochEvents, .unitBudget = c.events, .seed = c.seed});
   Outcome out;
   const auto result =
       loop.run(trace, [&](const reference::ReferenceEpochStats& s) {
@@ -106,7 +106,7 @@ Outcome runLoop(workload::TraceGenerator& trace, const Config& c) {
   OnlineAllocator allocator(AllocatorOptions{.bins = c.bins, .arrivalChoices = c.d});
   LoopOptions options;
   options.epochEvents = c.epochEvents;
-  options.repairMovesPerEpoch = 4;
+  options.unitBudget = c.events;
   options.seed = c.seed;
   EpochLoop loop(allocator, options);
   Outcome out;
@@ -145,12 +145,14 @@ void expectIdentical(const Outcome& ref, const Outcome& got, const Config& c) {
 
 // ------------------------------------------------ differential matrix
 
-// The batched hot path — the two-pass decide over per-event reseeded
-// streams, batched apply, live-ball repair — against the frozen reference
-// loop and its per-event decide. epochEvents is a semantic knob, so every
-// granularity gets its own reference: the degenerate one-event epoch
-// (every event sees a fresh snapshot), a prime one, the default, and an
-// epoch at least as long as the whole trace. d runs over the no-candidate
+// The batched hot path — the two-pass decide over one stream per epoch,
+// the ring buffer, records split at epoch boundaries, batched apply —
+// against the frozen unit-at-a-time reference loop. epochEvents is a
+// semantic knob, so every granularity gets its own reference: the
+// degenerate one-unit epoch (every arrival sees every activation before
+// it), a prime one, the default, and an epoch at least as long as the whole
+// run. At ~4 rings per record most epoch boundaries cut a record's rings,
+// and the budget ends the run mid-record. d runs over the no-candidate
 // shortcut (1), the default (2) and wider choices (3, 8), where the tie
 // rule matters. Every semantic observable, including the per-epoch gap
 // trajectory, must be byte-identical.
@@ -176,6 +178,37 @@ TEST(FusedDifferential, MatchesReferenceAcrossEpochsKindsAndSeeds) {
   }
 }
 
+// Without a budget the run ends with the trace: every record, rings and
+// event, is served.
+TEST(FusedDifferential, UnboundedRunServesTheWholeTrace) {
+  for (const TraceKind kind : kAllKinds) {
+    for (const std::int64_t epochEvents : {5, 256}) {
+      Config c;
+      c.kind = kind;
+      c.events = 600;
+      c.epochEvents = epochEvents;
+      auto refTrace = makeTrace(c.kind, c.bins, c.events, c.seed);
+      reference::ReferenceAllocator refAllocator(
+          AllocatorOptions{.bins = c.bins, .arrivalChoices = c.d});
+      reference::ReferenceEventLoop refLoop(
+          refAllocator, {.epochEvents = c.epochEvents, .seed = c.seed});
+      const auto refResult = refLoop.run(*refTrace);
+
+      auto trace = makeTrace(c.kind, c.bins, c.events, c.seed);
+      OnlineAllocator allocator(AllocatorOptions{.bins = c.bins, .arrivalChoices = c.d});
+      EpochLoop loop(allocator, LoopOptions{.epochEvents = c.epochEvents, .seed = c.seed});
+      const auto result = loop.run(*trace);
+      EXPECT_EQ(result.events, refResult.events);
+      EXPECT_EQ(result.epochs, refResult.epochs);
+      EXPECT_EQ(result.activations, allocator.counters().resamples);
+      EXPECT_EQ(allocator.counters().arrivals + allocator.counters().departures, 600);
+      EXPECT_EQ(result.events, 600 + result.activations);
+      EXPECT_EQ(allocator.loads(), refAllocator.loads());
+      EXPECT_TRUE(countersEqual(allocator.counters(), refAllocator.counters()));
+    }
+  }
+}
+
 TEST(FusedDifferential, MoreBinsThanEventsPerEpochAndFewBins) {
   // Edge shapes: four bins (every candidate collides), and more bins than
   // an epoch has events.
@@ -193,15 +226,15 @@ TEST(FusedDifferential, MoreBinsThanEventsPerEpochAndFewBins) {
 
 TEST(ServeLoopDeathTest, RejectsInvalidLoopOptions) {
   OnlineAllocator allocator(AllocatorOptions{.bins = 8, .arrivalChoices = 1});
-  const auto makeLoop = [&](std::int64_t epochEvents, int repair) {
+  const auto makeLoop = [&](std::int64_t epochEvents, std::int64_t budget) {
     LoopOptions o;
     o.epochEvents = epochEvents;
-    o.repairMovesPerEpoch = repair;
+    o.unitBudget = budget;
     EpochLoop loop(allocator, o);
   };
   EXPECT_DEATH(makeLoop(0, 4), "LoopOptions.epochEvents must be >= 1");
   EXPECT_DEATH(makeLoop(-1, 4), "LoopOptions.epochEvents must be >= 1");
-  EXPECT_DEATH(makeLoop(1024, -1), "LoopOptions.repairMovesPerEpoch must be >= 0");
+  EXPECT_DEATH(makeLoop(1024, -1), "LoopOptions.unitBudget must be >= 0");
 }
 
 // ------------------------------------------------ timing contract
@@ -214,6 +247,7 @@ TEST(TimingContract, RunResultIsTheExactSumOfEpochWallSeconds) {
   OnlineAllocator allocator(AllocatorOptions{.bins = c.bins, .arrivalChoices = 2});
   LoopOptions options;
   options.epochEvents = c.epochEvents;
+  options.unitBudget = c.events;
   options.seed = c.seed;
   EpochLoop loop(allocator, options);
   double sum = 0.0;
@@ -237,15 +271,18 @@ TEST(TimingContract, OnEpochCallbackTimeIsExcluded) {
   OnlineAllocator allocator(AllocatorOptions{.bins = c.bins, .arrivalChoices = 2});
   LoopOptions options;
   options.epochEvents = c.epochEvents;
+  options.unitBudget = c.events;
   options.seed = c.seed;
   EpochLoop loop(allocator, options);
   const auto result = loop.run(*trace, [&](const EpochStats&) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   });
   EXPECT_EQ(result.epochs, 4);
-  // 4 x 10ms of callback sleep; the measured epochs do ~256 events of real
-  // work (microseconds). Half the sleep budget is an ocean of margin.
+  // 4 x 10ms of callback sleep; the measured epochs do ~256 units of real
+  // work (microseconds). Half the sleep budget is an ocean of margin. The
+  // sleep is observe time, which the run reports beside the contract.
   EXPECT_LT(result.wallSeconds, 0.020);
+  EXPECT_GE(result.observeSeconds, 0.040);
 }
 
 /// Wraps a trace and sleeps inside next(): trace *generation* cost, which
@@ -275,21 +312,68 @@ TEST(TimingContract, TraceGenerationTimeIsExcluded) {
   OnlineAllocator allocator(AllocatorOptions{.bins = c.bins, .arrivalChoices = 2});
   LoopOptions options;
   options.epochEvents = c.epochEvents;
+  options.unitBudget = c.events;
   options.seed = c.seed;
   EpochLoop loop(allocator, options);
   const auto result = loop.run(trace);
   EXPECT_EQ(result.events, 64);
-  // 64 x 0.5ms = 32ms of generation sleep; the 4 epochs of real work are
-  // microseconds.
-  EXPECT_LT(result.wallSeconds, 0.016);
+  // At least 64 / 5 records x 0.5ms of generation sleep; the 4 epochs of
+  // real work are microseconds. The sleep is fill time, which the run
+  // reports beside the contract.
+  EXPECT_LT(result.wallSeconds, 0.004);
+  EXPECT_GE(result.fillSeconds, 0.006);
+}
+
+// The scenario's wall time, split: fill (trace generation), loop (decide +
+// apply), observe and the unattributed rest are each >= 0 and together at
+// most the wall, in serve_poisson's throughput record and in every
+// serve_capacity frontier record.
+TEST(TimingContract, ThroughputAndFrontierRecordsSplitTheWall) {
+  const auto run = [](const char* name, const std::vector<std::string>& params) {
+    scenario::ScenarioRegistry registry;
+    scenario::registerBuiltinScenarios(registry);
+    std::ostringstream out;
+    report::ResultSink sink(&out);
+    scenario::ScenarioContext ctx;
+    ctx.seed = 3;
+    ctx.sink = &sink;
+    ctx.console = nullptr;
+    std::string error;
+    EXPECT_TRUE(scenario::ScenarioParams::fromTokens(params, &ctx.params, &error)) << error;
+    registry.runOne(name, ctx);
+    return out.str();
+  };
+  const std::string jsonl =
+      run("serve_poisson", {"n=64", "events=200000", "epoch=256"}) +
+      run("serve_capacity", {"n_list=1000,4000", "load_list=2", "epb=8"});
+  int records = 0;
+  std::istringstream in(jsonl);
+  std::string line;
+  while (std::getline(in, line)) {
+    const report::Json rec = report::Json::parse(line);
+    const std::string& type = rec.at("type").asString();
+    if (type != "throughput" && type != "frontier") continue;
+    ++records;
+    const double wall = rec.at("wall_s").asDouble();
+    double named = 0.0;
+    for (const char* part : {"fill_s", "loop_s", "observe_s", "unattributed_s"}) {
+      EXPECT_GE(rec.at(part).asDouble(), 0.0) << type << " " << part;
+      named += rec.at(part).asDouble();
+    }
+    EXPECT_LE(named, wall * (1.0 + 1e-12)) << type;
+    EXPECT_GT(rec.at("loop_s").asDouble(), 0.0) << type;
+    EXPECT_GT(rec.at("activations").asInt(), 0) << type;
+    EXPECT_LT(rec.at("activations").asInt(), rec.at("events").asInt()) << type;
+  }
+  EXPECT_EQ(records, 3);  // one throughput record, two frontier cells
 }
 
 // ------------------------------------------------ stress
 
 TEST(FusedStress, HighContentionLongEpochs) {
-  // Long epochs + a hot resample clock: most events are migration
-  // candidates against a snapshot up to 8192 events stale, so the live
-  // re-validation rejects and accepts in bulk.
+  // Long epochs + a hot ring clock: most units are activations, against
+  // a snapshot up to 8192 units stale for the arrivals between them, so
+  // the live re-validation rejects and accepts in bulk.
   Config c;
   c.bins = 64;
   c.events = 3 * 8192;
@@ -299,7 +383,7 @@ TEST(FusedStress, HighContentionLongEpochs) {
   base.bins = c.bins;
   base.arrivalRatePerBin = 2.0;
   base.departureRate = 0.25;
-  base.resampleRate = 4.0;  // high contention: most events are resamples
+  base.resampleRate = 4.0;  // high contention: most units are activations
   base.maxEvents = c.events;
 
   workload::PoissonTrace refTrace(base, c.seed);

@@ -1,10 +1,10 @@
 // Hot-path regression coverage for the batched serving pipeline:
-//   - the multi-run contract (each EpochLoop::run() resets its ordinal/epoch
-//     counters, so a reused loop draws exactly the streams a fresh loop
-//     would);
+//   - the multi-run contract (each EpochLoop::run() restarts the epoch index
+//     keying its decision streams, so a reused loop draws exactly the
+//     streams a fresh loop would);
 //   - the zero-allocation claim, for both allocators (steady-state epochs —
-//     balanced system, resample-only traffic — perform no heap allocation
-//     at all, pinned by a global operator new counting hook).
+//     balanced system, ring-only traffic — perform no heap allocation at
+//     all, pinned by a global operator new counting hook).
 // The byte-identity of the snapshot-free decision phase and the batched
 // apply against the eager reference is pinned separately by the
 // differentials in tests/test_serve_differential.cpp.
@@ -54,32 +54,27 @@ namespace rlslb::serve {
 namespace {
 
 // ------------------------------------------------------------------------
-// A deterministic steady-state trace: `resamples` resample events cycling
-// over a pre-placed universe of `balls` live balls. Fed to a perfectly
-// balanced allocator, the strict RLS rule rejects every event from the
-// first one on, so every epoch is pure steady state: no load change, no
-// structure work, no allocation.
-class ResampleOnlyTrace final : public workload::TraceGenerator {
+// A deterministic steady-state trace: one record carrying `rings` clock
+// rings, then the depart of ball 0. Served with a budget of `rings` units,
+// every epoch runs rings only; fed to a perfectly balanced allocator, the
+// strict RLS rule rejects every activation, so every epoch is pure steady
+// state: no load change, no structure work, no allocation.
+class RingsOnlyTrace final : public workload::TraceGenerator {
  public:
-  ResampleOnlyTrace(std::int64_t balls, std::int64_t resamples)
-      : balls_(balls), resamples_(resamples) {}
+  explicit RingsOnlyTrace(std::int32_t rings) : rings_(rings) {}
 
   bool next(workload::Event* out) override {
-    if (emitted_ >= resamples_) return false;
-    out->time = static_cast<double>(emitted_);
-    out->kind = workload::EventKind::kResample;
-    out->ball = emitted_ % balls_;
-    out->weight = 0;
-    ++emitted_;
+    if (done_) return false;
+    done_ = true;
+    *out = {0.0, workload::EventKind::kDepart, rings_, 0, 0};
     return true;
   }
 
-  [[nodiscard]] std::string name() const override { return "resample-only"; }
+  [[nodiscard]] std::string name() const override { return "rings-only"; }
 
  private:
-  std::int64_t balls_;
-  std::int64_t resamples_;
-  std::int64_t emitted_ = 0;
+  std::int32_t rings_;
+  bool done_ = false;
 };
 
 // Shifts ball ids by a fixed offset so a second trace consumed by the same
@@ -118,15 +113,12 @@ std::unique_ptr<workload::TraceGenerator> makePoisson(std::int64_t bins,
 bool countersEqual(const ServeCounters& a, const ServeCounters& b) {
   return a.events == b.events && a.arrivals == b.arrivals &&
          a.departures == b.departures && a.resamples == b.resamples &&
-         a.migrations == b.migrations && a.rejectedMoves == b.rejectedMoves &&
-         a.repairAttempts == b.repairAttempts &&
-         a.repairMigrations == b.repairMigrations;
+         a.migrations == b.migrations && a.rejectedMoves == b.rejectedMoves;
 }
 
 LoopOptions hotpathOptions() {
   LoopOptions options;
   options.epochEvents = 256;
-  options.repairMovesPerEpoch = 4;
   options.seed = 11;
   return options;
 }
@@ -134,10 +126,9 @@ LoopOptions hotpathOptions() {
 // ------------------------------------------------------------ multi-run
 
 // A reused loop must behave exactly like a fresh one on the same trace:
-// run() resets the event-ordinal and epoch counters that key the decision
-// and repair rng streams. Before the reset contract this diverged — the
-// second run of a reused loop continued the ordinal sequence and drew
-// different streams than a fresh loop.
+// run() restarts the epoch index that keys the decision streams. Before
+// the reset contract this diverged — the second run of a reused loop
+// continued the sequence and drew different streams than a fresh loop.
 TEST(MultiRunContract, ReusedLoopMatchesFreshLoopOnTheSecondTrace) {
   const AllocatorOptions allocOpts{.bins = 24, .arrivalChoices = 2};
   const LoopOptions options = hotpathOptions();
@@ -174,8 +165,8 @@ TEST(MultiRunContract, ReusedLoopMatchesFreshLoopOnTheSecondTrace) {
 // Steady-state epochs allocate nothing, whichever allocator the loop
 // drives: against a perfectly balanced allocator (built below with explicit
 // placement decisions, so the balance is by construction, not by stochastic
-// convergence), a resample-only trace is rejected by the strict rule from
-// the first event on, and all epoch-scoped storage (batch, decisions) is
+// convergence), every ring of a ring-only run is rejected by the strict
+// rule, and all epoch-scoped storage (batch, decisions, ring draws) is
 // reused at its first-epoch capacity — so every epoch after the first must
 // perform zero heap allocations.
 template <typename Allocator>
@@ -187,7 +178,7 @@ TYPED_TEST(SteadyStateAllocations, EpochsAreAllocationFree) {
   constexpr std::int64_t kBins = 64;
   constexpr std::int64_t kBalls = 256;  // exactly 4 per bin: gap 0
   constexpr std::int64_t kEpochEvents = 256;
-  constexpr std::int64_t kResampleEpochs = 16;
+  constexpr std::int64_t kRingEpochs = 16;
 
   TypeParam allocator(AllocatorOptions{.bins = kBins, .arrivalChoices = 2});
   for (std::int64_t ball = 0; ball < kBalls; ++ball) {
@@ -196,15 +187,16 @@ TYPED_TEST(SteadyStateAllocations, EpochsAreAllocationFree) {
     e.ball = ball;
     e.weight = 1;
     const Decision d{static_cast<std::int32_t>(ball % kBins)};
-    allocator.applyBatch(&e, &d, 1);
+    allocator.applyBatch(&e, &d, 1, nullptr, 0);
   }
   ASSERT_EQ(allocator.gap(), 0);
 
   LoopOptions options = hotpathOptions();
   options.epochEvents = kEpochEvents;
+  options.unitBudget = kEpochEvents * kRingEpochs;
   EpochLoop loop(allocator, options);
 
-  ResampleOnlyTrace trace(kBalls, kEpochEvents * kResampleEpochs);
+  RingsOnlyTrace trace(static_cast<std::int32_t>(kEpochEvents * kRingEpochs));
 
   // Per-epoch allocation counts, recorded inside the callback. Reserved up
   // front so the recording itself never allocates while counting is live.
@@ -220,14 +212,14 @@ TYPED_TEST(SteadyStateAllocations, EpochsAreAllocationFree) {
   });
   g_countAllocs.store(false);
 
-  ASSERT_EQ(result.epochs, kResampleEpochs);
+  ASSERT_EQ(result.epochs, kRingEpochs);
   // Steady state by construction: nothing moved, gap stayed 0.
   EXPECT_EQ(allocator.gap(), 0);
   EXPECT_EQ(allocator.counters().migrations, 0);
-  EXPECT_EQ(allocator.counters().repairMigrations, 0);
+  EXPECT_EQ(allocator.counters().resamples, kEpochEvents * kRingEpochs);
   // Epoch 0 may allocate (buffers grow to capacity, closures are built);
   // every later epoch must be allocation-free.
-  ASSERT_EQ(perEpoch.size(), static_cast<std::size_t>(kResampleEpochs));
+  ASSERT_EQ(perEpoch.size(), static_cast<std::size_t>(kRingEpochs));
   for (std::size_t i = 1; i < perEpoch.size(); ++i) {
     EXPECT_EQ(perEpoch[i], 0) << "epoch " << i << " allocated";
   }

@@ -35,14 +35,15 @@ OpenTraceOptions smallOptions() {
 }
 
 TEST(Workload, KindNamesRoundTrip) {
-  for (const EventKind kind :
-       {EventKind::kArrive, EventKind::kDepart, EventKind::kResample}) {
+  for (const EventKind kind : {EventKind::kArrive, EventKind::kDepart}) {
     EventKind back{};
     ASSERT_TRUE(kindFromName(kindName(kind), &back));
     EXPECT_EQ(back, kind);
   }
   EventKind ignored{};
   EXPECT_FALSE(kindFromName("nonsense", &ignored));
+  // Clock rings are counts on records, not records of their own.
+  EXPECT_FALSE(kindFromName("resample", &ignored));
 }
 
 TEST(Workload, GeneratorsAreDeterministicForSeed) {
@@ -67,6 +68,10 @@ TEST(Workload, EventStreamIsStructurallyValid) {
   while (trace.next(&e)) {
     EXPECT_GE(e.time, lastTime);
     lastTime = e.time;
+    EXPECT_GE(e.rings, 0);
+    if (live.empty()) {
+      EXPECT_EQ(e.rings, 0) << "clocks ring only on live balls";
+    }
     switch (e.kind) {
       case EventKind::kArrive:
         EXPECT_GE(e.weight, 1);
@@ -77,13 +82,48 @@ TEST(Workload, EventStreamIsStructurallyValid) {
         EXPECT_EQ(e.weight, 0);
         EXPECT_EQ(live.erase(e.ball), 1u) << "departures pick live balls";
         break;
-      case EventKind::kResample:
-        EXPECT_EQ(e.weight, 0);
-        EXPECT_TRUE(live.count(e.ball) == 1) << "resamples pick live balls";
-        break;
     }
   }
   EXPECT_EQ(trace.liveBalls(), static_cast<std::int64_t>(live.size()));
+}
+
+// The ring law. Between records k-1 and k the live count m is constant, so
+// the rings record k carries are Poisson(r * m * dt): their total must match
+// r * integral of m dt, and regressing each record's count on its own
+// interval's r * m * dt must give slope 1 and Poisson dispersion. A count
+// attributed to the neighbouring interval has slope ~0 here, and a wrong
+// rate (per trace instead of per ball, say) misses the total.
+TEST(Workload, RingsFollowThePerBallRateOfTheirOwnInterval) {
+  OpenTraceOptions o = smallOptions();
+  o.resampleRate = 1.5;
+  o.maxEvents = 200000;
+  PoissonTrace trace(o, 29);
+  std::int64_t live = 0;
+  double lastTime = 0.0;
+  std::int64_t skip = 20000;  // warm-up records: m approaches equilibrium
+  double n = 0.0, sx = 0.0, sy = 0.0, sxx = 0.0, sxy = 0.0, sres = 0.0;
+  Event e;
+  while (trace.next(&e)) {
+    const double x = o.resampleRate * static_cast<double>(live) * (e.time - lastTime);
+    const auto y = static_cast<double>(e.rings);
+    lastTime = e.time;
+    live += e.kind == EventKind::kArrive ? 1 : -1;
+    if (skip > 0) {
+      --skip;
+      continue;
+    }
+    n += 1.0;
+    sx += x;
+    sy += y;
+    sxx += x * x;
+    sxy += x * y;
+    sres += (y - x) * (y - x);
+  }
+  ASSERT_EQ(n, 180000.0);
+  EXPECT_NEAR(sy / sx, 1.0, 0.01) << "total rings against r * integral of m dt";
+  const double slope = (sxy - sx * sy / n) / (sxx - sx * sx / n);
+  EXPECT_NEAR(slope, 1.0, 0.05) << "rings against their own interval";
+  EXPECT_NEAR(sres / sx, 1.0, 0.05) << "Poisson dispersion";
 }
 
 TEST(Workload, PoissonInterArrivalsAreExponential) {
@@ -178,8 +218,11 @@ TEST(Workload, HotspotBurstsAreSynchronizedAndHeavy) {
   HotspotTrace trace(options, 31);
   const auto events = drain(trace);
   // Every burst: burstSize consecutive arrivals with identical timestamp
-  // (a multiple of the period) and the hot weight.
+  // (a multiple of the period) and the hot weight. No time passes inside a
+  // burst, so only its first arrival may carry rings (those since the
+  // record before it).
   std::int64_t bursts = 0;
+  std::int64_t ringsBeforeBursts = 0;
   for (std::size_t i = 0; i + 1 < events.size(); ++i) {
     if (events[i].kind != EventKind::kArrive || events[i].weight != options.hotWeight) {
       continue;
@@ -192,13 +235,18 @@ TEST(Workload, HotspotBurstsAreSynchronizedAndHeavy) {
     for (std::size_t j = i; j < events.size() && events[j].time == t; ++j) {
       ASSERT_EQ(events[j].kind, EventKind::kArrive);
       ASSERT_EQ(events[j].weight, options.hotWeight);
+      if (j > i) {
+        EXPECT_EQ(events[j].rings, 0);
+      }
       ++runLength;
     }
+    ringsBeforeBursts += events[i].rings;
     EXPECT_EQ(runLength, options.burstSize);
     EXPECT_NEAR(std::fmod(t, options.burstPeriod), 0.0, 1e-9);
     ++bursts;
   }
   EXPECT_GT(bursts, 10);
+  EXPECT_GT(ringsBeforeBursts, 0);
 }
 
 TEST(Workload, NonDyadicBurstPeriodAdvancesTime) {
@@ -277,9 +325,22 @@ TEST(Workload, ParseRejectsMalformedLines) {
   EXPECT_FALSE(parseTraceEvent("{\"t\":1.0}", &e, &error));
   EXPECT_FALSE(parseTraceEvent(
       "{\"t\":1.0,\"kind\":\"explode\",\"ball\":1,\"w\":1}", &e, &error));
+  EXPECT_FALSE(parseTraceEvent(
+      "{\"t\":1.0,\"kind\":\"resample\",\"ball\":1,\"w\":0}", &e, &error));
+  EXPECT_FALSE(parseTraceEvent(
+      "{\"t\":1.0,\"kind\":\"depart\",\"ball\":1,\"w\":0,\"rings\":\"2\"}", &e, &error));
+  EXPECT_FALSE(parseTraceEvent(
+      "{\"t\":1.0,\"kind\":\"depart\",\"ball\":1,\"w\":0,\"rings\":3000000000}", &e,
+      &error));
+  // "rings" is optional and defaults to 0.
+  e.rings = 9;
   EXPECT_TRUE(parseTraceEvent("{\"t\":1.5,\"kind\":\"depart\",\"ball\":3,\"w\":0}", &e));
   EXPECT_EQ(e.kind, EventKind::kDepart);
   EXPECT_EQ(e.ball, 3);
+  EXPECT_EQ(e.rings, 0);
+  EXPECT_TRUE(parseTraceEvent(
+      "{\"t\":1.5,\"kind\":\"arrive\",\"ball\":4,\"w\":1,\"rings\":7}", &e));
+  EXPECT_EQ(e.rings, 7);
 }
 
 }  // namespace

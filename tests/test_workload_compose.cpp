@@ -41,7 +41,8 @@ bool bitEqual(const std::vector<Event>& a, const std::vector<Event>& b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
     if (std::bit_cast<std::uint64_t>(a[i].time) != std::bit_cast<std::uint64_t>(b[i].time) ||
-        a[i].kind != b[i].kind || a[i].ball != b[i].ball || a[i].weight != b[i].weight) {
+        a[i].kind != b[i].kind || a[i].rings != b[i].rings || a[i].ball != b[i].ball ||
+        a[i].weight != b[i].weight) {
       return false;
     }
   }
@@ -178,14 +179,17 @@ class TraceRoundTrip : public ::testing::TestWithParam<TraceFormat> {};
 
 TEST_P(TraceRoundTrip, RecordThenReplayIsBitExact) {
   const TraceFormat format = GetParam();
-  // A composed trace exercises every event kind, weighted burst arrivals,
-  // and non-trivial timestamps.
+  // A composed trace exercises both record kinds, ring counts, weighted
+  // burst arrivals, and non-trivial timestamps.
   ComposedTrace source(baseOptions(2500), "diurnal(0.8,64)*bursty(8,0.05,0.5)+hotspot(16,4,8)",
                        42);
   std::stringstream storage(std::ios::in | std::ios::out | std::ios::binary);
   RecordingTrace recorder(source, storage, format);
   const std::vector<Event> original = drain(recorder);
   ASSERT_FALSE(original.empty());
+  std::int64_t rings = 0;
+  for (const Event& event : original) rings += event.rings;
+  EXPECT_GT(rings, 0);
 
   const std::unique_ptr<TraceGenerator> reader = makeTraceReader(storage, format);
   std::vector<Event> replayed;
@@ -227,30 +231,53 @@ TEST(TraceIo, FormatConversionComposesWithoutLoss) {
   EXPECT_TRUE(bitEqual(original, last));
 }
 
-TEST(TraceIo, CountTraceEventsMatchesEveryFormat) {
+TEST(TraceIo, CountTraceEventsCountsUnitsInEveryFormat) {
   for (const TraceFormat format :
        {TraceFormat::kJsonl, TraceFormat::kCsv, TraceFormat::kBinary}) {
     PoissonTrace source(baseOptions(600), 3);
     std::stringstream storage(std::ios::in | std::ios::out | std::ios::binary);
     RecordingTrace recorder(source, storage, format);
     const std::vector<Event> original = drain(recorder);
-    EXPECT_EQ(countTraceEvents(storage, format),
-              static_cast<std::int64_t>(original.size()))
-        << traceFormatName(format);
+    std::int64_t units = 0;
+    for (const Event& event : original) units += 1 + event.rings;
+    EXPECT_GT(units, static_cast<std::int64_t>(original.size()));
+    EXPECT_EQ(countTraceEvents(storage, format), units) << traceFormatName(format);
   }
 }
 
+// The binary layout, byte for byte: RLT2, then per record f64 time, u8 kind,
+// i64 ball, i64 weight and i32 rings, little-endian.
+TEST(TraceIo, BinaryRecordLayout) {
+  std::string bytes;
+  appendTraceEventBinary(&bytes, {1.0, EventKind::kDepart, 0x01020304, 5, 0});
+  ASSERT_EQ(bytes.size(), kTraceBinaryRecordBytes);
+  EXPECT_EQ(bytes.size(), 29u);
+  EXPECT_EQ(static_cast<unsigned char>(bytes[8]), 1);          // kind
+  EXPECT_EQ(static_cast<unsigned char>(bytes[9]), 5);          // ball
+  EXPECT_EQ(static_cast<unsigned char>(bytes[25]), 0x04);      // rings, low byte
+  EXPECT_EQ(static_cast<unsigned char>(bytes[28]), 0x01);      // rings, high byte
+  Event decoded;
+  ASSERT_TRUE(decodeTraceEventBinary(reinterpret_cast<const unsigned char*>(bytes.data()),
+                                     &decoded));
+  EXPECT_EQ(decoded, (Event{1.0, EventKind::kDepart, 0x01020304, 5, 0}));
+  EXPECT_EQ(std::string(kTraceBinaryMagic), "RLT2");
+}
+
 TEST(TraceIo, CsvRowFormatting) {
-  const Event event{1.25, EventKind::kArrive, 7, 3};
-  EXPECT_EQ(formatTraceEventCsv(event), "1.25,arrive,7,3");
+  const Event event{1.25, EventKind::kArrive, 4, 7, 3};
+  EXPECT_EQ(formatTraceEventCsv(event), "1.25,arrive,7,3,4");
+  EXPECT_EQ(std::string(kTraceCsvHeader), "t,kind,ball,w,rings");
   Event parsed;
-  ASSERT_TRUE(parseTraceEventCsv("1.25,arrive,7,3", &parsed));
+  ASSERT_TRUE(parseTraceEventCsv("1.25,arrive,7,3,4", &parsed));
   EXPECT_EQ(parsed, event);
   std::string error;
-  EXPECT_FALSE(parseTraceEventCsv("1.25,arrive,7", &parsed, &error));
-  EXPECT_FALSE(parseTraceEventCsv("1.25,arrive,7,3,9", &parsed, &error));
-  EXPECT_FALSE(parseTraceEventCsv("x,arrive,7,3", &parsed, &error));
-  EXPECT_FALSE(parseTraceEventCsv("1.25,levitate,7,3", &parsed, &error));
+  EXPECT_FALSE(parseTraceEventCsv("1.25,arrive,7,3", &parsed, &error));  // no rings column
+  EXPECT_FALSE(parseTraceEventCsv("1.25,arrive,7,3,4,9", &parsed, &error));
+  EXPECT_FALSE(parseTraceEventCsv("x,arrive,7,3,0", &parsed, &error));
+  EXPECT_FALSE(parseTraceEventCsv("1.25,levitate,7,3,0", &parsed, &error));
+  EXPECT_FALSE(parseTraceEventCsv("1.25,resample,7,0,0", &parsed, &error));
+  EXPECT_FALSE(parseTraceEventCsv("1.25,arrive,7,3,x", &parsed, &error));
+  EXPECT_FALSE(parseTraceEventCsv("1.25,arrive,7,3,4294967296", &parsed, &error));
 }
 
 }  // namespace
