@@ -266,6 +266,12 @@ bool Topology::isRegular() const {
 double Topology::spectralGapRegular(int iterations, rng::Xoshiro256pp& eng) const {
   RLSLB_ASSERT_MSG(isRegular(), "spectral gap helper requires a regular graph");
   RLSLB_ASSERT(n_ >= 2);
+  if (complete_) {
+    // Every vector orthogonal to the uniform one is an eigenvector of the
+    // lazy walk (I + A/(n-1))/2 on K_n, with eigenvalue (n-2)/(2(n-1)).
+    const auto n = static_cast<double>(n_);
+    return n / (2.0 * (n - 1.0));
+  }
   const double d = static_cast<double>(degree(0));
   std::vector<double> v(static_cast<std::size_t>(n_));
   for (auto& x : v) x = rng::uniformDouble(eng) - 0.5;

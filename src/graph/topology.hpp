@@ -5,9 +5,10 @@
 // The complete graph is special-cased without materializing O(n^2) edges;
 // all other topologies are CSR adjacency lists. Random regular graphs use
 // the configuration model with resampling until simple; spectral gap (for
-// regular graphs) comes from power iteration with deflation, so the graph
-// bench (E12) can correlate balancing time with mixing properties, echoing
-// the tau_mix * ln m bound of [6] cited in Section 2.
+// regular graphs) comes from power iteration with deflation, or from the
+// closed form on K_n, so the graph bench (E12) can correlate balancing time
+// with mixing properties, echoing the tau_mix * ln m bound of [6] cited in
+// Section 2.
 #pragma once
 
 #include <cstdint>
@@ -60,9 +61,11 @@ class Topology {
   [[nodiscard]] std::int64_t diameter() const;
 
   /// 1 - |lambda_2| of the lazy random-walk matrix (I + A/d)/2 for regular
-  /// graphs, by power iteration with deflation of the uniform vector.
-  /// The laziness makes the spectrum non-negative so |lambda_2| is the
-  /// second-largest eigenvalue.
+  /// graphs, by power iteration with deflation of the uniform vector, from
+  /// a start vector drawn from `eng`. The laziness makes the spectrum
+  /// non-negative so |lambda_2| is the second-largest eigenvalue. The
+  /// complete graph takes the closed form n/(2(n-1)) (1 at n = 2) and
+  /// draws nothing from `eng`.
   [[nodiscard]] double spectralGapRegular(int iterations, rng::Xoshiro256pp& eng) const;
 
  private:

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cmath>
+#include <math.h>
 #include <concepts>
 #include <cstdint>
 #include <vector>
@@ -93,6 +94,14 @@ double standardNormal(E& eng) {
 }
 
 namespace detail {
+/// ln Gamma(x). std::lgamma also writes the global `signgam` on glibc, a
+/// data race once replications sample on several pool threads; lgamma_r
+/// returns the sign through its argument and the same value.
+inline double logGamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
 /// Binomial by inversion (BINV); efficient for n*min(p,1-p) <~ 10.
 template <Uint64Engine E>
 std::int64_t binomialInversion(E& eng, std::int64_t n, double p) {
@@ -127,8 +136,8 @@ std::int64_t binomialBtrs(E& eng, std::int64_t n, double p) {
   const double alpha = (2.83 + 5.1 / b) * spq;
   const double lpq = std::log(r);
   const auto mode = static_cast<std::int64_t>(std::floor((nd + 1.0) * p));
-  const double h = std::lgamma(static_cast<double>(mode) + 1.0) +
-                   std::lgamma(static_cast<double>(n - mode) + 1.0);
+  const double h = logGamma(static_cast<double>(mode) + 1.0) +
+                   logGamma(static_cast<double>(n - mode) + 1.0);
   for (;;) {
     const double u = uniformDouble(eng) - 0.5;
     double v = uniformDouble(eng);
@@ -139,7 +148,7 @@ std::int64_t binomialBtrs(E& eng, std::int64_t n, double p) {
     if (us >= 0.07 && v <= vr) return k;
     v = v * alpha / (a / (us * us) + b);
     const double kd = static_cast<double>(k);
-    if (std::log(v) <= h - std::lgamma(kd + 1.0) - std::lgamma(static_cast<double>(n - k) + 1.0) +
+    if (std::log(v) <= h - logGamma(kd + 1.0) - logGamma(static_cast<double>(n - k) + 1.0) +
                            (kd - static_cast<double>(mode)) * lpq) {
       return k;
     }
@@ -195,7 +204,8 @@ std::int64_t poisson(E& eng, double mu) {
     if (us >= 0.07 && v <= vr) return k;
     if (k < 0 || (us < 0.013 && v > us)) continue;
     const double kd = static_cast<double>(k);
-    if (std::log(v * invAlpha / (a / (us * us) + b)) <= kd * logMu - mu - std::lgamma(kd + 1.0)) {
+    if (std::log(v * invAlpha / (a / (us * us) + b)) <=
+        kd * logMu - mu - detail::logGamma(kd + 1.0)) {
       return k;
     }
   }

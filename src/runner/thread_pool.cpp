@@ -1,7 +1,5 @@
 #include "runner/thread_pool.hpp"
 
-#include <algorithm>
-
 #include "util/assert.hpp"
 
 namespace rlslb::runner {
@@ -43,7 +41,7 @@ void ThreadPool::workerLoop() {
       if (stop_) return;
       seenGeneration = generation_;
     }
-    runChunks();
+    runJob();
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (--activeWorkers_ == 0) doneCv_.notify_all();
@@ -51,33 +49,28 @@ void ThreadPool::workerLoop() {
   }
 }
 
-void ThreadPool::runChunks() {
+void ThreadPool::runJob() {
   // One span per thread participation when a writer is attached. Workers
   // that wake to an already-drained job record a near-zero span -- that
   // is the honest wake-up cost, not noise to hide.
   obs::TraceWriter* const tw = traceWriter_;
   if (tw == nullptr) {
-    claimChunks();
+    claimIndices();
     return;
   }
   const double begin = obs::nowUs();
-  claimChunks();
-  tw->complete(traceLabel_, "job", begin, obs::nowUs());
+  claimIndices();
+  tw->complete("parallelFor", "job", begin, obs::nowUs());
 }
 
-void ThreadPool::claimChunks() {
+void ThreadPool::claimIndices() {
   for (;;) {
     if (abort_.load(std::memory_order_relaxed)) return;
     if (token_ != nullptr && token_->cancelled()) return;
-    const std::int64_t start = next_.fetch_add(chunk_, std::memory_order_relaxed);
-    if (start >= count_) return;
-    const std::int64_t end = std::min(start + chunk_, count_);
+    const std::int64_t i = next_.fetch_add(1, std::memory_order_relaxed);
+    if (i >= count_) return;
     try {
-      for (std::int64_t i = start; i < end; ++i) {
-        if (abort_.load(std::memory_order_relaxed)) return;
-        if (token_ != nullptr && token_->cancelled()) return;
-        (*body_)(i);
-      }
+      (*body_)(i);
     } catch (...) {
       {
         std::lock_guard<std::mutex> lock(errorMutex_);
@@ -98,7 +91,7 @@ void ThreadPool::parallelFor(std::int64_t count, const std::function<void(std::i
     // Serial path: run inline so exceptions propagate directly and callers
     // with thread-unsafe bodies see no concurrency at all. Traced the
     // same way as a worker participation (null writer = no-op).
-    const obs::Span span(traceWriter_, traceLabel_, "job");
+    const obs::Span span(traceWriter_, "parallelFor", "job");
     for (std::int64_t i = 0; i < count; ++i) {
       if (token != nullptr && token->cancelled()) return;
       body(i);
@@ -118,11 +111,7 @@ void ThreadPool::parallelFor(std::int64_t count, const std::function<void(std::i
                    "concurrently). Use a separate pool, or restructure to a single "
                    "flat parallelFor (see runner/thread_pool.hpp).");
 
-  // Aim for ~8 chunks per thread so the dynamic distribution absorbs
-  // replication-cost skew without contending on next_ per index.
-  const auto threads = static_cast<std::int64_t>(size());
   count_ = count;
-  chunk_ = std::max<std::int64_t>(1, count / (threads * 8));
   body_ = &body;
   token_ = token;
   next_.store(0, std::memory_order_relaxed);
@@ -136,7 +125,7 @@ void ThreadPool::parallelFor(std::int64_t count, const std::function<void(std::i
   }
   workCv_.notify_all();
 
-  runChunks();  // the calling thread participates
+  runJob();  // the calling thread participates
 
   {
     std::unique_lock<std::mutex> lock(mutex_);

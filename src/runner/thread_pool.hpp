@@ -1,18 +1,22 @@
-// Fixed-size thread pool with chunked work distribution, used by the
-// replication harness (replication.hpp) and the ensemble layer
-// (sim/ensemble.hpp) to fan replications out across cores. The scenario
-// layer creates ONE pool per process (ScenarioContext::pool()) and reuses
-// it across every scenario of a driver run, so worker threads are spawned
-// once per `rlslb all`, not once per experiment.
+// Fixed-size thread pool handing out one index per claim, used by the
+// replication harness (replication.hpp), the process layer's replicated
+// runs (process/replicate.hpp) and the ensemble layer (sim/ensemble.hpp) to
+// fan replications out across cores. The scenario layer creates ONE pool
+// per process (ScenarioContext::pool()) and reuses it across every scenario
+// of a driver run, so worker threads are spawned once per `rlslb all`, not
+// once per experiment.
 //
 // Design constraints, in order:
-//   - Determinism stays upstream: the pool hands out *index ranges*, never
+//   - Determinism stays upstream: the pool hands out *indices*, never
 //     results, so callers that write index i's output into slot i get
 //     bit-identical results for any pool size (the streamSeed contract).
-//   - No locks on the hot path: workers claim chunks with one relaxed
-//     fetch_add; synchronization happens only at job start/end.
+//   - Every index is one replication (microseconds to seconds of work), so
+//     a free thread claims the next index with one relaxed fetch_add; the
+//     atomic is noise next to the body. Indices are claimed in increasing
+//     order, so a caller that lists its longest work first gets it started
+//     first. Synchronization happens only at job start/end.
 //   - Failures surface exactly once: the first exception thrown by any
-//     chunk is captured, remaining chunks are cancelled, and the exception
+//     body is captured, unclaimed indices are dropped, and the exception
 //     is rethrown on the calling thread after all workers have quiesced.
 #pragma once
 
@@ -60,11 +64,11 @@ class ThreadPool {
   /// Total concurrency of parallelFor, including the calling thread.
   [[nodiscard]] int size() const { return static_cast<int>(workers_.size()) + 1; }
 
-  /// Run body(i) for every i in [0, count), distributing contiguous chunks
-  /// across the workers and the calling thread. Blocks until all claimed
-  /// work has finished. If any body throws, the first exception is
-  /// rethrown here (exactly one, regardless of how many bodies threw) and
-  /// unclaimed work is dropped.
+  /// Run body(i) for every i in [0, count) on the workers and the calling
+  /// thread, each claiming the next unclaimed index whenever it is free.
+  /// Blocks until all claimed work has finished. If any body throws, the
+  /// first exception is rethrown here (exactly one, regardless of how many
+  /// bodies threw) and unclaimed work is dropped.
   ///
   /// NOT reentrant and NOT concurrently callable: the pool has a single
   /// job slot, so a body that calls back into parallelFor on the same pool
@@ -83,34 +87,26 @@ class ThreadPool {
   /// 0 (or negative) -> hardware concurrency, never less than 1.
   static int resolveThreadCount(int requested);
 
-  /// Attach a trace writer: every subsequent parallelFor records one span
-  /// per participating thread on that thread's track (workers own tracks
-  /// 1..N; the calling thread records on its own current track). nullptr
-  /// detaches. Costs one pointer test per *job* when detached; with
-  /// tracing compiled out (RLSLB_TRACING=0) the recording calls are
-  /// no-op stubs. Set from the dispatching thread only, between jobs.
+  /// Attach a trace writer: every subsequent parallelFor records one
+  /// "parallelFor" span (category "job") per participating thread on that
+  /// thread's track (workers own tracks 1..N; the calling thread records on
+  /// its own current track). nullptr detaches. Costs one pointer test per
+  /// *job* when detached; with tracing compiled out (RLSLB_TRACING=0) the
+  /// recording calls are no-op stubs. Set from the dispatching thread only,
+  /// between jobs.
   void setTraceWriter(obs::TraceWriter* writer) { traceWriter_ = writer; }
   [[nodiscard]] obs::TraceWriter* traceWriter() const { return traceWriter_; }
 
-  /// Label for subsequent jobs' spans. Must point to static-storage text
-  /// (a string literal); the phases of the serving loop relabel per
-  /// dispatch ("decide", "drain").
-  void setTraceLabel(const char* label) {
-    traceLabel_ = label != nullptr ? label : "parallelFor";
-  }
-  [[nodiscard]] const char* traceLabel() const { return traceLabel_; }
-
  private:
   void workerLoop();
-  void runChunks();    // claimChunks + optional per-participation span
-  void claimChunks();  // the chunk-claiming loop proper
+  void runJob();        // claimIndices + optional per-participation span
+  void claimIndices();  // the index-claiming loop proper
 
   std::vector<std::thread> workers_;
 
   // Job slot, valid while a parallelFor is in flight. Plain fields are
   // published to workers via the generation bump under mutex_.
   std::int64_t count_ = 0;
-  std::int64_t chunk_ = 1;
   const std::function<void(std::int64_t)>* body_ = nullptr;
   CancellationToken* token_ = nullptr;
   std::atomic<std::int64_t> next_{0};
@@ -121,7 +117,6 @@ class ThreadPool {
 
   // Published to workers with the job slot (generation bump under mutex_).
   obs::TraceWriter* traceWriter_ = nullptr;
-  const char* traceLabel_ = "parallelFor";
 
   std::mutex mutex_;
   std::condition_variable workCv_;

@@ -12,6 +12,8 @@
 //
 // Tables (a) and (b) contain wall-clock cells, so they are emitted as
 // "timing" records (machine-dependent); table (c) is deterministic.
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "config/generators.hpp"
@@ -34,6 +36,11 @@ void runAblation(ScenarioContext& ctx) {
   // ctx.pool() is reused by every sweep below; wall-clock cells measure
   // the threaded harness, so ms/run scales with --threads.
   const std::int64_t n = ctx.params.getInt("n", ctx.sized(1024, 2));
+  if (n < 2 || n % 2 != 0) {
+    // The half-half workload splits the bins into two equal halves.
+    throw std::invalid_argument("ablation: n= must be even and >= 2 (got " + std::to_string(n) +
+                                ")");
+  }
   const std::vector<Workload> workloads = {
       {"all-in-one m=8n", config::allInOne(n, 8 * n)},
       {"staircase m~n^2/4", config::staircase(n, n * n / 4)},

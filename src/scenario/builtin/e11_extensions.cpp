@@ -11,6 +11,7 @@
 // equilibrium, final spread, and the max-weight bound.
 #include <algorithm>
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -27,9 +28,14 @@ namespace rlslb::scenario::builtin {
 namespace {
 
 void runExtensions(ScenarioContext& ctx) {
+  const std::int64_t n = ctx.params.getInt("n", ctx.sized(128));
+  if (n < 1) {
+    throw std::invalid_argument("e11_extensions: n= must be >= 1 (got " + std::to_string(n) +
+                                ")");
+  }
+
   // --------------------------------------------------------------- speeds
   {
-    const std::int64_t n = ctx.params.getInt("n", ctx.sized(128));
     const std::int64_t m = 16 * n;
     struct Skew {
       const char* name;
@@ -73,7 +79,6 @@ void runExtensions(ScenarioContext& ctx) {
 
   // -------------------------------------------------------------- weights
   {
-    const std::int64_t n = ctx.params.getInt("n", ctx.sized(128));
     struct Dist {
       const char* name;
       std::function<std::vector<std::int64_t>(rng::Xoshiro256pp&)> weights;

@@ -9,6 +9,7 @@
 //  (b) across offered loads rho = lambda/mu;
 //  (c) with two-choice arrivals (the [11]/[17] hybrid), which compose
 //      with migration.
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -33,42 +34,97 @@ double stationarySpread(dynamic::OpenSystem& sys, double warmup, int samples, do
   return total / samples;
 }
 
+/// One replication of sections (a) and (c): the stationary spread of an
+/// open system of n bins with the given rates and arrival choices, with RLS
+/// migration on or off ("off" is a gap so large no move ever fires).
+runner::ReplicationFn spreadCell(std::int64_t n, double lambda, double mu, int choices,
+                                 bool rls, double warmup, double interval) {
+  return [=](std::int64_t, std::uint64_t seed) {
+    dynamic::OpenSystemOptions opts;
+    opts.arrivalRatePerBin = lambda;
+    opts.departureRate = mu;
+    opts.arrivalChoices = choices;
+    opts.gap = rls ? 1 : 1 << 30;
+    dynamic::OpenSystem sys(n, opts, seed);
+    return std::vector<double>{stationarySpread(sys, warmup, 60, interval)};
+  };
+}
+
 void runOpensystem(ScenarioContext& ctx) {
   const std::int64_t n = ctx.params.getInt("n", ctx.sized(64));
   if (n < 1) {
     throw std::invalid_argument("e14_opensystem: n= must be >= 1 (got " + std::to_string(n) +
                                 ")");
   }
+  const std::int64_t reps = ctx.repsOr(10);
+  const double mu = 0.2;
+
+  // The three sections' 13 cells run as one replication plan, so no cell
+  // waits at a barrier for another's stragglers. Cells are claimed in
+  // declaration order: (a) and (b) each from their largest ball population
+  // down, so the longest replications (mean load 128, then rho = 64) start
+  // first, then (c). The tables read their cells back by index.
+  std::vector<runner::ReplicationCell> plan;
+
+  // (a) per mean load: migration off (salt 0x1), then on (salt 0x2).
+  const double meanLoads[] = {8.0, 32.0, 128.0};
+  std::size_t cellA[std::size(meanLoads)] = {};
+  for (std::size_t i = std::size(meanLoads); i-- > 0;) {
+    const double meanLoad = meanLoads[i];
+    const double lambda = meanLoad * mu;  // lambda*n/mu = meanLoad*n
+    cellA[i] = plan.size();
+    for (const bool rls : {false, true}) {
+      const std::uint64_t salt = rls ? 0x2 : 0x1;
+      plan.push_back({reps, ctx.seed ^ salt ^ static_cast<std::uint64_t>(meanLoad), 1,
+                      spreadCell(n, lambda, mu, 1, rls, 30.0 / mu, 0.5 / mu)});
+    }
+  }
+
+  // (b) per offered load: one cell, migration on.
+  const double rhos[] = {4.0, 16.0, 64.0};
+  std::size_t cellB[std::size(rhos)] = {};
+  for (std::size_t i = std::size(rhos); i-- > 0;) {
+    const double rho = rhos[i];
+    cellB[i] = plan.size();
+    plan.push_back({reps, ctx.seed ^ static_cast<std::uint64_t>(rho * 10), 3,
+                    [n, rho, mu](std::int64_t, std::uint64_t seed) {
+                      dynamic::OpenSystemOptions opts;
+                      opts.arrivalRatePerBin = rho * mu;
+                      opts.departureRate = mu;
+                      dynamic::OpenSystem sys(n, opts, seed);
+                      const double spread = stationarySpread(sys, 30.0 / mu, 60, 0.5 / mu);
+                      const auto& c = sys.counters();
+                      return std::vector<double>{
+                          spread, static_cast<double>(sys.numBalls()),
+                          c.departures > 0 ? static_cast<double>(c.migrations) /
+                                                 static_cast<double>(c.departures)
+                                           : 0.0};
+                    }});
+  }
+
+  // (c) per arrival rule: migration off (salt 0x3), then on (salt 0x4).
+  const int choices[] = {1, 2};
+  std::size_t cellC[std::size(choices)] = {};
+  for (std::size_t i = 0; i < std::size(choices); ++i) {
+    const int d = choices[i];
+    cellC[i] = plan.size();
+    for (const bool rls : {false, true}) {
+      const std::uint64_t salt = rls ? 0x4 : 0x3;
+      plan.push_back({reps, ctx.seed ^ salt ^ static_cast<std::uint64_t>(d), 1,
+                      spreadCell(n, 6.4, 0.2, d, rls, 150.0, 2.5)});
+    }
+  }
+
+  const auto results = runner::runReplications(plan, ctx.pool());
+  const auto meanOf = [&](std::size_t cell) { return results[cell].summary(0).mean; };
 
   // ------------------------------------------- (a) migration on vs off
   {
     Table table({"mean load/bin", "reps", "spread (no RLS)", "spread (RLS)", "compression"});
-    for (const double meanLoad : {8.0, 32.0, 128.0}) {
-      const std::int64_t reps = ctx.repsOr(10);
-      const double mu = 0.2;
-      const double lambda = meanLoad * mu;  // lambda*n/mu = meanLoad*n
-
-      auto measure = [&](bool rls, std::uint64_t salt) {
-        return runner::runReplicationsScalar(
-            reps, ctx.seed ^ salt ^ static_cast<std::uint64_t>(meanLoad),
-            [&](std::int64_t, std::uint64_t seed) {
-              dynamic::OpenSystemOptions opts;
-              opts.arrivalRatePerBin = lambda;
-              opts.departureRate = mu;
-              // "No RLS" is modeled by gap so large no move ever fires.
-              opts.gap = rls ? 1 : 1 << 30;
-              dynamic::OpenSystem sys(n, opts, seed);
-              return stationarySpread(sys, 30.0 / mu, 60, 0.5 / mu);
-            }, ctx.pool());
-      };
-      const auto off = stats::summarize(measure(false, 0x1));
-      const auto on = stats::summarize(measure(true, 0x2));
-      table.row()
-          .cell(meanLoad, 4)
-          .cell(reps)
-          .cell(off.mean, 4)
-          .cell(on.mean, 4)
-          .cell(off.mean / on.mean, 3);
+    for (std::size_t i = 0; i < std::size(meanLoads); ++i) {
+      const double off = meanOf(cellA[i]);
+      const double on = meanOf(cellA[i] + 1);
+      table.row().cell(meanLoads[i], 4).cell(reps).cell(off, 4).cell(on, 4).cell(off / on, 3);
     }
     ctx.emitTable(table,
                   "[E14a] stationary spread, n=64: RLS vs pure arrivals/departures "
@@ -78,25 +134,10 @@ void runOpensystem(ScenarioContext& ctx) {
   // ----------------------------------------------- (b) offered-load sweep
   {
     Table table({"rho = lambda/mu", "mean balls", "reps", "spread (RLS)", "migrations/departure"});
-    for (const double rho : {4.0, 16.0, 64.0}) {
-      const std::int64_t reps = ctx.repsOr(10);
-      const double mu = 0.2;
-      const auto result = runner::runReplications(
-          reps, ctx.seed ^ static_cast<std::uint64_t>(rho * 10), 3,
-          [&](std::int64_t, std::uint64_t seed) {
-            dynamic::OpenSystemOptions opts;
-            opts.arrivalRatePerBin = rho * mu;
-            opts.departureRate = mu;
-            dynamic::OpenSystem sys(n, opts, seed);
-            const double spread = stationarySpread(sys, 30.0 / mu, 60, 0.5 / mu);
-            const auto& c = sys.counters();
-            return std::vector<double>{spread, static_cast<double>(sys.numBalls()),
-                                       c.departures > 0 ? static_cast<double>(c.migrations) /
-                                                              static_cast<double>(c.departures)
-                                                        : 0.0};
-          }, ctx.pool());
+    for (std::size_t i = 0; i < std::size(rhos); ++i) {
+      const runner::ReplicationResult& result = results[cellB[i]];
       table.row()
-          .cell(rho, 4)
+          .cell(rhos[i], 4)
           .cell(result.summary(1).mean, 5)
           .cell(reps)
           .cell(result.summary(0).mean, 4)
@@ -111,28 +152,12 @@ void runOpensystem(ScenarioContext& ctx) {
   // ------------------------------------------- (c) arrival rule ablation
   {
     Table table({"arrival rule", "reps", "spread (no RLS)", "spread (RLS)"});
-    for (const int d : {1, 2}) {
-      const std::int64_t reps = ctx.repsOr(10);
-      auto measure = [&](bool rls, std::uint64_t salt) {
-        return runner::runReplicationsScalar(
-            reps, ctx.seed ^ salt ^ static_cast<std::uint64_t>(d),
-            [&](std::int64_t, std::uint64_t seed) {
-              dynamic::OpenSystemOptions opts;
-              opts.arrivalRatePerBin = 6.4;
-              opts.departureRate = 0.2;
-              opts.arrivalChoices = d;
-              opts.gap = rls ? 1 : 1 << 30;
-              dynamic::OpenSystem sys(n, opts, seed);
-              return stationarySpread(sys, 150.0, 60, 2.5);
-            }, ctx.pool());
-      };
-      const auto off = stats::summarize(measure(false, 0x3));
-      const auto on = stats::summarize(measure(true, 0x4));
+    for (std::size_t i = 0; i < std::size(choices); ++i) {
       table.row()
-          .cell(d == 1 ? "uniform (1 choice)" : "lesser of 2 choices")
+          .cell(choices[i] == 1 ? "uniform (1 choice)" : "lesser of 2 choices")
           .cell(reps)
-          .cell(off.mean, 4)
-          .cell(on.mean, 4);
+          .cell(meanOf(cellC[i]), 4)
+          .cell(meanOf(cellC[i] + 1), 4);
     }
     ctx.emitTable(table,
                   "[E14c] two-choice arrivals vs uniform arrivals, with and without "

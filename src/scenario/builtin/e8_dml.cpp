@@ -9,6 +9,8 @@
 //      be destroyed -- exactly why the lemma is phrased as stochastic
 //      dominance of disc(t), not as a time bound.
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "config/generators.hpp"
@@ -25,6 +27,9 @@ namespace {
 
 void runDml(ScenarioContext& ctx) {
   const std::int64_t n = ctx.params.getInt("n", ctx.sized(64));
+  if (n < 1) {
+    throw std::invalid_argument("e8_dml: n= must be >= 1 (got " + std::to_string(n) + ")");
+  }
   const std::int64_t m = 8 * n;
   const auto init = config::allInOne(n, m);
 

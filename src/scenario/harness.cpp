@@ -102,9 +102,9 @@ void TraceOutput::attach(const std::string& tracePath, ScenarioContext& ctx) {
   }
   path_ = tracePath;
   ctx.trace = &writer_;
-  // Job spans for every parallelFor of the run (replication fan-outs, the
-  // serve phases relabel on top); workers were assigned tracks at pool
-  // construction, which ctx.pool() forces here if it has not happened yet.
+  // Job spans for every parallelFor of the run (the replication fan-outs);
+  // workers were assigned tracks at pool construction, which ctx.pool()
+  // forces here if it has not happened yet.
   ctx.pool().setTraceWriter(&writer_);
   active_ = true;
 }

@@ -203,6 +203,32 @@ TEST(SpectralGap, CycleMatchesClosedForm) {
   EXPECT_NEAR(g.spectralGapRegular(20000, eng), expected, 0.002);
 }
 
+TEST(SpectralGap, CompleteGraphClosedFormMatchesPowerIteration) {
+  // K_n takes the closed form n/(2(n-1)); the same graph built edge by edge
+  // is not flagged complete, so it runs the power iteration.
+  for (const std::int64_t n : {4, 16, 64}) {
+    std::vector<std::pair<std::int64_t, std::int64_t>> edges;
+    for (std::int64_t a = 0; a < n; ++a) {
+      for (std::int64_t b = a + 1; b < n; ++b) edges.emplace_back(a, b);
+    }
+    const auto explicitKn = Topology::fromEdges(n, edges);
+    ASSERT_FALSE(explicitKn.isComplete());
+    rng::Xoshiro256pp iterEng(8);
+    const double iterated = explicitKn.spectralGapRegular(200, iterEng);
+
+    const auto kn = Topology::complete(n);
+    rng::Xoshiro256pp closedEng(8);
+    const double closed = kn.spectralGapRegular(200, closedEng);
+    EXPECT_NEAR(closed, iterated, 1e-12) << "n = " << n;
+    EXPECT_DOUBLE_EQ(closed, static_cast<double>(n) / (2.0 * static_cast<double>(n - 1)));
+    // The closed form draws nothing from the engine.
+    rng::Xoshiro256pp fresh(8);
+    EXPECT_EQ(closedEng(), fresh()) << "n = " << n;
+  }
+  rng::Xoshiro256pp eng(9);
+  EXPECT_EQ(Topology::complete(2).spectralGapRegular(10, eng), 1.0);
+}
+
 // -------------------------------------------------------------- RLS on G
 
 TEST(GraphRls, CompleteGraphMatchesClassicRlsDistribution) {

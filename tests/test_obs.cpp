@@ -391,10 +391,10 @@ TEST(Trace, JsonIsWellFormedWithContainedSpansAndWorkerTracks) {
     }
     w.counter("lane", "value", nowUs(), 42.0);
   }
-  // A worker-track event, as ThreadPool records per-job spans.
+  // Worker-track events: ThreadPool records one "parallelFor" job span
+  // per participating thread.
   runner::ThreadPool pool(2);
   pool.setTraceWriter(&w);
-  pool.setTraceLabel("job_span");
   pool.parallelFor(64, [](std::int64_t) {});
   pool.setTraceWriter(nullptr);
 
@@ -433,7 +433,8 @@ TEST(Trace, JsonIsWellFormedWithContainedSpansAndWorkerTracks) {
         innerTs = e.at("ts").asDouble();
         innerEnd = innerTs + e.at("dur").asDouble();
         EXPECT_EQ(e.at("cat").asString(), "phase");
-      } else if (name == "job_span") {
+      } else if (name == "parallelFor") {
+        EXPECT_EQ(e.at("cat").asString(), "job");
         sawJobSpan = true;
       }
     } else if (ph == "C") {

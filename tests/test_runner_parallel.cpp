@@ -1,12 +1,13 @@
 // Tests for the parallel execution subsystem (runner/thread_pool.hpp and the
 // pooled replication harness): output must be bit-identical for any thread
 // count, exceptions must propagate exactly once without deadlock, and the
-// degenerate shapes (no work, fewer replications than threads) must return
-// well-formed results. This suite is the one the CI sanitizer matrix runs
-// under TSan.
+// degenerate shapes (no work, fewer replications than threads, empty plans
+// and cells) must return well-formed results. This suite is the one the CI
+// sanitizer matrix runs under TSan.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <stdexcept>
 #include <thread>
@@ -14,6 +15,7 @@
 
 #include "config/generators.hpp"
 #include "core/rls.hpp"
+#include "rng/splitmix64.hpp"
 #include "runner/replication.hpp"
 #include "runner/thread_pool.hpp"
 #include "sim/ensemble.hpp"
@@ -33,8 +35,9 @@ double simulateOne(std::uint64_t seed) {
 }
 
 bool bitIdentical(const std::vector<double>& a, const std::vector<double>& b) {
+  // memcmp may not be handed the null data() of an empty vector.
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
 #if defined(__SANITIZE_THREAD__)
@@ -120,6 +123,30 @@ TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
       ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1) << "index " << i;
     }
   }
+}
+
+TEST(ThreadPool, ClaimsOneIndexAtATime) {
+  // Indices 0-3 each wait until all four have started. With one index per
+  // claim the pool's four threads hold one each; had any two of them been
+  // handed out in one claim, one thread would run them in turn and the
+  // first would wait out its bound.
+  ThreadPool pool(4);
+  std::atomic<int> started{0};
+  std::atomic<int> timedOut{0};
+  pool.parallelFor(64, [&](std::int64_t i) {
+    if (i >= 4) return;
+    started.fetch_add(1);
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (started.load() < 4) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        timedOut.fetch_add(1);
+        return;
+      }
+      std::this_thread::yield();
+    }
+  });
+  EXPECT_EQ(started.load(), 4);
+  EXPECT_EQ(timedOut.load(), 0);
 }
 
 TEST(ThreadPool, ReusableAcrossJobs) {
@@ -270,6 +297,78 @@ TEST(RunnerParallel, ThrowingReplicationPropagatesOnce) {
     EXPECT_STREQ(e.what(), "replication failed");
   }
   EXPECT_EQ(caught, 1);
+}
+
+TEST(RunnerPlan, EveryCellGetsWhatItsOneCellCallGives) {
+  const ReplicationFn scalar = [](std::int64_t, std::uint64_t seed) {
+    return std::vector<double>{simulateOne(seed)};
+  };
+  const ReplicationFn triple = [](std::int64_t rep, std::uint64_t seed) {
+    const double t = simulateOne(seed);
+    return std::vector<double>{t, static_cast<double>(rep), t * t};
+  };
+  // Mixed reps (zero ones first, inside and last), metric counts and seeds;
+  // cells 1 and 4 share a base seed, so they share their first replication.
+  const std::vector<ReplicationCell> plan = {
+      {0, 5, 2, triple}, {9, 11, 1, scalar}, {0, 12, 3, triple},
+      {17, 13, 3, triple}, {1, 11, 1, scalar}, {0, 14, 1, scalar},
+  };
+  std::vector<ReplicationResult> oneCell;
+  for (const ReplicationCell& cell : plan) {
+    oneCell.push_back(runReplications(cell.reps, cell.baseSeed, cell.numMetrics, cell.fn, 3));
+    // ... which is the contract evaluated serially.
+    for (std::int64_t rep = 0; rep < cell.reps; ++rep) {
+      const auto values =
+          cell.fn(rep, rng::streamSeed(cell.baseSeed, static_cast<std::uint64_t>(rep)));
+      for (std::size_t metric = 0; metric < cell.numMetrics; ++metric) {
+        const double got = oneCell.back().samples[metric][static_cast<std::size_t>(rep)];
+        EXPECT_EQ(std::memcmp(&got, &values[metric], sizeof(double)), 0);
+      }
+    }
+  }
+  const int hardware = ThreadPool::resolveThreadCount(0);
+  for (const int threads : {1, 2, 7, hardware}) {
+    ThreadPool pool(threads);
+    const auto results = runReplications(plan, pool);
+    ASSERT_EQ(results.size(), plan.size());
+    for (std::size_t c = 0; c < plan.size(); ++c) {
+      ASSERT_EQ(results[c].samples.size(), plan[c].numMetrics);
+      for (std::size_t metric = 0; metric < plan[c].numMetrics; ++metric) {
+        EXPECT_TRUE(bitIdentical(results[c].samples[metric], oneCell[c].samples[metric]))
+            << "threads = " << threads << ", cell " << c << ", metric " << metric;
+      }
+    }
+  }
+}
+
+TEST(RunnerPlan, EmptyPlanIsWellFormed) {
+  ThreadPool pool(4);
+  EXPECT_TRUE(runReplications(std::vector<ReplicationCell>{}, pool).empty());
+}
+
+TEST(RunnerPlan, ThrowingCellPropagatesOnce) {
+  ThreadPool pool(4);
+  const std::vector<ReplicationCell> plan = {
+      {20, 1, 1, [](std::int64_t, std::uint64_t) { return std::vector<double>{1.0}; }},
+      {20, 2, 1,
+       [](std::int64_t rep, std::uint64_t) -> std::vector<double> {
+         if (rep % 2 == 1) throw std::runtime_error("cell failed");
+         return {2.0};
+       }},
+  };
+  int caught = 0;
+  try {
+    (void)runReplications(plan, pool);
+  } catch (const std::runtime_error& e) {
+    ++caught;
+    EXPECT_STREQ(e.what(), "cell failed");
+  }
+  EXPECT_EQ(caught, 1);
+
+  // The pool stays usable after a throw.
+  const auto again = runReplications({plan.front()}, pool);
+  ASSERT_EQ(again.size(), 1u);
+  EXPECT_EQ(again.front().samples.front(), std::vector<double>(20, 1.0));
 }
 
 TEST(EnsembleParallel, MeansBitIdenticalForAnyThreadCount) {

@@ -69,6 +69,15 @@ TEST(ScenarioParams, OutOfRangeSizesAndEmptyListsThrowUsageErrors) {
       {"e14_opensystem", {"n=0"}},
       {"process_compare", {"process=rls", "n=0"}},
       {"process_compare", {"process="}},
+      {"e10_baselines", {"process=foo"}},
+      {"e8_dml", {"n=0"}},
+      {"e11_extensions", {"n=0"}},
+      {"e15_trajectory", {"n=0"}},
+      {"e15_trajectory", {"ratio=-1"}},
+      {"e15_trajectory", {"dt=0"}},
+      {"e15_trajectory", {"horizon=-1"}},
+      {"ablation", {"n=0"}},
+      {"ablation", {"n=33"}},
   };
   for (const auto& b : bad) {
     ScenarioContext ctx;
@@ -186,13 +195,15 @@ std::string deterministicRecords(const std::string& jsonl) {
 }
 
 std::string runToJsonl(const ScenarioRegistry& r, const std::string& name, std::uint64_t seed,
-                       int threads, const std::vector<std::string>& paramTokens) {
+                       int threads, const std::vector<std::string>& paramTokens,
+                       std::int64_t reps = 4, double scale = 1.0) {
   std::ostringstream out;
   report::ResultSink sink(&out);
   ScenarioContext ctx;
   ctx.seed = seed;
   ctx.threads = threads;
-  ctx.reps = 4;
+  ctx.reps = reps;
+  ctx.scale = scale;
   ctx.sink = &sink;
   ctx.console = nullptr;
   std::string error;
@@ -220,6 +231,29 @@ TEST(ScenarioDeterminism, RealScenarioByteIdenticalAcrossRunsAndThreads) {
   EXPECT_NE(a.find("n=32"), std::string::npos);
   const std::string d = deterministicRecords(runToJsonl(r, "e15_trajectory", 100, 1, params));
   EXPECT_NE(a, d) << "different seed must change the sampled tables";
+}
+
+TEST(ScenarioDeterminism, ReplicationPlansByteIdenticalAcrossThreads) {
+  // e10 and e14 run all their table cells as one replication plan, so the
+  // pool interleaves different cells' replications; the records must not
+  // depend on how. Sizes, reps and scale are shrunk to keep Debug fast.
+  ScenarioRegistry r;
+  registerBuiltinScenarios(r);
+  const struct {
+    const char* scenario;
+    std::vector<std::string> params;
+  } cases[] = {
+      {"e10_baselines", {"process=edm,threshold"}},
+      {"e14_opensystem", {"n=4"}},
+  };
+  for (const auto& c : cases) {
+    const std::string a =
+        deterministicRecords(runToJsonl(r, c.scenario, 41, 1, c.params, 2, 0.125));
+    const std::string b =
+        deterministicRecords(runToJsonl(r, c.scenario, 41, 3, c.params, 2, 0.125));
+    EXPECT_NE(a.find("\"type\":\"table\""), std::string::npos) << c.scenario;
+    EXPECT_EQ(a, b) << c.scenario << ": same seed, different thread count";
+  }
 }
 
 TEST(ScenarioDeterminism, SinkRecordsTaggedWithScenarioName) {
