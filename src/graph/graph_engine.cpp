@@ -1,7 +1,5 @@
 #include "graph/graph_engine.hpp"
 
-#include <algorithm>
-
 #include "rng/distributions.hpp"
 #include "util/assert.hpp"
 
@@ -9,30 +7,20 @@ namespace rlslb::graph {
 
 GraphRlsEngine::GraphRlsEngine(const config::Configuration& initial, const Topology& topology,
                                std::uint64_t seed, int gap)
-    : topology_(topology), loads_(initial.loads()), ballMass_(initial.loads()), eng_(seed),
-      gap_(gap) {
+    : topology_(topology), loads_(initial.loads()), ballMass_(initial.loads()),
+      tracker_(initial.loads()), eng_(seed), gap_(gap) {
   RLSLB_ASSERT(gap_ >= 1);
   RLSLB_ASSERT(initial.numBins() == topology.numVertices());
-  state_.numBins = initial.numBins();
-  state_.numBalls = initial.numBalls();
-  const std::int64_t ceilAvg = initial.ceilAverage();
-  state_.minLoad = loads_.empty() ? 0 : loads_[0];
-  state_.maxLoad = state_.minLoad;
-  for (std::int64_t v : loads_) {
-    ++histogram_[v];
-    state_.minLoad = std::min(state_.minLoad, v);
-    state_.maxLoad = std::max(state_.maxLoad, v);
-    if (v > ceilAvg) state_.overloadedBalls += v - ceilAvg;
-  }
 }
 
 bool GraphRlsEngine::step() {
-  if (state_.numBalls == 0) return false;
-  time_ += rng::exponential(eng_, static_cast<double>(state_.numBalls));
+  const std::int64_t m = tracker_.state().numBalls;
+  if (m == 0) return false;
+  time_ += rng::exponential(eng_, static_cast<double>(m));
   ++activations_;
 
-  const auto ticket = static_cast<std::int64_t>(
-      rng::uniformIndex(eng_, static_cast<std::uint64_t>(state_.numBalls)));
+  const auto ticket =
+      static_cast<std::int64_t>(rng::uniformIndex(eng_, static_cast<std::uint64_t>(m)));
   const std::size_t src = ballMass_.upperBound(ticket);
   if (topology_.degree(static_cast<std::int64_t>(src)) == 0) return true;  // isolated bin
   const auto dst = static_cast<std::size_t>(
@@ -46,23 +34,8 @@ bool GraphRlsEngine::step() {
   loads_[dst] = u + 1;
   ballMass_.add(src, -1);
   ballMass_.add(dst, +1);
-
-  auto dropLevel = [&](std::int64_t level) {
-    auto it = histogram_.find(level);
-    RLSLB_ASSERT(it != histogram_.end() && it->second >= 1);
-    if (--it->second == 0) histogram_.erase(it);
-  };
-  dropLevel(v);
-  ++histogram_[v - 1];
-  dropLevel(u);
-  ++histogram_[u + 1];
-  while (histogram_.find(state_.minLoad) == histogram_.end()) ++state_.minLoad;
-  while (histogram_.find(state_.maxLoad) == histogram_.end()) --state_.maxLoad;
-
-  const std::int64_t ceilAvg = (state_.numBalls + state_.numBins - 1) / state_.numBins;
-  if (v > ceilAvg) --state_.overloadedBalls;
-  if (u + 1 > ceilAvg) ++state_.overloadedBalls;
-
+  tracker_.onLoadChange(v, v - 1);
+  tracker_.onLoadChange(u, u + 1);
   ++moves_;
   return true;
 }

@@ -10,16 +10,20 @@
 // load non-decreasing, and the maximum non-increasing (the protocol's local
 // test is unchanged); perfect balance remains reachable, just slower on
 // poorly-mixing topologies -- exactly what experiment E12 measures.
+//
+// GraphJumpEngine (graph/graph_jump_engine.hpp) samples the same chain at
+// the granularity of accepted moves on sparse regular topologies; this
+// engine stays its oracle and the engine for K_n.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "config/configuration.hpp"
 #include "ds/fenwick.hpp"
 #include "graph/topology.hpp"
 #include "rng/xoshiro256pp.hpp"
+#include "sim/balance_tracker.hpp"
 #include "sim/engine.hpp"
 
 namespace rlslb::graph {
@@ -34,7 +38,7 @@ class GraphRlsEngine final : public sim::Engine {
   [[nodiscard]] double time() const override { return time_; }
   [[nodiscard]] std::int64_t moves() const override { return moves_; }
   [[nodiscard]] std::int64_t activations() const override { return activations_; }
-  [[nodiscard]] const sim::BalanceState& state() const override { return state_; }
+  [[nodiscard]] const sim::BalanceState& state() const override { return tracker_.state(); }
 
   [[nodiscard]] const std::vector<std::int64_t>& loads() const { return loads_; }
 
@@ -42,9 +46,8 @@ class GraphRlsEngine final : public sim::Engine {
   const Topology& topology_;
   std::vector<std::int64_t> loads_;
   ds::Fenwick<std::int64_t> ballMass_;
-  std::unordered_map<std::int64_t, std::int64_t> histogram_;
+  sim::BalanceTracker tracker_;
   rng::Xoshiro256pp eng_;
-  sim::BalanceState state_;
   double time_ = 0.0;
   std::int64_t moves_ = 0;
   std::int64_t activations_ = 0;

@@ -12,10 +12,12 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "rng/xoshiro256pp.hpp"
+#include "util/assert.hpp"
 
 namespace rlslb::graph {
 
@@ -47,6 +49,14 @@ class Topology {
   [[nodiscard]] std::int64_t numEdges() const;
   [[nodiscard]] std::int64_t degree(std::int64_t v) const;
   [[nodiscard]] std::int64_t neighbor(std::int64_t v, std::int64_t k) const;
+  /// v's adjacency list, read inline (no call per neighbor). CSR graphs
+  /// only: K_n's edges are implicit.
+  [[nodiscard]] std::span<const std::int64_t> neighbors(std::int64_t v) const {
+    RLSLB_ASSERT(!complete_ && v >= 0 && v < n_);
+    const auto begin = offsets_[static_cast<std::size_t>(v)];
+    const auto end = offsets_[static_cast<std::size_t>(v) + 1];
+    return {neighbors_.data() + begin, static_cast<std::size_t>(end - begin)};
+  }
   [[nodiscard]] bool isComplete() const { return complete_; }
   [[nodiscard]] const std::string& name() const { return name_; }
 

@@ -1,8 +1,10 @@
 #include "process/registry.hpp"
 
+#include <climits>
 #include <cmath>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "dynamic/open_system.hpp"
@@ -81,6 +83,26 @@ std::unique_ptr<Process> ProcessRegistry::make(const std::string& kind,
 
 namespace {
 
+// Bad params are usage errors, thrown before anything is built: the driver
+// turns std::invalid_argument into a message and exit 2.
+void require(bool ok, const std::string& kind, const std::string& what) {
+  if (!ok) throw std::invalid_argument(kind + ": " + what);
+}
+
+/// An int param that must lie in [lo, hi].
+std::int64_t intIn(const ProcessParams& params, const std::string& kind, const std::string& name,
+                   std::int64_t dflt, std::int64_t lo, std::int64_t hi) {
+  const std::int64_t value = params.getInt(name, dflt);
+  require(value >= lo && value <= hi, kind,
+          name + "= must be in [" + std::to_string(lo) + ", " + std::to_string(hi) +
+              "] (got " + std::to_string(value) + ")");
+  return value;
+}
+
+int gapOf(const ProcessParams& params, const std::string& kind) {
+  return static_cast<int>(intIn(params, kind, "gap", 1, 1, INT_MAX));
+}
+
 // ---------------------------------------------------------------- sim ---
 
 std::unique_ptr<Process> makeRls(const config::Configuration& initial, std::uint64_t seed,
@@ -96,8 +118,7 @@ std::unique_ptr<Process> makeRls(const config::Configuration& initial, std::uint
 std::unique_ptr<Process> makeRlsNaive(const config::Configuration& initial, std::uint64_t seed,
                                       const ProcessParams& params) {
   return std::make_unique<EngineProcess>(
-      std::make_unique<sim::NaiveEngine>(initial, seed,
-                                         static_cast<int>(params.getInt("gap", 1))),
+      std::make_unique<sim::NaiveEngine>(initial, seed, gapOf(params, "rls_naive")),
       EngineProcess::defaultCaps());
 }
 
@@ -138,13 +159,16 @@ std::unique_ptr<Process> makeThreshold(const config::Configuration& initial, std
                                        const ProcessParams& params) {
   std::int64_t threshold = params.getInt("threshold", -1);
   if (threshold < 0) threshold = initial.floorAverage();
-  return std::make_unique<RoundProcess>(std::make_unique<protocols::ThresholdProtocol>(
-      initial, seed, threshold, params.getDouble("p", 0.5)));
+  const double p = params.getDouble("p", 0.5);
+  require(p > 0.0 && p <= 1.0, "threshold", "p= must be in (0, 1]");
+  return std::make_unique<RoundProcess>(
+      std::make_unique<protocols::ThresholdProtocol>(initial, seed, threshold, p));
 }
 
 std::unique_ptr<Process> makeCrs(const config::Configuration& initial, std::uint64_t seed,
                                  const ProcessParams& params) {
   (void)params;
+  require(initial.numBins() >= 2, "crs", "needs n >= 2");
   // CRS owns its placement (random candidate pairs + Greedy[2]); only the
   // shape (n, m) of the initial configuration is used.
   return std::make_unique<CrsProcess>(std::make_unique<protocols::CrsProtocol>(
@@ -170,8 +194,8 @@ std::vector<std::int64_t> speedRoster(const std::string& name, std::int64_t n) {
     speeds[static_cast<std::size_t>(n - 1)] = 8;
     return speeds;
   }
-  RLSLB_ASSERT_MSG(false, "speeds= must be uniform|half2|thirds124|one_fast8");
-  return speeds;
+  throw std::invalid_argument("speed_rls: speeds= must be uniform|half2|thirds124|one_fast8 (got '" +
+                              name + "')");
 }
 
 std::unique_ptr<Process> makeSpeedRls(const config::Configuration& initial, std::uint64_t seed,
@@ -184,7 +208,7 @@ std::unique_ptr<Process> makeWeightedRls(const config::Configuration& initial,
                                          std::uint64_t seed, const ProcessParams& params) {
   const std::int64_t n = initial.numBins();
   const std::int64_t m = initial.numBalls();
-  RLSLB_ASSERT_MSG(m >= 1, "weighted_rls needs at least one ball");
+  require(m >= 1, "weighted_rls", "needs at least one ball");
 
   // Weights: unit keeps one ball per load unit; the skewed rosters keep the
   // expected total weight comparable to m with 1/4 as many balls (the E11
@@ -201,7 +225,8 @@ std::unique_ptr<Process> makeWeightedRls(const config::Configuration& initial,
     weights.resize(static_cast<std::size_t>(std::max<std::int64_t>(1, m / 4)));
     for (auto& w : weights) w = rng::bernoulli(weightEng, 0.1) ? 16 : 1;
   } else {
-    RLSLB_ASSERT_MSG(false, "weights= must be unit|uniform8|bimodal16");
+    throw std::invalid_argument("weighted_rls: weights= must be unit|uniform8|bimodal16 (got '" +
+                                dist + "')");
   }
 
   // Start bins follow the configuration's shape: ball b sits where the
@@ -227,36 +252,47 @@ std::unique_ptr<Process> makeGraphRls(const config::Configuration& initial, std:
                                       const ProcessParams& params) {
   const std::int64_t n = initial.numBins();
   const std::string name = params.getString("topology", "complete");
+  const int gap = gapOf(params, "graph_rls");
+  const auto need = [&](bool ok, const std::string& what) {
+    require(ok, "graph_rls", "topology=" + name + " needs " + what + " (n = " +
+                                 std::to_string(n) + ")");
+  };
   auto topology = std::make_shared<graph::Topology>([&] {
-    if (name == "complete") return graph::Topology::complete(n);
-    if (name == "cycle") return graph::Topology::cycle(n);
+    if (name == "complete") {
+      need(n >= 2, "n >= 2");
+      return graph::Topology::complete(n);
+    }
+    if (name == "cycle") {
+      need(n >= 3, "n >= 3");
+      return graph::Topology::cycle(n);
+    }
     if (name == "hypercube") {
       int dim = 0;
       while ((std::int64_t{1} << dim) < n) ++dim;
-      RLSLB_ASSERT_MSG((std::int64_t{1} << dim) == n, "hypercube topology needs n = 2^d");
+      need(dim >= 1 && dim <= 30 && (std::int64_t{1} << dim) == n, "n = 2^d, 1 <= d <= 30");
       return graph::Topology::hypercube(dim);
     }
     if (name == "torus") {
       const auto side = static_cast<std::int64_t>(std::llround(std::sqrt(static_cast<double>(n))));
-      RLSLB_ASSERT_MSG(side * side == n, "torus topology needs square n");
+      need(side >= 3 && side * side == n, "a square n >= 9");
       return graph::Topology::torus(side, side);
     }
     if (name == "random_regular") {
+      const std::int64_t degree = intIn(params, "graph_rls", "degree", 4, 1, INT_MAX);
+      need(degree < n && (n * degree) % 2 == 0, "degree < n and n * degree even");
       // Topology randomness rides a dedicated stream off the process seed,
       // so the graph is deterministic per (seed, degree).
       rng::Xoshiro256pp topoEng(rng::streamSeed(seed, 0x746f706fULL));  // "topo"
-      return graph::Topology::randomRegular(
-          n, static_cast<int>(params.getInt("degree", 4)), topoEng);
+      return graph::Topology::randomRegular(n, static_cast<int>(degree), topoEng);
     }
-    RLSLB_ASSERT_MSG(false,
-                     "topology= must be complete|cycle|hypercube|torus|random_regular");
-    return graph::Topology::complete(n);
+    throw std::invalid_argument(
+        "graph_rls: topology= must be complete|cycle|hypercube|torus|random_regular (got '" +
+        name + "')");
   }());
 
   Capabilities caps = EngineProcess::defaultCaps();
   caps.topology = true;
-  auto engine = std::make_unique<graph::GraphRlsEngine>(
-      initial, *topology, seed, static_cast<int>(params.getInt("gap", 1)));
+  auto engine = std::make_unique<graph::GraphRlsEngine>(initial, *topology, seed, gap);
   return std::make_unique<EngineProcess>(std::move(engine), caps, std::move(topology));
 }
 
@@ -267,8 +303,12 @@ std::unique_ptr<Process> makeOpen(const config::Configuration& initial, std::uin
   dynamic::OpenSystemOptions options;
   options.arrivalRatePerBin = params.getDouble("lambda", 0.5);
   options.departureRate = params.getDouble("mu", 1.0);
-  options.arrivalChoices = static_cast<int>(params.getInt("d", 1));
-  options.gap = static_cast<int>(params.getInt("gap", 1));
+  require(std::isfinite(options.arrivalRatePerBin) && options.arrivalRatePerBin >= 0.0, "open",
+          "lambda= must be a finite rate >= 0");
+  require(std::isfinite(options.departureRate) && options.departureRate >= 0.0, "open",
+          "mu= must be a finite rate >= 0");
+  options.arrivalChoices = static_cast<int>(intIn(params, "open", "d", 1, 1, INT_MAX));
+  options.gap = gapOf(params, "open");
   return std::make_unique<OpenProcess>(std::make_unique<dynamic::OpenSystem>(
       initial.numBins(), options, seed, &initial));
 }

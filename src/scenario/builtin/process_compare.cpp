@@ -16,13 +16,14 @@
 // fixed time horizon for open systems, the 2 ln n band for synchronous
 // rounds (the e10 convention: a fixed-threshold protocol never reaches
 // perfect balance), perfect balance for the RLS engines. Explicit targets
-// override for every selected kind: target=perfect|x|equilibrium|time.
+// override for every selected kind: target=perfect|x|band|equilibrium|time.
 //
 // The unified Clock makes the "E[at stop]" column comparable across
 // families: continuous time, synchronous rounds and sequential steps all
 // measure "one unit ~ m expected activations" up to each family's
 // granularity (see process/process.hpp).
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -36,7 +37,6 @@
 #include "scenario/builtin/builtin.hpp"
 #include "scenario/harness.hpp"
 #include "stats/summary.hpp"
-#include "util/assert.hpp"
 #include "util/parse.hpp"
 
 namespace rlslb::scenario::builtin {
@@ -52,9 +52,9 @@ config::Configuration makeStart(const std::string& start, std::int64_t n, std::i
   rng::Xoshiro256pp eng(rng::streamSeed(seed, stableHash("start:" + start)));
   if (start == "random") return config::uniformRandom(n, m, eng);
   if (start == "greedy2") return config::greedyD(n, m, 2, eng);
-  RLSLB_ASSERT_MSG(false,
-                   "start= must be allinone|balanced|random|greedy2|staircase|powerlaw");
-  return config::allInOne(n, m);
+  throw std::invalid_argument(
+      "process_compare: start= must be allinone|balanced|random|greedy2|staircase|powerlaw "
+      "(got '" + start + "')");
 }
 
 void runProcessCompare(ScenarioContext& ctx) {
@@ -66,9 +66,21 @@ void runProcessCompare(ScenarioContext& ctx) {
     throw std::invalid_argument("process_compare: n= must be >= 1 (got " + std::to_string(n) +
                                 ")");
   }
-  const std::int64_t m = ctx.params.getInt("ratio", 8) * n;
+  const std::int64_t ratio = ctx.params.getInt("ratio", 8);
+  if (ratio < 0 || ratio > INT64_MAX / n) {
+    throw std::invalid_argument("process_compare: ratio= must be in [0, " +
+                                std::to_string(INT64_MAX / n) + "] (got " +
+                                std::to_string(ratio) + ")");
+  }
+  const std::int64_t m = ratio * n;
   const std::string startName = ctx.params.getString("start", "allinone");
   const std::string targetName = ctx.params.getString("target", "auto");
+  if (targetName != "auto" && targetName != "perfect" && targetName != "x" &&
+      targetName != "band" && targetName != "equilibrium" && targetName != "time") {
+    throw std::invalid_argument(
+        "process_compare: target= must be auto|perfect|x|band|equilibrium|time (got '" +
+        targetName + "')");
+  }
   const std::int64_t x = ctx.params.getInt("x", 0);
   const double horizon = ctx.params.getDouble("horizon", 50.0);
   const std::int64_t budget = ctx.params.getInt("budget", 50'000'000);
@@ -84,12 +96,12 @@ void runProcessCompare(ScenarioContext& ctx) {
   }
   if (kinds.empty()) throw std::invalid_argument("process_compare: process= names no kinds");
 
+  const config::Configuration start = makeStart(startName, n, m, ctx.seed);
+
   // Conformance: one roster serves every kind's instrumented replication;
   // beginRun() below separates the sub-runs (monotone-step invariants
   // reset, anomalies tagged with the run index).
   if (conformance) obs::installProcessMonitors(ctx.monitors, n, m);
-
-  const config::Configuration start = makeStart(startName, n, m, ctx.seed);
   const auto band =
       static_cast<std::int64_t>(std::ceil(2.0 * std::log(static_cast<double>(n))));
 
@@ -131,15 +143,16 @@ void runProcessCompare(ScenarioContext& ctx) {
       target = process::Target::xBalanced(band);
       targetLabel = "disc<=" + std::to_string(band) + " (2ln n)";
     } else if (resolved == "equilibrium") {
-      RLSLB_ASSERT_MSG(caps.equilibrium, "target=equilibrium needs an equilibrium notion");
+      if (!caps.equilibrium) {
+        throw std::invalid_argument("process_compare: target=equilibrium needs a kind with an "
+                                    "equilibrium notion (" + kind + " has none)");
+      }
       target = process::Target::equilibrium();
       targetLabel = "equilibrium";
     } else if (resolved == "time") {
       target = process::Target::none();
       limits.maxTime = horizon;
       targetLabel = "t=" + std::to_string(static_cast<std::int64_t>(horizon));
-    } else {
-      RLSLB_ASSERT_MSG(false, "target= must be auto|perfect|x|equilibrium|time");
     }
     // Synchronous rounds burn one O(m) sweep per event; keep their budget
     // at the e10 scale rather than the continuous-event scale.
@@ -220,7 +233,7 @@ void registerProcessCompare(ScenarioRegistry& r) {
           {"start", "string", "allinone",
            "initial shape: allinone|balanced|random|greedy2|staircase|powerlaw"},
           {"target", "string", "auto",
-           "auto|perfect|x|equilibrium|time (auto: equilibrium / horizon / 2ln-n band / "
+           "auto|perfect|x|band|equilibrium|time (auto: equilibrium / horizon / 2ln-n band / "
            "perfect by capability)"},
           {"x", "int", "0", "x for target=x (0 = perfect balance)"},
           {"horizon", "double", "50", "time horizon for target=time"},

@@ -22,9 +22,9 @@
 //     m has left it.
 //
 // Memory is O(max load seen), grown on demand -- fine for every tracked
-// family (CRS, the ext engines, the open system, the compact serving
-// allocator), whose loads are a small multiple of the average. The sim
-// engines keep their own bookkeeping.
+// family (CRS, the ext engines, the open system, the graph engines, the
+// compact serving allocator), whose loads are a small multiple of the
+// average. The sim engines keep their own bookkeeping.
 // Bulk-rewrite dynamics (the synchronous round protocols rewrite Theta(m)
 // loads per round) should NOT pay per-move tracking at all; they recompute
 // lazily per round instead (see protocols/round_protocol.hpp).

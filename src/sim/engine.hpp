@@ -31,6 +31,7 @@ struct BalanceState {
   [[nodiscard]] double discrepancy() const {
     return config::discrepancy(minLoad, maxLoad, numBins, numBalls);
   }
+  friend bool operator==(const BalanceState&, const BalanceState&) = default;
 };
 
 /// Stopping target of a run.

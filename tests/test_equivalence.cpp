@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,9 @@
 #include "ds/fenwick.hpp"
 #include "ds/load_multiset.hpp"
 #include "exact/rls_chain.hpp"
+#include "graph/graph_engine.hpp"
+#include "graph/graph_jump_engine.hpp"
+#include "graph/topology.hpp"
 #include "rng/splitmix64.hpp"
 #include "rng/xoshiro256pp.hpp"
 #include "sim/naive_engine.hpp"
@@ -113,6 +117,47 @@ TEST(EngineEquivalence, AllEnginesAnchoredOnExactChain) {
       rs.add(core::balancingTime(init, o));
     }
     EXPECT_NEAR(rs.mean(), expected, 5.0 * rs.sem()) << static_cast<int>(kind);
+  }
+}
+
+// The rejection-free graph engine samples GraphRlsEngine's chain at the
+// granularity of accepted moves, so hitting times must agree in
+// distribution. gap = 2 can stop short of perfect balance (every edge
+// within 1); on K_{8,8} (diameter 2) its stable states have spread <= 2, so
+// disc <= 2 is a target both engines reach.
+TEST(GraphEngineEquivalence, RejectionFreeMatchesPerActivationHittingTimes) {
+  rng::Xoshiro256pp topoEng(0x9e11);
+  const struct {
+    const char* name;
+    graph::Topology topo;
+    int gap;
+    sim::Target target;
+  } cases[] = {
+      {"cycle16", graph::Topology::cycle(16), 1, sim::Target::perfect()},
+      {"torus4x4", graph::Topology::torus(4, 4), 1, sim::Target::perfect()},
+      {"hypercube4", graph::Topology::hypercube(4), 1, sim::Target::perfect()},
+      {"random3reg16", graph::Topology::randomRegular(16, 3, topoEng), 1,
+       sim::Target::perfect()},
+      {"bipartite8x8_gap2", graph::Topology::completeBipartite(8, 8), 2,
+       sim::Target::xBalanced(2)},
+  };
+  constexpr int kReps = 1000;
+  for (std::size_t c = 0; c < std::size(cases); ++c) {
+    const auto& tc = cases[c];
+    const auto init = config::allInOne(tc.topo.numVertices(), 4 * tc.topo.numVertices());
+    std::vector<double> perActivation;
+    std::vector<double> rejectionFree;
+    for (int rep = 0; rep < kReps; ++rep) {
+      graph::GraphRlsEngine a(init, tc.topo, rng::streamSeed(0x5150 + c, rep), tc.gap);
+      const auto ra = sim::runUntil(a, tc.target);
+      graph::GraphJumpEngine b(init, tc.topo, rng::streamSeed(0x6160 + c, rep), tc.gap);
+      const auto rb = sim::runUntil(b, tc.target);
+      ASSERT_TRUE(ra.reachedTarget && rb.reachedTarget) << tc.name;
+      perActivation.push_back(ra.time);
+      rejectionFree.push_back(rb.time);
+    }
+    EXPECT_GT(stats::mannWhitneyU(perActivation, rejectionFree).pValue, 1e-4) << tc.name;
+    EXPECT_GT(stats::ksTwoSample(perActivation, rejectionFree).pValue, 1e-4) << tc.name;
   }
 }
 

@@ -4,11 +4,16 @@
 
 #include <cmath>
 #include <numeric>
+#include <ostream>
 #include <set>
+#include <string>
+#include <tuple>
+#include <type_traits>
 
 #include "config/generators.hpp"
 #include "config/metrics.hpp"
 #include "graph/graph_engine.hpp"
+#include "graph/graph_jump_engine.hpp"
 #include "graph/topology.hpp"
 #include "rng/splitmix64.hpp"
 #include "sim/engine.hpp"
@@ -48,6 +53,17 @@ TEST(Topology, CycleStructure) {
   std::set<std::int64_t> nbrs = {g.neighbor(0, 0), g.neighbor(0, 1)};
   EXPECT_EQ(nbrs, (std::set<std::int64_t>{1, 5}));
   EXPECT_TRUE(g.isConnected());
+}
+
+TEST(Topology, NeighborsSpanMatchesNeighbor) {
+  const auto g = Topology::torus(4, 5);
+  for (std::int64_t v = 0; v < g.numVertices(); ++v) {
+    const auto row = g.neighbors(v);
+    ASSERT_EQ(static_cast<std::int64_t>(row.size()), g.degree(v));
+    for (std::int64_t k = 0; k < g.degree(v); ++k) {
+      EXPECT_EQ(row[static_cast<std::size_t>(k)], g.neighbor(v, k));
+    }
+  }
 }
 
 TEST(Topology, PathEndpoints) {
@@ -318,8 +334,17 @@ TEST(GraphRls, StarBalances) {
 }
 
 // Property sweep: every topology keeps the RLS monotonicity invariants and
-// conserves mass; connected ones reach perfect balance.
-class TopologyInvariants : public ::testing::TestWithParam<int> {
+// conserves mass after every step; connected ones reach perfect balance.
+// The rejection-free engine runs the regular members (not K_n, whose edges
+// are implicit) and recounts its bookkeeping after every step.
+enum class GraphEngineKind { PerActivation, RejectionFree };
+
+void PrintTo(GraphEngineKind kind, std::ostream* os) {
+  *os << (kind == GraphEngineKind::PerActivation ? "GraphRlsEngine" : "GraphJumpEngine");
+}
+
+class TopologyInvariants
+    : public ::testing::TestWithParam<std::tuple<GraphEngineKind, int>> {
  public:
   static Topology make(int which) {
     rng::Xoshiro256pp eng(static_cast<std::uint64_t>(which) + 900);
@@ -344,29 +369,49 @@ class TopologyInvariants : public ::testing::TestWithParam<int> {
   }
 };
 
-TEST_P(TopologyInvariants, RlsInvariantsAndConvergence) {
-  const Topology topo = make(GetParam());
-  const std::int64_t n = topo.numVertices();
-  const std::int64_t m = 5 * n;
-  GraphRlsEngine engine(config::allInOne(n, m), topo, 777 + static_cast<std::uint64_t>(GetParam()));
+template <typename EngineT>
+void expectInvariantsUntilBalanced(EngineT& engine, std::int64_t m, const std::string& name) {
   std::int64_t lastMax = engine.state().maxLoad;
   std::int64_t lastMin = engine.state().minLoad;
   std::int64_t steps = 0;
   while (!engine.state().perfectlyBalanced() && steps < 30'000'000) {
-    engine.step();
+    ASSERT_TRUE(engine.step()) << name << ": absorbed before perfect balance";
     ++steps;
-    ASSERT_LE(engine.state().maxLoad, lastMax);
-    ASSERT_GE(engine.state().minLoad, lastMin);
+    ASSERT_LE(engine.state().maxLoad, lastMax) << name;
+    ASSERT_GE(engine.state().minLoad, lastMin) << name;
     lastMax = engine.state().maxLoad;
     lastMin = engine.state().minLoad;
+    ASSERT_EQ(std::accumulate(engine.loads().begin(), engine.loads().end(), std::int64_t{0}), m)
+        << name;
+    if constexpr (std::is_same_v<EngineT, GraphJumpEngine>) {
+      ASSERT_TRUE(engine.validate()) << name << " after step " << steps;
+    }
   }
-  EXPECT_TRUE(engine.state().perfectlyBalanced()) << topo.name();
-  std::int64_t total = 0;
-  for (auto v : engine.loads()) total += v;
-  EXPECT_EQ(total, m);
+  EXPECT_TRUE(engine.state().perfectlyBalanced()) << name;
 }
 
-INSTANTIATE_TEST_SUITE_P(AllTopologies, TopologyInvariants, ::testing::Range(0, 8));
+TEST_P(TopologyInvariants, RlsInvariantsAndConvergence) {
+  const auto [kind, which] = GetParam();
+  const Topology topo = make(which);
+  const std::int64_t n = topo.numVertices();
+  const std::int64_t m = 5 * n;
+  const auto seed = 777 + static_cast<std::uint64_t>(which);
+  if (kind == GraphEngineKind::PerActivation) {
+    GraphRlsEngine engine(config::allInOne(n, m), topo, seed);
+    expectInvariantsUntilBalanced(engine, m, topo.name());
+  } else {
+    GraphJumpEngine engine(config::allInOne(n, m), topo, seed);
+    ASSERT_TRUE(engine.validate());
+    expectInvariantsUntilBalanced(engine, m, topo.name());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllTopologies, TopologyInvariants,
+                         ::testing::Combine(::testing::Values(GraphEngineKind::PerActivation),
+                                            ::testing::Range(0, 8)));
+INSTANTIATE_TEST_SUITE_P(RegularTopologiesRejectionFree, TopologyInvariants,
+                         ::testing::Combine(::testing::Values(GraphEngineKind::RejectionFree),
+                                            ::testing::Values(1, 3, 4, 6, 7)));
 
 TEST(GraphRls, ActivationAccounting) {
   const auto topo = Topology::torus(3, 3);
@@ -374,6 +419,27 @@ TEST(GraphRls, ActivationAccounting) {
   for (int i = 0; i < 500; ++i) engine.step();
   EXPECT_EQ(engine.activations(), 500);
   EXPECT_LE(engine.moves(), engine.activations());
+}
+
+TEST(GraphJump, MovesCountStepsAndActivationsAreNotSimulated) {
+  const auto topo = Topology::torus(3, 3);
+  GraphJumpEngine engine(config::allInOne(9, 28), topo, 72);
+  std::int64_t accepted = 0;
+  for (int i = 0; i < 500 && engine.step(); ++i) ++accepted;
+  EXPECT_GT(accepted, 0);
+  EXPECT_EQ(engine.moves(), accepted);
+  EXPECT_EQ(engine.activations(), -1);
+  EXPECT_GT(engine.time(), 0.0);
+}
+
+TEST(GraphJump, AbsorbedWhenNoMoveIsAccepting) {
+  // Every bin at the same load: no edge accepts, so the chain is absorbed
+  // at once and the clock does not move.
+  const auto topo = Topology::cycle(8);
+  GraphJumpEngine engine(config::balanced(8, 24), topo, 73);
+  EXPECT_FALSE(engine.step());
+  EXPECT_EQ(engine.moves(), 0);
+  EXPECT_EQ(engine.time(), 0.0);
 }
 
 }  // namespace

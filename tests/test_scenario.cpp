@@ -78,6 +78,30 @@ TEST(ScenarioParams, OutOfRangeSizesAndEmptyListsThrowUsageErrors) {
       {"e15_trajectory", {"horizon=-1"}},
       {"ablation", {"n=0"}},
       {"ablation", {"n=33"}},
+      // Process params, checked in the registry makers before anything is
+      // built, and process_compare's own start=/target=.
+      {"process_compare", {"process=graph_rls", "topology=foo"}},
+      {"process_compare", {"process=graph_rls", "topology=torus", "n=15"}},
+      {"process_compare", {"process=graph_rls", "topology=cycle", "n=2"}},
+      {"process_compare", {"process=graph_rls", "topology=hypercube", "n=12"}},
+      {"process_compare", {"process=graph_rls", "gap=0"}},
+      {"process_compare", {"process=graph_rls", "topology=random_regular", "degree=3", "n=15"}},
+      {"process_compare", {"process=graph_rls", "topology=random_regular", "degree=0", "n=16"}},
+      {"process_compare", {"process=rls_naive", "gap=0"}},
+      {"process_compare", {"process=open", "lambda=-1"}},
+      {"process_compare", {"process=open", "d=0"}},
+      {"process_compare", {"process=speed_rls", "speeds=0"}},
+      {"process_compare", {"process=rls", "start=foo"}},
+      {"process_compare", {"process=rls", "target=foo"}},
+      {"process_compare", {"process=rls", "target=equilibrium"}},
+      {"process_compare", {"process=rls", "ratio=-1"}},
+      {"process_compare", {"process=open", "mu=-1"}},
+      {"process_compare", {"process=open", "gap=0"}},
+      {"process_compare", {"process=weighted_rls", "weights=foo"}},
+      {"process_compare", {"process=threshold", "p=0"}},
+      {"process_compare", {"process=crs", "n=1"}},
+      {"process_compare", {"process=graph_rls", "topology=complete", "n=1"}},
+      {"process_compare", {"process=graph_rls", "topology=torus", "n=4"}},
   };
   for (const auto& b : bad) {
     ScenarioContext ctx;
@@ -87,7 +111,7 @@ TEST(ScenarioParams, OutOfRangeSizesAndEmptyListsThrowUsageErrors) {
     std::string error;
     ASSERT_TRUE(ScenarioParams::fromTokens(b.params, &ctx.params, &error)) << error;
     EXPECT_THROW(r.runOne(b.scenario, ctx), std::invalid_argument)
-        << b.scenario << " " << b.params.back();
+        << b.scenario << " " << ::testing::PrintToString(b.params);
   }
 }
 
