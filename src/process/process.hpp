@@ -18,7 +18,7 @@
 //               paper equates one synchronous round with one unit of
 //               continuous RLS time: m expected activations).
 //   state()     the O(1)-maintained BalanceState view shared with the sim
-//               engines (and with serve::OnlineAllocator::balanceState()),
+//               engines (and with serve::CompactAllocator::balanceState()),
 //               so stopping predicates and gap reports speak one
 //               vocabulary.
 //   capabilities()  what the dynamic supports: probes, a gap rule, weights,

@@ -1,8 +1,8 @@
 // serve_* -- the online serving subsystem scenarios.
 //
 // Each scenario streams one workload trace (workload/generators.hpp)
-// through the incremental OnlineAllocator under the epoch event loop
-// (serve/event_loop.hpp) and reports:
+// through the serving allocator (serve::CompactAllocator) under the epoch
+// event loop (serve/event_loop.hpp) and reports:
 //   - a deterministic gap trajectory (checkpoint epochs) and a summary
 //     table with migration counts and the balance gap against the paper's
 //     closed-system floor (gap 1 for unit weights; the heaviest ball for
@@ -41,8 +41,8 @@
 #include "obs/trace.hpp"
 #include "rng/splitmix64.hpp"
 #include "scenario/builtin/builtin.hpp"
+#include "serve/compact_allocator.hpp"
 #include "serve/event_loop.hpp"
-#include "serve/online_allocator.hpp"
 #include "util/assert.hpp"
 #include "util/timer.hpp"
 #include "workload/compose.hpp"
@@ -53,14 +53,13 @@ namespace rlslb::scenario::builtin {
 
 namespace {
 
-/// The int32 ceiling of bin indices, live slots and ball weights: with
-/// weights and live counts below it, an int64 load sum cannot overflow.
+/// The int32 ceiling of bin indices.
 constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
 
 /// Integer param `name`, rejected outside [min, max] before any arithmetic,
 /// narrowing or allocation uses it (epoch= divides, n= and d= size draws,
-/// d= is narrowed to int, n= to the allocators' int32 bin indices,
-/// weight= feeds the allocator's 1 <= w <= INT32_MAX contract).
+/// d= is narrowed to int, n= to the allocator's int32 bin indices,
+/// weight= stops at workload::kMaxBallWeight).
 std::int64_t intParam(ScenarioContext& ctx, const char* name, std::int64_t fallback,
                       std::int64_t min,
                       std::int64_t max = std::numeric_limits<std::int64_t>::max()) {
@@ -99,7 +98,7 @@ workload::OpenTraceOptions baseTraceOptions(ScenarioContext& ctx, std::int64_t b
   o.arrivalRatePerBin = rateParam(ctx, "lambda", 1.0);
   o.departureRate = rateParam(ctx, "mu", 0.125);
   o.resampleRate = rateParam(ctx, "resample", 1.0);
-  o.ballWeight = intParam(ctx, "weight", 1, 1, kInt32Max);
+  o.ballWeight = intParam(ctx, "weight", 1, 1, workload::kMaxBallWeight);
   // Every record is at least one unit, so `events` records always hold the
   // unit budget.
   o.maxEvents = events;
@@ -279,7 +278,7 @@ void runServe(ScenarioContext& ctx, const std::string& kind) {
     loopOptions.monitors = &ctx.monitors;
   }
 
-  serve::OnlineAllocator allocator(allocOptions);
+  serve::CompactAllocator allocator(allocOptions);
   serve::EpochLoop loop(allocator, loopOptions);
 
   const std::int64_t checkpointEvery = std::max<std::int64_t>(1, totalEpochs / 8);
@@ -411,7 +410,7 @@ void registerServe(ScenarioRegistry& r) {
       {"lambda", "double", "1.0", "arrivals per bin per time unit"},
       {"mu", "double", "0.125", "per-ball departure rate"},
       {"resample", "double", "1.0", "per-ball RLS clock rate"},
-      {"weight", "int", "1", "background ball weight"},
+      {"weight", "int", "1", "background ball weight, in [1, 65535]"},
       {"conformance", "bool", "0 (run default)",
        "attach the conformance monitor roster at epoch boundaries"},
       {"invert", "bool", "0",
@@ -444,7 +443,7 @@ void registerServe(ScenarioRegistry& r) {
   add("adversarial", "synchronized heavy hot-spot bursts",
       {{"burst_period", "double", "16.0", "time between synchronized bursts"},
        {"burst_size", "int", "32", "balls per burst"},
-       {"hot_weight", "int", "8", "weight of each burst ball"}});
+       {"hot_weight", "int", "8", "weight of each burst ball, in [1, 65535]"}});
   add("composed", "composable trace algebra (sum/modulate/overlay of factors)",
       {{"spec", "string", "diurnal(0.8,64)*bursty(8,0.05,0.5)+hotspot(16,32,8)",
         "trace algebra spec; factors/combinators listed by `rlslb traces`"}});

@@ -20,8 +20,8 @@
 // Params: n_list (csv bins sweep), load_list (csv lambda/mu sweep; mu =
 // lambda/L with lambda fixed at 1), traces (';'-separated compose specs),
 // epb (units per expected ball, scaled), epoch, d, resample, budget_mb,
-// conformance. The compact layout requires unit weights: hotspot factors
-// must use weight 1.
+// conformance. The budget estimate counts no weight array, so a sweep
+// runs unit weights: hotspot factors must use weight 1.
 #include <algorithm>
 #include <limits>
 #include <memory>
@@ -96,6 +96,14 @@ void runCapacity(ScenarioContext& ctx) {
   const std::int64_t dParam = ctx.params.getInt("d", 2);
   const double resample = ctx.params.getDouble("resample", 1.0);
   const std::int64_t budgetMb = ctx.params.getInt("budget_mb", 2048);
+  // Rejected before the MB -> bytes shift can overflow.
+  constexpr std::int64_t kMaxBudgetMb = std::numeric_limits<std::int64_t>::max() >> 20;
+  if (budgetMb < 0 || budgetMb > kMaxBudgetMb) {
+    throw std::invalid_argument("serve_capacity: budget_mb= must be in [0, " +
+                                std::to_string(kMaxBudgetMb) + "] (got " +
+                                std::to_string(budgetMb) + ")");
+  }
+  const std::int64_t budgetBytes = budgetMb << 20;
   const bool conformance = ctx.params.getBool("conformance", ctx.conformanceDefault);
   if (epb < 1 || epochEvents < 1 || dParam < 1 || dParam > serve::kMaxArrivalChoices) {
     std::string message = "serve_capacity: epb= and epoch= must be >= 1 and d= in [1, ";
@@ -160,8 +168,7 @@ void runCapacity(ScenarioContext& ctx) {
   const bool useMonitors = conformance && monitorable;
   // A cell's expected live balls and its units, checked before any integer
   // arithmetic: the live count must fit the int32 live slots, and the units
-  // must leave headroom for the memory estimate's 8 B per ball ever
-  // arrived.
+  // must fit int64 with headroom.
   const auto cellUnits = [epb](std::int64_t n, double load) {
     const std::string cell = "serve_capacity: cell n=" + std::to_string(n) +
                              " load=" + report::formatJsonNumber(load);
@@ -199,15 +206,10 @@ void runCapacity(ScenarioContext& ctx) {
         const WallTimer cellWall;  // the frontier record's wall_s
         const std::string traceName = spec.canonical();
         const auto [expectedLive, events] = cellUnits(n, load);
-        // Deterministic arrival-share heuristic for the budget gate: at
-        // steady state the unit mix is lambda*n arrivals vs
-        // (mu + resample) * L * n departures/activations per unit time.
         const double mu = 1.0 / load;
-        const double arrivalShare = 1.0 / (1.0 + (mu + resample) * load);
-        const auto ballsEverEstimate =
-            expectedLive + static_cast<std::int64_t>(arrivalShare * static_cast<double>(events));
-        const std::int64_t estimate =
-            serve::CompactAllocator::estimateBytes(n, ballsEverEstimate, expectedLive);
+        // Ids recycle, so the state is sized by the peak live count, which
+        // the budget gate prices at the expected live count.
+        const std::int64_t estimate = serve::CompactAllocator::estimateBytes(n, expectedLive);
         const std::string loadText = report::formatJsonNumber(load);
 
         report::Json cell = report::Json::object();
@@ -215,12 +217,12 @@ void runCapacity(ScenarioContext& ctx) {
         cell.set("load_factor", load);
         cell.set("trace", traceName);
 
-        if (budgetMb > 0 && estimate > budgetMb * 1024 * 1024) {
+        if (budgetMb > 0 && estimate > budgetBytes) {
           sweep.row().cell(n).cell(loadText).cell(traceName).cell(events).cell(0).cell(0)
               .cell(0).cell(0.0, 4).cell(0).cell("skipped");
           cell.set("skipped", true);
           cell.set("estimated_bytes", estimate);
-          cell.set("budget_bytes", budgetMb * 1024 * 1024);
+          cell.set("budget_bytes", budgetBytes);
           if (ctx.sink != nullptr) ctx.sink->writeFrontier(ctx.activeScenario, cell);
           ctx.note("[capacity] skipped n=" + std::to_string(n) + " load=" + loadText +
                    " trace=" + traceName + ": estimated " +

@@ -1,17 +1,83 @@
 #include "serve/compact_allocator.hpp"
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "rng/distributions.hpp"
-#include "util/assert.hpp"
 
 namespace rlslb::serve {
+
+void decideBatch(const workload::Event* events, std::size_t count, std::int64_t ringCount,
+                 const std::vector<std::int32_t>& loads, int arrivalChoices, std::int64_t live,
+                 rng::Xoshiro256pp& eng, std::vector<std::int32_t>* candidates,
+                 RingDraw* rings, Decision* decisions) {
+  RLSLB_ASSERT(count <= INT32_MAX);  // records hold event indices as int32
+  const auto n = static_cast<std::uint64_t>(loads.size());
+  const auto d = static_cast<std::size_t>(arrivalChoices);
+  const std::size_t stride = d + 1;
+  if (candidates->size() < count * stride) candidates->resize(count * stride);
+
+  auto m = static_cast<std::uint64_t>(live);
+  RingDraw* ring = rings;
+  const auto drawRings = [&](std::int64_t k) {
+    RLSLB_ASSERT_MSG(k == 0 || m > 0, "clock rings while no ball is live");
+    for (; k > 0; --k, ++ring) {
+      ring->slot = static_cast<std::int32_t>(rng::uniformIndex(eng, m));
+      ring->bin = static_cast<std::int32_t>(rng::uniformIndex(eng, n));
+    }
+  };
+  std::int32_t* end = candidates->data();
+  for (std::size_t i = 0; i < count; ++i) {
+    drawRings(events[i].rings);
+    if (events[i].kind == workload::EventKind::kDepart) {
+      --m;
+      continue;
+    }
+    ++m;
+    if (d == 1) {
+      decisions[i].bin = static_cast<std::int32_t>(rng::uniformIndex(eng, n));
+      continue;
+    }
+    *end++ = static_cast<std::int32_t>(i);
+    for (std::size_t c = 0; c < d; ++c) {
+      const auto bin = static_cast<std::int32_t>(rng::uniformIndex(eng, n));
+      __builtin_prefetch(&loads[static_cast<std::size_t>(bin)]);
+      *end++ = bin;
+    }
+  }
+  drawRings(ringCount - (ring - rings));
+
+  for (const std::int32_t* rec = candidates->data(); rec != end; rec += stride) {
+    std::int32_t best = rec[1];
+    for (std::size_t c = 2; c <= d; ++c) {
+      if (loads[static_cast<std::size_t>(rec[c])] < loads[static_cast<std::size_t>(best)]) {
+        best = rec[c];
+      }
+    }
+    decisions[rec[0]].bin = best;
+  }
+}
+
+namespace {
+// The int32 ceiling of the live weight: every bin load, the tracker's
+// per-level counts and the live slots stay in int32 below it.
+constexpr std::int64_t kMaxLiveWeight = std::numeric_limits<std::int32_t>::max();
+
+[[noreturn]] [[gnu::cold]] void liveWeightOverflow(std::int64_t live, std::int64_t weight) {
+  throw std::invalid_argument(
+      "the live weight would pass 2^31 - 1 = " + std::to_string(kMaxLiveWeight) +
+      " (an arrival of weight " + std::to_string(weight) + " onto live weight " +
+      std::to_string(live) + "); the allocator keeps int32 loads");
+}
+}  // namespace
 
 CompactAllocator::CompactAllocator(const AllocatorOptions& options)
     : options_(options),
       loads_(static_cast<std::size_t>(options.bins), 0),
       balance_(options.bins) {
   RLSLB_ASSERT_MSG(options_.bins >= 1, "AllocatorOptions.bins must be >= 1");
-  RLSLB_ASSERT_MSG(options_.bins <= INT32_MAX,
-                   "compact allocator addresses bins with int32");
+  RLSLB_ASSERT_MSG(options_.bins <= INT32_MAX, "the allocator addresses bins with int32");
   RLSLB_ASSERT_MSG(options_.arrivalChoices >= 1 &&
                        options_.arrivalChoices <= kMaxArrivalChoices,
                    "AllocatorOptions.arrivalChoices must be in [1, 64]");
@@ -24,39 +90,45 @@ void CompactAllocator::changeLoad(std::int32_t bin, std::int32_t delta) {
   balance_.onLoadChange(level, level + delta);
 }
 
-void CompactAllocator::moveBall(std::int32_t* bin, std::int32_t toBin) {
-  changeLoad(*bin, -1);
-  changeLoad(toBin, 1);
+void CompactAllocator::moveBall(std::int32_t* bin, std::int32_t toBin, std::int32_t weight) {
+  changeLoad(*bin, -weight);
+  changeLoad(toBin, weight);
   *bin = toBin;
 }
 
-void CompactAllocator::placeBall(std::int64_t ball, std::int32_t bin) {
-  RLSLB_ASSERT_MSG(ball >= 0 && ball < INT32_MAX,
-                   "compact allocator requires sequential int32-range ball ids");
-  if (static_cast<std::size_t>(ball) >= ballBin_.size()) {
-    ballBin_.resize(static_cast<std::size_t>(ball) + 1, -1);
-    ballSlot_.resize(static_cast<std::size_t>(ball) + 1, 0);
+void CompactAllocator::placeBall(std::int64_t ball, std::int64_t weight, std::int32_t bin) {
+  RLSLB_ASSERT(weight >= 1 && weight <= workload::kMaxBallWeight);
+  if (weight > kMaxLiveWeight - totalLoad()) liveWeightOverflow(totalLoad(), weight);
+  const auto b = static_cast<std::size_t>(ball);
+  if (b >= ballBin_.size()) {
+    ballBin_.resize(b + 1, -1);
+    ballSlot_.resize(b + 1, 0);
+    if (!ballWeight_.empty()) ballWeight_.resize(b + 1, 1);
   }
-  RLSLB_ASSERT_MSG(ballBin_[static_cast<std::size_t>(ball)] < 0,
-                   "arrive event for a ball id that is already live");
-  ballBin_[static_cast<std::size_t>(ball)] = bin;
-  ballSlot_[static_cast<std::size_t>(ball)] = static_cast<std::int32_t>(live_.size());
+  RLSLB_ASSERT_MSG(ballBin_[b] < 0, "arrive event for a ball id that is already live");
+  if (weight != 1 && ballWeight_.empty()) ballWeight_.assign(ballBin_.size(), 1);
+  if (!ballWeight_.empty()) ballWeight_[b] = static_cast<std::int32_t>(weight);
+  if (weight > maxWeightSeen_) maxWeightSeen_ = weight;
+  ballBin_[b] = bin;
+  ballSlot_[b] = static_cast<std::int32_t>(live_.size());
   live_.push_back(static_cast<std::int32_t>(ball));
-  changeLoad(bin, 1);
+  changeLoad(bin, static_cast<std::int32_t>(weight));
 }
 
 void CompactAllocator::removeBall(std::int64_t ball) {
-  RLSLB_ASSERT(ball >= 0 && static_cast<std::size_t>(ball) < ballBin_.size());
-  const std::int32_t bin = ballBin_[static_cast<std::size_t>(ball)];
+  const auto b = static_cast<std::size_t>(ball);
+  RLSLB_ASSERT(b < ballBin_.size());
+  const std::int32_t bin = ballBin_[b];
   RLSLB_ASSERT_MSG(bin >= 0, "depart event for a ball that is not live");
-  // Swap-remove from the live array, exactly the dense order.
-  const std::int32_t slot = ballSlot_[static_cast<std::size_t>(ball)];
+  // Swap-remove from the live array: the last live ball fills the hole and
+  // takes over its slot.
+  const std::int32_t slot = ballSlot_[b];
   const std::int32_t moved = live_.back();
   live_[static_cast<std::size_t>(slot)] = moved;
   ballSlot_[static_cast<std::size_t>(moved)] = slot;
   live_.pop_back();
-  ballBin_[static_cast<std::size_t>(ball)] = -1;
-  changeLoad(bin, -1);
+  ballBin_[b] = -1;
+  changeLoad(bin, -weightOf(b));
 }
 
 namespace {
@@ -76,12 +148,15 @@ constexpr std::ptrdiff_t kRingSourceAhead = 4;
 void CompactAllocator::applyBatch(const workload::Event* events, const Decision* decisions,
                                   std::size_t count, const RingDraw* rings,
                                   std::int64_t ringCount) {
-  // Same register-accumulated counters as the dense fused hot loop.
+  // The hot loop. Counters accumulate in locals so they live in registers
+  // across the batch instead of bouncing through memory per unit.
   std::int64_t arrivals = 0;
   std::int64_t departures = 0;
   std::int64_t migrations = 0;
   const RingDraw* ring = rings;
   const RingDraw* const ringsEnd = rings + ringCount;
+  // One RLS activation per draw: the ball in the drawn live slot samples the
+  // drawn bin under the strict rule on *live* loads.
   const auto runRings = [&](std::int64_t k) {
     for (; k > 0; --k, ++ring) {
       // Hints only, as for records below: every index is bounds-checked
@@ -114,11 +189,12 @@ void CompactAllocator::applyBatch(const workload::Event* events, const Decision*
       }
       RLSLB_ASSERT(ring->slot >= 0 && static_cast<std::size_t>(ring->slot) < live_.size());
       RLSLB_ASSERT(ring->bin >= 0 && ring->bin < options_.bins);
-      std::int32_t& bin =
-          ballBin_[static_cast<std::size_t>(live_[static_cast<std::size_t>(ring->slot)])];
-      if (accepts(loads_, bin, ring->bin, 1, options_.invertAcceptance)) {
+      const auto ball = static_cast<std::size_t>(live_[static_cast<std::size_t>(ring->slot)]);
+      std::int32_t& bin = ballBin_[ball];
+      const std::int32_t weight = weightOf(ball);
+      if (accepts(loads_, bin, ring->bin, weight, options_.invertAcceptance)) {
         ++migrations;
-        moveBall(&bin, ring->bin);
+        moveBall(&bin, ring->bin, weight);
       }
     }
   };
@@ -158,11 +234,8 @@ void CompactAllocator::applyBatch(const workload::Event* events, const Decision*
       case workload::EventKind::kArrive: {
         const Decision& decision = decisions[i];
         RLSLB_ASSERT(decision.bin >= 0 && decision.bin < options_.bins);
-        RLSLB_ASSERT_MSG(event.weight == 1,
-                         "CompactAllocator serves unit-weight traffic only (use "
-                         "OnlineAllocator for weighted traces)");
         ++arrivals;
-        placeBall(event.ball, decision.bin);
+        placeBall(event.ball, event.weight, decision.bin);
         break;
       }
       case workload::EventKind::kDepart:
@@ -182,45 +255,48 @@ void CompactAllocator::applyBatch(const workload::Event* events, const Decision*
   counters_.rejectedMoves += activations - migrations;
 }
 
-std::vector<std::int64_t> CompactAllocator::loadsCopy() const {
-  return {loads_.begin(), loads_.end()};
-}
-
 std::int64_t CompactAllocator::residentBytes() const {
   auto vecBytes = [](const auto& v) {
     return static_cast<std::int64_t>(v.capacity() * sizeof(v[0]));
   };
-  return vecBytes(loads_) + vecBytes(ballBin_) + vecBytes(ballSlot_) + vecBytes(live_) +
-         balance_.heapBytes();
+  return vecBytes(loads_) + vecBytes(ballBin_) + vecBytes(ballSlot_) + vecBytes(ballWeight_) +
+         vecBytes(live_) + balance_.heapBytes();
 }
 
-std::int64_t CompactAllocator::estimateBytes(std::int64_t bins, std::int64_t ballsEver,
-                                             std::int64_t liveBalls) {
-  return bins * 4 + ballsEver * 8 + liveBalls * 4;
+std::int64_t CompactAllocator::estimateBytes(std::int64_t bins, std::int64_t peakLive) {
+  return bins * 4 + peakLive * 12;
 }
 
 bool CompactAllocator::validate() const {
+  if (!ballWeight_.empty() && ballWeight_.size() != ballBin_.size()) return false;
   std::vector<std::int64_t> counted(loads_.size(), 0);
+  std::int64_t heaviest = 0;
   for (std::size_t slot = 0; slot < live_.size(); ++slot) {
     const auto ball = static_cast<std::size_t>(live_[slot]);
     if (ball >= ballBin_.size()) return false;
     const std::int32_t bin = ballBin_[ball];
     if (bin < 0 || bin >= static_cast<std::int32_t>(loads_.size())) return false;
     if (ballSlot_[ball] != static_cast<std::int32_t>(slot)) return false;
-    ++counted[static_cast<std::size_t>(bin)];
+    const std::int32_t weight = weightOf(ball);
+    if (weight < 1) return false;
+    if (weight > heaviest) heaviest = weight;
+    counted[static_cast<std::size_t>(bin)] += weight;
   }
+  if (heaviest > maxWeightSeen_) return false;
   std::int64_t indexed = 0;
   for (const std::int32_t bin : ballBin_) indexed += bin >= 0 ? 1 : 0;
   if (indexed != liveBalls()) return false;
+  std::int64_t total = 0;
   for (std::size_t bin = 0; bin < loads_.size(); ++bin) {
     if (counted[bin] != loads_[bin]) return false;
+    total += loads_[bin];
   }
   // The balance tracker's level counts must be the histogram of loads_,
   // and its state what a scan of loads_ computes.
   std::vector<std::int64_t> levels;
   std::int64_t overloaded = 0;
   const auto bins = static_cast<std::int64_t>(loads_.size());
-  const std::int64_t ceilAvg = (liveBalls() + bins - 1) / bins;
+  const std::int64_t ceilAvg = (total + bins - 1) / bins;
   for (const std::int32_t v : loads_) {
     if (static_cast<std::size_t>(v) >= levels.size()) {
       levels.resize(static_cast<std::size_t>(v) + 1, 0);
@@ -231,7 +307,7 @@ bool CompactAllocator::validate() const {
   const sim::BalanceState& state = balance_.state();
   std::int64_t lowest = 0;
   while (levels[static_cast<std::size_t>(lowest)] == 0) ++lowest;
-  if (state.numBins != bins || state.numBalls != liveBalls()) return false;
+  if (state.numBins != bins || state.numBalls != total) return false;
   if (state.minLoad != lowest) return false;
   if (state.maxLoad != static_cast<std::int64_t>(levels.size()) - 1) return false;
   if (state.overloadedBalls != overloaded) return false;

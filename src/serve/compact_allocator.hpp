@@ -1,29 +1,52 @@
-// CompactAllocator: the serving allocator's memory-frugal layout for
-// cluster-scale capacity planning (n in the tens of millions).
+// CompactAllocator: the serving subsystem's one allocator, incremental
+// ball-to-bin state served unit by unit.
 //
-// The dense OnlineAllocator (serve/online_allocator.hpp) keeps a FlatMap64
-// record per live ball (16-byte value, 24-byte entries at <= 3/4 load) —
-// fine at scenario n, costly at n = 1e7..1e8. This layout exploits two
-// properties the open-system dynamic guarantees when ball weights are all
-// 1:
+// The closed-system engines re-simulate a whole configuration to absorption;
+// the serving layer instead maintains one long-lived allocation and serves a
+// workload trace unit by unit:
 //
-//   - Ball ids are assigned sequentially by the trace generators and never
-//     reused, so the ball index is *implicit*: two flat int32 arrays
-//     (ballBin_, ballSlot_) indexed by ball id replace the hash map.
-//   - Unit weights make a bin's ball count equal its load, so no per-ball
-//     weight is stored anywhere.
+//   Arrive    place the ball via a d-choice over a load snapshot (d = 1 is
+//             the uniform arrival of Ganesh et al. [11]; d = 2 the
+//             power-of-two-choices hybrid of E14c).
+//   Depart    remove the ball from its bin.
+//   Ring      one RLS activation, run before the record that carries it
+//             (workload/event.hpp): every ball has its own clock (arXiv
+//             1706.09997, Section 3), so the ball that rang is a uniform
+//             *live ball*, which samples a uniform destination bin and
+//             migrates iff the strict local-search rule accepts,
+//             load(dst) + w < load(src). By the paper's Section 3 remark the
+//             strict rule induces the same lumped balance dynamics as ">="
+//             while never paying for a neutral migration (migrations are the
+//             expensive operation in a serving system). With weighted
+//             traffic the activation is ball-uniform, not load-weighted.
 //
-// Net: 4 bytes per bin, 8 bytes per ball ever arrived (the implicit index
-// grows with the largest id; ROADMAP tracks recycling ids at ingest) and 4
-// bytes per live ball (the live-ball array a ring's slot indexes).
+// State layout, sized for cluster-scale capacity planning (n in the tens of
+// millions):
+//
+//   - int32 bin loads (the live weight stays below 2^31, checked per
+//     arrival);
+//   - an *implicit* ball index: two flat int32 arrays (ballBin_, ballSlot_)
+//     indexed by ball id. The trace generators recycle departed ids and the
+//     trace readers remap replayed ids the same way (workload/event.hpp), so
+//     ids stay below the peak live count and so does the index;
+//   - the live-ball array a ring's slot indexes: append on arrival,
+//     swap-remove on departure (the last live ball fills the hole and its
+//     slot is patched);
+//   - per-ball int32 weights, allocated and filled with 1 only when the
+//     first non-unit weight arrives; unit-weight traffic never touches it.
+//
+// Net for unit weights: 4 bytes per bin plus 12 bytes per ball of peak live
+// count (index and live slot).
 //
 // Balance observation is incremental: the three load-mutation points
 // (placeBall, removeBall, moveBall) feed a sim::BalanceTracker — a dense
-// count per load level, O(1) per unit change plus an O(spread) re-sum when
-// ceil(m/n) moves — so balanceState()/minLoad()/maxLoad()/gap() are O(1)
-// reads. A per-epoch O(n) scan costs more than the whole serving loop at
-// n = 1e6; against one fused scan the tracker wins 2.6x end to end there
-// and ties at n = 256 (docs/EXPERIMENTS.md, "Balance observation").
+// count per load level, O(w) per weight-w change plus an O(spread) re-sum
+// when ceil(m/n) moves — so balanceState()/minLoad()/maxLoad()/gap() are
+// O(1) reads. A per-epoch O(n) scan costs more than the whole serving loop
+// at n = 1e6; against one fused scan the tracker wins 2.6x end to end there
+// and ties at n = 256 (docs/EXPERIMENTS.md, "Balance observation"). A
+// weight-w move walks O(w) tracker levels, which is why a ball weight stops
+// at workload::kMaxBallWeight.
 //
 // Prefetching apply. At cluster scale every unit's ballBin_, ballSlot_,
 // loads_ and live_ touch is a random read into a multi-megabyte array, but
@@ -38,35 +61,104 @@
 // changes no state and every index is bounds-checked before the address is
 // formed, so the result is byte-identical to the plain loop whatever the
 // window holds (a ball arriving or departing inside it only makes a hint
-// stale). OnlineAllocator prefetches nothing: at scenario n its state fits
-// in cache.
+// stale). Weights are not prefetched: weighted traffic runs at scenario n.
 //
-// Equivalence contract (pinned by tests/test_capacity.cpp): driven by
-// serve::EpochLoop over the same unit-weight trace and seed, this layout
-// produces byte-identical observable output — loads, gap trajectory, every
-// ServeCounters field — to OnlineAllocator. Both call the same
-// serve::decideBatch() and serve::accepts() and keep the live-ball array in
-// the same order (append on arrival, swap-remove on departure), so a ring's
-// live slot names the same ball in both.
+// Units mutate the state sequentially, in trace order, through
+// applyBatch(); serve/event_loop.hpp drives the epochs. The frozen oracle
+// tests/serve_reference.hpp pins the semantics (tests/
+// test_serve_differential.cpp).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "rng/xoshiro256pp.hpp"
-#include "serve/online_allocator.hpp"
 #include "sim/balance_tracker.hpp"
+#include "sim/engine.hpp"
+#include "util/assert.hpp"
 #include "workload/event.hpp"
 
 namespace rlslb::serve {
 
+struct AllocatorOptions {
+  std::int64_t bins = 256;  // must fit int32
+  int arrivalChoices = 2;   // d: snapshot-least-loaded of d sampled bins, d <= 64
+  /// TEST HOOK: invert the local-search acceptance rule, accepting
+  /// exactly the activations the strict rule rejects. Exists
+  /// so the conformance layer can be exercised against a deliberately
+  /// broken dynamic (tests/test_obs_monitor.cpp); never set by shipped
+  /// scenarios.
+  bool invertAcceptance = false;
+};
+
+/// The precomputed random choice for one arrival: the chosen bin. Depart
+/// slots of a decision array are unused.
+struct Decision {
+  std::int32_t bin = -1;
+};
+
+/// One clock ring's draws: a slot of the live-ball array (a uniform live
+/// ball) and a uniform destination bin.
+struct RingDraw {
+  std::int32_t slot = 0;
+  std::int32_t bin = 0;
+};
+
+struct ServeCounters {
+  std::int64_t events = 0;         // units served: arrivals + departures + resamples
+  std::int64_t arrivals = 0;
+  std::int64_t departures = 0;
+  std::int64_t resamples = 0;      // RLS activations run (clock rings)
+  std::int64_t migrations = 0;     // accepted activations
+  std::int64_t rejectedMoves = 0;  // activations whose rule check failed
+};
+
+/// The d-choice ceiling. decideBatch() keeps every arrival's d candidates
+/// of an epoch in one buffer; the serve scenarios reject larger d= values.
+inline constexpr int kMaxArrivalChoices = 64;
+
+/// The decision phase of one epoch. The epoch is `count` records followed
+/// by the rings no record of the epoch carries (the head of a record whose
+/// event falls in the next epoch): `ringCount` rings in all. `live` is the
+/// live-ball count at the epoch start; `eng` is the epoch's one decision
+/// stream.
+///
+/// Pass 1 walks the records in trace order and tracks the live count m. For
+/// each record it draws its rings (a live slot in [0, m), then a uniform
+/// bin) into `rings`, which holds ringCount draws; then, for an arrival, the
+/// least loaded of `arrivalChoices` uniform bins (ties keep the earlier
+/// draw). d = 1 writes its draw straight into `decisions`; d > 1 appends a
+/// record (the event index, then its d candidates) to `candidates`, which
+/// only grows, so a reused one allocates nothing, and prefetches the
+/// candidates' load slots. The epoch's remaining rings are drawn last. Pass
+/// 2 compares the parked candidates' loads, by then in flight or in cache.
+/// No load changes in between, so every arrival reads the epoch-start
+/// snapshot. Departures draw nothing, and their decision slots are left
+/// untouched.
+void decideBatch(const workload::Event* events, std::size_t count, std::int64_t ringCount,
+                 const std::vector<std::int32_t>& loads, int arrivalChoices, std::int64_t live,
+                 rng::Xoshiro256pp& eng, std::vector<std::int32_t>* candidates,
+                 RingDraw* rings, Decision* decisions);
+
+/// The strict local-search rule on live loads: move a weight-`weight` ball
+/// from `src` to `dst` iff dst != src and load(dst) + weight < load(src).
+/// `invert` is the invertAcceptance test hook; it never accepts dst == src.
+/// The ball is live in `src`, so load(dst) + weight stays within the live
+/// weight and cannot overflow.
+[[nodiscard]] inline bool accepts(const std::vector<std::int32_t>& loads, std::int32_t src,
+                                  std::int32_t dst, std::int32_t weight, bool invert) {
+  return dst != src && ((loads[static_cast<std::size_t>(dst)] + weight <
+                         loads[static_cast<std::size_t>(src)]) != invert);
+}
+
 class CompactAllocator {
  public:
-  /// Same options as the dense allocator; bins must fit int32.
   explicit CompactAllocator(const AllocatorOptions& options);
 
-  /// serve::decideBatch() against the live int32 load array; draw-for-draw
-  /// identical to OnlineAllocator::decideBatch on the same loads.
+  /// serve::decideBatch() against the live load array and live count. The
+  /// event loop decides a whole epoch before applying any of it, so every
+  /// arrival of an epoch reads the epoch-start loads.
   void decideBatch(const workload::Event* events, std::size_t count, std::int64_t ringCount,
                    rng::Xoshiro256pp& eng, std::vector<std::int32_t>* candidates,
                    RingDraw* rings, Decision* decisions) const {
@@ -74,63 +166,82 @@ class CompactAllocator {
                        liveBalls(), eng, candidates, rings, decisions);
   }
 
-  /// Serve an epoch in trace order, rings before each record and the rest
-  /// after the last; unit semantics and counter accounting identical to
-  /// OnlineAllocator::applyBatch. Every arrive must carry weight 1
-  /// (asserted) — the compact layout has nowhere to put a weight.
+  /// Serve an epoch in trace order: before each record, run its rings (the
+  /// next events[i].rings draws of `rings`: ball = live_[slot], the strict
+  /// rule on live loads, then the move), then the record's own event; after
+  /// the last record, the rest of the `ringCount` draws. Counter updates
+  /// accumulate in registers across the batch. Depart entries never read
+  /// their `decisions` slot, so those slots may hold stale bytes. An
+  /// arrival whose weight would lift the live weight past 2^31 - 1 throws
+  /// std::invalid_argument.
   void applyBatch(const workload::Event* events, const Decision* decisions, std::size_t count,
                   const RingDraw* rings, std::int64_t ringCount);
+
+  /// Apply one ring-free record against live state.
+  void apply(const workload::Event& event, const Decision& decision) {
+    RLSLB_ASSERT(event.rings == 0);
+    applyBatch(&event, &decision, 1, nullptr, 0);
+  }
 
   [[nodiscard]] std::int64_t numBins() const {
     return static_cast<std::int64_t>(loads_.size());
   }
+  [[nodiscard]] const std::vector<std::int32_t>& loads() const { return loads_; }
   [[nodiscard]] std::int64_t liveBalls() const {
     return static_cast<std::int64_t>(live_.size());
   }
-  [[nodiscard]] std::int64_t totalLoad() const { return liveBalls(); }  // unit weights
-  [[nodiscard]] std::int64_t maxWeightSeen() const { return counters_.arrivals > 0 ? 1 : 0; }
+  /// Total live weight.
+  [[nodiscard]] std::int64_t totalLoad() const { return balance_.state().numBalls; }
+  /// Largest single ball weight ever seen: the closed-system balance floor
+  /// for weighted traffic (a gap below the heaviest ball is unreachable).
+  [[nodiscard]] std::int64_t maxWeightSeen() const { return maxWeightSeen_; }
   [[nodiscard]] const ServeCounters& counters() const { return counters_; }
-  [[nodiscard]] const std::vector<std::int32_t>& loads32() const { return loads_; }
-  /// Widened copy for differential comparison against the dense allocator.
-  [[nodiscard]] std::vector<std::int64_t> loadsCopy() const;
   /// Balance observation is O(1): a read of the per-level tracker the
   /// three load-mutation points (place/remove/move) keep current.
   [[nodiscard]] std::int64_t minLoad() const { return balance_.state().minLoad; }
   [[nodiscard]] std::int64_t maxLoad() const { return balance_.state().maxLoad; }
+  /// max - min bin load: the serving analogue of the discrepancy.
   [[nodiscard]] std::int64_t gap() const { return maxLoad() - minLoad(); }
-  /// Same closed-system view the dense balanceState() exposes.
+  /// The live state as the closed-system balance view (sim::BalanceState,
+  /// the same vocabulary process::Process::state() speaks): numBalls is the
+  /// total live *weight*, so discrepancy()/xBalanced() are in weight units.
   [[nodiscard]] sim::BalanceState balanceState() const { return balance_.state(); }
 
   /// Heap bytes of every structure, O(1) from capacities — the number the
-  /// frontier records report as state_bytes.
+  /// frontier records and the serve.mem.* gauges report as state_bytes: a
+  /// capacity-planning observation, never part of the deterministic
+  /// "table" records (vector growth policy is stdlib-dependent).
   [[nodiscard]] std::int64_t residentBytes() const;
 
-  /// Predicted residentBytes for a run shape, used by the serve_capacity
-  /// memory-budget gate BEFORE allocating anything: 4 B per bin, 8 B per
-  /// ball ever arrived, 4 B per live ball.
-  [[nodiscard]] static std::int64_t estimateBytes(std::int64_t bins,
-                                                  std::int64_t ballsEver,
-                                                  std::int64_t liveBalls);
+  /// Predicted residentBytes for a unit-weight run shape, used by the
+  /// serve_capacity memory-budget gate BEFORE allocating anything: 4 B per
+  /// bin and 12 B per ball of peak live count.
+  [[nodiscard]] static std::int64_t estimateBytes(std::int64_t bins, std::int64_t peakLive);
 
-  /// Internal-consistency scan (O(n + balls ever); tests only).
+  /// Internal-consistency scan (O(n + peak live); tests only).
   [[nodiscard]] bool validate() const;
 
  private:
+  [[nodiscard]] std::int32_t weightOf(std::size_t ball) const {
+    return ballWeight_.empty() ? 1 : ballWeight_[ball];
+  }
   void changeLoad(std::int32_t bin, std::int32_t delta);
-  void placeBall(std::int64_t ball, std::int32_t bin);
+  void placeBall(std::int64_t ball, std::int64_t weight, std::int32_t bin);
   void removeBall(std::int64_t ball);
-  /// Migrate the ball whose ballBin_ entry is `bin` to `toBin`.
-  void moveBall(std::int32_t* bin, std::int32_t toBin);
+  /// Migrate a weight-`weight` ball whose ballBin_ entry is `bin` to
+  /// `toBin`.
+  void moveBall(std::int32_t* bin, std::int32_t toBin, std::int32_t weight);
 
   AllocatorOptions options_;
-  std::vector<std::int32_t> loads_;  // live per-bin ball counts
+  std::vector<std::int32_t> loads_;  // live per-bin weight
   sim::BalanceTracker balance_;      // per-level counts over loads_
-  // The implicit ball index: grows with the largest ball id ever seen
-  // (sequential ids make this an amortized append).
-  std::vector<std::int32_t> ballBin_;   // -1 = not live
-  std::vector<std::int32_t> ballSlot_;  // index in live_
-  std::vector<std::int32_t> live_;      // live ball ids, the ring draw's domain
+  // The implicit ball index, grown to the largest ball id seen.
+  std::vector<std::int32_t> ballBin_;     // -1 = not live
+  std::vector<std::int32_t> ballSlot_;    // index in live_
+  std::vector<std::int32_t> ballWeight_;  // empty while every weight is 1
+  std::vector<std::int32_t> live_;        // live ball ids, the ring draw's domain
   ServeCounters counters_;
+  std::int64_t maxWeightSeen_ = 0;
 };
 
 }  // namespace rlslb::serve

@@ -25,15 +25,13 @@ std::int64_t spanNs(double beginUs, double endUs) {
 }
 }  // namespace
 
-template <typename Allocator>
-EpochLoop<Allocator>::EpochLoop(Allocator& allocator, const LoopOptions& options)
+EpochLoop::EpochLoop(CompactAllocator& allocator, const LoopOptions& options)
     : allocator_(&allocator), options_(options) {
   RLSLB_ASSERT_MSG(options_.epochEvents >= 1, "LoopOptions.epochEvents must be >= 1");
   RLSLB_ASSERT_MSG(options_.unitBudget >= 0, "LoopOptions.unitBudget must be >= 0");
 }
 
-template <typename Allocator>
-void EpochLoop<Allocator>::registerMetrics() {
+void EpochLoop::registerMetrics() {
   // Registration is the telemetry layer's only allocating step; doing it
   // once per loop (not once per run) keeps re-runs of a reused loop
   // allocation-free end to end (tests/test_obs.cpp pins this).
@@ -62,9 +60,8 @@ void EpochLoop<Allocator>::registerMetrics() {
   metricsRegistered_ = true;
 }
 
-template <typename Allocator>
-RunResult EpochLoop<Allocator>::run(workload::TraceGenerator& trace,
-                                    const std::function<void(const EpochStats&)>& onEpoch) {
+RunResult EpochLoop::run(workload::TraceGenerator& trace,
+                         const std::function<void(const EpochStats&)>& onEpoch) {
   // Multi-run contract: each run() is self-contained. The decision streams
   // are keyed by the epoch index, which restarts at 0, so a reused loop
   // draws what a fresh loop would on the same trace (allocator state, by
@@ -237,8 +234,5 @@ RunResult EpochLoop<Allocator>::run(workload::TraceGenerator& trace,
   }
   return result;
 }
-
-template class EpochLoop<OnlineAllocator>;
-template class EpochLoop<CompactAllocator>;
 
 }  // namespace rlslb::serve

@@ -1,7 +1,5 @@
-// EpochLoop: the serving subsystem's execution engine, one class template
-// explicitly instantiated in event_loop.cpp for both allocators
-// (OnlineAllocator, CompactAllocator); the per-unit calls are direct, never
-// virtual.
+// EpochLoop: the serving subsystem's execution engine, driving the one
+// allocator (serve/compact_allocator.hpp) with direct, never virtual, calls.
 //
 // The unit of work is one arrival, one departure or one RLS activation (a
 // clock ring). A trace record is its rings followed by its own event
@@ -26,8 +24,8 @@
 //   3. Apply: walk the epoch in trace order. Before each record run its
 //      rings: the ball in the drawn live slot, the strict rule on live
 //      loads, then the move. Then the record's event, re-validated against
-//      live loads. The compact allocator prefetches records and ring draws
-//      ahead of use.
+//      live loads. The allocator prefetches records and ring draws ahead
+//      of use.
 //
 // At epochEvents = 1 every arrival's d-choice sees every activation before
 // it: the loop is then the per-ball-clock open system, unit for unit.
@@ -43,9 +41,8 @@
 // Determinism: decisions are pure functions of (snapshot, live count,
 // epoch-keyed rng) and apply order is the trace order, so the final load
 // vector and every semantic counter are a pure function of (trace, seed,
-// epochEvents, unitBudget), and the two allocators agree on every
-// unit-weight trace. Epoch length is a *semantic* knob (it sets snapshot
-// staleness).
+// epochEvents, unitBudget). Epoch length is a *semantic* knob (it sets
+// snapshot staleness).
 //
 // Timing contract (pinned by tests/test_serve_differential.cpp):
 // EpochStats.wallSeconds covers exactly the epoch's decide and apply
@@ -66,7 +63,6 @@
 #include "obs/monitor.hpp"
 #include "obs/trace.hpp"
 #include "serve/compact_allocator.hpp"
-#include "serve/online_allocator.hpp"
 #include "sim/engine.hpp"
 #include "workload/generators.hpp"
 
@@ -123,10 +119,9 @@ struct RunResult {
   double observeSeconds = 0.0;   // stats, telemetry and the onEpoch callback
 };
 
-template <typename Allocator>
 class EpochLoop {
  public:
-  EpochLoop(Allocator& allocator, const LoopOptions& options);
+  EpochLoop(CompactAllocator& allocator, const LoopOptions& options);
 
   /// Serve the trace until it ends or unitBudget units have run. `onEpoch`
   /// (may be empty) fires after each epoch. Each run() is self-contained:
@@ -152,13 +147,10 @@ class EpochLoop {
   };
   void registerMetrics();
 
-  Allocator* allocator_;
+  CompactAllocator* allocator_;
   LoopOptions options_;
   MetricIds ids_;
   bool metricsRegistered_ = false;
 };
-
-extern template class EpochLoop<OnlineAllocator>;
-extern template class EpochLoop<CompactAllocator>;
 
 }  // namespace rlslb::serve

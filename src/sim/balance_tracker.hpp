@@ -7,8 +7,8 @@
 // assumptions: WeightedRls changes a bin's load by an arbitrary ball
 // weight, and the open system changes the total ball count (so the
 // overloaded-ball threshold ceil(m/n) itself moves). This tracker handles
-// the general case with a *dense* per-level count array over the load
-// domain [0, maxLoadSeen]:
+// the general case with a *dense* per-level count array over a window of
+// load levels that covers [minLoad, maxLoad]:
 //
 //   - histogram update: two array increments, O(1);
 //   - min/max: the walk from the vacated level stops at the changed bin's
@@ -21,9 +21,13 @@
 //     ((ceil - 1) * n, ceil * n] with two multiplies and divides only when
 //     m has left it.
 //
-// Memory is O(max load seen), grown on demand -- fine for every tracked
-// family (CRS, the ext engines, the open system, the graph engines, the
-// compact serving allocator), whose loads are a small multiple of the
+// The window is re-centred on the occupied span, with one span of slack
+// on each side, whenever a load leaves it: an extreme must move a whole
+// span before the next O(span) copy, so the copy is amortized, and memory
+// is O(spread) rather than O(max load) -- one bin may carry the serving
+// allocator's whole live weight (up to 2^31 - 1) at a single level. Every
+// tracked family (CRS, the ext engines, the open system, the graph
+// engines, the serving allocator) keeps its spread a small multiple of the
 // average. The sim engines keep their own bookkeeping.
 // Bulk-rewrite dynamics (the synchronous round protocols rewrite Theta(m)
 // loads per round) should NOT pay per-move tracking at all; they recompute
@@ -44,7 +48,7 @@ class BalanceTracker {
   /// Zero-start: `numBins` empty bins, without an n-length load vector.
   explicit BalanceTracker(std::int64_t numBins) { resetEmpty(numBins); }
 
-  /// Rebuild from scratch, O(n + max load).
+  /// Rebuild from scratch, O(n + spread).
   void reset(const std::vector<std::int64_t>& loads);
   /// Restart at `numBins` empty bins, O(1).
   void resetEmpty(std::int64_t numBins);
@@ -58,8 +62,8 @@ class BalanceTracker {
 
   /// #bins currently at `level` (0 when absent); differential tests.
   [[nodiscard]] std::int64_t levelCount(std::int64_t level) const {
-    if (level < 0 || level >= static_cast<std::int64_t>(counts_.size())) return 0;
-    return counts_[static_cast<std::size_t>(level)];
+    if (!inWindow(level)) return 0;
+    return counts_[static_cast<std::size_t>(level - base_)];
   }
 
   /// Heap bytes of the level array (capacity-based).
@@ -68,10 +72,19 @@ class BalanceTracker {
   }
 
  private:
-  std::vector<std::int32_t> counts_;  // load value -> #bins (dense)
+  std::vector<std::int32_t> counts_;  // level base_ + i -> #bins (dense)
+  std::int64_t base_ = 0;             // the level counts_[0] counts, <= minLoad
   BalanceState state_;
   std::int64_t ceilAvg_ = 0;
 
+  [[nodiscard]] bool inWindow(std::int64_t level) const {
+    return static_cast<std::uint64_t>(level - base_) < counts_.size();
+  }
+  std::int32_t& at(std::int64_t level) {
+    return counts_[static_cast<std::size_t>(level - base_)];
+  }
+  /// Move the window to cover [minLoad, maxLoad] and `level`, O(span).
+  void reframe(std::int64_t level);
   void recomputeOverloaded();
 };
 

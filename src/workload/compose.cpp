@@ -168,8 +168,9 @@ const char* checkComposeFactor(const ComposeFactor& f) {
       if (!(f.b >= 1.0 && f.b <= kInt32Max && f.b == std::floor(f.b))) {
         return "hotspot size must be an integer in [1, 2147483647]";
       }
-      if (!(f.c >= 1.0 && f.c <= kInt32Max && f.c == std::floor(f.c))) {
-        return "hotspot weight must be an integer in [1, 2147483647]";
+      if (!(f.c >= 1.0 && f.c <= static_cast<double>(kMaxBallWeight) &&
+            f.c == std::floor(f.c))) {
+        return "hotspot weight must be an integer in [1, 65535]";
       }
       break;
   }

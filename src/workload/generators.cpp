@@ -56,7 +56,7 @@ bool OpenTrace::ratesFinite() const {
 
 void OpenTrace::queueArrival(double t, std::int64_t weight) {
   RLSLB_ASSERT(weight >= 1);
-  const std::int64_t id = nextBall_++;
+  const std::int64_t id = ids_.take();
   live_.push_back(id);
   pending_.push_back({t, EventKind::kArrive, 0, id, weight});
 }
@@ -133,7 +133,7 @@ bool OpenTrace::next(Event* out) {
       if (rng::uniformDouble(eng_) * ceiling <= arrivalRateAt(time_)) {
         const std::int64_t weight = arrivalWeight(time_);
         RLSLB_ASSERT(weight >= 1);
-        const std::int64_t id = nextBall_++;
+        const std::int64_t id = ids_.take();
         live_.push_back(id);
         *out = {time_, EventKind::kArrive, rings_, id, weight};
         rings_ = 0;
@@ -147,6 +147,7 @@ bool OpenTrace::next(Event* out) {
     const std::int64_t ball = live_[pick];
     live_[pick] = live_.back();
     live_.pop_back();
+    ids_.release(ball);
     *out = {time_, EventKind::kDepart, rings_, ball, 0};
     rings_ = 0;
     ++emitted_;

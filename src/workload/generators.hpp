@@ -6,7 +6,10 @@
 // (service) and carries an RLS clock of rate `resampleRate` while resident.
 // The generator owns the live-ball bookkeeping (which ball departs is part
 // of the *workload*, not the allocator), so a trace is a self-contained,
-// replayable object.
+// replayable object. It also owns the ids: a departed ball's id is
+// released and the next arrival takes it (workload::BallIds), so ids stay
+// below the peak live count. Recycling draws nothing, so the record stream
+// is otherwise unchanged.
 //
 // The clocks are the balancer's, not traffic: the generator runs the same
 // competing-clocks race as before, but a ring emits nothing. It only
@@ -85,7 +88,7 @@ class OpenTrace : public TraceGenerator {
   }
 
   /// Whether the total clock rate stays finite with up to 2^31 - 1 live
-  /// balls (the allocators' live-slot range): the arrival ceiling times n
+  /// balls (the allocator's live-slot range): the arrival ceiling times n
   /// plus the per-ball departure and ring rates times that many balls. A
   /// trace whose rates overflow cannot be sampled.
   [[nodiscard]] bool ratesFinite() const;
@@ -110,9 +113,9 @@ class OpenTrace : public TraceGenerator {
 
  private:
   double time_ = 0.0;
-  std::int64_t nextBall_ = 0;
   std::int64_t emitted_ = 0;
   std::int32_t rings_ = 0;          // clock rings since the last emitted record
+  BallIds ids_;
   std::vector<std::int64_t> live_;  // live ball ids (swap-remove on departure)
   std::deque<Event> pending_;       // queued burst arrivals, FIFO
 };

@@ -1,13 +1,13 @@
 #include "workload/trace_io.hpp"
 
 #include <bit>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <istream>
 #include <limits>
 #include <ostream>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "report/json.hpp"
 #include "util/assert.hpp"
@@ -142,11 +142,13 @@ bool parseTraceEventCsv(const std::string& line, Event* out, std::string* error)
   const auto field = [&](int f) {
     return line.substr(fieldStart[f], fieldEnd[f] - fieldStart[f]);
   };
+  // strtoll clamps an out-of-range value and reports it only in errno.
   const auto parseInt = [&](int f, std::int64_t* value) {
     const std::string text = field(f);
     char* end = nullptr;
+    errno = 0;
     *value = std::strtoll(text.c_str(), &end, 10);
-    return end != text.c_str() && *end == '\0';
+    return end != text.c_str() && *end == '\0' && errno != ERANGE;
   };
   {
     const std::string text = field(0);
@@ -231,15 +233,14 @@ bool RecordingTrace::next(Event* out) {
 }
 
 namespace {
-/// Why a decoded record cannot be served; nullptr when it can. Arrival
-/// weights stop at INT32_MAX so that, with int32 live slots, a load sum
-/// cannot overflow int64.
+/// Why a decoded record cannot be served, judged on the record alone;
+/// nullptr when it can.
 const char* recordProblem(const Event& event) {
   if (event.ball < 0) return "negative ball id";
   if (event.rings < 0) return "negative rings";
   if (event.kind == EventKind::kArrive && event.weight < 1) return "arrive with w < 1";
-  if (event.kind == EventKind::kArrive && event.weight > std::numeric_limits<std::int32_t>::max()) {
-    return "arrive with w > 2147483647";
+  if (event.kind == EventKind::kArrive && event.weight > kMaxBallWeight) {
+    return "arrive with w > 65535, the largest ball weight";
   }
   return nullptr;
 }
@@ -257,6 +258,27 @@ const char* recordProblem(const Event& event) {
 
 void TraceReader::reject(const std::string& what) const { malformed(unit_, record_, what); }
 
+void TraceReader::admit(Event* event, std::int64_t position) {
+  record_ = position;
+  if (const char* problem = recordProblem(*event)) reject(problem);
+  if (event->kind == EventKind::kArrive) {
+    const auto [it, inserted] = dense_.try_emplace(event->ball);
+    if (!inserted) {
+      reject("arrive of ball " + std::to_string(event->ball) + ", which is already live");
+    }
+    it->second = ids_.take();
+    event->ball = it->second;
+    return;
+  }
+  const auto it = dense_.find(event->ball);
+  if (it == dense_.end()) {
+    reject("depart of ball " + std::to_string(event->ball) + ", which is not live");
+  }
+  event->ball = it->second;
+  ids_.release(it->second);
+  dense_.erase(it);
+}
+
 bool JsonlTraceReader::next(Event* out) {
   std::string line;
   while (std::getline(*in_, line)) {
@@ -264,8 +286,7 @@ bool JsonlTraceReader::next(Event* out) {
     if (line.empty()) continue;
     std::string error;
     if (!parseTraceEvent(line, out, &error)) malformed("line", line_, error);
-    if (const char* problem = recordProblem(*out)) malformed("line", line_, problem);
-    record_ = line_;
+    admit(out, line_);
     return true;
   }
   return false;
@@ -285,8 +306,7 @@ bool CsvTraceReader::next(Event* out) {
     if (line.empty()) continue;
     std::string error;
     if (!parseTraceEventCsv(line, out, &error)) malformed("line", line_, error);
-    if (const char* problem = recordProblem(*out)) malformed("line", line_, problem);
-    record_ = line_;
+    admit(out, line_);
     return true;
   }
   return false;
@@ -315,8 +335,7 @@ bool BinaryTraceReader::next(Event* out) {
   }
   std::string error;
   if (!decodeTraceEventBinary(record, out, &error)) malformed("byte", offset_, error);
-  if (const char* problem = recordProblem(*out)) malformed("byte", offset_, problem);
-  record_ = offset_;
+  admit(out, offset_);
   offset_ += static_cast<std::int64_t>(kTraceBinaryRecordBytes);
   return true;
 }
@@ -333,22 +352,16 @@ std::unique_ptr<TraceReader> makeTraceReader(std::istream& in, TraceFormat forma
 
 std::int64_t countTraceEvents(std::istream& in, TraceFormat format) {
   const std::unique_ptr<TraceReader> reader = makeTraceReader(in, format);
-  std::unordered_set<std::int64_t> live;
   double last = -std::numeric_limits<double>::infinity();
   Event event;
+  std::int64_t live = 0;  // before the record; the reader checked its event
   std::int64_t units = 0;
   while (reader->next(&event)) {
     if (!std::isfinite(event.time)) reader->reject("timestamp is not finite");
     if (event.time < last) reader->reject("timestamp decreases");
     last = event.time;
-    if (event.rings > 0 && live.empty()) reader->reject("rings while no ball is live");
-    if (event.kind == EventKind::kArrive) {
-      if (!live.insert(event.ball).second) {
-        reader->reject("arrive of ball " + std::to_string(event.ball) + ", which is already live");
-      }
-    } else if (live.erase(event.ball) == 0) {
-      reader->reject("depart of ball " + std::to_string(event.ball) + ", which is not live");
-    }
+    if (event.rings > 0 && live == 0) reader->reject("rings while no ball is live");
+    live += event.kind == EventKind::kArrive ? 1 : -1;
     units += 1 + event.rings;
   }
   return units;

@@ -13,9 +13,17 @@
 // `kind` is "arrive" or "depart"; `rings` counts the RLS clock rings since
 // the previous record (workload/event.hpp). A reader rejects, naming the
 // line (JSONL/CSV) or byte offset (binary), any record it cannot serve: an
-// unparseable one, an unknown kind (including the retired "resample"), a
-// negative ball id or ring count, an arrival weight outside [1, 2^31 - 1],
-// and the pre-rings layouts (an "RLT1" magic, the 4-column CSV header).
+// unparseable one (including an integer field outside int64), an unknown
+// kind (including the retired "resample"), a negative ball id or ring
+// count, an arrival weight outside [1, kMaxBallWeight], an arrival of a
+// live ball, a departure of a ball that is not live, and the pre-rings
+// layouts (an "RLT1" magic, the 4-column CSV header).
+//
+// A reader remaps ball ids: each arrival gets a dense id from the same
+// workload::BallIds policy the generators use. So a trace with any int64
+// ids (2^62, INT64_MAX) replays on the allocator's id-indexed state, and a
+// recorded trace maps to itself. The map is a hash map in the reader, off
+// the serving loop.
 //
 // Every format is bit-exact: text timestamps serialize through
 // report::formatJsonNumber (shortest round-trip form) and the binary format
@@ -30,6 +38,7 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <unordered_map>
 
 #include "workload/generators.hpp"
 
@@ -93,7 +102,8 @@ class RecordingTrace final : public TraceGenerator {
 /// A replay generator. A record it cannot serve throws
 /// std::invalid_argument naming its position, so a corrupt trace never
 /// silently truncates an experiment; reject() reports a record that parsed
-/// but breaks the stream's invariants the same way.
+/// but breaks the stream's invariants the same way. Records come out with
+/// their ball ids remapped to dense ones.
 class TraceReader : public TraceGenerator {
  public:
   [[nodiscard]] std::string name() const override { return "replay"; }
@@ -104,9 +114,18 @@ class TraceReader : public TraceGenerator {
  protected:
   TraceReader(std::istream& in, const char* unit) : in_(&in), unit_(unit) {}
 
+  /// Accept a decoded record at `position`: reject what recordProblem
+  /// names, an arrival of a live ball and a departure of one that is not
+  /// live, then replace the external ball id by its dense one.
+  void admit(Event* event, std::int64_t position);
+
   std::istream* in_;
   const char* unit_;        // "line" or "byte"
   std::int64_t record_ = 0; // position of the last record returned
+
+ private:
+  std::unordered_map<std::int64_t, std::int64_t> dense_;  // live external id -> dense id
+  BallIds ids_;
 };
 
 /// Replay generator over a JSONL stream (blank lines skipped; positions are
@@ -150,10 +169,10 @@ class BinaryTraceReader final : public TraceReader {
 /// replay serves — by draining a replay reader (resets nothing; pass a
 /// fresh stream). Replay scenarios size their epochs from it before any
 /// serving, so this pass also checks what the allocator relies on, off the
-/// hot path: timestamps finite and nondecreasing, no departure of a ball
-/// that is not live, no arrival of one that is, and no rings while no ball
-/// is live. A malformed or invariant-breaking record throws
-/// std::invalid_argument here, naming its position.
+/// hot path: beyond the reader's own checks, timestamps finite and
+/// nondecreasing and no rings while no ball is live. A malformed or
+/// invariant-breaking record throws std::invalid_argument here, naming its
+/// position.
 [[nodiscard]] std::int64_t countTraceEvents(std::istream& in, TraceFormat format);
 
 }  // namespace rlslb::workload

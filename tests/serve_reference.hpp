@@ -1,7 +1,7 @@
 // Frozen serving loop: the differential oracle for
 // tests/test_serve_differential.cpp.
 //
-// This is a test-only copy of serve::OnlineAllocator and serve::EpochLoop
+// This is a test-only copy of the serving allocator and serve::EpochLoop
 // in their simplest eager form, one unit at a time: a record is expanded
 // into its clock rings and then its own event, each a separate unit; an
 // epoch is the next epochEvents units; a decision phase draws every unit of
@@ -13,9 +13,8 @@
 // final load vector, every semantic counter, and the per-epoch gap
 // trajectory — for every (epochEvents, unit budget, trace, seed)
 // combination, so do not "fix" or modernize it; it only changes if the
-// serving semantics are deliberately re-specified. It is the only
-// independent check on weighted traces: serve::CompactAllocator is
-// unit-weight only.
+// serving semantics are deliberately re-specified. It is the independent
+// check on serve::CompactAllocator, weighted traces included.
 //
 // Re-specified, deliberately:
 //   - an RLS activation draws a uniform live ball (the paper's per-ball
@@ -38,7 +37,7 @@
 #include "rng/distributions.hpp"
 #include "rng/splitmix64.hpp"
 #include "rng/xoshiro256pp.hpp"
-#include "serve/online_allocator.hpp"
+#include "serve/compact_allocator.hpp"
 #include "sim/engine.hpp"
 #include "util/assert.hpp"
 #include "workload/event.hpp"
@@ -87,7 +86,7 @@ inline UnitDecision decide(const Unit& unit, const std::vector<std::int64_t>& lo
   return d;
 }
 
-/// Frozen eager OnlineAllocator (level histogram + ball map + live-ball
+/// Frozen eager allocator (level histogram + ball map + live-ball
 /// list, updated per unit). Reuses the production serve::ServeCounters
 /// record.
 class ReferenceAllocator {

@@ -34,7 +34,6 @@
 #include "runner/thread_pool.hpp"
 #include "serve/compact_allocator.hpp"
 #include "serve/event_loop.hpp"
-#include "serve/online_allocator.hpp"
 #include "workload/generators.hpp"
 
 // ------------------------------------------------------------------------
@@ -212,8 +211,8 @@ class RingsOnlyTrace final : public workload::TraceGenerator {
   bool done_ = false;
 };
 
-serve::OnlineAllocator makeBalancedAllocator(std::int64_t bins, std::int64_t balls) {
-  serve::OnlineAllocator allocator(
+serve::CompactAllocator makeBalancedAllocator(std::int64_t bins, std::int64_t balls) {
+  serve::CompactAllocator allocator(
       serve::AllocatorOptions{.bins = bins, .arrivalChoices = 2});
   for (std::int64_t ball = 0; ball < balls; ++ball) {
     workload::Event e;
@@ -231,7 +230,7 @@ serve::OnlineAllocator makeBalancedAllocator(std::int64_t bins, std::int64_t bal
 TEST(MetricsHotPath, SteadyStateEpochsAreAllocationFreeWithMetricsAttached) {
   constexpr std::int64_t kEpochEvents = 256;
   constexpr std::int64_t kEpochs = 16;
-  serve::OnlineAllocator allocator = makeBalancedAllocator(64, 256);
+  serve::CompactAllocator allocator = makeBalancedAllocator(64, 256);
   ASSERT_EQ(allocator.gap(), 0);
 
   MetricsRegistry metrics;
@@ -274,7 +273,7 @@ TEST(MetricsHotPath, SteadyStateEpochsAreAllocationFreeWithMetricsAttached) {
 TEST(MetricsHotPath, SteadyStateEpochsAreAllocationFreeWithMonitorsAttached) {
   constexpr std::int64_t kEpochEvents = 256;
   constexpr std::int64_t kEpochs = 16;
-  serve::OnlineAllocator allocator = makeBalancedAllocator(64, 256);
+  serve::CompactAllocator allocator = makeBalancedAllocator(64, 256);
   ASSERT_EQ(allocator.gap(), 0);
 
   MetricsRegistry metrics;
@@ -332,7 +331,7 @@ TEST(MetricsHotPath, AttachedMetricsDoNotPerturbTheRunAndAgreeWithCounters) {
     base.resampleRate = 1.0;
     base.maxEvents = 4096;
     workload::PoissonTrace trace(base, 17);
-    serve::OnlineAllocator allocator(
+    serve::CompactAllocator allocator(
         serve::AllocatorOptions{.bins = 32, .arrivalChoices = 2});
     serve::LoopOptions options;
     options.epochEvents = 512;
@@ -451,19 +450,11 @@ TEST(Trace, JsonIsWellFormedWithContainedSpansAndWorkerTracks) {
   EXPECT_TRUE(sawJobSpan);
 }
 
-// Runtime-off contract, for both allocators through the one EpochLoop:
-// tracing never changes the run's outcome, and the attached writer records
-// per epoch exactly one epoch span, the three phase spans (fill, decide,
-// apply), one observe span and one serve.gap counter sample.
-std::vector<std::int64_t> loadsOf(const serve::OnlineAllocator& a) { return a.loads(); }
-std::vector<std::int64_t> loadsOf(const serve::CompactAllocator& a) { return a.loadsCopy(); }
-
-template <typename Allocator>
-class LoopTrace : public ::testing::Test {};
-using Allocators = ::testing::Types<serve::OnlineAllocator, serve::CompactAllocator>;
-TYPED_TEST_SUITE(LoopTrace, Allocators);
-
-TYPED_TEST(LoopTrace, ServingLoopEmitsPhaseSpansOnlyWhenAttached) {
+// Runtime-off contract: tracing never changes the run's outcome, and the
+// attached writer records per epoch exactly one epoch span, the three phase
+// spans (fill, decide, apply), one observe span and one serve.gap counter
+// sample.
+TEST(LoopTrace, ServingLoopEmitsPhaseSpansOnlyWhenAttached) {
   if (!kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
   std::int64_t epochs = 0;
   const auto runOnce = [&epochs](TraceWriter* trace) {
@@ -474,7 +465,7 @@ TYPED_TEST(LoopTrace, ServingLoopEmitsPhaseSpansOnlyWhenAttached) {
     base.resampleRate = 1.0;
     base.maxEvents = 2048;
     workload::PoissonTrace traceGen(base, 23);
-    TypeParam allocator(serve::AllocatorOptions{.bins = 32, .arrivalChoices = 2});
+    serve::CompactAllocator allocator(serve::AllocatorOptions{.bins = 32, .arrivalChoices = 2});
     serve::LoopOptions options;
     options.epochEvents = 512;
     options.unitBudget = 2048;
@@ -482,7 +473,7 @@ TYPED_TEST(LoopTrace, ServingLoopEmitsPhaseSpansOnlyWhenAttached) {
     options.trace = trace;
     serve::EpochLoop loop(allocator, options);
     epochs = loop.run(traceGen).epochs;
-    return loadsOf(allocator);
+    return allocator.loads();
   };
 
   TraceWriter attached;

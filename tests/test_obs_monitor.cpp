@@ -25,7 +25,7 @@
 #include "process/registry.hpp"
 #include "config/generators.hpp"
 #include "serve/event_loop.hpp"
-#include "serve/online_allocator.hpp"
+#include "serve/compact_allocator.hpp"
 #include "workload/generators.hpp"
 
 namespace rlslb::obs {
@@ -228,7 +228,7 @@ TEST(ConvergenceMonitor_, StepsClockDeadlineIsRescaledByM) {
 // ------------------------------------------------ serve-loop integration
 
 struct ServeRun {
-  std::vector<std::int64_t> loads;
+  std::vector<std::int32_t> loads;
   std::string gapSketchJson;
   std::vector<std::string> anomalies;  // rendered, deterministic monitors only
   std::int64_t errors = 0;
@@ -254,7 +254,7 @@ ServeRun runServeWithMonitors(bool invert) {
   allocOptions.bins = 64;
   allocOptions.arrivalChoices = 2;
   allocOptions.invertAcceptance = invert;
-  serve::OnlineAllocator allocator(allocOptions);
+  serve::CompactAllocator allocator(allocOptions);
 
   MonitorSet monitors;
   monitors.add(std::make_unique<LoadConservationMonitor>());

@@ -33,7 +33,7 @@
 #include "protocols/threshold.hpp"
 #include "rng/distributions.hpp"
 #include "runner/thread_pool.hpp"
-#include "serve/online_allocator.hpp"
+#include "serve/compact_allocator.hpp"
 #include "sim/balance_tracker.hpp"
 #include "sim/naive_engine.hpp"
 
@@ -403,6 +403,34 @@ TEST(ProcessState, BalanceTrackerMatchesRecompute) {
   }
 }
 
+// The level array is a window over the occupied levels: a bin climbing to
+// 2^24 keeps it O(spread + delta), not O(max load), and the window follows
+// the load back down.
+TEST(ProcessState, BalanceTrackerWindowFollowsTheLoads) {
+  constexpr std::int64_t kStep = 1024;
+  constexpr std::int64_t kTop = std::int64_t{1} << 24;
+  std::vector<std::int64_t> loads = {0, 0};
+  sim::BalanceTracker tracker(std::int64_t{2});
+  const auto change = [&](std::size_t bin, std::int64_t to) {
+    tracker.onLoadChange(loads[bin], to);
+    loads[bin] = to;
+    expectStateMatchesLoads(tracker.state(), loads);
+    ASSERT_EQ(tracker.levelCount(loads[0]), 1);
+  };
+  for (std::int64_t level = kStep; level <= kTop; level += kStep) {
+    change(0, level);
+    change(1, level - 1);
+  }
+  EXPECT_LT(tracker.heapBytes(), 64 * kStep);
+  for (std::int64_t level = kTop - kStep; level >= 0; level -= kStep) {
+    change(1, level);
+    change(0, level + 1);
+  }
+  EXPECT_LT(tracker.heapBytes(), 64 * kStep);
+  EXPECT_EQ(tracker.levelCount(0), 1);
+  EXPECT_EQ(tracker.levelCount(1), 1);
+}
+
 TEST(ProcessState, BalanceTrackerZeroStartMatchesEmptyLoads) {
   sim::BalanceTracker tracker(std::int64_t{5});
   std::vector<std::int64_t> loads(5, 0);
@@ -472,7 +500,7 @@ TEST(ProcessState, WeightedStateIsInWeightUnits) {
 TEST(ProcessState, ServeAllocatorSharesTheVocabulary) {
   serve::AllocatorOptions options;
   options.bins = 8;
-  serve::OnlineAllocator allocator(options);
+  serve::CompactAllocator allocator(options);
   rng::Xoshiro256pp eng(9);
   std::vector<std::int32_t> candidates;
   std::int64_t nextBall = 0;
@@ -486,7 +514,7 @@ TEST(ProcessState, ServeAllocatorSharesTheVocabulary) {
     allocator.apply(event, d);
   }
   const sim::BalanceState state = allocator.balanceState();
-  expectStateMatchesLoads(state, allocator.loads());
+  expectStateMatchesLoads(state, {allocator.loads().begin(), allocator.loads().end()});
   EXPECT_EQ(state.maxLoad - state.minLoad, allocator.gap());
 }
 

@@ -1,15 +1,17 @@
-// serve/: OnlineAllocator state invariants, the ball-uniform activation a
+// serve/: the allocator's state invariants, the ball-uniform activation a
 // clock ring runs on weighted traffic, the event loop's epochs of units and
 // its unit budget, RLS's balance benefit over placement-only serving, the
 // serve_* scenarios' byte-determinism through the JSONL sink, record ->
-// replay reproducing every table, and their usage errors (bad input —
-// params out of range, corrupt or inconsistent replay traces — throws
-// std::invalid_argument, which `rlslb` turns into exit code 2).
+// replay reproducing every table, a replay's sparse ids serving as dense
+// ones, and their usage errors (bad input — params out of range, corrupt
+// or inconsistent replay traces — throws std::invalid_argument, which
+// `rlslb` turns into exit code 2).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -18,8 +20,8 @@
 #include "obs/trace.hpp"
 #include "report/json.hpp"
 #include "scenario/scenario.hpp"
+#include "serve/compact_allocator.hpp"
 #include "serve/event_loop.hpp"
-#include "serve/online_allocator.hpp"
 #include "stats/tests.hpp"
 #include "workload/generators.hpp"
 #include "workload/trace_io.hpp"
@@ -38,7 +40,7 @@ workload::OpenTraceOptions traceOptions(std::int64_t events) {
 }
 
 struct LoopOutcome {
-  std::vector<std::int64_t> loads;
+  std::vector<std::int32_t> loads;
   ServeCounters counters;
   std::int64_t liveBalls = 0;
   std::int64_t totalLoad = 0;
@@ -50,7 +52,7 @@ LoopOutcome runLoop(std::int64_t events, std::uint64_t seed = 99) {
   AllocatorOptions allocOptions;
   allocOptions.bins = 32;
   allocOptions.arrivalChoices = 2;
-  OnlineAllocator allocator(allocOptions);
+  CompactAllocator allocator(allocOptions);
   LoopOptions loopOptions;
   loopOptions.epochEvents = 256;
   loopOptions.unitBudget = events;
@@ -64,7 +66,7 @@ LoopOutcome runLoop(std::int64_t events, std::uint64_t seed = 99) {
           allocator.totalLoad(), allocator.gap()};
 }
 
-TEST(OnlineAllocator, ConservesMassAndTracksLevels) {
+TEST(CompactAllocator, ConservesMassAndTracksLevels) {
   const LoopOutcome out = runLoop(/*events=*/8000);
   EXPECT_EQ(out.counters.events, 8000);
   EXPECT_EQ(out.liveBalls, out.counters.arrivals - out.counters.departures);
@@ -110,11 +112,11 @@ class RingsOnlyTrace final : public workload::TraceGenerator {
 // accepted move from bin 0 with probability 2/6 = 1/3; a load-weighted bin
 // pick would take it with probability 4/8 = 1/2. The ring is drawn by the
 // loop (one ring, then the budget stops it), so this pins the loop's draw.
-TEST(OnlineAllocator, RingActivatesAUniformLiveBall) {
+TEST(CompactAllocator, RingActivatesAUniformLiveBall) {
   constexpr int kAllocators = 3000;
   std::vector<std::int64_t> moves = {0, 0};  // accepted moves out of bin 0, bin 1
   for (int seed = 1; seed <= kAllocators; ++seed) {
-    OnlineAllocator allocator(AllocatorOptions{.bins = 3, .arrivalChoices = 1});
+    CompactAllocator allocator(AllocatorOptions{.bins = 3, .arrivalChoices = 1});
     for (std::int64_t ball = 0; ball < 6; ++ball) {
       workload::Event e;
       e.kind = workload::EventKind::kArrive;
@@ -148,7 +150,7 @@ TEST(OnlineAllocator, RingActivatesAUniformLiveBall) {
 // rings than an epoch: the loop splits it, runs the rings that fit, carries
 // the rest, and runs the record's event after the last of them.
 TEST(EpochLoop, RingsStraddleEpochBoundaries) {
-  OnlineAllocator allocator(AllocatorOptions{.bins = 4, .arrivalChoices = 1});
+  CompactAllocator allocator(AllocatorOptions{.bins = 4, .arrivalChoices = 1});
   for (std::int64_t ball = 0; ball < 8; ++ball) {
     workload::Event e;
     e.ball = ball;
@@ -182,7 +184,7 @@ TEST(EpochLoop, UnitBudgetIsExact) {
   for (const std::int64_t epochEvents : {1, 7, 256, 5000}) {
     for (const std::int64_t budget : {1, 999, 4000}) {
       workload::PoissonTrace trace(traceOptions(budget), 5);
-      OnlineAllocator allocator(AllocatorOptions{.bins = 32, .arrivalChoices = 2});
+      CompactAllocator allocator(AllocatorOptions{.bins = 32, .arrivalChoices = 2});
       EpochLoop loop(allocator,
                      LoopOptions{.epochEvents = epochEvents, .unitBudget = budget});
       std::int64_t observed = 0;
@@ -201,7 +203,7 @@ TEST(EpochLoop, UnitBudgetIsExact) {
 
 TEST(EpochLoop, EpochObserverSeesEveryEvent) {
   workload::PoissonTrace trace(traceOptions(1000), 7);
-  OnlineAllocator allocator(AllocatorOptions{.bins = 16, .arrivalChoices = 1});
+  CompactAllocator allocator(AllocatorOptions{.bins = 16, .arrivalChoices = 1});
   EpochLoop loop(allocator, LoopOptions{.epochEvents = 128, .unitBudget = 1000});
   std::int64_t observed = 0;
   std::int64_t epochs = 0;
@@ -229,7 +231,7 @@ TEST(EpochLoop, RlsMigrationShrinksTheGapVersusPlacementOnly) {
     o.departureRate = 0.25;
     o.resampleRate = resampleRate;
     workload::PoissonTrace trace(o, seed);
-    OnlineAllocator allocator(AllocatorOptions{.bins = 32, .arrivalChoices = 1});
+    CompactAllocator allocator(AllocatorOptions{.bins = 32, .arrivalChoices = 1});
     LoopOptions loopOptions;
     loopOptions.unitBudget = 40000;
     loopOptions.seed = seed;
@@ -367,6 +369,50 @@ TEST(ServeScenarios, RecordThenReplayReproducesEveryTable) {
   }
 }
 
+// A replay reader remaps ball ids to dense ones (a freed id first), so a
+// trace with any int64 ids serves exactly as the same records with the
+// dense ids do.
+TEST(ServeScenarios, SparseReplayIdsServeAsDenseOnes) {
+  const std::filesystem::path dir = std::filesystem::temp_directory_path();
+  const auto writeTrace = [&dir](const char* name, const std::vector<std::int64_t>& ids) {
+    // ids[0..2] arrive, ids[1] departs, ids[3] arrives, ids[0] departs.
+    const struct {
+      workload::EventKind kind;
+      std::size_t id;
+      std::int64_t weight;
+      std::int32_t rings;
+    } records[] = {{workload::EventKind::kArrive, 0, 1, 0},
+                   {workload::EventKind::kArrive, 1, 2, 3},
+                   {workload::EventKind::kArrive, 2, 1, 2},
+                   {workload::EventKind::kDepart, 1, 0, 4},
+                   {workload::EventKind::kArrive, 3, 3, 1},
+                   {workload::EventKind::kDepart, 0, 0, 5}};
+    const std::string path = (dir / name).string();
+    std::ofstream out(path);
+    double t = 0.0;
+    for (const auto& r : records) {
+      out << workload::formatTraceEvent({t += 0.5, r.kind, r.rings, ids[r.id], r.weight})
+          << "\n";
+    }
+    return path;
+  };
+  const std::string sparse = writeTrace(
+      "rlslb-test-serve-sparse.jsonl",
+      {0, std::int64_t{1} << 62, std::numeric_limits<std::int64_t>::max(), 77});
+  const std::string dense = writeTrace("rlslb-test-serve-dense.jsonl", {0, 1, 2, 1});
+  const std::vector<std::string> shape = {"n=4", "epoch=2"};
+  const auto tables = [&](const std::string& path) {
+    std::vector<std::string> params = shape;
+    params.push_back("trace=" + path);
+    return tableRecords(runServeScenario("serve_poisson", 7, 1, params));
+  };
+  const std::string fromSparse = tables(sparse);
+  EXPECT_FALSE(fromSparse.empty());
+  EXPECT_EQ(fromSparse, tables(dense));
+  std::filesystem::remove(sparse);
+  std::filesystem::remove(dense);
+}
+
 TEST(ServeScenarios, BadInputIsAUsageError) {
   // A usage error, not a crash: the driver turns the exception into a
   // message and exit code 2 (these used to abort, divide by zero, or fail
@@ -422,6 +468,13 @@ TEST(ServeScenarios, BadInputIsAUsageError) {
       writeTrace("rlslb-test-serve-negrings.jsonl",
                  "{\"t\":1,\"kind\":\"arrive\",\"ball\":0,\"w\":1,\"rings\":-1}\n"),
       writeTrace("rlslb-test-serve-wide.csv", "t,kind,ball,w,rings\n0.5,arrive,0,2147483648,0\n"),
+      writeTrace("rlslb-test-serve-heavy.jsonl",
+                 "{\"t\":1,\"kind\":\"arrive\",\"ball\":0,\"w\":65536}\n"),
+      // An id past int64 is malformed, not clamped onto INT64_MAX (where it
+      // would collide with the next record's id).
+      writeTrace("rlslb-test-serve-range.csv",
+                 "t,kind,ball,w,rings\n0.5,arrive,99999999999999999999,1,0\n"
+                 "0.75,arrive,9223372036854775807,1,0\n"),
   };
   const struct {
     const char* scenario;
@@ -435,6 +488,11 @@ TEST(ServeScenarios, BadInputIsAUsageError) {
       {"serve_poisson", {"n=16", "trace=" + emptyTrace, "record=" + emptyTrace}},
       {"serve_poisson", {"n=16", "events=100", "record=" + missingDir + "/r.jsonl"}},
       {"serve_poisson", {"n=16", "events=100", "weight=0"}},
+      {"serve_poisson", {"n=16", "events=100", "weight=65536"}},
+      {"serve_composed", {"n=16", "events=100", "spec=hotspot(16,32,65536)"}},
+      // The 32769th arrival of weight 65535 lifts the live weight past
+      // 2^31 - 1 (spread over many bins, so the run stays quick).
+      {"serve_poisson", {"n=1048576", "events=40000", "weight=65535", "mu=0", "resample=0"}},
       {"serve_poisson", {"n=16", "events=100", "d=0"}},
       // Range-checked before the int cast: this used to wrap to d = 2 and
       // run.
@@ -478,6 +536,9 @@ TEST(ServeScenarios, BadInputIsAUsageError) {
       {"serve_capacity", {"n_list=3000000000", "load_list=1", "epb=1", "budget_mb=0"}},
       {"serve_capacity", {"n_list=1000", "load_list=1", "epb=9223372036854775807"}},
       {"serve_capacity", {"n_list=1000", "load_list=1e300", "epb=1"}},
+      // budget_mb= must still fit int64 once shifted from MB to bytes.
+      {"serve_capacity", {"n_list=1000", "load_list=1", "epb=1", "budget_mb=9007199254740992"}},
+      {"serve_capacity", {"n_list=1000", "load_list=1", "epb=1", "budget_mb=-1"}},
   };
   for (const auto& b : bad) {
     std::vector<std::string> unused;

@@ -5,8 +5,10 @@
 // ring, then each record's event, with a per-unit decide frozen apart from
 // production's two-pass one and its ring buffer) across epoch
 // granularities, unit budgets that cut a record's rings, trace kinds
-// (including the weighted adversarial one), arrival choices d and seeds.
-// Plus LoopOptions validation death tests, the EpochStats/RunResult timing
+// (including the weighted adversarial one), arrival choices d and seeds,
+// and scripted churn aimed at the allocator's prefetch windows, at unit
+// weights and with weights that arrive inside the windows. Plus
+// LoopOptions validation death tests, the EpochStats/RunResult timing
 // contract, the scenario wall split, and a high-contention stress case.
 #include <gtest/gtest.h>
 
@@ -22,9 +24,10 @@
 #include "report/json.hpp"
 #include "report/result_sink.hpp"
 #include "scenario/scenario.hpp"
+#include "serve/compact_allocator.hpp"
 #include "serve/event_loop.hpp"
-#include "serve/online_allocator.hpp"
 #include "serve_reference.hpp"
+#include "serve_scripts.hpp"
 #include "workload/generators.hpp"
 
 namespace rlslb::serve {
@@ -102,8 +105,13 @@ Outcome runReference(workload::TraceGenerator& trace, const Config& c) {
   return out;
 }
 
+/// The allocator's loads, widened to the reference's int64.
+std::vector<std::int64_t> widened(const CompactAllocator& allocator) {
+  return {allocator.loads().begin(), allocator.loads().end()};
+}
+
 Outcome runLoop(workload::TraceGenerator& trace, const Config& c) {
-  OnlineAllocator allocator(AllocatorOptions{.bins = c.bins, .arrivalChoices = c.d});
+  CompactAllocator allocator(AllocatorOptions{.bins = c.bins, .arrivalChoices = c.d});
   LoopOptions options;
   options.epochEvents = c.epochEvents;
   options.unitBudget = c.events;
@@ -115,7 +123,7 @@ Outcome runLoop(workload::TraceGenerator& trace, const Config& c) {
   });
   EXPECT_EQ(result.events, c.events);
   EXPECT_TRUE(allocator.validate());
-  out.loads = allocator.loads();
+  out.loads = widened(allocator);
   out.counters = allocator.counters();
   out.liveBalls = allocator.liveBalls();
   out.totalLoad = allocator.totalLoad();
@@ -195,7 +203,7 @@ TEST(FusedDifferential, UnboundedRunServesTheWholeTrace) {
       const auto refResult = refLoop.run(*refTrace);
 
       auto trace = makeTrace(c.kind, c.bins, c.events, c.seed);
-      OnlineAllocator allocator(AllocatorOptions{.bins = c.bins, .arrivalChoices = c.d});
+      CompactAllocator allocator(AllocatorOptions{.bins = c.bins, .arrivalChoices = c.d});
       EpochLoop loop(allocator, LoopOptions{.epochEvents = c.epochEvents, .seed = c.seed});
       const auto result = loop.run(*trace);
       EXPECT_EQ(result.events, refResult.events);
@@ -203,8 +211,35 @@ TEST(FusedDifferential, UnboundedRunServesTheWholeTrace) {
       EXPECT_EQ(result.activations, allocator.counters().resamples);
       EXPECT_EQ(allocator.counters().arrivals + allocator.counters().departures, 600);
       EXPECT_EQ(result.events, 600 + result.activations);
-      EXPECT_EQ(allocator.loads(), refAllocator.loads());
+      EXPECT_EQ(widened(allocator), refAllocator.loads());
       EXPECT_TRUE(countersEqual(allocator.counters(), refAllocator.counters()));
+    }
+  }
+}
+
+// The scripted prefetch-window churn (tests/serve_scripts.hpp), unit and
+// weighted, at epochs shorter than the 8-record hint (no record hints), of
+// exactly 16 and 17 units (the window's edges), and longer. The unit budget
+// is the script's length, so every record and ring is served.
+TEST(FusedDifferential, ScriptedPrefetchWindowsMatchReference) {
+  for (const bool weighted : {false, true}) {
+    const std::vector<workload::Event> script = scripts::prefetchWindowScript(weighted);
+    for (const std::int64_t epochEvents : {5, 16, 17, 64}) {
+      for (const int d : {1, 2}) {
+        Config c;
+        c.bins = 48;
+        c.events = scripts::unitsOf(script);
+        c.epochEvents = epochEvents;
+        c.seed = 3;
+        c.d = d;
+        scripts::ScriptedTrace refTrace(script);
+        scripts::ScriptedTrace trace(script);
+        const Outcome got = runLoop(trace, c);
+        expectIdentical(runReference(refTrace, c), got, c);
+        EXPECT_GT(got.counters.resamples, 1000);
+        EXPECT_GT(got.counters.migrations, 0);
+        EXPECT_EQ(got.liveBalls, 0);
+      }
     }
   }
 }
@@ -225,7 +260,7 @@ TEST(FusedDifferential, MoreBinsThanEventsPerEpochAndFewBins) {
 // ------------------------------------------------ option validation
 
 TEST(ServeLoopDeathTest, RejectsInvalidLoopOptions) {
-  OnlineAllocator allocator(AllocatorOptions{.bins = 8, .arrivalChoices = 1});
+  CompactAllocator allocator(AllocatorOptions{.bins = 8, .arrivalChoices = 1});
   const auto makeLoop = [&](std::int64_t epochEvents, std::int64_t budget) {
     LoopOptions o;
     o.epochEvents = epochEvents;
@@ -244,7 +279,7 @@ TEST(TimingContract, RunResultIsTheExactSumOfEpochWallSeconds) {
   c.events = 2048;
   c.epochEvents = 128;
   auto trace = makeTrace(c.kind, c.bins, c.events, c.seed);
-  OnlineAllocator allocator(AllocatorOptions{.bins = c.bins, .arrivalChoices = 2});
+  CompactAllocator allocator(AllocatorOptions{.bins = c.bins, .arrivalChoices = 2});
   LoopOptions options;
   options.epochEvents = c.epochEvents;
   options.unitBudget = c.events;
@@ -268,7 +303,7 @@ TEST(TimingContract, OnEpochCallbackTimeIsExcluded) {
   c.events = 256;
   c.epochEvents = 64;
   auto trace = makeTrace(c.kind, c.bins, c.events, c.seed);
-  OnlineAllocator allocator(AllocatorOptions{.bins = c.bins, .arrivalChoices = 2});
+  CompactAllocator allocator(AllocatorOptions{.bins = c.bins, .arrivalChoices = 2});
   LoopOptions options;
   options.epochEvents = c.epochEvents;
   options.unitBudget = c.events;
@@ -309,7 +344,7 @@ TEST(TimingContract, TraceGenerationTimeIsExcluded) {
   c.epochEvents = 16;
   auto inner = makeTrace(c.kind, c.bins, c.events, c.seed);
   SlowTrace trace(*inner, std::chrono::microseconds(500));
-  OnlineAllocator allocator(AllocatorOptions{.bins = c.bins, .arrivalChoices = 2});
+  CompactAllocator allocator(AllocatorOptions{.bins = c.bins, .arrivalChoices = 2});
   LoopOptions options;
   options.epochEvents = c.epochEvents;
   options.unitBudget = c.events;

@@ -2,9 +2,9 @@
 //   - the multi-run contract (each EpochLoop::run() restarts the epoch index
 //     keying its decision streams, so a reused loop draws exactly the
 //     streams a fresh loop would);
-//   - the zero-allocation claim, for both allocators (steady-state epochs —
-//     balanced system, ring-only traffic — perform no heap allocation at
-//     all, pinned by a global operator new counting hook).
+//   - the zero-allocation claim (steady-state epochs — balanced system,
+//     ring-only traffic — perform no heap allocation at all, pinned by a
+//     global operator new counting hook).
 // The byte-identity of the snapshot-free decision phase and the batched
 // apply against the eager reference is pinned separately by the
 // differentials in tests/test_serve_differential.cpp.
@@ -20,7 +20,6 @@
 
 #include "serve/compact_allocator.hpp"
 #include "serve/event_loop.hpp"
-#include "serve/online_allocator.hpp"
 #include "workload/generators.hpp"
 
 // ------------------------------------------------------------------------
@@ -79,7 +78,7 @@ class RingsOnlyTrace final : public workload::TraceGenerator {
 
 // Shifts ball ids by a fixed offset so a second trace consumed by the same
 // allocator cannot collide with balls the first trace left live (trace
-// generators assign ids from 0).
+// generators assign ids from 0, below the peak live count).
 class OffsetBalls final : public workload::TraceGenerator {
  public:
   OffsetBalls(std::unique_ptr<workload::TraceGenerator> inner, std::int64_t offset)
@@ -134,22 +133,22 @@ TEST(MultiRunContract, ReusedLoopMatchesFreshLoopOnTheSecondTrace) {
   const LoopOptions options = hotpathOptions();
 
   // Universe A: one loop reused across both traces.
-  OnlineAllocator reusedAlloc(allocOpts);
+  CompactAllocator reusedAlloc(allocOpts);
   EpochLoop reusedLoop(reusedAlloc, options);
   auto traceA1 = makePoisson(24, 2048, 3);
   reusedLoop.run(*traceA1);
-  OffsetBalls traceA2(makePoisson(24, 1536, 7), 1'000'000);
+  OffsetBalls traceA2(makePoisson(24, 1536, 7), 4096);
   const auto reusedResult = reusedLoop.run(traceA2);
 
   // Universe B: same allocator lifetime, but a fresh loop per trace.
-  OnlineAllocator freshAlloc(allocOpts);
+  CompactAllocator freshAlloc(allocOpts);
   {
     EpochLoop first(freshAlloc, options);
     auto traceB1 = makePoisson(24, 2048, 3);
     first.run(*traceB1);
   }
   EpochLoop second(freshAlloc, options);
-  OffsetBalls traceB2(makePoisson(24, 1536, 7), 1'000'000);
+  OffsetBalls traceB2(makePoisson(24, 1536, 7), 4096);
   const auto freshResult = second.run(traceB2);
 
   EXPECT_EQ(reusedAlloc.loads(), freshAlloc.loads());
@@ -162,25 +161,20 @@ TEST(MultiRunContract, ReusedLoopMatchesFreshLoopOnTheSecondTrace) {
 
 // ------------------------------------------------------- zero allocation
 
-// Steady-state epochs allocate nothing, whichever allocator the loop
-// drives: against a perfectly balanced allocator (built below with explicit
-// placement decisions, so the balance is by construction, not by stochastic
-// convergence), every ring of a ring-only run is rejected by the strict
-// rule, and all epoch-scoped storage (batch, decisions, ring draws) is
-// reused at its first-epoch capacity — so every epoch after the first must
-// perform zero heap allocations.
-template <typename Allocator>
-class SteadyStateAllocations : public ::testing::Test {};
-using Allocators = ::testing::Types<OnlineAllocator, CompactAllocator>;
-TYPED_TEST_SUITE(SteadyStateAllocations, Allocators);
-
-TYPED_TEST(SteadyStateAllocations, EpochsAreAllocationFree) {
+// Steady-state epochs allocate nothing: against a perfectly balanced
+// allocator (built below with explicit placement decisions, so the balance
+// is by construction, not by stochastic convergence), every ring of a
+// ring-only run is rejected by the strict rule, and all epoch-scoped
+// storage (batch, decisions, ring draws) is reused at its first-epoch
+// capacity — so every epoch after the first must perform zero heap
+// allocations.
+TEST(SteadyStateAllocations, EpochsAreAllocationFree) {
   constexpr std::int64_t kBins = 64;
   constexpr std::int64_t kBalls = 256;  // exactly 4 per bin: gap 0
   constexpr std::int64_t kEpochEvents = 256;
   constexpr std::int64_t kRingEpochs = 16;
 
-  TypeParam allocator(AllocatorOptions{.bins = kBins, .arrivalChoices = 2});
+  CompactAllocator allocator(AllocatorOptions{.bins = kBins, .arrivalChoices = 2});
   for (std::int64_t ball = 0; ball < kBalls; ++ball) {
     workload::Event e;
     e.kind = workload::EventKind::kArrive;

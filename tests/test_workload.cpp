@@ -4,6 +4,7 @@
 // record -> replay round trip.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <sstream>
@@ -64,6 +65,8 @@ TEST(Workload, EventStreamIsStructurallyValid) {
   double lastTime = 0.0;
   std::set<std::int64_t> live;
   std::set<std::int64_t> seen;
+  std::int64_t peakLive = 0;
+  std::int64_t recycled = 0;
   Event e;
   while (trace.next(&e)) {
     EXPECT_GE(e.time, lastTime);
@@ -75,8 +78,11 @@ TEST(Workload, EventStreamIsStructurallyValid) {
     switch (e.kind) {
       case EventKind::kArrive:
         EXPECT_GE(e.weight, 1);
-        EXPECT_TRUE(seen.insert(e.ball).second) << "ball ids are never reused";
-        live.insert(e.ball);
+        EXPECT_TRUE(live.insert(e.ball).second) << "an arrival never takes a live id";
+        peakLive = std::max(peakLive, static_cast<std::int64_t>(live.size()));
+        EXPECT_GE(e.ball, 0);
+        EXPECT_LT(e.ball, peakLive) << "ids stay below the peak live count";
+        if (!seen.insert(e.ball).second) ++recycled;
         break;
       case EventKind::kDepart:
         EXPECT_EQ(e.weight, 0);
@@ -85,6 +91,7 @@ TEST(Workload, EventStreamIsStructurallyValid) {
     }
   }
   EXPECT_EQ(trace.liveBalls(), static_cast<std::int64_t>(live.size()));
+  EXPECT_GT(recycled, 0) << "departed ids are reused";
 }
 
 // The ring law. Between records k-1 and k the live count m is constant, so

@@ -2,12 +2,14 @@
 // degenerate cases reproduce the standalone generators bit-for-bit, a
 // composed trace is a pure function of (options, spec, seed), the spec
 // parser reports errors without aborting, and every trace format (JSONL /
-// CSV / binary) round-trips the event stream bit-exactly.
+// CSV / binary) round-trips the event stream bit-exactly, with a reader
+// remapping replayed ids to dense ones.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -243,6 +245,42 @@ TEST(TraceIo, CountTraceEventsCountsUnitsInEveryFormat) {
     EXPECT_GT(units, static_cast<std::int64_t>(original.size()));
     EXPECT_EQ(countTraceEvents(storage, format), units) << traceFormatName(format);
   }
+}
+
+// A reader hands out dense ids, the most recently freed one first, and
+// rejects an arrival of a live id and a departure of an unknown one, naming
+// the external id and the line.
+TEST(TraceIo, ReaderRemapsIdsToDenseOnes) {
+  const auto record = [](int t, const char* kind, const char* ball) {
+    return std::string("{\"t\":") + std::to_string(t) + ",\"kind\":\"" + kind +
+           "\",\"ball\":" + ball + ",\"w\":" + (kind[0] == 'a' ? "1" : "0") + "}\n";
+  };
+  std::stringstream in(record(1, "arrive", "9223372036854775807") +
+                       record(2, "arrive", "4611686018427387904") +
+                       record(3, "arrive", "5") + record(4, "depart", "9223372036854775807") +
+                       record(5, "arrive", "12") + record(6, "depart", "5"));
+  JsonlTraceReader reader(in);
+  std::vector<std::int64_t> ids;
+  Event e;
+  while (reader.next(&e)) ids.push_back(e.ball);
+  EXPECT_EQ(ids, (std::vector<std::int64_t>{0, 1, 2, 0, 0, 2}));
+
+  const auto rejection = [](const std::string& text) {
+    std::stringstream bad(text);
+    JsonlTraceReader badReader(bad);
+    Event ignored;
+    try {
+      while (badReader.next(&ignored)) {
+      }
+    } catch (const std::invalid_argument& error) {
+      return std::string(error.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_EQ(rejection(record(1, "arrive", "7") + record(2, "arrive", "7")),
+            "malformed trace at line 2: arrive of ball 7, which is already live");
+  EXPECT_EQ(rejection(record(1, "arrive", "7") + record(2, "depart", "3")),
+            "malformed trace at line 2: depart of ball 3, which is not live");
 }
 
 // The binary layout, byte for byte: RLT2, then per record f64 time, u8 kind,
