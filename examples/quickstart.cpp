@@ -8,13 +8,16 @@
 //   $ ./example_quickstart [--n=1024] [--m=8192] [--seed=1]
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
 
 #include "config/generators.hpp"
 #include "core/rls.hpp"
 #include "sim/probes.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int runQuickstart(int argc, char** argv) {
   using namespace rlslb;
   const CliArgs args(argc, argv);
   const std::int64_t n = args.getInt("n", 1024);
@@ -54,4 +57,17 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+// A malformed flag value throws std::invalid_argument from util/cli: a
+// usage error, exit 2.
+int main(int argc, char** argv) {
+  try {
+    return runQuickstart(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 }

@@ -37,6 +37,7 @@
 #include <exception>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -144,9 +145,7 @@ int describeOne(const std::string& name, const scenario::ScenarioRegistry& scena
   return 2;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int runDriver(int argc, char** argv) {
   // Split argv: --flags go to CliArgs; bare tokens are the subcommand,
   // scenario names, and key=value parameter overrides.
   std::vector<std::string> flagStrings;
@@ -313,4 +312,17 @@ int main(int argc, char** argv) {
     return 2;
   }
   return scenario::conformanceExit(ctx);
+}
+
+}  // namespace
+
+// A bad flag (a malformed value, --threads or --reps out of range) throws
+// std::invalid_argument from util/cli: a usage error, exit 2.
+int main(int argc, char** argv) {
+  try {
+    return runDriver(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 }

@@ -12,6 +12,7 @@
 //   # stop at an 8-balanced configuration instead of perfect balance
 //   ./build/examples/simulate --n=1024 --m=8192 --target=8
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "config/generators.hpp"
@@ -56,9 +57,7 @@ core::SimOptions::EngineKind parseEngine(const std::string& name) {
   std::exit(2);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int runSimulate(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const std::int64_t n = args.getInt("n", 1024);
   const std::int64_t m = args.getInt("m", 8 * n);
@@ -71,6 +70,7 @@ int main(int argc, char** argv) {
   const bool csv = args.getBool("csv", false);
   const int gap = static_cast<int>(args.getInt("gap", 1));
   const int threads = args.getThreads(0);
+  if (reps < 1) throw std::invalid_argument("--reps=" + std::to_string(reps) + " must be >= 1");
   for (const auto& k : args.unusedKeys()) {
     std::fprintf(stderr, "unknown flag --%s\n", k.c_str());
     return 2;
@@ -133,4 +133,17 @@ int main(int argc, char** argv) {
   std::printf("%s", csv ? t.toCsv().c_str() : t.toString().c_str());
   std::printf("\nmean T / theorem-1 scale = %.4g\n", s.mean / core::theorem1Scale(n, m));
   return 0;
+}
+
+}  // namespace
+
+// A bad flag (a malformed value, --threads or --reps out of range) throws
+// std::invalid_argument: a usage error, exit 2.
+int main(int argc, char** argv) {
+  try {
+    return runSimulate(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 }

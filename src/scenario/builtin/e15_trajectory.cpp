@@ -9,6 +9,7 @@
 //
 // Parameters: n (bins, default 1024), ratio (m/n, default 8), dt (grid
 // step, default 0.5), horizon (default 24).
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -30,9 +31,9 @@ void runTrajectory(ScenarioContext& ctx) {
   const std::int64_t reps = ctx.repsOr(40);
   const double dt = ctx.params.getDouble("dt", 0.5);
   const double horizon = ctx.params.getDouble("horizon", 24.0);
-  if (n < 1 || ratio < 0 || !(dt > 0.0) || !(horizon >= 0.0)) {
-    throw std::invalid_argument("e15_trajectory: needs n >= 1, ratio >= 0, dt > 0 and "
-                                "horizon >= 0 (got n=" + std::to_string(n) +
+  if (n < 1 || ratio < 0 || !(dt > 0.0) || !(horizon >= 0.0) || !std::isfinite(horizon)) {
+    throw std::invalid_argument("e15_trajectory: needs n >= 1, ratio >= 0, dt > 0 and a "
+                                "finite horizon >= 0 (got n=" + std::to_string(n) +
                                 " ratio=" + std::to_string(ratio) +
                                 " dt=" + formatSig(dt, 6) +
                                 " horizon=" + formatSig(horizon, 6) + ")");

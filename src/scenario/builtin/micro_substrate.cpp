@@ -19,6 +19,8 @@
 // rows, default 512 -- the level-index-vs-scan gap grows with it).
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "ds/fenwick.hpp"
@@ -34,7 +36,12 @@ namespace rlslb::scenario::builtin {
 namespace {
 
 void runMicroSubstrate(ScenarioContext& ctx) {
-  const auto n = static_cast<std::size_t>(ctx.params.getInt("n", 100000));
+  const std::int64_t bins = ctx.params.getInt("n", 100000);
+  if (bins < 1) {
+    throw std::invalid_argument("micro_substrate: n must be >= 1 (got " +
+                                std::to_string(bins) + ")");
+  }
+  const auto n = static_cast<std::size_t>(bins);
   const auto ops = static_cast<std::int64_t>(
       static_cast<double>(ctx.params.getInt("ops", 2'000'000)) * ctx.scale);
 

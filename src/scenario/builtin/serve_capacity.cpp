@@ -20,8 +20,8 @@
 // Params: n_list (csv bins sweep), load_list (csv lambda/mu sweep; mu =
 // lambda/L with lambda fixed at 1), traces (';'-separated compose specs),
 // epb (units per expected ball, scaled), epoch, d, resample, budget_mb,
-// conformance. The budget estimate counts no weight array, so a sweep
-// runs unit weights: hotspot factors must use weight 1.
+// conformance. A spec with a non-unit hotspot weight is priced with the
+// allocator's 2 B per ball weight array.
 #include <algorithm>
 #include <limits>
 #include <memory>
@@ -145,15 +145,6 @@ void runCapacity(ScenarioContext& ctx) {
       throw std::invalid_argument("serve_capacity: traces= entry " + t + " does not parse (" +
                                   error + "); see `rlslb traces`");
     }
-    for (const std::vector<workload::ComposeFactor>& term : spec.terms) {
-      for (const workload::ComposeFactor& f : term) {
-        if (f.kind == workload::ComposeFactor::Kind::kHotspot && f.c != 1.0) {
-          throw std::invalid_argument("serve_capacity: traces= entry " + t +
-                                      ": capacity sweeps run unit weights; use "
-                                      "hotspot(period,size,1)");
-        }
-      }
-    }
     specs.push_back(std::move(spec));
   }
 
@@ -207,9 +198,16 @@ void runCapacity(ScenarioContext& ctx) {
         const std::string traceName = spec.canonical();
         const auto [expectedLive, events] = cellUnits(n, load);
         const double mu = 1.0 / load;
-        // Ids recycle, so the state is sized by the peak live count, which
-        // the budget gate prices at the expected live count.
-        const std::int64_t estimate = serve::CompactAllocator::estimateBytes(n, expectedLive);
+        // The state is sized by the peak live count, which the budget gate
+        // prices at the expected live count.
+        bool weighted = false;
+        for (const std::vector<workload::ComposeFactor>& term : spec.terms) {
+          for (const workload::ComposeFactor& f : term) {
+            weighted |= f.kind == workload::ComposeFactor::Kind::kHotspot && f.c != 1.0;
+          }
+        }
+        const std::int64_t estimate =
+            serve::CompactAllocator::estimateBytes(n, expectedLive, weighted);
         const std::string loadText = report::formatJsonNumber(load);
 
         report::Json cell = report::Json::object();

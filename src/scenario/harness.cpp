@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <exception>
 #include <fstream>
+#include <stdexcept>
+#include <string>
 
 namespace rlslb::scenario {
 
@@ -21,6 +23,10 @@ ScenarioContext contextFromArgs(const CliArgs& args) {
     std::exit(2);
   }
   ctx.reps = args.getInt("reps", 0);
+  if (ctx.reps < 0) {
+    throw std::invalid_argument("--reps=" + std::to_string(ctx.reps) +
+                                " must be >= 0 (0 = the scenario's default)");
+  }
   ctx.seed = static_cast<std::uint64_t>(args.getInt("seed", 20170529));
   ctx.threads = args.getThreads(0);
   ctx.csv = args.getBool("csv", false);
@@ -141,43 +147,41 @@ int runStandalone(int argc, char** argv, const std::string& scenarioName) {
   std::vector<const char*> flagPtrs;
   flagPtrs.reserve(flagStrings.size());
   for (const auto& s : flagStrings) flagPtrs.push_back(s.c_str());
-  const CliArgs args(static_cast<int>(flagPtrs.size()), flagPtrs.data());
-
-  ScenarioContext ctx = contextFromArgs(args);
-  applyParamTokens(ctx, paramTokens);
-
-  const std::string outPath = args.getString("out", "");
-  const std::string tracePath = args.getString("trace-out", "");
-  const auto unused = args.unusedKeys();
-  if (!unused.empty()) {
-    for (const auto& k : unused) std::fprintf(stderr, "unknown flag --%s\n", k.c_str());
-    return 2;
-  }
-  ResultOutput out;
-  if (!out.attach(outPath, ctx)) return 2;
-  TraceOutput traceOut;
-  traceOut.attach(tracePath, ctx);
-
-  registerBuiltinScenarios();
-  const ScenarioRegistry& registry = ScenarioRegistry::global();
-
+  // A bad flag and a failing scenario are both usage errors: exit 2.
   try {
-    registry.runOne(scenarioName, ctx);
+    const CliArgs args(static_cast<int>(flagPtrs.size()), flagPtrs.data());
+    ScenarioContext ctx = contextFromArgs(args);
+    applyParamTokens(ctx, paramTokens);
+
+    const std::string outPath = args.getString("out", "");
+    const std::string tracePath = args.getString("trace-out", "");
+    const auto unused = args.unusedKeys();
+    if (!unused.empty()) {
+      for (const auto& k : unused) std::fprintf(stderr, "unknown flag --%s\n", k.c_str());
+      return 2;
+    }
+    ResultOutput out;
+    if (!out.attach(outPath, ctx)) return 2;
+    TraceOutput traceOut;
+    traceOut.attach(tracePath, ctx);
+
+    registerBuiltinScenarios();
+    ScenarioRegistry::global().runOne(scenarioName, ctx);
+    if (!traceOut.finish(ctx)) return 2;
+
+    const auto unusedParams = ctx.params.unusedKeys();
+    if (!unusedParams.empty()) {
+      for (const auto& k : unusedParams) {
+        std::fprintf(stderr, "unknown parameter %s (not read by %s)\n", k.c_str(),
+                     scenarioName.c_str());
+      }
+      return 2;
+    }
+    return conformanceExit(ctx);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;
   }
-  if (!traceOut.finish(ctx)) return 2;
-
-  const auto unusedParams = ctx.params.unusedKeys();
-  if (!unusedParams.empty()) {
-    for (const auto& k : unusedParams) {
-      std::fprintf(stderr, "unknown parameter %s (not read by %s)\n", k.c_str(),
-                   scenarioName.c_str());
-    }
-    return 2;
-  }
-  return conformanceExit(ctx);
 }
 
 }  // namespace rlslb::scenario

@@ -96,53 +96,45 @@ void CompactAllocator::moveBall(std::int32_t* bin, std::int32_t toBin, std::int3
   *bin = toBin;
 }
 
-void CompactAllocator::placeBall(std::int64_t ball, std::int64_t weight, std::int32_t bin) {
+void CompactAllocator::placeBall(std::int64_t slot, std::int64_t weight, std::int32_t bin) {
+  RLSLB_ASSERT_MSG(slot == liveBalls(), "an arrival takes the next live slot");
   RLSLB_ASSERT(weight >= 1 && weight <= workload::kMaxBallWeight);
   if (weight > kMaxLiveWeight - totalLoad()) liveWeightOverflow(totalLoad(), weight);
-  const auto b = static_cast<std::size_t>(ball);
-  if (b >= ballBin_.size()) {
-    ballBin_.resize(b + 1, -1);
-    ballSlot_.resize(b + 1, 0);
-    if (!ballWeight_.empty()) ballWeight_.resize(b + 1, 1);
-  }
-  RLSLB_ASSERT_MSG(ballBin_[b] < 0, "arrive event for a ball id that is already live");
-  if (weight != 1 && ballWeight_.empty()) ballWeight_.assign(ballBin_.size(), 1);
-  if (!ballWeight_.empty()) ballWeight_[b] = static_cast<std::int32_t>(weight);
+  // The first non-unit weight back-fills 1s; a weighted first arrival
+  // leaves the array empty until its own push below.
+  if (weight != 1 && !weighted()) slotWeight_.assign(slotBin_.size(), 1);
   if (weight > maxWeightSeen_) maxWeightSeen_ = weight;
-  ballBin_[b] = bin;
-  ballSlot_[b] = static_cast<std::int32_t>(live_.size());
-  live_.push_back(static_cast<std::int32_t>(ball));
+  slotBin_.push_back(bin);
+  if (weighted()) slotWeight_.push_back(static_cast<std::uint16_t>(weight));
   changeLoad(bin, static_cast<std::int32_t>(weight));
 }
 
-void CompactAllocator::removeBall(std::int64_t ball) {
-  const auto b = static_cast<std::size_t>(ball);
-  RLSLB_ASSERT(b < ballBin_.size());
-  const std::int32_t bin = ballBin_[b];
-  RLSLB_ASSERT_MSG(bin >= 0, "depart event for a ball that is not live");
-  // Swap-remove from the live array: the last live ball fills the hole and
-  // takes over its slot.
-  const std::int32_t slot = ballSlot_[b];
-  const std::int32_t moved = live_.back();
-  live_[static_cast<std::size_t>(slot)] = moved;
-  ballSlot_[static_cast<std::size_t>(moved)] = slot;
-  live_.pop_back();
-  ballBin_[b] = -1;
-  changeLoad(bin, -weightOf(b));
+void CompactAllocator::removeBall(std::int64_t slot) {
+  RLSLB_ASSERT_MSG(slot >= 0 && slot < liveBalls(), "a departure names a live slot");
+  // Swap-remove: the last live ball fills the hole and takes over its slot.
+  const auto s = static_cast<std::size_t>(slot);
+  const std::int32_t bin = slotBin_[s];
+  const std::int32_t weight = weightOf(s);
+  slotBin_[s] = slotBin_.back();
+  slotBin_.pop_back();
+  if (weighted()) {
+    slotWeight_[s] = slotWeight_.back();
+    slotWeight_.pop_back();
+  }
+  changeLoad(bin, -weight);
 }
 
 namespace {
-// applyBatch's prefetch distances. Records: the index entries and the
-// decided bin's load are requested kIndexAhead records ahead; the lines
-// those index entries point at, kTargetAhead records ahead, by when the
-// index entries have usually arrived. Rings, in ring draws: the live slot
-// and the destination load kRingSlotAhead draws ahead, the ball's index
-// entry kRingBallAhead ahead, its source load kRingSourceAhead ahead.
+// applyBatch's prefetch distances. Records: a departure's slotBin_ entry
+// and an arrival's decided bin's load are requested kIndexAhead records
+// ahead; a departure's source load, kTargetAhead records ahead, by when its
+// slotBin_ entry has usually arrived. Rings, in ring draws: the slotBin_
+// entry and the destination load kRingSlotAhead draws ahead, the source
+// load kRingSourceAhead ahead.
 constexpr std::size_t kIndexAhead = 16;
 constexpr std::size_t kTargetAhead = 8;
 constexpr std::ptrdiff_t kRingSlotAhead = 16;
-constexpr std::ptrdiff_t kRingBallAhead = 8;
-constexpr std::ptrdiff_t kRingSourceAhead = 4;
+constexpr std::ptrdiff_t kRingSourceAhead = 8;
 }  // namespace
 
 void CompactAllocator::applyBatch(const workload::Event* events, const Decision* decisions,
@@ -160,38 +152,27 @@ void CompactAllocator::applyBatch(const workload::Event* events, const Decision*
   const auto runRings = [&](std::int64_t k) {
     for (; k > 0; --k, ++ring) {
       // Hints only, as for records below: every index is bounds-checked
-      // before its address is formed (departures shrink live_ inside the
+      // before its address is formed (departures shrink slotBin_ inside the
       // window).
       const std::ptrdiff_t left = ringsEnd - ring;
       if (left > kRingSlotAhead) {
         const RingDraw& ahead = ring[kRingSlotAhead];
         const auto slot = static_cast<std::size_t>(ahead.slot);
-        if (slot < live_.size()) __builtin_prefetch(&live_[slot]);
+        if (slot < slotBin_.size()) __builtin_prefetch(&slotBin_[slot]);
         const auto bin = static_cast<std::size_t>(ahead.bin);
         if (bin < loads_.size()) __builtin_prefetch(&loads_[bin]);
       }
-      if (left > kRingBallAhead) {
-        const auto slot = static_cast<std::size_t>(ring[kRingBallAhead].slot);
-        if (slot < live_.size()) {
-          const auto ball = static_cast<std::size_t>(live_[slot]);
-          if (ball < ballBin_.size()) __builtin_prefetch(&ballBin_[ball]);
-        }
-      }
       if (left > kRingSourceAhead) {
         const auto slot = static_cast<std::size_t>(ring[kRingSourceAhead].slot);
-        if (slot < live_.size()) {
-          const auto ball = static_cast<std::size_t>(live_[slot]);
-          if (ball < ballBin_.size()) {
-            const std::int32_t source = ballBin_[ball];
-            if (source >= 0) __builtin_prefetch(&loads_[static_cast<std::size_t>(source)]);
-          }
+        if (slot < slotBin_.size()) {
+          __builtin_prefetch(&loads_[static_cast<std::size_t>(slotBin_[slot])]);
         }
       }
-      RLSLB_ASSERT(ring->slot >= 0 && static_cast<std::size_t>(ring->slot) < live_.size());
+      RLSLB_ASSERT(ring->slot >= 0 && ring->slot < liveBalls());
       RLSLB_ASSERT(ring->bin >= 0 && ring->bin < options_.bins);
-      const auto ball = static_cast<std::size_t>(live_[static_cast<std::size_t>(ring->slot)]);
-      std::int32_t& bin = ballBin_[ball];
-      const std::int32_t weight = weightOf(ball);
+      const auto slot = static_cast<std::size_t>(ring->slot);
+      std::int32_t& bin = slotBin_[slot];
+      const std::int32_t weight = weightOf(slot);
       if (accepts(loads_, bin, ring->bin, weight, options_.invertAcceptance)) {
         ++migrations;
         moveBall(&bin, ring->bin, weight);
@@ -207,11 +188,8 @@ void CompactAllocator::applyBatch(const workload::Event* events, const Decision*
     if (i + kIndexAhead < count) {
       const workload::Event& ahead = events[i + kIndexAhead];
       if (ahead.kind == workload::EventKind::kDepart) {
-        const auto ball = static_cast<std::size_t>(ahead.ball);
-        if (ball < ballBin_.size()) {
-          __builtin_prefetch(&ballBin_[ball]);
-          __builtin_prefetch(&ballSlot_[ball]);
-        }
+        const auto slot = static_cast<std::size_t>(ahead.slot);
+        if (slot < slotBin_.size()) __builtin_prefetch(&slotBin_[slot]);
       } else {
         // A negative bin wraps past size().
         const auto bin = static_cast<std::size_t>(decisions[i + kIndexAhead].bin);
@@ -220,12 +198,9 @@ void CompactAllocator::applyBatch(const workload::Event* events, const Decision*
     }
     if (i + kTargetAhead < count) {
       const workload::Event& ahead = events[i + kTargetAhead];
-      const auto ball = static_cast<std::size_t>(ahead.ball);
-      if (ahead.kind == workload::EventKind::kDepart && ball < ballBin_.size()) {
-        const std::int32_t source = ballBin_[ball];
-        if (source >= 0) __builtin_prefetch(&loads_[static_cast<std::size_t>(source)]);
-        const auto slot = static_cast<std::size_t>(ballSlot_[ball]);
-        if (slot < live_.size()) __builtin_prefetch(&live_[slot]);
+      const auto slot = static_cast<std::size_t>(ahead.slot);
+      if (ahead.kind == workload::EventKind::kDepart && slot < slotBin_.size()) {
+        __builtin_prefetch(&loads_[static_cast<std::size_t>(slotBin_[slot])]);
       }
     }
     const workload::Event& event = events[i];
@@ -235,12 +210,12 @@ void CompactAllocator::applyBatch(const workload::Event* events, const Decision*
         const Decision& decision = decisions[i];
         RLSLB_ASSERT(decision.bin >= 0 && decision.bin < options_.bins);
         ++arrivals;
-        placeBall(event.ball, event.weight, decision.bin);
+        placeBall(event.slot, event.weight, decision.bin);
         break;
       }
       case workload::EventKind::kDepart:
         ++departures;
-        removeBall(event.ball);
+        removeBall(event.slot);
         break;
     }
   }
@@ -259,33 +234,27 @@ std::int64_t CompactAllocator::residentBytes() const {
   auto vecBytes = [](const auto& v) {
     return static_cast<std::int64_t>(v.capacity() * sizeof(v[0]));
   };
-  return vecBytes(loads_) + vecBytes(ballBin_) + vecBytes(ballSlot_) + vecBytes(ballWeight_) +
-         vecBytes(live_) + balance_.heapBytes();
+  return vecBytes(loads_) + vecBytes(slotBin_) + vecBytes(slotWeight_) + balance_.heapBytes();
 }
 
-std::int64_t CompactAllocator::estimateBytes(std::int64_t bins, std::int64_t peakLive) {
-  return bins * 4 + peakLive * 12;
+std::int64_t CompactAllocator::estimateBytes(std::int64_t bins, std::int64_t peakLive,
+                                             bool weighted) {
+  return bins * 4 + peakLive * (weighted ? 6 : 4);
 }
 
 bool CompactAllocator::validate() const {
-  if (!ballWeight_.empty() && ballWeight_.size() != ballBin_.size()) return false;
+  if (slotWeight_.size() != (weighted() ? slotBin_.size() : 0)) return false;
   std::vector<std::int64_t> counted(loads_.size(), 0);
   std::int64_t heaviest = 0;
-  for (std::size_t slot = 0; slot < live_.size(); ++slot) {
-    const auto ball = static_cast<std::size_t>(live_[slot]);
-    if (ball >= ballBin_.size()) return false;
-    const std::int32_t bin = ballBin_[ball];
+  for (std::size_t slot = 0; slot < slotBin_.size(); ++slot) {
+    const std::int32_t bin = slotBin_[slot];
     if (bin < 0 || bin >= static_cast<std::int32_t>(loads_.size())) return false;
-    if (ballSlot_[ball] != static_cast<std::int32_t>(slot)) return false;
-    const std::int32_t weight = weightOf(ball);
+    const std::int32_t weight = weightOf(slot);
     if (weight < 1) return false;
     if (weight > heaviest) heaviest = weight;
     counted[static_cast<std::size_t>(bin)] += weight;
   }
   if (heaviest > maxWeightSeen_) return false;
-  std::int64_t indexed = 0;
-  for (const std::int32_t bin : ballBin_) indexed += bin >= 0 ? 1 : 0;
-  if (indexed != liveBalls()) return false;
   std::int64_t total = 0;
   for (std::size_t bin = 0; bin < loads_.size(); ++bin) {
     if (counted[bin] != loads_[bin]) return false;

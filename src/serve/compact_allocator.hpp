@@ -21,22 +21,20 @@
 //             traffic the activation is ball-uniform, not load-weighted.
 //
 // State layout, sized for cluster-scale capacity planning (n in the tens of
-// millions):
+// millions): records name balls by live slot (workload/event.hpp), so the
+// state is per bin and per live slot, with no ball ids:
 //
 //   - int32 bin loads (the live weight stays below 2^31, checked per
 //     arrival);
-//   - an *implicit* ball index: two flat int32 arrays (ballBin_, ballSlot_)
-//     indexed by ball id. The trace generators recycle departed ids and the
-//     trace readers remap replayed ids the same way (workload/event.hpp), so
-//     ids stay below the peak live count and so does the index;
-//   - the live-ball array a ring's slot indexes: append on arrival,
-//     swap-remove on departure (the last live ball fills the hole and its
-//     slot is patched);
-//   - per-ball int32 weights, allocated and filled with 1 only when the
-//     first non-unit weight arrives; unit-weight traffic never touches it.
+//   - slotBin_, the int32 bin of each live slot: append on arrival,
+//     swap-remove on departure (the last live ball fills the hole), as the
+//     trace's live array does;
+//   - slotWeight_, the uint16 weight of each live slot, kept the same way
+//     from the first non-unit arrival on; unit-weight traffic never
+//     touches it.
 //
-// Net for unit weights: 4 bytes per bin plus 12 bytes per ball of peak live
-// count (index and live slot).
+// Net: 4 bytes per bin plus 4 bytes per ball of peak live count, and 2
+// more per ball once the traffic is weighted.
 //
 // Balance observation is incremental: the three load-mutation points
 // (placeBall, removeBall, moveBall) feed a sim::BalanceTracker — a dense
@@ -48,16 +46,14 @@
 // weight-w move walks O(w) tracker levels, which is why a ball weight stops
 // at workload::kMaxBallWeight.
 //
-// Prefetching apply. At cluster scale every unit's ballBin_, ballSlot_,
-// loads_ and live_ touch is a random read into a multi-megabyte array, but
-// applyBatch holds the whole epoch's records, decisions and ring draws.
-// So before handling record i it requests, for record i + 16, the ball's
-// index entries (ballBin_ and ballSlot_ of a depart) and an arrival's
-// decided bin's load, and for record i + 8, by when those index entries
-// are usually cached, the lines they point at: the source bin's load and
-// the live slot. Rings run in a pipeline of their own, in ring draws:
-// live_[slot] and the destination load 16 rings ahead, the ball's
-// ballBin_ entry 8 ahead, and the source bin's load 4 ahead. A prefetch
+// Prefetching apply. At cluster scale every unit's slotBin_ and loads_
+// touch is a random read into a multi-megabyte array, but applyBatch holds
+// the whole epoch's records, decisions and ring draws. So before handling
+// record i it requests, for record i + 16, a departure's slotBin_ entry or
+// an arrival's decided bin's load, and for record i + 8, by when that
+// entry is usually cached, the departure's source load. Rings run in a
+// pipeline of their own, in ring draws: the slot's slotBin_ entry and the
+// destination load 16 rings ahead, and the source load 8 ahead. A prefetch
 // changes no state and every index is bounds-checked before the address is
 // formed, so the result is byte-identical to the plain loop whatever the
 // window holds (a ball arriving or departing inside it only makes a hint
@@ -167,8 +163,10 @@ class CompactAllocator {
   }
 
   /// Serve an epoch in trace order: before each record, run its rings (the
-  /// next events[i].rings draws of `rings`: ball = live_[slot], the strict
-  /// rule on live loads, then the move), then the record's own event; after
+  /// next events[i].rings draws of `rings`: the ball in the drawn slot, the
+  /// strict rule on live loads, then the move), then the record's own event
+  /// (an arrival takes slot liveBalls(), a departure names a slot below
+  /// it; both asserted); after
   /// the last record, the rest of the `ringCount` draws. Counter updates
   /// accumulate in registers across the batch. Depart entries never read
   /// their `decisions` slot, so those slots may hold stale bytes. An
@@ -188,7 +186,7 @@ class CompactAllocator {
   }
   [[nodiscard]] const std::vector<std::int32_t>& loads() const { return loads_; }
   [[nodiscard]] std::int64_t liveBalls() const {
-    return static_cast<std::int64_t>(live_.size());
+    return static_cast<std::int64_t>(slotBin_.size());
   }
   /// Total live weight.
   [[nodiscard]] std::int64_t totalLoad() const { return balance_.state().numBalls; }
@@ -213,33 +211,33 @@ class CompactAllocator {
   /// "table" records (vector growth policy is stdlib-dependent).
   [[nodiscard]] std::int64_t residentBytes() const;
 
-  /// Predicted residentBytes for a unit-weight run shape, used by the
-  /// serve_capacity memory-budget gate BEFORE allocating anything: 4 B per
-  /// bin and 12 B per ball of peak live count.
-  [[nodiscard]] static std::int64_t estimateBytes(std::int64_t bins, std::int64_t peakLive);
+  /// Predicted residentBytes for a run shape, used by the serve_capacity
+  /// memory-budget gate BEFORE allocating anything: 4 B per bin and 4 B per
+  /// ball of peak live count, plus 2 B per ball when weighted.
+  [[nodiscard]] static std::int64_t estimateBytes(std::int64_t bins, std::int64_t peakLive,
+                                                  bool weighted = false);
 
-  /// Internal-consistency scan (O(n + peak live); tests only).
+  /// Internal-consistency scan (O(n + live); tests only).
   [[nodiscard]] bool validate() const;
 
  private:
-  [[nodiscard]] std::int32_t weightOf(std::size_t ball) const {
-    return ballWeight_.empty() ? 1 : ballWeight_[ball];
+  /// Whether slotWeight_ is kept (not its emptiness: see placeBall).
+  [[nodiscard]] bool weighted() const { return maxWeightSeen_ > 1; }
+  [[nodiscard]] std::int32_t weightOf(std::size_t slot) const {
+    return weighted() ? slotWeight_[slot] : 1;
   }
   void changeLoad(std::int32_t bin, std::int32_t delta);
-  void placeBall(std::int64_t ball, std::int64_t weight, std::int32_t bin);
-  void removeBall(std::int64_t ball);
-  /// Migrate a weight-`weight` ball whose ballBin_ entry is `bin` to
+  void placeBall(std::int64_t slot, std::int64_t weight, std::int32_t bin);
+  void removeBall(std::int64_t slot);
+  /// Migrate a weight-`weight` ball whose slotBin_ entry is `bin` to
   /// `toBin`.
   void moveBall(std::int32_t* bin, std::int32_t toBin, std::int32_t weight);
 
   AllocatorOptions options_;
-  std::vector<std::int32_t> loads_;  // live per-bin weight
-  sim::BalanceTracker balance_;      // per-level counts over loads_
-  // The implicit ball index, grown to the largest ball id seen.
-  std::vector<std::int32_t> ballBin_;     // -1 = not live
-  std::vector<std::int32_t> ballSlot_;    // index in live_
-  std::vector<std::int32_t> ballWeight_;  // empty while every weight is 1
-  std::vector<std::int32_t> live_;        // live ball ids, the ring draw's domain
+  std::vector<std::int32_t> loads_;         // live per-bin weight
+  sim::BalanceTracker balance_;             // per-level counts over loads_
+  std::vector<std::int32_t> slotBin_;       // bin per live slot, the ring draw's domain
+  std::vector<std::uint16_t> slotWeight_;   // weight per live slot, once weighted()
   ServeCounters counters_;
   std::int64_t maxWeightSeen_ = 0;
 };

@@ -1,9 +1,8 @@
 #include "util/cli.hpp"
 
-#include <cstdlib>
 #include <stdexcept>
 
-#include "util/assert.hpp"
+#include "util/parse.hpp"
 
 namespace rlslb {
 
@@ -11,7 +10,9 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
   if (argc > 0) program_ = argv[0];
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    RLSLB_ASSERT_MSG(arg.rfind("--", 0) == 0, "arguments must be --key or --key=value");
+    if (arg.rfind("--", 0) != 0) {
+      throw std::invalid_argument("argument " + arg + ": arguments are --key or --key=value");
+    }
     arg = arg.substr(2);
     auto eq = arg.find('=');
     if (eq == std::string::npos) {
@@ -37,39 +38,23 @@ std::string CliArgs::getString(const std::string& name, const std::string& dflt)
 }
 
 std::int64_t CliArgs::getInt(const std::string& name, std::int64_t dflt) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return dflt;
-  used_[name] = true;
-  char* end = nullptr;
-  const long long v = std::strtoll(it->second.c_str(), &end, 10);
-  RLSLB_ASSERT_MSG(end != nullptr && *end == '\0', "malformed integer CLI value");
-  return v;
+  return has(name) ? util::parseInt64(getString(name, ""), "--" + name) : dflt;
 }
 
 double CliArgs::getDouble(const std::string& name, double dflt) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return dflt;
-  used_[name] = true;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  RLSLB_ASSERT_MSG(end != nullptr && *end == '\0', "malformed double CLI value");
-  return v;
+  return has(name) ? util::parseDouble(getString(name, ""), "--" + name) : dflt;
 }
 
 bool CliArgs::getBool(const std::string& name, bool dflt) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return dflt;
-  used_[name] = true;
-  const std::string& v = it->second;
-  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
-  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
-  RLSLB_ASSERT_MSG(false, "malformed boolean CLI value");
-  return dflt;
+  return has(name) ? util::parseBool(getString(name, ""), "--" + name) : dflt;
 }
 
 int CliArgs::getThreads(int dflt) const {
   const std::int64_t v = getInt("threads", dflt);
-  RLSLB_ASSERT_MSG(v >= 0 && v <= 4096, "--threads must be in [0, 4096] (0 = hardware)");
+  if (v < 0 || v > 4096) {
+    throw std::invalid_argument("--threads=" + std::to_string(v) +
+                                " must be in [0, 4096] (0 = hardware)");
+  }
   return static_cast<int>(v);
 }
 

@@ -1,6 +1,7 @@
 // Minimal --key=value command-line parser for the benchmark harnesses and
 // examples. No positional arguments; unknown keys are reported so a typo in
-// a sweep script fails loudly instead of silently running the default.
+// a sweep script fails loudly instead of silently running the default. A
+// bad argument or value throws std::invalid_argument (drivers: exit 2).
 #pragma once
 
 #include <cstdint>
@@ -23,7 +24,8 @@ class CliArgs {
   [[nodiscard]] bool getBool(const std::string& name, bool dflt) const;
 
   /// The standard --threads knob consumed by runner::ThreadPool: 0 means
-  /// "hardware concurrency", 1 forces the serial path, negative aborts.
+  /// "hardware concurrency", 1 forces the serial path; outside [0, 4096]
+  /// throws.
   [[nodiscard]] int getThreads(int dflt = 0) const;
 
   /// Keys that were parsed but never queried; harnesses call this last and

@@ -1,16 +1,15 @@
 // The serving subsystem's unit of traffic: one timestamped workload record.
 //
-// A trace is an ordered stream of records over anonymous balls identified
-// by a trace-scoped id:
-//   - Arrive:   a new ball (job/shard/connection) enters with an integer
-//               weight in [1, kMaxBallWeight]; the allocator decides its
-//               bin.
-//   - Depart:   a previously-arrived ball leaves (service completion).
-// Ids recycle (BallIds below): an arrival takes the most recently departed
-// id, or the next unused one when none is free, so ids stay below the peak
-// live count and the allocator indexes balls by id directly. The
-// generators assign ids this way, and the trace readers remap a replayed
-// trace's ids the same way (a recorded trace maps to itself).
+// A trace is an ordered stream of records over anonymous balls, named by
+// *live slot*: the live balls form one array, appended on arrival and
+// swap-removed on departure (the last live ball fills the hole).
+//   - Arrive:   a new ball (job/shard/connection) takes slot = live count,
+//               with an integer weight in [1, kMaxBallWeight]; the
+//               allocator decides its bin.
+//   - Depart:   the ball in a slot below the live count leaves (service
+//               completion).
+// Generators and the allocator keep the same array, so serving needs no
+// ball ids; only trace files name balls (workload/trace_io.hpp).
 // Every record also carries `rings`: how many RLS clocks rang since the
 // previous record. In the paper each live ball has its own rate-1 clock
 // (arXiv 1706.09997, Section 3), and a ring is one activation: a uniform
@@ -30,7 +29,6 @@
 
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
 namespace rlslb::workload {
 
@@ -45,30 +43,13 @@ struct Event {
   double time = 0.0;       // trace timestamp, nondecreasing
   EventKind kind = EventKind::kArrive;
   std::int32_t rings = 0;  // RLS clock rings since the previous record (>= 0)
-  std::int64_t ball = 0;   // trace-scoped id, recycled after departure
+  std::int64_t slot = 0;   // the ball's live slot (see above)
   std::int64_t weight = 0; // ball weight (in [1, kMaxBallWeight] on Arrive, 0 otherwise)
 
   friend bool operator==(const Event&, const Event&) = default;
 };
 // `rings` sits in the padding after `kind`: a record stays 32 bytes.
 static_assert(sizeof(Event) == 32);
-
-/// The id policy, shared by the generators and the trace readers: take()
-/// hands out the most recently released id, else the next unused one.
-class BallIds {
- public:
-  [[nodiscard]] std::int64_t take() {
-    if (free_.empty()) return next_++;
-    const std::int64_t id = free_.back();
-    free_.pop_back();
-    return id;
-  }
-  void release(std::int64_t id) { free_.push_back(id); }
-
- private:
-  std::vector<std::int64_t> free_;  // released ids, reused LIFO
-  std::int64_t next_ = 0;           // the next unused id
-};
 
 /// Stable wire name ("arrive" / "depart").
 [[nodiscard]] const char* kindName(EventKind kind);

@@ -56,9 +56,7 @@ bool OpenTrace::ratesFinite() const {
 
 void OpenTrace::queueArrival(double t, std::int64_t weight) {
   RLSLB_ASSERT(weight >= 1);
-  const std::int64_t id = ids_.take();
-  live_.push_back(id);
-  pending_.push_back({t, EventKind::kArrive, 0, id, weight});
+  pending_.push_back({t, EventKind::kArrive, 0, live_++, weight});
 }
 
 bool OpenTrace::next(Event* out) {
@@ -79,7 +77,7 @@ bool OpenTrace::next(Event* out) {
     // so the competing-exponentials draw is exact.
     const double ceiling = arrivalRateCeiling();
     const double arrivalRate = ceiling * static_cast<double>(options_.bins);
-    const double balls = static_cast<double>(live_.size());
+    const double balls = static_cast<double>(live_);
     const double recordRate = arrivalRate + options_.departureRate * balls;
     const double total = recordRate + options_.resampleRate * balls;
     const double burstAt = nextBurstAfter(time_);
@@ -133,22 +131,17 @@ bool OpenTrace::next(Event* out) {
       if (rng::uniformDouble(eng_) * ceiling <= arrivalRateAt(time_)) {
         const std::int64_t weight = arrivalWeight(time_);
         RLSLB_ASSERT(weight >= 1);
-        const std::int64_t id = ids_.take();
-        live_.push_back(id);
-        *out = {time_, EventKind::kArrive, rings_, id, weight};
+        *out = {time_, EventKind::kArrive, rings_, live_++, weight};
         rings_ = 0;
         ++emitted_;
         return true;
       }
       continue;
     }
-    const auto pick = static_cast<std::size_t>(
-        rng::uniformIndex(eng_, static_cast<std::uint64_t>(live_.size())));
-    const std::int64_t ball = live_[pick];
-    live_[pick] = live_.back();
-    live_.pop_back();
-    ids_.release(ball);
-    *out = {time_, EventKind::kDepart, rings_, ball, 0};
+    const auto slot = static_cast<std::int64_t>(
+        rng::uniformIndex(eng_, static_cast<std::uint64_t>(live_)));
+    --live_;
+    *out = {time_, EventKind::kDepart, rings_, slot, 0};
     rings_ = 0;
     ++emitted_;
     return true;

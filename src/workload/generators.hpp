@@ -4,12 +4,11 @@
 // Ganesh et al. [11] style: balls arrive as a (possibly modulated) Poisson
 // process of rate lambda(t) * n, each live ball departs at rate mu
 // (service) and carries an RLS clock of rate `resampleRate` while resident.
-// The generator owns the live-ball bookkeeping (which ball departs is part
-// of the *workload*, not the allocator), so a trace is a self-contained,
-// replayable object. It also owns the ids: a departed ball's id is
-// released and the next arrival takes it (workload::BallIds), so ids stay
-// below the peak live count. Recycling draws nothing, so the record stream
-// is otherwise unchanged.
+// The generator decides which ball departs (that is part of the
+// *workload*, not the allocator), so a trace is a self-contained,
+// replayable object. It names balls by live slot (workload/event.hpp), so
+// it keeps only the live count: an arrival takes slot = live count, and a
+// departure draws a uniform slot below it.
 //
 // The clocks are the balancer's, not traffic: the generator runs the same
 // competing-clocks race as before, but a ring emits nothing. It only
@@ -83,9 +82,7 @@ class OpenTrace : public TraceGenerator {
 
   bool next(Event* out) final;
 
-  [[nodiscard]] std::int64_t liveBalls() const {
-    return static_cast<std::int64_t>(live_.size());
-  }
+  [[nodiscard]] std::int64_t liveBalls() const { return live_; }
 
   /// Whether the total clock rate stays finite with up to 2^31 - 1 live
   /// balls (the allocator's live-slot range): the arrival ceiling times n
@@ -105,7 +102,7 @@ class OpenTrace : public TraceGenerator {
   [[nodiscard]] virtual double nextBurstAfter(double t) const;
   virtual void emitBurst(double t);
 
-  /// Queue one arrival at time t (assigns the ball id); used by emitBurst.
+  /// Queue one arrival at time t, in the next live slot; used by emitBurst.
   void queueArrival(double t, std::int64_t weight);
 
   OpenTraceOptions options_;
@@ -114,10 +111,9 @@ class OpenTrace : public TraceGenerator {
  private:
   double time_ = 0.0;
   std::int64_t emitted_ = 0;
-  std::int32_t rings_ = 0;          // clock rings since the last emitted record
-  BallIds ids_;
-  std::vector<std::int64_t> live_;  // live ball ids (swap-remove on departure)
-  std::deque<Event> pending_;       // queued burst arrivals, FIFO
+  std::int32_t rings_ = 0;      // clock rings since the last emitted record
+  std::int64_t live_ = 0;       // live balls, queued burst arrivals included
+  std::deque<Event> pending_;   // queued burst arrivals, FIFO
 };
 
 class PoissonTrace final : public OpenTrace {

@@ -34,17 +34,36 @@ TraceFormat traceFormatFromPath(const std::string& path) {
   return TraceFormat::kJsonl;
 }
 
-std::string formatTraceEvent(const Event& event) {
+TraceRecord BallIds::name(const Event& event) {
+  TraceRecord record{event.time, event.kind, event.rings, 0, event.weight};
+  const auto slot = static_cast<std::size_t>(event.slot);
+  if (event.kind == EventKind::kArrive) {
+    RLSLB_ASSERT(slot == slotIds_.size());
+    if (free_.empty()) free_.push_back(next_++);
+    record.ball = free_.back();
+    free_.pop_back();
+    slotIds_.push_back(record.ball);
+    return record;
+  }
+  RLSLB_ASSERT(slot < slotIds_.size());
+  record.ball = slotIds_[slot];
+  slotIds_[slot] = slotIds_.back();
+  slotIds_.pop_back();
+  free_.push_back(record.ball);
+  return record;
+}
+
+std::string formatTraceEvent(const TraceRecord& record) {
   std::string out = "{\"t\":";
-  out += report::formatJsonNumber(event.time);
+  out += report::formatJsonNumber(record.time);
   out += ",\"kind\":\"";
-  out += kindName(event.kind);
+  out += kindName(record.kind);
   out += "\",\"ball\":";
-  out += std::to_string(event.ball);
+  out += std::to_string(record.ball);
   out += ",\"w\":";
-  out += std::to_string(event.weight);
+  out += std::to_string(record.weight);
   out += ",\"rings\":";
-  out += std::to_string(event.rings);
+  out += std::to_string(record.rings);
   out += "}";
   return out;
 }
@@ -58,7 +77,7 @@ bool ringsFit(std::int64_t rings) {
 }
 }  // namespace
 
-bool parseTraceEvent(const std::string& line, Event* out, std::string* error) {
+bool parseTraceEvent(const std::string& line, TraceRecord* out, std::string* error) {
   std::string parseError;
   const report::Json rec = report::Json::parse(line, &parseError);
   if (!parseError.empty()) {
@@ -105,20 +124,20 @@ bool parseTraceEvent(const std::string& line, Event* out, std::string* error) {
   return true;
 }
 
-std::string formatTraceEventCsv(const Event& event) {
-  std::string out = report::formatJsonNumber(event.time);
+std::string formatTraceEventCsv(const TraceRecord& record) {
+  std::string out = report::formatJsonNumber(record.time);
   out += ',';
-  out += kindName(event.kind);
+  out += kindName(record.kind);
   out += ',';
-  out += std::to_string(event.ball);
+  out += std::to_string(record.ball);
   out += ',';
-  out += std::to_string(event.weight);
+  out += std::to_string(record.weight);
   out += ',';
-  out += std::to_string(event.rings);
+  out += std::to_string(record.rings);
   return out;
 }
 
-bool parseTraceEventCsv(const std::string& line, Event* out, std::string* error) {
+bool parseTraceEventCsv(const std::string& line, TraceRecord* out, std::string* error) {
   const auto fail = [&](const char* message) {
     if (error != nullptr) *error = std::string(message) + ": " + line;
     return false;
@@ -177,16 +196,16 @@ std::uint64_t readLe64(const unsigned char* bytes) {
 }
 }  // namespace
 
-void appendTraceEventBinary(std::string* out, const Event& event) {
-  appendLe64(out, std::bit_cast<std::uint64_t>(event.time));
-  out->push_back(static_cast<char>(event.kind));
-  appendLe64(out, static_cast<std::uint64_t>(event.ball));
-  appendLe64(out, static_cast<std::uint64_t>(event.weight));
-  const auto rings = static_cast<std::uint32_t>(event.rings);
+void appendTraceEventBinary(std::string* out, const TraceRecord& record) {
+  appendLe64(out, std::bit_cast<std::uint64_t>(record.time));
+  out->push_back(static_cast<char>(record.kind));
+  appendLe64(out, static_cast<std::uint64_t>(record.ball));
+  appendLe64(out, static_cast<std::uint64_t>(record.weight));
+  const auto rings = static_cast<std::uint32_t>(record.rings);
   for (int b = 0; b < 4; ++b) out->push_back(static_cast<char>((rings >> (8 * b)) & 0xff));
 }
 
-bool decodeTraceEventBinary(const unsigned char* bytes, Event* out, std::string* error) {
+bool decodeTraceEventBinary(const unsigned char* bytes, TraceRecord* out, std::string* error) {
   out->time = std::bit_cast<double>(readLe64(bytes));
   const unsigned char kind = bytes[8];
   if (kind > static_cast<unsigned char>(EventKind::kDepart)) {
@@ -214,18 +233,19 @@ RecordingTrace::RecordingTrace(TraceGenerator& inner, std::ostream& out,
 
 bool RecordingTrace::next(Event* out) {
   if (!inner_->next(out)) return false;
+  const TraceRecord record = ids_.name(*out);
   switch (format_) {
     case TraceFormat::kJsonl:
-      *out_ << formatTraceEvent(*out) << '\n';
+      *out_ << formatTraceEvent(record) << '\n';
       break;
     case TraceFormat::kCsv:
-      *out_ << formatTraceEventCsv(*out) << '\n';
+      *out_ << formatTraceEventCsv(record) << '\n';
       break;
     case TraceFormat::kBinary: {
-      std::string record;
-      record.reserve(kTraceBinaryRecordBytes);
-      appendTraceEventBinary(&record, *out);
-      out_->write(record.data(), static_cast<std::streamsize>(record.size()));
+      std::string bytes;
+      bytes.reserve(kTraceBinaryRecordBytes);
+      appendTraceEventBinary(&bytes, record);
+      out_->write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
       break;
     }
   }
@@ -235,11 +255,11 @@ bool RecordingTrace::next(Event* out) {
 namespace {
 /// Why a decoded record cannot be served, judged on the record alone;
 /// nullptr when it can.
-const char* recordProblem(const Event& event) {
-  if (event.ball < 0) return "negative ball id";
-  if (event.rings < 0) return "negative rings";
-  if (event.kind == EventKind::kArrive && event.weight < 1) return "arrive with w < 1";
-  if (event.kind == EventKind::kArrive && event.weight > kMaxBallWeight) {
+const char* recordProblem(const TraceRecord& record) {
+  if (record.ball < 0) return "negative ball id";
+  if (record.rings < 0) return "negative rings";
+  if (record.kind == EventKind::kArrive && record.weight < 1) return "arrive with w < 1";
+  if (record.kind == EventKind::kArrive && record.weight > kMaxBallWeight) {
     return "arrive with w > 65535, the largest ball weight";
   }
   return nullptr;
@@ -258,25 +278,29 @@ const char* recordProblem(const Event& event) {
 
 void TraceReader::reject(const std::string& what) const { malformed(unit_, record_, what); }
 
-void TraceReader::admit(Event* event, std::int64_t position) {
+void TraceReader::admit(const TraceRecord& record, std::int64_t position, Event* out) {
   record_ = position;
-  if (const char* problem = recordProblem(*event)) reject(problem);
-  if (event->kind == EventKind::kArrive) {
-    const auto [it, inserted] = dense_.try_emplace(event->ball);
-    if (!inserted) {
-      reject("arrive of ball " + std::to_string(event->ball) + ", which is already live");
+  if (const char* problem = recordProblem(record)) reject(problem);
+  *out = {record.time, record.kind, record.rings, 0, record.weight};
+  if (record.kind == EventKind::kArrive) {
+    out->slot = static_cast<std::int64_t>(slotIds_.size());
+    if (!slotOf_.try_emplace(record.ball, out->slot).second) {
+      reject("arrive of ball " + std::to_string(record.ball) + ", which is already live");
     }
-    it->second = ids_.take();
-    event->ball = it->second;
+    slotIds_.push_back(record.ball);
     return;
   }
-  const auto it = dense_.find(event->ball);
-  if (it == dense_.end()) {
-    reject("depart of ball " + std::to_string(event->ball) + ", which is not live");
+  const auto it = slotOf_.find(record.ball);
+  if (it == slotOf_.end()) {
+    reject("depart of ball " + std::to_string(record.ball) + ", which is not live");
   }
-  event->ball = it->second;
-  ids_.release(it->second);
-  dense_.erase(it);
+  // Swap-remove: the last live ball takes the departed one's slot.
+  out->slot = it->second;
+  const std::int64_t last = slotIds_.back();
+  slotIds_[static_cast<std::size_t>(out->slot)] = last;
+  slotOf_[last] = out->slot;
+  slotIds_.pop_back();
+  slotOf_.erase(record.ball);
 }
 
 bool JsonlTraceReader::next(Event* out) {
@@ -284,9 +308,10 @@ bool JsonlTraceReader::next(Event* out) {
   while (std::getline(*in_, line)) {
     ++line_;
     if (line.empty()) continue;
+    TraceRecord record;
     std::string error;
-    if (!parseTraceEvent(line, out, &error)) malformed("line", line_, error);
-    admit(out, line_);
+    if (!parseTraceEvent(line, &record, &error)) malformed("line", line_, error);
+    admit(record, line_, out);
     return true;
   }
   return false;
@@ -304,9 +329,10 @@ bool CsvTraceReader::next(Event* out) {
       malformed("line", 1, std::string("missing CSV header ") + kTraceCsvHeader);
     }
     if (line.empty()) continue;
+    TraceRecord record;
     std::string error;
-    if (!parseTraceEventCsv(line, out, &error)) malformed("line", line_, error);
-    admit(out, line_);
+    if (!parseTraceEventCsv(line, &record, &error)) malformed("line", line_, error);
+    admit(record, line_, out);
     return true;
   }
   return false;
@@ -333,9 +359,10 @@ bool BinaryTraceReader::next(Event* out) {
     what.append(std::to_string(kTraceBinaryRecordBytes)).append(" bytes)");
     malformed("byte", offset_, what);
   }
+  TraceRecord decoded;
   std::string error;
-  if (!decodeTraceEventBinary(record, out, &error)) malformed("byte", offset_, error);
-  admit(out, offset_);
+  if (!decodeTraceEventBinary(record, &decoded, &error)) malformed("byte", offset_, error);
+  admit(decoded, offset_, out);
   offset_ += static_cast<std::int64_t>(kTraceBinaryRecordBytes);
   return true;
 }

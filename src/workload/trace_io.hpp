@@ -19,11 +19,11 @@
 // live ball, a departure of a ball that is not live, and the pre-rings
 // layouts (an "RLT1" magic, the 4-column CSV header).
 //
-// A reader remaps ball ids: each arrival gets a dense id from the same
-// workload::BallIds policy the generators use. So a trace with any int64
-// ids (2^62, INT64_MAX) replays on the allocator's id-indexed state, and a
-// recorded trace maps to itself. The map is a hash map in the reader, off
-// the serving loop.
+// Files name balls by id; the serving path names them by live slot
+// (workload/event.hpp). The writer turns slots into ids with BallIds, and a
+// reader maps ids to slots through a hash map and a slot -> id array, so a
+// trace with any int64 ids (2^62, INT64_MAX) replays, and a recorded trace
+// replays to the slots it was written from.
 //
 // Every format is bit-exact: text timestamps serialize through
 // report::formatJsonNumber (shortest round-trip form) and the binary format
@@ -39,6 +39,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "workload/generators.hpp"
 
@@ -57,34 +58,59 @@ inline constexpr const char* kTraceCsvHeader = "t,kind,ball,w,rings";
 inline constexpr const char* kTraceBinaryMagic = "RLT2";
 inline constexpr std::size_t kTraceBinaryRecordBytes = 29;  // f64 + u8 + 2*i64 + i32
 
+/// A record as a trace file holds it: an Event whose ball is named by a
+/// trace-scoped id instead of its live slot.
+struct TraceRecord {
+  double time = 0.0;
+  EventKind kind = EventKind::kArrive;
+  std::int32_t rings = 0;
+  std::int64_t ball = 0;  // trace-scoped id (>= 0)
+  std::int64_t weight = 0;
+
+  friend bool operator==(const TraceRecord&, const TraceRecord&) = default;
+};
+
+/// The writer's id policy, slot form -> records: an arrival takes the most
+/// recently freed id, else the next unused one (ids stay below the peak
+/// live count); a departure reads its ball's id from a slot -> id array.
+class BallIds {
+ public:
+  [[nodiscard]] TraceRecord name(const Event& event);
+
+ private:
+  std::vector<std::int64_t> free_;     // freed ids, reused LIFO
+  std::int64_t next_ = 0;              // the next unused id
+  std::vector<std::int64_t> slotIds_;  // live balls' ids, in slot order
+};
+
 /// One record as a JSONL line (no trailing newline).
-[[nodiscard]] std::string formatTraceEvent(const Event& event);
+[[nodiscard]] std::string formatTraceEvent(const TraceRecord& record);
 
 /// Parse one JSONL line. On failure returns false and, when `error` is
 /// non-null, stores a message.
-[[nodiscard]] bool parseTraceEvent(const std::string& line, Event* out,
+[[nodiscard]] bool parseTraceEvent(const std::string& line, TraceRecord* out,
                                    std::string* error = nullptr);
 
 /// One record as a CSV row (no trailing newline).
-[[nodiscard]] std::string formatTraceEventCsv(const Event& event);
+[[nodiscard]] std::string formatTraceEventCsv(const TraceRecord& record);
 
 /// Parse one CSV row (not the header). Same error contract as
 /// parseTraceEvent.
-[[nodiscard]] bool parseTraceEventCsv(const std::string& line, Event* out,
+[[nodiscard]] bool parseTraceEventCsv(const std::string& line, TraceRecord* out,
                                       std::string* error = nullptr);
 
 /// Append one fixed-width little-endian record to `out`.
-void appendTraceEventBinary(std::string* out, const Event& event);
+void appendTraceEventBinary(std::string* out, const TraceRecord& record);
 
 /// Decode one record from a 29-byte buffer. Returns false on a bad kind
 /// byte.
-[[nodiscard]] bool decodeTraceEventBinary(const unsigned char* bytes, Event* out,
+[[nodiscard]] bool decodeTraceEventBinary(const unsigned char* bytes, TraceRecord* out,
                                           std::string* error = nullptr);
 
 /// Pass-through generator that appends every emitted event to `out` in the
-/// chosen format. Writes the format prologue (CSV header / binary magic) at
-/// construction; binary streams must be opened in binary mode by the
-/// caller.
+/// chosen format, its ball named by BallIds. Writes the format prologue
+/// (CSV header / binary magic) at construction; binary streams must be
+/// opened in binary mode by the caller.
 class RecordingTrace final : public TraceGenerator {
  public:
   RecordingTrace(TraceGenerator& inner, std::ostream& out,
@@ -97,13 +123,14 @@ class RecordingTrace final : public TraceGenerator {
   TraceGenerator* inner_;
   std::ostream* out_;
   TraceFormat format_;
+  BallIds ids_;
 };
 
 /// A replay generator. A record it cannot serve throws
 /// std::invalid_argument naming its position, so a corrupt trace never
 /// silently truncates an experiment; reject() reports a record that parsed
 /// but breaks the stream's invariants the same way. Records come out with
-/// their ball ids remapped to dense ones.
+/// their ball ids mapped to live slots.
 class TraceReader : public TraceGenerator {
  public:
   [[nodiscard]] std::string name() const override { return "replay"; }
@@ -116,16 +143,16 @@ class TraceReader : public TraceGenerator {
 
   /// Accept a decoded record at `position`: reject what recordProblem
   /// names, an arrival of a live ball and a departure of one that is not
-  /// live, then replace the external ball id by its dense one.
-  void admit(Event* event, std::int64_t position);
+  /// live, then store it in `out` with its ball's live slot.
+  void admit(const TraceRecord& record, std::int64_t position, Event* out);
 
   std::istream* in_;
   const char* unit_;        // "line" or "byte"
   std::int64_t record_ = 0; // position of the last record returned
 
  private:
-  std::unordered_map<std::int64_t, std::int64_t> dense_;  // live external id -> dense id
-  BallIds ids_;
+  std::unordered_map<std::int64_t, std::int64_t> slotOf_;  // live id -> slot
+  std::vector<std::int64_t> slotIds_;                      // slot -> live id
 };
 
 /// Replay generator over a JSONL stream (blank lines skipped; positions are

@@ -23,7 +23,10 @@
 //   - the clocks are no longer trace events: a record carries its ring
 //     count, and each ring is an activation drawn by the loop. One decision
 //     stream per epoch, streamSeed(decisionSeed, epoch), replaces the
-//     per-event streams and the per-epoch repair budget.
+//     per-event streams and the per-epoch repair budget;
+//   - the loop reads a trace in id form (workload::TraceRecord), as a
+//     trace file holds it; the differential names a slot-form trace's balls
+//     with the trace writer's workload::BallIds.
 #pragma once
 
 #include <algorithm>
@@ -41,14 +44,14 @@
 #include "sim/engine.hpp"
 #include "util/assert.hpp"
 #include "workload/event.hpp"
-#include "workload/generators.hpp"
+#include "workload/trace_io.hpp"
 
 namespace rlslb::serve::reference {
 
 /// One unit of work: a clock ring, or a record's own event.
 struct Unit {
   bool ring = false;
-  workload::Event event;  // the record's event; unused by a ring
+  workload::TraceRecord event;  // the record's event; unused by a ring
 };
 
 /// A unit's draws. Ring: a live slot and a destination bin. Arrive: the
@@ -123,7 +126,7 @@ class ReferenceAllocator {
       }
       return;
     }
-    const workload::Event& event = unit.event;
+    const workload::TraceRecord& event = unit.event;
     switch (event.kind) {
       case workload::EventKind::kArrive: {
         RLSLB_ASSERT(decision.bin >= 0 && decision.bin < options_.bins);
@@ -253,18 +256,19 @@ class ReferenceEventLoop {
     std::int64_t epochs = 0;
   };
 
-  RunResult run(workload::TraceGenerator& trace,
+  /// `trace` yields the next record in id form, or false at the end.
+  RunResult run(const std::function<bool(workload::TraceRecord*)>& trace,
                 const std::function<void(const ReferenceEpochStats&)>& onEpoch = {}) {
     constexpr std::uint64_t kDecisionSalt = 0x64656373ULL;  // "decs"
     const std::uint64_t decisionSeed = rng::streamSeed(options_.seed, kDecisionSalt);
 
     // Record expansion: a record's rings, one unit each, then its event.
-    workload::Event record;
+    workload::TraceRecord record;
     std::int64_t ringsLeft = 0;
     bool eventLeft = false;
     const auto nextUnit = [&](Unit* out) {
       if (ringsLeft == 0 && !eventLeft) {
-        if (!trace.next(&record)) return false;
+        if (!trace(&record)) return false;
         ringsLeft = record.rings;
         eventLeft = true;
       }

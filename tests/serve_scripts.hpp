@@ -23,8 +23,8 @@ struct ScriptBuilder {
   std::vector<workload::Event> events;
   std::int32_t rings = 0;
   double t = 0.0;
-  void push(workload::EventKind kind, std::int64_t ball, std::int64_t weight) {
-    events.push_back({t += 1.0, kind, rings, ball, weight});
+  void push(workload::EventKind kind, std::int64_t slot, std::int64_t weight) {
+    events.push_back({t += 1.0, kind, rings, slot, weight});
     rings = 0;
   }
 };
@@ -46,25 +46,27 @@ class ScriptedTrace final : public workload::TraceGenerator {
 };
 
 /// Churn aimed at the allocator's prefetch windows (record hints 16 and 8
-/// records ahead, ring hints 16, 8 and 4 draws ahead): balls that arrive
-/// and depart within a few records, the newest live ball departing, bursts
-/// of rings around them (so ring hints name slots that a departure empties
-/// first), ids arriving out of order (an indexed ball that is not live
-/// yet), and two drains to an empty system, each followed by a restart
-/// whose departures are hinted while no ball is live. `weighted` gives
-/// every ball from id 4 on a weight in 2..5 (the records are otherwise the
-/// same), so the weight array is allocated inside the windows.
+/// records ahead, ring hints 16 and 8 draws ahead): balls that arrive and
+/// depart within a few records, the newest live ball departing, bursts of
+/// rings around them (so ring hints name slots that a departure empties
+/// first), and two drains to an empty system, each followed by a restart
+/// whose departures are hinted while no ball is live. Balls carry labels,
+/// which set their weights: `weighted` gives every ball from label 4 on a
+/// weight in 2..5 (the records are otherwise the same), so the weight
+/// array is allocated inside the windows, and a pair arriving in swapped
+/// label order swaps its weights.
 inline std::vector<workload::Event> prefetchWindowScript(bool weighted) {
   rng::Xoshiro256pp eng(16);
   ScriptBuilder script;
-  std::vector<std::int64_t> live;
+  std::vector<std::int64_t> live;  // the live balls' labels, in slot order
   std::int64_t nextBall = 0;
   const auto arrive = [&](std::int64_t ball) {
-    script.push(workload::EventKind::kArrive, ball, weighted && ball >= 4 ? 2 + ball % 4 : 1);
+    script.push(workload::EventKind::kArrive, static_cast<std::int64_t>(live.size()),
+                weighted && ball >= 4 ? 2 + ball % 4 : 1);
     live.push_back(ball);
   };
   const auto depart = [&](std::size_t i) {
-    script.push(workload::EventKind::kDepart, live[i], 0);
+    script.push(workload::EventKind::kDepart, static_cast<std::int64_t>(i), 0);
     live[i] = live.back();
     live.pop_back();
   };
@@ -76,7 +78,7 @@ inline std::vector<workload::Event> prefetchWindowScript(bool weighted) {
   };
   for (int round = 0; round < 2; ++round) {
     // Restart from empty: the first departures are hinted while no ball
-    // is live, and ball `b` is indexed (b + 1 arrived first) but not live.
+    // is live.
     const std::int64_t b = nextBall;
     arrive(b + 1);
     depart(live.size() - 1);
@@ -94,8 +96,8 @@ inline std::vector<workload::Event> prefetchWindowScript(bool weighted) {
       arrive(nextBall++);
       ring(1);
     }
-    // Short-lived balls, the pair arriving in swapped id order, with rings
-    // before each departure.
+    // Short-lived balls, the pair arriving in swapped label order, with
+    // rings before each departure.
     for (int k = 0; k < 20; ++k) {
       arrive(nextBall + 1);
       arrive(nextBall);

@@ -1,7 +1,7 @@
 // The serving allocator's own invariants, beyond the oracle differential
 // (tests/test_serve_differential.cpp): its internal consistency on fresh,
-// hand-built and weighted states, the live-weight ceiling, bounded memory
-// under id recycling, the budget-gate estimator, and its incremental
+// hand-built and weighted states, the live-weight ceiling, memory bounded
+// by the peak live count, the budget-gate estimator, and its incremental
 // balance accounting against a brute-force scan after every epoch.
 #include <gtest/gtest.h>
 
@@ -51,9 +51,9 @@ std::int64_t peakLiveOf(workload::TraceGenerator& trace) {
   return peak;
 }
 
-// Ids recycle, so the index is bounded by the peak live count, not by the
-// arrivals ever: a long churning run stays within twice the estimate (the
-// factor covers vector capacity slack).
+// The state is per live slot, so it is bounded by the peak live count, not
+// by the arrivals ever: a long churning run stays within twice the
+// estimate (the factor covers vector capacity slack).
 TEST(CompactAllocator, MemoryIsBoundedByThePeakLiveCount) {
   workload::OpenTraceOptions churn = traceOptions();
   churn.maxEvents = 20000;
@@ -70,19 +70,28 @@ TEST(CompactAllocator, MemoryIsBoundedByThePeakLiveCount) {
 
 TEST(CompactAllocator, EstimateTracksResidentBytes) {
   // The budget-gate estimator should land within ~2x of a real run (it
-  // sizes the gate, not the ledger).
-  workload::ComposedTrace trace(traceOptions(), "poisson", 2);
-  CompactAllocator allocator(AllocatorOptions{.bins = kBins});
-  EpochLoop(allocator, LoopOptions{.epochEvents = kEpochEvents, .unitBudget = kEvents,
-                                   .seed = 2})
-      .run(trace);
-  const std::int64_t live = allocator.liveBalls();
-  const std::int64_t estimate = CompactAllocator::estimateBytes(kBins, live);
-  EXPECT_GT(estimate, allocator.residentBytes() / 3);
-  EXPECT_LT(estimate, allocator.residentBytes() * 3);
-  // Monotone in every argument.
-  EXPECT_LE(estimate, CompactAllocator::estimateBytes(kBins * 2, live));
-  EXPECT_LE(estimate, CompactAllocator::estimateBytes(kBins, live * 2));
+  // sizes the gate, not the ledger), at unit weights and with weighted
+  // hotspot bursts, which it prices with the weight array.
+  for (const bool weighted : {false, true}) {
+    workload::ComposedTrace trace(traceOptions(),
+                                  weighted ? "hotspot(2,4,3)" : "poisson", 2);
+    CompactAllocator allocator(AllocatorOptions{.bins = kBins});
+    EpochLoop(allocator, LoopOptions{.epochEvents = kEpochEvents, .unitBudget = kEvents,
+                                     .seed = 2})
+        .run(trace);
+    EXPECT_EQ(allocator.maxWeightSeen() > 1, weighted);
+    const std::int64_t live = allocator.liveBalls();
+    const std::int64_t estimate = CompactAllocator::estimateBytes(kBins, live, weighted);
+    EXPECT_GT(estimate, allocator.residentBytes() / 3) << weighted;
+    EXPECT_LT(estimate, allocator.residentBytes() * 3) << weighted;
+    // Monotone in every argument.
+    EXPECT_LE(estimate, CompactAllocator::estimateBytes(kBins * 2, live, weighted));
+    EXPECT_LE(estimate, CompactAllocator::estimateBytes(kBins, live * 2, weighted));
+    EXPECT_LE(estimate, CompactAllocator::estimateBytes(kBins, live, true));
+  }
+  // 4 B per bin and per live ball, and 2 B more per ball when weighted.
+  EXPECT_EQ(CompactAllocator::estimateBytes(1000, 300), 4 * 1000 + 4 * 300);
+  EXPECT_EQ(CompactAllocator::estimateBytes(1000, 300, true), 4 * 1000 + 6 * 300);
 }
 
 TEST(CompactAllocator, ValidateCatchesFreshAndRunStates) {
@@ -99,8 +108,8 @@ TEST(CompactAllocator, ValidateCatchesFreshAndRunStates) {
   std::vector<Decision> decisions(7);
   std::vector<std::int32_t> candidates;
   std::vector<RingDraw> rings(3);
-  for (std::int64_t ball = 0; ball < 6; ++ball) {
-    events.push_back({static_cast<double>(ball), workload::EventKind::kArrive, 0, ball, 1});
+  for (std::int64_t slot = 0; slot < 6; ++slot) {
+    events.push_back({static_cast<double>(slot), workload::EventKind::kArrive, 0, slot, 1});
   }
   events.push_back({7.0, workload::EventKind::kDepart, 2, 0, 0});
   rng::Xoshiro256pp eng(3);
@@ -122,16 +131,16 @@ TEST(CompactAllocator, ValidateCatchesFreshAndRunStates) {
   EXPECT_EQ(allocator.maxWeightSeen(), 1);
 }
 
-workload::Event arrival(std::int64_t ball, std::int64_t weight) {
-  return {0.0, workload::EventKind::kArrive, 0, ball, weight};
+workload::Event arrival(std::int64_t slot, std::int64_t weight) {
+  return {0.0, workload::EventKind::kArrive, 0, slot, weight};
 }
 
 // Unit-weight traffic never allocates the weight array; the first heavier
 // ball does, and from then on every structure counts weight.
 TEST(CompactAllocator, WeightsAreStoredFromTheFirstNonUnitArrival) {
   CompactAllocator allocator(AllocatorOptions{.bins = 4, .arrivalChoices = 1});
-  for (std::int64_t ball = 0; ball < 5; ++ball) {
-    allocator.apply(arrival(ball, 1), Decision{static_cast<std::int32_t>(ball % 4)});
+  for (std::int64_t slot = 0; slot < 5; ++slot) {
+    allocator.apply(arrival(slot, 1), Decision{static_cast<std::int32_t>(slot % 4)});
   }
   allocator.apply({1.0, workload::EventKind::kDepart, 0, 4, 0}, Decision{});
   const std::int64_t unitBytes = allocator.residentBytes();
@@ -148,6 +157,19 @@ TEST(CompactAllocator, WeightsAreStoredFromTheFirstNonUnitArrival) {
   EXPECT_EQ(allocator.totalLoad(), 4);
   EXPECT_EQ(allocator.maxWeightSeen(), 7);  // ever seen
   EXPECT_TRUE(allocator.validate());
+
+  // The very first arrival weighted: no live ball to back-fill, and its
+  // own weight is stored, so its departure removes all of it.
+  CompactAllocator heavyFirst(AllocatorOptions{.bins = 4, .arrivalChoices = 1});
+  heavyFirst.apply(arrival(0, 5), Decision{0});
+  heavyFirst.apply(arrival(1, 1), Decision{1});
+  EXPECT_EQ(heavyFirst.loads(), (std::vector<std::int32_t>{5, 1, 0, 0}));
+  EXPECT_TRUE(heavyFirst.validate());
+  heavyFirst.apply({1.0, workload::EventKind::kDepart, 0, 0, 0}, Decision{});
+  EXPECT_EQ(heavyFirst.loads(), (std::vector<std::int32_t>{0, 1, 0, 0}));
+  EXPECT_EQ(heavyFirst.totalLoad(), 1);
+  EXPECT_EQ(heavyFirst.maxWeightSeen(), 5);
+  EXPECT_TRUE(heavyFirst.validate());
 }
 
 // The live weight stops at 2^31 - 1: 32768 balls of the largest weight fit,
@@ -156,9 +178,9 @@ TEST(CompactAllocator, WeightsAreStoredFromTheFirstNonUnitArrival) {
 TEST(CompactAllocator, LiveWeightPastInt32MaxIsAUsageError) {
   constexpr std::int64_t kWideBins = std::int64_t{1} << 20;
   CompactAllocator allocator(AllocatorOptions{.bins = kWideBins, .arrivalChoices = 1});
-  for (std::int64_t ball = 0; ball < 32768; ++ball) {
-    allocator.apply(arrival(ball, workload::kMaxBallWeight),
-                    Decision{static_cast<std::int32_t>(ball)});
+  for (std::int64_t slot = 0; slot < 32768; ++slot) {
+    allocator.apply(arrival(slot, workload::kMaxBallWeight),
+                    Decision{static_cast<std::int32_t>(slot)});
   }
   EXPECT_EQ(allocator.totalLoad(), 32768 * workload::kMaxBallWeight);
   EXPECT_THROW(allocator.apply(arrival(32768, workload::kMaxBallWeight), Decision{0}),
@@ -222,18 +244,15 @@ std::int64_t checkEveryEpoch(CompactAllocator& allocator, workload::TraceGenerat
 std::vector<workload::Event> fillThenDrain(std::int64_t balls, std::uint64_t seed) {
   rng::Xoshiro256pp eng(seed);
   ScriptBuilder script;
-  std::vector<std::int64_t> live;
-  for (std::int64_t ball = 0; ball < balls; ++ball) {
-    script.push(workload::EventKind::kArrive, ball, 1);
-    live.push_back(ball);
+  for (std::int64_t slot = 0; slot < balls; ++slot) {
+    script.push(workload::EventKind::kArrive, slot, 1);
     ++script.rings;
   }
-  while (!live.empty()) {
-    const auto i = static_cast<std::size_t>(rng::uniformIndex(eng, live.size()));
-    script.push(workload::EventKind::kDepart, live[i], 0);
-    live[i] = live.back();
-    live.pop_back();
-    if (!live.empty()) ++script.rings;
+  for (std::int64_t live = balls; live > 0; --live) {
+    const auto slot =
+        static_cast<std::int64_t>(rng::uniformIndex(eng, static_cast<std::uint64_t>(live)));
+    script.push(workload::EventKind::kDepart, slot, 0);
+    if (live > 1) ++script.rings;
   }
   return script.events;
 }

@@ -217,7 +217,7 @@ serve::CompactAllocator makeBalancedAllocator(std::int64_t bins, std::int64_t ba
   for (std::int64_t ball = 0; ball < balls; ++ball) {
     workload::Event e;
     e.kind = workload::EventKind::kArrive;
-    e.ball = ball;
+    e.slot = ball;
     e.weight = 1;
     allocator.apply(e, serve::Decision{static_cast<std::int32_t>(ball % bins)});
   }

@@ -503,11 +503,10 @@ TEST(ProcessState, ServeAllocatorSharesTheVocabulary) {
   serve::CompactAllocator allocator(options);
   rng::Xoshiro256pp eng(9);
   std::vector<std::int32_t> candidates;
-  std::int64_t nextBall = 0;
   for (int e = 0; e < 500; ++e) {
     workload::Event event;
     event.kind = workload::EventKind::kArrive;
-    event.ball = nextBall++;
+    event.slot = e;
     event.weight = 1 + static_cast<std::int64_t>(rng::uniformIndex(eng, 3));
     serve::Decision d;
     allocator.decideBatch(&event, 1, 0, eng, &candidates, nullptr, &d);

@@ -76,6 +76,9 @@ TEST(ScenarioParams, OutOfRangeSizesAndEmptyListsThrowUsageErrors) {
       {"e15_trajectory", {"ratio=-1"}},
       {"e15_trajectory", {"dt=0"}},
       {"e15_trajectory", {"horizon=-1"}},
+      {"e15_trajectory", {"horizon=inf"}},
+      {"micro_substrate", {"n=0"}},
+      {"micro_substrate", {"n=-5"}},
       {"ablation", {"n=0"}},
       {"ablation", {"n=33"}},
       // Process params, checked in the registry makers before anything is

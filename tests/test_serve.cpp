@@ -3,9 +3,10 @@
 // its unit budget, RLS's balance benefit over placement-only serving, the
 // serve_* scenarios' byte-determinism through the JSONL sink, record ->
 // replay reproducing every table, a replay's sparse ids serving as dense
-// ones, and their usage errors (bad input — params out of range, corrupt
-// or inconsistent replay traces — throws std::invalid_argument, which
-// `rlslb` turns into exit code 2).
+// ones, weighted capacity cells and their budget estimate, and their usage
+// errors (bad input — params out of range, corrupt or inconsistent replay
+// traces — throws std::invalid_argument, which `rlslb` turns into exit
+// code 2).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -86,7 +87,7 @@ TEST(CompactAllocator, ConservesMassAndTracksLevels) {
             out.counters.arrivals + out.counters.departures + out.counters.resamples);
 }
 
-/// A trace of one record: `rings` clock rings, then the depart of ball 0.
+/// A trace of one record: `rings` clock rings, then the depart of slot 0.
 /// With a unit budget of `rings` the loop runs the rings and stops before
 /// the depart.
 class RingsOnlyTrace final : public workload::TraceGenerator {
@@ -120,7 +121,7 @@ TEST(CompactAllocator, RingActivatesAUniformLiveBall) {
     for (std::int64_t ball = 0; ball < 6; ++ball) {
       workload::Event e;
       e.kind = workload::EventKind::kArrive;
-      e.ball = ball;
+      e.slot = ball;
       e.weight = ball < 2 ? 2 : 1;
       allocator.apply(e, Decision{ball < 2 ? 0 : 1});
     }
@@ -153,7 +154,7 @@ TEST(EpochLoop, RingsStraddleEpochBoundaries) {
   CompactAllocator allocator(AllocatorOptions{.bins = 4, .arrivalChoices = 1});
   for (std::int64_t ball = 0; ball < 8; ++ball) {
     workload::Event e;
-    e.ball = ball;
+    e.slot = ball;
     e.weight = 1;
     allocator.apply(e, Decision{static_cast<std::int32_t>(ball % 4)});
   }
@@ -369,9 +370,8 @@ TEST(ServeScenarios, RecordThenReplayReproducesEveryTable) {
   }
 }
 
-// A replay reader remaps ball ids to dense ones (a freed id first), so a
-// trace with any int64 ids serves exactly as the same records with the
-// dense ids do.
+// A replay reader maps ball ids to live slots, so a trace with any int64
+// ids serves exactly as the same records with the writer's dense ids do.
 TEST(ServeScenarios, SparseReplayIdsServeAsDenseOnes) {
   const std::filesystem::path dir = std::filesystem::temp_directory_path();
   const auto writeTrace = [&dir](const char* name, const std::vector<std::int64_t>& ids) {
@@ -413,6 +413,36 @@ TEST(ServeScenarios, SparseReplayIdsServeAsDenseOnes) {
   std::filesystem::remove(dense);
 }
 
+// A spec with a non-unit hotspot weight runs in a capacity sweep, and the
+// budget gate prices its cells with the weight array: 4 B per bin and per
+// expected live ball, and 2 B more per ball when weighted. Both cells of the
+// second sweep are skipped before anything is allocated.
+TEST(ServeScenarios, WeightedCapacityCellsArePricedWithTheirWeights) {
+  const auto records = [](const std::vector<std::string>& params, const char* type) {
+    std::vector<report::Json> out;
+    std::istringstream in(runServeScenario("serve_capacity", 1, 1, params));
+    std::string line;
+    while (std::getline(in, line)) {
+      report::Json rec = report::Json::parse(line);
+      if (rec.at("type").asString() == type) out.push_back(std::move(rec));
+    }
+    return out;
+  };
+  const std::vector<report::Json> ran =
+      records({"n_list=16", "traces=hotspot(16,8,2)"}, "table");
+  ASSERT_FALSE(ran.empty());
+  EXPECT_EQ(ran.front().at("rows").at(0).at(9).asString(), "ok");
+  std::vector<std::int64_t> estimates;
+  for (const report::Json& cell :
+       records({"n_list=10000", "load_list=100", "budget_mb=1", "traces=poisson;hotspot(16,8,2)"},
+               "frontier")) {
+    EXPECT_TRUE(cell.at("skipped").asBool());
+    estimates.push_back(cell.at("estimated_bytes").asInt());
+  }
+  EXPECT_EQ(estimates, (std::vector<std::int64_t>{4 * 10000 + 4 * 1000000,
+                                                  4 * 10000 + 6 * 1000000}));
+}
+
 TEST(ServeScenarios, BadInputIsAUsageError) {
   // A usage error, not a crash: the driver turns the exception into a
   // message and exit code 2 (these used to abort, divide by zero, or fail
@@ -428,7 +458,7 @@ TEST(ServeScenarios, BadInputIsAUsageError) {
     out << bytes;
     return path;
   };
-  const workload::Event good{0.5, workload::EventKind::kArrive, 0, 0, 1};
+  const workload::TraceRecord good{0.5, workload::EventKind::kArrive, 0, 0, 1};
   std::string truncatedBin = workload::kTraceBinaryMagic;
   workload::appendTraceEventBinary(&truncatedBin, good);
   workload::appendTraceEventBinary(&truncatedBin, good);
@@ -526,7 +556,6 @@ TEST(ServeScenarios, BadInputIsAUsageError) {
       {"serve_capacity", {"n_list=16", "load_list=0"}},
       {"serve_capacity", {"n_list=16", "load_list=-2"}},
       {"serve_capacity", {"n_list=16", "traces=poisson;bogus(1)"}},
-      {"serve_capacity", {"n_list=16", "traces=hotspot(16,8,2)"}},
       {"serve_capacity", {"n_list=16", "d=0"}},
       {"serve_capacity", {"n_list=16", "d=4294967297"}},
       {"serve_capacity", {"n_list=16", "d=65"}},

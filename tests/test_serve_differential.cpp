@@ -7,13 +7,15 @@
 // granularities, unit budgets that cut a record's rings, trace kinds
 // (including the weighted adversarial one), arrival choices d and seeds,
 // and scripted churn aimed at the allocator's prefetch windows, at unit
-// weights and with weights that arrive inside the windows. Plus
+// weights and with weights that arrive inside the windows. The allocator
+// serves the slot form of each trace, the oracle its id form. Plus
 // LoopOptions validation death tests, the EpochStats/RunResult timing
 // contract, the scenario wall split, and a high-contention stress case.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -29,9 +31,21 @@
 #include "serve_reference.hpp"
 #include "serve_scripts.hpp"
 #include "workload/generators.hpp"
+#include "workload/trace_io.hpp"
 
 namespace rlslb::serve {
 namespace {
+
+/// The oracle's input: `trace` in id form, its balls named by the trace
+/// writer's workload::BallIds (the one slot -> id conversion).
+std::function<bool(workload::TraceRecord*)> idForm(workload::TraceGenerator& trace) {
+  return [&trace, ids = workload::BallIds()](workload::TraceRecord* out) mutable {
+    workload::Event event;
+    if (!trace.next(&event)) return false;
+    *out = ids.name(event);
+    return true;
+  };
+}
 
 enum class TraceKind { kPoisson, kBursty, kDiurnal, kAdversarial };
 constexpr TraceKind kAllKinds[] = {TraceKind::kPoisson, TraceKind::kBursty,
@@ -94,7 +108,7 @@ Outcome runReference(workload::TraceGenerator& trace, const Config& c) {
                      .epochEvents = c.epochEvents, .unitBudget = c.events, .seed = c.seed});
   Outcome out;
   const auto result =
-      loop.run(trace, [&](const reference::ReferenceEpochStats& s) {
+      loop.run(idForm(trace), [&](const reference::ReferenceEpochStats& s) {
         out.gapTrajectory.push_back(s.gap());
       });
   EXPECT_EQ(result.events, c.events);
@@ -200,7 +214,7 @@ TEST(FusedDifferential, UnboundedRunServesTheWholeTrace) {
           AllocatorOptions{.bins = c.bins, .arrivalChoices = c.d});
       reference::ReferenceEventLoop refLoop(
           refAllocator, {.epochEvents = c.epochEvents, .seed = c.seed});
-      const auto refResult = refLoop.run(*refTrace);
+      const auto refResult = refLoop.run(idForm(*refTrace));
 
       auto trace = makeTrace(c.kind, c.bins, c.events, c.seed);
       CompactAllocator allocator(AllocatorOptions{.bins = c.bins, .arrivalChoices = c.d});

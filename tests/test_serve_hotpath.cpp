@@ -13,13 +13,14 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
-#include <memory>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "serve/compact_allocator.hpp"
 #include "serve/event_loop.hpp"
+#include "serve_scripts.hpp"
 #include "workload/generators.hpp"
 
 // ------------------------------------------------------------------------
@@ -54,7 +55,7 @@ namespace {
 
 // ------------------------------------------------------------------------
 // A deterministic steady-state trace: one record carrying `rings` clock
-// rings, then the depart of ball 0. Served with a budget of `rings` units,
+// rings, then the depart of slot 0. Served with a budget of `rings` units,
 // every epoch runs rings only; fed to a perfectly balanced allocator, the
 // strict RLS rule rejects every activation, so every epoch is pure steady
 // state: no load change, no structure work, no allocation.
@@ -76,37 +77,25 @@ class RingsOnlyTrace final : public workload::TraceGenerator {
   bool done_ = false;
 };
 
-// Shifts ball ids by a fixed offset so a second trace consumed by the same
-// allocator cannot collide with balls the first trace left live (trace
-// generators assign ids from 0, below the peak live count).
-class OffsetBalls final : public workload::TraceGenerator {
- public:
-  OffsetBalls(std::unique_ptr<workload::TraceGenerator> inner, std::int64_t offset)
-      : inner_(std::move(inner)), offset_(offset) {}
-
-  bool next(workload::Event* out) override {
-    if (!inner_->next(out)) return false;
-    out->ball += offset_;
-    return true;
-  }
-
-  [[nodiscard]] std::string name() const override { return inner_->name(); }
-
- private:
-  std::unique_ptr<workload::TraceGenerator> inner_;
-  std::int64_t offset_;
-};
-
-std::unique_ptr<workload::TraceGenerator> makePoisson(std::int64_t bins,
-                                                      std::int64_t events,
-                                                      std::uint64_t seed) {
+/// A Poisson trace's records, cut after the first `split`: the second part
+/// names the live slots the first part leaves, so it serves on the
+/// allocator the first part filled.
+std::pair<std::vector<workload::Event>, std::vector<workload::Event>> splitPoisson(
+    std::int64_t bins, std::int64_t events, std::int64_t split, std::uint64_t seed) {
   workload::OpenTraceOptions base;
   base.bins = bins;
   base.arrivalRatePerBin = 1.0;
   base.departureRate = 0.25;
   base.resampleRate = 1.0;
   base.maxEvents = events;
-  return std::make_unique<workload::PoissonTrace>(base, seed);
+  workload::PoissonTrace trace(base, seed);
+  std::vector<workload::Event> first;
+  std::vector<workload::Event> second;
+  workload::Event e;
+  while (trace.next(&e)) {
+    (static_cast<std::int64_t>(first.size()) < split ? first : second).push_back(e);
+  }
+  return {first, second};
 }
 
 bool countersEqual(const ServeCounters& a, const ServeCounters& b) {
@@ -131,24 +120,26 @@ LoopOptions hotpathOptions() {
 TEST(MultiRunContract, ReusedLoopMatchesFreshLoopOnTheSecondTrace) {
   const AllocatorOptions allocOpts{.bins = 24, .arrivalChoices = 2};
   const LoopOptions options = hotpathOptions();
+  const auto [part1, part2] = splitPoisson(24, 2048 + 1536, 2048, 3);
+  ASSERT_EQ(part2.size(), 1536u);
 
   // Universe A: one loop reused across both traces.
   CompactAllocator reusedAlloc(allocOpts);
   EpochLoop reusedLoop(reusedAlloc, options);
-  auto traceA1 = makePoisson(24, 2048, 3);
-  reusedLoop.run(*traceA1);
-  OffsetBalls traceA2(makePoisson(24, 1536, 7), 4096);
+  scripts::ScriptedTrace traceA1(part1);
+  reusedLoop.run(traceA1);
+  scripts::ScriptedTrace traceA2(part2);
   const auto reusedResult = reusedLoop.run(traceA2);
 
   // Universe B: same allocator lifetime, but a fresh loop per trace.
   CompactAllocator freshAlloc(allocOpts);
   {
     EpochLoop first(freshAlloc, options);
-    auto traceB1 = makePoisson(24, 2048, 3);
-    first.run(*traceB1);
+    scripts::ScriptedTrace traceB1(part1);
+    first.run(traceB1);
   }
   EpochLoop second(freshAlloc, options);
-  OffsetBalls traceB2(makePoisson(24, 1536, 7), 4096);
+  scripts::ScriptedTrace traceB2(part2);
   const auto freshResult = second.run(traceB2);
 
   EXPECT_EQ(reusedAlloc.loads(), freshAlloc.loads());
@@ -178,7 +169,7 @@ TEST(SteadyStateAllocations, EpochsAreAllocationFree) {
   for (std::int64_t ball = 0; ball < kBalls; ++ball) {
     workload::Event e;
     e.kind = workload::EventKind::kArrive;
-    e.ball = ball;
+    e.slot = ball;
     e.weight = 1;
     const Decision d{static_cast<std::int32_t>(ball % kBins)};
     allocator.applyBatch(&e, &d, 1, nullptr, 0);

@@ -5,7 +5,11 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "scenario/harness.hpp"
 #include "util/cli.hpp"
 #include "util/format.hpp"
 #include "util/table.hpp"
@@ -154,6 +158,50 @@ TEST(Cli, NegativeNumbers) {
   EXPECT_DOUBLE_EQ(args.getDouble("y", 0.0), -2.5);
 }
 
+// Bad arguments and values are usage errors the drivers turn into exit 2,
+// never assertions; each message names the flag.
+TEST(Cli, BadArgumentsAndValuesThrowUsageErrors) {
+  const auto error = [](std::vector<const char*> argv, auto&& read) {
+    argv.insert(argv.begin(), "prog");
+    try {
+      const CliArgs args(static_cast<int>(argv.size()), argv.data());
+      read(args);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  const auto readInt = [](const CliArgs& a) { (void)a.getInt("seed", 1); };
+  EXPECT_EQ(error({"--seed=abc"}, readInt), "parameter --seed=abc: not an integer");
+  EXPECT_EQ(error({"--seed=12x"}, readInt), "parameter --seed=12x: not an integer");
+  EXPECT_EQ(error({"--seed="}, readInt), "parameter --seed=: not an integer");
+  EXPECT_EQ(error({"--seed=99999999999999999999999"}, readInt),
+            "parameter --seed=99999999999999999999999: out of int64 range");
+  EXPECT_EQ(error({"--seed=-99999999999999999999999"}, readInt),
+            "parameter --seed=-99999999999999999999999: out of int64 range");
+  EXPECT_EQ(error({"--x=1.5e"}, [](const CliArgs& a) { (void)a.getDouble("x", 0.0); }),
+            "parameter --x=1.5e: not a number");
+  EXPECT_EQ(error({"--csv=maybe"}, [](const CliArgs& a) { (void)a.getBool("csv", false); }),
+            "parameter --csv=maybe: not a boolean (true/1/yes/on or false/0/no/off)");
+  EXPECT_EQ(error({"--n=abc"}, [](const CliArgs& a) { (void)a.getInt("n", 0); }),
+            "parameter --n=abc: not an integer");
+  EXPECT_EQ(error({"positional"}, readInt),
+            "argument positional: arguments are --key or --key=value");
+  const auto readThreads = [](const CliArgs& a) { (void)a.getThreads(); };
+  EXPECT_EQ(error({"--threads=-3"}, readThreads),
+            "--threads=-3 must be in [0, 4096] (0 = hardware)");
+  EXPECT_EQ(error({"--threads=4097"}, readThreads),
+            "--threads=4097 must be in [0, 4096] (0 = hardware)");
+  EXPECT_EQ(error({"--threads=4096"}, readThreads), "accepted");
+  EXPECT_EQ(error({"--threads=0"}, readThreads), "accepted");
+  EXPECT_EQ(error({"--seed=9223372036854775807"}, readInt), "accepted");
+  // The scenario drivers' --reps: 0 picks each scenario's default.
+  const auto readContext = [](const CliArgs& a) { (void)scenario::contextFromArgs(a); };
+  EXPECT_EQ(error({"--reps=-1"}, readContext),
+            "--reps=-1 must be >= 0 (0 = the scenario's default)");
+  EXPECT_EQ(error({"--reps=0"}, readContext), "accepted");
+}
+
 TEST(Timer, MeasuresNonNegative) {
   WallTimer t;
   EXPECT_GE(t.seconds(), 0.0);
@@ -181,19 +229,6 @@ TEST(UtilDeathTest, TableCellBeforeRow) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   Table t({"a"});
   EXPECT_DEATH(t.cell("x"), "call row");
-}
-
-TEST(UtilDeathTest, CliRejectsMalformedInteger) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const char* argv[] = {"prog", "--n=abc"};
-  CliArgs args(2, argv);
-  EXPECT_DEATH((void)args.getInt("n", 0), "malformed integer");
-}
-
-TEST(UtilDeathTest, CliRejectsPositionalArguments) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const char* argv[] = {"prog", "positional"};
-  EXPECT_DEATH(CliArgs(2, argv), "--key");
 }
 
 }  // namespace

@@ -1,12 +1,10 @@
-// workload/: generator determinism, ball-lifecycle structure, inter-arrival
+// workload/: generator determinism, live-slot structure, inter-arrival
 // distribution sanity (KS against the exact exponential law), modulation
 // shape checks for the bursty/diurnal/hot-spot traces, and the JSONL
 // record -> replay round trip.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -63,35 +61,36 @@ TEST(Workload, EventStreamIsStructurallyValid) {
   options.base = smallOptions();
   BurstyTrace trace(options, 3);
   double lastTime = 0.0;
-  std::set<std::int64_t> live;
-  std::set<std::int64_t> seen;
-  std::int64_t peakLive = 0;
-  std::int64_t recycled = 0;
+  std::int64_t live = 0;
+  std::int64_t departures = 0;
+  std::int64_t notLast = 0;  // departures of a slot below the last one
   Event e;
   while (trace.next(&e)) {
     EXPECT_GE(e.time, lastTime);
     lastTime = e.time;
     EXPECT_GE(e.rings, 0);
-    if (live.empty()) {
+    if (live == 0) {
       EXPECT_EQ(e.rings, 0) << "clocks ring only on live balls";
     }
     switch (e.kind) {
       case EventKind::kArrive:
         EXPECT_GE(e.weight, 1);
-        EXPECT_TRUE(live.insert(e.ball).second) << "an arrival never takes a live id";
-        peakLive = std::max(peakLive, static_cast<std::int64_t>(live.size()));
-        EXPECT_GE(e.ball, 0);
-        EXPECT_LT(e.ball, peakLive) << "ids stay below the peak live count";
-        if (!seen.insert(e.ball).second) ++recycled;
+        EXPECT_EQ(e.slot, live) << "an arrival takes the next live slot";
+        ++live;
         break;
       case EventKind::kDepart:
         EXPECT_EQ(e.weight, 0);
-        EXPECT_EQ(live.erase(e.ball), 1u) << "departures pick live balls";
+        EXPECT_GE(e.slot, 0);
+        EXPECT_LT(e.slot, live) << "departures pick live slots";
+        notLast += e.slot < live - 1 ? 1 : 0;
+        --live;
+        ++departures;
         break;
     }
   }
-  EXPECT_EQ(trace.liveBalls(), static_cast<std::int64_t>(live.size()));
-  EXPECT_GT(recycled, 0) << "departed ids are reused";
+  EXPECT_EQ(trace.liveBalls(), live);
+  EXPECT_GT(departures, 0);
+  EXPECT_GT(notLast, departures / 2) << "departures are uniform over the live slots";
 }
 
 // The ring law. Between records k-1 and k the live count m is constant, so
@@ -325,7 +324,7 @@ TEST(Workload, JsonlRoundTripIsExact) {
 }
 
 TEST(Workload, ParseRejectsMalformedLines) {
-  Event e;
+  TraceRecord e;
   std::string error;
   EXPECT_FALSE(parseTraceEvent("not json", &e, &error));
   EXPECT_FALSE(error.empty());

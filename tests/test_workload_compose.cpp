@@ -2,8 +2,8 @@
 // degenerate cases reproduce the standalone generators bit-for-bit, a
 // composed trace is a pure function of (options, spec, seed), the spec
 // parser reports errors without aborting, and every trace format (JSONL /
-// CSV / binary) round-trips the event stream bit-exactly, with a reader
-// remapping replayed ids to dense ones.
+// CSV / binary) round-trips the slot-form event stream bit-exactly through
+// its ids, with a reader mapping any ids to live slots.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -43,7 +43,7 @@ bool bitEqual(const std::vector<Event>& a, const std::vector<Event>& b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
     if (std::bit_cast<std::uint64_t>(a[i].time) != std::bit_cast<std::uint64_t>(b[i].time) ||
-        a[i].kind != b[i].kind || a[i].rings != b[i].rings || a[i].ball != b[i].ball ||
+        a[i].kind != b[i].kind || a[i].rings != b[i].rings || a[i].slot != b[i].slot ||
         a[i].weight != b[i].weight) {
       return false;
     }
@@ -151,8 +151,8 @@ TEST(ComposedTrace, CoincidentOverlaysMergeInSpecOrder) {
   EXPECT_DOUBLE_EQ(events[1].time, 8.0);
   // t=16: 2 arrivals from the 8-period overlay, then 3 from the 16-period.
   for (int i = 2; i < 7; ++i) EXPECT_DOUBLE_EQ(events[static_cast<std::size_t>(i)].time, 16.0);
-  EXPECT_EQ(events[2].ball + 1, events[3].ball);  // sequential ids across the merge
-  EXPECT_EQ(events[6].ball, events[2].ball + 4);
+  EXPECT_EQ(events[2].slot + 1, events[3].slot);  // sequential slots across the merge
+  EXPECT_EQ(events[6].slot, events[2].slot + 4);
 }
 
 TEST(TraceFactorRoster, ListsTheAlgebra) {
@@ -179,6 +179,8 @@ TEST(TraceIo, FormatFromPath) {
 
 class TraceRoundTrip : public ::testing::TestWithParam<TraceFormat> {};
 
+// The writer names the generated slots by id and the reader maps the ids
+// back: the replayed slots are the generated ones.
 TEST_P(TraceRoundTrip, RecordThenReplayIsBitExact) {
   const TraceFormat format = GetParam();
   // A composed trace exercises both record kinds, ring counts, weighted
@@ -247,10 +249,10 @@ TEST(TraceIo, CountTraceEventsCountsUnitsInEveryFormat) {
   }
 }
 
-// A reader hands out dense ids, the most recently freed one first, and
-// rejects an arrival of a live id and a departure of an unknown one, naming
-// the external id and the line.
-TEST(TraceIo, ReaderRemapsIdsToDenseOnes) {
+// A reader gives an arriving id the next live slot and a departing one its
+// slot, which the last live ball then takes, and rejects an arrival of a
+// live id and a departure of an unknown one, naming the id and the line.
+TEST(TraceIo, ReaderMapsIdsToLiveSlots) {
   const auto record = [](int t, const char* kind, const char* ball) {
     return std::string("{\"t\":") + std::to_string(t) + ",\"kind\":\"" + kind +
            "\",\"ball\":" + ball + ",\"w\":" + (kind[0] == 'a' ? "1" : "0") + "}\n";
@@ -260,10 +262,11 @@ TEST(TraceIo, ReaderRemapsIdsToDenseOnes) {
                        record(3, "arrive", "5") + record(4, "depart", "9223372036854775807") +
                        record(5, "arrive", "12") + record(6, "depart", "5"));
   JsonlTraceReader reader(in);
-  std::vector<std::int64_t> ids;
+  std::vector<std::int64_t> slots;
   Event e;
-  while (reader.next(&e)) ids.push_back(e.ball);
-  EXPECT_EQ(ids, (std::vector<std::int64_t>{0, 1, 2, 0, 0, 2}));
+  while (reader.next(&e)) slots.push_back(e.slot);
+  // 5 fills INT64_MAX's slot 0 when it departs; 12 takes slot 2.
+  EXPECT_EQ(slots, (std::vector<std::int64_t>{0, 1, 2, 0, 2, 0}));
 
   const auto rejection = [](const std::string& text) {
     std::stringstream bad(text);
@@ -294,18 +297,18 @@ TEST(TraceIo, BinaryRecordLayout) {
   EXPECT_EQ(static_cast<unsigned char>(bytes[9]), 5);          // ball
   EXPECT_EQ(static_cast<unsigned char>(bytes[25]), 0x04);      // rings, low byte
   EXPECT_EQ(static_cast<unsigned char>(bytes[28]), 0x01);      // rings, high byte
-  Event decoded;
+  TraceRecord decoded;
   ASSERT_TRUE(decodeTraceEventBinary(reinterpret_cast<const unsigned char*>(bytes.data()),
                                      &decoded));
-  EXPECT_EQ(decoded, (Event{1.0, EventKind::kDepart, 0x01020304, 5, 0}));
+  EXPECT_EQ(decoded, (TraceRecord{1.0, EventKind::kDepart, 0x01020304, 5, 0}));
   EXPECT_EQ(std::string(kTraceBinaryMagic), "RLT2");
 }
 
 TEST(TraceIo, CsvRowFormatting) {
-  const Event event{1.25, EventKind::kArrive, 4, 7, 3};
+  const TraceRecord event{1.25, EventKind::kArrive, 4, 7, 3};
   EXPECT_EQ(formatTraceEventCsv(event), "1.25,arrive,7,3,4");
   EXPECT_EQ(std::string(kTraceCsvHeader), "t,kind,ball,w,rings");
-  Event parsed;
+  TraceRecord parsed;
   ASSERT_TRUE(parseTraceEventCsv("1.25,arrive,7,3,4", &parsed));
   EXPECT_EQ(parsed, event);
   std::string error;
