@@ -17,20 +17,30 @@
 //
 //   $ ./example_channel_allocation [--channels=64] [--clients=1024] [--seed=3]
 #include <cstdio>
+#include <stdexcept>
+#include <vector>
 
 #include "config/generators.hpp"
 #include "graph/graph_engine.hpp"
 #include "graph/topology.hpp"
 #include "sim/naive_engine.hpp"
 #include "sim/probes.hpp"
-#include "util/cli.hpp"
+#include "util/params.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int runChannelAllocation(int argc, char** argv) {
   using namespace rlslb;
-  const CliArgs args(argc, argv);
+  const util::Params args(argc, argv);
+  util::checkParams(args,
+                    {{"channels", "int", "64", "channels (a cycle needs 3)", {.intMin = 3}},
+                     {"clients", "int", "1024", "clients", {.intMin = 0}},
+                     {"seed", "int", "3", "seed"}},
+                    "");
   const std::int64_t channels = args.getInt("channels", 64);
   const std::int64_t clients = args.getInt("clients", 1024);
   const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 3));
+  args.rejectUnused();
 
   const auto start = config::allInOne(channels, clients);
   std::printf("channel allocation: %lld channels, %lld clients, all on channel 0\n\n",
@@ -70,4 +80,17 @@ int main(int argc, char** argv) {
   std::printf("\ntakeaway: RLS needs no coordination either way, but probing locality\n"
               "costs a mixing-time factor (see bench_graphs for the full sweep).\n");
   return 0;
+}
+
+}  // namespace
+
+// A usage error (an unknown flag, a malformed value, a value out of range)
+// throws std::invalid_argument: a message and exit 2.
+int main(int argc, char** argv) {
+  try {
+    return runChannelAllocation(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 }

@@ -16,18 +16,27 @@
 //   $ ./example_elastic_pool [--workers=64] [--rho=32] [--seed=11]
 #include <algorithm>
 #include <cstdio>
+#include <stdexcept>
 #include <vector>
 
 #include "dynamic/open_system.hpp"
 #include "stats/summary.hpp"
-#include "util/cli.hpp"
+#include "util/params.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int runElasticPool(int argc, char** argv) {
   using namespace rlslb;
-  const CliArgs args(argc, argv);
+  const util::Params args(argc, argv);
+  util::checkParams(args,
+                    {{"workers", "int", "64", "workers", {.intMin = 1}},
+                     {"rho", "double", "32", "mean jobs per worker", {.min = 0.0, .finite = true}},
+                     {"seed", "int", "11", "seed"}},
+                    "");
   const std::int64_t workers = args.getInt("workers", 64);
   const double rho = args.getDouble("rho", 32.0);  // mean jobs per worker
   const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 11));
+  args.rejectUnused();
 
   const double mu = 0.25;
   const double lambda = rho * mu;
@@ -78,4 +87,17 @@ int main(int argc, char** argv) {
   std::printf("\ntakeaway: placement policies narrow the band; per-job RLS migration\n"
               "flattens it regardless of how jobs arrive, at a modest probe cost.\n");
   return 0;
+}
+
+}  // namespace
+
+// A usage error (an unknown flag, a malformed value, a value out of range)
+// throws std::invalid_argument: a message and exit 2.
+int main(int argc, char** argv) {
+  try {
+    return runElasticPool(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 }

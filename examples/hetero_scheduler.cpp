@@ -11,20 +11,31 @@
 //   $ ./example_hetero_scheduler [--big=4] [--little=12] [--tasks=640]
 //                                [--big_speed=4] [--seed=5]
 #include <cstdio>
+#include <stdexcept>
 #include <vector>
 
 #include "config/generators.hpp"
 #include "ext/speed_rls.hpp"
-#include "util/cli.hpp"
+#include "util/params.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int runHeteroScheduler(int argc, char** argv) {
   using namespace rlslb;
-  const CliArgs args(argc, argv);
+  const util::Params args(argc, argv);
+  util::checkParams(args,
+                    {{"big", "int", "4", "fast cores", {.intMin = 0}},
+                     {"little", "int", "12", "slow (speed 1) cores", {.intMin = 1}},
+                     {"tasks", "int", "640", "tasks", {.intMin = 0}},
+                     {"big_speed", "int", "4", "speed of a fast core", {.intMin = 1}},
+                     {"seed", "int", "5", "seed"}},
+                    "");
   const std::int64_t big = args.getInt("big", 4);
   const std::int64_t little = args.getInt("little", 12);
   const std::int64_t tasks = args.getInt("tasks", 640);
   const std::int64_t bigSpeed = args.getInt("big_speed", 4);
   const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 5));
+  args.rejectUnused();
 
   const std::int64_t cores = big + little;
   std::vector<std::int64_t> speeds(static_cast<std::size_t>(cores), 1);
@@ -65,4 +76,17 @@ int main(int argc, char** argv) {
               "proportional share)\n",
               engine.weightedDiscrepancy());
   return 0;
+}
+
+}  // namespace
+
+// A usage error (an unknown flag, a malformed value, a value out of range)
+// throws std::invalid_argument: a message and exit 2.
+int main(int argc, char** argv) {
+  try {
+    return runHeteroScheduler(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 }

@@ -13,6 +13,7 @@
 //   $ ./example_p2p_rebalance [--peers=256] [--items_per_peer=64]
 //                             [--churn_events=40] [--seed=7]
 #include <cstdio>
+#include <stdexcept>
 #include <vector>
 
 #include "config/configuration.hpp"
@@ -21,15 +22,24 @@
 #include "rng/splitmix64.hpp"
 #include "rng/xoshiro256pp.hpp"
 #include "sim/naive_engine.hpp"
-#include "util/cli.hpp"
+#include "util/params.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int runP2pRebalance(int argc, char** argv) {
   using namespace rlslb;
-  const CliArgs args(argc, argv);
+  const util::Params args(argc, argv);
+  util::checkParams(args,
+                    {{"peers", "int", "256", "initial peers", {.intMin = 1}},
+                     {"items_per_peer", "int", "64", "items per initial peer", {.intMin = 0}},
+                     {"churn_events", "int", "40", "joins and leaves", {.intMin = 1}},
+                     {"seed", "int", "7", "seed"}},
+                    "");
   const std::int64_t peers0 = args.getInt("peers", 256);
   const std::int64_t itemsPerPeer = args.getInt("items_per_peer", 64);
   const std::int64_t churnEvents = args.getInt("churn_events", 40);
   const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 7));
+  args.rejectUnused();
   rng::Xoshiro256pp eng(seed);
 
   // Initial overlay: items spread uniformly across the peers.
@@ -75,4 +85,17 @@ int main(int argc, char** argv) {
               "accumulate)\n",
               discSumAfter / static_cast<double>(churnEvents));
   return 0;
+}
+
+}  // namespace
+
+// A usage error (an unknown flag, a malformed value, a value out of range)
+// throws std::invalid_argument: a message and exit 2.
+int main(int argc, char** argv) {
+  try {
+    return runP2pRebalance(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 }

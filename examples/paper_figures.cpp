@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -29,7 +30,7 @@
 #include "runner/thread_pool.hpp"
 #include "sim/ensemble.hpp"
 #include "sim/probes.hpp"
-#include "util/cli.hpp"
+#include "util/params.hpp"
 
 namespace {
 
@@ -174,11 +175,20 @@ void figure4(int threads) {
 
 }  // namespace
 
+// A usage error (an unknown flag, a malformed value, a value out of range)
+// throws std::invalid_argument: a message and exit 2.
 int main(int argc, char** argv) {
-  const rlslb::CliArgs args(argc, argv);
-  const int threads = args.getThreads(0);
-  for (const auto& k : args.unusedKeys()) {
-    std::fprintf(stderr, "unknown flag --%s\n", k.c_str());
+  int threads = 0;
+  try {
+    const rlslb::util::Params args(argc, argv);
+    rlslb::util::checkParams(args,
+                             {{"threads", "int", "0", "replication threads (0 = hardware)",
+                               {.intMin = 0, .intMax = rlslb::runner::kMaxThreads}}},
+                             "");
+    threads = static_cast<int>(args.getInt("threads", 0));
+    args.rejectUnused();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
     return 2;
   }
   figure1();

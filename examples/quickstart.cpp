@@ -13,16 +13,22 @@
 #include "config/generators.hpp"
 #include "core/rls.hpp"
 #include "sim/probes.hpp"
-#include "util/cli.hpp"
+#include "util/params.hpp"
 
 namespace {
 
 int runQuickstart(int argc, char** argv) {
   using namespace rlslb;
-  const CliArgs args(argc, argv);
+  const util::Params args(argc, argv);
+  util::checkParams(args,
+                    {{"n", "int", "1024", "bins", {.intMin = 1}},
+                     {"m", "int", "8n", "balls", {.intMin = 0}},
+                     {"seed", "int", "1", "seed"}},
+                    "");
   const std::int64_t n = args.getInt("n", 1024);
   const std::int64_t m = args.getInt("m", 8 * n);
   const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
+  args.rejectUnused();
 
   // 1. An initial configuration: every ball in bin 0 (the worst case).
   const config::Configuration initial = config::allInOne(n, m);
@@ -61,8 +67,8 @@ int runQuickstart(int argc, char** argv) {
 
 }  // namespace
 
-// A malformed flag value throws std::invalid_argument from util/cli: a
-// usage error, exit 2.
+// A usage error (an unknown flag, a malformed value, a value out of range)
+// throws std::invalid_argument: a message and exit 2.
 int main(int argc, char** argv) {
   try {
     return runQuickstart(argc, argv);

@@ -3,7 +3,8 @@
 //   rlslb list                         enumerate registered scenarios
 //   rlslb processes                    enumerate registered process kinds
 //   rlslb describe <name...>           print a scenario's or process kind's
-//                                      parameter spec (keys, types, defaults)
+//                                      parameter spec (keys, types, defaults,
+//                                      ranges)
 //   rlslb run <name...> [flags] [k=v]  run one or more scenarios by name
 //   rlslb all [flags] [k=v]            run the whole roster, name order
 //   rlslb serve <kind...> [flags] [k=v]  serving-subsystem sugar:
@@ -29,6 +30,8 @@
 //
 // Bare key=value tokens are per-scenario parameter overrides, e.g.
 //   rlslb run e15_trajectory n=4096 horizon=12 --out=r.jsonl
+// Each is checked against its declared range before the scenario runs; a
+// bad flag, a value out of range or a key no scenario read exits 2.
 //
 // One thread pool and one ResultSink are shared across every scenario in
 // the run; for a fixed seed the "table" records are byte-identical across
@@ -71,17 +74,31 @@ int usage(const char* argv0) {
   return 2;
 }
 
-void printParamSpec(const std::vector<process::ParamSpec>& params) {
+void printParamSpec(const std::vector<util::ParamSpec>& params) {
   if (params.empty()) {
     std::cout << "  (no key=value parameters; the common knobs --scale/--seed/--reps/"
                  "--threads still apply)\n";
     return;
   }
-  Table table({"param", "type", "default", "description"});
-  for (const process::ParamSpec& p : params) {
-    table.row().cell(p.name).cell(p.type).cell(p.defaultValue).cell(p.help);
+  Table table({"param", "type", "default", "range", "description"});
+  for (const util::ParamSpec& p : params) {
+    table.row().cell(p.name).cell(p.type).cell(p.defaultValue).cell(util::rangeText(p)).cell(
+        p.help);
   }
   table.print(std::cout, "parameters (pass as bare key=value tokens)");
+}
+
+/// The keys a scenario forwards to the process kinds, as each kind
+/// declares them (ProcessRegistry::make checks them).
+void printForwardedSpec(const process::ProcessRegistry& processes) {
+  Table table({"param", "process", "type", "default", "range", "description"});
+  for (const process::ProcessSpec* spec : processes.list()) {
+    for (const util::ParamSpec& p : spec->params) {
+      table.row().cell(p.name).cell(spec->kind).cell(p.type).cell(p.defaultValue).cell(
+          util::rangeText(p)).cell(p.help);
+    }
+  }
+  table.print(std::cout, "\nforwarded to the selected process kinds (see `rlslb describe <kind>`)");
 }
 
 /// `rlslb traces`: the generator roster plus the compose algebra.
@@ -119,6 +136,7 @@ int describeOne(const std::string& name, const scenario::ScenarioRegistry& scena
     std::cout << "scenario " << s->name << "  [" << s->paperRef << "]\n"
               << "  " << s->description << "\n\n";
     printParamSpec(s->params);
+    if (s->forwardsProcessParams) printForwardedSpec(processes);
     return 0;
   }
   if (const process::ProcessSpec* p = processes.find(name)) {
@@ -146,7 +164,7 @@ int describeOne(const std::string& name, const scenario::ScenarioRegistry& scena
 }
 
 int runDriver(int argc, char** argv) {
-  // Split argv: --flags go to CliArgs; bare tokens are the subcommand,
+  // Split argv: --flags go to the flag bag; bare tokens are the subcommand,
   // scenario names, and key=value parameter overrides.
   std::vector<std::string> flagStrings;
   std::vector<std::string> words;
@@ -177,7 +195,7 @@ int runDriver(int argc, char** argv) {
   std::vector<const char*> flagPtrs;
   flagPtrs.reserve(flagStrings.size());
   for (const auto& s : flagStrings) flagPtrs.push_back(s.c_str());
-  const CliArgs args(static_cast<int>(flagPtrs.size()), flagPtrs.data());
+  const util::Params args(static_cast<int>(flagPtrs.size()), flagPtrs.data());
 
   scenario::registerBuiltinScenarios();
   process::registerBuiltinProcesses();
@@ -186,59 +204,43 @@ int runDriver(int argc, char** argv) {
 
   if (command == "list") {
     if (!names.empty() || !paramTokens.empty()) return usage(argv[0]);
-    const auto unknownFlags = args.unusedKeys();
-    if (!unknownFlags.empty()) {
-      for (const auto& k : unknownFlags) std::fprintf(stderr, "unknown flag --%s\n", k.c_str());
-      return 2;
-    }
+    args.rejectUnused();
     Table table({"scenario", "paper ref", "description"});
     for (const scenario::Scenario* s : registry.list()) {
       table.row().cell(s->name).cell(s->paperRef).cell(s->description);
     }
     table.print(std::cout, "registered scenarios (" + std::to_string(registry.size()) + ")");
-    std::cout << "\nrun one with: " << args.programName()
+    std::cout << "\nrun one with: " << argv[0]
               << " run <scenario> [--scale=small] [--out=results.jsonl] [key=value...]\n"
-              << "parameter specs: " << args.programName() << " describe <scenario>\n";
+              << "parameter specs: " << argv[0] << " describe <scenario>\n";
     return 0;
   }
 
   if (command == "processes") {
     if (!names.empty() || !paramTokens.empty()) return usage(argv[0]);
-    const auto unknownFlags = args.unusedKeys();
-    if (!unknownFlags.empty()) {
-      for (const auto& k : unknownFlags) std::fprintf(stderr, "unknown flag --%s\n", k.c_str());
-      return 2;
-    }
+    args.rejectUnused();
     Table table({"process", "family", "description"});
     for (const process::ProcessSpec* p : processRegistry.list()) {
       table.row().cell(p->kind).cell(p->family).cell(p->description);
     }
     table.print(std::cout, "registered process kinds (" +
                                std::to_string(processRegistry.size()) + ")");
-    std::cout << "\ncompare them with: " << args.programName()
+    std::cout << "\ncompare them with: " << argv[0]
               << " run process_compare process=<kind,...|all> [key=value...]\n"
-              << "parameter specs: " << args.programName() << " describe <kind>\n";
+              << "parameter specs: " << argv[0] << " describe <kind>\n";
     return 0;
   }
 
   if (command == "traces") {
     if (!names.empty() || !paramTokens.empty()) return usage(argv[0]);
-    const auto unknownFlags = args.unusedKeys();
-    if (!unknownFlags.empty()) {
-      for (const auto& k : unknownFlags) std::fprintf(stderr, "unknown flag --%s\n", k.c_str());
-      return 2;
-    }
+    args.rejectUnused();
     printTraceRoster();
     return 0;
   }
 
   if (command == "describe") {
     if (names.empty() || !paramTokens.empty()) return usage(argv[0]);
-    const auto unknownFlags = args.unusedKeys();
-    if (!unknownFlags.empty()) {
-      for (const auto& k : unknownFlags) std::fprintf(stderr, "unknown flag --%s\n", k.c_str());
-      return 2;
-    }
+    args.rejectUnused();
     int status = 0;
     for (std::size_t i = 0; i < names.size(); ++i) {
       if (i > 0) std::cout << '\n';
@@ -262,13 +264,16 @@ int runDriver(int argc, char** argv) {
 
   // watch = run with the conformance roster defaulted on and a live
   // renderer observing the monitor set (the observer survives the
-  // per-scenario MonitorSet::clear()).
+  // per-scenario MonitorSet::clear()). Its envelope reads n= and d= from
+  // a fresh copy: a read for display, not by a scenario, so a key that no
+  // scenario reads still fails the unused-key sweep below.
   std::unique_ptr<obs::WatchRenderer> watcher;
   if (watchMode) {
     ctx.conformanceDefault = true;
+    const util::Params unread = ctx.params.freshCopy();
     obs::WatchRenderer::Options wo;
-    wo.envelope.n = ctx.params.getInt("n", ctx.sized(256));
-    wo.envelope.d = static_cast<int>(ctx.params.getInt("d", 2));
+    wo.envelope.n = unread.getInt("n", ctx.sized(256));
+    wo.envelope.d = static_cast<int>(unread.getInt("d", 2));
     wo.showBound = names.front().rfind("serve", 0) == 0;
     watcher = std::make_unique<obs::WatchRenderer>(std::cout, wo);
     watcher->attach(ctx.monitors);
@@ -276,11 +281,7 @@ int runDriver(int argc, char** argv) {
 
   const std::string outPath = args.getString("out", "");
   const std::string tracePath = args.getString("trace-out", "");
-  const auto unusedFlags = args.unusedKeys();
-  if (!unusedFlags.empty()) {
-    for (const auto& k : unusedFlags) std::fprintf(stderr, "unknown flag --%s\n", k.c_str());
-    return 2;
-  }
+  args.rejectUnused();
   scenario::ResultOutput out;
   if (!out.attach(outPath, ctx)) return 2;
   scenario::TraceOutput traceOut;
@@ -303,21 +304,15 @@ int runDriver(int argc, char** argv) {
   if (!traceOut.finish(ctx)) return 2;
 
   // A parameter consumed by none of the scenarios that ran is a typo.
-  const auto unusedParams = ctx.params.unusedKeys();
-  if (!unusedParams.empty()) {
-    for (const auto& k : unusedParams) {
-      std::fprintf(stderr, "unknown parameter %s (not read by any scenario that ran)\n",
-                   k.c_str());
-    }
-    return 2;
-  }
+  ctx.params.rejectUnused(" (not read by any scenario that ran)");
   return scenario::conformanceExit(ctx);
 }
 
 }  // namespace
 
-// A bad flag (a malformed value, --threads or --reps out of range) throws
-// std::invalid_argument from util/cli: a usage error, exit 2.
+// A usage error -- a bad flag, a malformed token, a value outside its
+// declared range, an unknown key -- throws std::invalid_argument: a
+// message and exit 2.
 int main(int argc, char** argv) {
   try {
     return runDriver(argc, argv);

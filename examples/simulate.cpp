@@ -11,6 +11,7 @@
 //
 //   # stop at an 8-balanced configuration instead of perfect balance
 //   ./build/examples/simulate --n=1024 --m=8192 --target=8
+#include <climits>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -21,7 +22,8 @@
 #include "runner/replication.hpp"
 #include "sim/probes.hpp"
 #include "stats/summary.hpp"
-#include "util/cli.hpp"
+#include "util/assert.hpp"
+#include "util/params.hpp"
 #include "util/table.hpp"
 
 using namespace rlslb;
@@ -39,26 +41,38 @@ config::Configuration makeInit(const std::string& name, std::int64_t n, std::int
     rng::Xoshiro256pp eng(seed);
     return config::uniformRandom(n, m, eng);
   }
-  if (name == "greedy2") {
-    rng::Xoshiro256pp eng(seed);
-    return config::greedyD(n, m, 2, eng);
-  }
-  std::fprintf(stderr,
-               "unknown --init=%s (allinone|balanced|twopoint|halfhalf|staircase|random|greedy2)\n",
-               name.c_str());
-  std::exit(2);
+  RLSLB_ASSERT(name == "greedy2");  // the choices are checked up front
+  rng::Xoshiro256pp eng(seed);
+  return config::greedyD(n, m, 2, eng);
 }
 
 core::SimOptions::EngineKind parseEngine(const std::string& name) {
   if (name == "naive") return core::SimOptions::EngineKind::Naive;
   if (name == "jump") return core::SimOptions::EngineKind::Jump;
-  if (name == "hybrid") return core::SimOptions::EngineKind::Hybrid;
-  std::fprintf(stderr, "unknown --engine=%s (naive|jump|hybrid)\n", name.c_str());
-  std::exit(2);
+  RLSLB_ASSERT(name == "hybrid");
+  return core::SimOptions::EngineKind::Hybrid;
 }
 
 int runSimulate(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+  const util::Params args(argc, argv);
+  util::checkParams(
+      args,
+      {{"n", "int", "1024", "bins", {.intMin = 2}},
+       {"m", "int", "8n", "balls", {.intMin = 1}},
+       {"init", "string", "allinone", "initial shape",
+        {.choices = "allinone|balanced|twopoint|halfhalf|staircase|random|greedy2"}},
+       {"engine", "string", "hybrid", "simulator", {.choices = "naive|jump|hybrid"}},
+       {"reps", "int", "1", "replications", {.intMin = 1}},
+       {"seed", "int", "1", "seed"},
+       {"target", "int", "0", "stop at discrepancy <= target (0 = perfect)", {.intMin = 0}},
+       {"trajectory", "double", "0", "trajectory grid step (0 = off)",
+        {.min = 0.0, .finite = true}},
+       {"csv", "bool", "0", "CSV tables"},
+       {"gap", "int", "1", "move iff load(src) >= load(dst) + gap",
+        {.intMin = 1, .intMax = INT_MAX}},
+       {"threads", "int", "0", "replication threads (0 = hardware)",
+        {.intMin = 0, .intMax = runner::kMaxThreads}}},
+      "");
   const std::int64_t n = args.getInt("n", 1024);
   const std::int64_t m = args.getInt("m", 8 * n);
   const std::string initName = args.getString("init", "allinone");
@@ -69,11 +83,14 @@ int runSimulate(int argc, char** argv) {
   const double trajectoryStep = args.getDouble("trajectory", 0.0);
   const bool csv = args.getBool("csv", false);
   const int gap = static_cast<int>(args.getInt("gap", 1));
-  const int threads = args.getThreads(0);
-  if (reps < 1) throw std::invalid_argument("--reps=" + std::to_string(reps) + " must be >= 1");
-  for (const auto& k : args.unusedKeys()) {
-    std::fprintf(stderr, "unknown flag --%s\n", k.c_str());
-    return 2;
+  const int threads = static_cast<int>(args.getInt("threads", 0));
+  args.rejectUnused();
+  // Shapes that read n and m together.
+  if ((initName == "twopoint" || initName == "halfhalf") && m % n != 0) {
+    throw std::invalid_argument("--init=" + initName + " needs --n to divide --m");
+  }
+  if (initName == "halfhalf" && n % 2 != 0) {
+    throw std::invalid_argument("--init=halfhalf needs an even --n");
   }
 
   core::SimOptions options;
@@ -137,8 +154,8 @@ int runSimulate(int argc, char** argv) {
 
 }  // namespace
 
-// A bad flag (a malformed value, --threads or --reps out of range) throws
-// std::invalid_argument: a usage error, exit 2.
+// A usage error (an unknown flag, a malformed value, a value out of range)
+// throws std::invalid_argument: a message and exit 2.
 int main(int argc, char** argv) {
   try {
     return runSimulate(argc, argv);

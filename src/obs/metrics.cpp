@@ -22,7 +22,7 @@ CounterId MetricsRegistry::counter(const std::string& name) {
   if (idx < 0) {
     idx = static_cast<std::int32_t>(counterNames_.size());
     counterNames_.push_back(name);
-    layoutSlabs();
+    counters_.push_back(0);
   }
   return CounterId{idx};
 }
@@ -54,10 +54,9 @@ HistId MetricsRegistry::histogram(const std::string& name,
   HistDef def;
   def.name = name;
   def.bounds = bounds;
-  def.offset = histSlots_;
-  histSlots_ += bounds.size() + 2;  // + underflow and overflow buckets
+  def.offset = histBuckets_.size();
+  histBuckets_.resize(histBuckets_.size() + bounds.size() + 2, 0);  // + under/overflow
   hists_.push_back(std::move(def));
-  layoutSlabs();
   return HistId{static_cast<std::int32_t>(hists_.size() - 1)};
 }
 
@@ -66,59 +65,27 @@ SketchId MetricsRegistry::sketch(const std::string& name) {
   if (idx < 0) {
     idx = static_cast<std::int32_t>(sketchNames_.size());
     sketchNames_.push_back(name);
-    sketches_.emplace_back(shards());
+    sketches_.emplace_back();
   }
   return SketchId{idx};
-}
-
-void MetricsRegistry::configureShards(int shards) {
-  RLSLB_ASSERT_MSG(shards >= 1, "MetricsRegistry needs at least one shard");
-  slabs_.resize(static_cast<std::size_t>(shards));
-  layoutSlabs();
-  for (QuantileSketch& sketch : sketches_) sketch.configureShards(shards);
-}
-
-void MetricsRegistry::layoutSlabs() {
-  for (Slab& slab : slabs_) {
-    slab.counters.resize(counterNames_.size(), 0);
-    slab.histBuckets.resize(histSlots_, 0);
-  }
-}
-
-std::int64_t MetricsRegistry::counterValue(CounterId id) const {
-  RLSLB_ASSERT(id.valid());
-  std::int64_t total = 0;
-  for (const Slab& slab : slabs_) total += slab.counters[static_cast<std::size_t>(id.index)];
-  return total;
 }
 
 std::vector<std::int64_t> MetricsRegistry::histCounts(HistId id) const {
   RLSLB_ASSERT(id.valid());
   const HistDef& def = hists_[static_cast<std::size_t>(id.index)];
-  std::vector<std::int64_t> counts(def.bounds.size(), 0);
-  for (const Slab& slab : slabs_) {
-    for (std::size_t b = 0; b < counts.size(); ++b) {
-      counts[b] += slab.histBuckets[def.offset + 1 + b];  // skip underflow
-    }
-  }
-  return counts;
+  const auto first = histBuckets_.begin() + static_cast<std::ptrdiff_t>(def.offset + 1);
+  return {first, first + static_cast<std::ptrdiff_t>(def.bounds.size())};  // skip underflow
 }
 
 std::int64_t MetricsRegistry::histUnderflow(HistId id) const {
   RLSLB_ASSERT(id.valid());
-  const HistDef& def = hists_[static_cast<std::size_t>(id.index)];
-  std::int64_t total = 0;
-  for (const Slab& slab : slabs_) total += slab.histBuckets[def.offset];
-  return total;
+  return histBuckets_[hists_[static_cast<std::size_t>(id.index)].offset];
 }
 
 std::int64_t MetricsRegistry::histOverflow(HistId id) const {
   RLSLB_ASSERT(id.valid());
   const HistDef& def = hists_[static_cast<std::size_t>(id.index)];
-  const std::size_t slot = def.offset + def.bounds.size() + 1;
-  std::int64_t total = 0;
-  for (const Slab& slab : slabs_) total += slab.histBuckets[slot];
-  return total;
+  return histBuckets_[def.offset + def.bounds.size() + 1];
 }
 
 std::int64_t MetricsRegistry::histTotal(HistId id) const {
@@ -128,24 +95,21 @@ std::int64_t MetricsRegistry::histTotal(HistId id) const {
 }
 
 void MetricsRegistry::clear() {
-  for (Slab& slab : slabs_) {
-    std::fill(slab.counters.begin(), slab.counters.end(), 0);
-    std::fill(slab.histBuckets.begin(), slab.histBuckets.end(), 0);
-  }
+  std::fill(counters_.begin(), counters_.end(), 0);
+  std::fill(histBuckets_.begin(), histBuckets_.end(), 0);
   std::fill(gauges_.begin(), gauges_.end(), 0.0);
   for (QuantileSketch& sketch : sketches_) sketch.clear();
 }
 
 void MetricsRegistry::reset() {
   counterNames_.clear();
+  counters_.clear();
   gaugeNames_.clear();
-  hists_.clear();
-  histSlots_ = 0;
   gauges_.clear();
-  slabs_.clear();
+  hists_.clear();
+  histBuckets_.clear();
   sketchNames_.clear();
   sketches_.clear();
-  configureShards(1);
 }
 
 report::Json MetricsRegistry::toJson() const {

@@ -3,16 +3,14 @@
 // Design constraints, in order:
 //   - The hot path (serve::EpochLoop epochs) must stay
 //     allocation-free and byte-deterministic with metrics attached: every
-//     mutation is a plain indexed write into a preallocated flat slab --
+//     mutation is a plain indexed write into a preallocated flat array --
 //     no maps, no strings, no locks. Registration (name -> small integer
 //     handle) is the only allocating step and happens at setup / epoch 0,
 //     which the steady-state contract explicitly exempts (see
 //     tests/test_serve_hotpath.cpp and tests/test_obs.cpp).
-//   - Parallel phases write *per-shard*: shard s's slab is owned by
-//     whichever thread runs shard s's work, so concurrent adds need no
-//     atomics. Merged values are read only at epoch/round boundaries (or
-//     at report time) by summing slabs in shard-index order -- a
-//     deterministic reduction.
+//   - Writers are sequential (the serving loop and the scenario bodies'
+//     sequential sections), so the registry keeps one flat array per
+//     instrument kind and needs no atomics.
 //   - Four instrument kinds cover the repo's needs: monotonic counters
 //     (events, migrations, per-phase nanoseconds), gauges
 //     (last-observed values: gap, live balls -- written from sequential
@@ -61,12 +59,10 @@ struct SketchId {
 
 class MetricsRegistry {
  public:
-  MetricsRegistry() { configureShards(1); }
-
   // ------------------------------------------------------- registration
   // Idempotent by name: re-registering returns the existing handle, so a
   // loop that registers at every run() start allocates only on the first.
-  // Registration may allocate (slab growth); mutation never does.
+  // Registration may allocate (array growth); mutation never does.
 
   CounterId counter(const std::string& name);
   GaugeId gauge(const std::string& name);
@@ -77,52 +73,36 @@ class MetricsRegistry {
   /// no sample is silently clamped into an edge bucket. A
   /// re-registration must repeat the same bounds (asserted).
   HistId histogram(const std::string& name, const std::vector<std::int64_t>& bounds);
-  /// Log-bucketed quantile sketch (obs/sketch.hpp), merged and rendered
-  /// with the rest of the registry snapshot.
+  /// Log-bucketed quantile sketch (obs/sketch.hpp), rendered with the rest
+  /// of the registry snapshot.
   SketchId sketch(const std::string& name);
 
-  /// Size the per-shard slab array (>= 1). Existing shard values are kept
-  /// where indices overlap; new shards start at zero. Called by the
-  /// parallel layers (e.g. the event loop) with their resolved shard
-  /// count before the first parallel write.
-  void configureShards(int shards);
-  [[nodiscard]] int shards() const { return static_cast<int>(slabs_.size()); }
-
   // ---------------------------------------------------------- mutation
-  // All three are plain array writes. `shard` must be the index of the
-  // slab the calling thread owns for the duration of the parallel phase;
-  // the sequential sections use the shard-0 convenience forms.
+  // Plain array writes.
 
-  void addShard(int shard, CounterId id, std::int64_t delta) {
-    RLSLB_HEAVY_ASSERT(id.valid() && shard >= 0 && shard < shards());
-    slabs_[static_cast<std::size_t>(shard)]
-        .counters[static_cast<std::size_t>(id.index)] += delta;
+  void add(CounterId id, std::int64_t delta) {
+    RLSLB_HEAVY_ASSERT(id.valid());
+    counters_[static_cast<std::size_t>(id.index)] += delta;
   }
-  void add(CounterId id, std::int64_t delta) { addShard(0, id, delta); }
 
-  void observeShard(int shard, HistId id, std::int64_t value) {
-    RLSLB_HEAVY_ASSERT(id.valid() && shard >= 0 && shard < shards());
+  void observe(HistId id, std::int64_t value) {
+    RLSLB_HEAVY_ASSERT(id.valid());
     const HistDef& def = hists_[static_cast<std::size_t>(id.index)];
-    // Slab layout per histogram: [underflow][bounds.size() buckets][overflow].
+    // Layout per histogram: [underflow][bounds.size() buckets][overflow].
     std::size_t slot = 0;
     if (value >= def.bounds.front()) {
       std::size_t bucket = 0;
       while (bucket < def.bounds.size() && value > def.bounds[bucket]) ++bucket;
       slot = 1 + bucket;  // bucket == size() -> the overflow slot
     }
-    slabs_[static_cast<std::size_t>(shard)].histBuckets[def.offset + slot] += 1;
+    histBuckets_[def.offset + slot] += 1;
   }
-  void observe(HistId id, std::int64_t value) { observeShard(0, id, value); }
 
-  void observeSketchShard(int shard, SketchId id, std::int64_t value) {
-    RLSLB_HEAVY_ASSERT(id.valid());
-    sketches_[static_cast<std::size_t>(id.index)].observeShard(shard, value);
-  }
   void observeSketch(SketchId id, std::int64_t value) {
-    observeSketchShard(0, id, value);
+    RLSLB_HEAVY_ASSERT(id.valid());
+    sketches_[static_cast<std::size_t>(id.index)].observe(value);
   }
 
-  /// Gauges are not sharded: set from sequential sections only.
   void set(GaugeId id, double value) {
     RLSLB_HEAVY_ASSERT(id.valid());
     gauges_[static_cast<std::size_t>(id.index)] = value;
@@ -134,23 +114,24 @@ class MetricsRegistry {
     if (value > g) g = value;
   }
 
-  // ------------------------------------------------------ merged reads
-  // Sum over slabs in shard-index order: deterministic for integer
-  // counters regardless of which threads ran which shards.
+  // -------------------------------------------------------------- reads
 
-  [[nodiscard]] std::int64_t counterValue(CounterId id) const;
+  [[nodiscard]] std::int64_t counterValue(CounterId id) const {
+    RLSLB_ASSERT(id.valid());
+    return counters_[static_cast<std::size_t>(id.index)];
+  }
   [[nodiscard]] double gaugeValue(GaugeId id) const {
     RLSLB_HEAVY_ASSERT(id.valid());
     return gauges_[static_cast<std::size_t>(id.index)];
   }
-  /// Merged in-range bucket counts (bounds.size() entries).
+  /// In-range bucket counts (bounds.size() entries).
   [[nodiscard]] std::vector<std::int64_t> histCounts(HistId id) const;
   /// Out-of-range sample counts.
   [[nodiscard]] std::int64_t histUnderflow(HistId id) const;
   [[nodiscard]] std::int64_t histOverflow(HistId id) const;
   /// Every sample, in-range or not.
   [[nodiscard]] std::int64_t histTotal(HistId id) const;
-  /// Merged sketch view (quantiles, min/max, count).
+  /// Sketch view (quantiles, min/max, count).
   [[nodiscard]] const QuantileSketch& sketchView(SketchId id) const {
     RLSLB_ASSERT(id.valid());
     return sketches_[static_cast<std::size_t>(id.index)];
@@ -163,12 +144,12 @@ class MetricsRegistry {
            sketchNames_.empty();
   }
 
-  /// Zero every value, keep registrations and shard layout.
+  /// Zero every value, keep registrations.
   void clear();
-  /// Drop registrations and values; back to a fresh single-shard registry.
+  /// Drop registrations and values; back to a fresh registry.
   void reset();
 
-  /// Merged snapshot: {"counters":{name:value,...},"gauges":{...},
+  /// Snapshot: {"counters":{name:value,...},"gauges":{...},
   /// "histograms":{name:{"bounds":[...],"counts":[...],"underflow":U,
   /// "overflow":O,"total":N}},"sketches":{name:{...}}} -- names in
   /// registration order (deterministic for a fixed code path).
@@ -178,25 +159,17 @@ class MetricsRegistry {
   struct HistDef {
     std::string name;
     std::vector<std::int64_t> bounds;
-    std::size_t offset = 0;  // first bucket slot in every slab
+    std::size_t offset = 0;  // first slot in histBuckets_
   };
-  /// One shard's flat value arrays; indices are the handle indices
-  /// (counters) / HistDef offsets (histogram buckets).
-  struct Slab {
-    std::vector<std::int64_t> counters;
-    std::vector<std::int64_t> histBuckets;
-  };
-
-  void layoutSlabs();
 
   std::vector<std::string> counterNames_;
+  std::vector<std::int64_t> counters_;  // indexed by CounterId
   std::vector<std::string> gaugeNames_;
+  std::vector<double> gauges_;  // indexed by GaugeId
   std::vector<HistDef> hists_;
-  std::size_t histSlots_ = 0;  // total bucket slots across histograms
-  std::vector<double> gauges_;
-  std::vector<Slab> slabs_;
+  std::vector<std::int64_t> histBuckets_;  // every histogram's slots, back to back
   std::vector<std::string> sketchNames_;
-  std::vector<QuantileSketch> sketches_;  // each carries its own shard slabs
+  std::vector<QuantileSketch> sketches_;
 };
 
 }  // namespace rlslb::obs

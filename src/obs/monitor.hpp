@@ -72,8 +72,7 @@ class ConformanceMonitor {
 };
 
 /// The roster a run carries: monitors + the shared sketches + the log.
-/// check() is called from sequential sections only (epoch boundaries);
-/// the sketches use a single shard accordingly.
+/// check() is called from sequential sections only (epoch boundaries).
 class MonitorSet {
  public:
   MonitorSet() = default;
@@ -117,8 +116,8 @@ class MonitorSet {
  private:
   std::vector<std::unique_ptr<ConformanceMonitor>> monitors_;
   AnomalyLog log_;
-  QuantileSketch gapSketch_{1};
-  QuantileSketch latencySketch_{1};
+  QuantileSketch gapSketch_;
+  QuantileSketch latencySketch_;
   std::int64_t checks_ = 0;
   std::int32_t runTag_ = 0;
   bool finished_ = false;

@@ -5,32 +5,6 @@
 
 namespace rlslb::obs {
 
-void QuantileSketch::configureShards(int shards) {
-  RLSLB_ASSERT_MSG(shards >= 1, "QuantileSketch needs at least one shard");
-  slabs_.resize(static_cast<std::size_t>(shards));
-  for (Slab& slab : slabs_) {
-    slab.buckets.resize(static_cast<std::size_t>(kSketchSlots), 0);
-  }
-}
-
-std::int64_t QuantileSketch::count() const {
-  std::int64_t total = 0;
-  for (const Slab& slab : slabs_) total += slab.count;
-  return total;
-}
-
-std::int64_t QuantileSketch::min() const {
-  std::int64_t lo = INT64_MAX;
-  for (const Slab& slab : slabs_) lo = std::min(lo, slab.minValue);
-  return lo == INT64_MAX ? 0 : lo;
-}
-
-std::int64_t QuantileSketch::max() const {
-  std::int64_t hi = INT64_MIN;
-  for (const Slab& slab : slabs_) hi = std::max(hi, slab.maxValue);
-  return hi == INT64_MIN ? 0 : hi;
-}
-
 std::int64_t QuantileSketch::quantile(double q) const {
   const std::int64_t total = count();
   if (total == 0) return 0;
@@ -40,11 +14,7 @@ std::int64_t QuantileSketch::quantile(double q) const {
       std::max<std::int64_t>(1, static_cast<std::int64_t>(std::ceil(q * static_cast<double>(total))));
   std::int64_t cum = 0;
   for (int b = 0; b < kSketchSlots; ++b) {
-    std::int64_t bucketCount = 0;
-    for (const Slab& slab : slabs_) {
-      bucketCount += slab.buckets[static_cast<std::size_t>(b)];
-    }
-    cum += bucketCount;
+    cum += buckets_[static_cast<std::size_t>(b)];
     if (cum >= target) {
       const std::int64_t lo = sketchBucketLo(b);
       const std::int64_t hi = sketchBucketHi(b);
@@ -55,12 +25,10 @@ std::int64_t QuantileSketch::quantile(double q) const {
 }
 
 void QuantileSketch::clear() {
-  for (Slab& slab : slabs_) {
-    std::fill(slab.buckets.begin(), slab.buckets.end(), 0);
-    slab.count = 0;
-    slab.minValue = INT64_MAX;
-    slab.maxValue = INT64_MIN;
-  }
+  std::fill(buckets_.begin(), buckets_.end(), 0);
+  count_ = 0;
+  minValue_ = INT64_MAX;
+  maxValue_ = INT64_MIN;
 }
 
 report::Json QuantileSketch::toJson() const {

@@ -54,7 +54,7 @@ std::vector<const ProcessSpec*> ProcessRegistry::list() const {
 std::unique_ptr<Process> ProcessRegistry::make(const std::string& kind,
                                                const config::Configuration& initial,
                                                std::uint64_t seed,
-                                               const ProcessParams& params) const {
+                                               const util::Params& params) const {
   const ProcessSpec* spec = find(kind);
   if (spec == nullptr) {
     std::string known;
@@ -64,9 +64,10 @@ std::unique_ptr<Process> ProcessRegistry::make(const std::string& kind,
     }
     throw std::out_of_range("unknown process kind '" + kind + "' (known: " + known + ")");
   }
-  // Validate against a fresh usage slate so one ProcessParams can serve
-  // several kinds (and several replication threads) in turn.
-  const ProcessParams local = params.freshCopy();
+  util::checkParams(params, spec->params, kind);
+  // Validate against a fresh usage slate so one bag can serve several
+  // kinds (and several replication threads) in turn.
+  const util::Params local = params.freshCopy();
   std::unique_ptr<Process> process = spec->make(initial, seed, local);
   const auto unused = local.unusedKeys();
   if (!unused.empty()) {
@@ -83,30 +84,17 @@ std::unique_ptr<Process> ProcessRegistry::make(const std::string& kind,
 
 namespace {
 
-// Bad params are usage errors, thrown before anything is built: the driver
-// turns std::invalid_argument into a message and exit 2.
+// Checks that read the start configuration, past the declared domains:
+// usage errors thrown before anything is built (the driver turns
+// std::invalid_argument into a message and exit 2).
 void require(bool ok, const std::string& kind, const std::string& what) {
   if (!ok) throw std::invalid_argument(kind + ": " + what);
-}
-
-/// An int param that must lie in [lo, hi].
-std::int64_t intIn(const ProcessParams& params, const std::string& kind, const std::string& name,
-                   std::int64_t dflt, std::int64_t lo, std::int64_t hi) {
-  const std::int64_t value = params.getInt(name, dflt);
-  require(value >= lo && value <= hi, kind,
-          name + "= must be in [" + std::to_string(lo) + ", " + std::to_string(hi) +
-              "] (got " + std::to_string(value) + ")");
-  return value;
-}
-
-int gapOf(const ProcessParams& params, const std::string& kind) {
-  return static_cast<int>(intIn(params, kind, "gap", 1, 1, INT_MAX));
 }
 
 // ---------------------------------------------------------------- sim ---
 
 std::unique_ptr<Process> makeRls(const config::Configuration& initial, std::uint64_t seed,
-                                 const ProcessParams& params) {
+                                 const util::Params& params) {
   Capabilities caps = EngineProcess::defaultCaps();
   caps.gapRule = false;  // the hybrid's jump stage is gap-agnostic
   return std::make_unique<EngineProcess>(
@@ -116,14 +104,14 @@ std::unique_ptr<Process> makeRls(const config::Configuration& initial, std::uint
 }
 
 std::unique_ptr<Process> makeRlsNaive(const config::Configuration& initial, std::uint64_t seed,
-                                      const ProcessParams& params) {
-  return std::make_unique<EngineProcess>(
-      std::make_unique<sim::NaiveEngine>(initial, seed, gapOf(params, "rls_naive")),
-      EngineProcess::defaultCaps());
+                                      const util::Params& params) {
+  const auto gap = static_cast<int>(params.getInt("gap", 1));
+  return std::make_unique<EngineProcess>(std::make_unique<sim::NaiveEngine>(initial, seed, gap),
+                                         EngineProcess::defaultCaps());
 }
 
 std::unique_ptr<Process> makeRlsJump(const config::Configuration& initial, std::uint64_t seed,
-                                     const ProcessParams& params) {
+                                     const util::Params& params) {
   (void)params;
   Capabilities caps = EngineProcess::defaultCaps();
   caps.countsActivations = false;  // jumps skip failed activations entirely
@@ -135,38 +123,37 @@ std::unique_ptr<Process> makeRlsJump(const config::Configuration& initial, std::
 // ---------------------------------------------------------- protocols ---
 
 std::unique_ptr<Process> makeSelfish(const config::Configuration& initial, std::uint64_t seed,
-                                     const ProcessParams& params) {
+                                     const util::Params& params) {
   (void)params;
   return std::make_unique<RoundProcess>(
       std::make_unique<protocols::SelfishRerouting>(initial, seed));
 }
 
 std::unique_ptr<Process> makeEdm(const config::Configuration& initial, std::uint64_t seed,
-                                 const ProcessParams& params) {
+                                 const util::Params& params) {
   (void)params;
   return std::make_unique<RoundProcess>(
       std::make_unique<protocols::EdmGlobalRerouting>(initial, seed));
 }
 
 std::unique_ptr<Process> makeRepeated(const config::Configuration& initial, std::uint64_t seed,
-                                      const ProcessParams& params) {
+                                      const util::Params& params) {
   (void)params;
   return std::make_unique<RoundProcess>(
       std::make_unique<protocols::RepeatedBallsIntoBins>(initial, seed));
 }
 
 std::unique_ptr<Process> makeThreshold(const config::Configuration& initial, std::uint64_t seed,
-                                       const ProcessParams& params) {
+                                       const util::Params& params) {
   std::int64_t threshold = params.getInt("threshold", -1);
   if (threshold < 0) threshold = initial.floorAverage();
   const double p = params.getDouble("p", 0.5);
-  require(p > 0.0 && p <= 1.0, "threshold", "p= must be in (0, 1]");
   return std::make_unique<RoundProcess>(
       std::make_unique<protocols::ThresholdProtocol>(initial, seed, threshold, p));
 }
 
 std::unique_ptr<Process> makeCrs(const config::Configuration& initial, std::uint64_t seed,
-                                 const ProcessParams& params) {
+                                 const util::Params& params) {
   (void)params;
   require(initial.numBins() >= 2, "crs", "needs n >= 2");
   // CRS owns its placement (random candidate pairs + Greedy[2]); only the
@@ -190,22 +177,19 @@ std::vector<std::int64_t> speedRoster(const std::string& name, std::int64_t n) {
     }
     return speeds;
   }
-  if (name == "one_fast8") {
-    speeds[static_cast<std::size_t>(n - 1)] = 8;
-    return speeds;
-  }
-  throw std::invalid_argument("speed_rls: speeds= must be uniform|half2|thirds124|one_fast8 (got '" +
-                              name + "')");
+  RLSLB_ASSERT(name == "one_fast8");
+  speeds[static_cast<std::size_t>(n - 1)] = 8;
+  return speeds;
 }
 
 std::unique_ptr<Process> makeSpeedRls(const config::Configuration& initial, std::uint64_t seed,
-                                      const ProcessParams& params) {
+                                      const util::Params& params) {
   return std::make_unique<SpeedProcess>(std::make_unique<ext::SpeedRlsEngine>(
       initial, speedRoster(params.getString("speeds", "uniform"), initial.numBins()), seed));
 }
 
 std::unique_ptr<Process> makeWeightedRls(const config::Configuration& initial,
-                                         std::uint64_t seed, const ProcessParams& params) {
+                                         std::uint64_t seed, const util::Params& params) {
   const std::int64_t n = initial.numBins();
   const std::int64_t m = initial.numBalls();
   require(m >= 1, "weighted_rls", "needs at least one ball");
@@ -221,12 +205,10 @@ std::unique_ptr<Process> makeWeightedRls(const config::Configuration& initial,
   } else if (dist == "uniform8") {
     weights.resize(static_cast<std::size_t>(std::max<std::int64_t>(1, m / 4)));
     for (auto& w : weights) w = 1 + static_cast<std::int64_t>(rng::uniformIndex(weightEng, 8));
-  } else if (dist == "bimodal16") {
+  } else {
+    RLSLB_ASSERT(dist == "bimodal16");
     weights.resize(static_cast<std::size_t>(std::max<std::int64_t>(1, m / 4)));
     for (auto& w : weights) w = rng::bernoulli(weightEng, 0.1) ? 16 : 1;
-  } else {
-    throw std::invalid_argument("weighted_rls: weights= must be unit|uniform8|bimodal16 (got '" +
-                                dist + "')");
   }
 
   // Start bins follow the configuration's shape: ball b sits where the
@@ -249,10 +231,10 @@ std::unique_ptr<Process> makeWeightedRls(const config::Configuration& initial,
 // --------------------------------------------------------------- graph ---
 
 std::unique_ptr<Process> makeGraphRls(const config::Configuration& initial, std::uint64_t seed,
-                                      const ProcessParams& params) {
+                                      const util::Params& params) {
   const std::int64_t n = initial.numBins();
   const std::string name = params.getString("topology", "complete");
-  const int gap = gapOf(params, "graph_rls");
+  const auto gap = static_cast<int>(params.getInt("gap", 1));
   const auto need = [&](bool ok, const std::string& what) {
     require(ok, "graph_rls", "topology=" + name + " needs " + what + " (n = " +
                                  std::to_string(n) + ")");
@@ -277,17 +259,13 @@ std::unique_ptr<Process> makeGraphRls(const config::Configuration& initial, std:
       need(side >= 3 && side * side == n, "a square n >= 9");
       return graph::Topology::torus(side, side);
     }
-    if (name == "random_regular") {
-      const std::int64_t degree = intIn(params, "graph_rls", "degree", 4, 1, INT_MAX);
-      need(degree < n && (n * degree) % 2 == 0, "degree < n and n * degree even");
-      // Topology randomness rides a dedicated stream off the process seed,
-      // so the graph is deterministic per (seed, degree).
-      rng::Xoshiro256pp topoEng(rng::streamSeed(seed, 0x746f706fULL));  // "topo"
-      return graph::Topology::randomRegular(n, static_cast<int>(degree), topoEng);
-    }
-    throw std::invalid_argument(
-        "graph_rls: topology= must be complete|cycle|hypercube|torus|random_regular (got '" +
-        name + "')");
+    RLSLB_ASSERT(name == "random_regular");
+    const std::int64_t degree = params.getInt("degree", 4);
+    need(degree < n && (n * degree) % 2 == 0, "degree < n and n * degree even");
+    // Topology randomness rides a dedicated stream off the process seed,
+    // so the graph is deterministic per (seed, degree).
+    rng::Xoshiro256pp topoEng(rng::streamSeed(seed, 0x746f706fULL));  // "topo"
+    return graph::Topology::randomRegular(n, static_cast<int>(degree), topoEng);
   }());
 
   Capabilities caps = EngineProcess::defaultCaps();
@@ -299,16 +277,12 @@ std::unique_ptr<Process> makeGraphRls(const config::Configuration& initial, std:
 // -------------------------------------------------------------- dynamic ---
 
 std::unique_ptr<Process> makeOpen(const config::Configuration& initial, std::uint64_t seed,
-                                  const ProcessParams& params) {
+                                  const util::Params& params) {
   dynamic::OpenSystemOptions options;
   options.arrivalRatePerBin = params.getDouble("lambda", 0.5);
   options.departureRate = params.getDouble("mu", 1.0);
-  require(std::isfinite(options.arrivalRatePerBin) && options.arrivalRatePerBin >= 0.0, "open",
-          "lambda= must be a finite rate >= 0");
-  require(std::isfinite(options.departureRate) && options.departureRate >= 0.0, "open",
-          "mu= must be a finite rate >= 0");
-  options.arrivalChoices = static_cast<int>(intIn(params, "open", "d", 1, 1, INT_MAX));
-  options.gap = gapOf(params, "open");
+  options.arrivalChoices = static_cast<int>(params.getInt("d", 1));
+  options.gap = static_cast<int>(params.getInt("gap", 1));
   return std::make_unique<OpenProcess>(std::make_unique<dynamic::OpenSystem>(
       initial.numBins(), options, seed, &initial));
 }
@@ -317,16 +291,21 @@ std::unique_ptr<Process> makeOpen(const config::Configuration& initial, std::uin
 
 namespace {
 
+/// The RLS acceptance gap: a move needs load(src) >= load(dst) + gap.
+constexpr util::ParamDomain kGap = {.intMin = 1, .intMax = INT_MAX};
+
 void addBuiltinProcesses(ProcessRegistry& registry) {
   registry.add({"rls", "sim",
                 "the paper's RLS via the hybrid engine (naive until few levels, then jump)",
                 {{"level_threshold", "int", "0",
-                  "switch to the jump engine at this many distinct loads (0 = default 96)"}},
+                  "switch to the jump engine at this many distinct loads (0 = default 96)",
+                  {.intMin = 0}}},
                 makeRls});
   registry.add({"rls_naive", "sim",
                 "ground-truth RLS simulating every activation",
                 {{"gap", "int", "1",
-                  "move iff load(src) >= load(dst) + gap (1 = paper, 2 = strict variant)"}},
+                  "move iff load(src) >= load(dst) + gap (1 = paper, 2 = strict variant)",
+                  kGap}},
                 makeRlsNaive});
   registry.add({"rls_jump", "sim",
                 "event-skipping exact simulator of the lumped RLS chain",
@@ -343,9 +322,10 @@ void addBuiltinProcesses(ProcessRegistry& registry) {
                 makeEdm});
   registry.add({"threshold", "protocols",
                 "fixed-threshold synchronous protocol [1]",
-                {{"threshold", "int", "-1 (= floor(m/n))",
-                  "balls above this load migrate"},
-                 {"p", "double", "0.5", "per-ball migration probability"}},
+                {{"threshold", "int", "-1 (= floor(m/n))", "balls above this load migrate",
+                  {.intMin = -1}},
+                 {"p", "double", "0.5", "per-ball migration probability",
+                  {.min = 0.0, .max = 1.0, .minExclusive = true}}},
                 makeThreshold});
   registry.add({"repeated", "protocols",
                 "repeated balls-into-bins [2]: every non-empty bin re-throws one ball per round",
@@ -359,30 +339,34 @@ void addBuiltinProcesses(ProcessRegistry& registry) {
 
   registry.add({"speed_rls", "ext",
                 "bins with speeds: strict-improvement RLS to Nash equilibrium (Section 7)",
-                {{"speeds", "string", "uniform",
-                  "speed roster: uniform|half2|thirds124|one_fast8"}},
+                {{"speeds", "string", "uniform", "speed roster",
+                  {.choices = "uniform|half2|thirds124|one_fast8"}}},
                 makeSpeedRls});
   registry.add({"weighted_rls", "ext",
                 "weighted balls: non-worsening RLS to Nash equilibrium (Section 7); the "
                 "balance view is in weight units",
-                {{"weights", "string", "unit",
-                  "ball-weight distribution: unit|uniform8|bimodal16"}},
+                {{"weights", "string", "unit", "ball-weight distribution",
+                  {.choices = "unit|uniform8|bimodal16"}}},
                 makeWeightedRls});
 
   registry.add({"graph_rls", "graph",
                 "RLS with destinations restricted to a topology's neighbors (Section 7)",
-                {{"topology", "string", "complete",
-                  "complete|cycle|hypercube|torus|random_regular"},
-                 {"gap", "int", "1", "RLS acceptance gap"},
-                 {"degree", "int", "4", "degree of the random_regular topology"}},
+                {{"topology", "string", "complete", "destination graph over the bins",
+                  {.choices = "complete|cycle|hypercube|torus|random_regular"}},
+                 {"gap", "int", "1", "RLS acceptance gap", kGap},
+                 {"degree", "int", "4", "degree of the random_regular topology",
+                  {.intMin = 1, .intMax = INT_MAX}}},
                 makeGraphRls});
 
   registry.add({"open", "dynamic",
                 "open-system RLS [11]: Poisson arrivals, per-ball departures, RLS migration",
-                {{"lambda", "double", "0.5", "arrivals per bin per time unit"},
-                 {"mu", "double", "1.0", "per-ball departure (service) rate"},
-                 {"d", "int", "1", "arrival samples d bins, joins the least loaded"},
-                 {"gap", "int", "1", "RLS acceptance gap"}},
+                {{"lambda", "double", "0.5", "arrivals per bin per time unit",
+                  {.min = 0.0, .finite = true}},
+                 {"mu", "double", "1.0", "per-ball departure (service) rate",
+                  {.min = 0.0, .finite = true}},
+                 {"d", "int", "1", "arrival samples d bins, joins the least loaded",
+                  {.intMin = 1, .intMax = INT_MAX}},
+                 {"gap", "int", "1", "RLS acceptance gap", kGap}},
                 makeOpen});
 }
 
@@ -403,7 +387,7 @@ void registerBuiltinProcesses(ProcessRegistry& registry) {
 
 std::unique_ptr<Process> makeProcess(const std::string& kind,
                                      const config::Configuration& initial, std::uint64_t seed,
-                                     const ProcessParams& params) {
+                                     const util::Params& params) {
   registerBuiltinProcesses();
   return ProcessRegistry::global().make(kind, initial, seed, params);
 }

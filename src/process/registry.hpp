@@ -6,10 +6,15 @@
 //
 // Every registered ProcessSpec names a kind (stable CLI identifier), its
 // source family, a one-line description, the declared ParamSpec roster
-// (printed by `rlslb describe <kind>`), and a make function. Construction
-// validates parameters loudly: a key the make function never consumed
-// throws std::invalid_argument, an unknown kind throws std::out_of_range
-// listing the roster (matching the scenario registry's contract).
+// (util/params.hpp; printed with its ranges by `rlslb describe <kind>`),
+// and a make function. Construction validates parameters loudly, in the
+// scenario registry's contract: make() checks every declared key against
+// its domain before the make function runs, so makers read only values in
+// range; a key the make function never consumed throws
+// std::invalid_argument; an unknown kind throws std::out_of_range listing
+// the roster. The scenario layer forwards exactly the declared keys from
+// its own overrides (scenario::forwardProcessParams), so a knob has one
+// spelling, and one domain, across both layers.
 //
 // Built-in kinds (registerBuiltinProcesses):
 //   sim        rls (hybrid), rls_naive, rls_jump
@@ -27,8 +32,8 @@
 #include <vector>
 
 #include "config/configuration.hpp"
-#include "process/params.hpp"
 #include "process/process.hpp"
+#include "util/params.hpp"
 
 namespace rlslb::process {
 
@@ -36,12 +41,12 @@ struct ProcessSpec {
   std::string kind;         // stable identifier, e.g. "threshold"
   std::string family;       // "sim" | "protocols" | "ext" | "graph" | "dynamic"
   std::string description;  // one line: what dynamic this is
-  std::vector<ParamSpec> params;
+  std::vector<util::ParamSpec> params;
   /// Build a process over (a copy of the state implied by) `initial`,
   /// seeded deterministically. CRS-style dynamics that own their placement
   /// use only the shape (n, m) of `initial`; their spec says so.
   std::function<std::unique_ptr<Process>(const config::Configuration& initial,
-                                         std::uint64_t seed, const ProcessParams& params)>
+                                         std::uint64_t seed, const util::Params& params)>
       make;
 };
 
@@ -59,11 +64,14 @@ class ProcessRegistry {
   [[nodiscard]] std::size_t size() const { return byKind_.size(); }
 
   /// Construct. Throws std::out_of_range (with the roster) on an unknown
-  /// kind and std::invalid_argument on parameter keys the kind ignored.
+  /// kind, and std::invalid_argument on a value outside its declared
+  /// domain (checked before the maker runs) or on parameter keys the kind
+  /// ignored. Safe on pool threads: it only reads the registry and
+  /// `params`.
   [[nodiscard]] std::unique_ptr<Process> make(const std::string& kind,
                                               const config::Configuration& initial,
                                               std::uint64_t seed,
-                                              const ProcessParams& params = {}) const;
+                                              const util::Params& params = {}) const;
 
  private:
   std::map<std::string, ProcessSpec> byKind_;
@@ -77,6 +85,6 @@ void registerBuiltinProcesses(ProcessRegistry& registry = ProcessRegistry::globa
 /// One-liner over the global registry (registers built-ins on first use).
 std::unique_ptr<Process> makeProcess(const std::string& kind,
                                      const config::Configuration& initial, std::uint64_t seed,
-                                     const ProcessParams& params = {});
+                                     const util::Params& params = {});
 
 }  // namespace rlslb::process

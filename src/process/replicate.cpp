@@ -6,7 +6,7 @@ namespace rlslb::process {
 
 std::vector<RunResult> runReplicated(const std::string& kind,
                                      const config::Configuration& initial,
-                                     const ProcessParams& params, const Target& target,
+                                     const util::Params& params, const Target& target,
                                      const RunLimits& limits, std::int64_t reps,
                                      std::uint64_t baseSeed, runner::ThreadPool& pool,
                                      const ProcessRegistry& registry) {

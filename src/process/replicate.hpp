@@ -20,10 +20,10 @@ namespace rlslb::process {
 /// Run `reps` independent replications of `kind` from `initial` to `target`
 /// on `pool`. Each replication builds a fresh process via the registry
 /// (parameters validated once per replication against a fresh usage slate,
-/// see ProcessParams::freshCopy) and runs the generic loop.
+/// see util::Params::freshCopy) and runs the generic loop.
 std::vector<RunResult> runReplicated(const std::string& kind,
                                      const config::Configuration& initial,
-                                     const ProcessParams& params, const Target& target,
+                                     const util::Params& params, const Target& target,
                                      const RunLimits& limits, std::int64_t reps,
                                      std::uint64_t baseSeed, runner::ThreadPool& pool,
                                      const ProcessRegistry& registry = ProcessRegistry::global());

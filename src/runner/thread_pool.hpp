@@ -48,6 +48,9 @@ class CancellationToken {
   std::atomic<bool> cancelled_{false};
 };
 
+/// The ceiling of every `--threads=` flag's domain (0 = hardware).
+inline constexpr int kMaxThreads = 4096;
+
 /// Reusable fixed-size pool. `size()` counts the calling thread, so
 /// ThreadPool(1) spawns no workers and parallelFor runs inline -- callers
 /// with thread-unsafe state (or under TSan bisection) get the serial path

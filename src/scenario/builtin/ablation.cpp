@@ -36,10 +36,9 @@ void runAblation(ScenarioContext& ctx) {
   // ctx.pool() is reused by every sweep below; wall-clock cells measure
   // the threaded harness, so ms/run scales with --threads.
   const std::int64_t n = ctx.params.getInt("n", ctx.sized(1024, 2));
-  if (n < 2 || n % 2 != 0) {
+  if (n % 2 != 0) {
     // The half-half workload splits the bins into two equal halves.
-    throw std::invalid_argument("ablation: n= must be even and >= 2 (got " + std::to_string(n) +
-                                ")");
+    throw std::invalid_argument("ablation: n= must be even (got " + std::to_string(n) + ")");
   }
   const std::vector<Workload> workloads = {
       {"all-in-one m=8n", config::allInOne(n, 8 * n)},
@@ -150,7 +149,8 @@ void runAblation(ScenarioContext& ctx) {
 void registerAblation(ScenarioRegistry& r) {
   r.add({"ablation", "design ablations: engine choice, hybrid threshold, gap",
          "docs/EXPERIMENTS.md ablations", runAblation,
-         {{"n", "int", "1024 (scaled, even)", "bins"}}});
+         {{"n", "int", "1024 (scaled, even)", "bins (even)",
+           {.intMin = 2, .intMax = kMaxBins}}}});
 }
 
 }  // namespace rlslb::scenario::builtin

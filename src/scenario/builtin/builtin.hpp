@@ -5,6 +5,9 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <string_view>
 
 #include "scenario/scenario.hpp"
@@ -22,6 +25,23 @@ inline std::uint64_t stableHash(std::string_view s) {
     h *= 0x100000001b3ULL;
   }
   return h;
+}
+
+/// The largest `n=` (bins) a paper scenario declares: the serving layer's
+/// int32 bin index. The bodies' products with n (8n, 16n, n^2/4) then fit
+/// int64.
+inline constexpr std::int64_t kMaxBins = std::numeric_limits<std::int32_t>::max();
+
+/// m = ratio * n for the scenarios whose `ratio=` counts balls per bin.
+/// Both keys' domains are declared; their product fitting int64 reads two
+/// keys, so it is checked here, before the multiplication.
+inline std::int64_t ballsFor(const std::string& owner, std::int64_t ratio, std::int64_t n) {
+  if (ratio > std::numeric_limits<std::int64_t>::max() / n) {
+    throw std::invalid_argument(owner + ": ratio=" + std::to_string(ratio) + " must be in [0, " +
+                                std::to_string(std::numeric_limits<std::int64_t>::max() / n) +
+                                "] at n=" + std::to_string(n) + " (ratio * n must fit int64)");
+  }
+  return ratio * n;
 }
 
 /// The wall-time split of one serving run, set on its throughput/frontier

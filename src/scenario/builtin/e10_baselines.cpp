@@ -49,7 +49,7 @@ std::vector<SyncRow> syncRoster(const std::string& filter) {
   };
   if (filter.empty()) return {std::begin(all), std::end(all)};
   std::vector<SyncRow> rows;
-  for (const std::string& kind : util::splitCsv(filter)) {
+  for (const std::string& kind : util::splitEntries("process", filter, ',')) {
     bool known = false;
     for (const SyncRow& row : all) {
       if (kind == row.kind) {

@@ -11,7 +11,6 @@
 // equilibrium, final spread, and the max-weight bound.
 #include <algorithm>
 #include <functional>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -29,10 +28,6 @@ namespace {
 
 void runExtensions(ScenarioContext& ctx) {
   const std::int64_t n = ctx.params.getInt("n", ctx.sized(128));
-  if (n < 1) {
-    throw std::invalid_argument("e11_extensions: n= must be >= 1 (got " + std::to_string(n) +
-                                ")");
-  }
 
   // --------------------------------------------------------------- speeds
   {
@@ -147,7 +142,8 @@ void runExtensions(ScenarioContext& ctx) {
 void registerExtensions(ScenarioRegistry& r) {
   r.add({"e11_extensions", "Section 7 extensions: bin speeds and weighted balls",
          "Section 7", runExtensions,
-         {{"n", "int", "128 (scaled)", "bins (both sections)"}}});
+         {{"n", "int", "128 (scaled)", "bins (both sections)",
+           {.intMin = 1, .intMax = kMaxBins}}}});
 }
 
 }  // namespace rlslb::scenario::builtin

@@ -10,7 +10,6 @@
 //  (c) with two-choice arrivals (the [11]/[17] hybrid), which compose
 //      with migration.
 #include <iterator>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -52,10 +51,6 @@ runner::ReplicationFn spreadCell(std::int64_t n, double lambda, double mu, int c
 
 void runOpensystem(ScenarioContext& ctx) {
   const std::int64_t n = ctx.params.getInt("n", ctx.sized(64));
-  if (n < 1) {
-    throw std::invalid_argument("e14_opensystem: n= must be >= 1 (got " + std::to_string(n) +
-                                ")");
-  }
   const std::int64_t reps = ctx.repsOr(10);
   const double mu = 0.2;
 
@@ -172,7 +167,7 @@ void registerOpensystem(ScenarioRegistry& r) {
   r.add({"e14_opensystem",
          "open-system RLS (the [11] setting): stationary spread under arrivals and departures",
          "Section 1 related work; Ganesh et al. [11]", runOpensystem,
-         {{"n", "int", "64 (scaled)", "bins"}}});
+         {{"n", "int", "64 (scaled)", "bins", {.intMin = 1, .intMax = kMaxBins}}}});
 }
 
 }  // namespace rlslb::scenario::builtin

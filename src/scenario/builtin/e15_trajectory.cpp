@@ -9,8 +9,6 @@
 //
 // Parameters: n (bins, default 1024), ratio (m/n, default 8), dt (grid
 // step, default 0.5), horizon (default 24).
-#include <cmath>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -19,7 +17,6 @@
 #include "scenario/builtin/builtin.hpp"
 #include "sim/ensemble.hpp"
 #include "sim/probes.hpp"
-#include "util/format.hpp"
 
 namespace rlslb::scenario::builtin {
 
@@ -27,18 +24,10 @@ namespace {
 
 void runTrajectory(ScenarioContext& ctx) {
   const std::int64_t n = ctx.params.getInt("n", ctx.sized(1024, 2));
-  const std::int64_t ratio = ctx.params.getInt("ratio", 8);
+  const std::int64_t m = ballsFor("e15_trajectory", ctx.params.getInt("ratio", 8), n);
   const std::int64_t reps = ctx.repsOr(40);
   const double dt = ctx.params.getDouble("dt", 0.5);
   const double horizon = ctx.params.getDouble("horizon", 24.0);
-  if (n < 1 || ratio < 0 || !(dt > 0.0) || !(horizon >= 0.0) || !std::isfinite(horizon)) {
-    throw std::invalid_argument("e15_trajectory: needs n >= 1, ratio >= 0, dt > 0 and a "
-                                "finite horizon >= 0 (got n=" + std::to_string(n) +
-                                " ratio=" + std::to_string(ratio) +
-                                " dt=" + formatSig(dt, 6) +
-                                " horizon=" + formatSig(horizon, 6) + ")");
-  }
-  const std::int64_t m = ratio * n;
 
   const auto ensemble = sim::accumulateEnsemble(
       dt, horizon, reps, ctx.seed,
@@ -76,10 +65,13 @@ void runTrajectory(ScenarioContext& ctx) {
 void registerTrajectory(ScenarioRegistry& r) {
   r.add({"e15_trajectory", "ensemble mean trajectories of disc(t) and overloaded(t)",
          "Section 6 (figure-style companion)", runTrajectory,
-         {{"n", "int", "1024 (scaled, even)", "bins"},
-          {"ratio", "int", "8", "balls per bin (m = ratio * n)"},
-          {"dt", "double", "0.5", "trajectory sampling interval"},
-          {"horizon", "double", "24", "trajectory length in time units"}}});
+         {{"n", "int", "1024 (scaled, even)", "bins", {.intMin = 1, .intMax = kMaxBins}},
+          {"ratio", "int", "8", "balls per bin (m = ratio * n; ratio * n must fit int64)",
+           {.intMin = 0}},
+          {"dt", "double", "0.5", "trajectory sampling interval",
+           {.min = 0.0, .minExclusive = true}},
+          {"horizon", "double", "24", "trajectory length in time units",
+           {.min = 0.0, .finite = true}}}});
 }
 
 }  // namespace rlslb::scenario::builtin

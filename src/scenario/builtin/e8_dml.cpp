@@ -9,7 +9,6 @@
 //      be destroyed -- exactly why the lemma is phrased as stochastic
 //      dominance of disc(t), not as a time bound.
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -27,9 +26,6 @@ namespace {
 
 void runDml(ScenarioContext& ctx) {
   const std::int64_t n = ctx.params.getInt("n", ctx.sized(64));
-  if (n < 1) {
-    throw std::invalid_argument("e8_dml: n= must be >= 1 (got " + std::to_string(n) + ")");
-  }
   const std::int64_t m = 8 * n;
   const auto init = config::allInOne(n, m);
 
@@ -118,7 +114,7 @@ void runDml(ScenarioContext& ctx) {
 void registerDml(ScenarioRegistry& r) {
   r.add({"e8_dml", "Lemma 2 (DML): destructive moves never speed up RLS",
          "Lemma 2; Section 4", runDml,
-         {{"n", "int", "64 (scaled)", "bins"}}});
+         {{"n", "int", "64 (scaled)", "bins", {.intMin = 1, .intMax = kMaxBins}}}});
 }
 
 }  // namespace rlslb::scenario::builtin

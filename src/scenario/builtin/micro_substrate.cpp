@@ -17,9 +17,9 @@
 // the win), ops (per-measurement loop count, default 2e6, scaled by
 // --scale), jump_levels (distinct loads kept in play for the jump-step
 // rows, default 512 -- the level-index-vs-scan gap grows with it).
+#include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -36,14 +36,12 @@ namespace rlslb::scenario::builtin {
 namespace {
 
 void runMicroSubstrate(ScenarioContext& ctx) {
-  const std::int64_t bins = ctx.params.getInt("n", 100000);
-  if (bins < 1) {
-    throw std::invalid_argument("micro_substrate: n must be >= 1 (got " +
-                                std::to_string(bins) + ")");
-  }
-  const auto n = static_cast<std::size_t>(bins);
-  const auto ops = static_cast<std::int64_t>(
-      static_cast<double>(ctx.params.getInt("ops", 2'000'000)) * ctx.scale);
+  const auto n = static_cast<std::size_t>(ctx.params.getInt("n", 100000));
+  // At least 16 at any scale, so every row, the jump rows' ops / 16
+  // included, times at least one operation (a row of none prints inf).
+  const auto ops = std::max<std::int64_t>(
+      16, static_cast<std::int64_t>(
+              static_cast<double>(ctx.params.getInt("ops", 2'000'000)) * ctx.scale));
 
   Table table({"operation", "n", "ops", "ns/op"});
   const auto measure = [&](const char* name, std::int64_t count, auto&& body) {
@@ -152,9 +150,12 @@ void registerMicroSubstrate(ScenarioRegistry& r) {
   r.add({"micro_substrate",
          "substrate micro-costs: Fenwick add/sample/total (cached vs recompute), multiset move",
          "engineering baseline (E13 companion)", runMicroSubstrate,
-         {{"n", "int", "100000", "Fenwick size"},
-          {"ops", "int", "2e6 (scaled)", "operations per micro row"},
-          {"jump_levels", "int", "512", "distinct levels for the jump-engine rows"}}});
+         {{"n", "int", "100000", "Fenwick size", {.intMin = 1}},
+          // Bounded so that ops * scale converts back to int64 exactly.
+          {"ops", "int", "2e6 (scaled)", "operations per micro row",
+           {.intMin = 1, .intMax = std::int64_t{1} << 52}},
+          {"jump_levels", "int", "512", "distinct levels for the jump-engine rows",
+           {.intMin = 1}}}});
 }
 
 }  // namespace rlslb::scenario::builtin

@@ -9,7 +9,8 @@
 //
 // Process-specific knobs (gap, threshold, p, topology, speeds, weights,
 // lambda, mu, d, degree, level_threshold) are forwarded to makeProcess by
-// the declared spec; `rlslb describe <kind>` lists them.
+// each kind's declared spec, which also checks their domains; `rlslb
+// describe <kind>` (or `rlslb describe process_compare`) lists them.
 //
 // Targets: `auto` picks per capability -- Nash equilibrium / local
 // stability where the dynamic has one (crs, speed_rls, weighted_rls), a
@@ -37,11 +38,15 @@
 #include "scenario/builtin/builtin.hpp"
 #include "scenario/harness.hpp"
 #include "stats/summary.hpp"
+#include "util/assert.hpp"
 #include "util/parse.hpp"
 
 namespace rlslb::scenario::builtin {
 
 namespace {
+
+/// The largest time horizon: its int64 cast labels the target column.
+constexpr double kMaxHorizon = 1e18;
 
 config::Configuration makeStart(const std::string& start, std::int64_t n, std::int64_t m,
                                 std::uint64_t seed) {
@@ -51,10 +56,8 @@ config::Configuration makeStart(const std::string& start, std::int64_t n, std::i
   if (start == "powerlaw") return config::powerLaw(n, m, 1.2);
   rng::Xoshiro256pp eng(rng::streamSeed(seed, stableHash("start:" + start)));
   if (start == "random") return config::uniformRandom(n, m, eng);
-  if (start == "greedy2") return config::greedyD(n, m, 2, eng);
-  throw std::invalid_argument(
-      "process_compare: start= must be allinone|balanced|random|greedy2|staircase|powerlaw "
-      "(got '" + start + "')");
+  RLSLB_ASSERT(start == "greedy2");
+  return config::greedyD(n, m, 2, eng);
 }
 
 void runProcessCompare(ScenarioContext& ctx) {
@@ -62,25 +65,9 @@ void runProcessCompare(ScenarioContext& ctx) {
   const process::ProcessRegistry& registry = process::ProcessRegistry::global();
 
   const std::int64_t n = ctx.params.getInt("n", ctx.sized(64, 2));
-  if (n < 1) {
-    throw std::invalid_argument("process_compare: n= must be >= 1 (got " + std::to_string(n) +
-                                ")");
-  }
-  const std::int64_t ratio = ctx.params.getInt("ratio", 8);
-  if (ratio < 0 || ratio > INT64_MAX / n) {
-    throw std::invalid_argument("process_compare: ratio= must be in [0, " +
-                                std::to_string(INT64_MAX / n) + "] (got " +
-                                std::to_string(ratio) + ")");
-  }
-  const std::int64_t m = ratio * n;
+  const std::int64_t m = ballsFor("process_compare", ctx.params.getInt("ratio", 8), n);
   const std::string startName = ctx.params.getString("start", "allinone");
   const std::string targetName = ctx.params.getString("target", "auto");
-  if (targetName != "auto" && targetName != "perfect" && targetName != "x" &&
-      targetName != "band" && targetName != "equilibrium" && targetName != "time") {
-    throw std::invalid_argument(
-        "process_compare: target= must be auto|perfect|x|band|equilibrium|time (got '" +
-        targetName + "')");
-  }
   const std::int64_t x = ctx.params.getInt("x", 0);
   const double horizon = ctx.params.getDouble("horizon", 50.0);
   const std::int64_t budget = ctx.params.getInt("budget", 50'000'000);
@@ -89,12 +76,12 @@ void runProcessCompare(ScenarioContext& ctx) {
   const bool instrument =
       ctx.params.getBool("probe", false) || ctx.trace != nullptr || conformance;
 
-  std::vector<std::string> kinds = util::splitCsv(ctx.params.getString("process", "rls"));
+  std::vector<std::string> kinds =
+      util::splitEntries("process", ctx.params.getString("process", "rls"), ',');
   if (kinds.size() == 1 && kinds[0] == "all") {
     kinds.clear();
     for (const process::ProcessSpec* s : registry.list()) kinds.push_back(s->kind);
   }
-  if (kinds.empty()) throw std::invalid_argument("process_compare: process= names no kinds");
 
   const config::Configuration start = makeStart(startName, n, m, ctx.seed);
 
@@ -114,7 +101,7 @@ void runProcessCompare(ScenarioContext& ctx) {
       (void)registry.make(kind, start, ctx.seed);
       continue;  // unreachable: make() throws on unknown kinds
     }
-    const process::ProcessParams params = forwardProcessParams(*spec, ctx.params);
+    const util::Params params = forwardProcessParams(*spec, ctx.params);
 
     // Probe instance: capabilities + clock kind drive the auto target. One
     // extra construction per kind, next to the `reps` constructions
@@ -228,33 +215,26 @@ void registerProcessCompare(ScenarioRegistry& r) {
          "Section 2 baselines; Section 7 extensions; Ganesh et al. [11]", runProcessCompare,
          {{"process", "string", "rls",
            "comma list of process kinds, or 'all' (see `rlslb describe <kind>`)"},
-          {"n", "int", "64 (scaled)", "bins"},
-          {"ratio", "int", "8", "balls per bin (m = ratio * n)"},
-          {"start", "string", "allinone",
-           "initial shape: allinone|balanced|random|greedy2|staircase|powerlaw"},
+          {"n", "int", "64 (scaled)", "bins", {.intMin = 1, .intMax = kMaxBins}},
+          {"ratio", "int", "8", "balls per bin (m = ratio * n; ratio * n must fit int64)",
+           {.intMin = 0}},
+          {"start", "string", "allinone", "initial shape",
+           {.choices = "allinone|balanced|random|greedy2|staircase|powerlaw"}},
           {"target", "string", "auto",
-           "auto|perfect|x|band|equilibrium|time (auto: equilibrium / horizon / 2ln-n band / "
-           "perfect by capability)"},
-          {"x", "int", "0", "x for target=x (0 = perfect balance)"},
-          {"horizon", "double", "50", "time horizon for target=time"},
-          {"budget", "int", "5e7", "event budget per replication (rounds capped at 1e5)"},
+           "auto: equilibrium / horizon / 2ln-n band / perfect by capability",
+           {.choices = "auto|perfect|x|band|equilibrium|time"}},
+          {"x", "int", "0", "x for target=x (0 = perfect balance)", {.intMin = 0}},
+          {"horizon", "double", "50", "time horizon for target=time",
+           {.min = 0.0, .max = kMaxHorizon}},
+          {"budget", "int", "5e7", "event budget per replication (rounds capped at 1e5)",
+           {.intMin = 1}},
           {"probe", "bool", "0",
            "1 = run one extra instrumented replication per kind (process.* metrics; "
            "implied by --trace-out)"},
           {"conformance", "bool", "0 (run default)",
            "attach the conformance monitor roster to the instrumented replication "
-           "(implies probe=1)"},
-          {"gap", "int", "per kind", "forwarded to rls_naive/graph_rls/open"},
-          {"threshold", "int", "floor(m/n)", "forwarded to threshold"},
-          {"p", "double", "0.5", "forwarded to threshold"},
-          {"level_threshold", "int", "0", "forwarded to rls"},
-          {"speeds", "string", "uniform", "forwarded to speed_rls"},
-          {"weights", "string", "unit", "forwarded to weighted_rls"},
-          {"topology", "string", "complete", "forwarded to graph_rls"},
-          {"degree", "int", "4", "forwarded to graph_rls"},
-          {"lambda", "double", "0.5", "forwarded to open"},
-          {"mu", "double", "1.0", "forwarded to open"},
-          {"d", "int", "1", "forwarded to open"}}});
+           "(implies probe=1)"}},
+         /*forwardsProcessParams=*/true});
 }
 
 }  // namespace rlslb::scenario::builtin

@@ -24,10 +24,12 @@
 // record=FILE (tee the trace out; JSONL/CSV/binary by extension),
 // trace=FILE (replay a recorded trace instead of generating; format by
 // extension), trace_out=FILE (write a Chrome/Perfetto trace of the loop's
-// phases). Kind-specific params are listed at each builder. Unusable user
-// input (an out-of-range param, a bad spec, an unreadable or inconsistent
-// trace, an unwritable output) throws std::invalid_argument, which the
-// driver reports with exit code 2.
+// phases). Kind-specific params are listed at each builder. The shared
+// params' ranges are declared with them, and runOne checks them before the
+// body runs. Other unusable input (a shape param outside its compose
+// factor's range, a bad spec, an unreadable or inconsistent trace, an
+// unwritable output, a total rate that overflows) throws
+// std::invalid_argument here, which the driver reports with exit code 2.
 #include <algorithm>
 #include <cmath>
 #include <fstream>
@@ -56,49 +58,14 @@ namespace {
 /// The int32 ceiling of bin indices.
 constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
 
-/// Integer param `name`, rejected outside [min, max] before any arithmetic,
-/// narrowing or allocation uses it (epoch= divides, n= and d= size draws,
-/// d= is narrowed to int, n= to the allocator's int32 bin indices,
-/// weight= stops at workload::kMaxBallWeight).
-std::int64_t intParam(ScenarioContext& ctx, const char* name, std::int64_t fallback,
-                      std::int64_t min,
-                      std::int64_t max = std::numeric_limits<std::int64_t>::max()) {
-  const std::int64_t value = ctx.params.getInt(name, fallback);
-  if (value < min || value > max) {
-    std::string message = name;
-    if (max == std::numeric_limits<std::int64_t>::max()) {
-      message.append("= must be >= ").append(std::to_string(min));
-    } else {
-      message.append("= must be in [").append(std::to_string(min)).append(", ");
-      message.append(std::to_string(max)).append("]");
-    }
-    message.append(" (got ").append(std::to_string(value)).append(")");
-    throw std::invalid_argument(message);
-  }
-  return value;
-}
-
-/// Rate param `name` (lambda=, mu=, resample=), rejected when negative or
-/// NaN.
-double rateParam(ScenarioContext& ctx, const char* name, double fallback) {
-  const double value = ctx.params.getDouble(name, fallback);
-  if (!(value >= 0.0)) {
-    std::string message = name;
-    message.append("= must be >= 0 (got ").append(report::formatJsonNumber(value));
-    message.append(")");
-    throw std::invalid_argument(message);
-  }
-  return value;
-}
-
 workload::OpenTraceOptions baseTraceOptions(ScenarioContext& ctx, std::int64_t bins,
                                             std::int64_t events) {
   workload::OpenTraceOptions o;
   o.bins = bins;
-  o.arrivalRatePerBin = rateParam(ctx, "lambda", 1.0);
-  o.departureRate = rateParam(ctx, "mu", 0.125);
-  o.resampleRate = rateParam(ctx, "resample", 1.0);
-  o.ballWeight = intParam(ctx, "weight", 1, 1, workload::kMaxBallWeight);
+  o.arrivalRatePerBin = ctx.params.getDouble("lambda", 1.0);
+  o.departureRate = ctx.params.getDouble("mu", 0.125);
+  o.resampleRate = ctx.params.getDouble("resample", 1.0);
+  o.ballWeight = ctx.params.getInt("weight", 1);
   // Every record is at least one unit, so `events` records always hold the
   // unit budget.
   o.maxEvents = events;
@@ -167,17 +134,16 @@ std::unique_ptr<workload::OpenTrace> buildTrace(ScenarioContext& ctx, const std:
 
 void runServe(ScenarioContext& ctx, const std::string& kind) {
   const WallTimer wall;  // the whole scenario: the throughput record's wall_s
-  const std::int64_t n = intParam(ctx, "n", ctx.sized(256), 1, kInt32Max);
+  const std::int64_t n = ctx.params.getInt("n", ctx.sized(256));
   const bool eventsGiven = ctx.params.has("events");
-  std::int64_t events = intParam(ctx, "events", ctx.sized(6'000'000), 1);
+  std::int64_t events = ctx.params.getInt("events", ctx.sized(6'000'000));
   serve::AllocatorOptions allocOptions;
   allocOptions.bins = n;
-  allocOptions.arrivalChoices =
-      static_cast<int>(intParam(ctx, "d", 2, 1, serve::kMaxArrivalChoices));
+  allocOptions.arrivalChoices = static_cast<int>(ctx.params.getInt("d", 2));
   allocOptions.invertAcceptance = ctx.params.getBool("invert", false);
   const bool conformance = ctx.params.getBool("conformance", ctx.conformanceDefault);
   serve::LoopOptions loopOptions;
-  loopOptions.epochEvents = intParam(ctx, "epoch", 1024, 1);
+  loopOptions.epochEvents = ctx.params.getInt("epoch", 1024);
   loopOptions.seed = ctx.seed;
   const std::string replayPath = ctx.params.getString("trace", "");
   const std::string recordPath = ctx.params.getString("record", "");
@@ -266,9 +232,9 @@ void runServe(ScenarioContext& ctx, const std::string& kind) {
   if (conformance) {
     obs::ServeConformanceParams cp;
     cp.n = n;
-    const double mu = rateParam(ctx, "mu", 0.125);
+    const double mu = ctx.params.getDouble("mu", 0.125);
     cp.expectedBalls =
-        mu > 0.0 ? static_cast<std::int64_t>(rateParam(ctx, "lambda", 1.0) *
+        mu > 0.0 ? static_cast<std::int64_t>(ctx.params.getDouble("lambda", 1.0) *
                                              static_cast<double>(n) / mu)
                  : 0;
     cp.d = allocOptions.arrivalChoices;
@@ -400,17 +366,21 @@ void setWallSplit(report::Json* record, double wallSeconds, double fillSeconds,
 }
 
 void registerServe(ScenarioRegistry& r) {
-  const std::vector<process::ParamSpec> shared = {
-      {"n", "int", "256 (scaled)", "bins"},
+  constexpr util::ParamDomain kRate = {.min = 0.0};
+  const std::vector<util::ParamSpec> shared = {
+      {"n", "int", "256 (scaled)", "bins", {.intMin = 1, .intMax = kInt32Max}},
       {"events", "int", "6e6 (scaled)",
        "units to serve: arrivals, departures and RLS activations (a replay: at most "
-       "the file's)"},
-      {"d", "int", "2", "arrival choices (snapshot-least-loaded of d bins)"},
-      {"epoch", "int", "1024", "units per load snapshot"},
-      {"lambda", "double", "1.0", "arrivals per bin per time unit"},
-      {"mu", "double", "0.125", "per-ball departure rate"},
-      {"resample", "double", "1.0", "per-ball RLS clock rate"},
-      {"weight", "int", "1", "background ball weight, in [1, 65535]"},
+       "the file's)",
+       {.intMin = 1}},
+      {"d", "int", "2", "arrival choices (snapshot-least-loaded of d bins)",
+       {.intMin = 1, .intMax = serve::kMaxArrivalChoices}},
+      {"epoch", "int", "1024", "units per load snapshot", {.intMin = 1}},
+      {"lambda", "double", "1.0", "arrivals per bin per time unit", kRate},
+      {"mu", "double", "0.125", "per-ball departure rate", kRate},
+      {"resample", "double", "1.0", "per-ball RLS clock rate", kRate},
+      {"weight", "int", "1", "background ball weight",
+       {.intMin = 1, .intMax = workload::kMaxBallWeight}},
       {"conformance", "bool", "0 (run default)",
        "attach the conformance monitor roster at epoch boundaries"},
       {"invert", "bool", "0",
@@ -424,26 +394,36 @@ void registerServe(ScenarioRegistry& r) {
        "write a Chrome/Perfetto trace of this run's phases to FILE"},
   };
   const auto add = [&](const std::string& kind, const std::string& what,
-                       std::vector<process::ParamSpec> extra) {
-    std::vector<process::ParamSpec> params = shared;
+                       std::vector<util::ParamSpec> extra) {
+    std::vector<util::ParamSpec> params = shared;
     params.insert(params.end(), extra.begin(), extra.end());
     r.add({"serve_" + kind,
            "online serving: " + what + " trace through the incremental RLS allocator",
            "open-system serving (Ganesh et al. [11]; Section 7 outlook)",
            [kind](ScenarioContext& ctx) { runServe(ctx, kind); }, std::move(params)});
   };
+  // The shape keys are checked against the compose factor's range table
+  // (workload::checkComposeFactor), the one table they share with compose
+  // specs; `rlslb describe <factor>` prints it.
   add("poisson", "constant-rate Poisson arrivals/departures", {});
   add("bursty", "2-state MMPP calm/burst",
-      {{"burst_factor", "double", "8.0", "burst-state rate multiplier"},
-       {"calm_to_burst", "double", "0.05", "calm -> burst switching rate"},
-       {"burst_to_calm", "double", "0.5", "burst -> calm switching rate"}});
+      {{"burst_factor", "double", "8.0",
+        "burst-state rate multiplier (range: `rlslb describe bursty`)"},
+       {"calm_to_burst", "double", "0.05",
+        "calm -> burst switching rate (range: `rlslb describe bursty`)"},
+       {"burst_to_calm", "double", "0.5",
+        "burst -> calm switching rate (range: `rlslb describe bursty`)"}});
   add("diurnal", "sinusoid-modulated (day/night) arrivals",
-      {{"amplitude", "double", "0.8", "rate modulation depth (0..1)"},
-       {"period", "double", "64.0", "day length in time units"}});
+      {{"amplitude", "double", "0.8",
+        "rate modulation depth (range: `rlslb describe diurnal`)"},
+       {"period", "double", "64.0",
+        "day length in time units (range: `rlslb describe diurnal`)"}});
   add("adversarial", "synchronized heavy hot-spot bursts",
-      {{"burst_period", "double", "16.0", "time between synchronized bursts"},
-       {"burst_size", "int", "32", "balls per burst"},
-       {"hot_weight", "int", "8", "weight of each burst ball, in [1, 65535]"}});
+      {{"burst_period", "double", "16.0",
+        "time between synchronized bursts (range: `rlslb describe hotspot`)"},
+       {"burst_size", "int", "32", "balls per burst (range: `rlslb describe hotspot`)"},
+       {"hot_weight", "int", "8",
+        "weight of each burst ball (range: `rlslb describe hotspot`)"}});
   add("composed", "composable trace algebra (sum/modulate/overlay of factors)",
       {{"spec", "string", "diurnal(0.8,64)*bursty(8,0.05,0.5)+hotspot(16,32,8)",
         "trace algebra spec; factors/combinators listed by `rlslb traces`"}});

@@ -45,26 +45,6 @@ namespace rlslb::scenario::builtin {
 
 namespace {
 
-/// Split list param `name`; an empty entry (or an empty list) is a usage
-/// error.
-std::vector<std::string> splitList(const std::string& name, const std::string& text,
-                                   char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t end = text.find(sep, start);
-    const std::string token =
-        text.substr(start, end == std::string::npos ? std::string::npos : end - start);
-    if (token.empty()) {
-      throw std::invalid_argument("serve_capacity: empty entry in " + name + "=" + text);
-    }
-    out.push_back(token);
-    if (end == std::string::npos) break;
-    start = end + 1;
-  }
-  return out;
-}
-
 /// The int32 ceiling of bin indices and live slots.
 constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
 
@@ -85,39 +65,18 @@ struct CellResult {
 
 void runCapacity(ScenarioContext& ctx) {
   const std::vector<std::string> nTokens =
-      splitList("n_list", ctx.params.getString("n_list", "1000000"), ',');
+      util::splitEntries("n_list", ctx.params.getString("n_list", "1000000"), ',');
   const std::vector<std::string> loadTokens =
-      splitList("load_list", ctx.params.getString("load_list", "8"), ',');
+      util::splitEntries("load_list", ctx.params.getString("load_list", "8"), ',');
   const std::vector<std::string> traceSpecs =
-      splitList("traces", ctx.params.getString("traces", "poisson"), ';');
+      util::splitEntries("traces", ctx.params.getString("traces", "poisson"), ';');
   const std::int64_t epb = ctx.params.getInt("epb", ctx.sized(4));
   const std::int64_t epochEvents = ctx.params.getInt("epoch", 1024);
-  // d= is range-checked as int64, before narrowing to int.
-  const std::int64_t dParam = ctx.params.getInt("d", 2);
+  const auto d = static_cast<int>(ctx.params.getInt("d", 2));
   const double resample = ctx.params.getDouble("resample", 1.0);
   const std::int64_t budgetMb = ctx.params.getInt("budget_mb", 2048);
-  // Rejected before the MB -> bytes shift can overflow.
-  constexpr std::int64_t kMaxBudgetMb = std::numeric_limits<std::int64_t>::max() >> 20;
-  if (budgetMb < 0 || budgetMb > kMaxBudgetMb) {
-    throw std::invalid_argument("serve_capacity: budget_mb= must be in [0, " +
-                                std::to_string(kMaxBudgetMb) + "] (got " +
-                                std::to_string(budgetMb) + ")");
-  }
   const std::int64_t budgetBytes = budgetMb << 20;
   const bool conformance = ctx.params.getBool("conformance", ctx.conformanceDefault);
-  if (epb < 1 || epochEvents < 1 || dParam < 1 || dParam > serve::kMaxArrivalChoices) {
-    std::string message = "serve_capacity: epb= and epoch= must be >= 1 and d= in [1, ";
-    message.append(std::to_string(serve::kMaxArrivalChoices)).append("] (got epb=");
-    message.append(std::to_string(epb)).append(", epoch=");
-    message.append(std::to_string(epochEvents)).append(", d=");
-    message.append(std::to_string(dParam)).append(")");
-    throw std::invalid_argument(message);
-  }
-  if (!(resample >= 0.0)) {
-    throw std::invalid_argument("serve_capacity: resample= must be >= 0 (got " +
-                                report::formatJsonNumber(resample) + ")");
-  }
-  const auto d = static_cast<int>(dParam);
 
   std::vector<std::int64_t> nList;
   for (const std::string& t : nTokens) {
@@ -352,12 +311,16 @@ void registerServeCapacity(ScenarioRegistry& r) {
           {"traces", "string", "poisson",
            "';'-separated compose specs (workload algebra; see `rlslb traces`)"},
           {"epb", "int", "4 (scaled)",
-           "units (arrivals, departures, RLS activations) per expected ball: cell length"},
-          {"epoch", "int", "1024", "units per load snapshot"},
-          {"d", "int", "2", "arrival choices"},
-          {"resample", "double", "1.0", "per-ball RLS clock rate"},
+           "units (arrivals, departures, RLS activations) per expected ball: cell length",
+           {.intMin = 1}},
+          {"epoch", "int", "1024", "units per load snapshot", {.intMin = 1}},
+          {"d", "int", "2", "arrival choices",
+           {.intMin = 1, .intMax = serve::kMaxArrivalChoices}},
+          {"resample", "double", "1.0", "per-ball RLS clock rate", {.min = 0.0}},
+          // Bounded so that the MB -> bytes shift cannot overflow.
           {"budget_mb", "int", "2048",
-           "skip cells whose predicted state exceeds this many MB (0 = no gate)"},
+           "skip cells whose predicted state exceeds this many MB (0 = no gate)",
+           {.intMin = 0, .intMax = std::numeric_limits<std::int64_t>::max() >> 20}},
           {"conformance", "bool", "0 (run default)",
            "attach the serve monitor roster (single-(n,load) sweeps only)"}}});
 }

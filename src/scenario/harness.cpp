@@ -1,7 +1,6 @@
 #include "scenario/harness.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <fstream>
 #include <stdexcept>
@@ -9,40 +8,38 @@
 
 namespace rlslb::scenario {
 
-ScenarioContext contextFromArgs(const CliArgs& args) {
+namespace {
+
+/// The common driver flags and their domains.
+const std::vector<util::ParamSpec>& driverFlags() {
+  static const std::vector<util::ParamSpec> flags = {
+      {"scale", "string", "default", "size multiplier: small 0.5, default 1, full 2",
+       {.choices = "small|default|full"}},
+      {"seed", "int", "20170529", "base seed (as uint64)"},
+      {"reps", "int", "0", "replications (0 = each scenario's default)", {.intMin = 0}},
+      {"threads", "int", "0", "replication threads (0 = hardware)",
+       {.intMin = 0, .intMax = runner::kMaxThreads}},
+      {"csv", "bool", "0", "also print CSV blocks"},
+      {"conformance", "string", "off", "attach the conformance monitors (strict: exit 3)",
+       {.choices = "on|off|strict"}},
+  };
+  return flags;
+}
+
+}  // namespace
+
+ScenarioContext contextFromArgs(const util::Params& args) {
+  util::checkParams(args, driverFlags(), "");
   ScenarioContext ctx;
   ctx.scaleName = args.getString("scale", "default");
-  if (ctx.scaleName == "small") {
-    ctx.scale = 0.5;
-  } else if (ctx.scaleName == "default") {
-    ctx.scale = 1.0;
-  } else if (ctx.scaleName == "full") {
-    ctx.scale = 2.0;
-  } else {
-    std::fprintf(stderr, "unknown --scale=%s (small|default|full)\n", ctx.scaleName.c_str());
-    std::exit(2);
-  }
+  ctx.scale = ctx.scaleName == "small" ? 0.5 : (ctx.scaleName == "full" ? 2.0 : 1.0);
   ctx.reps = args.getInt("reps", 0);
-  if (ctx.reps < 0) {
-    throw std::invalid_argument("--reps=" + std::to_string(ctx.reps) +
-                                " must be >= 0 (0 = the scenario's default)");
-  }
   ctx.seed = static_cast<std::uint64_t>(args.getInt("seed", 20170529));
-  ctx.threads = args.getThreads(0);
+  ctx.threads = static_cast<int>(args.getInt("threads", 0));
   ctx.csv = args.getBool("csv", false);
   const std::string conformance = args.getString("conformance", "off");
-  if (conformance == "on") {
-    ctx.conformanceDefault = true;
-  } else if (conformance == "strict") {
-    ctx.conformanceDefault = true;
-    ctx.conformanceStrict = true;
-  } else if (conformance == "off") {
-    ctx.conformanceDefault = false;
-  } else {
-    std::fprintf(stderr, "unknown --conformance=%s (on|off|strict)\n",
-                 conformance.c_str());
-    std::exit(2);
-  }
+  ctx.conformanceDefault = conformance != "off";
+  ctx.conformanceStrict = conformance == "strict";
   return ctx;
 }
 
@@ -61,16 +58,14 @@ int conformanceExit(const ScenarioContext& ctx) {
 
 void applyParamTokens(ScenarioContext& ctx, const std::vector<std::string>& tokens) {
   std::string error;
-  if (!ScenarioParams::fromTokens(tokens, &ctx.params, &error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    std::exit(2);
+  if (!util::Params::fromTokens(tokens, &ctx.params, &error)) {
+    throw std::invalid_argument(error);
   }
 }
 
-process::ProcessParams forwardProcessParams(const process::ProcessSpec& spec,
-                                            const ScenarioParams& params) {
-  process::ProcessParams out;
-  for (const process::ParamSpec& p : spec.params) {
+util::Params forwardProcessParams(const process::ProcessSpec& spec, const util::Params& params) {
+  util::Params out;
+  for (const util::ParamSpec& p : spec.params) {
     if (params.has(p.name)) out.set(p.name, params.getString(p.name, ""));
   }
   return out;
@@ -132,7 +127,7 @@ bool TraceOutput::finish(ScenarioContext& ctx) {
 
 int runStandalone(int argc, char** argv, const std::string& scenarioName) {
   // Split bare key=value tokens (parameter overrides) from --flags before
-  // CliArgs sees them; CliArgs insists on the -- prefix.
+  // the flag bag sees them; it insists on the -- prefix.
   std::vector<std::string> flagStrings;
   std::vector<std::string> paramTokens;
   if (argc > 0) flagStrings.emplace_back(argv[0]);
@@ -149,17 +144,13 @@ int runStandalone(int argc, char** argv, const std::string& scenarioName) {
   for (const auto& s : flagStrings) flagPtrs.push_back(s.c_str());
   // A bad flag and a failing scenario are both usage errors: exit 2.
   try {
-    const CliArgs args(static_cast<int>(flagPtrs.size()), flagPtrs.data());
+    const util::Params args(static_cast<int>(flagPtrs.size()), flagPtrs.data());
     ScenarioContext ctx = contextFromArgs(args);
     applyParamTokens(ctx, paramTokens);
 
     const std::string outPath = args.getString("out", "");
     const std::string tracePath = args.getString("trace-out", "");
-    const auto unused = args.unusedKeys();
-    if (!unused.empty()) {
-      for (const auto& k : unused) std::fprintf(stderr, "unknown flag --%s\n", k.c_str());
-      return 2;
-    }
+    args.rejectUnused();
     ResultOutput out;
     if (!out.attach(outPath, ctx)) return 2;
     TraceOutput traceOut;
@@ -168,15 +159,7 @@ int runStandalone(int argc, char** argv, const std::string& scenarioName) {
     registerBuiltinScenarios();
     ScenarioRegistry::global().runOne(scenarioName, ctx);
     if (!traceOut.finish(ctx)) return 2;
-
-    const auto unusedParams = ctx.params.unusedKeys();
-    if (!unusedParams.empty()) {
-      for (const auto& k : unusedParams) {
-        std::fprintf(stderr, "unknown parameter %s (not read by %s)\n", k.c_str(),
-                     scenarioName.c_str());
-      }
-      return 2;
-    }
+    ctx.params.rejectUnused(" (not read by " + scenarioName + ")");
     return conformanceExit(ctx);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n", e.what());

@@ -8,9 +8,12 @@
 //         ./bench/bench_theorem1 --scale=small --seed=7
 //     is exactly `rlslb run e1_theorem1 --scale=small --seed=7`.
 //
-// Both accept the common knobs (--scale/--seed/--reps/--threads/--csv) plus
+// Both accept the common knobs (--scale/--seed/--reps/--threads/--csv/
+// --conformance, declared with their domains in harness.cpp) plus
 // --out=FILE to stream JSONL records (report/result_sink.hpp), and bare
-// key=value tokens as scenario parameter overrides.
+// key=value tokens as scenario parameter overrides. Every usage error --
+// a bad flag, a malformed token, a param outside its domain -- is a
+// std::invalid_argument, which the binaries print and turn into exit 2.
 #pragma once
 
 #include <fstream>
@@ -19,32 +22,32 @@
 
 #include "process/registry.hpp"
 #include "scenario/scenario.hpp"
-#include "util/cli.hpp"
+#include "util/params.hpp"
 
 namespace rlslb::scenario {
 
-/// Build a ScenarioContext from the common `--key=value` knobs (including
-/// --conformance=on|off|strict). Exits with code 2 on a malformed --scale
-/// or --conformance. Does not check unused flags (the caller may still
-/// consume e.g. --out).
-ScenarioContext contextFromArgs(const CliArgs& args);
+/// Build a ScenarioContext from the common `--key=value` knobs, checked
+/// against their declared domains first: a value outside its domain (e.g.
+/// --scale=bogus, --threads=-3) throws std::invalid_argument. Does not
+/// check unused flags (the caller may still consume e.g. --out).
+ScenarioContext contextFromArgs(const util::Params& args);
 
 /// Print the run-total conformance summary (when any checks ran) and
 /// return the driver exit code: 3 when --conformance=strict saw
 /// error-severity anomalies, 0 otherwise.
 int conformanceExit(const ScenarioContext& ctx);
 
-/// Fill `ctx.params` from bare key=value tokens; exits with code 2 on a
-/// malformed token.
+/// Fill `ctx.params` from bare key=value tokens; throws
+/// std::invalid_argument on a malformed token.
 void applyParamTokens(ScenarioContext& ctx, const std::vector<std::string>& tokens);
 
 /// Forward exactly the keys `spec` declares from the scenario's `key=value`
-/// overrides into a ProcessParams (marking them consumed on the scenario
-/// side). One spelling of every knob across both layers: a scenario takes
-/// e.g. `process=threshold threshold=8 p=0.25` and hands the latter two to
+/// overrides into a process bag (marking them consumed on the scenario
+/// side); ProcessRegistry::make checks them against the kind's domains.
+/// One spelling of every knob across both layers: a scenario takes e.g.
+/// `process=threshold threshold=8 p=0.25` and hands the latter two to
 /// process::makeProcess.
-process::ProcessParams forwardProcessParams(const process::ProcessSpec& spec,
-                                            const ScenarioParams& params);
+util::Params forwardProcessParams(const process::ProcessSpec& spec, const util::Params& params);
 
 /// Caller-owned holder for the --out stream and its sink (both must
 /// outlive the scenario runs). attach() with a non-empty path opens the

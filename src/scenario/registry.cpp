@@ -7,6 +7,18 @@
 
 namespace rlslb::scenario {
 
+namespace {
+
+/// {"n":"1e6","gap":"2"}: the raw strings, ordered by key, for the
+/// scenario_start record.
+report::Json paramsToJson(const util::Params& params) {
+  report::Json j = report::Json::object();
+  for (const auto& [k, v] : params.values()) j.set(k, v);
+  return j;
+}
+
+}  // namespace
+
 void ScenarioContext::emitTable(const Table& table, const std::string& title) {
   if (console != nullptr) {
     table.print(*console, title);
@@ -64,6 +76,7 @@ void ScenarioRegistry::runOne(const std::string& name, ScenarioContext& ctx) con
     }
     throw std::out_of_range("unknown scenario '" + name + "' (known: " + known + ")");
   }
+  util::checkParams(ctx.params, s->params, s->name);
 
   ctx.activeScenario = s->name;
   if (ctx.console != nullptr) {
@@ -75,7 +88,7 @@ void ScenarioRegistry::runOne(const std::string& name, ScenarioContext& ctx) con
                  << "\n==============================================================\n\n";
   }
   if (ctx.sink != nullptr) {
-    ctx.sink->beginScenario(s->name, s->paperRef, ctx.params.toJson());
+    ctx.sink->beginScenario(s->name, s->paperRef, paramsToJson(ctx.params));
   }
 
   // Per-scenario telemetry: the registry starts empty (no stale

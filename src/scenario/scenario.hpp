@@ -9,6 +9,14 @@
 // and the ResultSink that turns each table into a machine-readable JSONL
 // record next to the ASCII output.
 //
+// Parameters: each scenario declares its keys as util::ParamSpecs, each
+// with a domain. runOne checks every supplied key the scenario declares
+// against its domain before the body runs (util::checkParams), so a body
+// reads only values in range and keeps only the checks that read two keys
+// or structured input. Overrides arrive as bare `key=value` tokens in one
+// util::Params bag; the driver fails a run whose bag holds a key no
+// scenario read.
+//
 // Entry points: the unified `rlslb` driver (examples/rlslb.cpp) and the
 // thin standalone bench_* mains (scenario/harness.hpp), which both resolve
 // scenarios through the same registry — `./bench/bench_theorem1` and
@@ -26,14 +34,16 @@
 #include "obs/metrics.hpp"
 #include "obs/monitor.hpp"
 #include "obs/trace.hpp"
-#include "process/params.hpp"
 #include "report/result_sink.hpp"
 #include "runner/thread_pool.hpp"
-#include "scenario/params.hpp"
+#include "util/params.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
 namespace rlslb::scenario {
+
+/// The scenario-side spelling of the one key=value bag.
+using ScenarioParams = util::Params;
 
 /// Everything a scenario needs to run: knobs, pool, params, sink.
 struct ScenarioContext {
@@ -45,7 +55,7 @@ struct ScenarioContext {
   bool csv = false;                // also print CSV blocks (legacy --csv)
   std::shared_ptr<runner::ThreadPool> sharedPool;
   report::ResultSink* sink = nullptr;  // may be null (console-only run)
-  ScenarioParams params;
+  util::Params params;
   std::ostream* console = &std::cout;  // null = fully quiet (tests)
 
   /// The run's telemetry registry (src/obs/): scenarios wire it into their
@@ -124,11 +134,17 @@ struct Scenario {
   std::string description;  // one line: what it reproduces
   std::string paperRef;     // e.g. "Theorem 1; Section 5"
   std::function<void(ScenarioContext&)> run;
-  /// Declared `key=value` knobs (printed by `rlslb describe <name>`).
-  /// Shares the spec type with the process registry so both layers'
-  /// parameters read the same way. Defaulted so parameterless scenarios
-  /// keep the four-field aggregate registration.
-  std::vector<process::ParamSpec> params = {};
+  /// Declared `key=value` knobs with their domains (printed by `rlslb
+  /// describe <name>`, enforced by runOne). Shares the spec type with the
+  /// process registry so both layers' parameters read the same way.
+  /// Defaulted so parameterless scenarios keep the four-field aggregate
+  /// registration.
+  std::vector<util::ParamSpec> params = {};
+  /// True when the body forwards each selected process kind's declared
+  /// keys to ProcessRegistry::make (forwardProcessParams): those keys are
+  /// declared and checked there, and `rlslb describe` lists them from the
+  /// process registry.
+  bool forwardsProcessParams = false;
 };
 
 class ScenarioRegistry {
@@ -145,9 +161,11 @@ class ScenarioRegistry {
   [[nodiscard]] std::vector<const Scenario*> list() const;
   [[nodiscard]] std::size_t size() const { return byName_.size(); }
 
-  /// Run one scenario: banner + scenario_start record, the scenario body,
-  /// then the scenario_end record with wall-clock seconds. Throws
-  /// std::out_of_range (with the known-name list) on an unknown name.
+  /// Run one scenario: the domain check of its declared params, banner +
+  /// scenario_start record, the scenario body, then the scenario_end
+  /// record with wall-clock seconds. Throws std::out_of_range (with the
+  /// known-name list) on an unknown name and std::invalid_argument on a
+  /// param outside its domain (before anything is printed or recorded).
   void runOne(const std::string& name, ScenarioContext& ctx) const;
 
  private:

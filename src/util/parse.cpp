@@ -43,18 +43,16 @@ double parseDouble(const std::string& text, const std::string& what) {
   return v;
 }
 
-std::vector<std::string> splitCsv(const std::string& csv) {
+std::vector<std::string> splitEntries(const std::string& key, const std::string& text, char sep) {
   std::vector<std::string> out;
   std::size_t start = 0;
-  while (start <= csv.size()) {
-    const std::size_t comma = csv.find(',', start);
-    const std::string token =
-        csv.substr(start, comma == std::string::npos ? comma : comma - start);
-    if (!token.empty()) out.push_back(token);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
+  while (true) {
+    const std::size_t end = text.find(sep, start);
+    out.push_back(text.substr(start, end == std::string::npos ? end : end - start));
+    if (out.back().empty()) fail(key, text, "empty list entry");
+    if (end == std::string::npos) return out;
+    start = end + 1;
   }
-  return out;
 }
 
 bool parseBool(const std::string& text, const std::string& what) {

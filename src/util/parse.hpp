@@ -1,9 +1,8 @@
-// Typed parsing of `key=value` parameter strings, shared by the scenario
-// param layer (scenario/params.hpp) and the process param layer
-// (process/params.hpp). All three parsers throw std::invalid_argument on
-// malformed input -- a typo'd override must stop the run with a usage error
-// (the drivers print the message and exit 2), never silently fall back to a
-// default.
+// Typed parsing of `key=value` parameter strings, behind util::Params
+// (util/params.hpp) and the list-valued params. Every parser throws
+// std::invalid_argument on malformed input -- a typo'd override must stop
+// the run with a usage error (the drivers print the message and exit 2),
+// never silently fall back to a default.
 #pragma once
 
 #include <cstdint>
@@ -22,8 +21,10 @@ double parseDouble(const std::string& text, const std::string& what);
 /// true/1/yes/on and false/0/no/off.
 bool parseBool(const std::string& text, const std::string& what);
 
-/// Split a comma-separated list, dropping empty tokens ("a,,b" -> {a, b}).
-/// The one parser behind every `process=a,b,c`-style CLI value.
-std::vector<std::string> splitCsv(const std::string& csv);
+/// Split the value of list param `key` at `sep` ("a,b" -> {a, b}). An empty
+/// entry, or an empty list, is a usage error that names the key. The one
+/// splitter behind every list-valued param (`process=a,b`, `n_list=16,32`,
+/// `traces=spec;spec`).
+std::vector<std::string> splitEntries(const std::string& key, const std::string& text, char sep);
 
 }  // namespace rlslb::util

@@ -1,8 +1,6 @@
 // Telemetry-layer coverage (src/obs/):
-//   - MetricsRegistry: handle semantics, histogram bucketing, and the
-//     merge-determinism contract — per-shard slabs written from parallel
-//     workers sum to the same merged values for every shard count and
-//     thread count;
+//   - MetricsRegistry: handle semantics, histogram bucketing, clear and
+//     reset;
 //   - the zero-allocation contract with metrics ATTACHED: steady-state
 //     serving epochs stay heap-silent while exporting counters, gauges,
 //     histograms, and phase timings (registration, the one allocating
@@ -113,77 +111,15 @@ TEST(MetricsRegistry_, ClearKeepsRegistrationsResetDropsThem) {
   m.add(c, 5);
   m.set(g, 3.5);
   m.observe(h, 2);
-  m.configureShards(4);
-  m.addShard(3, c, 7);
 
   m.clear();
   EXPECT_FALSE(m.empty()) << "clear() keeps the registrations";
-  EXPECT_EQ(m.shards(), 4) << "clear() keeps the shard layout";
   EXPECT_EQ(m.counterValue(c), 0);
   EXPECT_EQ(m.gaugeValue(g), 0.0);
   EXPECT_EQ(m.histTotal(h), 0);
 
   m.reset();
   EXPECT_TRUE(m.empty());
-  EXPECT_EQ(m.shards(), 1);
-}
-
-TEST(MetricsRegistry_, ConfigureShardsGrowthKeepsExistingValues) {
-  MetricsRegistry m;
-  const CounterId c = m.counter("c");
-  m.configureShards(2);
-  m.addShard(0, c, 10);
-  m.addShard(1, c, 20);
-  m.configureShards(8);  // growth: old slabs survive, new ones are zero
-  m.addShard(7, c, 3);
-  EXPECT_EQ(m.counterValue(c), 33);
-}
-
-// The merge-determinism contract: distributing a fixed logical workload
-// of increments/observations across S owner shards, written concurrently
-// by a pool of T threads, merges to the same totals for every (S, T).
-TEST(MetricsRegistry_, MergeIsDeterministicAcrossShardAndThreadCounts) {
-  constexpr std::int64_t kOps = 4096;
-
-  // Reference: everything through shard 0, sequentially.
-  std::int64_t refCounter = 0;
-  MetricsRegistry ref;
-  const CounterId refC = ref.counter("c");
-  const HistId refH = ref.histogram("h", {4, 16, 64});
-  for (std::int64_t i = 0; i < kOps; ++i) {
-    ref.add(refC, i % 7);
-    ref.observe(refH, i % 100);
-    refCounter += i % 7;
-  }
-  ASSERT_EQ(ref.counterValue(refC), refCounter);
-
-  for (const int shards : {1, 3, 8}) {
-    for (const int threads : {1, 2, 4}) {
-      MetricsRegistry m;
-      const CounterId c = m.counter("c");
-      const HistId h = m.histogram("h", {4, 16, 64});
-      m.configureShards(shards);
-      runner::ThreadPool pool(threads);
-      // Shard s owns ops i with i % shards == s, so concurrent addShard
-      // calls never touch the same slab.
-      pool.parallelFor(shards, [&](std::int64_t s) {
-        const int shard = static_cast<int>(s);
-        for (std::int64_t i = shard; i < kOps; i += shards) {
-          m.addShard(shard, c, i % 7);
-          m.observeShard(shard, h, i % 100);
-        }
-      });
-      EXPECT_EQ(m.counterValue(c), refCounter) << "shards=" << shards
-                                               << " threads=" << threads;
-      EXPECT_EQ(m.histCounts(h), ref.histCounts(refH))
-          << "shards=" << shards << " threads=" << threads;
-      EXPECT_EQ(m.histTotal(h), kOps);
-      // The snapshot is deterministic too (names in registration order,
-      // merged integer values).
-      EXPECT_EQ(m.toJson().dump(), ref.toJson().dump())
-          << "shards=" << shards << " threads=" << threads;
-    }
-  }
 }
 
 // --------------------------------------------- serving-loop integration

@@ -4,9 +4,6 @@
 //   - differential quantile accuracy against exact order statistics for
 //     uniform, exponential, and adversarial-burst inputs (the documented
 //     ~3.1% relative-error bound plus the midpoint half-width);
-//   - the merge-determinism contract: per-shard slabs written from
-//     parallel workers render byte-identical snapshots for every
-//     (shards, threads) config;
 //   - CUSUM: detects a genuine level shift quickly, stays quiet on the
 //     baseline process (no false positives), and rearms cleanly.
 #include <gtest/gtest.h>
@@ -18,7 +15,6 @@
 
 #include "obs/sketch.hpp"
 #include "rng/xoshiro256pp.hpp"
-#include "runner/thread_pool.hpp"
 
 namespace rlslb::obs {
 namespace {
@@ -124,44 +120,12 @@ TEST(QuantileSketch_, AdversarialBurstsMatchExactQuantiles) {
   expectQuantilesClose(values, "bursts");
 }
 
-// ---------------------------------------------------- merge determinism
-
-TEST(QuantileSketch_, MergedSnapshotIsByteIdenticalAcrossShardsAndThreads) {
-  constexpr std::int64_t kOps = 8192;
-  const auto valueAt = [](std::int64_t i) {
-    return (i * 2654435761LL) % 1'000'003;  // fixed pseudo-random workload
-  };
-
-  QuantileSketch ref(1);
-  for (std::int64_t i = 0; i < kOps; ++i) ref.observe(valueAt(i));
-  const std::string refJson = ref.toJson().dump();
-
-  for (const int shards : {1, 3, 8}) {
-    for (const int threads : {1, 2, 4}) {
-      QuantileSketch sketch(shards);
-      runner::ThreadPool pool(threads);
-      // Shard s owns ops i with i % shards == s (the partitioned-apply
-      // ownership discipline: concurrent writers never share a slab).
-      pool.parallelFor(shards, [&](std::int64_t s) {
-        const int shard = static_cast<int>(s);
-        for (std::int64_t i = shard; i < kOps; i += shards) {
-          sketch.observeShard(shard, valueAt(i));
-        }
-      });
-      EXPECT_EQ(sketch.count(), kOps);
-      EXPECT_EQ(sketch.toJson().dump(), refJson)
-          << "shards=" << shards << " threads=" << threads;
-    }
-  }
-}
-
 TEST(QuantileSketch_, ClearKeepsLayoutAndEmptiesCounts) {
-  QuantileSketch sketch(4);
-  sketch.observeShard(2, 100);
+  QuantileSketch sketch;
+  sketch.observe(100);
   ASSERT_FALSE(sketch.empty());
   sketch.clear();
   EXPECT_TRUE(sketch.empty());
-  EXPECT_EQ(sketch.shards(), 4);
   EXPECT_EQ(sketch.quantile(0.5), 0);
 }
 

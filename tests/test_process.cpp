@@ -22,7 +22,6 @@
 #include "graph/graph_engine.hpp"
 #include "graph/topology.hpp"
 #include "process/adapters.hpp"
-#include "process/params.hpp"
 #include "process/process.hpp"
 #include "process/registry.hpp"
 #include "process/replicate.hpp"
@@ -36,6 +35,7 @@
 #include "serve/compact_allocator.hpp"
 #include "sim/balance_tracker.hpp"
 #include "sim/naive_engine.hpp"
+#include "util/params.hpp"
 
 namespace rlslb::process {
 namespace {
@@ -351,7 +351,7 @@ TEST(ProcessEquivalence, GraphEngineMatchesReferenceAndRegistry) {
   const auto legacy = referenceSimRunUntil(a, sim::Target::perfect(),
                                            {.maxTime = 1e9, .maxEvents = 2'000'000'000});
 
-  ProcessParams params;
+  util::Params params;
   params.set("topology", "cycle");
   auto p = makeProcess("graph_rls", init, 1717, params);
   EXPECT_TRUE(p->capabilities().topology);
@@ -561,14 +561,14 @@ TEST(ProcessRegistry, UnknownKindThrowsWithRoster) {
 
 TEST(ProcessRegistry, UnusedParameterThrows) {
   const auto init = config::allInOne(4, 8);
-  ProcessParams params;
+  util::Params params;
   params.set("threshold", "3");  // a threshold knob handed to selfish
   EXPECT_THROW((void)makeProcess("selfish", init, 1, params), std::invalid_argument);
 }
 
 TEST(ProcessRegistry, ParamsReachTheDynamic) {
   const auto init = config::allInOne(8, 64);
-  ProcessParams params;
+  util::Params params;
   params.set("threshold", "3");
   params.set("p", "0.25");
   auto p = makeProcess("threshold", init, 1, params);
@@ -636,7 +636,7 @@ TEST(ProcessRun, AlreadyAtTargetDoesNotAdvance) {
 TEST(ProcessRun, ReplicatedRunsAreThreadCountInvariant) {
   const auto init = config::allInOne(24, 24 * 4);
   registerBuiltinProcesses();
-  ProcessParams params;
+  util::Params params;
   const Target target = Target::perfect();
   runner::ThreadPool serial(1);
   runner::ThreadPool wide(4);

@@ -3,6 +3,11 @@
 // across repeated runs and thread counts).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <limits>
+#include <memory>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -10,6 +15,7 @@
 
 #include "config/generators.hpp"
 #include "core/rls.hpp"
+#include "process/registry.hpp"
 #include "report/json.hpp"
 #include "scenario/harness.hpp"
 #include "scenario/scenario.hpp"
@@ -17,17 +23,17 @@
 namespace rlslb::scenario {
 namespace {
 
-ScenarioParams paramsOf(const std::vector<std::string>& tokens) {
-  ScenarioParams p;
+util::Params paramsOf(const std::vector<std::string>& tokens) {
+  util::Params p;
   std::string error;
-  EXPECT_TRUE(ScenarioParams::fromTokens(tokens, &p, &error)) << error;
+  EXPECT_TRUE(util::Params::fromTokens(tokens, &p, &error)) << error;
   return p;
 }
 
 // ------------------------------------------------------------- params
 
 TEST(ScenarioParams, TypedGetters) {
-  const ScenarioParams p =
+  const util::Params p =
       paramsOf({"n=1024", "big=1e6", "rate=0.25", "label=hello", "flag=true"});
   EXPECT_EQ(p.getInt("n", 0), 1024);
   EXPECT_EQ(p.getInt("big", 0), 1'000'000);  // scientific shorthand
@@ -41,70 +47,113 @@ TEST(ScenarioParams, TypedGetters) {
 }
 
 TEST(ScenarioParams, MalformedTokensRejected) {
-  ScenarioParams p;
+  util::Params p;
   std::string error;
-  EXPECT_FALSE(ScenarioParams::fromTokens({"novalue"}, &p, &error));
+  EXPECT_FALSE(util::Params::fromTokens({"novalue"}, &p, &error));
   EXPECT_FALSE(error.empty());
-  EXPECT_FALSE(ScenarioParams::fromTokens({"=5"}, &p, &error));
+  EXPECT_FALSE(util::Params::fromTokens({"=5"}, &p, &error));
 }
 
 TEST(ScenarioParams, MalformedValuesThrowUsageErrors) {
   // The driver turns std::invalid_argument into a message and exit 2.
-  const ScenarioParams p = paramsOf({"n=abc", "rate=fast", "flag=maybe", "half=2.5"});
+  const util::Params p = paramsOf({"n=abc", "rate=fast", "flag=maybe", "half=2.5"});
   EXPECT_THROW((void)p.getInt("n", 0), std::invalid_argument);
   EXPECT_THROW((void)p.getDouble("rate", 0.0), std::invalid_argument);
   EXPECT_THROW((void)p.getBool("flag", false), std::invalid_argument);
   EXPECT_THROW((void)p.getInt("half", 0), std::invalid_argument);
 }
 
+/// The declaration of `key` for a bad-input row: the scenario's own, else
+/// that of the process kind its `process=` token selects.
+const util::ParamSpec* declarationOf(const Scenario& s, const std::vector<std::string>& params,
+                                     const std::string& key) {
+  for (const util::ParamSpec& p : s.params) {
+    if (p.name == key) return &p;
+  }
+  process::registerBuiltinProcesses();
+  for (const std::string& token : params) {
+    if (token.rfind("process=", 0) != 0) continue;
+    const process::ProcessSpec* kind = process::ProcessRegistry::global().find(token.substr(8));
+    if (kind == nullptr) continue;
+    for (const util::ParamSpec& p : kind->params) {
+      if (p.name == key) return &p;
+    }
+  }
+  return nullptr;
+}
+
 TEST(ScenarioParams, OutOfRangeSizesAndEmptyListsThrowUsageErrors) {
-  // Checked in the scenario bodies; these used to abort on an internal
-  // assertion (exit 134) instead of exiting 2 with a message.
+  // Checked against the declared domains before the body runs (ranged
+  // rows), or in the body when the check reads two keys or a list. These
+  // used to abort on an internal assertion (exit 134), or to run and exit
+  // 0, instead of exiting 2 with a message.
   ScenarioRegistry r;
   registerBuiltinScenarios(r);
   const struct {
     const char* scenario;
     std::vector<std::string> params;
+    const char* key;  // the key the message names; null for cross-key rows
+    bool ranged;      // the message also names the key's declared range
   } bad[] = {
-      {"e14_opensystem", {"n=0"}},
-      {"process_compare", {"process=rls", "n=0"}},
-      {"process_compare", {"process="}},
-      {"e10_baselines", {"process=foo"}},
-      {"e8_dml", {"n=0"}},
-      {"e11_extensions", {"n=0"}},
-      {"e15_trajectory", {"n=0"}},
-      {"e15_trajectory", {"ratio=-1"}},
-      {"e15_trajectory", {"dt=0"}},
-      {"e15_trajectory", {"horizon=-1"}},
-      {"e15_trajectory", {"horizon=inf"}},
-      {"micro_substrate", {"n=0"}},
-      {"micro_substrate", {"n=-5"}},
-      {"ablation", {"n=0"}},
-      {"ablation", {"n=33"}},
-      // Process params, checked in the registry makers before anything is
-      // built, and process_compare's own start=/target=.
-      {"process_compare", {"process=graph_rls", "topology=foo"}},
-      {"process_compare", {"process=graph_rls", "topology=torus", "n=15"}},
-      {"process_compare", {"process=graph_rls", "topology=cycle", "n=2"}},
-      {"process_compare", {"process=graph_rls", "topology=hypercube", "n=12"}},
-      {"process_compare", {"process=graph_rls", "gap=0"}},
-      {"process_compare", {"process=graph_rls", "topology=random_regular", "degree=3", "n=15"}},
-      {"process_compare", {"process=graph_rls", "topology=random_regular", "degree=0", "n=16"}},
-      {"process_compare", {"process=rls_naive", "gap=0"}},
-      {"process_compare", {"process=open", "lambda=-1"}},
-      {"process_compare", {"process=open", "d=0"}},
-      {"process_compare", {"process=speed_rls", "speeds=0"}},
-      {"process_compare", {"process=rls", "start=foo"}},
-      {"process_compare", {"process=rls", "target=foo"}},
-      {"process_compare", {"process=rls", "target=equilibrium"}},
-      {"process_compare", {"process=rls", "ratio=-1"}},
-      {"process_compare", {"process=open", "mu=-1"}},
-      {"process_compare", {"process=open", "gap=0"}},
-      {"process_compare", {"process=weighted_rls", "weights=foo"}},
-      {"process_compare", {"process=threshold", "p=0"}},
-      {"process_compare", {"process=crs", "n=1"}},
-      {"process_compare", {"process=graph_rls", "topology=complete", "n=1"}},
-      {"process_compare", {"process=graph_rls", "topology=torus", "n=4"}},
+      {"e14_opensystem", {"n=0"}, "n", true},
+      {"process_compare", {"process=rls", "n=0"}, "n", true},
+      {"process_compare", {"process="}, "process", false},
+      {"e10_baselines", {"process=foo"}, "process", false},
+      {"e8_dml", {"n=0"}, "n", true},
+      {"e11_extensions", {"n=0"}, "n", true},
+      {"e15_trajectory", {"n=0"}, "n", true},
+      {"e15_trajectory", {"ratio=-1"}, "ratio", true},
+      {"e15_trajectory", {"dt=0"}, "dt", true},
+      {"e15_trajectory", {"horizon=-1"}, "horizon", true},
+      {"e15_trajectory", {"horizon=inf"}, "horizon", true},
+      {"micro_substrate", {"n=0"}, "n", true},
+      {"micro_substrate", {"n=-5"}, "n", true},
+      {"ablation", {"n=0"}, "n", true},
+      {"ablation", {"n=33"}, "n", false},
+      // Process params, checked against each kind's declaration before its
+      // maker runs (or, for the topology against n, in the maker), and
+      // process_compare's own start=/target=.
+      {"process_compare", {"process=graph_rls", "topology=foo"}, "topology", true},
+      {"process_compare", {"process=graph_rls", "topology=torus", "n=15"}, nullptr, false},
+      {"process_compare", {"process=graph_rls", "topology=cycle", "n=2"}, nullptr, false},
+      {"process_compare", {"process=graph_rls", "topology=hypercube", "n=12"}, nullptr, false},
+      {"process_compare", {"process=graph_rls", "gap=0"}, "gap", true},
+      {"process_compare",
+       {"process=graph_rls", "topology=random_regular", "degree=3", "n=15"},
+       nullptr,
+       false},
+      {"process_compare",
+       {"process=graph_rls", "topology=random_regular", "degree=0", "n=16"},
+       "degree",
+       true},
+      {"process_compare", {"process=rls_naive", "gap=0"}, "gap", true},
+      {"process_compare", {"process=open", "lambda=-1"}, "lambda", true},
+      {"process_compare", {"process=open", "d=0"}, "d", true},
+      {"process_compare", {"process=speed_rls", "speeds=0"}, "speeds", true},
+      {"process_compare", {"process=rls", "start=foo"}, "start", true},
+      {"process_compare", {"process=rls", "target=foo"}, "target", true},
+      {"process_compare", {"process=rls", "target=equilibrium"}, nullptr, false},
+      {"process_compare", {"process=rls", "ratio=-1"}, "ratio", true},
+      {"process_compare", {"process=open", "mu=-1"}, "mu", true},
+      {"process_compare", {"process=open", "gap=0"}, "gap", true},
+      {"process_compare", {"process=weighted_rls", "weights=foo"}, "weights", true},
+      {"process_compare", {"process=threshold", "p=0"}, "p", true},
+      {"process_compare", {"process=crs", "n=1"}, nullptr, false},
+      {"process_compare", {"process=graph_rls", "topology=complete", "n=1"}, nullptr, false},
+      {"process_compare", {"process=graph_rls", "topology=torus", "n=4"}, nullptr, false},
+      // These used to overflow (exit 134) or run and exit 0.
+      {"e15_trajectory", {"ratio=9223372036854775807"}, "ratio", false},
+      {"micro_substrate", {"jump_levels=0"}, "jump_levels", true},
+      {"micro_substrate", {"ops=-1"}, "ops", true},
+      {"process_compare", {"budget=-1"}, "budget", true},
+      {"process_compare", {"target=time", "horizon=nan"}, "horizon", true},
+      {"process_compare", {"target=x", "x=-1"}, "x", true},
+      {"process_compare", {"process=rls,,rls_jump"}, "process", false},
+      {"process_compare", {"process=threshold", "threshold=-2"}, "threshold", true},
+      {"process_compare", {"process=threshold", "p=nan"}, "p", true},
+      {"process_compare", {"process=rls", "level_threshold=-1"}, "level_threshold", true},
+      {"e10_baselines", {"process=,"}, "process", false},
+      {"e10_baselines", {"process=edm,"}, "process", false},
   };
   for (const auto& b : bad) {
     ScenarioContext ctx;
@@ -112,23 +161,213 @@ TEST(ScenarioParams, OutOfRangeSizesAndEmptyListsThrowUsageErrors) {
     ctx.reps = 1;
     ctx.console = nullptr;
     std::string error;
-    ASSERT_TRUE(ScenarioParams::fromTokens(b.params, &ctx.params, &error)) << error;
-    EXPECT_THROW(r.runOne(b.scenario, ctx), std::invalid_argument)
-        << b.scenario << " " << ::testing::PrintToString(b.params);
+    ASSERT_TRUE(util::Params::fromTokens(b.params, &ctx.params, &error)) << error;
+    const std::string row = std::string(b.scenario) + " " + ::testing::PrintToString(b.params);
+    try {
+      r.runOne(b.scenario, ctx);
+      ADD_FAILURE() << row << " was accepted";
+      continue;
+    } catch (const std::invalid_argument& e) {
+      error = e.what();
+    }
+    if (b.key == nullptr) continue;
+    EXPECT_NE(error.find(std::string(b.key) + "="), std::string::npos) << row << ": " << error;
+    if (!b.ranged) continue;
+    const util::ParamSpec* spec = declarationOf(*r.find(b.scenario), b.params, b.key);
+    ASSERT_NE(spec, nullptr) << row;
+    EXPECT_NE(error.find(util::rangeText(*spec)), std::string::npos) << row << ": " << error;
   }
 }
 
+/// `value` as a token that parses back to exactly `value`.
+std::string exactText(double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  return buf;
+}
+
+/// The tokens a key's domain accepts and rejects at its edges: each finite
+/// bound (or, for an exclusive one, the next double inside it), the value
+/// one past each finite bound, NaN, and an unlisted string for a choice
+/// list.
+void edgeTokens(const util::ParamSpec& spec, std::vector<std::string>* accepted,
+                std::vector<std::string>* rejected) {
+  const util::ParamDomain& d = spec.domain;
+  constexpr util::ParamDomain kAny;
+  const auto add = [&spec](std::vector<std::string>* out, const std::string& value) {
+    out->push_back(spec.name + "=" + value);
+  };
+  if (spec.type == "int") {
+    if (d.intMin != kAny.intMin) {
+      add(accepted, std::to_string(d.intMin));
+      add(rejected, std::to_string(d.intMin - 1));
+    }
+    if (d.intMax != kAny.intMax) {
+      add(accepted, std::to_string(d.intMax));
+      add(rejected, std::to_string(d.intMax + 1));
+    }
+  } else if (spec.type == "double") {
+    const double inf = std::numeric_limits<double>::infinity();
+    if (!std::isinf(d.min)) {
+      add(accepted, exactText(d.minExclusive ? std::nextafter(d.min, inf) : d.min));
+      add(rejected, exactText(d.minExclusive ? d.min : std::nextafter(d.min, -inf)));
+    }
+    if (!std::isinf(d.max)) {
+      add(accepted, exactText(d.max));
+      add(rejected, exactText(std::nextafter(d.max, inf)));
+    }
+    if (d.finite) add(rejected, "inf");
+    add(rejected, "nan");
+  } else if (d.choices != nullptr) {
+    add(accepted, std::string(d.choices).substr(0, std::string(d.choices).find('|')));
+    add(rejected, "not-a-listed-choice");
+  }
+}
+
+// The shape keys of the standalone trace scenarios keep the compose
+// factor's range table (workload::checkComposeFactor), shared with compose
+// specs; every other int or double key declares a domain.
+bool isShapeKey(const std::string& scenario, const std::string& key) {
+  static const std::set<std::string> shapes = {"burst_factor", "calm_to_burst", "burst_to_calm",
+                                               "amplitude",    "period",        "burst_period",
+                                               "burst_size",   "hot_weight"};
+  return (scenario == "serve_bursty" || scenario == "serve_diurnal" ||
+          scenario == "serve_adversarial") &&
+         shapes.count(key) > 0;
+}
+
+bool hasDomain(const util::ParamSpec& spec) {
+  constexpr util::ParamDomain kAny;
+  const util::ParamDomain& d = spec.domain;
+  if (spec.type == "int") return d.intMin != kAny.intMin || d.intMax != kAny.intMax;
+  return !std::isinf(d.min) || !std::isinf(d.max) || d.finite;
+}
+
+// Declaration-driven: every int and double key of every scenario and
+// process kind has a domain, the check accepts its edges and rejects what
+// lies past them, and runOne / make enforce the rejections before any body
+// or maker runs. No body runs here.
+TEST(ParamDomains, EveryDeclaredKeyIsCheckedAtItsEdges) {
+  ScenarioRegistry scenarios;
+  registerBuiltinScenarios(scenarios);
+  process::ProcessRegistry processes;
+  process::registerBuiltinProcesses(processes);
+  const config::Configuration initial = config::allInOne(16, 64);
+  std::size_t checkedKeys = 0;
+
+  const auto checkEdges = [&checkedKeys](const std::string& owner,
+                                         const std::vector<util::ParamSpec>& specs,
+                                         const auto& enforced) {
+    for (const util::ParamSpec& spec : specs) {
+      if (spec.type == "int" || spec.type == "double") {
+        if (isShapeKey(owner, spec.name)) continue;
+        EXPECT_TRUE(hasDomain(spec)) << owner << " " << spec.name << " declares no domain";
+      }
+      std::vector<std::string> accepted;
+      std::vector<std::string> rejected;
+      edgeTokens(spec, &accepted, &rejected);
+      if (!accepted.empty() || !rejected.empty()) ++checkedKeys;
+      for (const std::string& token : accepted) {
+        EXPECT_NO_THROW(util::checkParams(paramsOf({token}), specs, owner))
+            << owner << " " << token;
+      }
+      for (const std::string& token : rejected) {
+        EXPECT_THROW(util::checkParams(paramsOf({token}), specs, owner), std::invalid_argument)
+            << owner << " " << token;
+        EXPECT_THROW(enforced(paramsOf({token})), std::invalid_argument)
+            << owner << " " << token << " is not enforced before the body";
+      }
+    }
+  };
+  for (const Scenario* s : scenarios.list()) {
+    checkEdges(s->name, s->params, [&](const util::Params& params) {
+      ScenarioContext ctx;
+      ctx.console = nullptr;
+      ctx.threads = 1;
+      ctx.params = params;
+      ScenarioRegistry trap;  // runs a body that fails the test if reached
+      trap.add({s->name, "", "", [](ScenarioContext&) { ADD_FAILURE() << "body ran"; },
+                s->params});
+      trap.runOne(s->name, ctx);
+    });
+    if (s->forwardsProcessParams) {
+      // Forwarded keys are declared (and checked) once, by the kinds.
+      for (const process::ProcessSpec* kind : processes.list()) {
+        for (const util::ParamSpec& p : kind->params) {
+          for (const util::ParamSpec& own : s->params) {
+            EXPECT_NE(own.name, p.name) << s->name << " re-declares " << kind->kind;
+          }
+        }
+      }
+    }
+  }
+  for (const process::ProcessSpec* kind : processes.list()) {
+    process::ProcessSpec trap = *kind;  // a maker that fails the test if reached
+    trap.make = [](const config::Configuration&, std::uint64_t, const util::Params&) {
+      ADD_FAILURE() << "maker ran";
+      return std::unique_ptr<process::Process>();
+    };
+    process::ProcessRegistry one;
+    one.add(trap);
+    checkEdges(kind->kind, kind->params, [&](const util::Params& params) {
+      (void)one.make(kind->kind, initial, 1, params);
+    });
+  }
+  EXPECT_GE(checkedKeys, 40u);
+}
+
+// The smallest declared ops= still times at least one operation in every
+// micro_substrate row at --scale=small (the scaled count used to reach 0,
+// and the row printed inf ns/op).
+TEST(ScenarioParams, SmallestOpsTimesEveryMicroRow) {
+  ScenarioRegistry r;
+  registerBuiltinScenarios(r);
+  std::ostringstream out;
+  report::ResultSink sink(&out);
+  ScenarioContext ctx;
+  ctx.console = nullptr;
+  ctx.sink = &sink;
+  ctx.scale = 0.5;
+  ctx.params = paramsOf({"ops=1", "n=10", "jump_levels=2"});
+  r.runOne("micro_substrate", ctx);
+  std::istringstream lines(out.str());
+  std::string line;
+  std::size_t rows = 0;
+  while (std::getline(lines, line)) {
+    const report::Json rec = report::Json::parse(line);
+    if (rec.at("type").asString() != "timing") continue;
+    for (std::size_t i = 0; i < rec.at("rows").size(); ++i, ++rows) {
+      const report::Json& row = rec.at("rows").at(i);
+      EXPECT_NE(row.at(2).asString(), "0") << row.at(0).asString();
+      EXPECT_NE(row.at(3).asString(), "inf") << row.at(0).asString();
+    }
+  }
+  EXPECT_GE(rows, 7u);
+}
+
 TEST(ScenarioParams, UnusedKeySweep) {
-  const ScenarioParams p = paramsOf({"used=1", "typo=2"});
+  const util::Params p = paramsOf({"used=1", "typo=2"});
   EXPECT_EQ(p.getInt("used", 0), 1);
   const auto unused = p.unusedKeys();
   ASSERT_EQ(unused.size(), 1u);
   EXPECT_EQ(unused[0], "typo");
 }
 
-TEST(ScenarioParams, ToJsonIsSortedAndRaw) {
-  const ScenarioParams p = paramsOf({"b=2", "a=1e6"});
-  EXPECT_EQ(p.toJson().dump(), "{\"a\":\"1e6\",\"b\":\"2\"}");
+TEST(ScenarioParams, StartRecordParamsAreSortedAndRaw) {
+  ScenarioRegistry r;
+  r.add({"echo", "d", "p", [](ScenarioContext& ctx) { (void)ctx.params.getInt("b", 0); },
+         {{"a", "int", "0", "", {.intMin = 0}}, {"b", "int", "0", "", {.intMin = 0}}}});
+  std::ostringstream out;
+  report::ResultSink sink(&out);
+  ScenarioContext ctx;
+  ctx.console = nullptr;
+  ctx.sink = &sink;
+  ctx.params = paramsOf({"b=2", "a=1e6"});
+  r.runOne("echo", ctx);
+  EXPECT_NE(out.str().find("\"params\":{\"a\":\"1e6\",\"b\":\"2\"}"), std::string::npos)
+      << out.str();
+  // The domain check is not a read: a is still unread.
+  EXPECT_EQ(ctx.params.unusedKeys(), std::vector<std::string>{"a"});
 }
 
 // ------------------------------------------------------------- registry
@@ -234,7 +473,7 @@ std::string runToJsonl(const ScenarioRegistry& r, const std::string& name, std::
   ctx.sink = &sink;
   ctx.console = nullptr;
   std::string error;
-  EXPECT_TRUE(ScenarioParams::fromTokens(paramTokens, &ctx.params, &error)) << error;
+  EXPECT_TRUE(util::Params::fromTokens(paramTokens, &ctx.params, &error)) << error;
   r.runOne(name, ctx);
   EXPECT_TRUE(ctx.params.unusedKeys().empty());
   return out.str();

@@ -288,7 +288,7 @@ std::string runServeScenario(const std::string& name, std::uint64_t seed, int th
   ctx.sink = &sink;
   ctx.console = nullptr;
   std::string error;
-  EXPECT_TRUE(scenario::ScenarioParams::fromTokens(params, &ctx.params, &error)) << error;
+  EXPECT_TRUE(util::Params::fromTokens(params, &ctx.params, &error)) << error;
   registry.runOne(name, ctx);
   if (unused != nullptr) {
     *unused = ctx.params.unusedKeys();
@@ -506,32 +506,35 @@ TEST(ServeScenarios, BadInputIsAUsageError) {
                  "t,kind,ball,w,rings\n0.5,arrive,99999999999999999999,1,0\n"
                  "0.75,arrive,9223372036854775807,1,0\n"),
   };
+  // Rows with a key outside its declared range are rejected before the
+  // body runs, and the message names the key and the range.
   const struct {
     const char* scenario;
     std::vector<std::string> params;
+    const char* rangedKey = nullptr;
   } bad[] = {
-      {"serve_poisson", {"n=16", "events=100", "epoch=0"}},
+      {"serve_poisson", {"n=16", "events=100", "epoch=0"}, "epoch"},
       {"serve_poisson", {"n=abc"}},
       {"serve_composed", {"n=16", "events=100", "spec=diurnal(0.8"}},
       {"serve_poisson", {"n=16", "trace=" + missingDir + "/trace.jsonl"}},
       {"serve_poisson", {"n=16", "trace=" + emptyTrace}},
       {"serve_poisson", {"n=16", "trace=" + emptyTrace, "record=" + emptyTrace}},
       {"serve_poisson", {"n=16", "events=100", "record=" + missingDir + "/r.jsonl"}},
-      {"serve_poisson", {"n=16", "events=100", "weight=0"}},
-      {"serve_poisson", {"n=16", "events=100", "weight=65536"}},
+      {"serve_poisson", {"n=16", "events=100", "weight=0"}, "weight"},
+      {"serve_poisson", {"n=16", "events=100", "weight=65536"}, "weight"},
       {"serve_composed", {"n=16", "events=100", "spec=hotspot(16,32,65536)"}},
       // The 32769th arrival of weight 65535 lifts the live weight past
       // 2^31 - 1 (spread over many bins, so the run stays quick).
       {"serve_poisson", {"n=1048576", "events=40000", "weight=65535", "mu=0", "resample=0"}},
-      {"serve_poisson", {"n=16", "events=100", "d=0"}},
+      {"serve_poisson", {"n=16", "events=100", "d=0"}, "d"},
       // Range-checked before the int cast: this used to wrap to d = 2 and
       // run.
-      {"serve_poisson", {"n=16", "events=100", "d=4294967298"}},
-      {"serve_poisson", {"n=16", "events=100", "d=65"}},
-      {"serve_poisson", {"n=0", "events=100"}},
-      {"serve_poisson", {"n=16", "events=100", "lambda=-1"}},
-      {"serve_poisson", {"n=16", "events=100", "mu=-1"}},
-      {"serve_poisson", {"n=16", "events=100", "resample=-1"}},
+      {"serve_poisson", {"n=16", "events=100", "d=4294967298"}, "d"},
+      {"serve_poisson", {"n=16", "events=100", "d=65"}, "d"},
+      {"serve_poisson", {"n=0", "events=100"}, "n"},
+      {"serve_poisson", {"n=16", "events=100", "lambda=-1"}, "lambda"},
+      {"serve_poisson", {"n=16", "events=100", "mu=-1"}, "mu"},
+      {"serve_poisson", {"n=16", "events=100", "resample=-1"}, "resample"},
       {"serve_adversarial", {"n=16", "events=100", "hot_weight=0"}},
       // These used to abort (exit 134), overflow or serve nothing.
       {"serve_adversarial", {"n=16", "events=100", "burst_size=0"}},
@@ -545,34 +548,48 @@ TEST(ServeScenarios, BadInputIsAUsageError) {
       {"serve_composed", {"n=16", "events=100", "spec=hotspot(16,32,3e9)"}},
       {"serve_poisson", {"n=16", "events=100", "lambda=1e308"}},
       {"serve_poisson", {"n=16", "events=100", "mu=1e300"}},
-      {"serve_poisson", {"n=2", "events=40", "weight=4611686018427387904"}},
-      {"serve_poisson", {"n=2147483648", "events=40"}},
-      {"serve_poisson", {"n=16", "events=-5"}},
-      {"serve_poisson", {"n=16", "events=0"}},
-      {"serve_capacity", {"n_list=16", "epoch=0"}},
-      {"serve_capacity", {"n_list=16", "epb=0"}},
+      {"serve_poisson", {"n=2", "events=40", "weight=4611686018427387904"}, "weight"},
+      {"serve_poisson", {"n=2147483648", "events=40"}, "n"},
+      {"serve_poisson", {"n=16", "events=-5"}, "events"},
+      {"serve_poisson", {"n=16", "events=0"}, "events"},
+      {"serve_capacity", {"n_list=16", "epoch=0"}, "epoch"},
+      {"serve_capacity", {"n_list=16", "epb=0"}, "epb"},
       {"serve_capacity", {"n_list=16,,32"}},
       {"serve_capacity", {"n_list=0"}},
       {"serve_capacity", {"n_list=16", "load_list=0"}},
       {"serve_capacity", {"n_list=16", "load_list=-2"}},
       {"serve_capacity", {"n_list=16", "traces=poisson;bogus(1)"}},
-      {"serve_capacity", {"n_list=16", "d=0"}},
-      {"serve_capacity", {"n_list=16", "d=4294967297"}},
-      {"serve_capacity", {"n_list=16", "d=65"}},
-      {"serve_capacity", {"n_list=16", "resample=-1"}},
+      {"serve_capacity", {"n_list=16", "d=0"}, "d"},
+      {"serve_capacity", {"n_list=16", "d=4294967297"}, "d"},
+      {"serve_capacity", {"n_list=16", "d=65"}, "d"},
+      {"serve_capacity", {"n_list=16", "resample=-1"}, "resample"},
       {"serve_capacity", {"n_list=16", "resample=1e305"}},
       {"serve_capacity", {"n_list=1", "load_list=0.5"}},  // a cell with 0 events
       {"serve_capacity", {"n_list=3000000000", "load_list=1", "epb=1", "budget_mb=0"}},
       {"serve_capacity", {"n_list=1000", "load_list=1", "epb=9223372036854775807"}},
       {"serve_capacity", {"n_list=1000", "load_list=1e300", "epb=1"}},
       // budget_mb= must still fit int64 once shifted from MB to bytes.
-      {"serve_capacity", {"n_list=1000", "load_list=1", "epb=1", "budget_mb=9007199254740992"}},
-      {"serve_capacity", {"n_list=1000", "load_list=1", "epb=1", "budget_mb=-1"}},
+      {"serve_capacity", {"n_list=1000", "load_list=1", "epb=1", "budget_mb=9007199254740992"}, "budget_mb"},
+      {"serve_capacity", {"n_list=1000", "load_list=1", "epb=1", "budget_mb=-1"}, "budget_mb"},
   };
+  scenario::ScenarioRegistry registry;
+  scenario::registerBuiltinScenarios(registry);
   for (const auto& b : bad) {
     std::vector<std::string> unused;
-    EXPECT_THROW(runServeScenario(b.scenario, 1, 1, b.params, &unused), std::invalid_argument)
-        << b.scenario << " " << b.params.back();
+    try {
+      runServeScenario(b.scenario, 1, 1, b.params, &unused);
+      ADD_FAILURE() << b.scenario << " " << b.params.back() << " was served";
+    } catch (const std::invalid_argument& e) {
+      if (b.rangedKey == nullptr) continue;
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string(b.rangedKey) + "="), std::string::npos) << what;
+      const std::vector<util::ParamSpec>& specs = registry.find(b.scenario)->params;
+      const auto spec = std::find_if(specs.begin(), specs.end(), [&b](const util::ParamSpec& p) {
+        return p.name == b.rangedKey;
+      });
+      ASSERT_NE(spec, specs.end()) << b.scenario << " declares no " << b.rangedKey;
+      EXPECT_NE(what.find(util::rangeText(*spec)), std::string::npos) << what;
+    }
   }
   // A replayed trace the loop cannot serve names the offending position.
   for (const std::string& path : badFiles) {

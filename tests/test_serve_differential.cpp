@@ -388,7 +388,7 @@ TEST(TimingContract, ThroughputAndFrontierRecordsSplitTheWall) {
     ctx.sink = &sink;
     ctx.console = nullptr;
     std::string error;
-    EXPECT_TRUE(scenario::ScenarioParams::fromTokens(params, &ctx.params, &error)) << error;
+    EXPECT_TRUE(util::Params::fromTokens(params, &ctx.params, &error)) << error;
     registry.runOne(name, ctx);
     return out.str();
   };

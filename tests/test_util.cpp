@@ -1,4 +1,4 @@
-// Unit tests for src/util: formatting, tables, CLI parsing.
+// Unit tests for src/util: formatting, tables, key=value parsing and domains.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,8 +10,9 @@
 #include <vector>
 
 #include "scenario/harness.hpp"
-#include "util/cli.hpp"
 #include "util/format.hpp"
+#include "util/params.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
@@ -112,14 +113,14 @@ TEST(Table, PrintWithTitle) {
 
 TEST(Cli, ParsesKeyValue) {
   const char* argv[] = {"prog", "--n=100", "--label=abc"};
-  CliArgs args(3, argv);
+  util::Params args(3, argv);
   EXPECT_EQ(args.getInt("n", 0), 100);
   EXPECT_EQ(args.getString("label", ""), "abc");
 }
 
 TEST(Cli, DefaultsWhenMissing) {
   const char* argv[] = {"prog"};
-  CliArgs args(1, argv);
+  util::Params args(1, argv);
   EXPECT_EQ(args.getInt("n", 42), 42);
   EXPECT_DOUBLE_EQ(args.getDouble("x", 2.5), 2.5);
   EXPECT_EQ(args.getString("s", "d"), "d");
@@ -128,14 +129,14 @@ TEST(Cli, DefaultsWhenMissing) {
 
 TEST(Cli, BareFlagIsTrue) {
   const char* argv[] = {"prog", "--verbose"};
-  CliArgs args(2, argv);
+  util::Params args(2, argv);
   EXPECT_TRUE(args.getBool("verbose", false));
   EXPECT_TRUE(args.has("verbose"));
 }
 
 TEST(Cli, BoolSpellings) {
   const char* argv[] = {"prog", "--a=yes", "--b=off", "--c=1", "--d=false"};
-  CliArgs args(5, argv);
+  util::Params args(5, argv);
   EXPECT_TRUE(args.getBool("a", false));
   EXPECT_FALSE(args.getBool("b", true));
   EXPECT_TRUE(args.getBool("c", false));
@@ -144,7 +145,7 @@ TEST(Cli, BoolSpellings) {
 
 TEST(Cli, TracksUnusedKeys) {
   const char* argv[] = {"prog", "--used=1", "--typo=2"};
-  CliArgs args(3, argv);
+  util::Params args(3, argv);
   (void)args.getInt("used", 0);
   const auto unused = args.unusedKeys();
   ASSERT_EQ(unused.size(), 1u);
@@ -153,7 +154,7 @@ TEST(Cli, TracksUnusedKeys) {
 
 TEST(Cli, NegativeNumbers) {
   const char* argv[] = {"prog", "--x=-5", "--y=-2.5"};
-  CliArgs args(3, argv);
+  util::Params args(3, argv);
   EXPECT_EQ(args.getInt("x", 0), -5);
   EXPECT_DOUBLE_EQ(args.getDouble("y", 0.0), -2.5);
 }
@@ -164,14 +165,14 @@ TEST(Cli, BadArgumentsAndValuesThrowUsageErrors) {
   const auto error = [](std::vector<const char*> argv, auto&& read) {
     argv.insert(argv.begin(), "prog");
     try {
-      const CliArgs args(static_cast<int>(argv.size()), argv.data());
+      const util::Params args(static_cast<int>(argv.size()), argv.data());
       read(args);
     } catch (const std::invalid_argument& e) {
       return std::string(e.what());
     }
     return std::string("accepted");
   };
-  const auto readInt = [](const CliArgs& a) { (void)a.getInt("seed", 1); };
+  const auto readInt = [](const util::Params& a) { (void)a.getInt("seed", 1); };
   EXPECT_EQ(error({"--seed=abc"}, readInt), "parameter --seed=abc: not an integer");
   EXPECT_EQ(error({"--seed=12x"}, readInt), "parameter --seed=12x: not an integer");
   EXPECT_EQ(error({"--seed="}, readInt), "parameter --seed=: not an integer");
@@ -179,27 +180,110 @@ TEST(Cli, BadArgumentsAndValuesThrowUsageErrors) {
             "parameter --seed=99999999999999999999999: out of int64 range");
   EXPECT_EQ(error({"--seed=-99999999999999999999999"}, readInt),
             "parameter --seed=-99999999999999999999999: out of int64 range");
-  EXPECT_EQ(error({"--x=1.5e"}, [](const CliArgs& a) { (void)a.getDouble("x", 0.0); }),
+  EXPECT_EQ(error({"--x=1.5e"}, [](const util::Params& a) { (void)a.getDouble("x", 0.0); }),
             "parameter --x=1.5e: not a number");
-  EXPECT_EQ(error({"--csv=maybe"}, [](const CliArgs& a) { (void)a.getBool("csv", false); }),
+  EXPECT_EQ(error({"--csv=maybe"}, [](const util::Params& a) { (void)a.getBool("csv", false); }),
             "parameter --csv=maybe: not a boolean (true/1/yes/on or false/0/no/off)");
-  EXPECT_EQ(error({"--n=abc"}, [](const CliArgs& a) { (void)a.getInt("n", 0); }),
+  EXPECT_EQ(error({"--n=abc"}, [](const util::Params& a) { (void)a.getInt("n", 0); }),
             "parameter --n=abc: not an integer");
   EXPECT_EQ(error({"positional"}, readInt),
             "argument positional: arguments are --key or --key=value");
-  const auto readThreads = [](const CliArgs& a) { (void)a.getThreads(); };
-  EXPECT_EQ(error({"--threads=-3"}, readThreads),
-            "--threads=-3 must be in [0, 4096] (0 = hardware)");
-  EXPECT_EQ(error({"--threads=4097"}, readThreads),
-            "--threads=4097 must be in [0, 4096] (0 = hardware)");
-  EXPECT_EQ(error({"--threads=4096"}, readThreads), "accepted");
-  EXPECT_EQ(error({"--threads=0"}, readThreads), "accepted");
   EXPECT_EQ(error({"--seed=9223372036854775807"}, readInt), "accepted");
-  // The scenario drivers' --reps: 0 picks each scenario's default.
-  const auto readContext = [](const CliArgs& a) { (void)scenario::contextFromArgs(a); };
-  EXPECT_EQ(error({"--reps=-1"}, readContext),
-            "--reps=-1 must be >= 0 (0 = the scenario's default)");
+  // The scenario drivers' flags, checked against their declared domains
+  // (scenario/harness.cpp): --threads, --reps (0 picks each scenario's
+  // default), --scale and --conformance.
+  const auto readContext = [](const util::Params& a) { (void)scenario::contextFromArgs(a); };
+  EXPECT_EQ(error({"--threads=-3"}, readContext), "--threads=-3 must be in [0, 4096]");
+  EXPECT_EQ(error({"--threads=4097"}, readContext), "--threads=4097 must be in [0, 4096]");
+  EXPECT_EQ(error({"--threads=4096"}, readContext), "accepted");
+  EXPECT_EQ(error({"--threads=0"}, readContext), "accepted");
+  EXPECT_EQ(error({"--reps=-1"}, readContext), "--reps=-1 must be >= 0");
   EXPECT_EQ(error({"--reps=0"}, readContext), "accepted");
+  EXPECT_EQ(error({"--scale=bogus"}, readContext),
+            "--scale=bogus must be one of small|default|full");
+  EXPECT_EQ(error({"--conformance=maybe"}, readContext),
+            "--conformance=maybe must be one of on|off|strict");
+  EXPECT_EQ(error({"--conformance=strict", "--scale=full"}, readContext), "accepted");
+  EXPECT_EQ(error({"--seed=abc"}, readContext), "parameter --seed=abc: not an integer");
+}
+
+TEST(Cli, UnknownFlagsAreUsageErrors) {
+  const char* argv[] = {"prog", "--used=1", "--typo=2", "--other"};
+  const util::Params args(4, argv);
+  (void)args.getInt("used", 0);
+  try {
+    args.rejectUnused(" (hint)");
+    FAIL() << "unread flags were accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "unknown flag --other (hint)\nunknown flag --typo (hint)");
+  }
+  (void)args.has("other");
+  (void)args.getString("typo", "");
+  EXPECT_NO_THROW(args.rejectUnused());
+}
+
+// A domain check parses by type and compares against the declared range;
+// it is not a read.
+TEST(ParamDomains, CheckNamesOwnerKeyValueAndRange) {
+  const std::vector<util::ParamSpec> specs = {
+      {"n", "int", "1", "", {.intMin = 1, .intMax = 64}},
+      {"lo", "int", "0", "", {.intMin = -1}},
+      {"rate", "double", "1", "", {.min = 0.0}},
+      {"dt", "double", "1", "", {.min = 0.0, .minExclusive = true}},
+      {"p", "double", "1", "", {.min = 0.0, .max = 1.0, .minExclusive = true}},
+      {"horizon", "double", "1", "", {.min = 0.0, .finite = true}},
+      {"shape", "string", "a", "", {.choices = "a|bb|c"}},
+      {"label", "string", "", ""},
+      {"flag", "bool", "0", ""},
+  };
+  const auto error = [&specs](const std::vector<std::string>& tokens) {
+    util::Params p;
+    std::string parseError;
+    EXPECT_TRUE(util::Params::fromTokens(tokens, &p, &parseError)) << parseError;
+    try {
+      util::checkParams(p, specs, "owner");
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    EXPECT_EQ(p.unusedKeys().size(), tokens.size()) << "a check is not a read";
+    return std::string("accepted");
+  };
+  EXPECT_EQ(error({"n=1", "lo=-1", "rate=0", "dt=1e-300", "p=1", "horizon=0", "shape=bb",
+                   "label=x", "flag=on", "undeclared=whatever"}),
+            "accepted");
+  EXPECT_EQ(error({"n=0"}), "owner: n=0 must be in [1, 64]");
+  EXPECT_EQ(error({"n=65"}), "owner: n=65 must be in [1, 64]");
+  EXPECT_EQ(error({"lo=-2"}), "owner: lo=-2 must be >= -1");
+  EXPECT_EQ(error({"rate=-1e-300"}), "owner: rate=-1e-300 must be >= 0");
+  EXPECT_EQ(error({"rate=nan"}), "owner: rate=nan must be >= 0");
+  EXPECT_EQ(error({"rate=inf"}), "accepted");
+  EXPECT_EQ(error({"dt=0"}), "owner: dt=0 must be > 0");
+  EXPECT_EQ(error({"p=0"}), "owner: p=0 must be in (0, 1]");
+  EXPECT_EQ(error({"p=1.0000001"}), "owner: p=1.0000001 must be in (0, 1]");
+  EXPECT_EQ(error({"horizon=inf"}), "owner: horizon=inf must be finite >= 0");
+  EXPECT_EQ(error({"horizon=-1"}), "owner: horizon=-1 must be finite >= 0");
+  EXPECT_EQ(error({"shape=b"}), "owner: shape=b must be one of a|bb|c");
+  EXPECT_EQ(error({"shape="}), "owner: shape= must be one of a|bb|c");
+  EXPECT_EQ(error({"n=abc"}), "parameter n=abc: not an integer");
+  EXPECT_EQ(error({"flag=maybe"}),
+            "parameter flag=maybe: not a boolean (true/1/yes/on or false/0/no/off)");
+  EXPECT_EQ(util::rangeText(specs[0]), "[1, 64]");
+  EXPECT_EQ(util::rangeText(specs[7]), "-");
+}
+
+// One splitter for every list-valued param: an empty entry names the key.
+TEST(ParamLists, EmptyEntriesAreUsageErrors) {
+  EXPECT_EQ(util::splitEntries("k", "a,b", ','), (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(util::splitEntries("k", "a;b,c", ';'), (std::vector<std::string>{"a", "b,c"}));
+  for (const char* bad : {"", ",", "a,,b", "a,", ",a"}) {
+    try {
+      (void)util::splitEntries("n_list", bad, ',');
+      ADD_FAILURE() << "'" << bad << "' was split";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("parameter n_list=") + bad + ": empty list entry");
+    }
+  }
 }
 
 TEST(Timer, MeasuresNonNegative) {
