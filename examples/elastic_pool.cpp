@@ -11,7 +11,9 @@
 //   3. RLS migration            (uniform arrivals + migration clocks)
 //
 // and reports the stationary spread and the p99 queue length -- the
-// operational quantity an operator cares about.
+// operational quantity an operator cares about. The simulator keeps only
+// how many workers hold each queue length (workers are interchangeable),
+// so the p99 is a quantile of that multiset.
 //
 //   $ ./example_elastic_pool [--workers=64] [--rho=32] [--seed=11]
 #include <algorithm>
@@ -74,7 +76,11 @@ int runElasticPool(int argc, char** argv) {
     for (int sample = 0; sample < 120; ++sample) {
       sys.runUntilTime(sys.time() + 0.5 / mu);
       spreads.push_back(static_cast<double>(sys.spread()));
-      std::vector<double> queue(sys.loads().begin(), sys.loads().end());
+      std::vector<double> queue;
+      for (std::int64_t len = sys.minLoad(); len <= sys.maxLoad(); ++len) {
+        queue.insert(queue.end(), static_cast<std::size_t>(sys.levelCount(len)),
+                     static_cast<double>(len));
+      }
       p99s.push_back(stats::quantile(queue, 0.99));
     }
     const double elapsed = sys.time() - start;

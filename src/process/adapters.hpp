@@ -14,7 +14,8 @@
 //                    ping-pong forever, mirroring RLS's neutral moves)
 //   SpeedProcess /   one activation of the Section-7 extension engines
 //   WeightedProcess  (never absorbed; the Nash test is the target)
-//   OpenProcess      one open-system event (arrival/departure/migration)
+//   OpenProcess      one change of the open system's load multiset (an
+//                    arrival, a departure or a multiset-changing migration)
 #pragma once
 
 #include <algorithm>
@@ -243,6 +244,8 @@ class WeightedProcess final : public Process {
 };
 
 /// Open-system RLS (Ganesh et al. [11]): arrivals, departures, migration.
+/// run() with a maxTime stops after the first event at or past it; use
+/// OpenSystem::runUntilTime for the state at a fixed time.
 class OpenProcess final : public Process {
  public:
   explicit OpenProcess(dynamic::OpenSystem& system) : system_(&system) { initCaps(); }

@@ -11,7 +11,8 @@
 //
 //   advance()   one state-changing event of the dynamic's natural
 //               granularity: an activation, a lumped multiset move, a
-//               synchronous round, a CRS pair draw, an open-system event.
+//               synchronous round, a CRS pair draw, an open-system
+//               multiset change.
 //   now()       a unified Clock spanning the granularities: continuous
 //               simulation time, synchronous round count, or sequential
 //               step count -- one comparable "how far along" axis (the
@@ -27,9 +28,10 @@
 //
 // process::run(...) is THE run loop. The per-family legacy entry points
 // (core::balance, sim::runUntil, RoundProtocol::runUntilBalanced, the
-// CRS/ext runUntil* helpers, OpenSystem::runUntilTime) are retained as thin
-// wrappers over it -- byte-identical results, pinned by
-// tests/test_process.cpp against reference copies of the historical loops.
+// CRS/ext runUntil* helpers) are retained as thin wrappers over it --
+// byte-identical results, pinned by tests/test_process.cpp against
+// reference copies of the historical loops. OpenSystem::runUntilTime is
+// not: it stops exactly at its time, which an event loop cannot.
 //
 // Construction is data too: see registry.hpp (makeProcess(kind, ...)) for
 // the string-keyed roster mirroring the scenario registry.

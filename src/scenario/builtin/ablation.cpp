@@ -12,8 +12,19 @@
 //
 // Tables (a) and (b) contain wall-clock cells, so they are emitted as
 // "timing" records (machine-dependent); table (c) is deterministic.
+//
+// All three tables run as one replication plan, so no cell waits at a
+// barrier for another's stragglers. Each (a)/(b) replication times its own
+// core::balancingTime call, so "wall ms/run" is the mean time of one run,
+// whatever --threads is. Cells are claimed in declaration order: the naive
+// engine on each workload first (on the staircase the longest runs of the
+// plan), then the rest of (a), then (b) and (c); the tables read their
+// cells back by index.
+#include <cstddef>
+#include <iterator>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "config/generators.hpp"
@@ -27,14 +38,29 @@ namespace rlslb::scenario::builtin {
 
 namespace {
 
+using EngineKind = core::SimOptions::EngineKind;
+
 struct Workload {
   const char* name;
   config::Configuration configuration;
 };
 
+/// One timed balancing run: {T, wall ms}. Captures its start by value;
+/// `levelThreshold` 0 is the hybrid engine's default.
+runner::ReplicationFn timedRun(config::Configuration start, EngineKind kind,
+                               std::int64_t levelThreshold) {
+  return [start = std::move(start), kind, levelThreshold](std::int64_t, std::uint64_t seed) {
+    core::SimOptions o;
+    o.engine = kind;
+    o.levelThreshold = levelThreshold;
+    o.seed = seed;
+    const WallTimer wall;
+    const double t = core::balancingTime(start, o);
+    return std::vector<double>{t, wall.millis()};
+  };
+}
+
 void runAblation(ScenarioContext& ctx) {
-  // ctx.pool() is reused by every sweep below; wall-clock cells measure
-  // the threaded harness, so ms/run scales with --threads.
   const std::int64_t n = ctx.params.getInt("n", ctx.sized(1024, 2));
   if (n % 2 != 0) {
     // The half-half workload splits the bins into two equal halves.
@@ -45,38 +71,76 @@ void runAblation(ScenarioContext& ctx) {
       {"staircase m~n^2/4", config::staircase(n, n * n / 4)},
       {"half-half x=16 m=32n", config::halfHalf(n, 32 * n, 16)},
   };
+  const EngineKind kinds[] = {EngineKind::Naive, EngineKind::Jump, EngineKind::Hybrid};
+  const std::int64_t thresholds[] = {8, 32, 96, 512, 4096};
+  const std::size_t byCost[] = {1, 2, 0};  // staircase, half-half, all-in-one
+
+  std::vector<runner::ReplicationCell> plan;
+
+  // (a) engine choice; the naive cells are declared first.
+  std::size_t cellA[3][3] = {};  // [workload][engine]
+  const auto repsA = [&](EngineKind kind) {
+    // The single-engine runs on their bad workloads are the whole point of
+    // the ablation, but keep their budgets sane.
+    return ctx.repsOr(kind == EngineKind::Hybrid ? 8 : 3);
+  };
+  for (std::size_t k = 0; k < std::size(kinds); ++k) {
+    for (const std::size_t w : byCost) {
+      cellA[w][k] = plan.size();
+      plan.push_back({repsA(kinds[k]),
+                      ctx.seed ^ static_cast<std::uint64_t>(kinds[k] == EngineKind::Naive), 2,
+                      timedRun(workloads[w].configuration, kinds[k], 0)});
+    }
+  }
+
+  // (b) hybrid threshold sweep.
+  std::size_t cellB[3][std::size(thresholds)] = {};
+  const std::int64_t repsB = ctx.repsOr(6);
+  for (const std::size_t w : byCost) {
+    for (std::size_t t = 0; t < std::size(thresholds); ++t) {
+      cellB[w][t] = plan.size();
+      plan.push_back({repsB, ctx.seed ^ static_cast<std::uint64_t>(thresholds[t]), 2,
+                      timedRun(workloads[w].configuration, EngineKind::Hybrid, thresholds[t])});
+    }
+  }
+
+  // (c) gap accounting.
+  const int gaps[] = {1, 2};
+  const std::size_t firstC = plan.size();
+  const std::int64_t repsC = ctx.repsOr(50);
+  const auto gapStart = config::allInOne(ctx.sized(256), 8 * ctx.sized(256));
+  for (const int gap : gaps) {
+    plan.push_back({repsC, ctx.seed ^ static_cast<std::uint64_t>(gap), 3,
+                    [gapStart, gap](std::int64_t, std::uint64_t seed) {
+                      core::SimOptions o;
+                      o.engine = EngineKind::Naive;
+                      o.gap = gap;
+                      o.seed = seed;
+                      const auto r = core::balance(gapStart, o);
+                      return std::vector<double>{r.time, static_cast<double>(r.activations),
+                                                 static_cast<double>(r.moves)};
+                    }});
+  }
+
+  const auto results = runner::runReplications(plan, ctx.pool());
+  const auto meanOf = [&](std::size_t cell, std::size_t metric) {
+    return results[cell].summary(metric).mean;
+  };
 
   // -------------------------------------------------- (a) engine choice
   {
     Table table({"workload", "engine", "reps", "mean T (low reps)", "wall ms/run"});
-    for (const auto& w : workloads) {
-      for (const auto kind : {core::SimOptions::EngineKind::Naive,
-                              core::SimOptions::EngineKind::Jump,
-                              core::SimOptions::EngineKind::Hybrid}) {
-        // The single-engine runs on their bad workloads are the whole point
-        // of the ablation, but keep their budgets sane.
-        const std::int64_t reps =
-            ctx.repsOr(kind == core::SimOptions::EngineKind::Hybrid ? 8 : 3);
-        WallTimer wall;
-        const auto samples = runner::runReplicationsScalar(
-            reps, ctx.seed ^ static_cast<std::uint64_t>(kind == core::SimOptions::EngineKind::Naive),
-            [&](std::int64_t, std::uint64_t seed) {
-              core::SimOptions o;
-              o.engine = kind;
-              o.seed = seed;
-              return core::balancingTime(w.configuration, o);
-            },
-            ctx.pool());
-        const double ms = wall.millis() / static_cast<double>(reps);
-        const char* name = kind == core::SimOptions::EngineKind::Naive   ? "naive"
-                           : kind == core::SimOptions::EngineKind::Jump ? "jump"
-                                                                        : "hybrid";
+    for (std::size_t w = 0; w < workloads.size(); ++w) {
+      for (std::size_t k = 0; k < std::size(kinds); ++k) {
+        const char* name = kinds[k] == EngineKind::Naive   ? "naive"
+                           : kinds[k] == EngineKind::Jump ? "jump"
+                                                          : "hybrid";
         table.row()
-            .cell(w.name)
+            .cell(workloads[w].name)
             .cell(name)
-            .cell(reps)
-            .cell(stats::summarize(samples).mean)
-            .cell(ms, 4);
+            .cell(repsA(kinds[k]))
+            .cell(meanOf(cellA[w][k], 0))
+            .cell(meanOf(cellA[w][k], 1), 4);
       }
     }
     ctx.emitTimingTable(table,
@@ -87,25 +151,13 @@ void runAblation(ScenarioContext& ctx) {
   // ----------------------------------------- (b) hybrid threshold sweep
   {
     Table table({"workload", "threshold", "mean T (low reps)", "wall ms/run"});
-    for (const auto& w : workloads) {
-      for (const std::int64_t threshold : {8, 32, 96, 512, 4096}) {
-        const std::int64_t reps = ctx.repsOr(6);
-        WallTimer wall;
-        const auto samples = runner::runReplicationsScalar(
-            reps, ctx.seed ^ static_cast<std::uint64_t>(threshold),
-            [&](std::int64_t, std::uint64_t seed) {
-              core::SimOptions o;
-              o.engine = core::SimOptions::EngineKind::Hybrid;
-              o.levelThreshold = threshold;
-              o.seed = seed;
-              return core::balancingTime(w.configuration, o);
-            },
-            ctx.pool());
+    for (std::size_t w = 0; w < workloads.size(); ++w) {
+      for (std::size_t t = 0; t < std::size(thresholds); ++t) {
         table.row()
-            .cell(w.name)
-            .cell(threshold)
-            .cell(stats::summarize(samples).mean)
-            .cell(wall.millis() / static_cast<double>(reps), 4);
+            .cell(workloads[w].name)
+            .cell(thresholds[t])
+            .cell(meanOf(cellB[w][t], 0))
+            .cell(meanOf(cellB[w][t], 1), 4);
       }
     }
     ctx.emitTimingTable(table,
@@ -116,27 +168,13 @@ void runAblation(ScenarioContext& ctx) {
   // ------------------------------------------------- (c) gap accounting
   {
     Table table({"gap", "reps", "E[T]", "mean activations", "mean moves"});
-    const auto init = config::allInOne(ctx.sized(256), 8 * ctx.sized(256));
-    for (const int gap : {1, 2}) {
-      const std::int64_t reps = ctx.repsOr(50);
-      const auto result = runner::runReplications(
-          reps, ctx.seed ^ static_cast<std::uint64_t>(gap), 3,
-          [&](std::int64_t, std::uint64_t seed) {
-            core::SimOptions o;
-            o.engine = core::SimOptions::EngineKind::Naive;
-            o.gap = gap;
-            o.seed = seed;
-            const auto r = core::balance(init, o);
-            return std::vector<double>{r.time, static_cast<double>(r.activations),
-                                       static_cast<double>(r.moves)};
-          },
-          ctx.pool());
+    for (std::size_t g = 0; g < std::size(gaps); ++g) {
       table.row()
-          .cell(gap)
-          .cell(reps)
-          .cell(result.summary(0).mean)
-          .cell(result.summary(1).mean, 5)
-          .cell(result.summary(2).mean, 5);
+          .cell(gaps[g])
+          .cell(repsC)
+          .cell(meanOf(firstC + g, 0))
+          .cell(meanOf(firstC + g, 1), 5)
+          .cell(meanOf(firstC + g, 2), 5);
     }
     ctx.emitTable(table,
                   "[ablation-c] '>=' vs strict '>': same E[T] and activations, fewer "

@@ -11,6 +11,7 @@
 #include <string_view>
 
 #include "scenario/scenario.hpp"
+#include "util/format.hpp"
 
 namespace rlslb::scenario::builtin {
 
@@ -42,6 +43,25 @@ inline std::int64_t ballsFor(const std::string& owner, std::int64_t ratio, std::
                                 "] at n=" + std::to_string(n) + " (ratio * n must fit int64)");
   }
   return ratio * n;
+}
+
+/// The most points a trajectory grid may hold: e15_trajectory's recorder
+/// samples each run every dt / 4 up to horizon + 1, so (horizon + 1) / dt
+/// <= kMaxGridPoints bounds its 4x finer grid by 4 * kMaxGridPoints points
+/// and the table's horizon / dt + 1 rows by kMaxGridPoints.
+inline constexpr double kMaxGridPoints = 1 << 17;
+
+/// Checks e15's grid against kMaxGridPoints. Both keys' domains are
+/// declared; their ratio reads two keys, so it is checked here, before the
+/// grid is sized (a ratio past size_t would make its cast undefined).
+inline void checkGrid(const std::string& owner, double horizon, double dt) {
+  if ((horizon + 1.0) / dt > kMaxGridPoints) {
+    throw std::invalid_argument(
+        owner + ": horizon=" + formatSig(horizon, 6) + " and dt=" + formatSig(dt, 6) +
+        " ask for (horizon + 1) / dt = " + formatSig((horizon + 1.0) / dt, 3) +
+        " grid points; it must be <= " + formatSig(kMaxGridPoints, 7) +
+        " (the recorder samples every dt / 4)");
+  }
 }
 
 /// The wall-time split of one serving run, set on its throughput/frontier

@@ -28,6 +28,7 @@ void runTrajectory(ScenarioContext& ctx) {
   const std::int64_t reps = ctx.repsOr(40);
   const double dt = ctx.params.getDouble("dt", 0.5);
   const double horizon = ctx.params.getDouble("horizon", 24.0);
+  checkGrid("e15_trajectory", horizon, dt);
 
   const auto ensemble = sim::accumulateEnsemble(
       dt, horizon, reps, ctx.seed,

@@ -9,6 +9,7 @@
 // would show up as the normalized column *growing* with n in the m = n
 // rows. Paper-vs-measured notes live in docs/EXPERIMENTS.md (E1).
 #include <cmath>
+#include <cstddef>
 #include <vector>
 
 #include "config/generators.hpp"
@@ -26,31 +27,46 @@ void runTheorem1(ScenarioContext& ctx) {
   const std::vector<std::int64_t> ns = {ctx.sized(256), ctx.sized(512), ctx.sized(1024),
                                         ctx.sized(2048), ctx.sized(4096)};
   const std::vector<std::int64_t> ratios = {1, 8, 64};
+  const std::int64_t reps = ctx.repsOr(30);
+
+  // Every (n, m/n) cell runs in one replication plan, so no cell waits at a
+  // barrier for another's stragglers. A replication costs about m = n *
+  // ratio activations, so the cells are declared from the largest ratio
+  // and n down; the table reads them back by index, in (n, ratio) order.
+  std::vector<runner::ReplicationCell> plan;
+  std::vector<std::vector<std::size_t>> cell(ns.size(), std::vector<std::size_t>(ratios.size()));
+  for (std::size_t r = ratios.size(); r-- > 0;) {
+    for (std::size_t i = ns.size(); i-- > 0;) {
+      const std::int64_t n = ns[i];
+      const std::int64_t m = n * ratios[r];
+      cell[i][r] = plan.size();
+      plan.push_back({reps, ctx.seed ^ static_cast<std::uint64_t>(n * 131 + ratios[r]), 1,
+                      [n, m](std::int64_t, std::uint64_t seed) {
+                        core::SimOptions o;
+                        o.engine = core::SimOptions::EngineKind::Hybrid;
+                        o.seed = seed;
+                        return std::vector<double>{
+                            core::balancingTime(config::allInOne(n, m), o)};
+                      }});
+    }
+  }
+  const auto results = runner::runReplications(plan, ctx.pool());
 
   Table table({"n", "m/n", "reps", "E[T] (mean)", "ci95", "p99", "ln n", "n^2/m",
                "T/(ln n + n^2/m)"});
   std::vector<std::vector<double>> fitRows;
   std::vector<double> fitY;
 
-  for (const std::int64_t n : ns) {
-    for (const std::int64_t ratio : ratios) {
-      const std::int64_t m = n * ratio;
-      const std::int64_t reps = ctx.repsOr(30);
-      const auto samples = runner::runReplicationsScalar(
-          reps, ctx.seed ^ static_cast<std::uint64_t>(n * 131 + ratio),
-          [&](std::int64_t, std::uint64_t seed) {
-            core::SimOptions o;
-            o.engine = core::SimOptions::EngineKind::Hybrid;
-            o.seed = seed;
-            return core::balancingTime(config::allInOne(n, m), o);
-          },
-          ctx.pool());
-      const auto s = stats::summarize(samples);
+  for (std::size_t i = 0; i < ns.size(); ++i) {
+    for (std::size_t r = 0; r < ratios.size(); ++r) {
+      const std::int64_t n = ns[i];
+      const std::int64_t m = n * ratios[r];
+      const auto s = results[cell[i][r]].summary(0);
       const double lnN = std::log(static_cast<double>(n));
       const double n2m = static_cast<double>(n) * static_cast<double>(n) / static_cast<double>(m);
       table.row()
           .cell(n)
-          .cell(ratio)
+          .cell(ratios[r])
           .cell(reps)
           .cell(s.mean)
           .cell(s.ci95Half)

@@ -7,6 +7,8 @@
 // n^{-Omega(1)} (Lemmas 6/7: each budget-sized epoch independently succeeds
 // with constant probability).
 #include <cmath>
+#include <cstddef>
+#include <iterator>
 #include <vector>
 
 #include "config/generators.hpp"
@@ -23,21 +25,40 @@ namespace rlslb::scenario::builtin {
 namespace {
 
 void runWhp(ScenarioContext& ctx) {
+  const std::int64_t ns[] = {ctx.sized(128), ctx.sized(512), ctx.sized(2048)};
+  const std::int64_t ratios[] = {4, 32};
+  const std::int64_t reps = ctx.repsOr(400);
+
+  // Every cell runs in one replication plan, so no cell waits at a barrier
+  // for another's stragglers. A replication costs about m = n * ratio
+  // activations, so the cells are declared from the largest ratio and n
+  // down; the table reads them back by index, in (n, ratio) order.
+  std::vector<runner::ReplicationCell> plan;
+  std::size_t cell[std::size(ns)][std::size(ratios)] = {};
+  for (std::size_t r = std::size(ratios); r-- > 0;) {
+    for (std::size_t i = std::size(ns); i-- > 0;) {
+      const std::int64_t n = ns[i];
+      const std::int64_t m = n * ratios[r];
+      cell[i][r] = plan.size();
+      plan.push_back({reps, ctx.seed ^ static_cast<std::uint64_t>(n * 7 + ratios[r]), 1,
+                      [n, m](std::int64_t, std::uint64_t seed) {
+                        core::SimOptions o;
+                        o.engine = core::SimOptions::EngineKind::Hybrid;
+                        o.seed = seed;
+                        return std::vector<double>{
+                            core::balancingTime(config::allInOne(n, m), o)};
+                      }});
+    }
+  }
+  const auto results = runner::runReplications(plan, ctx.pool());
+
   Table table({"n", "m/n", "reps", "mean", "p50", "p90", "p99", "p99 ci95", "max",
                "B = ln n*(1+n^2/m)", "p99/B", "P(T > B)"});
-  for (const std::int64_t n : {ctx.sized(128), ctx.sized(512), ctx.sized(2048)}) {
-    for (const std::int64_t ratio : {4, 32}) {
-      const std::int64_t m = n * ratio;
-      const std::int64_t reps = ctx.repsOr(400);
-      const auto samples = runner::runReplicationsScalar(
-          reps, ctx.seed ^ static_cast<std::uint64_t>(n * 7 + ratio),
-          [&](std::int64_t, std::uint64_t seed) {
-            core::SimOptions o;
-            o.engine = core::SimOptions::EngineKind::Hybrid;
-            o.seed = seed;
-            return core::balancingTime(config::allInOne(n, m), o);
-          },
-          ctx.pool());
+  for (std::size_t i = 0; i < std::size(ns); ++i) {
+    for (std::size_t r = 0; r < std::size(ratios); ++r) {
+      const std::int64_t n = ns[i];
+      const std::int64_t m = n * ratios[r];
+      const std::vector<double>& samples = results[cell[i][r]].samples[0];
       const auto s = stats::summarize(samples);
       const double lnN = std::log(static_cast<double>(n));
       const double budget =
@@ -50,7 +71,7 @@ void runWhp(ScenarioContext& ctx) {
       for (double t : samples) exceed += t > budget;
       table.row()
           .cell(n)
-          .cell(ratio)
+          .cell(ratios[r])
           .cell(reps)
           .cell(s.mean)
           .cell(s.median)

@@ -12,6 +12,8 @@
 // number of overloaded balls falls from Theta(n ln n) to n within
 // O((ln n)^2 / avg) time).
 #include <cmath>
+#include <cstddef>
+#include <iterator>
 #include <vector>
 
 #include "config/generators.hpp"
@@ -26,42 +28,109 @@ namespace rlslb::scenario::builtin {
 namespace {
 
 void runPhases(ScenarioContext& ctx) {
+  // The three tables' cells run as one replication plan, so no cell waits
+  // at a barrier for another's stragglers. Cells are claimed in declaration
+  // order, longest first: the E5-E7 cells from the largest m down, then the
+  // Lemma 13 shrink steps from the widest start, then the Lemma 15 decay
+  // from the largest n; the tables read their cells back by index.
+  std::vector<runner::ReplicationCell> plan;
+
+  // E5+E7: phase durations from all-in-one.
+  struct PhaseCell {
+    std::int64_t n, avg;
+  };
+  const PhaseCell phaseCells[] = {PhaseCell{ctx.sized(256, 2), 8}, PhaseCell{ctx.sized(1024, 2), 8},
+                                  PhaseCell{ctx.sized(4096, 2), 8},
+                                  PhaseCell{ctx.sized(1024, 2), 64}};
+  const std::int64_t repsPhases = ctx.repsOr(25);
+  std::size_t phaseCell[std::size(phaseCells)] = {};
+  for (std::size_t i = std::size(phaseCells); i-- > 0;) {
+    const std::int64_t n = phaseCells[i].n;
+    const std::int64_t m = n * phaseCells[i].avg;
+    const double lnN = std::log(static_cast<double>(n));
+    const auto logBand = static_cast<std::int64_t>(std::ceil(8.0 * lnN));
+    phaseCell[i] = plan.size();
+    plan.push_back({repsPhases, ctx.seed ^ static_cast<std::uint64_t>(n * 5 + phaseCells[i].avg), 4,
+                    [n, m, logBand](std::int64_t, std::uint64_t seed) {
+                      sim::PhaseTracker tracker({logBand, 1});
+                      core::SimOptions o;
+                      o.engine = core::SimOptions::EngineKind::Hybrid;
+                      o.seed = seed;
+                      const auto r = core::balance(config::allInOne(n, m), o,
+                                                   sim::Target::perfect(), {}, &tracker);
+                      const double t1 = tracker.hitTime(0);
+                      const double t2 = tracker.hitTime(1);
+                      return std::vector<double>{t1, t2 - t1, r.time - t2, r.time};
+                    }});
+  }
+
+  // Lemma 13: one shrink step from half-half starts.
+  const std::int64_t nShrink = ctx.sized(1024, 2);
+  const std::int64_t avgShrink = 256;  // avg > 16 ln n: the "large avg" regime
+  const double lnShrink = std::log(static_cast<double>(nShrink));
+  const std::int64_t xs[] = {avgShrink / 2, avgShrink / 4, avgShrink / 8};
+  const std::int64_t repsShrink = ctx.repsOr(20);
+  const std::size_t firstShrink = plan.size();
+  for (const std::int64_t x : xs) {
+    const auto target =
+        static_cast<std::int64_t>(std::ceil(2.0 * std::sqrt(static_cast<double>(x) * lnShrink)));
+    plan.push_back({repsShrink, ctx.seed ^ static_cast<std::uint64_t>(x), 1,
+                    [n = nShrink, m = nShrink * avgShrink, x, target,
+                     lnN = lnShrink](std::int64_t, std::uint64_t seed) {
+                      sim::PhaseTracker tracker({target});
+                      core::SimOptions o;
+                      o.engine = core::SimOptions::EngineKind::Hybrid;
+                      o.seed = seed;
+                      sim::RunLimits limits;
+                      limits.maxTime = 50.0 * lnN;  // safety; Lemma 13 needs far less
+                      core::balance(config::halfHalf(n, m, x), o,
+                                    sim::Target::xBalanced(target), limits, &tracker);
+                      return std::vector<double>{tracker.hitTime(0)};
+                    }});
+  }
+
+  // Lemma 15: overloaded-ball decay.
+  const std::int64_t nsDecay[] = {ctx.sized(1024, 2), ctx.sized(4096, 2)};
+  const std::int64_t avgDecay = 32;
+  const std::int64_t repsDecay = ctx.repsOr(20);
+  std::size_t decayCell[std::size(nsDecay)] = {};
+  for (std::size_t i = std::size(nsDecay); i-- > 0;) {
+    const std::int64_t n = nsDecay[i];
+    const auto x = static_cast<std::int64_t>(std::ceil(std::log(static_cast<double>(n))));
+    decayCell[i] = plan.size();
+    plan.push_back({repsDecay, ctx.seed ^ static_cast<std::uint64_t>(n * 13), 1,
+                    [n, m = n * avgDecay, x](std::int64_t, std::uint64_t seed) {
+                      // halfHalf(x): overloaded balls = x*n/2 > n; wait until <= n.
+                      core::SimOptions o;
+                      o.engine = core::SimOptions::EngineKind::Jump;
+                      o.seed = seed;
+                      auto engine = core::makeEngine(config::halfHalf(n, m, x), o);
+                      while (engine->state().overloadedBalls > n) {
+                        if (!engine->step()) break;
+                      }
+                      return std::vector<double>{engine->time()};
+                    }});
+  }
+
+  const auto results = runner::runReplications(plan, ctx.pool());
+
   // --------------------------------------------------------- E5+E6+E7
   {
     Table table({"n", "avg", "reps", "phase1", "/ln n", "phase2", "/(n/avg)", "phase3",
                  "/(n/avg)", "total"});
-    struct Cell {
-      std::int64_t n, avg;
-    };
-    for (const Cell c : {Cell{ctx.sized(256, 2), 8}, Cell{ctx.sized(1024, 2), 8},
-                         Cell{ctx.sized(4096, 2), 8}, Cell{ctx.sized(1024, 2), 64}}) {
-      const std::int64_t n = c.n;
-      const std::int64_t m = n * c.avg;
-      const double lnN = std::log(static_cast<double>(n));
-      const auto logBand = static_cast<std::int64_t>(std::ceil(8.0 * lnN));
-      const std::int64_t reps = ctx.repsOr(25);
-      const auto result = runner::runReplications(
-          reps, ctx.seed ^ static_cast<std::uint64_t>(n * 5 + c.avg), 4,
-          [&](std::int64_t, std::uint64_t seed) {
-            sim::PhaseTracker tracker({logBand, 1});
-            core::SimOptions o;
-            o.engine = core::SimOptions::EngineKind::Hybrid;
-            o.seed = seed;
-            const auto r =
-                core::balance(config::allInOne(n, m), o, sim::Target::perfect(), {}, &tracker);
-            const double t1 = tracker.hitTime(0);
-            const double t2 = tracker.hitTime(1);
-            return std::vector<double>{t1, t2 - t1, r.time - t2, r.time};
-          }, ctx.pool());
+    for (std::size_t i = 0; i < std::size(phaseCells); ++i) {
+      const PhaseCell c = phaseCells[i];
+      const double lnN = std::log(static_cast<double>(c.n));
+      const runner::ReplicationResult& result = results[phaseCell[i]];
       const auto p1 = result.summary(0);
       const auto p2 = result.summary(1);
       const auto p3 = result.summary(2);
       const auto total = result.summary(3);
-      const double nOverAvg = static_cast<double>(n) / static_cast<double>(c.avg);
+      const double nOverAvg = static_cast<double>(c.n) / static_cast<double>(c.avg);
       table.row()
-          .cell(n)
+          .cell(c.n)
           .cell(c.avg)
-          .cell(reps)
+          .cell(repsPhases)
           .cell(p1.mean)
           .cell(p1.mean / lnN, 3)
           .cell(p2.mean)
@@ -79,36 +148,19 @@ void runPhases(ScenarioContext& ctx) {
   {
     Table table({"n", "avg", "x", "target 2*sqrt(x ln n)", "reps", "mean t_x",
                  "ln((avg+x)/(avg-x))", "ratio"});
-    const std::int64_t n = ctx.sized(1024, 2);
-    const std::int64_t avg = 256;  // avg > 16 ln n: the "large avg" regime
-    const std::int64_t m = n * avg;
-    const double lnN = std::log(static_cast<double>(n));
-    for (const std::int64_t x : {avg / 2, avg / 4, avg / 8}) {
+    for (std::size_t i = 0; i < std::size(xs); ++i) {
+      const std::int64_t x = xs[i];
       const auto target =
-          static_cast<std::int64_t>(std::ceil(2.0 * std::sqrt(static_cast<double>(x) * lnN)));
-      const std::int64_t reps = ctx.repsOr(20);
-      const auto samples = runner::runReplicationsScalar(
-          reps, ctx.seed ^ static_cast<std::uint64_t>(x),
-          [&](std::int64_t, std::uint64_t seed) {
-            sim::PhaseTracker tracker({target});
-            core::SimOptions o;
-            o.engine = core::SimOptions::EngineKind::Hybrid;
-            o.seed = seed;
-            sim::RunLimits limits;
-            limits.maxTime = 50.0 * lnN;  // safety; Lemma 13 needs far less
-            core::balance(config::halfHalf(n, m, x), o, sim::Target::xBalanced(target), limits,
-                          &tracker);
-            return tracker.hitTime(0);
-          }, ctx.pool());
-      const auto s = stats::summarize(samples);
-      const double predicted = std::log(static_cast<double>(avg + x)) -
-                               std::log(static_cast<double>(avg - x));
+          static_cast<std::int64_t>(std::ceil(2.0 * std::sqrt(static_cast<double>(x) * lnShrink)));
+      const auto s = results[firstShrink + i].summary(0);
+      const double predicted = std::log(static_cast<double>(avgShrink + x)) -
+                               std::log(static_cast<double>(avgShrink - x));
       table.row()
-          .cell(n)
-          .cell(avg)
+          .cell(nShrink)
+          .cell(avgShrink)
           .cell(x)
           .cell(target)
-          .cell(reps)
+          .cell(repsShrink)
           .cell(s.mean)
           .cell(predicted, 4)
           .cell(s.mean / predicted, 3);
@@ -123,32 +175,17 @@ void runPhases(ScenarioContext& ctx) {
   {
     Table table({"n", "avg", "start disc", "reps", "t: overload n*disc -> n", "(ln n)^2/avg",
                  "ratio"});
-    for (const std::int64_t n : {ctx.sized(1024, 2), ctx.sized(4096, 2)}) {
-      const std::int64_t avg = 32;
-      const std::int64_t m = n * avg;
+    for (std::size_t i = 0; i < std::size(nsDecay); ++i) {
+      const std::int64_t n = nsDecay[i];
       const double lnN = std::log(static_cast<double>(n));
       const auto x = static_cast<std::int64_t>(std::ceil(lnN));
-      const std::int64_t reps = ctx.repsOr(20);
-      const auto samples = runner::runReplicationsScalar(
-          reps, ctx.seed ^ static_cast<std::uint64_t>(n * 13),
-          [&](std::int64_t, std::uint64_t seed) {
-            // halfHalf(x): overloaded balls = x*n/2 > n; wait until <= n.
-            core::SimOptions o;
-            o.engine = core::SimOptions::EngineKind::Jump;
-            o.seed = seed;
-            auto engine = core::makeEngine(config::halfHalf(n, m, x), o);
-            while (engine->state().overloadedBalls > n) {
-              if (!engine->step()) break;
-            }
-            return engine->time();
-          }, ctx.pool());
-      const auto s = stats::summarize(samples);
-      const double predicted = lnN * lnN / static_cast<double>(avg);
+      const auto s = results[decayCell[i]].summary(0);
+      const double predicted = lnN * lnN / static_cast<double>(avgDecay);
       table.row()
           .cell(n)
-          .cell(avg)
+          .cell(avgDecay)
           .cell(x)
-          .cell(reps)
+          .cell(repsDecay)
           .cell(s.mean)
           .cell(predicted, 4)
           .cell(s.mean / predicted, 3);

@@ -8,6 +8,8 @@
 //      (random-pair / min-to-max injections), where convergence itself may
 //      be destroyed -- exactly why the lemma is phrased as stochastic
 //      dominance of disc(t), not as a time bound.
+#include <cstddef>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,23 +31,81 @@ void runDml(ScenarioContext& ctx) {
   const std::int64_t m = 8 * n;
   const auto init = config::allInOne(n, m);
 
+  // Both sections run as one replication plan, so no cell waits at a
+  // barrier for another's stragglers. Cells are claimed in declaration
+  // order: the reversal ladder from its most aggressive (slowest) rung
+  // down, then the fixed-horizon rows; the tables read their cells back by
+  // index.
+  std::vector<runner::ReplicationCell> plan;
+
+  // (a) reversal ladder.
+  const double ps[] = {0.0, 0.1, 0.25, 0.5, 0.7};
+  const std::int64_t repsA = ctx.repsOr(60);
+  std::size_t cellA[std::size(ps)] = {};
+  for (std::size_t i = std::size(ps); i-- > 0;) {
+    const double p = ps[i];
+    cellA[i] = plan.size();
+    plan.push_back({repsA, ctx.seed ^ static_cast<std::uint64_t>(p * 1000), 1,
+                    [init, p](std::int64_t, std::uint64_t seed) {
+                      core::ReverseLastMoveAdversary adv(p);
+                      return std::vector<double>{
+                          core::runWithAdversary(init, seed, adv, sim::Target::perfect()).time};
+                    }});
+  }
+
+  // (b) fixed-horizon dominance: plain RLS, then one cell per adversary row.
+  sim::RunLimits limits;
+  limits.maxTime = 8.0;
+  const std::int64_t repsB = ctx.repsOr(80);
+  const std::size_t plainCell = plan.size();
+  plan.push_back({repsB, ctx.seed ^ 0x111, 1, [init, limits](std::int64_t, std::uint64_t seed) {
+                    core::SimOptions o;
+                    o.engine = core::SimOptions::EngineKind::Naive;
+                    o.seed = seed;
+                    return std::vector<double>{
+                        core::balance(init, o, sim::Target::perfect(), limits)
+                            .finalState.discrepancy()};
+                  }});
+  struct Row {
+    const char* name;
+    std::unique_ptr<core::DestructiveAdversary> (*make)();
+  };
+  const Row rows[] = {
+      {"random-pair x1/event",
+       [] {
+         return std::unique_ptr<core::DestructiveAdversary>(new core::RandomPairAdversary(1));
+       }},
+      {"min-to-max p=0.05",
+       [] {
+         return std::unique_ptr<core::DestructiveAdversary>(new core::MinToMaxAdversary(0.05));
+       }},
+      {"min-to-max p=0.2",
+       [] {
+         return std::unique_ptr<core::DestructiveAdversary>(new core::MinToMaxAdversary(0.2));
+       }},
+  };
+  const std::size_t firstRow = plan.size();
+  for (const Row& row : rows) {
+    plan.push_back({repsB, ctx.seed ^ 0x222, 1,
+                    [init, limits, make = row.make](std::int64_t, std::uint64_t seed) {
+                      auto adv = make();
+                      return std::vector<double>{
+                          core::runWithAdversary(init, seed, *adv, sim::Target::perfect(), limits)
+                              .finalState.discrepancy()};
+                    }});
+  }
+
+  const auto results = runner::runReplications(plan, ctx.pool());
+
   // ------------------------------------------------- (a) reversal ladder
   {
     Table table({"adversary", "reps", "E[T]", "ci95", "slowdown vs plain"});
-    double plainMean = 0.0;
-    for (const double p : {0.0, 0.1, 0.25, 0.5, 0.7}) {
-      const std::int64_t reps = ctx.repsOr(60);
-      const auto samples = runner::runReplicationsScalar(
-          reps, ctx.seed ^ static_cast<std::uint64_t>(p * 1000),
-          [&](std::int64_t, std::uint64_t seed) {
-            core::ReverseLastMoveAdversary adv(p);
-            return core::runWithAdversary(init, seed, adv, sim::Target::perfect()).time;
-          }, ctx.pool());
-      const auto s = stats::summarize(samples);
-      if (p == 0.0) plainMean = s.mean;
+    const double plainMean = results[cellA[0]].summary(0).mean;  // p = 0
+    for (std::size_t i = 0; i < std::size(ps); ++i) {
+      const auto s = results[cellA[i]].summary(0);
       table.row()
-          .cell("reverse-last p=" + formatSig(p, 2))
-          .cell(reps)
+          .cell("reverse-last p=" + formatSig(ps[i], 2))
+          .cell(repsA)
           .cell(s.mean)
           .cell(s.ci95Half)
           .cell(s.mean / plainMean, 3);
@@ -57,50 +117,13 @@ void runDml(ScenarioContext& ctx) {
 
   // --------------------------------------- (b) fixed-horizon dominance
   {
-    const double horizon = 8.0;
-    sim::RunLimits limits;
-    limits.maxTime = horizon;
     Table table({"adversary", "reps", "mean disc(T=8)", "ci95", "vs plain"});
-
-    const std::int64_t reps = ctx.repsOr(80);
-    const auto runPlain = [&](std::int64_t, std::uint64_t seed) {
-      core::SimOptions o;
-      o.engine = core::SimOptions::EngineKind::Naive;
-      o.seed = seed;
-      return core::balance(init, o, sim::Target::perfect(), limits).finalState.discrepancy();
-    };
-    const auto plain = stats::summarize(
-        runner::runReplicationsScalar(reps, ctx.seed ^ 0x111, runPlain, ctx.pool()));
-    table.row().cell("none (plain RLS)").cell(reps).cell(plain.mean).cell(plain.ci95Half).cell(
+    const auto plain = results[plainCell].summary(0);
+    table.row().cell("none (plain RLS)").cell(repsB).cell(plain.mean).cell(plain.ci95Half).cell(
         "1");
-
-    struct Row {
-      const char* name;
-      std::unique_ptr<core::DestructiveAdversary> (*make)();
-    };
-    const Row rows[] = {
-        {"random-pair x1/event",
-         [] {
-           return std::unique_ptr<core::DestructiveAdversary>(new core::RandomPairAdversary(1));
-         }},
-        {"min-to-max p=0.05",
-         [] {
-           return std::unique_ptr<core::DestructiveAdversary>(new core::MinToMaxAdversary(0.05));
-         }},
-        {"min-to-max p=0.2",
-         [] {
-           return std::unique_ptr<core::DestructiveAdversary>(new core::MinToMaxAdversary(0.2));
-         }},
-    };
-    for (const auto& row : rows) {
-      const auto samples = runner::runReplicationsScalar(
-          reps, ctx.seed ^ 0x222, [&](std::int64_t, std::uint64_t seed) {
-            auto adv = row.make();
-            return core::runWithAdversary(init, seed, *adv, sim::Target::perfect(), limits)
-                .finalState.discrepancy();
-          }, ctx.pool());
-      const auto s = stats::summarize(samples);
-      table.row().cell(row.name).cell(reps).cell(s.mean).cell(s.ci95Half).cell(
+    for (std::size_t i = 0; i < std::size(rows); ++i) {
+      const auto s = results[firstRow + i].summary(0);
+      table.row().cell(rows[i].name).cell(repsB).cell(s.mean).cell(s.ci95Half).cell(
           s.mean / plain.mean, 3);
     }
     ctx.emitTable(table,

@@ -35,6 +35,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -64,6 +65,14 @@ class BalanceTracker {
   [[nodiscard]] std::int64_t levelCount(std::int64_t level) const {
     if (!inWindow(level)) return 0;
     return counts_[static_cast<std::size_t>(level - base_)];
+  }
+
+  /// #bins at each level of [minLoad, maxLoad], lowest level first: a view
+  /// into the window for samplers that scan the level counts (the lumped
+  /// open system). Valid until the next onLoadChange or reset.
+  [[nodiscard]] std::span<const std::int32_t> occupiedCounts() const {
+    return {counts_.data() + (state_.minLoad - base_),
+            static_cast<std::size_t>(state_.maxLoad - state_.minLoad + 1)};
   }
 
   /// Heap bytes of the level array (capacity-based).

@@ -9,6 +9,9 @@ namespace rlslb::sim {
 
 EnsembleAccumulator::EnsembleAccumulator(double dt, double horizon) : dt_(dt) {
   RLSLB_ASSERT(dt > 0.0 && horizon >= 0.0);
+  // Callers bound the grid (e15_trajectory: builtin::checkGrid); the cast
+  // of a ratio past size_t would be undefined.
+  RLSLB_ASSERT(horizon / dt < 0x1p52);
   const auto gridSize = static_cast<std::size_t>(horizon / dt) + 1;
   discSum_.assign(gridSize, 0.0);
   logDiscSum_.assign(gridSize, 0.0);

@@ -9,6 +9,14 @@
 
 namespace rlslb::util {
 
+std::string Params::add(const std::string& name, const std::string& value) {
+  const auto [it, added] = values_.emplace(name, value);
+  if (added) return "";
+  std::string message = label(name);
+  return message.append(" given twice (").append(it->second).append(", then ").append(value)
+      .append(")");
+}
+
 Params::Params(int argc, const char* const* argv) : flags_(true) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -16,11 +24,10 @@ Params::Params(int argc, const char* const* argv) : flags_(true) {
       throw std::invalid_argument("argument " + arg + ": arguments are --key or --key=value");
     }
     const auto eq = arg.find('=');
-    if (eq == std::string::npos) {
-      values_[arg.substr(2)] = "true";
-    } else {
-      values_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
-    }
+    const std::string repeated = eq == std::string::npos
+                                     ? add(arg.substr(2), "true")
+                                     : add(arg.substr(2, eq - 2), arg.substr(eq + 1));
+    if (!repeated.empty()) throw std::invalid_argument(repeated);
   }
 }
 
@@ -29,11 +36,13 @@ bool Params::fromTokens(const std::vector<std::string>& tokens, Params* out,
   Params p;
   for (const std::string& tok : tokens) {
     const auto eq = tok.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      if (error != nullptr) *error = "malformed parameter '" + tok + "' (expected key=value)";
+    std::string message = eq == std::string::npos || eq == 0
+                              ? "malformed parameter '" + tok + "' (expected key=value)"
+                              : p.add(tok.substr(0, eq), tok.substr(eq + 1));
+    if (!message.empty()) {
+      if (error != nullptr) *error = std::move(message);
       return false;
     }
-    p.values_[tok.substr(0, eq)] = tok.substr(eq + 1);
   }
   *out = std::move(p);
   return true;

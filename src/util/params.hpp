@@ -59,11 +59,11 @@ class Params {
   Params() = default;
 
   /// Flags from argv[1..]: each is `--key` (value "true") or `--key=value`;
-  /// anything else throws std::invalid_argument.
+  /// anything else, or a key given twice, throws std::invalid_argument.
   Params(int argc, const char* const* argv);
 
-  /// Bare `key=value` tokens. On a malformed token (no '=', empty key)
-  /// returns false and stores a message in `error`.
+  /// Bare `key=value` tokens. On a malformed token (no '=', empty key) or a
+  /// key given twice, returns false and stores a message in `error`.
   static bool fromTokens(const std::vector<std::string>& tokens, Params* out,
                          std::string* error);
 
@@ -101,6 +101,11 @@ class Params {
   std::map<std::string, std::string> values_;
   mutable std::set<std::string> read_;
   bool flags_ = false;
+
+  /// Store a parsed key; a key already present is not overwritten (a
+  /// later value would hide an earlier, unchecked one): returns the
+  /// message naming it, or "" when stored.
+  std::string add(const std::string& name, const std::string& value);
 };
 
 /// Check every key of `params` that `specs` declares against its domain

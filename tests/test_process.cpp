@@ -365,6 +365,9 @@ TEST(ProcessEquivalence, GraphEngineMatchesReferenceAndRegistry) {
 
 // ----------------------------------------------- equivalence: open system
 
+// process::run over OpenProcess with a time limit is the historical event
+// loop: step until the clock passes the limit. (OpenSystem::runUntilTime
+// instead stops at the time itself; tests/test_dynamic.cpp.)
 TEST(ProcessEquivalence, OpenSystemMatchesReferenceTimeLoop) {
   dynamic::OpenSystemOptions options;
   options.arrivalRatePerBin = 2.0;
@@ -373,14 +376,20 @@ TEST(ProcessEquivalence, OpenSystemMatchesReferenceTimeLoop) {
   dynamic::OpenSystem b(16, options, 2024);
 
   const std::int64_t legacyEvents = referenceOpenRunUntilTime(a, 40.0);
-  const std::int64_t wrapperEvents = b.runUntilTime(40.0);
+  process::OpenProcess adapter(b);
+  process::RunLimits limits;
+  limits.maxTime = 40.0;
+  const auto r = process::run(adapter, process::Target::none(), limits);
 
-  EXPECT_EQ(legacyEvents, wrapperEvents);
-  EXPECT_EQ(a.time(), b.time());
-  EXPECT_EQ(a.loads(), b.loads());
+  EXPECT_EQ(legacyEvents, r.events);
+  EXPECT_EQ(a.time(), r.time);
+  expectStatesEqual(a.state(), r.finalState);
+  for (std::int64_t v = a.minLoad(); v <= a.maxLoad(); ++v) {
+    EXPECT_EQ(a.levelCount(v), b.levelCount(v));
+  }
   EXPECT_EQ(a.counters().arrivals, b.counters().arrivals);
   EXPECT_EQ(a.counters().departures, b.counters().departures);
-  EXPECT_EQ(a.counters().migrations, b.counters().migrations);
+  EXPECT_EQ(a.counters().migrations, r.moves);
 }
 
 // --------------------------------------------- incremental balance state
@@ -481,7 +490,12 @@ TEST(ProcessState, OpenSystemStateIsIncremental) {
   dynamic::OpenSystem sys(8, options, 11);
   for (int e = 0; e < 3000; ++e) {
     sys.step();
-    expectStateMatchesLoads(sys.state(), sys.loads());
+    // The open system keeps level counts only; rebuild the loads from them.
+    std::vector<std::int64_t> loads;
+    for (std::int64_t v = 0; v <= sys.maxLoad(); ++v) {
+      loads.insert(loads.end(), static_cast<std::size_t>(sys.levelCount(v)), v);
+    }
+    expectStateMatchesLoads(sys.state(), loads);
     EXPECT_EQ(sys.state().numBalls, sys.numBalls());
   }
 }

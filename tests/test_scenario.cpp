@@ -54,6 +54,18 @@ TEST(ScenarioParams, MalformedTokensRejected) {
   EXPECT_FALSE(util::Params::fromTokens({"=5"}, &p, &error));
 }
 
+// A key given twice used to keep its last value, so an earlier bad value
+// was never checked (`n=0 n=5` ran n=5).
+TEST(ScenarioParams, RepeatedKeysAreUsageErrors) {
+  util::Params p;
+  std::string error;
+  EXPECT_FALSE(util::Params::fromTokens({"n=0", "d=2", "n=5"}, &p, &error));
+  EXPECT_EQ(error, "n given twice (0, then 5)");
+  EXPECT_FALSE(util::Params::fromTokens({"n=16", "n=16"}, &p, &error));
+  EXPECT_EQ(error, "n given twice (16, then 16)");
+  EXPECT_TRUE(util::Params::fromTokens({"n=16", "nn=16"}, &p, &error)) << error;
+}
+
 TEST(ScenarioParams, MalformedValuesThrowUsageErrors) {
   // The driver turns std::invalid_argument into a message and exit 2.
   const util::Params p = paramsOf({"n=abc", "rate=fast", "flag=maybe", "half=2.5"});
@@ -143,6 +155,9 @@ TEST(ScenarioParams, OutOfRangeSizesAndEmptyListsThrowUsageErrors) {
       {"process_compare", {"process=graph_rls", "topology=torus", "n=4"}, nullptr, false},
       // These used to overflow (exit 134) or run and exit 0.
       {"e15_trajectory", {"ratio=9223372036854775807"}, "ratio", false},
+      {"e15_trajectory", {"horizon=1e300"}, "horizon", false},
+      {"e15_trajectory", {"horizon=1e7", "dt=1e-3"}, "dt", false},
+      {"e15_trajectory", {"horizon=0", "dt=1e-6"}, "dt", false},
       {"micro_substrate", {"jump_levels=0"}, "jump_levels", true},
       {"micro_substrate", {"ops=-1"}, "ops", true},
       {"process_compare", {"budget=-1"}, "budget", true},

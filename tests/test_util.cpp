@@ -205,6 +205,11 @@ TEST(Cli, BadArgumentsAndValuesThrowUsageErrors) {
             "--conformance=maybe must be one of on|off|strict");
   EXPECT_EQ(error({"--conformance=strict", "--scale=full"}, readContext), "accepted");
   EXPECT_EQ(error({"--seed=abc"}, readContext), "parameter --seed=abc: not an integer");
+  // A repeated flag used to keep its last value, so an earlier bad one was
+  // never checked.
+  EXPECT_EQ(error({"--scale=bogus", "--threads=1", "--scale=small"}, readContext),
+            "--scale given twice (bogus, then small)");
+  EXPECT_EQ(error({"--csv", "--csv=0"}, readContext), "--csv given twice (true, then 0)");
 }
 
 TEST(Cli, UnknownFlagsAreUsageErrors) {
