@@ -9,6 +9,7 @@
 #include "config/generators.hpp"
 #include "ds/fenwick.hpp"
 #include "ds/load_multiset.hpp"
+#include "process/process.hpp"
 #include "rng/distributions.hpp"
 #include "rng/pcg64.hpp"
 #include "rng/xoshiro256pp.hpp"
@@ -121,7 +122,7 @@ BENCHMARK(BM_LoadMultisetMove);
 void BM_NaiveStep(benchmark::State& state) {
   const std::int64_t n = state.range(0);
   sim::NaiveEngine engine(config::balanced(n, 8 * n), 8);
-  for (auto _ : state) benchmark::DoNotOptimize(engine.step());
+  for (auto _ : state) benchmark::DoNotOptimize(engine.advance());
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_NaiveStep)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20);
@@ -136,7 +137,7 @@ void BM_JumpStep(benchmark::State& state) {
     state.PauseTiming();
     sim::JumpEngine engine(config::halfHalf(n, 32 * n, 8), seed++);
     state.ResumeTiming();
-    while (engine.step()) {
+    while (engine.advance()) {
     }
     moves += engine.moves();
   }
@@ -149,7 +150,7 @@ void BM_FullRunHybridAllInOne(benchmark::State& state) {
   std::uint64_t seed = 10;
   for (auto _ : state) {
     sim::HybridEngine engine(config::allInOne(n, 8 * n), seed++);
-    const auto r = sim::runUntil(engine, sim::Target::perfect());
+    const auto r = process::run(engine, process::Target::perfect());
     benchmark::DoNotOptimize(r.time);
   }
   state.SetItemsProcessed(state.iterations());

@@ -23,6 +23,7 @@
 #include "config/generators.hpp"
 #include "graph/graph_engine.hpp"
 #include "graph/topology.hpp"
+#include "process/process.hpp"
 #include "sim/naive_engine.hpp"
 #include "sim/probes.hpp"
 #include "util/params.hpp"
@@ -49,14 +50,14 @@ int runChannelAllocation(int argc, char** argv) {
   // Regime 1: full scanning (the paper's protocol on the complete graph).
   sim::TrajectoryRecorder fullTraj(1.0);
   sim::NaiveEngine full(start, seed);
-  const auto fullRun = sim::runUntil(full, sim::Target::perfect(), {}, &fullTraj);
+  const auto fullRun = process::run(full, process::Target::perfect(), {}, &fullTraj);
 
   // Regime 2: neighbor scanning (cycle over the spectrum).
   const auto spectrum = graph::Topology::cycle(channels);
   sim::TrajectoryRecorder nbrTraj(1.0);
   graph::GraphRlsEngine neighbor(start, spectrum, seed + 1);
-  const auto nbrRun = sim::runUntil(neighbor, sim::Target::perfect(),
-                                    {.maxTime = 1e9, .maxEvents = 500'000'000}, &nbrTraj);
+  const auto nbrRun = process::run(neighbor, process::Target::perfect(),
+                                   {.maxTime = 1e9, .maxEvents = 500'000'000}, &nbrTraj);
 
   std::printf("%8s  %22s  %22s\n", "time", "full-scan interference", "nbr-scan interference");
   const auto& fp = fullTraj.points();

@@ -16,6 +16,7 @@
 
 #include "config/generators.hpp"
 #include "ext/speed_rls.hpp"
+#include "process/process.hpp"
 #include "util/params.hpp"
 
 namespace {
@@ -51,10 +52,11 @@ int runHeteroScheduler(int argc, char** argv) {
               static_cast<long long>(cores - 1));
 
   ext::SpeedRlsEngine engine(config::allInOne(cores, tasks), speeds, seed);
-  const auto run = engine.runUntilEquilibrium(/*maxActivations=*/500'000'000);
+  const auto run = process::run(engine, process::Target::equilibrium(),
+                                {.maxEvents = 500'000'000});
 
   std::printf("reached Nash equilibrium: %s  (t = %.2f, %lld migrations, %lld probes)\n",
-              run.reachedEquilibrium ? "yes" : "no", run.time,
+              run.reachedTarget ? "yes" : "no", run.time,
               static_cast<long long>(run.moves), static_cast<long long>(run.activations));
 
   std::printf("\n%6s  %6s  %6s  %14s  %12s\n", "core", "speed", "tasks", "ideal m*s/sum(s)",

@@ -18,6 +18,7 @@
 
 #include "config/configuration.hpp"
 #include "config/metrics.hpp"
+#include "process/process.hpp"
 #include "rng/distributions.hpp"
 #include "rng/splitmix64.hpp"
 #include "rng/xoshiro256pp.hpp"
@@ -69,9 +70,9 @@ int runP2pRebalance(int argc, char** argv) {
 
     // One churn interval of RLS on the labeled overlay.
     sim::NaiveEngine engine(spiked, rng::streamSeed(seed, static_cast<std::uint64_t>(event)));
-    sim::RunLimits limits;
+    process::RunLimits limits;
     limits.maxTime = 4.0;
-    sim::runUntil(engine, sim::Target::perfect(), limits);
+    process::run(engine, process::Target::perfect(), limits);
     loads = engine.loads();
 
     const double discAfter = engine.state().discrepancy();

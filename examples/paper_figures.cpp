@@ -152,9 +152,9 @@ void figure4(int threads) {
         sim::TrajectoryRecorder recorder(dt / 4.0);
         core::SimOptions o;
         o.seed = seed;
-        sim::RunLimits limits;
+        process::RunLimits limits;
         limits.maxTime = horizon + 1.0;
-        core::balance(config::allInOne(n, m), o, sim::Target::perfect(), limits, &recorder);
+        core::balance(config::allInOne(n, m), o, process::Target::perfect(), limits, &recorder);
         return recorder.points();
       },
       pool);

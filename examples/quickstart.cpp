@@ -40,8 +40,8 @@ int runQuickstart(int argc, char** argv) {
 
   // 3. Run to perfect balance (discrepancy < 1), recording the trajectory.
   sim::TrajectoryRecorder trajectory(/*timeStep=*/1.0);
-  const sim::RunResult result =
-      core::balance(initial, options, sim::Target::perfect(), {}, &trajectory);
+  const process::RunResult result =
+      core::balance(initial, options, process::Target::perfect(), {}, &trajectory);
 
   const double lnN = std::log(static_cast<double>(n));
   const double n2m = static_cast<double>(n) * static_cast<double>(n) / static_cast<double>(m);

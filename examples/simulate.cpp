@@ -96,8 +96,8 @@ int runSimulate(int argc, char** argv) {
   core::SimOptions options;
   options.engine = parseEngine(engineName);
   options.gap = gap;
-  const sim::Target target =
-      targetX == 0 ? sim::Target::perfect() : sim::Target::xBalanced(targetX);
+  const process::Target target =
+      targetX == 0 ? process::Target::perfect() : process::Target::xBalanced(targetX);
 
   std::printf("rlslb simulate: n=%lld m=%lld init=%s engine=%s gap=%d target=%s reps=%lld\n",
               static_cast<long long>(n), static_cast<long long>(m), initName.c_str(),

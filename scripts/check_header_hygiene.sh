@@ -10,6 +10,12 @@
 #     scripts/check_header_hygiene.sh [compiler]
 #
 # (default compiler: $CXX, else c++).
+#
+# It also guards the layering: the dynamics and everything below them
+# (src/{ds,config,sim,core,graph,ext,protocols,dynamic}) may include
+# process/process.hpp -- the interface they implement -- but no other
+# process/ header, so the registry layer never becomes a dependency of the
+# families it builds.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -42,9 +48,18 @@ if ! find src/obs -name '*.hpp' 2>/dev/null | grep -q .; then
   status=1
 fi
 
+upward="$(grep -rnE '#include[[:space:]]+"process/' \
+  src/ds src/config src/sim src/core src/graph src/ext src/protocols src/dynamic |
+  grep -vE '#include[[:space:]]+"process/process\.hpp"')"
+if [ -n "$upward" ]; then
+  echo "LAYERING: only process/process.hpp may be included below the registry layer:"
+  echo "$upward" | sed 's/^/    /'
+  status=1
+fi
+
 if [ "$status" -eq 0 ]; then
-  echo "OK: all $checked public headers compile standalone ($CXX_BIN)"
+  echo "OK: all $checked public headers compile standalone ($CXX_BIN); layering holds"
 else
-  echo "FAIL: some headers are not self-contained (see above)"
+  echo "FAIL: some headers are not self-contained or break the layering (see above)"
 fi
 exit "$status"

@@ -58,31 +58,16 @@ void MinToMaxAdversary::afterEvent(sim::NaiveEngine& engine, rng::Xoshiro256pp& 
   engine.applyForcedMove(lo, hi);
 }
 
-sim::RunResult runWithAdversary(const config::Configuration& initial, std::uint64_t seed,
-                                DestructiveAdversary& adversary, sim::Target target,
-                                const sim::RunLimits& limits, sim::Probe* probe, int gap) {
-  sim::NaiveEngine engine(initial, seed, gap);
-  rng::Xoshiro256pp adversaryEng(rng::streamSeed(seed, 0xadb3e25a17ULL));
+AdversarialRls::AdversarialRls(const config::Configuration& initial, std::uint64_t seed,
+                               DestructiveAdversary& adversary, int gap)
+    : engine_(initial, seed, gap),
+      adversary_(adversary),
+      adversaryEng_(rng::streamSeed(seed, 0xadb3e25a17ULL)) {}
 
-  sim::RunResult result;
-  if (probe != nullptr) probe->onEvent(engine);
-  bool reached = target.reached(engine.state());
-  while (!reached && engine.time() < limits.maxTime && engine.activations() < limits.maxEvents) {
-    // The composite process (protocol + adversary) is not absorbed just
-    // because the protocol chain is: clocks keep ringing on failed
-    // activations and the adversary's destructive moves can push the
-    // spread back above the gap. Only a ball-less system truly stops.
-    if (!engine.step() && !engine.stepActivation()) break;
-    adversary.afterEvent(engine, adversaryEng);
-    if (probe != nullptr) probe->onEvent(engine);
-    reached = target.reached(engine.state());
-  }
-  result.time = engine.time();
-  result.moves = engine.moves();
-  result.activations = engine.activations();
-  result.finalState = engine.state();
-  result.reachedTarget = reached;
-  return result;
+bool AdversarialRls::advance() {
+  if (!engine_.advance() && !engine_.stepActivation()) return false;
+  adversary_.afterEvent(engine_, adversaryEng_);
+  return true;
 }
 
 }  // namespace rlslb::core

@@ -13,8 +13,8 @@
 #include <memory>
 
 #include "config/configuration.hpp"
+#include "process/process.hpp"
 #include "rng/xoshiro256pp.hpp"
-#include "sim/engine.hpp"
 #include "sim/naive_engine.hpp"
 
 namespace rlslb::core {
@@ -63,12 +63,32 @@ class MinToMaxAdversary final : public DestructiveAdversary {
   double probability_;
 };
 
-/// Run RLS under an adversary until `target` or a limit. Adversary moves do
-/// not advance simulated time (Lemma 2's adversary acts instantaneously
-/// between protocol events).
-sim::RunResult runWithAdversary(const config::Configuration& initial, std::uint64_t seed,
-                                DestructiveAdversary& adversary, sim::Target target,
-                                const sim::RunLimits& limits = {}, sim::Probe* probe = nullptr,
-                                int gap = 1);
+/// RLS under an adversary, as one process for process::run: advance() is
+/// one activation of a NaiveEngine followed by the adversary's reaction.
+/// Adversary moves do not advance simulated time (Lemma 2's adversary acts
+/// instantaneously between protocol events). The composite is not absorbed
+/// just because the protocol chain is: clocks keep ringing on failed
+/// activations and a destructive move can push the spread back above the
+/// gap, so only a ball-less system stops.
+class AdversarialRls final : public process::Process {
+ public:
+  /// `adversary` must outlive the process.
+  AdversarialRls(const config::Configuration& initial, std::uint64_t seed,
+                 DestructiveAdversary& adversary, int gap = 1);
+
+  bool advance() override;
+  [[nodiscard]] process::Clock now() const override { return engine_.now(); }
+  [[nodiscard]] const sim::BalanceState& state() const override { return engine_.state(); }
+  [[nodiscard]] const process::Capabilities& capabilities() const override {
+    return engine_.capabilities();
+  }
+  [[nodiscard]] std::int64_t moves() const override { return engine_.moves(); }
+  [[nodiscard]] std::int64_t activations() const override { return engine_.activations(); }
+
+ private:
+  sim::NaiveEngine engine_;
+  DestructiveAdversary& adversary_;
+  rng::Xoshiro256pp adversaryEng_;
+};
 
 }  // namespace rlslb::core

@@ -7,8 +7,8 @@
 
 namespace rlslb::core {
 
-std::unique_ptr<sim::Engine> makeEngine(const config::Configuration& initial,
-                                        const SimOptions& options) {
+std::unique_ptr<process::Process> makeEngine(const config::Configuration& initial,
+                                             const SimOptions& options) {
   switch (options.engine) {
     case SimOptions::EngineKind::Naive:
       return std::make_unique<sim::NaiveEngine>(initial, options.seed, options.gap);
@@ -21,17 +21,16 @@ std::unique_ptr<sim::Engine> makeEngine(const config::Configuration& initial,
   return nullptr;
 }
 
-sim::RunResult balance(const config::Configuration& initial, const SimOptions& options,
-                       sim::Target target, const sim::RunLimits& limits, sim::Probe* probe) {
-  // Thin wrapper over the unified process API: sim::runUntil delegates to
-  // process::run, the one loop every balancing dynamic shares.
-  auto engine = makeEngine(initial, options);
-  return sim::runUntil(*engine, target, limits, probe);
+process::RunResult balance(const config::Configuration& initial, const SimOptions& options,
+                           const process::Target& target, const process::RunLimits& limits,
+                           process::Probe* probe) {
+  const auto engine = makeEngine(initial, options);
+  return process::run(*engine, target, limits, probe);
 }
 
 double balancingTime(const config::Configuration& initial, const SimOptions& options,
-                     sim::Target target, const sim::RunLimits& limits) {
-  const sim::RunResult r = balance(initial, options, target, limits);
+                     const process::Target& target, const process::RunLimits& limits) {
+  const process::RunResult r = balance(initial, options, target, limits);
   RLSLB_ASSERT_MSG(r.reachedTarget, "run hit a limit before reaching the balance target");
   return r.time;
 }

@@ -9,7 +9,7 @@
 #include <memory>
 
 #include "config/configuration.hpp"
-#include "sim/engine.hpp"
+#include "process/process.hpp"
 
 namespace rlslb::core {
 
@@ -30,17 +30,19 @@ struct SimOptions {
 };
 
 /// Build an engine over a copy of `initial`.
-std::unique_ptr<sim::Engine> makeEngine(const config::Configuration& initial,
-                                        const SimOptions& options);
+std::unique_ptr<process::Process> makeEngine(const config::Configuration& initial,
+                                             const SimOptions& options);
 
-/// Run to the target (default: perfect balance) and report.
-sim::RunResult balance(const config::Configuration& initial, const SimOptions& options,
-                       sim::Target target = sim::Target::perfect(),
-                       const sim::RunLimits& limits = {}, sim::Probe* probe = nullptr);
+/// Run to the target (default: perfect balance) and report: makeEngine,
+/// then process::run.
+process::RunResult balance(const config::Configuration& initial, const SimOptions& options,
+                           const process::Target& target = process::Target::perfect(),
+                           const process::RunLimits& limits = {},
+                           process::Probe* probe = nullptr);
 
 /// Shorthand: the balancing time of one run (asserts the target was reached).
 double balancingTime(const config::Configuration& initial, const SimOptions& options,
-                     sim::Target target = sim::Target::perfect(),
-                     const sim::RunLimits& limits = {});
+                     const process::Target& target = process::Target::perfect(),
+                     const process::RunLimits& limits = {});
 
 }  // namespace rlslb::core

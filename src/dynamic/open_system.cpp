@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "rng/distributions.hpp"
 #include "rng/splitmix64.hpp"
@@ -158,31 +157,29 @@ void OpenSystem::fire(const Rates& r) {
   ++counters_.migrations;
 }
 
-bool OpenSystem::step() {
+bool OpenSystem::advanceWithin(double horizon) {
+  if (time_ >= horizon) return false;
   const Rates r = rates();
-  if (r.total <= 0.0) return false;
-  hold(r, rng::exponential(eng_, r.total));
+  const bool absorbed = r.total <= 0.0;
+  const double dt = absorbed ? 0.0 : rng::exponential(eng_, r.total);
+  if (absorbed || time_ + dt > horizon) {
+    // No change lands by the horizon: discard the jump (the holding time
+    // is memoryless) and stop there in the current state. Without a
+    // horizon (advance()) an absorbed system keeps its clock.
+    if (horizon < kNoHorizon) {
+      hold(r, horizon - time_);
+      time_ = horizon;
+    }
+    return false;
+  }
+  hold(r, dt);
   fire(r);
   return true;
 }
 
 std::int64_t OpenSystem::runUntilTime(double time) {
   std::int64_t events = 0;
-  while (time_ < time) {
-    const Rates r = rates();
-    const double dt = r.total > 0.0 ? rng::exponential(eng_, r.total)
-                                      : std::numeric_limits<double>::infinity();
-    if (time_ + dt > time) {
-      // The jump would land past `time`: discard it (the holding time is
-      // memoryless) and stop at `time` in the current state.
-      hold(r, time - time_);
-      time_ = time;
-      break;
-    }
-    hold(r, dt);
-    fire(r);
-    ++events;
-  }
+  while (advanceWithin(time)) ++events;
   return events;
 }
 

@@ -35,18 +35,20 @@
 //     migration counter, drawn from a second stream: reading the counters
 //     never perturbs the chain's own draws. (A read schedule changes the
 //     counter's draws, not its law.)
-//   - runUntilTime(t) returns the state AT t: a holding time that would
-//     cross t is discarded, which memorylessness makes exact. The state
-//     right after the next jump would be length-biased, because the lumped
-//     holding rate depends on the spread.
+//   - runUntilTime(t), and process::run with maxTime = t, return the state
+//     AT t, absorbed or not: a holding time that would cross t is
+//     discarded, which memorylessness makes exact. The state right after
+//     the next jump would be length-biased, because the lumped holding rate
+//     depends on the spread.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 
 #include "config/configuration.hpp"
+#include "process/process.hpp"
 #include "rng/xoshiro256pp.hpp"
 #include "sim/balance_tracker.hpp"
-#include "sim/engine.hpp"
 
 namespace rlslb::dynamic {
 
@@ -57,7 +59,7 @@ struct OpenSystemOptions {
   int gap = 1;                     // RLS acceptance gap (1 = paper's protocol)
 };
 
-class OpenSystem {
+class OpenSystem final : public process::Process {
  public:
   OpenSystem(std::int64_t numBins, const OpenSystemOptions& options, std::uint64_t seed,
              const config::Configuration* initial = nullptr);
@@ -65,13 +67,29 @@ class OpenSystem {
   /// Advance to the next change of the load multiset (an arrival, a
   /// departure or a multiset-changing migration). Returns false iff none
   /// has positive rate; time() and the state are then unchanged.
-  bool step();
+  bool advance() override { return advanceWithin(kNoHorizon); }
 
-  /// Advance to exactly `time` (no-op if time() is already there); returns
-  /// the number of multiset changes made.
+  /// advance(), unless no change lands by `horizon` (> time()), absorbed
+  /// included: then time() stops at a finite `horizon` in the current state
+  /// and this returns false.
+  bool advanceWithin(double horizon) override;
+
+  /// Advance to exactly `time` (no-op if time() is already there), also
+  /// when absorbed; returns the number of multiset changes made. The same
+  /// stop as process::run with maxTime = `time`.
   std::int64_t runUntilTime(double time);
 
   [[nodiscard]] double time() const { return time_; }
+  [[nodiscard]] process::Clock now() const override {
+    return {process::Clock::Kind::Continuous, time_};
+  }
+  [[nodiscard]] const process::Capabilities& capabilities() const override {
+    static constexpr process::Capabilities kCaps{
+        .continuousTime = true, .gapRule = true, .openSystem = true};
+    return kCaps;
+  }
+  /// Accepted migrations, neutral ones included (reads counters()).
+  [[nodiscard]] std::int64_t moves() const override { return counters().migrations; }
   [[nodiscard]] std::int64_t numBins() const { return tracker_.state().numBins; }
   [[nodiscard]] std::int64_t numBalls() const { return tracker_.state().numBalls; }
   /// #bins with load `level`.
@@ -80,7 +98,7 @@ class OpenSystem {
   }
 
   /// O(1) balance view; numBalls tracks the live population.
-  [[nodiscard]] const sim::BalanceState& state() const { return tracker_.state(); }
+  [[nodiscard]] const sim::BalanceState& state() const override { return tracker_.state(); }
 
   [[nodiscard]] std::int64_t maxLoad() const { return tracker_.state().maxLoad; }
   [[nodiscard]] std::int64_t minLoad() const { return tracker_.state().minLoad; }
@@ -97,6 +115,8 @@ class OpenSystem {
   [[nodiscard]] const Counters& counters() const;
 
  private:
+  static constexpr double kNoHorizon = std::numeric_limits<double>::infinity();
+
   /// The current state's event rates.
   struct Rates {
     double arrival = 0.0;

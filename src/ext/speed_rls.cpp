@@ -1,7 +1,7 @@
 #include "ext/speed_rls.hpp"
 
-#include "process/adapters.hpp"
-#include "process/process.hpp"
+#include <algorithm>
+
 #include "rng/distributions.hpp"
 #include "util/assert.hpp"
 
@@ -76,19 +76,14 @@ double SpeedRlsEngine::weightedDiscrepancy() const {
   return hi - lo;
 }
 
-SpeedRlsEngine::RunResult SpeedRlsEngine::runUntilEquilibrium(std::int64_t maxActivations,
-                                                              std::int64_t checkEvery) {
-  process::SpeedProcess self(*this, checkEvery);
-  process::RunLimits limits;
-  limits.maxEvents = maxActivations - activations_;  // budget is cumulative
-  const process::RunResult r =
-      process::run(self, process::Target::equilibrium(), limits);
-  RunResult out;
-  out.time = r.time;
-  out.activations = r.activations;
-  out.moves = r.moves;
-  out.reachedEquilibrium = r.reachedTarget;
-  return out;
+bool SpeedRlsEngine::reached(const process::Target& target) const {
+  if (target.kind == process::Target::Kind::Equilibrium) return isEquilibrium();
+  return Process::reached(target);
+}
+
+std::int64_t SpeedRlsEngine::targetCheckStride(const process::Target& target) const {
+  if (target.kind != process::Target::Kind::Equilibrium) return 1;
+  return std::max<std::int64_t>(1, static_cast<std::int64_t>(loads_.size()) / 4);
 }
 
 }  // namespace rlslb::ext

@@ -17,12 +17,15 @@
 
 #include "config/configuration.hpp"
 #include "ds/fenwick.hpp"
+#include "process/process.hpp"
 #include "rng/xoshiro256pp.hpp"
 #include "sim/balance_tracker.hpp"
 
 namespace rlslb::ext {
 
-class SpeedRlsEngine {
+/// A process::Process whose advance() is one activation (never absorbed;
+/// Target::equilibrium() is the Nash test, checked every n/4 activations).
+class SpeedRlsEngine final : public process::Process {
  public:
   SpeedRlsEngine(const config::Configuration& initial, std::vector<std::int64_t> speeds,
                  std::uint64_t seed);
@@ -30,31 +33,37 @@ class SpeedRlsEngine {
   /// One activation; returns true if the ball moved.
   bool step();
 
+  bool advance() override {
+    step();
+    return true;
+  }
   [[nodiscard]] double time() const { return time_; }
-  [[nodiscard]] std::int64_t activations() const { return activations_; }
-  [[nodiscard]] std::int64_t moves() const { return moves_; }
+  [[nodiscard]] process::Clock now() const override {
+    return {process::Clock::Kind::Continuous, time_};
+  }
+  /// Bin speeds weight the experienced load.
+  [[nodiscard]] const process::Capabilities& capabilities() const override {
+    static constexpr process::Capabilities kCaps{.continuousTime = true,
+                                                 .countsActivations = true,
+                                                 .weights = true,
+                                                 .equilibrium = true};
+    return kCaps;
+  }
+  [[nodiscard]] bool reached(const process::Target& target) const override;
+  [[nodiscard]] std::int64_t targetCheckStride(const process::Target& target) const override;
+  [[nodiscard]] std::int64_t activations() const override { return activations_; }
+  [[nodiscard]] std::int64_t moves() const override { return moves_; }
   [[nodiscard]] const std::vector<std::int64_t>& loads() const { return loads_; }
   [[nodiscard]] const std::vector<std::int64_t>& speeds() const { return speeds_; }
 
   /// O(1) balance view over the *raw* (unweighted-by-speed) loads.
-  [[nodiscard]] const sim::BalanceState& state() const { return tracker_.state(); }
+  [[nodiscard]] const sim::BalanceState& state() const override { return tracker_.state(); }
 
   /// Exact Nash test, O(n).
   [[nodiscard]] bool isEquilibrium() const;
 
   /// max_i l_i/s_i - min_i l_i/s_i (reporting only).
   [[nodiscard]] double weightedDiscrepancy() const;
-
-  struct RunResult {
-    double time = 0.0;
-    std::int64_t activations = 0;
-    std::int64_t moves = 0;
-    bool reachedEquilibrium = false;
-  };
-  /// Run until Nash equilibrium (checked every `checkEvery` activations;
-  /// <= 0 selects the n/4 default) or the activation budget runs out. Thin
-  /// wrapper over process::run via process::SpeedProcess.
-  RunResult runUntilEquilibrium(std::int64_t maxActivations, std::int64_t checkEvery = 0);
 
  private:
   std::vector<std::int64_t> loads_;

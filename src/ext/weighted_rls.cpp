@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "process/adapters.hpp"
-#include "process/process.hpp"
 #include "rng/distributions.hpp"
 #include "util/assert.hpp"
 
@@ -66,20 +64,14 @@ std::int64_t WeightedRlsEngine::weightedSpread() const {
   return *mx - *mn;
 }
 
-WeightedRlsEngine::RunResult WeightedRlsEngine::runUntilEquilibrium(std::int64_t maxActivations,
-                                                                    std::int64_t checkEvery) {
-  process::WeightedProcess self(*this, checkEvery);
-  process::RunLimits limits;
-  limits.maxEvents = maxActivations - activations_;  // budget is cumulative
-  const process::RunResult r =
-      process::run(self, process::Target::equilibrium(), limits);
-  RunResult out;
-  out.time = r.time;
-  out.activations = r.activations;
-  out.moves = r.moves;
-  out.reachedEquilibrium = r.reachedTarget;
-  out.finalSpread = weightedSpread();
-  return out;
+bool WeightedRlsEngine::reached(const process::Target& target) const {
+  if (target.kind == process::Target::Kind::Equilibrium) return isEquilibrium();
+  return Process::reached(target);
+}
+
+std::int64_t WeightedRlsEngine::targetCheckStride(const process::Target& target) const {
+  if (target.kind != process::Target::Kind::Equilibrium) return 1;
+  return std::max<std::int64_t>(1, (static_cast<std::int64_t>(loads_.size()) + numBalls()) / 4);
 }
 
 }  // namespace rlslb::ext

@@ -18,12 +18,16 @@
 #include <cstdint>
 #include <vector>
 
+#include "process/process.hpp"
 #include "rng/xoshiro256pp.hpp"
 #include "sim/balance_tracker.hpp"
 
 namespace rlslb::ext {
 
-class WeightedRlsEngine {
+/// A process::Process whose advance() is one activation (never absorbed;
+/// Target::equilibrium() is the Nash test, checked every (n + m)/4
+/// activations).
+class WeightedRlsEngine final : public process::Process {
  public:
   /// `weights[b]` is ball b's weight; `startBin[b]` its initial bin.
   WeightedRlsEngine(std::int64_t numBins, std::vector<std::int64_t> weights,
@@ -32,9 +36,25 @@ class WeightedRlsEngine {
   /// One activation; returns true if the ball moved.
   bool step();
 
+  bool advance() override {
+    step();
+    return true;
+  }
   [[nodiscard]] double time() const { return time_; }
-  [[nodiscard]] std::int64_t activations() const { return activations_; }
-  [[nodiscard]] std::int64_t moves() const { return moves_; }
+  [[nodiscard]] process::Clock now() const override {
+    return {process::Clock::Kind::Continuous, time_};
+  }
+  [[nodiscard]] const process::Capabilities& capabilities() const override {
+    static constexpr process::Capabilities kCaps{.continuousTime = true,
+                                                 .countsActivations = true,
+                                                 .weights = true,
+                                                 .equilibrium = true};
+    return kCaps;
+  }
+  [[nodiscard]] bool reached(const process::Target& target) const override;
+  [[nodiscard]] std::int64_t targetCheckStride(const process::Target& target) const override;
+  [[nodiscard]] std::int64_t activations() const override { return activations_; }
+  [[nodiscard]] std::int64_t moves() const override { return moves_; }
   [[nodiscard]] const std::vector<std::int64_t>& loads() const { return loads_; }
   [[nodiscard]] std::int64_t totalWeight() const { return totalWeight_; }
   [[nodiscard]] std::int64_t numBalls() const {
@@ -42,24 +62,13 @@ class WeightedRlsEngine {
   }
 
   /// O(1) balance view in weight units (state().numBalls == totalWeight()).
-  [[nodiscard]] const sim::BalanceState& state() const { return tracker_.state(); }
+  [[nodiscard]] const sim::BalanceState& state() const override { return tracker_.state(); }
 
   /// Exact Nash test (no ball can strictly improve), O(n + m).
   [[nodiscard]] bool isEquilibrium() const;
 
   /// max load - min load, in weight units.
   [[nodiscard]] std::int64_t weightedSpread() const;
-
-  struct RunResult {
-    double time = 0.0;
-    std::int64_t activations = 0;
-    std::int64_t moves = 0;
-    bool reachedEquilibrium = false;
-    std::int64_t finalSpread = 0;
-  };
-  /// Thin wrapper over process::run via process::WeightedProcess;
-  /// `checkEvery` <= 0 selects the (n + m)/4 default.
-  RunResult runUntilEquilibrium(std::int64_t maxActivations, std::int64_t checkEvery = 0);
 
  private:
   std::vector<std::int64_t> loads_;       // total weight per bin

@@ -1,5 +1,7 @@
 #include "graph/graph_engine.hpp"
 
+#include <utility>
+
 #include "rng/distributions.hpp"
 #include "util/assert.hpp"
 
@@ -13,7 +15,14 @@ GraphRlsEngine::GraphRlsEngine(const config::Configuration& initial, const Topol
   RLSLB_ASSERT(initial.numBins() == topology.numVertices());
 }
 
-bool GraphRlsEngine::step() {
+GraphRlsEngine::GraphRlsEngine(const config::Configuration& initial,
+                               std::shared_ptr<const Topology> topology, std::uint64_t seed,
+                               int gap)
+    : GraphRlsEngine(initial, *topology, seed, gap) {
+  ownedTopology_ = std::move(topology);
+}
+
+bool GraphRlsEngine::advance() {
   const std::int64_t m = tracker_.state().numBalls;
   if (m == 0) return false;
   time_ += rng::exponential(eng_, static_cast<double>(m));

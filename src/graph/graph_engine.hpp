@@ -17,32 +17,48 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "config/configuration.hpp"
 #include "ds/fenwick.hpp"
 #include "graph/topology.hpp"
+#include "process/process.hpp"
 #include "rng/xoshiro256pp.hpp"
 #include "sim/balance_tracker.hpp"
-#include "sim/engine.hpp"
 
 namespace rlslb::graph {
 
-class GraphRlsEngine final : public sim::Engine {
+class GraphRlsEngine final : public process::Process {
  public:
   /// `topology` must outlive the engine; bins are its vertices.
   GraphRlsEngine(const config::Configuration& initial, const Topology& topology,
                  std::uint64_t seed, int gap = 1);
+  /// Owning: the engine keeps `topology` alive (the registry's graph_rls).
+  GraphRlsEngine(const config::Configuration& initial, std::shared_ptr<const Topology> topology,
+                 std::uint64_t seed, int gap = 1);
 
-  bool step() override;
-  [[nodiscard]] double time() const override { return time_; }
+  /// One activation; false only when there are no balls.
+  bool advance() override;
+  [[nodiscard]] double time() const { return time_; }
+  [[nodiscard]] process::Clock now() const override {
+    return {process::Clock::Kind::Continuous, time_};
+  }
   [[nodiscard]] std::int64_t moves() const override { return moves_; }
   [[nodiscard]] std::int64_t activations() const override { return activations_; }
   [[nodiscard]] const sim::BalanceState& state() const override { return tracker_.state(); }
+  [[nodiscard]] const process::Capabilities& capabilities() const override {
+    static constexpr process::Capabilities kCaps{.continuousTime = true,
+                                                 .countsActivations = true,
+                                                 .gapRule = true,
+                                                 .topology = true};
+    return kCaps;
+  }
 
   [[nodiscard]] const std::vector<std::int64_t>& loads() const { return loads_; }
 
  private:
+  std::shared_ptr<const Topology> ownedTopology_;  // null when borrowed
   const Topology& topology_;
   std::vector<std::int64_t> loads_;
   ds::Fenwick<std::int64_t> ballMass_;

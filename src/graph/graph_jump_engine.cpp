@@ -31,7 +31,7 @@ std::int32_t GraphJumpEngine::countAccepting(std::int64_t u) const {
   return count;
 }
 
-bool GraphJumpEngine::step() {
+bool GraphJumpEngine::advance() {
   const std::int64_t total = weight_.total();
   if (total == 0) return false;  // absorbed: no move is accepting
   time_ += rng::exponential(eng_, static_cast<double>(total) / degree_);

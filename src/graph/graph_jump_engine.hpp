@@ -23,7 +23,7 @@
 // implicit edges it does not take: E12 runs this engine iff
 // `isRegular() && !isComplete()`, and GraphRlsEngine stays its oracle and
 // the K_n engine. Activations are not simulated (activations() is -1, as
-// for sim::JumpEngine), and step() returns false once no move is
+// for sim::JumpEngine), and advance() returns false once no move is
 // accepting.
 #pragma once
 
@@ -33,24 +33,31 @@
 #include "config/configuration.hpp"
 #include "ds/fenwick.hpp"
 #include "graph/topology.hpp"
+#include "process/process.hpp"
 #include "rng/xoshiro256pp.hpp"
 #include "sim/balance_tracker.hpp"
-#include "sim/engine.hpp"
 
 namespace rlslb::graph {
 
-class GraphJumpEngine final : public sim::Engine {
+class GraphJumpEngine final : public process::Process {
  public:
   /// `topology` must be regular, have an adjacency list (not K_n) and
   /// outlive the engine; bins are its vertices.
   GraphJumpEngine(const config::Configuration& initial, const Topology& topology,
                   std::uint64_t seed, int gap = 1);
 
-  bool step() override;
-  [[nodiscard]] double time() const override { return time_; }
+  bool advance() override;
+  [[nodiscard]] double time() const { return time_; }
+  [[nodiscard]] process::Clock now() const override {
+    return {process::Clock::Kind::Continuous, time_};
+  }
   [[nodiscard]] std::int64_t moves() const override { return moves_; }
-  [[nodiscard]] std::int64_t activations() const override { return -1; }
   [[nodiscard]] const sim::BalanceState& state() const override { return tracker_.state(); }
+  [[nodiscard]] const process::Capabilities& capabilities() const override {
+    static constexpr process::Capabilities kCaps{
+        .continuousTime = true, .gapRule = true, .topology = true};
+    return kCaps;
+  }
 
   [[nodiscard]] const std::vector<std::int64_t>& loads() const { return loads_; }
 

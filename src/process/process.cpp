@@ -36,7 +36,7 @@ RunResult run(Process& process, const Target& target, const RunLimits& limits, P
   std::int64_t sinceCheck = 0;
   std::int64_t events = 0;
   while (!reached && process.now().value < limits.maxTime && events < limits.maxEvents) {
-    if (!process.advance()) break;  // absorbed
+    if (!process.advanceWithin(limits.maxTime)) break;  // absorbed, or stopped at the horizon
     ++events;
     if (probe != nullptr) probe->onEvent(process);
     if (++sinceCheck >= stride) {

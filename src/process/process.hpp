@@ -2,12 +2,11 @@
 // dynamic in the library, one generic run loop over all of them.
 //
 // The repo hosts five process families -- continuous-time RLS engines
-// (sim::Engine), synchronous round protocols (protocols::RoundProtocol and
-// CRS), the Section-7 extensions (ext::SpeedRlsEngine /
-// ext::WeightedRlsEngine), graph-restricted RLS (graph::GraphRlsEngine) and
-// the open system (dynamic::OpenSystem). Each historically carried its own
-// construction path and stopping-condition loop. process::Process is the
-// common denominator:
+// (sim::NaiveEngine / JumpEngine / HybridEngine, graph::GraphRlsEngine /
+// GraphJumpEngine), synchronous round protocols (protocols::RoundProtocol
+// and CRS), the Section-7 extensions (ext::SpeedRlsEngine /
+// ext::WeightedRlsEngine) and the open system (dynamic::OpenSystem). Each
+// implements process::Process itself:
 //
 //   advance()   one state-changing event of the dynamic's natural
 //               granularity: an activation, a lumped multiset move, a
@@ -18,23 +17,23 @@
 //               step count -- one comparable "how far along" axis (the
 //               paper equates one synchronous round with one unit of
 //               continuous RLS time: m expected activations).
-//   state()     the O(1)-maintained BalanceState view shared with the sim
-//               engines (and with serve::CompactAllocator::balanceState()),
-//               so stopping predicates and gap reports speak one
-//               vocabulary.
+//   state()     the O(1)-maintained BalanceState view shared with
+//               serve::CompactAllocator::balanceState(), so stopping
+//               predicates and gap reports speak one vocabulary.
 //   capabilities()  what the dynamic supports: probes, a gap rule, weights,
 //               topology restriction, open ball populations, equilibrium
 //               targets.
 //
-// process::run(...) is THE run loop. The per-family legacy entry points
-// (core::balance, sim::runUntil, RoundProtocol::runUntilBalanced, the
-// CRS/ext runUntil* helpers) are retained as thin wrappers over it --
-// byte-identical results, pinned by tests/test_process.cpp against
-// reference copies of the historical loops. OpenSystem::runUntilTime is
-// not: it stops exactly at its time, which an event loop cannot.
+// process::run(...) is THE run loop; callers hand it any dynamic directly.
+// tests/test_process.cpp pins it byte-identical to frozen copies of the
+// per-family loops it replaced. OpenSystem::runUntilTime is the one other
+// loop over a dynamic: it stops exactly at its time, which run() does too
+// for a finite maxTime (see advanceWithin).
 //
-// Construction is data too: see registry.hpp (makeProcess(kind, ...)) for
-// the string-keyed roster mirroring the scenario registry.
+// This header sits directly above sim::BalanceState: the family headers
+// include it, it includes none of them. Construction is data too: see
+// registry.hpp (makeProcess(kind, ...)) for the string-keyed roster
+// mirroring the scenario registry.
 #pragma once
 
 #include <cstdint>
@@ -77,9 +76,9 @@ struct Capabilities {
   bool equilibrium = false;        // supports Target::equilibrium()
 };
 
-/// Stopping target of a run. Extends sim::Target with the fixed points of
-/// the non-RLS dynamics (Nash equilibrium / local stability) and an
-/// explicit "no target" for horizon-limited runs (open systems).
+/// Stopping target of a run: a balance target, the fixed point of the
+/// non-RLS dynamics (Nash equilibrium / local stability), or an explicit
+/// "no target" for horizon-limited runs (open systems).
 struct Target {
   enum class Kind { PerfectBalance, XBalanced, Equilibrium, None };
   Kind kind = Kind::PerfectBalance;
@@ -89,15 +88,10 @@ struct Target {
   static Target xBalanced(std::int64_t x) { return {Kind::XBalanced, x}; }
   static Target equilibrium() { return {Kind::Equilibrium, 0}; }
   static Target none() { return {Kind::None, 0}; }
-
-  static Target fromSim(const sim::Target& t) {
-    return t.kind == sim::Target::Kind::PerfectBalance ? perfect() : xBalanced(t.x);
-  }
 };
 
-/// Safety budgets, shared with the sim layer: maxTime bounds now().value
-/// (so it caps rounds/steps for synchronous clocks), maxEvents bounds
-/// advance() calls within one run().
+/// Safety budgets: maxTime bounds now().value (so it caps rounds/steps for
+/// synchronous clocks), maxEvents bounds advance() calls within one run().
 using RunLimits = sim::RunLimits;
 
 class Process {
@@ -107,6 +101,17 @@ class Process {
   /// Advance one event. Returns false iff the process is absorbed (no
   /// transition has positive rate), in which case now()/state() are final.
   virtual bool advance() = 0;
+
+  /// advance(), for a run that stops at `horizon` (> now().value; infinite
+  /// without a maxTime). A dynamic with no event by a finite `horizon`
+  /// may instead stop its clock exactly there and return false: OpenSystem
+  /// does, absorbed or not, so run() returns its state AT maxTime, not
+  /// after the first event past it. The default is advance(): an event
+  /// loop overshoots by one event.
+  virtual bool advanceWithin(double horizon) {
+    (void)horizon;
+    return advance();
+  }
 
   [[nodiscard]] virtual Clock now() const = 0;
 
@@ -130,7 +135,7 @@ class Process {
   [[nodiscard]] virtual bool reached(const Target& target) const;
 
   /// How many events run() lets pass between target re-evaluations. 1 for
-  /// O(1) predicates; adapters with O(n)-or-worse fixed-point checks return
+  /// O(1) predicates; dynamics with O(n)-or-worse fixed-point checks return
   /// their family's historical check cadence.
   [[nodiscard]] virtual std::int64_t targetCheckStride(const Target& target) const {
     (void)target;
@@ -155,9 +160,14 @@ struct RunResult {
   sim::BalanceState finalState;
 };
 
-/// Run `process` until the target, absorption, or a limit. The one loop
-/// behind every per-family runUntil* wrapper.
+/// Run `process` until the target, absorption, or a limit. If `probe` is
+/// non-null it sees the start and every event.
 RunResult run(Process& process, const Target& target, const RunLimits& limits = {},
               Probe* probe = nullptr);
 
 }  // namespace rlslb::process
+
+namespace rlslb::sim {
+/// The run report under its old sim-layer name (perfbench spells it).
+using RunResult = process::RunResult;
+}  // namespace rlslb::sim

@@ -7,12 +7,12 @@
 #include <string>
 #include <utility>
 
+#include "core/rls.hpp"
 #include "dynamic/open_system.hpp"
 #include "ext/speed_rls.hpp"
 #include "ext/weighted_rls.hpp"
 #include "graph/graph_engine.hpp"
 #include "graph/topology.hpp"
-#include "process/adapters.hpp"
 #include "protocols/crs.hpp"
 #include "protocols/edm.hpp"
 #include "protocols/repeated.hpp"
@@ -20,9 +20,6 @@
 #include "protocols/threshold.hpp"
 #include "rng/distributions.hpp"
 #include "rng/splitmix64.hpp"
-#include "sim/hybrid_engine.hpp"
-#include "sim/jump_engine.hpp"
-#include "sim/naive_engine.hpp"
 #include "util/assert.hpp"
 
 namespace rlslb::process {
@@ -93,31 +90,26 @@ void require(bool ok, const std::string& kind, const std::string& what) {
 
 // ---------------------------------------------------------------- sim ---
 
+using Engine = core::SimOptions::EngineKind;
+
 std::unique_ptr<Process> makeRls(const config::Configuration& initial, std::uint64_t seed,
                                  const util::Params& params) {
-  Capabilities caps = EngineProcess::defaultCaps();
-  caps.gapRule = false;  // the hybrid's jump stage is gap-agnostic
-  return std::make_unique<EngineProcess>(
-      std::make_unique<sim::HybridEngine>(initial, seed,
-                                          params.getInt("level_threshold", 0)),
-      caps);
+  return core::makeEngine(initial, {.engine = Engine::Hybrid,
+                                    .seed = seed,
+                                    .levelThreshold = params.getInt("level_threshold", 0)});
 }
 
 std::unique_ptr<Process> makeRlsNaive(const config::Configuration& initial, std::uint64_t seed,
                                       const util::Params& params) {
-  const auto gap = static_cast<int>(params.getInt("gap", 1));
-  return std::make_unique<EngineProcess>(std::make_unique<sim::NaiveEngine>(initial, seed, gap),
-                                         EngineProcess::defaultCaps());
+  return core::makeEngine(initial, {.engine = Engine::Naive,
+                                    .seed = seed,
+                                    .gap = static_cast<int>(params.getInt("gap", 1))});
 }
 
 std::unique_ptr<Process> makeRlsJump(const config::Configuration& initial, std::uint64_t seed,
                                      const util::Params& params) {
   (void)params;
-  Capabilities caps = EngineProcess::defaultCaps();
-  caps.countsActivations = false;  // jumps skip failed activations entirely
-  caps.gapRule = false;            // same lumped chain for >= and > rules
-  return std::make_unique<EngineProcess>(std::make_unique<sim::JumpEngine>(initial, seed),
-                                         caps);
+  return core::makeEngine(initial, {.engine = Engine::Jump, .seed = seed});
 }
 
 // ---------------------------------------------------------- protocols ---
@@ -125,22 +117,19 @@ std::unique_ptr<Process> makeRlsJump(const config::Configuration& initial, std::
 std::unique_ptr<Process> makeSelfish(const config::Configuration& initial, std::uint64_t seed,
                                      const util::Params& params) {
   (void)params;
-  return std::make_unique<RoundProcess>(
-      std::make_unique<protocols::SelfishRerouting>(initial, seed));
+  return std::make_unique<protocols::SelfishRerouting>(initial, seed);
 }
 
 std::unique_ptr<Process> makeEdm(const config::Configuration& initial, std::uint64_t seed,
                                  const util::Params& params) {
   (void)params;
-  return std::make_unique<RoundProcess>(
-      std::make_unique<protocols::EdmGlobalRerouting>(initial, seed));
+  return std::make_unique<protocols::EdmGlobalRerouting>(initial, seed);
 }
 
 std::unique_ptr<Process> makeRepeated(const config::Configuration& initial, std::uint64_t seed,
                                       const util::Params& params) {
   (void)params;
-  return std::make_unique<RoundProcess>(
-      std::make_unique<protocols::RepeatedBallsIntoBins>(initial, seed));
+  return std::make_unique<protocols::RepeatedBallsIntoBins>(initial, seed);
 }
 
 std::unique_ptr<Process> makeThreshold(const config::Configuration& initial, std::uint64_t seed,
@@ -148,8 +137,7 @@ std::unique_ptr<Process> makeThreshold(const config::Configuration& initial, std
   std::int64_t threshold = params.getInt("threshold", -1);
   if (threshold < 0) threshold = initial.floorAverage();
   const double p = params.getDouble("p", 0.5);
-  return std::make_unique<RoundProcess>(
-      std::make_unique<protocols::ThresholdProtocol>(initial, seed, threshold, p));
+  return std::make_unique<protocols::ThresholdProtocol>(initial, seed, threshold, p);
 }
 
 std::unique_ptr<Process> makeCrs(const config::Configuration& initial, std::uint64_t seed,
@@ -158,8 +146,7 @@ std::unique_ptr<Process> makeCrs(const config::Configuration& initial, std::uint
   require(initial.numBins() >= 2, "crs", "needs n >= 2");
   // CRS owns its placement (random candidate pairs + Greedy[2]); only the
   // shape (n, m) of the initial configuration is used.
-  return std::make_unique<CrsProcess>(std::make_unique<protocols::CrsProtocol>(
-      initial.numBins(), initial.numBalls(), seed));
+  return std::make_unique<protocols::CrsProtocol>(initial.numBins(), initial.numBalls(), seed);
 }
 
 // ----------------------------------------------------------------- ext ---
@@ -184,8 +171,8 @@ std::vector<std::int64_t> speedRoster(const std::string& name, std::int64_t n) {
 
 std::unique_ptr<Process> makeSpeedRls(const config::Configuration& initial, std::uint64_t seed,
                                       const util::Params& params) {
-  return std::make_unique<SpeedProcess>(std::make_unique<ext::SpeedRlsEngine>(
-      initial, speedRoster(params.getString("speeds", "uniform"), initial.numBins()), seed));
+  return std::make_unique<ext::SpeedRlsEngine>(
+      initial, speedRoster(params.getString("speeds", "uniform"), initial.numBins()), seed);
 }
 
 std::unique_ptr<Process> makeWeightedRls(const config::Configuration& initial,
@@ -224,8 +211,8 @@ std::unique_ptr<Process> makeWeightedRls(const config::Configuration& initial,
   std::vector<std::uint32_t> start(weights.size());
   for (std::size_t b = 0; b < start.size(); ++b) start[b] = flat[b % flat.size()];
 
-  return std::make_unique<WeightedProcess>(std::make_unique<ext::WeightedRlsEngine>(
-      n, std::move(weights), std::move(start), seed));
+  return std::make_unique<ext::WeightedRlsEngine>(n, std::move(weights), std::move(start),
+                                                 seed);
 }
 
 // --------------------------------------------------------------- graph ---
@@ -268,10 +255,7 @@ std::unique_ptr<Process> makeGraphRls(const config::Configuration& initial, std:
     return graph::Topology::randomRegular(n, static_cast<int>(degree), topoEng);
   }());
 
-  Capabilities caps = EngineProcess::defaultCaps();
-  caps.topology = true;
-  auto engine = std::make_unique<graph::GraphRlsEngine>(initial, *topology, seed, gap);
-  return std::make_unique<EngineProcess>(std::move(engine), caps, std::move(topology));
+  return std::make_unique<graph::GraphRlsEngine>(initial, std::move(topology), seed, gap);
 }
 
 // -------------------------------------------------------------- dynamic ---
@@ -283,8 +267,7 @@ std::unique_ptr<Process> makeOpen(const config::Configuration& initial, std::uin
   options.departureRate = params.getDouble("mu", 1.0);
   options.arrivalChoices = static_cast<int>(params.getInt("d", 1));
   options.gap = static_cast<int>(params.getInt("gap", 1));
-  return std::make_unique<OpenProcess>(std::make_unique<dynamic::OpenSystem>(
-      initial.numBins(), options, seed, &initial));
+  return std::make_unique<dynamic::OpenSystem>(initial.numBins(), options, seed, &initial);
 }
 
 }  // namespace

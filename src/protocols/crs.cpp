@@ -1,7 +1,7 @@
 #include "protocols/crs.hpp"
 
-#include "process/adapters.hpp"
-#include "process/process.hpp"
+#include <algorithm>
+
 #include "rng/distributions.hpp"
 #include "util/assert.hpp"
 
@@ -88,23 +88,6 @@ config::Metrics CrsProtocol::metrics() const {
   return config::computeMetrics(loads_);
 }
 
-std::int64_t CrsProtocol::runUntilBalanced(std::int64_t x, std::int64_t maxSteps) {
-  // Balance predicates are O(1) on the incremental state, so the loop stops
-  // at the exact step the target is reached (the historical n/8 check
-  // cadence only remains for the O(m) local-stability target below).
-  process::CrsProcess self(*this);
-  const process::Target target =
-      x == 0 ? process::Target::perfect() : process::Target::xBalanced(x);
-  process::RunLimits limits;
-  limits.maxEvents = maxSteps;
-  const process::RunResult r = process::run(self, target, limits);
-  return r.reachedTarget ? steps_ : -1;
-}
-
-std::int64_t CrsProtocol::runUntilPerfect(std::int64_t maxSteps) {
-  return runUntilBalanced(0, maxSteps);
-}
-
 bool CrsProtocol::isLocallyStable() const {
   for (const Ball& ball : balls_) {
     const std::int64_t cur = loads_[ball.candidate[ball.at]];
@@ -114,12 +97,14 @@ bool CrsProtocol::isLocallyStable() const {
   return true;
 }
 
-std::int64_t CrsProtocol::runUntilStable(std::int64_t maxSteps) {
-  process::CrsProcess self(*this);
-  process::RunLimits limits;
-  limits.maxEvents = maxSteps;
-  const process::RunResult r = process::run(self, process::Target::equilibrium(), limits);
-  return r.reachedTarget ? steps_ : -1;
+bool CrsProtocol::reached(const process::Target& target) const {
+  if (target.kind == process::Target::Kind::Equilibrium) return isLocallyStable();
+  return Process::reached(target);
+}
+
+std::int64_t CrsProtocol::targetCheckStride(const process::Target& target) const {
+  if (target.kind == process::Target::Kind::Equilibrium) return std::max<std::int64_t>(1, n_ / 8);
+  return 1;
 }
 
 }  // namespace rlslb::protocols

@@ -19,12 +19,22 @@
 #include <vector>
 
 #include "config/metrics.hpp"
+#include "process/process.hpp"
 #include "rng/xoshiro256pp.hpp"
 #include "sim/balance_tracker.hpp"
 
 namespace rlslb::protocols {
 
-class CrsProtocol {
+/// A process::Process whose advance() is one pair draw (never absorbed:
+/// neutral swaps can ping-pong forever, mirroring RLS's neutral moves).
+///
+/// Caveat for a perfect-balance target (also measured by bench_baselines):
+/// each ball is confined to its two candidate bins, so perfect balance
+/// requires an orientation of the random two-choice multigraph with every
+/// bin at exactly ceil/floor(m/n) -- which does not always exist. Target
+/// x-balance with x >= 1, or Target::equilibrium() (local stability), when
+/// feasibility is not guaranteed.
+class CrsProtocol final : public process::Process {
  public:
   /// Creates n bins and m balls with random distinct candidate pairs,
   /// Greedy[2]-placed in candidate order.
@@ -34,30 +44,33 @@ class CrsProtocol {
   /// "placement" into the bin it already occupies counts as no move.
   bool step();
 
+  bool advance() override {
+    step();
+    return true;
+  }
+  [[nodiscard]] process::Clock now() const override {
+    return {process::Clock::Kind::Steps, static_cast<double>(steps_)};
+  }
+  [[nodiscard]] const process::Capabilities& capabilities() const override {
+    static constexpr process::Capabilities kCaps{.equilibrium = true};
+    return kCaps;
+  }
+  /// Target::equilibrium() is local stability.
+  [[nodiscard]] bool reached(const process::Target& target) const override;
+  /// Local stability is an O(m) scan: checked every n/8 steps. Balance
+  /// targets are O(1) on the shared state and checked every step.
+  [[nodiscard]] std::int64_t targetCheckStride(const process::Target& target) const override;
+
   [[nodiscard]] std::int64_t numBins() const { return n_; }
   [[nodiscard]] std::int64_t numBalls() const { return m_; }
   [[nodiscard]] std::int64_t steps() const { return steps_; }
-  [[nodiscard]] std::int64_t moves() const { return moves_; }
+  [[nodiscard]] std::int64_t moves() const override { return moves_; }
   [[nodiscard]] const std::vector<std::int64_t>& loads() const { return loads_; }
 
   [[nodiscard]] config::Metrics metrics() const;
 
   /// O(1) balance view, maintained incrementally by place()/remove().
-  [[nodiscard]] const sim::BalanceState& state() const { return tracker_.state(); }
-
-  /// Run until perfectly balanced or the step budget is exhausted; returns
-  /// steps taken, or -1 if the budget ran out first.
-  ///
-  /// Caveat (also measured by bench_baselines): each ball is confined to its
-  /// two candidate bins, so perfect balance requires an orientation of the
-  /// random two-choice multigraph with every bin at exactly ceil/floor(m/n)
-  /// -- which does not always exist. Use runUntilBalanced(x, ...) with
-  /// x >= 1 when feasibility is not guaranteed.
-  std::int64_t runUntilPerfect(std::int64_t maxSteps);
-
-  /// Run until disc <= x (integer x >= 1) or the budget is exhausted;
-  /// returns steps taken, or -1.
-  std::int64_t runUntilBalanced(std::int64_t x, std::int64_t maxSteps);
+  [[nodiscard]] const sim::BalanceState& state() const override { return tracker_.state(); }
 
   /// Locally stable: no ball has a *strictly improving* switch, i.e. every
   /// ball's other candidate carries load >= load(current) - 1. (Moves into
@@ -67,10 +80,6 @@ class CrsProtocol {
   /// always reachable, unlike disc < 1, because balls are confined to their
   /// candidate pairs.
   [[nodiscard]] bool isLocallyStable() const;
-
-  /// Run until locally stable (checked every ~n/8 steps); returns steps
-  /// taken, or -1 if the budget ran out.
-  std::int64_t runUntilStable(std::int64_t maxSteps);
 
  private:
   struct Ball {

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "process/adapters.hpp"
-#include "process/process.hpp"
-
 namespace rlslb::protocols {
 
 void RoundProtocol::refreshState() const {
@@ -19,16 +16,6 @@ void RoundProtocol::refreshState() const {
     if (v > ceilAvg) state_.overloadedBalls += v - ceilAvg;
   }
   stateDirty_ = false;
-}
-
-std::int64_t RoundProtocol::runUntilBalanced(std::int64_t x, std::int64_t maxRounds) {
-  process::RoundProcess self(*this);
-  const process::Target target =
-      x == 0 ? process::Target::perfect() : process::Target::xBalanced(x);
-  process::RunLimits limits;
-  limits.maxEvents = maxRounds;
-  const process::RunResult r = process::run(self, target, limits);
-  return r.reachedTarget ? rounds_ : -1;
 }
 
 }  // namespace rlslb::protocols

@@ -11,13 +11,11 @@
 // Theta(m) loads (the threshold protocol migrates thousands of balls per
 // round), while the stopping predicate is consulted once per round, so one
 // O(n) sweep per round beats m histogram updates by orders of magnitude.
-// The sweep replaces the old per-check O(n) Configuration copy +
-// computeMetrics allocation in runUntilBalanced; repeated state() calls
-// between rounds are O(1) on the cache.
+// Repeated state() calls between rounds are O(1) on the cache.
 //
-// Run loop: runUntilBalanced is a thin wrapper over the generic
-// process::run via process::RoundProcess; rlslb's process registry exposes
-// every subclass as a process kind (selfish / edm / threshold / repeated).
+// Every subclass is a process::Process whose advance() is one round, so
+// process::run drives it; rlslb's process registry exposes each as a
+// process kind (selfish / edm / threshold / repeated).
 #pragma once
 
 #include <cstdint>
@@ -25,25 +23,34 @@
 
 #include "config/configuration.hpp"
 #include "config/metrics.hpp"
+#include "process/process.hpp"
 #include "rng/xoshiro256pp.hpp"
-#include "sim/engine.hpp"
 
 namespace rlslb::protocols {
 
-class RoundProtocol {
+class RoundProtocol : public process::Process {
  public:
   explicit RoundProtocol(const config::Configuration& initial, std::uint64_t seed)
       : eng_(seed), loads_(initial.loads()), balls_(initial.numBalls()) {}
-  virtual ~RoundProtocol() = default;
 
   /// Execute one synchronous round (does not advance the round counter;
-  /// runUntilBalanced / runRound own it).
+  /// advance() owns it).
   virtual void round() = 0;
 
   /// One process-level event: execute a round and advance the counter.
-  void runRound() {
+  /// Rounds always execute (a fixed point just moves nothing).
+  bool advance() final {
     round();
     ++rounds_;
+    return true;
+  }
+  [[nodiscard]] process::Clock now() const final {
+    return {process::Clock::Kind::Rounds, static_cast<double>(rounds_)};
+  }
+  /// Synchronous, closed, no gap knob: every flag but probes is off.
+  [[nodiscard]] const process::Capabilities& capabilities() const final {
+    static constexpr process::Capabilities kCaps{};
+    return kCaps;
   }
 
   [[nodiscard]] std::int64_t numBins() const { return static_cast<std::int64_t>(loads_.size()); }
@@ -51,23 +58,18 @@ class RoundProtocol {
   [[nodiscard]] const std::vector<std::int64_t>& loads() const { return loads_; }
   [[nodiscard]] std::int64_t roundsTaken() const { return rounds_; }
   /// Individual ball relocations across all rounds so far.
-  [[nodiscard]] std::int64_t moves() const { return moves_; }
+  [[nodiscard]] std::int64_t moves() const final { return moves_; }
 
   /// The shared balance view. Cached; recomputed in one O(n) sweep when
   /// loads changed since the last call (amortized against the Omega(n)
   /// round that dirtied it).
-  [[nodiscard]] const sim::BalanceState& state() const {
+  [[nodiscard]] const sim::BalanceState& state() const final {
     if (stateDirty_) refreshState();
     return state_;
   }
 
   /// Full metric sweep (reporting; stopping checks use state()).
   [[nodiscard]] config::Metrics metrics() const { return config::computeMetrics(loads_); }
-
-  /// Run until x-balanced (x = 0 means perfectly balanced, disc < 1) or the
-  /// round budget is exhausted. Returns rounds taken; -1 if not reached.
-  /// Thin wrapper over process::run (process/process.hpp).
-  std::int64_t runUntilBalanced(std::int64_t x, std::int64_t maxRounds);
 
  protected:
   /// Move one ball src -> dst. No-op when src == dst.

@@ -109,7 +109,7 @@ void runBaselines(ScenarioContext& ctx) {
                       o.engine = core::SimOptions::EngineKind::Hybrid;
                       o.seed = seed;
                       return std::vector<double>{core::balancingTime(
-                          config::allInOne(nC, m), o, sim::Target::xBalanced(band))};
+                          config::allInOne(nC, m), o, process::Target::xBalanced(band))};
                     }});
   }
 

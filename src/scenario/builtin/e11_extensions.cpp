@@ -20,6 +20,7 @@
 #include "config/generators.hpp"
 #include "ext/speed_rls.hpp"
 #include "ext/weighted_rls.hpp"
+#include "process/process.hpp"
 #include "rng/distributions.hpp"
 #include "runner/replication.hpp"
 #include "scenario/builtin/builtin.hpp"
@@ -59,7 +60,8 @@ void runExtensions(ScenarioContext& ctx) {
     plan.push_back({repsSpeeds, ctx.seed ^ stableHash(skew.name), 3,
                     [n, m = mSpeeds, speeds](std::int64_t, std::uint64_t seed) {
                       ext::SpeedRlsEngine engine(config::allInOne(n, m), speeds, seed);
-                      const auto r = engine.runUntilEquilibrium(500'000'000);
+                      const auto r = process::run(engine, process::Target::equilibrium(),
+                                                  {.maxEvents = 500'000'000});
                       return std::vector<double>{r.time, engine.weightedDiscrepancy(),
                                                  static_cast<double>(r.moves)};
                     }});
@@ -104,8 +106,10 @@ void runExtensions(ScenarioContext& ctx) {
                       for (auto w : weights) maxW = std::max(maxW, w);
                       std::vector<std::uint32_t> start(weights.size(), 0);  // all on bin 0
                       ext::WeightedRlsEngine engine(n, std::move(weights), std::move(start), seed);
-                      const auto r = engine.runUntilEquilibrium(500'000'000);
-                      return std::vector<double>{r.time, static_cast<double>(r.finalSpread),
+                      const auto r = process::run(engine, process::Target::equilibrium(),
+                                                  {.maxEvents = 500'000'000});
+                      return std::vector<double>{r.time,
+                                                 static_cast<double>(engine.weightedSpread()),
                                                  static_cast<double>(maxW)};
                     }});
   }
@@ -129,8 +133,9 @@ void runExtensions(ScenarioContext& ctx) {
           .cell(mv.mean, 5);
     }
     ctx.emitTable(table,
-                  "[E11-speeds] all-in-one start, n=128, m=16n: time to Nash "
-                  "equilibrium under speed skew (weighted disc settles below ~1/s_min)");
+                  "[E11-speeds] all-in-one start, n=" + std::to_string(n) +
+                      ", m=16n: time to Nash equilibrium under speed skew (weighted disc "
+                      "settles below ~1/s_min)");
   }
 
   // -------------------------------------------------------------- weights
@@ -152,9 +157,9 @@ void runExtensions(ScenarioContext& ctx) {
           .cell(maxW.mean, 3);
     }
     ctx.emitTable(table,
-                  "[E11-weights] all-on-one-bin start, n=128: time to Nash and final "
-                  "spread (bounded by the max weight, mirroring the unit-weight "
-                  "perfect-balance guarantee)");
+                  "[E11-weights] all-on-one-bin start, n=" + std::to_string(n) +
+                      ": time to Nash and final spread (bounded by the max weight, mirroring "
+                      "the unit-weight perfect-balance guarantee)");
   }
 }
 

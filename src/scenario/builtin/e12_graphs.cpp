@@ -21,6 +21,7 @@
 #include "graph/graph_engine.hpp"
 #include "graph/graph_jump_engine.hpp"
 #include "graph/topology.hpp"
+#include "process/process.hpp"
 #include "runner/replication.hpp"
 #include "scenario/builtin/builtin.hpp"
 #include "stats/summary.hpp"
@@ -35,9 +36,9 @@ namespace {
 runner::ReplicationFn timeToBalance(const graph::Topology& topo, std::int64_t n,
                                     std::int64_t m) {
   return [&topo, n, m](std::int64_t, std::uint64_t seed) {
-    const auto balance = [](sim::Engine& engine) {
-      return std::vector<double>{sim::runUntil(engine, sim::Target::perfect(),
-                                               {.maxTime = 1e9, .maxEvents = 2'000'000'000})
+    const auto balance = [](process::Process& engine) {
+      return std::vector<double>{process::run(engine, process::Target::perfect(),
+                                              {.maxTime = 1e9, .maxEvents = 2'000'000'000})
                                      .time};
     };
     if (topo.isRegular() && !topo.isComplete()) {

@@ -37,9 +37,9 @@ void runTrajectory(ScenarioContext& ctx) {
         core::SimOptions o;
         o.engine = core::SimOptions::EngineKind::Hybrid;
         o.seed = seed;
-        sim::RunLimits limits;
+        process::RunLimits limits;
         limits.maxTime = horizon + 1.0;
-        core::balance(config::allInOne(n, m), o, sim::Target::perfect(), limits, &recorder);
+        core::balance(config::allInOne(n, m), o, process::Target::perfect(), limits, &recorder);
         return recorder.points();
       },
       ctx.pool());

@@ -57,7 +57,7 @@ void runPhases(ScenarioContext& ctx) {
                       o.engine = core::SimOptions::EngineKind::Hybrid;
                       o.seed = seed;
                       const auto r = core::balance(config::allInOne(n, m), o,
-                                                   sim::Target::perfect(), {}, &tracker);
+                                                   process::Target::perfect(), {}, &tracker);
                       const double t1 = tracker.hitTime(0);
                       const double t2 = tracker.hitTime(1);
                       return std::vector<double>{t1, t2 - t1, r.time - t2, r.time};
@@ -81,10 +81,10 @@ void runPhases(ScenarioContext& ctx) {
                       core::SimOptions o;
                       o.engine = core::SimOptions::EngineKind::Hybrid;
                       o.seed = seed;
-                      sim::RunLimits limits;
+                      process::RunLimits limits;
                       limits.maxTime = 50.0 * lnN;  // safety; Lemma 13 needs far less
                       core::balance(config::halfHalf(n, m, x), o,
-                                    sim::Target::xBalanced(target), limits, &tracker);
+                                    process::Target::xBalanced(target), limits, &tracker);
                       return std::vector<double>{tracker.hitTime(0)};
                     }});
   }
@@ -106,9 +106,9 @@ void runPhases(ScenarioContext& ctx) {
                       o.seed = seed;
                       auto engine = core::makeEngine(config::halfHalf(n, m, x), o);
                       while (engine->state().overloadedBalls > n) {
-                        if (!engine->step()) break;
+                        if (!engine->advance()) break;
                       }
-                      return std::vector<double>{engine->time()};
+                      return std::vector<double>{engine->now().value};
                     }});
   }
 

@@ -17,6 +17,7 @@
 #include "config/generators.hpp"
 #include "core/dml.hpp"
 #include "core/rls.hpp"
+#include "process/process.hpp"
 #include "runner/replication.hpp"
 #include "scenario/builtin/builtin.hpp"
 #include "stats/summary.hpp"
@@ -48,13 +49,14 @@ void runDml(ScenarioContext& ctx) {
     plan.push_back({repsA, ctx.seed ^ static_cast<std::uint64_t>(p * 1000), 1,
                     [init, p](std::int64_t, std::uint64_t seed) {
                       core::ReverseLastMoveAdversary adv(p);
+                      core::AdversarialRls rls(init, seed, adv);
                       return std::vector<double>{
-                          core::runWithAdversary(init, seed, adv, sim::Target::perfect()).time};
+                          process::run(rls, process::Target::perfect()).time};
                     }});
   }
 
   // (b) fixed-horizon dominance: plain RLS, then one cell per adversary row.
-  sim::RunLimits limits;
+  process::RunLimits limits;
   limits.maxTime = 8.0;
   const std::int64_t repsB = ctx.repsOr(80);
   const std::size_t plainCell = plan.size();
@@ -63,7 +65,7 @@ void runDml(ScenarioContext& ctx) {
                     o.engine = core::SimOptions::EngineKind::Naive;
                     o.seed = seed;
                     return std::vector<double>{
-                        core::balance(init, o, sim::Target::perfect(), limits)
+                        core::balance(init, o, process::Target::perfect(), limits)
                             .finalState.discrepancy()};
                   }});
   struct Row {
@@ -89,8 +91,9 @@ void runDml(ScenarioContext& ctx) {
     plan.push_back({repsB, ctx.seed ^ 0x222, 1,
                     [init, limits, make = row.make](std::int64_t, std::uint64_t seed) {
                       auto adv = make();
+                      core::AdversarialRls rls(init, seed, *adv);
                       return std::vector<double>{
-                          core::runWithAdversary(init, seed, *adv, sim::Target::perfect(), limits)
+                          process::run(rls, process::Target::perfect(), limits)
                               .finalState.discrepancy()};
                     }});
   }

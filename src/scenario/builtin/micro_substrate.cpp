@@ -128,7 +128,7 @@ void runMicroSubstrate(ScenarioContext& ctx) {
         // Refresh every ~jump_levels steps (and on absorption) so the
         // level count stays near its initial value: the measurement targets
         // the many-levels regime where the O(L) rebuild hurt.
-        if (++sinceFresh >= jumpLevels || !engine->step()) {
+        if (++sinceFresh >= jumpLevels || !engine->advance()) {
           engine = fresh();
           sinceFresh = 0;
         }

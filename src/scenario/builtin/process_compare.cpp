@@ -106,7 +106,7 @@ void runProcessCompare(ScenarioContext& ctx) {
     // Probe instance: capabilities + clock kind drive the auto target. One
     // extra construction per kind, next to the `reps` constructions
     // runReplicated performs below -- negligible, and it keeps capability
-    // truth in the adapters instead of duplicating it on the spec.
+    // truth in the dynamics instead of duplicating it on the spec.
     const auto probe = registry.make(kind, start, ctx.seed, params);
     const process::Capabilities& caps = probe->capabilities();
     const bool rounds = probe->now().kind == process::Clock::Kind::Rounds;

@@ -26,9 +26,9 @@ void HybridEngine::maybeSwitch() {
   naive_.reset();
 }
 
-bool HybridEngine::step() {
-  if (jump_) return jump_->step();
-  const bool alive = naive_->step();
+bool HybridEngine::advance() {
+  if (jump_) return jump_->advance();
+  const bool alive = naive_->advance();
   if (++sinceCheck_ >= checkInterval_) {
     sinceCheck_ = 0;
     maybeSwitch();

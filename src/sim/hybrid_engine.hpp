@@ -23,22 +23,35 @@
 
 namespace rlslb::sim {
 
-class HybridEngine final : public Engine {
+class HybridEngine final : public process::Process {
  public:
   /// `levelThreshold` <= 0 selects the default (96). The switch condition is
   /// re-checked every `checkInterval` events.
   HybridEngine(const config::Configuration& initial, std::uint64_t seed,
                std::int64_t levelThreshold = 0, std::int64_t checkInterval = 64);
 
-  bool step() override;
-  [[nodiscard]] double time() const override { return current().time(); }
-  [[nodiscard]] std::int64_t moves() const override { return current().moves(); }
+  bool advance() override;
+  [[nodiscard]] double time() const { return jump_ ? jump_->time() : naive_->time(); }
+  [[nodiscard]] process::Clock now() const override {
+    return {process::Clock::Kind::Continuous, time()};
+  }
+  [[nodiscard]] std::int64_t moves() const override {
+    return jump_ ? jump_->moves() : naive_->moves();
+  }
   /// Activations are only meaningful while the naive stage runs; -1 after
   /// the switch.
   [[nodiscard]] std::int64_t activations() const override {
     return jump_ ? -1 : naive_->activations();
   }
-  [[nodiscard]] const BalanceState& state() const override { return current().state(); }
+  [[nodiscard]] const BalanceState& state() const override {
+    return jump_ ? jump_->state() : naive_->state();
+  }
+  /// No gap rule: the jump stage is gap-agnostic.
+  [[nodiscard]] const process::Capabilities& capabilities() const override {
+    static constexpr process::Capabilities kCaps{.continuousTime = true,
+                                                 .countsActivations = true};
+    return kCaps;
+  }
 
   [[nodiscard]] bool switched() const { return jump_ != nullptr; }
   [[nodiscard]] double switchTime() const { return switchTime_; }
@@ -52,9 +65,6 @@ class HybridEngine final : public Engine {
   std::int64_t sinceCheck_ = 0;
   double switchTime_ = -1.0;
 
-  [[nodiscard]] const Engine& current() const {
-    return jump_ ? static_cast<const Engine&>(*jump_) : *naive_;
-  }
   void maybeSwitch();
 };
 

@@ -80,7 +80,7 @@ double JumpEngine::totalRate() const {
   return total / static_cast<double>(ms_.numBins());
 }
 
-bool JumpEngine::step() { return index_ ? stepIndexed() : stepScan(); }
+bool JumpEngine::advance() { return index_ ? stepIndexed() : stepScan(); }
 
 bool JumpEngine::stepIndexed() {
   const std::int64_t totalW = index_->totalWeight();

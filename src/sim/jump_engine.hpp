@@ -33,22 +33,31 @@
 #include "config/configuration.hpp"
 #include "ds/level_index.hpp"
 #include "ds/load_multiset.hpp"
+#include "process/process.hpp"
 #include "rng/xoshiro256pp.hpp"
-#include "sim/engine.hpp"
 
 namespace rlslb::sim {
 
-class JumpEngine final : public Engine {
+class JumpEngine final : public process::Process {
  public:
   JumpEngine(const config::Configuration& initial, std::uint64_t seed);
   JumpEngine(ds::LoadMultiset initial, std::uint64_t seed, double startTime = 0.0,
              std::int64_t startMoves = 0);
 
-  bool step() override;
-  [[nodiscard]] double time() const override { return time_; }
+  /// One multiset-changing move; false once perfectly balanced (absorbed).
+  bool advance() override;
+  [[nodiscard]] double time() const { return time_; }
+  [[nodiscard]] process::Clock now() const override {
+    return {process::Clock::Kind::Continuous, time_};
+  }
   [[nodiscard]] std::int64_t moves() const override { return moves_; }
-  [[nodiscard]] std::int64_t activations() const override { return -1; }
   [[nodiscard]] const BalanceState& state() const override { return state_; }
+  /// No gap rule: the ">=" and ">" protocols lump to this same chain.
+  /// Failed activations are skipped, so none are counted.
+  [[nodiscard]] const process::Capabilities& capabilities() const override {
+    static constexpr process::Capabilities kCaps{.continuousTime = true};
+    return kCaps;
+  }
 
   /// Current lumped state. With the level index active this rebuilds the
   /// multiset on first access after a step (O(D log D)); hand-offs and

@@ -60,7 +60,7 @@ void NaiveEngine::bookkeepMove(std::size_t src, std::size_t dst) {
   ++moves_;
 }
 
-bool NaiveEngine::step() {
+bool NaiveEngine::advance() {
   if (state_.numBalls == 0) return false;  // no clocks ever ring
   // O(1) absorption check: a move src -> dst needs load(src) >= load(dst) +
   // gap, so once the spread drops below the gap no activation can ever

@@ -21,18 +21,20 @@
 
 #include "config/configuration.hpp"
 #include "ds/fenwick.hpp"
+#include "process/process.hpp"
 #include "rng/xoshiro256pp.hpp"
-#include "sim/engine.hpp"
 
 namespace rlslb::sim {
 
-class NaiveEngine final : public Engine {
+class NaiveEngine final : public process::Process {
  public:
   NaiveEngine(const config::Configuration& initial, std::uint64_t seed, int gap = 1);
 
-  bool step() override;
+  /// One activation. Returns false once the chain is absorbed (no balls,
+  /// or spread < gap).
+  bool advance() override;
 
-  /// Like step(), but simulates the activation even when the protocol chain
+  /// Like advance(), but simulates the activation even when the protocol chain
   /// alone is absorbed (spread < gap): the clock rings, time advances, the
   /// (necessarily failing) move is drawn and rejected. Returns false only
   /// when no clock can ever ring (no balls). The DML runner uses this --
@@ -41,10 +43,18 @@ class NaiveEngine final : public Engine {
   /// move can push the spread back above the gap.
   bool stepActivation();
 
-  [[nodiscard]] double time() const override { return time_; }
+  [[nodiscard]] double time() const { return time_; }
+  [[nodiscard]] process::Clock now() const override {
+    return {process::Clock::Kind::Continuous, time_};
+  }
   [[nodiscard]] std::int64_t moves() const override { return moves_; }
   [[nodiscard]] std::int64_t activations() const override { return activations_; }
   [[nodiscard]] const BalanceState& state() const override { return state_; }
+  [[nodiscard]] const process::Capabilities& capabilities() const override {
+    static constexpr process::Capabilities kCaps{
+        .continuousTime = true, .countsActivations = true, .gapRule = true};
+    return kCaps;
+  }
 
   [[nodiscard]] const std::vector<std::int64_t>& loads() const { return loads_; }
   [[nodiscard]] int gap() const { return gap_; }
@@ -57,7 +67,7 @@ class NaiveEngine final : public Engine {
   /// (Lemma 2) to inject destructive moves, and by tests.
   void applyForcedMove(std::size_t src, std::size_t dst);
 
-  /// Detail of the last step(), for probes that care about move structure.
+  /// Detail of the last activation, for probes that care about move structure.
   struct LastEvent {
     bool moved = false;
     std::size_t src = 0;

@@ -8,11 +8,12 @@ TrajectoryRecorder::TrajectoryRecorder(double timeStep) : timeStep_(timeStep) {
   RLSLB_ASSERT(timeStep > 0.0);
 }
 
-void TrajectoryRecorder::onEvent(const Engine& engine) {
-  if (engine.time() < nextSample_ && !points_.empty()) return;
-  const BalanceState& s = engine.state();
-  points_.push_back({engine.time(), s.discrepancy(), s.maxLoad, s.minLoad, s.overloadedBalls});
-  while (nextSample_ <= engine.time()) nextSample_ += timeStep_;
+void TrajectoryRecorder::onEvent(const process::Process& process) {
+  const double time = process.now().value;
+  if (time < nextSample_ && !points_.empty()) return;
+  const BalanceState& s = process.state();
+  points_.push_back({time, s.discrepancy(), s.maxLoad, s.minLoad, s.overloadedBalls});
+  while (nextSample_ <= time) nextSample_ += timeStep_;
 }
 
 PhaseTracker::PhaseTracker(std::vector<std::int64_t> thresholds)
@@ -23,10 +24,10 @@ PhaseTracker::PhaseTracker(std::vector<std::int64_t> thresholds)
   }
 }
 
-void PhaseTracker::onEvent(const Engine& engine) {
-  const BalanceState& s = engine.state();
+void PhaseTracker::onEvent(const process::Process& process) {
+  const BalanceState& s = process.state();
   while (nextIdx_ < thresholds_.size() && s.xBalanced(thresholds_[nextIdx_])) {
-    hitTimes_[nextIdx_] = engine.time();
+    hitTimes_[nextIdx_] = process.now().value;
     ++nextIdx_;
   }
 }
@@ -35,9 +36,9 @@ OverloadDecayRecorder::OverloadDecayRecorder(std::int64_t every) : every_(every)
   RLSLB_ASSERT(every >= 1);
 }
 
-void OverloadDecayRecorder::onEvent(const Engine& engine) {
+void OverloadDecayRecorder::onEvent(const process::Process& process) {
   if (counter_++ % every_ != 0) return;
-  points_.push_back({engine.time(), engine.state().overloadedBalls});
+  points_.push_back({process.now().value, process.state().overloadedBalls});
 }
 
 }  // namespace rlslb::sim

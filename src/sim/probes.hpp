@@ -1,18 +1,19 @@
-// Probes: run observers that extract experiment data without slowing the
-// engines down (each decides per event in O(1) whether to record).
+// Probes: process::run observers that extract experiment data without
+// slowing the engines down (each decides per event in O(1) whether to
+// record). They read now().value as the time axis.
 #pragma once
 
 #include <cstdint>
 #include <limits>
 #include <vector>
 
-#include "sim/engine.hpp"
+#include "process/process.hpp"
 
 namespace rlslb::sim {
 
 /// Records the balance state on a fixed time grid (first event at or after
 /// each grid point), plus the initial point at t = 0.
-class TrajectoryRecorder final : public Probe {
+class TrajectoryRecorder final : public process::Probe {
  public:
   struct Point {
     double time = 0.0;
@@ -24,7 +25,7 @@ class TrajectoryRecorder final : public Probe {
 
   explicit TrajectoryRecorder(double timeStep);
 
-  void onEvent(const Engine& engine) override;
+  void onEvent(const process::Process& process) override;
   [[nodiscard]] const std::vector<Point>& points() const { return points_; }
 
  private:
@@ -36,12 +37,12 @@ class TrajectoryRecorder final : public Probe {
 /// First-passage times: for each threshold x (descending), the first time the
 /// configuration became x-balanced. Used by the Phase 1/2/3 experiments
 /// (E5-E7) to split one run into the paper's analysis phases.
-class PhaseTracker final : public Probe {
+class PhaseTracker final : public process::Probe {
  public:
   /// Thresholds must be strictly descending, e.g. {avg/2, 8*ln n, 1, 0}.
   explicit PhaseTracker(std::vector<std::int64_t> thresholds);
 
-  void onEvent(const Engine& engine) override;
+  void onEvent(const process::Process& process) override;
 
   /// Hit time of thresholds[i], or +inf if never reached during the run.
   [[nodiscard]] double hitTime(std::size_t i) const { return hitTimes_[i]; }
@@ -56,14 +57,14 @@ class PhaseTracker final : public Probe {
 
 /// Records (time, overloadedBalls) every `every`-th event; drives the
 /// Lemma 15 overload-decay experiment (E6).
-class OverloadDecayRecorder final : public Probe {
+class OverloadDecayRecorder final : public process::Probe {
  public:
   struct Point {
     double time;
     std::int64_t overloadedBalls;
   };
   explicit OverloadDecayRecorder(std::int64_t every = 1);
-  void onEvent(const Engine& engine) override;
+  void onEvent(const process::Process& process) override;
   [[nodiscard]] const std::vector<Point>& points() const { return points_; }
 
  private:

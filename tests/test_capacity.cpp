@@ -219,7 +219,7 @@ void expectSameState(const sim::BalanceState& got, const sim::BalanceState& want
 /// Runs the loop and, after every epoch, checks the tracked balance view
 /// (the EpochStats copy and the allocator's accessors) against a scan of
 /// loads(), plus validate()'s tracker cross-check. Returns the epochs run.
-std::int64_t checkEveryEpoch(CompactAllocator& allocator, workload::TraceGenerator& trace,
+std::int64_t checkEachEpoch(CompactAllocator& allocator, workload::TraceGenerator& trace,
                              const LoopOptions& options, const std::string& label) {
   EpochLoop loop(allocator, options);
   std::int64_t epochs = 0;
@@ -277,13 +277,13 @@ TEST(CompactBalance, TrackedStateMatchesAScanAfterEveryEpoch) {
     options.epochEvents = 64;
     options.unitBudget = 2 * kEvents;
     options.seed = 7;
-    EXPECT_GT(checkEveryEpoch(allocator, trace, options, run.spec), 0);
+    EXPECT_GT(checkEachEpoch(allocator, trace, options, run.spec), 0);
     EXPECT_GT(allocator.counters().migrations, 0);
   }
   // The weighted prefetch-window script: weights 2..5 arrive mid-window.
   ScriptedTrace script(scripts::prefetchWindowScript(/*weighted=*/true));
   CompactAllocator allocator(AllocatorOptions{.bins = 16});
-  EXPECT_GT(checkEveryEpoch(allocator, script, LoopOptions{.epochEvents = 17, .seed = 3},
+  EXPECT_GT(checkEachEpoch(allocator, script, LoopOptions{.epochEvents = 17, .seed = 3},
                             "weighted script"),
             0);
   EXPECT_EQ(allocator.maxWeightSeen(), 5);
@@ -298,7 +298,7 @@ TEST(CompactBalance, TrackedStateSurvivesInvertedAcceptance) {
   LoopOptions options;
   options.epochEvents = kEpochEvents;
   options.seed = 9;
-  EXPECT_GT(checkEveryEpoch(allocator, trace, options, "inverted"), 0);
+  EXPECT_GT(checkEachEpoch(allocator, trace, options, "inverted"), 0);
   EXPECT_GT(allocator.gap(), 2);
 }
 
@@ -308,7 +308,7 @@ TEST(CompactBalance, TrackedStateFollowsATraceThatDrainsToEmpty) {
   LoopOptions options;
   options.epochEvents = 16;
   options.seed = 4;
-  EXPECT_GT(checkEveryEpoch(allocator, trace, options, "drain"), 0);
+  EXPECT_GT(checkEachEpoch(allocator, trace, options, "drain"), 0);
   EXPECT_EQ(allocator.totalLoad(), 0);
   const sim::BalanceState state = allocator.balanceState();
   EXPECT_EQ(state.numBalls, 0);

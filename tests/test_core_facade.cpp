@@ -17,8 +17,8 @@ namespace rlslb {
 namespace {
 
 using core::SimOptions;
-using sim::RunLimits;
-using sim::Target;
+using process::RunLimits;
+using process::Target;
 
 SimOptions opts(SimOptions::EngineKind kind, std::uint64_t seed = 1) {
   SimOptions o;
@@ -44,10 +44,10 @@ TEST(MakeEngine, EngineStartsOnACopyOfTheInitialConfiguration) {
   EXPECT_EQ(engine->state().numBalls, 12);
   EXPECT_EQ(engine->state().maxLoad, 12);
   EXPECT_EQ(engine->state().minLoad, 0);
-  EXPECT_DOUBLE_EQ(engine->time(), 0.0);
+  EXPECT_DOUBLE_EQ(engine->now().value, 0.0);
   EXPECT_EQ(engine->moves(), 0);
   // Stepping the engine must not mutate the caller's configuration.
-  while (engine->step() && !engine->state().perfectlyBalanced()) {
+  while (engine->advance() && !engine->state().perfectlyBalanced()) {
   }
   EXPECT_EQ(init.load(0), 12);
 }
@@ -60,21 +60,21 @@ TEST(MakeEngine, GapReachesTheNaiveEngine) {
   SimOptions o = opts(SimOptions::EngineKind::Naive);
   o.gap = 3;
   auto engine = core::makeEngine(config::allInOne(2, 2), o);
-  EXPECT_FALSE(engine->step());
+  EXPECT_FALSE(engine->advance());
   EXPECT_EQ(engine->moves(), 0);
   EXPECT_EQ(engine->state().maxLoad, 2);
   EXPECT_EQ(engine->state().minLoad, 0);
 
   auto dflt = core::makeEngine(config::allInOne(2, 2), opts(SimOptions::EngineKind::Naive));
-  EXPECT_TRUE(dflt->step());
+  EXPECT_TRUE(dflt->advance());
 }
 
 TEST(MakeEngine, ActivationsVisibilityMatchesEngineKind) {
   const auto init = config::allInOne(8, 64);
   auto naive = core::makeEngine(init, opts(SimOptions::EngineKind::Naive));
   auto jump = core::makeEngine(init, opts(SimOptions::EngineKind::Jump));
-  naive->step();
-  jump->step();
+  naive->advance();
+  jump->advance();
   EXPECT_GE(naive->activations(), 1);
   EXPECT_EQ(jump->activations(), -1);
 }
@@ -123,10 +123,10 @@ TEST(Balance, MaxTimeLimitStopsTheRun) {
 }
 
 TEST(Balance, ProbeSeesEveryEventPlusThePreRunCall) {
-  class CountingProbe final : public sim::Probe {
+  class CountingProbe final : public process::Probe {
    public:
     std::int64_t calls = 0;
-    void onEvent(const sim::Engine&) override { ++calls; }
+    void onEvent(const process::Process&) override { ++calls; }
   };
   CountingProbe probe;
   RunLimits limits;

@@ -9,6 +9,7 @@
 #include "core/coupling.hpp"
 #include "core/dml.hpp"
 #include "core/rls.hpp"
+#include "process/process.hpp"
 #include "rng/splitmix64.hpp"
 #include "stats/running_stat.hpp"
 #include "stats/tests.hpp"
@@ -16,18 +17,18 @@
 namespace rlslb::core {
 namespace {
 
-TEST(RunWithAdversary, StrictGapCompositeNotFrozenByProtocolAbsorption) {
+TEST(AdversarialRls, StrictGapCompositeNotFrozenByProtocolAbsorption) {
   // With gap = 2 the protocol chain alone absorbs at spread <= 1, but the
   // composite process does not: clocks keep ringing and the adversary's
   // destructive moves can push the spread back above the gap. The run must
   // keep consuming its event budget (here against an unreachable target)
   // instead of silently freezing at the protocol's absorption point.
   MinToMaxAdversary adversary(1.0);
-  sim::RunLimits limits;
+  process::RunLimits limits;
   limits.maxEvents = 500;
   // disc <= 0 needs n | m, impossible for n=2, m=3: unreachable target.
-  const auto r = runWithAdversary(config::Configuration({2, 1}), 5, adversary,
-                                  sim::Target::xBalanced(0), limits, nullptr, /*gap=*/2);
+  AdversarialRls rls(config::Configuration({2, 1}), 5, adversary, /*gap=*/2);
+  const auto r = process::run(rls, process::Target::xBalanced(0), limits);
   EXPECT_FALSE(r.reachedTarget);
   EXPECT_EQ(r.activations, 500);  // every clock ring happened
   EXPECT_GT(r.time, 0.0);
@@ -129,7 +130,8 @@ TEST(Adversary, ReverseLastMoveSlowsConvergence) {
     plain.add(core::balancingTime(init, o));
 
     ReverseLastMoveAdversary adv(0.4);
-    const auto r = runWithAdversary(init, seed, adv, sim::Target::perfect());
+    AdversarialRls rls(init, seed, adv);
+    const auto r = process::run(rls, process::Target::perfect());
     ASSERT_TRUE(r.reachedTarget);
     adversarial.add(r.time);
   }
@@ -148,18 +150,19 @@ TEST(Adversary, RandomPairDominatesDiscrepancyAtFixedHorizon) {
   const double horizon = 5.0;
   stats::RunningStat plain;
   stats::RunningStat adversarial;
-  sim::RunLimits limits;
+  process::RunLimits limits;
   limits.maxTime = horizon;
   for (int rep = 0; rep < 300; ++rep) {
     const std::uint64_t seed = rng::streamSeed(11, rep);
     core::SimOptions o;
     o.engine = core::SimOptions::EngineKind::Naive;
     o.seed = seed;
-    const auto rp = core::balance(init, o, sim::Target::perfect(), limits);
+    const auto rp = core::balance(init, o, process::Target::perfect(), limits);
     plain.add(rp.finalState.discrepancy());
 
     RandomPairAdversary adv(1);
-    const auto ra = runWithAdversary(init, seed, adv, sim::Target::perfect(), limits);
+    AdversarialRls rls(init, seed, adv);
+    const auto ra = process::run(rls, process::Target::perfect(), limits);
     adversarial.add(ra.finalState.discrepancy());
   }
   EXPECT_GE(adversarial.mean(), plain.mean());
@@ -170,16 +173,18 @@ TEST(Adversary, MinToMaxDominatesReverseLastAtFixedHorizon) {
   const double horizon = 4.0;
   stats::RunningStat weak;
   stats::RunningStat strong;
-  sim::RunLimits limits;
+  process::RunLimits limits;
   limits.maxTime = horizon;
   for (int rep = 0; rep < 300; ++rep) {
     const std::uint64_t seed = rng::streamSeed(12, rep);
     ReverseLastMoveAdversary weakAdv(0.1);
-    const auto rw = runWithAdversary(init, seed, weakAdv, sim::Target::perfect(), limits);
+    AdversarialRls weakRls(init, seed, weakAdv);
+    const auto rw = process::run(weakRls, process::Target::perfect(), limits);
     weak.add(rw.finalState.discrepancy());
 
     MinToMaxAdversary strongAdv(0.1);
-    const auto rs = runWithAdversary(init, seed, strongAdv, sim::Target::perfect(), limits);
+    AdversarialRls strongRls(init, seed, strongAdv);
+    const auto rs = process::run(strongRls, process::Target::perfect(), limits);
     strong.add(rs.finalState.discrepancy());
   }
   // The targeted adversary at equal injection rate does at least as much
@@ -196,7 +201,8 @@ TEST(Adversary, ZeroProbabilityMatchesPlain) {
     o.seed = seed;
     const double plainTime = core::balancingTime(init, o);
     ReverseLastMoveAdversary adv(0.0);
-    const auto r = runWithAdversary(init, seed, adv, sim::Target::perfect());
+    AdversarialRls rls(init, seed, adv);
+    const auto r = process::run(rls, process::Target::perfect());
     EXPECT_DOUBLE_EQ(r.time, plainTime);
   }
 }
@@ -206,16 +212,18 @@ TEST(Adversary, StillConvergesUnderHeavyNoise) {
   // (reversals happen only after successful moves; progress leaks through).
   const auto init = config::allInOne(6, 24);
   ReverseLastMoveAdversary adv(0.8);
-  sim::RunLimits limits;
+  process::RunLimits limits;
   limits.maxEvents = 40'000'000;
-  const auto r = runWithAdversary(init, rng::streamSeed(14, 0), adv, sim::Target::perfect(), limits);
+  AdversarialRls rls(init, rng::streamSeed(14, 0), adv);
+  const auto r = process::run(rls, process::Target::perfect(), limits);
   EXPECT_TRUE(r.reachedTarget);
 }
 
 TEST(Adversary, ForcedMovesCountedInMoves) {
   const auto init = config::allInOne(6, 24);
   ReverseLastMoveAdversary adv(0.5);
-  const auto r = runWithAdversary(init, 99, adv, sim::Target::perfect());
+  AdversarialRls rls(init, 99, adv);
+  const auto r = process::run(rls, process::Target::perfect());
   // Moves include injected reversals, so moves > protocol-only minimum m-avg.
   EXPECT_GT(r.moves, 24 - 4);
 }

@@ -11,6 +11,7 @@
 #include "config/metrics.hpp"
 #include "dynamic/open_system.hpp"
 #include "open_reference.hpp"
+#include "process/process.hpp"
 #include "rng/splitmix64.hpp"
 #include "serve/compact_allocator.hpp"
 #include "serve/event_loop.hpp"
@@ -62,7 +63,7 @@ TEST(OpenSystem, EmptyNoArrivalsIsAbsorbing) {
   OpenSystemOptions opts;
   opts.arrivalRatePerBin = 0.0;
   OpenSystem sys(4, opts, 4);
-  EXPECT_FALSE(sys.step());
+  EXPECT_FALSE(sys.advance());
 }
 
 TEST(OpenSystem, PureDeathDrainsToEmpty) {
@@ -198,6 +199,28 @@ TEST(OpenSystem, RunUntilTimeStopsAtTheTime) {
   EXPECT_EQ(empty.time(), 3.0);
 }
 
+// process::run stops at its maxTime as runUntilTime does, an absorbed
+// system too; advance() keeps its contract there: no event, the clock
+// unchanged.
+TEST(OpenSystem, RunStopsAtTheHorizon) {
+  OpenSystemOptions opts;
+  opts.arrivalRatePerBin = 3.0;
+  OpenSystem sys(8, opts, 13);
+  const auto r = process::run(sys, process::Target::none(), {.maxTime = 7.25});
+  EXPECT_GT(r.events, 0);
+  EXPECT_EQ(r.time, 7.25);
+  EXPECT_EQ(sys.time(), 7.25);
+
+  OpenSystemOptions none;
+  none.arrivalRatePerBin = 0.0;
+  OpenSystem empty(4, none, 14);
+  const auto e = process::run(empty, process::Target::none(), {.maxTime = 3.0});
+  EXPECT_EQ(e.events, 0);
+  EXPECT_EQ(e.time, 3.0);
+  EXPECT_FALSE(empty.advance());
+  EXPECT_EQ(empty.time(), 3.0);
+}
+
 // Reading the counters draws the neutral moves from their own stream, so
 // a system read after every event makes the same chain as one never read.
 TEST(OpenSystem, ReadingCountersLeavesTheChainAlone) {
@@ -208,8 +231,8 @@ TEST(OpenSystem, ReadingCountersLeavesTheChainAlone) {
   OpenSystem unread(8, opts, 15);
   std::int64_t lastMigrations = 0;
   for (int e = 0; e < 5000; ++e) {
-    ASSERT_TRUE(read.step());
-    ASSERT_TRUE(unread.step());
+    ASSERT_TRUE(read.advance());
+    ASSERT_TRUE(unread.advance());
     ASSERT_GE(read.counters().migrations, lastMigrations);
     lastMigrations = read.counters().migrations;
   }
@@ -238,7 +261,7 @@ TEST(OpenSystem, InvariantsHoldAfterEveryEvent) {
     const auto init = config::staircase(10, 90);
     OpenSystem sys(10, opts, 16, &init);
     for (int e = 0; e < 3000; ++e) {
-      ASSERT_TRUE(sys.step());
+      ASSERT_TRUE(sys.advance());
       const auto loads = sortedLoads(sys);
       ASSERT_EQ(static_cast<std::int64_t>(loads.size()), sys.numBins()) << "event " << e;
       ASSERT_EQ(std::accumulate(loads.begin(), loads.end(), std::int64_t{0}), sys.numBalls());
@@ -262,7 +285,7 @@ TEST(OpenSystem, HugeChoiceCountIsOneInversion) {
   opts.gap = 1 << 30;
   OpenSystem sys(16, opts, 17);
   for (int e = 0; e < 20000; ++e) {
-    ASSERT_TRUE(sys.step());
+    ASSERT_TRUE(sys.advance());
     ASSERT_LE(sys.spread(), 1);
   }
   EXPECT_EQ(sys.numBalls(), 20000);

@@ -12,6 +12,7 @@
 #include "config/metrics.hpp"
 #include "core/rls.hpp"
 #include "exact/rls_chain.hpp"
+#include "process/process.hpp"
 #include "rng/distributions.hpp"
 #include "rng/splitmix64.hpp"
 #include "sim/hybrid_engine.hpp"
@@ -27,8 +28,8 @@ namespace {
 
 using config::Configuration;
 using core::SimOptions;
-using sim::RunLimits;
-using sim::Target;
+using process::RunLimits;
+using process::Target;
 
 SimOptions opts(SimOptions::EngineKind kind, std::uint64_t seed, int gap = 1) {
   SimOptions o;
@@ -41,9 +42,9 @@ SimOptions opts(SimOptions::EngineKind kind, std::uint64_t seed, int gap = 1) {
 // Probe asserting the paper's Section-3 monotonicity properties after every
 // event: discrepancy never increases, min never decreases, max never
 // increases, mass conserved.
-class InvariantProbe final : public sim::Probe {
+class InvariantProbe final : public process::Probe {
  public:
-  void onEvent(const sim::Engine& engine) override {
+  void onEvent(const process::Process& engine) override {
     const auto& s = engine.state();
     if (seen_) {
       EXPECT_GE(s.minLoad, lastMin_);
@@ -94,7 +95,7 @@ TEST(JumpEngine, InvariantsFromAllInOne) {
 
 TEST(NaiveEngine, MassConservedAndStateMatchesLoads) {
   sim::NaiveEngine engine(config::staircase(16, 256), 4);
-  for (int i = 0; i < 2000; ++i) engine.step();
+  for (int i = 0; i < 2000; ++i) engine.advance();
   const auto mm = config::computeMetrics(Configuration(engine.loads()));
   EXPECT_EQ(mm.minLoad, engine.state().minLoad);
   EXPECT_EQ(mm.maxLoad, engine.state().maxLoad);
@@ -118,18 +119,18 @@ TEST(NaiveEngine, ActivationLowerBound) {
 
 TEST(NaiveEngine, StrictGapAbsorbsWhenSpreadBelowGap) {
   // Strict protocol (gap 2) at spread 1: load(src) >= load(dst) + 2 can
-  // never hold, so the labeled chain is absorbed. step() must say so in
+  // never hold, so the labeled chain is absorbed. advance() must say so in
   // O(1) instead of simulating failed activations forever (previously a
-  // runUntil with an unreachable target spun until RunLimits).
+  // run with an unreachable target spun until RunLimits).
   sim::NaiveEngine engine(Configuration({2, 1}), 31, /*gap=*/2);
-  EXPECT_FALSE(engine.step());
+  EXPECT_FALSE(engine.advance());
   EXPECT_DOUBLE_EQ(engine.time(), 0.0);
   EXPECT_EQ(engine.activations(), 0);
 
   RunLimits limits;
   limits.maxEvents = 50000;
   // disc <= 0 needs n | m, impossible for n=2, m=3: unreachable target.
-  const auto r = sim::runUntil(engine, Target::xBalanced(0), limits);
+  const auto r = process::run(engine, Target::xBalanced(0), limits);
   EXPECT_FALSE(r.reachedTarget);
   EXPECT_EQ(r.activations, 0);  // terminated by absorption, not the limit
 }
@@ -141,7 +142,7 @@ TEST(NaiveEngine, StrictGapRunTerminatesByAbsorptionLikeJump) {
   sim::NaiveEngine engine(config::allInOne(4, 6), 32, /*gap=*/2);
   RunLimits limits;
   limits.maxEvents = 2000000;
-  const auto r = sim::runUntil(engine, Target::xBalanced(0), limits);
+  const auto r = process::run(engine, Target::xBalanced(0), limits);
   EXPECT_FALSE(r.reachedTarget);
   EXPECT_LT(r.activations, limits.maxEvents);
   EXPECT_LE(engine.state().maxLoad - engine.state().minLoad, 1);
@@ -149,16 +150,16 @@ TEST(NaiveEngine, StrictGapRunTerminatesByAbsorptionLikeJump) {
 
 TEST(NaiveEngine, GapOneAbsorbsExactlyAtUniformLoads) {
   // With n | m the gap-1 chain absorbs exactly when every load equals the
-  // average; a bare step() loop must terminate there (previously it would
+  // average; a bare advance() loop must terminate there (previously it would
   // keep consuming rng and advancing time on failed activations).
   sim::NaiveEngine engine(config::allInOne(6, 30), 33);
-  while (engine.step()) {
+  while (engine.advance()) {
   }
   EXPECT_EQ(engine.state().minLoad, engine.state().maxLoad);
   EXPECT_TRUE(engine.state().perfectlyBalanced());
   // Absorption is permanent: further steps change nothing.
   const double t = engine.time();
-  EXPECT_FALSE(engine.step());
+  EXPECT_FALSE(engine.advance());
   EXPECT_DOUBLE_EQ(engine.time(), t);
 }
 
@@ -166,14 +167,14 @@ TEST(NaiveEngine, ForcedMoveRevivesAbsorbedChain) {
   // The DML adversary can push an absorbed configuration apart again; the
   // absorption check must be state-based, not sticky.
   sim::NaiveEngine engine(Configuration({2, 2}), 34);
-  EXPECT_FALSE(engine.step());
+  EXPECT_FALSE(engine.advance());
   engine.applyForcedMove(0, 1);  // now {1, 3}: spread 2, moves possible
-  EXPECT_TRUE(engine.step());
+  EXPECT_TRUE(engine.advance());
 }
 
 TEST(JumpEngine, AbsorbsExactlyAtPerfectBalance) {
   sim::JumpEngine engine(config::allInOne(6, 30), 6);
-  while (engine.step()) {
+  while (engine.advance()) {
   }
   EXPECT_TRUE(engine.state().perfectlyBalanced());
   EXPECT_DOUBLE_EQ(engine.totalRate(), 0.0);
@@ -318,30 +319,30 @@ TEST(HybridEngine, StaysNaiveOnManyLevelStart) {
   for (std::size_t i = 0; i < loads.size(); ++i) loads[i] = static_cast<std::int64_t>(2 * i);
   sim::HybridEngine engine(Configuration(loads), 10, /*levelThreshold=*/96);
   EXPECT_FALSE(engine.switched());
-  sim::runUntil(engine, Target::perfect(), {});
+  process::run(engine, Target::perfect(), {});
   EXPECT_TRUE(engine.switched());  // levels must have merged on the way down
   EXPECT_TRUE(engine.state().perfectlyBalanced());
 }
 
-TEST(RunUntil, RespectsEventLimit) {
+TEST(RunLoop, RespectsEventLimit) {
   sim::NaiveEngine engine(config::allInOne(64, 4096), 11);
   RunLimits limits;
   limits.maxEvents = 100;
-  const auto r = sim::runUntil(engine, Target::perfect(), limits);
+  const auto r = process::run(engine, Target::perfect(), limits);
   EXPECT_FALSE(r.reachedTarget);
   EXPECT_EQ(r.activations, 100);
 }
 
-TEST(RunUntil, RespectsTimeLimit) {
+TEST(RunLoop, RespectsTimeLimit) {
   sim::NaiveEngine engine(config::allInOne(64, 4096), 12);
   RunLimits limits;
   limits.maxTime = 0.05;
-  const auto r = sim::runUntil(engine, Target::perfect(), limits);
+  const auto r = process::run(engine, Target::perfect(), limits);
   EXPECT_FALSE(r.reachedTarget);
   EXPECT_GE(r.time, 0.05);
 }
 
-TEST(RunUntil, XBalancedTargetStopsEarly) {
+TEST(RunLoop, XBalancedTargetStopsEarly) {
   const auto full = core::balance(config::allInOne(16, 256),
                                   opts(SimOptions::EngineKind::Naive, 13), Target::perfect());
   const auto part = core::balance(config::allInOne(16, 256),
@@ -397,7 +398,7 @@ TEST(JumpEngine, IndexAndScanPathsDistributionallyIdentical) {
       sim::JumpEngine engine(init, rng::streamSeed(9100, rep));
       engine.enableLevelIndex();  // below the cost heuristic's cutoff
       EXPECT_TRUE(engine.usesLevelIndex());
-      while (engine.step()) {
+      while (engine.advance()) {
       }
       indexed.push_back(engine.time());
     }
@@ -405,7 +406,7 @@ TEST(JumpEngine, IndexAndScanPathsDistributionallyIdentical) {
       sim::JumpEngine engine(init, rng::streamSeed(9200, rep));
       engine.disableLevelIndex();
       EXPECT_FALSE(engine.usesLevelIndex());
-      while (engine.step()) {
+      while (engine.advance()) {
       }
       scan.push_back(engine.time());
     }
@@ -418,7 +419,7 @@ TEST(JumpEngine, IndexedStateMatchesMultisetRebuild) {
   sim::JumpEngine engine(config::staircase(32, 496), 77);
   engine.enableLevelIndex();
   ASSERT_TRUE(engine.usesLevelIndex());
-  for (int step = 0; step < 400 && engine.step(); ++step) {
+  for (int step = 0; step < 400 && engine.advance(); ++step) {
     const auto& state = engine.state();
     const ds::LoadMultiset& ms = engine.multiset();  // rebuilt from the index
     ASSERT_TRUE(ms.validate());
@@ -433,7 +434,7 @@ TEST(JumpEngine, IndexedStateMatchesMultisetRebuild) {
   engine.disableLevelIndex();
   EXPECT_NEAR(engine.totalRate(), indexedRate, 1e-9 * (1.0 + indexedRate));
   // The scan path finishes the job from the handed-off multiset.
-  while (engine.step()) {
+  while (engine.advance()) {
   }
   EXPECT_LE(engine.state().maxLoad - engine.state().minLoad, 1);
 }
@@ -444,7 +445,7 @@ TEST(JumpEngine, OffsetConstructorContinuesClock) {
   sim::JumpEngine engine(std::move(ms), 21, /*startTime=*/5.5, /*startMoves=*/7);
   EXPECT_DOUBLE_EQ(engine.time(), 5.5);
   EXPECT_EQ(engine.moves(), 7);
-  ASSERT_TRUE(engine.step());
+  ASSERT_TRUE(engine.advance());
   EXPECT_GT(engine.time(), 5.5);
   EXPECT_EQ(engine.moves(), 8);
 }
@@ -457,7 +458,7 @@ TEST(HybridEngine, SwitchTimeRecorded) {
   sim::HybridEngine engine(Configuration(loads), 22, /*levelThreshold=*/64);
   ASSERT_FALSE(engine.switched());
   EXPECT_DOUBLE_EQ(engine.switchTime(), -1.0);
-  const auto r = sim::runUntil(engine, Target::perfect());
+  const auto r = process::run(engine, Target::perfect());
   ASSERT_TRUE(engine.switched());
   EXPECT_GE(engine.switchTime(), 0.0);
   EXPECT_LE(engine.switchTime(), r.time);
@@ -484,7 +485,7 @@ TEST(Engines, Lemma16PotentialNeverIncreases) {
   EXPECT_GE(lastPotential, 0);
   EXPECT_LE(lastPotential, 3 * n);
   while (!engine.state().perfectlyBalanced()) {
-    engine.step();
+    engine.advance();
     if (!engine.lastEvent().moved) continue;
     const std::int64_t pot =
         config::lemma16Potential(ds::LoadMultiset::fromLoads(engine.loads()));

@@ -22,6 +22,7 @@
 #include "graph/graph_engine.hpp"
 #include "graph/graph_jump_engine.hpp"
 #include "graph/topology.hpp"
+#include "process/process.hpp"
 #include "rng/splitmix64.hpp"
 #include "rng/xoshiro256pp.hpp"
 #include "sim/naive_engine.hpp"
@@ -131,15 +132,15 @@ TEST(GraphEngineEquivalence, RejectionFreeMatchesPerActivationHittingTimes) {
     const char* name;
     graph::Topology topo;
     int gap;
-    sim::Target target;
+    process::Target target;
   } cases[] = {
-      {"cycle16", graph::Topology::cycle(16), 1, sim::Target::perfect()},
-      {"torus4x4", graph::Topology::torus(4, 4), 1, sim::Target::perfect()},
-      {"hypercube4", graph::Topology::hypercube(4), 1, sim::Target::perfect()},
+      {"cycle16", graph::Topology::cycle(16), 1, process::Target::perfect()},
+      {"torus4x4", graph::Topology::torus(4, 4), 1, process::Target::perfect()},
+      {"hypercube4", graph::Topology::hypercube(4), 1, process::Target::perfect()},
       {"random3reg16", graph::Topology::randomRegular(16, 3, topoEng), 1,
-       sim::Target::perfect()},
+       process::Target::perfect()},
       {"bipartite8x8_gap2", graph::Topology::completeBipartite(8, 8), 2,
-       sim::Target::xBalanced(2)},
+       process::Target::xBalanced(2)},
   };
   constexpr int kReps = 1000;
   for (std::size_t c = 0; c < std::size(cases); ++c) {
@@ -149,9 +150,9 @@ TEST(GraphEngineEquivalence, RejectionFreeMatchesPerActivationHittingTimes) {
     std::vector<double> rejectionFree;
     for (int rep = 0; rep < kReps; ++rep) {
       graph::GraphRlsEngine a(init, tc.topo, rng::streamSeed(0x5150 + c, rep), tc.gap);
-      const auto ra = sim::runUntil(a, tc.target);
+      const auto ra = process::run(a, tc.target);
       graph::GraphJumpEngine b(init, tc.topo, rng::streamSeed(0x6160 + c, rep), tc.gap);
-      const auto rb = sim::runUntil(b, tc.target);
+      const auto rb = process::run(b, tc.target);
       ASSERT_TRUE(ra.reachedTarget && rb.reachedTarget) << tc.name;
       perActivation.push_back(ra.time);
       rejectionFree.push_back(rb.time);

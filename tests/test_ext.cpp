@@ -6,12 +6,18 @@
 #include "config/generators.hpp"
 #include "ext/speed_rls.hpp"
 #include "ext/weighted_rls.hpp"
+#include "process/process.hpp"
 #include "rng/distributions.hpp"
 #include "rng/splitmix64.hpp"
 #include "stats/running_stat.hpp"
 
 namespace rlslb::ext {
 namespace {
+
+/// Run to Nash equilibrium within `maxActivations` activations.
+process::RunResult runToNash(process::Process& engine, std::int64_t maxActivations) {
+  return process::run(engine, process::Target::equilibrium(), {.maxEvents = maxActivations});
+}
 
 std::vector<std::int64_t> unitSpeeds(std::int64_t n) {
   return std::vector<std::int64_t>(static_cast<std::size_t>(n), 1);
@@ -21,8 +27,8 @@ TEST(SpeedRls, UnitSpeedsReduceToClassicRls) {
   // With all speeds 1 the improvement rule (l_j+1)/1 < l_i/1 is the strict
   // protocol variant; equilibrium = spread <= 1 = perfect balance.
   SpeedRlsEngine engine(config::allInOne(8, 64), unitSpeeds(8), 1);
-  const auto r = engine.runUntilEquilibrium(10'000'000);
-  ASSERT_TRUE(r.reachedEquilibrium);
+  const auto r = runToNash(engine, 10'000'000);
+  ASSERT_TRUE(r.reachedTarget);
   const auto [mn, mx] = std::minmax_element(engine.loads().begin(), engine.loads().end());
   EXPECT_LE(*mx - *mn, 1);
 }
@@ -38,8 +44,8 @@ TEST(SpeedRls, EquilibriumRespectsSpeeds) {
   // m * s_i / sum(s).
   const std::vector<std::int64_t> speeds = {1, 1, 2, 4};
   SpeedRlsEngine engine(config::allInOne(4, 160), speeds, 3);
-  const auto r = engine.runUntilEquilibrium(20'000'000);
-  ASSERT_TRUE(r.reachedEquilibrium);
+  const auto r = runToNash(engine, 20'000'000);
+  ASSERT_TRUE(r.reachedTarget);
   // sum s = 8, m = 160 -> per-unit-speed 20.
   EXPECT_NEAR(static_cast<double>(engine.loads()[0]), 20.0, 3.0);
   EXPECT_NEAR(static_cast<double>(engine.loads()[2]), 40.0, 5.0);
@@ -61,7 +67,7 @@ TEST(SpeedRls, EquilibriumPredicateExact) {
 TEST(SpeedRls, WeightedDiscrepancyShrinks) {
   SpeedRlsEngine engine(config::allInOne(8, 200), {1, 1, 1, 1, 2, 2, 2, 2}, 6);
   const double initial = engine.weightedDiscrepancy();
-  engine.runUntilEquilibrium(20'000'000);
+  runToNash(engine, 20'000'000);
   EXPECT_LT(engine.weightedDiscrepancy(), initial);
 }
 
@@ -88,8 +94,8 @@ WeightedRlsEngine makeWeighted(std::int64_t n, const std::vector<std::int64_t>& 
 
 TEST(WeightedRls, UnitWeightsReachPerfectBalance) {
   auto engine = makeWeighted(8, std::vector<std::int64_t>(64, 1), 8);
-  const auto r = engine.runUntilEquilibrium(10'000'000);
-  ASSERT_TRUE(r.reachedEquilibrium);
+  const auto r = runToNash(engine, 10'000'000);
+  ASSERT_TRUE(r.reachedTarget);
   // Unit weights: equilibrium means spread <= 1.
   EXPECT_LE(engine.weightedSpread(), 1);
 }
@@ -115,8 +121,8 @@ TEST(WeightedRls, EquilibriumSpreadBoundedByMaxWeight) {
     maxW = std::max(maxW, w);
   }
   auto engine = makeWeighted(10, weights, 11);
-  const auto r = engine.runUntilEquilibrium(20'000'000);
-  ASSERT_TRUE(r.reachedEquilibrium);
+  const auto r = runToNash(engine, 20'000'000);
+  ASSERT_TRUE(r.reachedTarget);
   EXPECT_LE(engine.weightedSpread(), maxW);
 }
 
@@ -125,8 +131,8 @@ TEST(WeightedRls, BimodalWeightsEquilibrate) {
   for (int i = 0; i < 20; ++i) weights.push_back(10);
   for (int i = 0; i < 200; ++i) weights.push_back(1);
   auto engine = makeWeighted(16, weights, 12, /*allInFirstBin=*/false);
-  const auto r = engine.runUntilEquilibrium(30'000'000);
-  EXPECT_TRUE(r.reachedEquilibrium);
+  const auto r = runToNash(engine, 30'000'000);
+  EXPECT_TRUE(r.reachedTarget);
   EXPECT_LE(engine.weightedSpread(), 10);
 }
 
@@ -167,9 +173,9 @@ TEST(WeightedRls, HeavierSystemsSlower) {
   stats::RunningStat heavy;
   for (int rep = 0; rep < 30; ++rep) {
     auto a = makeWeighted(8, std::vector<std::int64_t>(32, 1), rng::streamSeed(17, rep));
-    light.add(a.runUntilEquilibrium(10'000'000).time);
+    light.add(runToNash(a, 10'000'000).time);
     auto b = makeWeighted(8, std::vector<std::int64_t>(64, 1), rng::streamSeed(18, rep));
-    heavy.add(b.runUntilEquilibrium(10'000'000).time);
+    heavy.add(runToNash(b, 10'000'000).time);
   }
   // Both should be modest; no strict ordering guaranteed, just finiteness.
   EXPECT_GT(light.count(), 0);

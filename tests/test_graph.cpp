@@ -15,8 +15,8 @@
 #include "graph/graph_engine.hpp"
 #include "graph/graph_jump_engine.hpp"
 #include "graph/topology.hpp"
+#include "process/process.hpp"
 #include "rng/splitmix64.hpp"
-#include "sim/engine.hpp"
 #include "sim/naive_engine.hpp"
 #include "stats/running_stat.hpp"
 #include "stats/tests.hpp"
@@ -259,9 +259,9 @@ TEST(GraphRls, CompleteGraphMatchesClassicRlsDistribution) {
   std::vector<double> classicTimes;
   for (int rep = 0; rep < 600; ++rep) {
     GraphRlsEngine ge(init, topo, rng::streamSeed(30, rep));
-    graphTimes.push_back(sim::runUntil(ge, sim::Target::perfect()).time);
+    graphTimes.push_back(process::run(ge, process::Target::perfect()).time);
     sim::NaiveEngine ne(init, rng::streamSeed(31, rep));
-    classicTimes.push_back(sim::runUntil(ne, sim::Target::perfect()).time);
+    classicTimes.push_back(process::run(ne, process::Target::perfect()).time);
   }
   // The graph protocol never wastes an activation on a self-sample, so it
   // runs faster by exactly n/(n-1); rescale to compare.
@@ -275,7 +275,7 @@ TEST(GraphRls, InvariantsOnCycle) {
   std::int64_t lastMax = engine.state().maxLoad;
   std::int64_t lastMin = engine.state().minLoad;
   for (int i = 0; i < 20000; ++i) {
-    engine.step();
+    engine.advance();
     EXPECT_LE(engine.state().maxLoad, lastMax);
     EXPECT_GE(engine.state().minLoad, lastMin);
     lastMax = engine.state().maxLoad;
@@ -302,7 +302,7 @@ TEST(GraphRls, ReachesPerfectBalanceOnConnectedGraphs) {
       }
     }();
     GraphRlsEngine engine(config::allInOne(16, 80), topo, 50 + which);
-    const auto r = sim::runUntil(engine, sim::Target::perfect(),
+    const auto r = process::run(engine, process::Target::perfect(),
                                  {.maxTime = 1e9, .maxEvents = 50'000'000});
     EXPECT_TRUE(r.reachedTarget) << "topology " << which;
   }
@@ -316,9 +316,9 @@ TEST(GraphRls, CycleSlowerThanComplete) {
   const auto kn = Topology::complete(32);
   for (int rep = 0; rep < 60; ++rep) {
     GraphRlsEngine a(init, cyc, rng::streamSeed(60, rep));
-    cycleT.add(sim::runUntil(a, sim::Target::perfect()).time);
+    cycleT.add(process::run(a, process::Target::perfect()).time);
     GraphRlsEngine b(init, kn, rng::streamSeed(61, rep));
-    completeT.add(sim::runUntil(b, sim::Target::perfect()).time);
+    completeT.add(process::run(b, process::Target::perfect()).time);
   }
   EXPECT_GT(cycleT.mean(), completeT.mean());
 }
@@ -327,7 +327,7 @@ TEST(GraphRls, StarBalances) {
   // The star's hub is a bottleneck but m <= n settles into {0,1} loads.
   const auto topo = Topology::star(16);
   GraphRlsEngine engine(config::allInOne(16, 10), topo, 70);
-  const auto r = sim::runUntil(engine, sim::Target::perfect(),
+  const auto r = process::run(engine, process::Target::perfect(),
                                {.maxTime = 1e9, .maxEvents = 10'000'000});
   EXPECT_TRUE(r.reachedTarget);
   EXPECT_LE(engine.state().maxLoad, 1);
@@ -375,7 +375,7 @@ void expectInvariantsUntilBalanced(EngineT& engine, std::int64_t m, const std::s
   std::int64_t lastMin = engine.state().minLoad;
   std::int64_t steps = 0;
   while (!engine.state().perfectlyBalanced() && steps < 30'000'000) {
-    ASSERT_TRUE(engine.step()) << name << ": absorbed before perfect balance";
+    ASSERT_TRUE(engine.advance()) << name << ": absorbed before perfect balance";
     ++steps;
     ASSERT_LE(engine.state().maxLoad, lastMax) << name;
     ASSERT_GE(engine.state().minLoad, lastMin) << name;
@@ -416,7 +416,7 @@ INSTANTIATE_TEST_SUITE_P(RegularTopologiesRejectionFree, TopologyInvariants,
 TEST(GraphRls, ActivationAccounting) {
   const auto topo = Topology::torus(3, 3);
   GraphRlsEngine engine(config::allInOne(9, 27), topo, 71);
-  for (int i = 0; i < 500; ++i) engine.step();
+  for (int i = 0; i < 500; ++i) engine.advance();
   EXPECT_EQ(engine.activations(), 500);
   EXPECT_LE(engine.moves(), engine.activations());
 }
@@ -425,7 +425,7 @@ TEST(GraphJump, MovesCountStepsAndActivationsAreNotSimulated) {
   const auto topo = Topology::torus(3, 3);
   GraphJumpEngine engine(config::allInOne(9, 28), topo, 72);
   std::int64_t accepted = 0;
-  for (int i = 0; i < 500 && engine.step(); ++i) ++accepted;
+  for (int i = 0; i < 500 && engine.advance(); ++i) ++accepted;
   EXPECT_GT(accepted, 0);
   EXPECT_EQ(engine.moves(), accepted);
   EXPECT_EQ(engine.activations(), -1);
@@ -437,7 +437,7 @@ TEST(GraphJump, AbsorbedWhenNoMoveIsAccepting) {
   // at once and the clock does not move.
   const auto topo = Topology::cycle(8);
   GraphJumpEngine engine(config::balanced(8, 24), topo, 73);
-  EXPECT_FALSE(engine.step());
+  EXPECT_FALSE(engine.advance());
   EXPECT_EQ(engine.moves(), 0);
   EXPECT_EQ(engine.time(), 0.0);
 }

@@ -9,6 +9,7 @@
 #include "core/dml.hpp"
 #include "core/rls.hpp"
 #include "exact/rls_chain.hpp"
+#include "process/process.hpp"
 #include "runner/replication.hpp"
 #include "sim/probes.hpp"
 #include "stats/regression.hpp"
@@ -97,7 +98,8 @@ TEST(Integration, PhaseDecomposition) {
   core::SimOptions o;
   o.engine = core::SimOptions::EngineKind::Hybrid;
   o.seed = 1234;
-  const auto r = core::balance(config::allInOne(n, m), o, sim::Target::perfect(), {}, &tracker);
+  const auto r =
+      core::balance(config::allInOne(n, m), o, process::Target::perfect(), {}, &tracker);
   ASSERT_TRUE(r.reachedTarget);
   EXPECT_LE(tracker.hitTime(0), tracker.hitTime(1));
   EXPECT_LE(tracker.hitTime(1), r.time);
@@ -131,7 +133,8 @@ TEST(Integration, DmlBenchPilot) {
     o.seed = seed;
     plainSum += core::balancingTime(init, o);
     core::ReverseLastMoveAdversary adv(0.25);
-    advSum += core::runWithAdversary(init, seed, adv, sim::Target::perfect()).time;
+    core::AdversarialRls rls(init, seed, adv);
+    advSum += process::run(rls, process::Target::perfect()).time;
   }
   EXPECT_GT(advSum, plainSum);
 }

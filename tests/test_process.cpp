@@ -1,27 +1,31 @@
 // Tests for src/process: the unified Process API, the registry, and --
-// most importantly -- the equivalence suite pinning process::run
-// byte-identical to the *historical* per-family run loops. Each reference
-// loop below is a verbatim copy of the pre-refactor code, so if the generic
-// loop ever drifts (an extra rng draw, an off-by-one stop, a different
-// final check), these tests catch it against frozen behaviour rather than
-// against the refactored wrappers themselves.
+// most importantly -- the equivalence suite pinning process::run over each
+// dynamic byte-identical to the *historical* per-family run loops. Each
+// reference loop below is a verbatim copy of the pre-refactor code (only
+// renamed calls and locals: step() -> advance(), time() -> now().value), so
+// if the generic loop ever drifts (an extra rng draw, an off-by-one stop, a
+// different final check), these tests catch it against frozen behaviour
+// rather than against the code under test itself.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
+#include "config/configuration.hpp"
 #include "config/generators.hpp"
 #include "config/metrics.hpp"
+#include "core/dml.hpp"
 #include "core/rls.hpp"
 #include "dynamic/open_system.hpp"
 #include "ext/speed_rls.hpp"
 #include "ext/weighted_rls.hpp"
 #include "graph/graph_engine.hpp"
 #include "graph/topology.hpp"
-#include "process/adapters.hpp"
 #include "process/process.hpp"
 #include "process/registry.hpp"
 #include "process/replicate.hpp"
@@ -31,10 +35,12 @@
 #include "protocols/selfish.hpp"
 #include "protocols/threshold.hpp"
 #include "rng/distributions.hpp"
+#include "rng/splitmix64.hpp"
 #include "runner/thread_pool.hpp"
 #include "serve/compact_allocator.hpp"
 #include "sim/balance_tracker.hpp"
 #include "sim/naive_engine.hpp"
+#include "sim/probes.hpp"
 #include "util/params.hpp"
 
 namespace rlslb::process {
@@ -43,21 +49,69 @@ namespace {
 // ------------------------------------------------------- reference loops
 // Verbatim copies of the pre-refactor per-family run loops.
 
-sim::RunResult referenceSimRunUntil(sim::Engine& engine, sim::Target target,
-                                    const sim::RunLimits& limits) {
-  sim::RunResult result;
+/// The sim layer's historical stopping target and run report.
+struct SimTarget {
+  enum class Kind { PerfectBalance, XBalanced };
+  Kind kind = Kind::PerfectBalance;
+  std::int64_t x = 0;
+
+  static SimTarget perfect() { return {Kind::PerfectBalance, 0}; }
+  static SimTarget xBalanced(std::int64_t x) { return {Kind::XBalanced, x}; }
+
+  [[nodiscard]] bool reached(const sim::BalanceState& s) const {
+    return kind == Kind::PerfectBalance ? s.perfectlyBalanced() : s.xBalanced(x);
+  }
+};
+
+struct SimRunResult {
+  double time = 0.0;
+  std::int64_t moves = 0;
+  std::int64_t activations = 0;
+  bool reachedTarget = false;
+  sim::BalanceState finalState;
+};
+
+SimRunResult referenceSimRunUntil(Process& engine, SimTarget target,
+                                  const sim::RunLimits& limits) {
+  SimRunResult result;
   bool reached = target.reached(engine.state());
   std::int64_t steps = 0;
-  while (!reached && engine.time() < limits.maxTime && steps < limits.maxEvents) {
-    if (!engine.step()) break;  // absorbed
+  while (!reached && engine.now().value < limits.maxTime && steps < limits.maxEvents) {
+    if (!engine.advance()) break;  // absorbed
     ++steps;
+    reached = target.reached(engine.state());
+  }
+  result.time = engine.now().value;
+  result.moves = engine.moves();
+  result.activations = engine.activations();
+  result.finalState = engine.state();
+  result.reachedTarget = reached || target.reached(engine.state());
+  return result;
+}
+
+/// The adversarial run loop of core::runWithAdversary (the probe sees the
+/// engine itself).
+SimRunResult referenceRunWithAdversary(const config::Configuration& initial,
+                                       std::uint64_t seed,
+                                       core::DestructiveAdversary& adversary, SimTarget target,
+                                       const sim::RunLimits& limits, Probe* probe, int gap) {
+  sim::NaiveEngine engine(initial, seed, gap);
+  rng::Xoshiro256pp adversaryEng(rng::streamSeed(seed, 0xadb3e25a17ULL));
+
+  SimRunResult result;
+  if (probe != nullptr) probe->onEvent(engine);
+  bool reached = target.reached(engine.state());
+  while (!reached && engine.time() < limits.maxTime && engine.activations() < limits.maxEvents) {
+    if (!engine.advance() && !engine.stepActivation()) break;
+    adversary.afterEvent(engine, adversaryEng);
+    if (probe != nullptr) probe->onEvent(engine);
     reached = target.reached(engine.state());
   }
   result.time = engine.time();
   result.moves = engine.moves();
   result.activations = engine.activations();
   result.finalState = engine.state();
-  result.reachedTarget = reached || target.reached(engine.state());
+  result.reachedTarget = reached;
   return result;
 }
 
@@ -80,10 +134,10 @@ std::int64_t referenceRoundRunUntilBalanced(protocols::RoundProtocol& p, std::in
 }
 
 std::int64_t referenceCrsRunUntilStable(protocols::CrsProtocol& p, std::int64_t maxSteps) {
-  const std::int64_t checkEvery = std::max<std::int64_t>(1, p.numBins() / 8);
-  std::int64_t sinceCheck = checkEvery;
+  const std::int64_t checkInterval = std::max<std::int64_t>(1, p.numBins() / 8);
+  std::int64_t sinceCheck = checkInterval;
   for (std::int64_t s = 0; s < maxSteps; ++s) {
-    if (sinceCheck >= checkEvery) {
+    if (sinceCheck >= checkInterval) {
       sinceCheck = 0;
       if (p.isLocallyStable()) return p.steps();
     }
@@ -104,11 +158,11 @@ struct ReferenceEquilibriumResult {
 template <typename Engine>
 ReferenceEquilibriumResult<Engine> referenceRunUntilEquilibrium(Engine& engine,
                                                                 std::int64_t maxActivations,
-                                                                std::int64_t checkEvery) {
+                                                                std::int64_t checkInterval) {
   ReferenceEquilibriumResult<Engine> r;
-  std::int64_t sinceCheck = checkEvery;  // check before the first step
+  std::int64_t sinceCheck = checkInterval;  // check before the first step
   while (engine.activations() < maxActivations) {
-    if (sinceCheck >= checkEvery) {
+    if (sinceCheck >= checkInterval) {
       sinceCheck = 0;
       if (engine.isEquilibrium()) {
         r.reached = true;
@@ -123,15 +177,6 @@ ReferenceEquilibriumResult<Engine> referenceRunUntilEquilibrium(Engine& engine,
   r.activations = engine.activations();
   r.moves = engine.moves();
   return r;
-}
-
-std::int64_t referenceOpenRunUntilTime(dynamic::OpenSystem& sys, double time) {
-  std::int64_t events = 0;
-  while (sys.time() < time) {
-    if (!sys.step()) break;
-    ++events;
-  }
-  return events;
 }
 
 void expectStatesEqual(const sim::BalanceState& a, const sim::BalanceState& b) {
@@ -178,9 +223,8 @@ TEST(ProcessEquivalence, SimEnginesMatchReferenceLoop) {
       auto a = core::makeEngine(init, o);
       auto b = core::makeEngine(init, o);
 
-      const auto ra = referenceSimRunUntil(*a, sim::Target::perfect(), {});
-      EngineProcess pb(*b);
-      const RunResult rb = run(pb, Target::perfect(), {});
+      const auto ra = referenceSimRunUntil(*a, SimTarget::perfect(), {});
+      const RunResult rb = run(*b, Target::perfect(), {});
 
       // Bit-identical time pins the entire rng stream, not just the count.
       EXPECT_EQ(ra.time, rb.time);
@@ -202,9 +246,8 @@ TEST(ProcessEquivalence, LimitsMatchReferenceLoop) {
     o.seed = 7;
     auto a = core::makeEngine(init, o);
     auto b = core::makeEngine(init, o);
-    const auto ra = referenceSimRunUntil(*a, sim::Target::perfect(), limits);
-    EngineProcess pb(*b);
-    const RunResult rb = run(pb, Target::perfect(), limits);
+    const auto ra = referenceSimRunUntil(*a, SimTarget::perfect(), limits);
+    const RunResult rb = run(*b, Target::perfect(), limits);
     EXPECT_EQ(ra.time, rb.time);
     EXPECT_EQ(ra.moves, rb.moves);
     EXPECT_EQ(ra.activations, rb.activations);
@@ -231,14 +274,86 @@ TEST(ProcessEquivalence, RegistryRlsKindsMatchCoreBalance) {
     cases.push_back({"rls_jump", o});
   }
   for (const Case& c : cases) {
-    const sim::RunResult legacy = core::balance(init, c.options);
+    const RunResult facade = core::balance(init, c.options);
     auto p = makeProcess(c.kind, init, c.options.seed);
     const RunResult viaRegistry = run(*p, Target::perfect(), {});
-    EXPECT_EQ(legacy.time, viaRegistry.time) << c.kind;
-    EXPECT_EQ(legacy.moves, viaRegistry.moves) << c.kind;
-    EXPECT_EQ(legacy.activations, viaRegistry.activations) << c.kind;
-    EXPECT_EQ(legacy.reachedTarget, viaRegistry.reachedTarget) << c.kind;
-    expectStatesEqual(legacy.finalState, viaRegistry.finalState);
+    EXPECT_EQ(facade.time, viaRegistry.time) << c.kind;
+    EXPECT_EQ(facade.moves, viaRegistry.moves) << c.kind;
+    EXPECT_EQ(facade.activations, viaRegistry.activations) << c.kind;
+    EXPECT_EQ(facade.reachedTarget, viaRegistry.reachedTarget) << c.kind;
+    expectStatesEqual(facade.finalState, viaRegistry.finalState);
+  }
+}
+
+// ------------------------------------------- equivalence: DML adversaries
+
+// The adversarial composite under process::run against the frozen
+// runWithAdversary loop, for each adversary policy: the run report and
+// every probe sample bit for bit.
+TEST(ProcessEquivalence, AdversarialRlsMatchesReferenceLoop) {
+  struct Case {
+    const char* name;
+    std::unique_ptr<core::DestructiveAdversary> (*make)();
+    config::Configuration start;
+    SimTarget simTarget;
+    Target target;
+    sim::RunLimits limits;
+    int gap;
+  };
+  const auto inf = std::numeric_limits<double>::infinity();
+  const auto maxEvents = std::numeric_limits<std::int64_t>::max();
+  const Case cases[] = {
+      {"reverse-last p=0.5",
+       [] {
+         return std::unique_ptr<core::DestructiveAdversary>(
+             new core::ReverseLastMoveAdversary(0.5));
+       },
+       config::allInOne(24, 24 * 8), SimTarget::perfect(), Target::perfect(),
+       {.maxTime = inf, .maxEvents = maxEvents}, 1},
+      {"random-pair x2",
+       [] {
+         return std::unique_ptr<core::DestructiveAdversary>(new core::RandomPairAdversary(2));
+       },
+       config::allInOne(24, 24 * 8), SimTarget::perfect(), Target::perfect(),
+       {.maxTime = 6.0, .maxEvents = maxEvents}, 1},
+      {"min-to-max p=0.2",
+       [] {
+         return std::unique_ptr<core::DestructiveAdversary>(new core::MinToMaxAdversary(0.2));
+       },
+       config::allInOne(24, 24 * 8), SimTarget::perfect(), Target::perfect(),
+       {.maxTime = 6.0, .maxEvents = maxEvents}, 1},
+      // gap 2 absorbs the protocol at spread 1; the composite keeps ringing.
+      {"reverse-last p=1 gap=2",
+       [] {
+         return std::unique_ptr<core::DestructiveAdversary>(
+             new core::ReverseLastMoveAdversary(1.0));
+       },
+       config::Configuration({2, 1}), SimTarget::xBalanced(0), Target::xBalanced(0),
+       {.maxTime = inf, .maxEvents = 500}, 2},
+  };
+  for (const Case& c : cases) {
+    for (const std::uint64_t seed : {3ULL, 41ULL}) {
+      auto advA = c.make();
+      auto advB = c.make();
+      sim::TrajectoryRecorder probeA(0.01);
+      sim::TrajectoryRecorder probeB(0.01);
+      const SimRunResult ra = referenceRunWithAdversary(c.start, seed, *advA, c.simTarget,
+                                                        c.limits, &probeA, c.gap);
+      core::AdversarialRls rls(c.start, seed, *advB, c.gap);
+      const RunResult rb = run(rls, c.target, c.limits, &probeB);
+
+      EXPECT_EQ(ra.time, rb.time) << c.name;
+      EXPECT_EQ(ra.moves, rb.moves) << c.name;
+      EXPECT_EQ(ra.activations, rb.activations) << c.name;
+      EXPECT_EQ(ra.reachedTarget, rb.reachedTarget) << c.name;
+      expectStatesEqual(ra.finalState, rb.finalState);
+      ASSERT_EQ(probeA.points().size(), probeB.points().size()) << c.name;
+      for (std::size_t i = 0; i < probeA.points().size(); ++i) {
+        EXPECT_EQ(probeA.points()[i].time, probeB.points()[i].time) << c.name;
+        EXPECT_EQ(probeA.points()[i].maxLoad, probeB.points()[i].maxLoad) << c.name;
+        EXPECT_EQ(probeA.points()[i].minLoad, probeB.points()[i].minLoad) << c.name;
+      }
+    }
   }
 }
 
@@ -251,7 +366,7 @@ TEST(ProcessEquivalence, RoundProtocolsMatchReferenceLoop) {
   for (const char* kind : kinds) {
     auto pa = makeProcess(kind, init, 4242);
     auto pb = makeProcess(kind, init, 4242);
-    auto& protoA = dynamic_cast<RoundProcess&>(*pa).underlying();
+    auto& protoA = dynamic_cast<protocols::RoundProtocol&>(*pa);
 
     // `repeated` churns forever near m >> n; cap the budget so both paths
     // exercise the budget-exhausted branch too.
@@ -265,39 +380,41 @@ TEST(ProcessEquivalence, RoundProtocolsMatchReferenceLoop) {
         r.reachedTarget ? static_cast<std::int64_t>(r.clock.value) : -1;
 
     EXPECT_EQ(legacy, viaProcess) << kind;
-    auto& protoB = dynamic_cast<RoundProcess&>(*pb).underlying();
+    auto& protoB = dynamic_cast<protocols::RoundProtocol&>(*pb);
     EXPECT_EQ(protoA.loads(), protoB.loads()) << kind;
   }
 }
 
-TEST(ProcessEquivalence, RunUntilBalancedWrapperMatchesReference) {
-  // The retained legacy entry point itself (now a wrapper over
-  // process::run) against the frozen reference loop.
+TEST(ProcessEquivalence, SelfishMatchesReferenceLoop) {
+  // A protocol built directly (not via the registry) under process::run,
+  // against the frozen loop, at a larger m/n than above.
   const auto init = config::allInOne(16, 1 << 12);
   protocols::SelfishRerouting a(init, 31);
   protocols::SelfishRerouting b(init, 31);
-  const std::int64_t viaWrapper = a.runUntilBalanced(64, 200);
+  const RunResult r = run(a, Target::xBalanced(64), {.maxEvents = 200});
   const std::int64_t viaReference = referenceRoundRunUntilBalanced(b, 64, 200);
-  EXPECT_EQ(viaWrapper, viaReference);
+  EXPECT_EQ(r.reachedTarget ? a.roundsTaken() : -1, viaReference);
   EXPECT_EQ(a.loads(), b.loads());
 }
 
 // ----------------------------------------------------- equivalence: CRS
 
 TEST(ProcessEquivalence, CrsMatchesReferenceStableLoop) {
-  protocols::CrsProtocol a(32, 128, 77);
-  protocols::CrsProtocol b(32, 128, 77);
-  const std::int64_t legacy = referenceCrsRunUntilStable(a, 50'000'000);
-  ASSERT_GE(legacy, 0);
+  // Several seeds, so the stop lands off every coarser check cadence.
+  for (const std::uint64_t seed : {77ULL, 78ULL, 79ULL, 80ULL, 81ULL, 82ULL}) {
+    protocols::CrsProtocol a(32, 128, seed);
+    protocols::CrsProtocol b(32, 128, seed);
+    const std::int64_t legacy = referenceCrsRunUntilStable(a, 50'000'000);
+    ASSERT_GE(legacy, 0);
 
-  CrsProcess pb(b);
-  RunLimits limits;
-  limits.maxEvents = 50'000'000;
-  const RunResult r = run(pb, Target::equilibrium(), limits);
-  const std::int64_t viaProcess = r.reachedTarget ? b.steps() : -1;
-  EXPECT_EQ(legacy, viaProcess);
-  EXPECT_EQ(a.loads(), b.loads());
-  EXPECT_EQ(a.moves(), b.moves());
+    RunLimits limits;
+    limits.maxEvents = 50'000'000;
+    const RunResult r = run(b, Target::equilibrium(), limits);
+    const std::int64_t viaProcess = r.reachedTarget ? b.steps() : -1;
+    EXPECT_EQ(legacy, viaProcess) << seed;
+    EXPECT_EQ(a.loads(), b.loads()) << seed;
+    EXPECT_EQ(a.moves(), b.moves()) << seed;
+  }
 }
 
 // ----------------------------------------------------- equivalence: ext
@@ -309,14 +426,14 @@ TEST(ProcessEquivalence, SpeedRlsMatchesReferenceLoop) {
 
   ext::SpeedRlsEngine a(init, speeds, 555);
   ext::SpeedRlsEngine b(init, speeds, 555);
-  const std::int64_t checkEvery = std::max<std::int64_t>(1, 32 / 4);
-  const auto legacy = referenceRunUntilEquilibrium(a, 10'000'000, checkEvery);
+  const std::int64_t checkInterval = std::max<std::int64_t>(1, 32 / 4);
+  const auto legacy = referenceRunUntilEquilibrium(a, 10'000'000, checkInterval);
 
-  const auto viaWrapper = b.runUntilEquilibrium(10'000'000);
-  EXPECT_EQ(legacy.time, viaWrapper.time);
-  EXPECT_EQ(legacy.activations, viaWrapper.activations);
-  EXPECT_EQ(legacy.moves, viaWrapper.moves);
-  EXPECT_EQ(legacy.reached, viaWrapper.reachedEquilibrium);
+  const RunResult r = run(b, Target::equilibrium(), {.maxEvents = 10'000'000});
+  EXPECT_EQ(legacy.time, r.time);
+  EXPECT_EQ(legacy.activations, r.activations);
+  EXPECT_EQ(legacy.moves, r.moves);
+  EXPECT_EQ(legacy.reached, r.reachedTarget);
   EXPECT_EQ(a.loads(), b.loads());
 }
 
@@ -328,15 +445,15 @@ TEST(ProcessEquivalence, WeightedRlsMatchesReferenceLoop) {
 
   ext::WeightedRlsEngine a(n, weights, start, 888);
   ext::WeightedRlsEngine b(n, weights, start, 888);
-  const std::int64_t checkEvery =
+  const std::int64_t checkInterval =
       std::max<std::int64_t>(1, (n + static_cast<std::int64_t>(weights.size())) / 4);
-  const auto legacy = referenceRunUntilEquilibrium(a, 20'000'000, checkEvery);
+  const auto legacy = referenceRunUntilEquilibrium(a, 20'000'000, checkInterval);
 
-  const auto viaWrapper = b.runUntilEquilibrium(20'000'000);
-  EXPECT_EQ(legacy.time, viaWrapper.time);
-  EXPECT_EQ(legacy.activations, viaWrapper.activations);
-  EXPECT_EQ(legacy.moves, viaWrapper.moves);
-  EXPECT_EQ(legacy.reached, viaWrapper.reachedEquilibrium);
+  const RunResult r = run(b, Target::equilibrium(), {.maxEvents = 20'000'000});
+  EXPECT_EQ(legacy.time, r.time);
+  EXPECT_EQ(legacy.activations, r.activations);
+  EXPECT_EQ(legacy.moves, r.moves);
+  EXPECT_EQ(legacy.reached, r.reachedTarget);
   EXPECT_EQ(a.loads(), b.loads());
 }
 
@@ -348,7 +465,7 @@ TEST(ProcessEquivalence, GraphEngineMatchesReferenceAndRegistry) {
   const auto topo = graph::Topology::cycle(n);
 
   graph::GraphRlsEngine a(init, topo, 1717);
-  const auto legacy = referenceSimRunUntil(a, sim::Target::perfect(),
+  const auto legacy = referenceSimRunUntil(a, SimTarget::perfect(),
                                            {.maxTime = 1e9, .maxEvents = 2'000'000'000});
 
   util::Params params;
@@ -365,31 +482,45 @@ TEST(ProcessEquivalence, GraphEngineMatchesReferenceAndRegistry) {
 
 // ----------------------------------------------- equivalence: open system
 
-// process::run over OpenProcess with a time limit is the historical event
-// loop: step until the clock passes the limit. (OpenSystem::runUntilTime
-// instead stops at the time itself; tests/test_dynamic.cpp.)
+// process::run with maxTime = t stops the open system AT t, exactly as
+// OpenSystem::runUntilTime(t): the same draws, the same final time, state,
+// level counts and counters. Also when the system is absorbed: with no
+// arrivals or departures and loads one apart, no multiset change has
+// positive rate, yet both reach t and count the neutral moves up to it.
 TEST(ProcessEquivalence, OpenSystemMatchesReferenceTimeLoop) {
-  dynamic::OpenSystemOptions options;
-  options.arrivalRatePerBin = 2.0;
-  options.departureRate = 0.5;
-  dynamic::OpenSystem a(16, options, 2024);
-  dynamic::OpenSystem b(16, options, 2024);
+  dynamic::OpenSystemOptions busy;
+  busy.arrivalRatePerBin = 2.0;
+  busy.departureRate = 0.5;
+  dynamic::OpenSystemOptions absorbed;
+  absorbed.arrivalRatePerBin = 0.0;
+  absorbed.departureRate = 0.0;
+  const config::Configuration oneApart({1, 0, 1, 0, 1, 0, 1, 0});
+  struct Case {
+    std::int64_t n;
+    dynamic::OpenSystemOptions options;
+    const config::Configuration* start;
+    double t;
+  };
+  for (const Case& c : {Case{16, busy, nullptr, 40.0}, Case{8, absorbed, &oneApart, 30.0}}) {
+    dynamic::OpenSystem a(c.n, c.options, 2024, c.start);
+    dynamic::OpenSystem b(c.n, c.options, 2024, c.start);
 
-  const std::int64_t legacyEvents = referenceOpenRunUntilTime(a, 40.0);
-  process::OpenProcess adapter(b);
-  process::RunLimits limits;
-  limits.maxTime = 40.0;
-  const auto r = process::run(adapter, process::Target::none(), limits);
+    const std::int64_t events = a.runUntilTime(c.t);
+    const RunResult r = run(b, Target::none(), {.maxTime = c.t});
 
-  EXPECT_EQ(legacyEvents, r.events);
-  EXPECT_EQ(a.time(), r.time);
-  expectStatesEqual(a.state(), r.finalState);
-  for (std::int64_t v = a.minLoad(); v <= a.maxLoad(); ++v) {
-    EXPECT_EQ(a.levelCount(v), b.levelCount(v));
+    EXPECT_EQ(events, r.events);
+    EXPECT_EQ(r.time, c.t);
+    EXPECT_EQ(a.time(), b.time());
+    expectStatesEqual(a.state(), r.finalState);
+    for (std::int64_t v = a.minLoad(); v <= a.maxLoad(); ++v) {
+      EXPECT_EQ(a.levelCount(v), b.levelCount(v));
+    }
+    EXPECT_EQ(a.counters().arrivals, b.counters().arrivals);
+    EXPECT_EQ(a.counters().departures, b.counters().departures);
+    EXPECT_EQ(a.counters().migrations, r.moves);
+    EXPECT_EQ(a.counters().migrations, b.counters().migrations);
+    EXPECT_GT(r.moves, 0);
   }
-  EXPECT_EQ(a.counters().arrivals, b.counters().arrivals);
-  EXPECT_EQ(a.counters().departures, b.counters().departures);
-  EXPECT_EQ(a.counters().migrations, r.moves);
 }
 
 // --------------------------------------------- incremental balance state
@@ -476,7 +607,7 @@ TEST(ProcessState, BalanceTrackerZeroStartMatchesEmptyLoads) {
 TEST(ProcessState, RoundProtocolStateIsIncremental) {
   protocols::ThresholdProtocol p(config::allInOne(16, 512), 3, 32, 0.5);
   for (int r = 0; r < 30; ++r) {
-    p.runRound();
+    p.advance();
     expectStateMatchesLoads(p.state(), p.loads());
   }
   EXPECT_EQ(p.roundsTaken(), 30);
@@ -489,7 +620,7 @@ TEST(ProcessState, OpenSystemStateIsIncremental) {
   options.departureRate = 1.0;
   dynamic::OpenSystem sys(8, options, 11);
   for (int e = 0; e < 3000; ++e) {
-    sys.step();
+    sys.advance();
     // The open system keeps level counts only; rebuild the loads from them.
     std::vector<std::int64_t> loads;
     for (std::int64_t v = 0; v <= sys.maxLoad(); ++v) {
@@ -586,8 +717,7 @@ TEST(ProcessRegistry, ParamsReachTheDynamic) {
   params.set("threshold", "3");
   params.set("p", "0.25");
   auto p = makeProcess("threshold", init, 1, params);
-  auto& proto = dynamic_cast<RoundProcess&>(*p).underlying();
-  EXPECT_EQ(dynamic_cast<protocols::ThresholdProtocol&>(proto).threshold(), 3);
+  EXPECT_EQ(dynamic_cast<protocols::ThresholdProtocol&>(*p).threshold(), 3);
 }
 
 TEST(ProcessRegistry, SpecsDeclareTheirParams) {
@@ -601,15 +731,42 @@ TEST(ProcessRegistry, SpecsDeclareTheirParams) {
   EXPECT_EQ(open->params.size(), 4u);
 }
 
+// Every kind's eight capability flags and clock kind, pinned: each dynamic
+// declares its own flags, so a flag lost or flipped in a move shows here.
 TEST(ProcessRegistry, CapabilitiesDescribeTheDynamics) {
+  using K = Clock::Kind;
+  struct Row {
+    const char* kind;
+    K clock;
+    // continuousTime, countsActivations, probes, gapRule, weights, topology,
+    // openSystem, equilibrium
+    bool flags[8];
+  };
+  const Row rows[] = {
+      {"rls", K::Continuous, {true, true, true, false, false, false, false, false}},
+      {"rls_naive", K::Continuous, {true, true, true, true, false, false, false, false}},
+      {"rls_jump", K::Continuous, {true, false, true, false, false, false, false, false}},
+      {"selfish", K::Rounds, {false, false, true, false, false, false, false, false}},
+      {"edm", K::Rounds, {false, false, true, false, false, false, false, false}},
+      {"threshold", K::Rounds, {false, false, true, false, false, false, false, false}},
+      {"repeated", K::Rounds, {false, false, true, false, false, false, false, false}},
+      {"crs", K::Steps, {false, false, true, false, false, false, false, true}},
+      {"speed_rls", K::Continuous, {true, true, true, false, true, false, false, true}},
+      {"weighted_rls", K::Continuous, {true, true, true, false, true, false, false, true}},
+      {"graph_rls", K::Continuous, {true, true, true, true, false, true, false, false}},
+      {"open", K::Continuous, {true, false, true, true, false, false, true, false}},
+  };
+  registerBuiltinProcesses();
+  ASSERT_EQ(ProcessRegistry::global().size(), std::size(rows));
   const auto init = config::allInOne(16, 64);
-  EXPECT_TRUE(makeProcess("open", init, 1)->capabilities().openSystem);
-  EXPECT_TRUE(makeProcess("graph_rls", init, 1)->capabilities().topology);
-  EXPECT_TRUE(makeProcess("weighted_rls", init, 1)->capabilities().weights);
-  EXPECT_TRUE(makeProcess("crs", init, 1)->capabilities().equilibrium);
-  EXPECT_FALSE(makeProcess("rls", init, 1)->capabilities().openSystem);
-  EXPECT_FALSE(makeProcess("selfish", init, 1)->capabilities().continuousTime);
-  EXPECT_TRUE(makeProcess("rls_naive", init, 1)->capabilities().continuousTime);
+  for (const Row& row : rows) {
+    const auto p = makeProcess(row.kind, init, 1);
+    const Capabilities& c = p->capabilities();
+    const bool got[8] = {c.continuousTime, c.countsActivations, c.probes, c.gapRule,
+                         c.weights,        c.topology,          c.openSystem, c.equilibrium};
+    for (int f = 0; f < 8; ++f) EXPECT_EQ(got[f], row.flags[f]) << row.kind << " flag " << f;
+    EXPECT_EQ(p->now().kind, row.clock) << row.kind;
+  }
 }
 
 TEST(ProcessRegistry, ClockKindsSpanTheGranularities) {

@@ -8,6 +8,7 @@
 
 #include "config/generators.hpp"
 #include "config/metrics.hpp"
+#include "process/process.hpp"
 #include "protocols/crs.hpp"
 #include "protocols/edm.hpp"
 #include "protocols/repeated.hpp"
@@ -18,6 +19,8 @@
 
 namespace rlslb::protocols {
 namespace {
+
+using process::Target;
 
 std::int64_t totalLoad(const std::vector<std::int64_t>& loads) {
   return std::accumulate(loads.begin(), loads.end(), std::int64_t{0});
@@ -45,15 +48,14 @@ TEST(Selfish, ReachesNearBalanceQuickly) {
   // [4]-style protocols approach near-balance in very few rounds from the
   // worst case (the ln ln m part of their bound).
   SelfishRerouting p(config::allInOne(16, 1 << 14), 3);
-  const std::int64_t rounds = p.runUntilBalanced(/*x=*/64, /*maxRounds=*/200);
-  ASSERT_GE(rounds, 0);
-  EXPECT_LE(rounds, 60);
+  const auto r = process::run(p, Target::xBalanced(64), {.maxEvents = 200});
+  ASSERT_TRUE(r.reachedTarget);
+  EXPECT_LE(r.clock.value, 60);
 }
 
 TEST(Selfish, PerfectBalanceFromNearBalance) {
   SelfishRerouting p(config::plusMinusOne(8, 64, 2), 4);
-  const std::int64_t rounds = p.runUntilBalanced(0, 100000);
-  EXPECT_GE(rounds, 0);
+  EXPECT_TRUE(process::run(p, Target::perfect(), {.maxEvents = 100000}).reachedTarget);
   EXPECT_TRUE(p.metrics().perfectlyBalanced);
 }
 
@@ -61,9 +63,10 @@ TEST(Selfish, RoundCounterAdvances) {
   SelfishRerouting p(config::allInOne(4, 16), 5);
   p.round();
   p.round();
-  EXPECT_EQ(p.roundsTaken(), 0);  // runUntilBalanced owns the counter
-  p.runUntilBalanced(0, 50);
-  EXPECT_GE(p.roundsTaken(), 0);
+  EXPECT_EQ(p.roundsTaken(), 0);  // advance() owns the counter
+  const auto r = process::run(p, Target::perfect(), {.maxEvents = 50});
+  EXPECT_EQ(p.roundsTaken(), r.events);
+  EXPECT_EQ(r.clock.value, static_cast<double>(r.events));
 }
 
 // -------------------------------------------------------------------- edm
@@ -88,11 +91,11 @@ TEST(Edm, ConvergesFasterThanSelfishFromWorstCase) {
   const auto init = config::allInOne(16, 1 << 12);
   EdmGlobalRerouting edm(init, 8);
   SelfishRerouting selfish(init, 8);
-  const std::int64_t re = edm.runUntilBalanced(16, 500);
-  const std::int64_t rs = selfish.runUntilBalanced(16, 500);
-  ASSERT_GE(re, 0);
-  ASSERT_GE(rs, 0);
-  EXPECT_LE(re, rs + 5);
+  const auto re = process::run(edm, Target::xBalanced(16), {.maxEvents = 500});
+  const auto rs = process::run(selfish, Target::xBalanced(16), {.maxEvents = 500});
+  ASSERT_TRUE(re.reachedTarget);
+  ASSERT_TRUE(rs.reachedTarget);
+  EXPECT_LE(re.events, rs.events + 5);
 }
 
 TEST(Edm, NonNegativeLoads) {
@@ -128,8 +131,7 @@ TEST(Threshold, ReachesBandAroundThreshold) {
   // and stays well below the initial disc.
   const auto init = config::allInOne(16, 1 << 12);  // avg = 256
   ThresholdProtocol p(init, 12, /*threshold=*/(1 << 12) / 16, 0.5);
-  const std::int64_t rounds = p.runUntilBalanced(/*x=*/128, 3000);
-  ASSERT_GE(rounds, 0);
+  ASSERT_TRUE(process::run(p, Target::xBalanced(128), {.maxEvents = 3000}).reachedTarget);
   for (int r = 0; r < 500; ++r) p.round();
   EXPECT_LE(p.metrics().discrepancy, 128.0);  // stays in the band
 }
@@ -213,8 +215,7 @@ TEST(Crs, MovesOnlyDecreaseLoadGap) {
 
 TEST(Crs, ReachesPerfectBalanceOnSmallSystems) {
   CrsProtocol p(8, 32, 17);
-  const std::int64_t steps = p.runUntilPerfect(2'000'000);
-  ASSERT_GE(steps, 0);
+  ASSERT_TRUE(process::run(p, Target::perfect(), {.maxEvents = 2'000'000}).reachedTarget);
   EXPECT_TRUE(p.metrics().perfectlyBalanced);
 }
 
@@ -227,13 +228,11 @@ TEST(Crs, ReachesLocalStabilityAndStepCountGrows) {
   stats::RunningStat steps32;
   for (int rep = 0; rep < 8; ++rep) {
     CrsProtocol a(16, 64, rng::streamSeed(18, rep));
-    const std::int64_t sa = a.runUntilStable(50'000'000);
-    ASSERT_GE(sa, 0);
-    steps16.add(static_cast<double>(sa));
+    ASSERT_TRUE(process::run(a, Target::equilibrium(), {.maxEvents = 50'000'000}).reachedTarget);
+    steps16.add(static_cast<double>(a.steps()));
     CrsProtocol b(32, 128, rng::streamSeed(19, rep));
-    const std::int64_t sb = b.runUntilStable(50'000'000);
-    ASSERT_GE(sb, 0);
-    steps32.add(static_cast<double>(sb));
+    ASSERT_TRUE(process::run(b, Target::equilibrium(), {.maxEvents = 50'000'000}).reachedTarget);
+    steps32.add(static_cast<double>(b.steps()));
   }
   EXPECT_GT(steps32.mean(), steps16.mean());
 }
@@ -242,7 +241,7 @@ TEST(Crs, StableStateIsNearBalanced) {
   // At local stability the load spread is bounded by the candidate-graph
   // structure; empirically small for avg >= 4.
   CrsProtocol p(24, 96, 21);
-  ASSERT_GE(p.runUntilStable(50'000'000), 0);
+  ASSERT_TRUE(process::run(p, Target::equilibrium(), {.maxEvents = 50'000'000}).reachedTarget);
   EXPECT_TRUE(p.isLocallyStable());
   EXPECT_LE(p.metrics().discrepancy, 4.0);
 }
@@ -261,7 +260,9 @@ TEST(Crs, DeterministicForSeed) {
 TEST(Crs, ZeroBalls) {
   CrsProtocol p(8, 0, 20);
   EXPECT_TRUE(p.metrics().perfectlyBalanced);
-  EXPECT_EQ(p.runUntilPerfect(10), 0);
+  const auto r = process::run(p, Target::perfect(), {.maxEvents = 10});
+  EXPECT_TRUE(r.reachedTarget);
+  EXPECT_EQ(r.events, 0);
 }
 
 }  // namespace

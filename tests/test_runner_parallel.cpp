@@ -376,7 +376,7 @@ TEST(EnsembleParallel, MeansBitIdenticalForAnyThreadCount) {
     sim::TrajectoryRecorder recorder(0.25);
     core::SimOptions o;
     o.seed = seed;
-    core::balance(config::allInOne(32, 256), o, sim::Target::perfect(), {}, &recorder);
+    core::balance(config::allInOne(32, 256), o, process::Target::perfect(), {}, &recorder);
     return recorder.points();
   };
   ThreadPool serial(1);
@@ -401,7 +401,7 @@ TEST(EnsembleParallel, MergeMatchesSequentialFold) {
     sim::TrajectoryRecorder recorder(0.25);
     core::SimOptions o;
     o.seed = seed;
-    core::balance(config::allInOne(16, 64), o, sim::Target::perfect(), {}, &recorder);
+    core::balance(config::allInOne(16, 64), o, process::Target::perfect(), {}, &recorder);
     return recorder.points();
   };
   sim::EnsembleAccumulator whole(0.5, 4.0);

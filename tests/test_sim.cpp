@@ -1,11 +1,12 @@
-// Tests for the sim run-loop plumbing that the engine-centric suites do
-// not cover: probe call discipline, recorder decimation, limit edge cases,
-// and target semantics.
+// Tests for the run-loop plumbing around the sim engines that the
+// engine-centric suites do not cover: probe call discipline, recorder
+// decimation, limit edge cases, and target semantics.
 #include <gtest/gtest.h>
 
 #include <limits>
 
 #include "config/generators.hpp"
+#include "process/process.hpp"
 #include "sim/engine.hpp"
 #include "sim/naive_engine.hpp"
 #include "sim/probes.hpp"
@@ -13,55 +14,58 @@
 namespace rlslb::sim {
 namespace {
 
-class CountingProbe final : public Probe {
+using process::run;
+using process::Target;
+
+class CountingProbe final : public process::Probe {
  public:
-  void onEvent(const Engine&) override { ++calls_; }
+  void onEvent(const process::Process&) override { ++calls_; }
   [[nodiscard]] std::int64_t calls() const { return calls_; }
 
  private:
   std::int64_t calls_ = 0;
 };
 
-TEST(RunUntil, ProbeSeesInitialStateAndEveryEvent) {
+TEST(RunLoop, ProbeSeesInitialStateAndEveryEvent) {
   NaiveEngine engine(config::allInOne(4, 8), 1);
   CountingProbe probe;
   RunLimits limits;
   limits.maxEvents = 25;
-  runUntil(engine, Target::perfect(), limits, &probe);
+  run(engine, Target::perfect(), limits, &probe);
   // One initial call plus one per executed step.
   EXPECT_EQ(probe.calls(), engine.activations() + 1);
 }
 
-TEST(RunUntil, AlreadyAtTargetTakesNoSteps) {
+TEST(RunLoop, AlreadyAtTargetTakesNoSteps) {
   NaiveEngine engine(config::balanced(4, 8), 2);
   CountingProbe probe;
-  const auto r = runUntil(engine, Target::perfect(), {}, &probe);
+  const auto r = run(engine, Target::perfect(), {}, &probe);
   EXPECT_TRUE(r.reachedTarget);
   EXPECT_EQ(r.activations, 0);
   EXPECT_EQ(probe.calls(), 1);  // initial observation only
 }
 
-TEST(RunUntil, ZeroEventBudget) {
+TEST(RunLoop, ZeroEventBudget) {
   NaiveEngine engine(config::allInOne(4, 8), 3);
   RunLimits limits;
   limits.maxEvents = 0;
-  const auto r = runUntil(engine, Target::perfect(), limits);
+  const auto r = run(engine, Target::perfect(), limits);
   EXPECT_FALSE(r.reachedTarget);
   EXPECT_EQ(r.activations, 0);
 }
 
-TEST(RunUntil, TargetCheckedAfterEachStep) {
+TEST(RunLoop, TargetCheckedAfterEachStep) {
   // With a generous budget the run must stop exactly when the state first
   // satisfies the target, not later.
   NaiveEngine engine(config::allInOne(6, 12), 4);
-  const auto r = runUntil(engine, Target::xBalanced(4), {});
+  const auto r = run(engine, Target::xBalanced(4), {});
   EXPECT_TRUE(r.reachedTarget);
   EXPECT_TRUE(engine.state().xBalanced(4));
 }
 
-TEST(RunUntil, ZeroBallsAbsorbsImmediately) {
+TEST(RunLoop, ZeroBallsAbsorbsImmediately) {
   NaiveEngine engine(config::Configuration({0, 0, 0}), 5);
-  const auto r = runUntil(engine, Target::perfect(), {});
+  const auto r = run(engine, Target::perfect(), {});
   EXPECT_TRUE(r.reachedTarget);  // disc = 0
   EXPECT_DOUBLE_EQ(r.time, 0.0);
 }
@@ -70,14 +74,14 @@ TEST(Target, PerfectVersusXBalancedZero) {
   // xBalanced(0) demands disc <= 0, strictly stronger than perfect (< 1)
   // when n does not divide m.
   NaiveEngine engine(config::balanced(4, 9), 6);
-  EXPECT_TRUE(Target::perfect().reached(engine.state()));
-  EXPECT_FALSE(Target::xBalanced(0).reached(engine.state()));
+  EXPECT_TRUE(engine.reached(Target::perfect()));
+  EXPECT_FALSE(engine.reached(Target::xBalanced(0)));
 }
 
 TEST(TrajectoryRecorder, DecimatesToGrid) {
   NaiveEngine engine(config::allInOne(8, 64), 7);
   TrajectoryRecorder recorder(2.0);
-  runUntil(engine, Target::perfect(), {}, &recorder);
+  run(engine, Target::perfect(), {}, &recorder);
   const auto& pts = recorder.points();
   ASSERT_GE(pts.size(), 2u);
   // Consecutive recorded points are at least one grid step apart (except
@@ -101,7 +105,7 @@ TEST(PhaseTracker, UnreachedThresholdsStayInfinite) {
   PhaseTracker tracker({16, 1});
   RunLimits limits;
   limits.maxEvents = 1;  // no time to reach anything
-  runUntil(engine, Target::perfect(), limits, &tracker);
+  run(engine, Target::perfect(), limits, &tracker);
   EXPECT_EQ(tracker.hitTime(1), std::numeric_limits<double>::infinity());
 }
 
@@ -109,7 +113,7 @@ TEST(PhaseTracker, MultipleThresholdsHitInOneEvent) {
   // A single move can satisfy several thresholds at once; all must record.
   NaiveEngine engine(config::Configuration({4, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 0}), 10);
   PhaseTracker tracker({8, 4, 1});
-  runUntil(engine, Target::perfect(), {}, &tracker);
+  run(engine, Target::perfect(), {}, &tracker);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_LT(tracker.hitTime(i), std::numeric_limits<double>::infinity());
   }
