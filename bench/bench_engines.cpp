@@ -6,6 +6,8 @@
 // end-to-end ablation) and document the library's single-core throughput.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+
 #include "config/generators.hpp"
 #include "ds/fenwick.hpp"
 #include "ds/load_multiset.hpp"
@@ -144,6 +146,32 @@ void BM_JumpStep(benchmark::State& state) {
   state.SetItemsProcessed(moves);
 }
 BENCHMARK(BM_JumpStep)->Arg(1 << 10)->Arg(1 << 14)->Unit(benchmark::kMicrosecond);
+
+// The regime E1/E4 time: all-in-one starts run to balance on the scan path
+// (few levels, many moves). Reports the drain's wall time per lumped move,
+// construction excluded. Args: n, m/n.
+void BM_JumpStepAllInOne(benchmark::State& state) {
+  const std::int64_t n = state.range(0);
+  const std::int64_t ratio = state.range(1);
+  std::uint64_t seed = 11;
+  std::int64_t moves = 0;
+  double drainSeconds = 0.0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    sim::JumpEngine engine(config::allInOne(n, ratio * n), seed++);
+    state.ResumeTiming();
+    const auto t0 = std::chrono::steady_clock::now();
+    while (engine.advance()) {
+    }
+    drainSeconds += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    moves += engine.moves();
+  }
+  state.SetItemsProcessed(moves);
+  state.counters["ns_per_move"] = drainSeconds * 1e9 / static_cast<double>(moves);
+}
+BENCHMARK(BM_JumpStepAllInOne)
+    ->ArgsProduct({{256, 2048}, {8, 64}})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_FullRunHybridAllInOne(benchmark::State& state) {
   const std::int64_t n = state.range(0);

@@ -12,9 +12,7 @@ bool LevelIndex::fits(const LoadMultiset& ms, std::int64_t domainCap) {
   if (domain > domainCap) return false;
   // totalWeight <= sum_v v*cnt(v) * n = m*n must stay well inside int64 so
   // every intermediate sum (and the uniform ticket draw) is exact.
-  const std::int64_t cap = std::int64_t{1} << 62;
-  if (ms.numBalls() > 0 && ms.numBins() > cap / ms.numBalls()) return false;
-  return true;
+  return weightsFit(ms.numBins(), ms.numBalls());
 }
 
 LevelIndex::LevelIndex(const LoadMultiset& ms)

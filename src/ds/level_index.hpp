@@ -1,15 +1,16 @@
 // LevelIndex: incremental source/destination sampling for the lumped RLS
-// chain, replacing the jump engine's O(L) per-event level-weight rebuild.
+// chain, for states with many distinct loads in play.
 //
 // The jump engine needs, per event, (a) the total rate of multiset-changing
 // moves, (b) a source level v drawn with probability proportional to
 // w(v) = v * cnt(v) * C(v-2), and (c) a destination level u <= v-2 drawn
 // proportional to cnt(u), where cnt(x) is the number of bins at load x and
-// C(x) = #bins with load <= x. Rebuilding the w(v) array costs O(L) per
-// event; this index maintains everything incrementally in O(log D) per
-// ball move, with D = maxLoad - minLoad + 1 of the *initial* configuration
-// (closed-system RLS never moves a ball above the running max or below the
-// running min, so the load domain is fixed at construction).
+// C(x) = #bins with load <= x. The engine's scan path keeps the w(v) per
+// level but still scans the L levels to draw; this index draws and updates
+// in O(log D) per ball move, with D = maxLoad - minLoad + 1 of the
+// *initial* configuration (closed-system RLS never moves a ball above the
+// running max or below the running min, so the load domain is fixed at
+// construction).
 //
 // Structure, over the dense domain [minLoad0, maxLoad0]:
 //   - a Fenwick over bin counts: C(x) prefix sums and the u-draw;
@@ -36,12 +37,19 @@ class LevelIndex {
   /// Build from the initial multiset (O(D + L)). Requires fits(ms).
   explicit LevelIndex(const LoadMultiset& ms);
 
-  /// Domain/overflow guard: callers fall back to the O(L) scan when the
-  /// spread is huge (dense-domain memory) or m*n would overflow the exact
-  /// integer weights.
+  /// Domain/overflow guard: callers fall back to the scan when the spread
+  /// is huge (dense-domain memory) or m*n would overflow the exact integer
+  /// weights.
   [[nodiscard]] static bool fits(const LoadMultiset& ms,
                                  std::int64_t domainCap = kDefaultDomainCap);
   static constexpr std::int64_t kDefaultDomainCap = std::int64_t{1} << 20;
+
+  /// m*n < 2^62: every level weight, their total and every ticket drawn
+  /// below it are exact int64 values with room to spare.
+  [[nodiscard]] static bool weightsFit(std::int64_t bins, std::int64_t balls) {
+    return balls <= 0 || bins <= (kWeightCap - 1) / balls;
+  }
+  static constexpr std::int64_t kWeightCap = std::int64_t{1} << 62;
 
   /// Sum over levels of v*cnt(v)*C(v-2): n times the total move rate.
   /// Zero iff the chain is absorbed (spread <= 1).

@@ -84,8 +84,7 @@ class OpenSystem final : public process::Process {
     return {process::Clock::Kind::Continuous, time_};
   }
   [[nodiscard]] const process::Capabilities& capabilities() const override {
-    static constexpr process::Capabilities kCaps{
-        .continuousTime = true, .gapRule = true, .openSystem = true};
+    static constexpr process::Capabilities kCaps{.openSystem = true};
     return kCaps;
   }
   /// Accepted migrations, neutral ones included (reads counters()).

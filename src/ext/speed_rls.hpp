@@ -41,12 +41,8 @@ class SpeedRlsEngine final : public process::Process {
   [[nodiscard]] process::Clock now() const override {
     return {process::Clock::Kind::Continuous, time_};
   }
-  /// Bin speeds weight the experienced load.
   [[nodiscard]] const process::Capabilities& capabilities() const override {
-    static constexpr process::Capabilities kCaps{.continuousTime = true,
-                                                 .countsActivations = true,
-                                                 .weights = true,
-                                                 .equilibrium = true};
+    static constexpr process::Capabilities kCaps{.equilibrium = true};
     return kCaps;
   }
   [[nodiscard]] bool reached(const process::Target& target) const override;

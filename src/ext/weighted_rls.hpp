@@ -45,10 +45,7 @@ class WeightedRlsEngine final : public process::Process {
     return {process::Clock::Kind::Continuous, time_};
   }
   [[nodiscard]] const process::Capabilities& capabilities() const override {
-    static constexpr process::Capabilities kCaps{.continuousTime = true,
-                                                 .countsActivations = true,
-                                                 .weights = true,
-                                                 .equilibrium = true};
+    static constexpr process::Capabilities kCaps{.equilibrium = true};
     return kCaps;
   }
   [[nodiscard]] bool reached(const process::Target& target) const override;

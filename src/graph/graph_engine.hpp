@@ -48,10 +48,7 @@ class GraphRlsEngine final : public process::Process {
   [[nodiscard]] std::int64_t activations() const override { return activations_; }
   [[nodiscard]] const sim::BalanceState& state() const override { return tracker_.state(); }
   [[nodiscard]] const process::Capabilities& capabilities() const override {
-    static constexpr process::Capabilities kCaps{.continuousTime = true,
-                                                 .countsActivations = true,
-                                                 .gapRule = true,
-                                                 .topology = true};
+    static constexpr process::Capabilities kCaps{};
     return kCaps;
   }
 

@@ -54,8 +54,7 @@ class GraphJumpEngine final : public process::Process {
   [[nodiscard]] std::int64_t moves() const override { return moves_; }
   [[nodiscard]] const sim::BalanceState& state() const override { return tracker_.state(); }
   [[nodiscard]] const process::Capabilities& capabilities() const override {
-    static constexpr process::Capabilities kCaps{
-        .continuousTime = true, .gapRule = true, .topology = true};
+    static constexpr process::Capabilities kCaps{};
     return kCaps;
   }
 

@@ -20,9 +20,8 @@
 //   state()     the O(1)-maintained BalanceState view shared with
 //               serve::CompactAllocator::balanceState(), so stopping
 //               predicates and gap reports speak one vocabulary.
-//   capabilities()  what the dynamic supports: probes, a gap rule, weights,
-//               topology restriction, open ball populations, equilibrium
-//               targets.
+//   capabilities()  the two traits generic drivers read: an open ball
+//               population and an equilibrium target.
 //
 // process::run(...) is THE run loop; callers hand it any dynamic directly.
 // tests/test_process.cpp pins it byte-identical to frozen copies of the
@@ -63,17 +62,12 @@ struct Clock {
   }
 };
 
-/// What a dynamic supports; drives generic drivers (process_compare picks
-/// default targets from these) and documents the roster in `rlslb describe`.
+/// The traits generic drivers read: process_compare picks its default
+/// target from both, and the conformance probe checks an open system's
+/// mass against its live population (obs/probe.cpp).
 struct Capabilities {
-  bool continuousTime = false;     // Clock::Kind::Continuous
-  bool countsActivations = false;  // activations() >= 0
-  bool probes = true;              // every advance() is a probe-visible event
-  bool gapRule = false;            // accepts the RLS acceptance-gap knob
-  bool weights = false;            // weighted balls or bin speeds
-  bool topology = false;           // destination restricted to a graph
-  bool openSystem = false;         // ball population changes over time
-  bool equilibrium = false;        // supports Target::equilibrium()
+  bool openSystem = false;   // ball population changes over time
+  bool equilibrium = false;  // supports Target::equilibrium()
 };
 
 /// Stopping target of a run: a balance target, the fixed point of the

@@ -47,7 +47,7 @@ class RoundProtocol : public process::Process {
   [[nodiscard]] process::Clock now() const final {
     return {process::Clock::Kind::Rounds, static_cast<double>(rounds_)};
   }
-  /// Synchronous, closed, no gap knob: every flag but probes is off.
+  /// Closed, with no equilibrium target: every flag is off.
   [[nodiscard]] const process::Capabilities& capabilities() const final {
     static constexpr process::Capabilities kCaps{};
     return kCaps;

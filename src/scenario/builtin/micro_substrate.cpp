@@ -16,7 +16,8 @@
 // size would collapse the recompute walk to a single read and understate
 // the win), ops (per-measurement loop count, default 2e6, scaled by
 // --scale), jump_levels (distinct loads kept in play for the jump-step
-// rows, default 512 -- the level-index-vs-scan gap grows with it).
+// rows, default 512, where the two backends cost about the same; the
+// index pulls ahead as it grows).
 #include <algorithm>
 #include <cstdint>
 #include <memory>
@@ -94,11 +95,12 @@ void runMicroSubstrate(ScenarioContext& ctx) {
     }
   });
 
-  // Jump-engine step cost, before/after the incremental level index
-  // (ROADMAP open item: the O(L) per-event level-weight rebuild). A
+  // Jump-engine step cost on its two backends: the incremental level
+  // index, O(log D) per event, and the scan path, which keeps each level's
+  // weight but walks the levels to draw the source and the destination. A
   // staircase start keeps L = jump_levels distinct loads in play, the
-  // regime where the rebuild hurt; the engine is re-created whenever the
-  // chain absorbs.
+  // regime where the walks cost most; the engine is re-created whenever
+  // the chain absorbs.
   const auto jumpLevels = ctx.params.getInt("jump_levels", 512);
   const auto staircase = [jumpLevels] {
     std::vector<std::int64_t> loads;
@@ -127,7 +129,7 @@ void runMicroSubstrate(ScenarioContext& ctx) {
       for (std::int64_t k = 0; k < count; ++k) {
         // Refresh every ~jump_levels steps (and on absorption) so the
         // level count stays near its initial value: the measurement targets
-        // the many-levels regime where the O(L) rebuild hurt.
+        // the many-levels regime where the scan's walks are longest.
         if (++sinceFresh >= jumpLevels || !engine->advance()) {
           engine = fresh();
           sinceFresh = 0;
@@ -136,12 +138,13 @@ void runMicroSubstrate(ScenarioContext& ctx) {
     });
   };
   measureJump("jump step (incremental level index, O(log D))", true);
-  measureJump("jump step (O(L) scan rebuild)", false);
+  measureJump("jump step (level scan, kept weights, O(L))", false);
 
   ctx.emitTimingTable(table,
                       "[micro] substrate per-op costs (wall-clock; the cached-total row "
                       "must be a small constant, the recompute row ~log n loads, and the "
-                      "indexed jump step must beat the scan rebuild at high level counts)");
+                      "indexed jump step must beat the level scan at high level counts: "
+                      "jump_levels=2048)");
 }
 
 }  // namespace

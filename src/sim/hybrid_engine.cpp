@@ -7,11 +7,12 @@ namespace rlslb::sim {
 
 HybridEngine::HybridEngine(const config::Configuration& initial, std::uint64_t seed,
                            std::int64_t levelThreshold, std::int64_t checkInterval)
-    : naive_(std::make_unique<NaiveEngine>(initial, seed)),
-      seed_(seed),
+    : seed_(seed),
       levelThreshold_(levelThreshold > 0 ? levelThreshold : 96),
       checkInterval_(checkInterval) {
   RLSLB_ASSERT(checkInterval_ >= 1);
+  JumpEngine::requireWeightsFit(initial.numBins(), initial.numBalls());
+  naive_ = std::make_unique<NaiveEngine>(initial, seed);
   maybeSwitch();
 }
 

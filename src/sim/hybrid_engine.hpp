@@ -3,10 +3,11 @@
 //
 // Cost model: a naive activation is O(log n) but most activations fail once
 // the configuration is nearly balanced (Phases 2-3 waste Theta(n^2)
-// activations); a jump event is O(L) but never wasted. L is bounded by
-// min(n, spread + 1) and the spread is non-increasing under RLS, so once L
-// falls below the threshold the jump engine's per-event cost stays small for
-// the remainder of the run. Worst cases on both ends are covered: the
+// activations); a jump event scans the L levels twice (O(1) updates after
+// the draw) but is never wasted. L is bounded by min(n, spread + 1) and the
+// spread is non-increasing under RLS, so once L falls below the threshold
+// the jump engine's per-event cost stays small for the remainder of the
+// run. Worst cases on both ends are covered: the
 // all-in-one start has L = 2 (jump immediately), the staircase start has
 // L = n (stay naive until the levels merge).
 //
@@ -26,7 +27,8 @@ namespace rlslb::sim {
 class HybridEngine final : public process::Process {
  public:
   /// `levelThreshold` <= 0 selects the default (96). The switch condition is
-  /// re-checked every `checkInterval` events.
+  /// re-checked every `checkInterval` events. Throws std::invalid_argument
+  /// when m * n >= 2^62, as the jump stage would (JumpEngine).
   HybridEngine(const config::Configuration& initial, std::uint64_t seed,
                std::int64_t levelThreshold = 0, std::int64_t checkInterval = 64);
 
@@ -46,10 +48,8 @@ class HybridEngine final : public process::Process {
   [[nodiscard]] const BalanceState& state() const override {
     return jump_ ? jump_->state() : naive_->state();
   }
-  /// No gap rule: the jump stage is gap-agnostic.
   [[nodiscard]] const process::Capabilities& capabilities() const override {
-    static constexpr process::Capabilities kCaps{.continuousTime = true,
-                                                 .countsActivations = true};
+    static constexpr process::Capabilities kCaps{};
     return kCaps;
   }
 

@@ -18,8 +18,13 @@
 // sample the same distribution:
 //   - ds::LevelIndex, O(log D) with D = initial maxLoad - minLoad + 1:
 //     incrementally maintained level weights, exact integer sampling;
-//   - the O(L) scan over the sparse level list (L = distinct load values),
-//     whose tiny constant wins for concentrated states.
+//   - a scan over the sparse level list (L = distinct load values), whose
+//     tiny constant wins for concentrated states. Each level keeps its exact
+//     int64 source weight w(v) = v * cnt(v) * C(v-2) (C(x) = #bins with load
+//     <= x) and the engine keeps their total, so an event is two short walks
+//     (the source down from the top level, the destination up from the
+//     bottom) plus O(1) updates of the <= 6 levels a move touches; only a
+//     move that makes a level appear or empty re-sums the weights in O(L).
 // The constructor picks by a cost heuristic (index iff L exceeds ~24 tree
 // depths); enableLevelIndex()/disableLevelIndex() force a backend for the
 // micro rows and the cross-backend equivalence tests.
@@ -40,9 +45,15 @@ namespace rlslb::sim {
 
 class JumpEngine final : public process::Process {
  public:
+  /// Both constructors throw std::invalid_argument when m * n >= 2^62: the
+  /// exact integer level weights sum to at most m * n.
   JumpEngine(const config::Configuration& initial, std::uint64_t seed);
   JumpEngine(ds::LoadMultiset initial, std::uint64_t seed, double startTime = 0.0,
              std::int64_t startMoves = 0);
+
+  /// Throws std::invalid_argument unless ds::LevelIndex::weightsFit(bins,
+  /// balls); HybridEngine checks its start with it before running.
+  static void requireWeightsFit(std::int64_t bins, std::int64_t balls);
 
   /// One multiset-changing move; false once perfectly balanced (absorbed).
   bool advance() override;
@@ -52,21 +63,19 @@ class JumpEngine final : public process::Process {
   }
   [[nodiscard]] std::int64_t moves() const override { return moves_; }
   [[nodiscard]] const BalanceState& state() const override { return state_; }
-  /// No gap rule: the ">=" and ">" protocols lump to this same chain.
-  /// Failed activations are skipped, so none are counted.
   [[nodiscard]] const process::Capabilities& capabilities() const override {
-    static constexpr process::Capabilities kCaps{.continuousTime = true};
+    static constexpr process::Capabilities kCaps{};
     return kCaps;
   }
 
-  /// Current lumped state. With the level index active this rebuilds the
-  /// multiset on first access after a step (O(D log D)); hand-offs and
-  /// tests call it, the hot loop must not.
+  /// Current lumped state, rebuilt on first access after a step (O(L) on
+  /// the scan path, O(D log D) with the level index); hand-offs and tests
+  /// call it, the hot loop must not.
   [[nodiscard]] const ds::LoadMultiset& multiset() const;
 
-  /// Drop the incremental level index and simulate via the O(L) per-event
-  /// scan from here on. For the before/after micro rows (micro_substrate)
-  /// and the index-vs-scan equivalence tests; sampling distributions are
+  /// Drop the incremental level index and simulate via the per-event scan
+  /// from here on. For the before/after micro rows (micro_substrate) and
+  /// the index-vs-scan equivalence tests; sampling distributions are
   /// identical either way, drawn random streams are not.
   void disableLevelIndex();
 
@@ -82,18 +91,33 @@ class JumpEngine final : public process::Process {
   [[nodiscard]] double totalRate() const;
 
  private:
-  mutable ds::LoadMultiset ms_;
-  mutable bool msFresh_ = true;  // ms_ mirrors the index state
+  // One occupied load value of the scan path.
+  struct Level {
+    std::int64_t load;
+    std::int64_t count;   // bins at this load
+    std::int64_t cum;     // bins at or below this load: C(load)
+    std::int64_t weight;  // load * count * C(load - 2)
+  };
+
+  std::vector<Level> levels_;     // scan path state, ascending by load
+  std::int64_t totalWeight_ = 0;  // sum of the levels' weights
+  mutable ds::LoadMultiset ms_;   // multiset() cache
+  mutable bool msFresh_ = true;   // ms_ mirrors the current state
   std::unique_ptr<ds::LevelIndex> index_;
   rng::Xoshiro256pp eng_;
   BalanceState state_;
   double time_;
   std::int64_t moves_;
-  std::vector<double> weightScratch_;  // per-level source weights (scan path)
 
   bool stepIndexed();
   bool stepScan();
   void refreshState();
+  void loadLevels(const ds::LoadMultiset& ms);
+  [[nodiscard]] std::int64_t countBelow(std::size_t i) const;  // C(load_i - 2)
+  [[nodiscard]] std::int64_t weightOf(std::size_t i) const;
+  void refreshWeight(std::size_t i);
+  void resumWeights();
+  bool moveBin(std::size_t i, std::int64_t delta);
 };
 
 }  // namespace rlslb::sim

@@ -51,8 +51,7 @@ class NaiveEngine final : public process::Process {
   [[nodiscard]] std::int64_t activations() const override { return activations_; }
   [[nodiscard]] const BalanceState& state() const override { return state_; }
   [[nodiscard]] const process::Capabilities& capabilities() const override {
-    static constexpr process::Capabilities kCaps{
-        .continuousTime = true, .countsActivations = true, .gapRule = true};
+    static constexpr process::Capabilities kCaps{};
     return kCaps;
   }
 

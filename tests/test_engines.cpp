@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "config/generators.hpp"
@@ -22,6 +23,8 @@
 #include "sim/probes.hpp"
 #include "stats/running_stat.hpp"
 #include "stats/tests.hpp"
+
+#include "jump_reference.hpp"
 
 namespace rlslb {
 namespace {
@@ -181,17 +184,173 @@ TEST(JumpEngine, AbsorbsExactlyAtPerfectBalance) {
 }
 
 TEST(JumpEngine, TotalRateMatchesBruteForce) {
-  // R = (1/n) sum over ordered pairs (i, j) with l_i >= l_j + 2 of l_i.
-  const Configuration c({7, 4, 4, 2, 0});
-  sim::JumpEngine engine(c, 7);
-  double brute = 0.0;
-  for (std::int64_t li : c.loads()) {
-    for (std::int64_t lj : c.loads()) {
-      if (li >= lj + 2) brute += static_cast<double>(li);
+  // R = (1/n) sum over ordered pairs (i, j) with l_i >= l_j + 2 of l_i,
+  // checked at the start and after every step.
+  for (const Configuration& c :
+       {Configuration({7, 4, 4, 2, 0}), Configuration({12, 9, 9, 5, 3, 3, 0, 0})}) {
+    sim::JumpEngine engine(c, 7);
+    std::int64_t steps = 0;
+    do {
+      const std::vector<std::int64_t> loads = engine.multiset().toSortedLoads();
+      double brute = 0.0;
+      for (std::int64_t li : loads) {
+        for (std::int64_t lj : loads) {
+          if (li >= lj + 2) brute += static_cast<double>(li);
+        }
+      }
+      brute /= static_cast<double>(c.numBins());
+      ASSERT_NEAR(engine.totalRate(), brute, 1e-9) << "after step " << steps;
+      ++steps;
+    } while (engine.advance());
+    EXPECT_GT(steps, 3);
+  }
+}
+
+// ------------------------------------------- the frozen scan-path oracle
+
+bool sameMultiset(const ds::LoadMultiset& a, const ds::LoadMultiset& b) {
+  if (a.numLevels() != b.numLevels() || a.numBins() != b.numBins() ||
+      a.numBalls() != b.numBalls()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.numLevels(); ++i) {
+    if (a.level(i).load != b.level(i).load || a.level(i).count != b.level(i).count) return false;
+  }
+  return true;
+}
+
+// Steps the engine and the frozen oracle in lockstep for up to `maxSteps`
+// events (until both absorb by default): the clocks must be bit-equal and
+// the move counts, states and multisets equal after every step. Returns the
+// number of events taken.
+template <class Oracle>
+std::int64_t expectLockstep(sim::JumpEngine& engine, Oracle& oracle,
+                            std::int64_t maxSteps = std::int64_t{1} << 40) {
+  std::int64_t steps = 0;
+  while (steps < maxSteps) {
+    const bool alive = engine.advance();
+    EXPECT_EQ(alive, oracle.advance()) << "step " << steps;
+    EXPECT_EQ(engine.time(), oracle.time()) << "step " << steps;
+    EXPECT_EQ(engine.moves(), oracle.moves()) << "step " << steps;
+    EXPECT_EQ(engine.state(), oracle.state()) << "step " << steps;
+    EXPECT_TRUE(sameMultiset(engine.multiset(), oracle.multiset())) << "step " << steps;
+    EXPECT_EQ(engine.totalRate(), oracle.totalRate()) << "step " << steps;
+    if (::testing::Test::HasFailure() || !alive) break;
+    ++steps;
+  }
+  return steps;
+}
+
+TEST(JumpEngine, ScanPathMatchesFrozenOracleFromAllInOne) {
+  for (const std::int64_t n : {2, 7, 64, 257}) {
+    for (const std::int64_t ratio : {1, 4, 64}) {
+      for (std::uint64_t rep = 0; rep < 3; ++rep) {
+        const std::uint64_t cell = static_cast<std::uint64_t>(n * 100 + ratio);
+        const std::uint64_t seed = rng::streamSeed(9300, cell * 8 + rep);
+        const auto init = config::allInOne(n, ratio * n);
+        sim::JumpEngine engine(init, seed);
+        sim::reference::ScanJumpEngine oracle(init.toMultiset(), seed);
+        ASSERT_FALSE(engine.usesLevelIndex());
+        expectLockstep(engine, oracle);
+        ASSERT_FALSE(HasFailure()) << "n=" << n << " m/n=" << ratio << " rep " << rep;
+        EXPECT_TRUE(engine.state().perfectlyBalanced());
+      }
     }
   }
-  brute /= static_cast<double>(c.numBins());
-  EXPECT_NEAR(engine.totalRate(), brute, 1e-9);
+}
+
+TEST(JumpEngine, ScanPathMatchesFrozenOracleFromSpreadStarts) {
+  for (const std::int64_t n : {16, 64, 200}) {
+    for (std::uint64_t rep = 0; rep < 4; ++rep) {
+      const std::uint64_t seed = rng::streamSeed(9400, static_cast<std::uint64_t>(n) * 8 + rep);
+      rng::Xoshiro256pp eng(seed);
+      const Configuration starts[] = {
+          config::halfHalf(n, 16 * n, 5 + static_cast<std::int64_t>(rep)),
+          config::greedyD(n, 12 * n, 2, eng), config::uniformRandom(n, 12 * n, eng)};
+      for (const Configuration& init : starts) {
+        sim::JumpEngine engine(init, seed);
+        sim::reference::ScanJumpEngine oracle(init.toMultiset(), seed);
+        ASSERT_EQ(engine.usesLevelIndex(), oracle.usesLevelIndex());
+        expectLockstep(engine, oracle);
+        ASSERT_FALSE(HasFailure()) << "n=" << n << " rep " << rep;
+      }
+    }
+  }
+}
+
+TEST(JumpEngine, OffsetConstructorMatchesFrozenOracle) {
+  for (std::uint64_t seed = 31; seed < 36; ++seed) {
+    const auto ms = ds::LoadMultiset::fromLoads({40, 9, 9, 6, 2, 2, 2, 0, 0, 0, 0});
+    sim::JumpEngine engine(ms, seed, /*startTime=*/5.5, /*startMoves=*/7);
+    sim::reference::ScanJumpEngine oracle(ms, seed, 5.5, 7);
+    const std::int64_t steps = expectLockstep(engine, oracle);
+    EXPECT_EQ(steps, engine.moves() - 7);
+    ASSERT_FALSE(HasFailure()) << "seed " << seed;
+  }
+}
+
+TEST(JumpEngine, IndexScanHandOffsMatchFrozenOracle) {
+  // A staircase starts on the level index; it moves to the scan path
+  // mid-run and back, and the oracle follows the same hand-offs.
+  for (std::uint64_t seed = 41; seed < 45; ++seed) {
+    const auto init = config::staircase(48, 1128);
+    sim::JumpEngine engine(init, seed);
+    sim::reference::ScanJumpEngine oracle(init.toMultiset(), seed);
+    engine.enableLevelIndex();
+    oracle.enableLevelIndex();
+    ASSERT_EQ(expectLockstep(engine, oracle, 150), 150);
+    engine.disableLevelIndex();
+    oracle.disableLevelIndex();
+    ASSERT_FALSE(engine.usesLevelIndex());
+    ASSERT_EQ(expectLockstep(engine, oracle, 300), 300);
+    engine.enableLevelIndex();
+    oracle.enableLevelIndex();
+    ASSERT_TRUE(engine.usesLevelIndex());
+    expectLockstep(engine, oracle);
+    ASSERT_FALSE(HasFailure()) << "seed " << seed;
+    EXPECT_TRUE(engine.state().perfectlyBalanced());
+  }
+}
+
+TEST(HybridEngine, MatchesFrozenOracleFromStaircase) {
+  // Naive until at most 96 levels remain, then the scan path: the hand-off
+  // and every jump step after it match the frozen hybrid.
+  for (std::uint64_t seed = 51; seed < 54; ++seed) {
+    const auto init = config::staircase(128, 128 * 160);  // 128 levels
+    sim::HybridEngine engine(init, seed);
+    sim::reference::Hybrid oracle(init, seed);
+    ASSERT_FALSE(engine.switched());
+    std::int64_t steps = 0;
+    for (bool alive = true; alive; ++steps) {
+      alive = engine.advance();
+      ASSERT_EQ(alive, oracle.advance()) << "step " << steps;
+      ASSERT_EQ(engine.switched(), oracle.switched()) << "step " << steps;
+      ASSERT_EQ(engine.time(), oracle.time()) << "step " << steps;
+      ASSERT_EQ(engine.moves(), oracle.moves()) << "step " << steps;
+      ASSERT_EQ(engine.state(), oracle.state()) << "step " << steps;
+    }
+    EXPECT_TRUE(engine.switched());
+    EXPECT_TRUE(engine.state().perfectlyBalanced());
+  }
+}
+
+TEST(JumpEngine, RejectsWeightsPastTwoToThe62) {
+  // The level weights sum to at most m * n, kept exact in int64: both
+  // constructors reject m * n >= 2^62 and accept it just below.
+  const std::int64_t top = std::int64_t{1} << 61;
+  const auto twoBins = [](std::int64_t m) { return ds::LoadMultiset::fromLoads({m, 0}); };
+  EXPECT_THROW(sim::JumpEngine(twoBins(top), 1), std::invalid_argument);
+  EXPECT_THROW(sim::JumpEngine(Configuration({top + 5, 0}), 1), std::invalid_argument);
+  EXPECT_THROW(sim::HybridEngine(Configuration({top, 0}), 1), std::invalid_argument);
+  EXPECT_THROW(sim::HybridEngine(Configuration({2 * top, 0, 0}), 1), std::invalid_argument);
+
+  sim::JumpEngine below(twoBins(top - 1), 1);  // m * n = 2^62 - 2
+  EXPECT_EQ(below.totalRate(), static_cast<double>(top - 1) / 2.0);
+  EXPECT_TRUE(below.advance());
+  EXPECT_NO_THROW(sim::JumpEngine(Configuration({top / 2 - 1, 0, 0, 0}), 1));
+  sim::HybridEngine hybrid(Configuration({top - 1, 0}), 1);
+  EXPECT_TRUE(hybrid.switched());
+  EXPECT_TRUE(hybrid.advance());
 }
 
 TEST(Engines, DeterministicForSeed) {
@@ -387,9 +546,9 @@ TEST(Probes, OverloadDecayNeverIncreases) {
 }
 
 TEST(JumpEngine, IndexAndScanPathsDistributionallyIdentical) {
-  // The incremental LevelIndex path and the O(L) scan rebuild are two
-  // exact samplers of the same lumped chain; their balancing-time
-  // distributions must not separate.
+  // The incremental LevelIndex path and the scan over the kept level
+  // weights are two exact samplers of the same lumped chain; their
+  // balancing-time distributions must not separate.
   const auto init = config::staircase(24, 276);  // many levels in play
   std::vector<double> indexed;
   std::vector<double> scan;

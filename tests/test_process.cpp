@@ -471,7 +471,7 @@ TEST(ProcessEquivalence, GraphEngineMatchesReferenceAndRegistry) {
   util::Params params;
   params.set("topology", "cycle");
   auto p = makeProcess("graph_rls", init, 1717, params);
-  EXPECT_TRUE(p->capabilities().topology);
+  EXPECT_NE(dynamic_cast<graph::GraphRlsEngine*>(p.get()), nullptr);
   const RunResult r = run(*p, Target::perfect(), {.maxTime = 1e9, .maxEvents = 2'000'000'000});
 
   EXPECT_EQ(legacy.time, r.time);
@@ -731,30 +731,29 @@ TEST(ProcessRegistry, SpecsDeclareTheirParams) {
   EXPECT_EQ(open->params.size(), 4u);
 }
 
-// Every kind's eight capability flags and clock kind, pinned: each dynamic
+// Every kind's two capability flags and clock kind, pinned: each dynamic
 // declares its own flags, so a flag lost or flipped in a move shows here.
 TEST(ProcessRegistry, CapabilitiesDescribeTheDynamics) {
   using K = Clock::Kind;
   struct Row {
     const char* kind;
     K clock;
-    // continuousTime, countsActivations, probes, gapRule, weights, topology,
-    // openSystem, equilibrium
-    bool flags[8];
+    bool openSystem;
+    bool equilibrium;
   };
   const Row rows[] = {
-      {"rls", K::Continuous, {true, true, true, false, false, false, false, false}},
-      {"rls_naive", K::Continuous, {true, true, true, true, false, false, false, false}},
-      {"rls_jump", K::Continuous, {true, false, true, false, false, false, false, false}},
-      {"selfish", K::Rounds, {false, false, true, false, false, false, false, false}},
-      {"edm", K::Rounds, {false, false, true, false, false, false, false, false}},
-      {"threshold", K::Rounds, {false, false, true, false, false, false, false, false}},
-      {"repeated", K::Rounds, {false, false, true, false, false, false, false, false}},
-      {"crs", K::Steps, {false, false, true, false, false, false, false, true}},
-      {"speed_rls", K::Continuous, {true, true, true, false, true, false, false, true}},
-      {"weighted_rls", K::Continuous, {true, true, true, false, true, false, false, true}},
-      {"graph_rls", K::Continuous, {true, true, true, true, false, true, false, false}},
-      {"open", K::Continuous, {true, false, true, true, false, false, true, false}},
+      {"rls", K::Continuous, false, false},
+      {"rls_naive", K::Continuous, false, false},
+      {"rls_jump", K::Continuous, false, false},
+      {"selfish", K::Rounds, false, false},
+      {"edm", K::Rounds, false, false},
+      {"threshold", K::Rounds, false, false},
+      {"repeated", K::Rounds, false, false},
+      {"crs", K::Steps, false, true},
+      {"speed_rls", K::Continuous, false, true},
+      {"weighted_rls", K::Continuous, false, true},
+      {"graph_rls", K::Continuous, false, false},
+      {"open", K::Continuous, true, false},
   };
   registerBuiltinProcesses();
   ASSERT_EQ(ProcessRegistry::global().size(), std::size(rows));
@@ -762,9 +761,8 @@ TEST(ProcessRegistry, CapabilitiesDescribeTheDynamics) {
   for (const Row& row : rows) {
     const auto p = makeProcess(row.kind, init, 1);
     const Capabilities& c = p->capabilities();
-    const bool got[8] = {c.continuousTime, c.countsActivations, c.probes, c.gapRule,
-                         c.weights,        c.topology,          c.openSystem, c.equilibrium};
-    for (int f = 0; f < 8; ++f) EXPECT_EQ(got[f], row.flags[f]) << row.kind << " flag " << f;
+    EXPECT_EQ(c.openSystem, row.openSystem) << row.kind;
+    EXPECT_EQ(c.equilibrium, row.equilibrium) << row.kind;
     EXPECT_EQ(p->now().kind, row.clock) << row.kind;
   }
 }
